@@ -7,7 +7,6 @@ subcategory operator into finite index combinatorics on masks, where a mask
 is a frozenset of catalog indices denoting the additive hull of its members.
 """
 
-import itertools
 import json
 from collections import deque
 from typing import NamedTuple
@@ -153,7 +152,10 @@ def enumerate_indecomposables(algebra, config=None):
 
     Raises NotClosed when a new isomorphism class appears above the dimension
     bound; for a representation-finite algebra with an adequate bound the
-    closure stabilizes and is then re-verified from scratch.
+    closure stabilizes.  Each member's quotients are computed once, when it
+    is registered, and each ordered pair's extensions once, when its later
+    member is registered; every summand they produce is admitted, so the
+    result is closed without a second pass.
     """
     cfg = config or DEFAULT_CONFIG
     reps = []
@@ -219,20 +221,7 @@ def enumerate_indecomposables(algebra, config=None):
         names.append(ds + _letters(counts.get(ds, 0)))
         counts[ds] = counts.get(ds, 0) + 1
     cat.names = tuple(names)
-
-    verify_closure(cat)
     return cat
-
-
-def verify_closure(cat):
-    """Re-derive every quotient and pair extension and demand catalog members."""
-    cfg = cat.config
-    for i, x in enumerate(cat.ind):
-        for _, inc in modrep.submodules(x, cfg):
-            cat.decompose_indices(modrep.quotient_by(inc)[0])
-    for q, u in itertools.product(range(len(cat.ind)), repeat=2):
-        for z in modrep.all_extensions(cat.ind[q], cat.ind[u], cfg):
-            cat.decompose_indices(z)
 
 
 def build_tables(cat):

@@ -40,29 +40,21 @@ def _budget_parent():
     p.add_argument("--subspace-budget", type=int, default=None)
     p.add_argument("--ext-budget", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel verification workers (env TORSLAT_THREADS)",
-    )
     return p
 
 
 def _config_from(args):
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("TORSLAT_THREADS")
-        workers = int(env) if env else None
-    return DEFAULT_CONFIG.with_overrides(
-        dim_bound=args.dim_bound,
-        path_budget=args.path_budget,
-        iso_budget=args.iso_budget,
-        subspace_budget=args.subspace_budget,
-        ext_budget=args.ext_budget,
-        node_budget=args.node_budget,
-        workers=workers,
-    )
+    try:
+        return DEFAULT_CONFIG.with_overrides(
+            dim_bound=args.dim_bound,
+            path_budget=args.path_budget,
+            iso_budget=args.iso_budget,
+            subspace_budget=args.subspace_budget,
+            ext_budget=args.ext_budget,
+            node_budget=args.node_budget,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _build_parser():
@@ -116,39 +108,51 @@ def _parse_node(cat, lat, token):
     return node
 
 
+def _load_algebra(path, cfg):
+    try:
+        return parse_algebra_file(path, cfg)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read spec: {exc}") from None
+
+
+def _export(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write export: {exc}") from None
+
+
 def _yesno(flag):
     return "yes" if flag else "no"
 
 
 def _cmd_indec(args, cfg, out):
-    algebra = parse_algebra_file(args.spec, cfg)
+    algebra = _load_algebra(args.spec, cfg)
     cat = build_catalog(algebra, cfg)
     print(f"{len(cat.ind)} indecomposables", file=out)
     for i, mod in enumerate(cat.ind):
         dims = ",".join(str(d) for d in mod.dims)
         print(f"{cat.names[i]} dims={dims} total={mod.total_dim}", file=out)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(to_json(cat))
+        _export(args.json, to_json(cat))
     return 0
 
 
 def _cmd_lattice(args, cfg, out):
-    algebra = parse_algebra_file(args.spec, cfg)
+    algebra = _load_algebra(args.spec, cfg)
     cat = build_catalog(algebra, cfg)
     lat = build_lattice(cat)
     print(f"{len(lat)} nodes, {len(lat.arrows)} arrows", file=out)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(lat.to_dot())
+        _export(args.dot, lat.to_dot())
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(lat.to_json())
+        _export(args.json, lat.to_json())
     return 0
 
 
 def _cmd_interval(args, cfg, out):
-    algebra = parse_algebra_file(args.spec, cfg)
+    algebra = _load_algebra(args.spec, cfg)
     cat = build_catalog(algebra, cfg)
     lat = build_lattice(cat)
     bottom = _parse_node(cat, lat, args.bottom)
@@ -194,8 +198,8 @@ def _cmd_verify(args, cfg, out):
     else:
         base = os.path.basename(args.spec)
         name = base[:-4] if base.endswith(".alg") else base
-        named = [(name, parse_algebra_file(args.spec, cfg))]
-    results = verify_mod.run_verify(named, props, cfg, workers=cfg.workers)
+        named = [(name, _load_algebra(args.spec, cfg))]
+    results = verify_mod.run_verify(named, props, cfg)
     text, failures = verify_mod.format_report(results)
     out.write(text)
     return 1 if failures else 0

@@ -22,12 +22,10 @@ class Config:
     ext_budget: int = 65536
     # cap on lattice nodes
     node_budget: int = 20000
-    # worker count for multi-algebra verification
-    workers: int = 1
 
     def __post_init__(self):
         for name in ("dim_bound", "path_budget", "iso_budget", "subspace_budget",
-                     "ext_budget", "node_budget", "workers"):
+                     "ext_budget", "node_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 

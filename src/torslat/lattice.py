@@ -9,6 +9,7 @@ ambient throughout.
 """
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from . import subcat
@@ -123,7 +124,7 @@ class TorsLattice:
     def labels_of(self, node_ids):
         """Labels of arrows with both endpoints in the given node set."""
         return frozenset(
-            a.label for a in self.arrows if a.src in node_ids and a.dst in node_ids
+            a.label for i in node_ids for a in self.out_of[i] if a.dst in node_ids
         )
 
     def out_labels(self, i):
@@ -155,43 +156,8 @@ class TorsLattice:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _enumerate_nodes(cat, side, within, cfg):
-    gen = subcat.tors_gen if side == "tors" else subcat.torf_gen
-    amb = cat.full_mask if within is None else within
-    nodes = {frozenset()}
-    nodes.update(gen(cat, frozenset((i,)), within) for i in amb)
-    frontier = list(nodes)
-    while frontier:
-        snapshot = sorted(nodes, key=lambda m: (len(m), sorted(m)))
-        fresh = []
-        for a in frontier:
-            for b in snapshot:
-                u = gen(cat, a | b, within)
-                if u not in nodes:
-                    nodes.add(u)
-                    fresh.append(u)
-                    if len(nodes) > cfg.node_budget:
-                        raise LatticeBlowup(
-                            f"more than {cfg.node_budget} classes"
-                        )
-        frontier = fresh
-    return sorted(nodes, key=lambda m: (len(m), sorted(m)))
-
-
-def _covers(nodes):
-    n = len(nodes)
-    pairs = []
-    for t in range(n):
-        below = [u for u in range(n) if nodes[u] < nodes[t]]
-        for u in below:
-            if not any(nodes[u] < nodes[z] for z in below if z != u):
-                pairs.append((t, u))
-    return pairs
-
-
-def _label(cat, side, within, top_mask, bottom_mask):
-    perp = subcat.perp_right if side == "tors" else subcat.perp_left
-    gap = perp(cat, bottom_mask, within) & top_mask
+def _label(cat, within, top_mask, bottom_mask, bottom_perp):
+    gap = bottom_perp & top_mask
     bricks = [s for s in sorted(gap) if cat.bricks[s]]
     if not bricks:
         raise LabelNotBrick(
@@ -213,22 +179,44 @@ def _label(cat, side, within, top_mask, bottom_mask):
 
 
 def build_lattice(cat, side="tors", within=None, config=None):
-    """Enumerate all classes of the chosen side and label the covering arrows.
+    """Walk the covering arrows up from the zero class and label each one.
 
-    Completeness of the enumeration: every class is the join of the classes
-    generated by its single members, so saturating pairwise joins of the
-    single-generator seeds reaches everything.
+    The covers of a class T are the inclusion-minimal classes among the
+    candidates gen(T + x), x an indecomposable of the ambient in the
+    orthogonal of T (T^perp on the torsion side, perp-T on the torsion-free
+    side).  Every candidate strictly contains T, so it contains a cover.
+    Conversely, for a cover T' of T and X in T' outside T, the quotient of X
+    by its T-torsion part lies in T' and in T^perp, so one of its summands x
+    is a candidate with T < gen(T + x) <= T'.  Every class is the top of a
+    chain of covers from zero, so the walk reaches every class.
     """
     cfg = config or cat.config
-    nodes = _enumerate_nodes(cat, side, within, cfg)
+    gen = subcat.tors_gen if side == "tors" else subcat.torf_gen
+    perp = subcat.perp_right if side == "tors" else subcat.perp_left
+    seen = {frozenset()}
+    queue = deque([frozenset()])
+    covers = []
+    while queue:
+        bottom = queue.popleft()
+        bottom_perp = perp(cat, bottom, within)
+        cands = {gen(cat, bottom | {x}, within) for x in bottom_perp}
+        for top in cands:
+            if any(c < top for c in cands):
+                continue
+            s = _label(cat, within, top, bottom, bottom_perp)
+            covers.append((top, bottom, s))
+            if top not in seen:
+                seen.add(top)
+                if len(seen) > cfg.node_budget:
+                    raise LatticeBlowup(f"more than {cfg.node_budget} classes")
+                queue.append(top)
+    nodes = tuple(sorted(seen, key=lambda m: (len(m), sorted(m))))
     index = {m: i for i, m in enumerate(nodes)}
-    arrows = []
-    for t, u in _covers(nodes):
-        s = _label(cat, side, within, nodes[t], nodes[u])
-        arrows.append(HasseArrow(t, u, s))
-    return TorsLattice(cat, side, within, tuple(nodes), tuple(sorted(
-        arrows, key=lambda a: (a.src, a.dst)
-    )))
+    arrows = sorted(
+        (HasseArrow(index[top], index[bottom], s) for top, bottom, s in covers),
+        key=lambda a: (a.src, a.dst),
+    )
+    return TorsLattice(cat, side, within, nodes, tuple(arrows))
 
 
 def dual_correspondence(tors_lat, torf_lat):

@@ -106,15 +106,6 @@ def build_algebra(quiver, relations, prime, config=None):
     cfg = config or DEFAULT_CONFIG
     if prime not in linalg.PRIMES:
         raise SpecParseError(f"prime must be one of {linalg.PRIMES}, got {prime}")
-    if quiver.vertex_count < 1:
-        raise SpecParseError("at least one vertex required")
-    for a in quiver.arrows:
-        if not (0 <= a.source < quiver.vertex_count and 0 <= a.target < quiver.vertex_count):
-            raise SpecParseError(
-                f"arrow {a.name!r} endpoints outside 1..{quiver.vertex_count}"
-            )
-    if len({a.name for a in quiver.arrows}) != len(quiver.arrows):
-        raise SpecParseError("arrow names must be distinct")
     rels = []
     for rel in relations:
         rel = tuple(rel)

@@ -3,12 +3,10 @@
 Every identity the library promises is re-checked object by object: per
 covering arrow, per node, per interval, per wide subcategory.  Output is one
 line per checked object, PASS or FAIL with a witness, plus a two-line
-summary.  Checks are read-only over immutable catalogs and lattices;
-algebras can be verified in parallel and the report order is still fixed by
+summary.  Algebras are verified one after another, so the report order is
 the input order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -367,24 +365,14 @@ def verify_algebra(name, algebra, props=None, config=None):
     return results
 
 
-def run_verify(named_algebras, props=None, config=None, workers=1):
-    """Verify several algebras, optionally in parallel, in input order."""
+def run_verify(named_algebras, props=None, config=None):
+    """Verify several algebras in input order."""
     chosen = validate_props(props)
-    named_algebras = list(named_algebras)
-    if workers > 1 and len(named_algebras) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(verify_algebra, name, alg, chosen, config)
-                for name, alg in named_algebras
-            ]
-            batches = [f.result() for f in futures]
-    else:
-        batches = [
-            verify_algebra(name, alg, chosen, config)
-            for name, alg in named_algebras
-        ]
-    results = [r for batch in batches for r in batch]
-    return results
+    return [
+        r
+        for name, alg in named_algebras
+        for r in verify_algebra(name, alg, chosen, config)
+    ]
 
 
 def format_report(results):

@@ -50,17 +50,13 @@ def is_wide_interval(lat, iv, mode="all"):
     if mode in ("direct", "all"):
         direct = subcat.is_wide(cat, w)
     if mode in ("join", "all"):
-        hit = cat.op_cache.get(key + ("join",))
-        if hit is None:
-            hit = lat.join(lat.lower_set(iv)) == iv.top
-            cat.op_cache[key + ("join",)] = hit
-        join = hit
+        join = subcat._cached(
+            cat, key + ("join",), lambda: lat.join(lat.lower_set(iv)) == iv.top
+        )
     if mode in ("meet", "all"):
-        hit = cat.op_cache.get(key + ("meet",))
-        if hit is None:
-            hit = lat.meet(lat.upper_set(iv)) == iv.bottom
-            cat.op_cache[key + ("meet",)] = hit
-        meet = hit
+        meet = subcat._cached(
+            cat, key + ("meet",), lambda: lat.meet(lat.upper_set(iv)) == iv.bottom
+        )
     report = WideIntervalReport(iv, w, direct, join, meet)
     if mode == "all" and not (direct == join == meet):
         raise TheoremViolation(
@@ -141,7 +137,7 @@ def reduce_interval(lat, iv, config=None):
             ):
                 raise TheoremViolation("phi does not preserve the order")
 
-    internal = [a for a in lat.arrows if a.src in phi and a.dst in phi]
+    internal = [a for v in inside for a in lat.out_of[v] if a.dst in phi]
     wlat_arrows = {(a.src, a.dst): a.label for a in wlat.arrows}
     for a in internal:
         got = wlat_arrows.get((phi[a.src], phi[a.dst]))
@@ -187,29 +183,28 @@ def right_wide(lat, node):
 
 def _one_sided_wide(lat, node, left):
     cat = lat.cat
-    key = ("oneside", lat.side, lat.within, lat.nodes[node])
-    hit = cat.op_cache.get(key)
-    if hit is not None:
-        return hit
-    mask = subcat.filt(cat, lat.out_labels(node), lat.within)
     ambient = lat.nodes[node]
-    for x in sorted(mask):
-        for y in sorted(ambient):
-            pair = (y, x) if left else (x, y)
-            for prof in cat.hom_profile(*pair):
-                escaped = (
-                    set(prof.kernel) - ambient
-                    if left
-                    else set(prof.cokernel) - ambient
-                )
-                if escaped:
-                    raise AuditFailed(
-                        f"map {cat.names[pair[0]]}->{cat.names[pair[1]]}"
-                        f" drops {cat.mask_name(escaped)} outside"
-                        f" {cat.mask_name(ambient)}"
+
+    def run():
+        mask = subcat.filt(cat, lat.out_labels(node), lat.within)
+        for x in sorted(mask):
+            for y in sorted(ambient):
+                pair = (y, x) if left else (x, y)
+                for prof in cat.hom_profile(*pair):
+                    escaped = (
+                        set(prof.kernel) - ambient
+                        if left
+                        else set(prof.cokernel) - ambient
                     )
-    cat.op_cache[key] = mask
-    return mask
+                    if escaped:
+                        raise AuditFailed(
+                            f"map {cat.names[pair[0]]}->{cat.names[pair[1]]}"
+                            f" drops {cat.mask_name(escaped)} outside"
+                            f" {cat.mask_name(ambient)}"
+                        )
+        return mask
+
+    return subcat._cached(cat, ("oneside", lat.side, lat.within, ambient), run)
 
 
 def serre_mutation(lat, t_node, w_mask):

@@ -156,3 +156,19 @@ def submodule_sum_torsion_part(cat, module, t_mask):
         rows.append(ech[: len(piv)])
         dims.append(len(piv))
     return tuple(dims), rows
+
+
+def hasse_covers(nodes):
+    """Covering pairs (larger, smaller) of a family of masks, by subset scan.
+
+    A pair is a cover when no third node lies strictly between; O(N^3) over
+    the whole family, sorted by (larger, smaller) index.
+    """
+    n = len(nodes)
+    pairs = []
+    for t in range(n):
+        below = [u for u in range(n) if nodes[u] < nodes[t]]
+        for u in below:
+            if not any(nodes[u] < nodes[z] for z in below if z != u):
+                pairs.append((t, u))
+    return pairs

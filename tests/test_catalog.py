@@ -1,10 +1,17 @@
 import json
+from collections import Counter
 
 import pytest
 
 import oracles
+from torslat import modrep
 from torslat import verify as verify_mod
-from torslat.catalog import build_catalog, from_json, to_json
+from torslat.catalog import (
+    build_catalog,
+    enumerate_indecomposables,
+    from_json,
+    to_json,
+)
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import NotClosed
 from torslat.quivalg import Arrow, Quiver, build_algebra
@@ -115,3 +122,24 @@ def test_representation_infinite_hits_closure_error():
     alg = build_algebra(q, (), 2)
     with pytest.raises(NotClosed):
         build_catalog(alg, DEFAULT_CONFIG.with_overrides(dim_bound=4))
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS)
+def test_closure_scans_each_input_once(name, monkeypatch):
+    ext_calls, sub_calls = Counter(), Counter()
+    all_extensions, submodules = modrep.all_extensions, modrep.submodules
+
+    def counting_extensions(q_mod, u_mod, config=None):
+        ext_calls[id(q_mod), id(u_mod)] += 1
+        return all_extensions(q_mod, u_mod, config)
+
+    def counting_submodules(x, config=None):
+        sub_calls[id(x)] += 1
+        return submodules(x, config)
+
+    monkeypatch.setattr(modrep, "all_extensions", counting_extensions)
+    monkeypatch.setattr(modrep, "submodules", counting_submodules)
+    cat = enumerate_indecomposables(verify_mod.load_corpus_algebra(name))
+    members = [id(m) for m in cat.ind]
+    assert ext_calls == Counter({(q, u): 1 for q in members for u in members})
+    assert sub_calls == Counter({x: 1 for x in members})

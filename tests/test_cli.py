@@ -3,6 +3,10 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
+
+from torslat import cli
+
 
 def corpus_path(name):
     return str(resources.files("torslat").joinpath(f"corpus/{name}.alg"))
@@ -140,3 +144,23 @@ def test_verify_corpus_subset_deterministic():
     r2 = run_cli("verify", corpus_path("nak3"), "--props", "reduction,duality")
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("indec", "{tmp}/missing.alg"),
+        ("verify", "{tmp}"),
+        ("lattice", "{tmp}/binary.alg"),
+        ("indec", "{a2}", "--json", "{tmp}/no-dir/cat.json"),
+        ("lattice", "{a2}", "--dot", "{tmp}/no-dir/lat.dot"),
+        ("lattice", "{a2}", "--json", "{tmp}/no-dir/lat.json"),
+        ("indec", "{a2}", "--dim-bound", "0"),
+        ("lattice", "{a2}", "--node-budget", "-1"),
+    ],
+)
+def test_bad_paths_and_budgets_are_usage_errors(argv, tmp_path, capsys):
+    (tmp_path / "binary.alg").write_bytes(b"vertices \xff\n")
+    args = [a.format(tmp=tmp_path, a2=corpus_path("a2")) for a in argv]
+    assert cli.main(args) == 3
+    assert capsys.readouterr().err.startswith("error: ")

@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 import oracles
+import torslat
 from conftest import names_to_mask
-from torslat import subcat
+from torslat import subcat, widelab
 from torslat import verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
-from torslat.errors import LatticeBlowup, NotAnInterval
+from torslat.errors import LabelNotBrick, LatticeBlowup, NotAnInterval
 from torslat.lattice import build_lattice, check_duality
 
 
@@ -155,3 +156,43 @@ def test_node_budget(cat_of):
             cat_of("a3"),
             config=DEFAULT_CONFIG.with_overrides(node_budget=3),
         )
+
+
+def _cover_pairs(lat):
+    return [(a.src, a.dst) for a in lat.arrows]
+
+
+@pytest.mark.parametrize("side", ["tors", "torf"])
+@pytest.mark.parametrize("name", verify_mod.CORPUS)
+def test_cover_walk_matches_oracles(name, side, cat_of, lat_of):
+    cat, lat = cat_of(name), lat_of(name, side)
+    by_filtering = (
+        oracles.tors_masks_by_filtering
+        if side == "tors"
+        else oracles.torf_masks_by_filtering
+    )
+    assert set(lat.nodes) == by_filtering(cat)
+    assert _cover_pairs(lat) == oracles.hasse_covers(lat.nodes)
+
+
+@pytest.mark.parametrize("name", ["a3", "a4"])
+def test_relative_cover_walk_matches_oracles(name, cat_of):
+    cat = cat_of(name)
+    for w in widelab.enumerate_wide_subcats(cat):
+        lat = build_lattice(cat, within=w)
+        subsets = (
+            frozenset(c)
+            for r in range(len(w) + 1)
+            for c in itertools.combinations(sorted(w), r)
+        )
+        assert set(lat.nodes) == {
+            m for m in subsets if subcat.is_torsion_class(cat, m, within=w)
+        }
+        assert _cover_pairs(lat) == oracles.hasse_covers(lat.nodes)
+
+
+def test_label_checks_are_live():
+    cat = torslat.build_catalog(verify_mod.load_corpus_algebra("a2"))
+    cat.bricks = (False,) * len(cat.ind)
+    with pytest.raises(LabelNotBrick):
+        build_lattice(cat)

@@ -71,15 +71,6 @@ def test_unknown_property_rejected():
         verify.validate_props(("duality", "nonsense"))
 
 
-def test_parallel_matches_serial():
-    named = [(n, verify.load_corpus_algebra(n)) for n in ("a2", "ss2", "ppa2")]
-    serial = verify.run_verify(named, props=("brick-labels", "wide-serre"))
-    parallel = verify.run_verify(
-        named, props=("brick-labels", "wide-serre"), workers=3
-    )
-    assert serial == parallel
-
-
 def test_corpus_names_all_load():
     for name in verify.CORPUS:
         alg = verify.load_corpus_algebra(name)
