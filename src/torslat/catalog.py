@@ -79,9 +79,7 @@ class Catalog:
         if hit is not None:
             return hit
         for i, rep in enumerate(self.ind):
-            if rep.dims == module.dims and modrep.is_isomorphic(
-                rep, module, self.config
-            ):
+            if modrep.is_isomorphic_indecomposable(rep, module):
                 self._key_index[key] = i
                 return i
         raise NotClosed(f"module with dims {module.dims} is not in the catalog")
@@ -155,41 +153,40 @@ def enumerate_indecomposables(algebra, config=None):
     closure stabilizes.  Each member's quotients are computed once, when it
     is registered, and each ordered pair's extensions once, when its later
     member is registered; every summand they produce is admitted, so the
-    result is closed without a second pass.
+    result is closed without a second pass.  The split middle term of a
+    pair is skipped, since its summands are the pair itself.  The
+    (submodule, quotient parts) pairs of each member's quotient scan are
+    kept for build_tables.
     """
     cfg = config or DEFAULT_CONFIG
     reps = []
     buckets = {}
-
-    def find(module):
-        for i in buckets.get(module.dims, ()):
-            if modrep.is_isomorphic(reps[i], module, cfg):
-                return i
-        return None
-
-    def register(module):
-        if module.is_zero or find(module) is not None:
-            return False
-        if module.total_dim > cfg.dim_bound:
-            raise NotClosed(
-                f"indecomposable with dims {module.dims} exceeds"
-                f" dim_bound {cfg.dim_bound}"
-            )
-        reps.append(module)
-        buckets.setdefault(module.dims, []).append(len(reps) - 1)
-        return True
-
+    subquotients = []
     pending = deque()
 
+    def index(part):
+        """Index of an indecomposable's class, registering a new class."""
+        for i in buckets.get(part.dims, ()):
+            if modrep.is_isomorphic_indecomposable(reps[i], part):
+                return i
+        if part.total_dim > cfg.dim_bound:
+            raise NotClosed(
+                f"indecomposable with dims {part.dims} exceeds"
+                f" dim_bound {cfg.dim_bound}"
+            )
+        k = len(reps)
+        reps.append(part)
+        subquotients.append(None)
+        buckets.setdefault(part.dims, []).append(k)
+        pending.append(("quot", k))
+        for other in range(k + 1):
+            pending.append(("ext", k, other))
+            if other != k:
+                pending.append(("ext", other, k))
+        return k
+
     def admit(module):
-        for part in modrep.decompose(module, cfg):
-            if register(part):
-                k = len(reps) - 1
-                pending.append(("quot", k))
-                for other in range(len(reps)):
-                    pending.append(("ext", k, other))
-                    if other != k:
-                        pending.append(("ext", other, k))
+        return [index(part) for part in modrep.decompose(module, cfg)]
 
     for v in range(algebra.quiver.vertex_count):
         admit(simple_module(algebra, v))
@@ -197,22 +194,30 @@ def enumerate_indecomposables(algebra, config=None):
     while pending:
         task = pending.popleft()
         if task[0] == "quot":
-            x = reps[task[1]]
-            for _, inc in modrep.submodules(x, cfg):
-                admit(modrep.quotient_by(inc)[0])
+            k = task[1]
+            subquotients[k] = [
+                (sub, admit(modrep.quotient_by(inc)[0]))
+                for sub, inc in modrep.submodules(reps[k], cfg)
+            ]
         else:
             _, qi, ui = task
-            for z in modrep.all_extensions(reps[qi], reps[ui], cfg):
+            # the first middle term is the split one
+            for z in modrep.all_extensions(reps[qi], reps[ui], cfg)[1:]:
                 admit(z)
 
     order = sorted(
         range(len(reps)),
         key=lambda i: (reps[i].total_dim, reps[i].dims, reps[i].key()[1]),
     )
+    rank = {i: r for r, i in enumerate(order)}
     cat = Catalog(algebra, cfg)
     cat.ind = tuple(reps[i] for i in order)
     for i, m in enumerate(cat.ind):
         cat._key_index[m.key()] = i
+    cat._subquotients = tuple(
+        [(sub, tuple(sorted(rank[j] for j in parts))) for sub, parts in subquotients[i]]
+        for i in order
+    )
 
     counts = {}
     names = []
@@ -225,22 +230,23 @@ def enumerate_indecomposables(algebra, config=None):
 
 
 def build_tables(cat):
-    """Fill Hom dimensions, brick flags, and subfactor pairs; returns cat."""
+    """Fill Hom dimensions, brick flags, and subfactor pairs; returns cat.
+
+    cat comes from enumerate_indecomposables: the subfactor pairs are read
+    off the submodules and quotient decompositions its quotient scan kept,
+    which are dropped afterwards.
+    """
     n = len(cat.ind)
     cat.hom_dim = tuple(
         tuple(len(modrep.hom_basis(cat.ind[i], cat.ind[j])) for j in range(n))
         for i in range(n)
     )
     cat.bricks = tuple(modrep.is_brick(m, cat.config) for m in cat.ind)
-    table = []
-    for i in range(n):
-        pairs = set()
-        for sub, inc in modrep.submodules(cat.ind[i], cat.config):
-            u = cat.decompose_indices(sub)
-            q = cat.decompose_indices(modrep.quotient_by(inc)[0])
-            pairs.add((u, q))
-        table.append(tuple(sorted(pairs)))
-    cat.subfactors = tuple(table)
+    cat.subfactors = tuple(
+        tuple(sorted({(cat.decompose_indices(sub), q) for sub, q in pairs}))
+        for pairs in cat._subquotients
+    )
+    del cat._subquotients
     return cat
 
 
@@ -249,7 +255,14 @@ def build_catalog(algebra, config=None):
 
 
 def to_json(cat):
-    """Canonical JSON document; byte-exact round-trip with from_json."""
+    """Canonical JSON document; byte-exact round-trip with from_json.
+
+    The matrices of each member are those of the representative the closure
+    found first for its isomorphism class, so they depend on the discovery
+    order: a change to how the closure enumerates modules may export a
+    different, isomorphic matrix for a member while its name and every table
+    stay the same.
+    """
     q = cat.algebra.quiver
     doc = {
         "algebra": {

@@ -13,12 +13,14 @@ class Config:
     dim_bound: int = 8
     # cap on the number of basis paths of the algebra
     path_budget: int = 1024
-    # cap on enumerated elements of a Hom or End space (iso tests, brick tests,
-    # idempotent searches, morphism audits)
+    # cap on enumerated elements of a Hom or End space (iso tests between
+    # decomposable modules, brick tests, idempotent searches, morphism audits);
+    # catalog membership tests use the local-ring test, which enumerates nothing
     iso_budget: int = 65536
     # cap on the product of per-vertex subspace counts in submodule enumeration
     subspace_budget: int = 1_000_000
-    # cap on enumerated cocycles in all_extensions
+    # cap on the elements of Ext^1 (p^e for an e-dimensional Ext^1) whose
+    # classes all_extensions scans, one middle term per ray
     ext_budget: int = 65536
     # cap on lattice nodes
     node_budget: int = 20000

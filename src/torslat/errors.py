@@ -29,7 +29,7 @@ class IsoSearchBlowup(ResourceError):
 
 
 class SubspaceBlowup(ResourceError):
-    """Subspace-tuple or cocycle enumeration passed the budget."""
+    """Subspace-tuple enumeration or the scan of Ext^1 classes passed the budget."""
 
 
 class NotClosed(ResourceError):

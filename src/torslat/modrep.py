@@ -148,11 +148,14 @@ def _stack_basis(basis_comps, dims_t, dims_s):
     return out
 
 
-def hom_basis(x, y):
-    """Deterministic basis of Hom(x, y), solved from the intertwining equations.
+def _intertwining_system(x, y):
+    """The linear map f -> (Y_a f_u - f_v X_a)_a, one row block per arrow a: u -> v.
 
-    Unknowns are the entries of the per-vertex components in row-major order;
-    each arrow a: u -> v contributes the equation Y_a f_u = f_v X_a.
+    Columns are the entries of the per-vertex components f_v: x_v -> y_v in
+    row-major order, vertex by vertex; the rows of arrow a are the entries of
+    a y_v x x_u matrix in row-major order, arrow by arrow.  Its kernel is
+    Hom(x, y); its image is the coboundary space B^1 inside the cocycles Z^1
+    of Ext^1(x, y).  Returns the matrix and the column offset of each vertex.
     """
     algebra = x.algebra
     p = algebra.prime
@@ -182,16 +185,24 @@ def hom_basis(x, y):
             ) % p
         rows.append(block)
     if rows:
-        system = np.concatenate(rows, axis=0)
-    else:
-        system = linalg.zeros(0, ncols)
-    null = linalg.nullspace(system, p)
+        return np.concatenate(rows, axis=0), offsets
+    return linalg.zeros(0, ncols), offsets
+
+
+def hom_basis(x, y):
+    """Deterministic basis of Hom(x, y), solved from the intertwining equations.
+
+    Unknowns are the entries of the per-vertex components in row-major order;
+    each arrow a: u -> v contributes the equation Y_a f_u = f_v X_a.
+    """
+    system, offsets = _intertwining_system(x, y)
+    null = linalg.nullspace(system, x.algebra.prime)
     out = []
     for k in range(null.shape[1]):
         vec = null[:, k]
         comps = tuple(
             vec[offsets[v] : offsets[v + 1]].reshape(y.dims[v], x.dims[v])
-            for v in range(nv)
+            for v in range(len(x.dims))
         )
         out.append(Morphism(x, y, comps, check=False))
     return out
@@ -357,6 +368,23 @@ def is_isomorphic(x, y, config=None):
     return False
 
 
+def is_isomorphic_indecomposable(x, y):
+    """Whether y is isomorphic to x, for an indecomposable x.
+
+    End(x) is local, so if x and y are isomorphic the non-invertible
+    morphisms x -> y form a proper subspace of Hom(x, y) and some element of
+    any basis lies outside it.  One pass over hom_basis(x, y) decides, with
+    no enumeration of the Hom space.  The answer is wrong when x decomposes:
+    use is_isomorphic there.
+    """
+    if x.dims != y.dims:
+        return False
+    p = x.algebra.prime
+    return any(
+        all(linalg.is_invertible(c, p) for c in f.comps) for f in hom_basis(x, y)
+    )
+
+
 def is_brick(x, config=None):
     """True when every nonzero endomorphism is invertible."""
     cfg = config or DEFAULT_CONFIG
@@ -421,11 +449,15 @@ def submodules(x, config=None):
 def all_extensions(q_mod, u_mod, config=None):
     """Middle terms Z of exact sequences 0 -> u_mod -> Z -> q_mod -> 0, up to iso.
 
-    Z is assembled block upper-triangularly, u_mod coordinates first; the
-    off-diagonal blocks form the solution space of the relation constraints
-    and are enumerated exhaustively, then deduplicated by module isomorphism.
-    The split extension is always first.  Raises SubspaceBlowup when the
-    cocycle space would pass the ext budget.
+    Z is assembled block upper-triangularly, u_mod coordinates first, with
+    an off-diagonal block c_a: q_s -> u_t per arrow a: s -> t.  The cocycles
+    Z^1 are the blocks that satisfy the relations.  Cocycles that differ by
+    a coboundary U_a h_s - h_t Q_a give isomorphic middle terms, and so do
+    nonzero scalar multiples of one class, so one middle term is built for
+    the split class and one per ray of a complement of B^1 in Z^1, that is
+    per ray of Ext^1(q_mod, u_mod); these are then deduplicated by module
+    isomorphism.  The split extension is always first.  Raises
+    SubspaceBlowup when Ext^1 has more than ext_budget elements.
     """
     cfg = config or DEFAULT_CONFIG
     algebra = q_mod.algebra
@@ -463,15 +495,25 @@ def all_extensions(q_mod, u_mod, config=None):
             ) % p
         rows.append(block)
     system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, ncols)
-    null = linalg.nullspace(system, p)
-    s = null.shape[1]
-    if p ** s > cfg.ext_budget:
-        raise SubspaceBlowup(f"{p}^{s} cocycles to scan, budget {cfg.ext_budget}")
+    cocycles = linalg.nullspace(system, p)
+    # the coboundary map shares its row layout with the cocycle coordinates;
+    # the cocycle columns that are pivots after it span a complement of B^1
+    coboundaries, _ = _intertwining_system(q_mod, u_mod)
+    nb = coboundaries.shape[1]
+    _, pivots = linalg.rref(np.concatenate([coboundaries, cocycles], axis=1), p)
+    classes = cocycles[:, [c - nb for c in pivots if c >= nb]]
+    e = classes.shape[1]
+    if p ** e > cfg.ext_budget:
+        raise SubspaceBlowup(
+            f"{p}^{e} Ext classes to scan, budget {cfg.ext_budget} (--ext-budget)"
+        )
 
     dims = tuple(u + q for u, q in zip(u_mod.dims, q_mod.dims))
+    split = np.zeros(ncols, dtype=np.int64)
     reps = []
-    for coeffs in itertools.product(range(p), repeat=s):
-        vec = (null @ np.array(coeffs, dtype=np.int64)) % p if s else linalg.zeros(ncols, 1)[:, 0]
+    for vec in itertools.chain(
+        [split], ((classes @ c) % p for c in linalg.ray_representatives(e, p))
+    ):
         mats = []
         for ai, a in enumerate(qv.arrows):
             m = linalg.zeros(dims[a.target], dims[a.source])

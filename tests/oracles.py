@@ -91,13 +91,74 @@ def sub_parts(cat):
     return out
 
 
+def extensions_by_cocycles(q_mod, u_mod):
+    """Middle terms of 0 -> u_mod -> Z -> q_mod -> 0, one per cocycle, up to iso.
+
+    Every solution of the relation constraints on the off-diagonal blocks is
+    turned into a middle term, with no quotient by coboundaries or scalars,
+    and the list is deduplicated by exhaustive isomorphism search.
+    """
+    algebra = q_mod.algebra
+    p = algebra.prime
+    qv = algebra.quiver
+    idx = algebra.arrow_index
+    arrow_sizes = [u_mod.dims[a.target] * q_mod.dims[a.source] for a in qv.arrows]
+    offsets = [0]
+    for s in arrow_sizes:
+        offsets.append(offsets[-1] + s)
+    ncols = offsets[-1]
+
+    rows = []
+    for rel in algebra.relations:
+        steps = [qv.arrow(n) for n in rel]
+        nrows = u_mod.dims[steps[-1].target] * q_mod.dims[steps[0].source]
+        if nrows == 0:
+            continue
+        block = linalg.zeros(nrows, ncols)
+        for i, a in enumerate(steps):
+            ai = idx[a.name]
+            if arrow_sizes[ai] == 0:
+                continue
+            suffix = linalg.eye(u_mod.dims[a.target])
+            for b in steps[i + 1 :]:
+                suffix = linalg.matmul(u_mod.mats[idx[b.name]], suffix, p)
+            prefix = linalg.eye(q_mod.dims[a.source])
+            for b in reversed(steps[:i]):
+                prefix = linalg.matmul(prefix, q_mod.mats[idx[b.name]], p)
+            block[:, offsets[ai] : offsets[ai + 1]] += np.kron(suffix, prefix.T)
+        rows.append(block % p)
+    system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, ncols)
+    null = linalg.nullspace(system, p)
+    s = null.shape[1]
+    assert p**s <= 1 << 16, "cocycle space too large for the brute force"
+
+    dims = tuple(u + q for u, q in zip(u_mod.dims, q_mod.dims))
+    reps = []
+    for coeffs in itertools.product(range(p), repeat=s):
+        vec = (null @ np.array(coeffs, dtype=np.int64)) % p
+        mats = []
+        for ai, a in enumerate(qv.arrows):
+            m = linalg.zeros(dims[a.target], dims[a.source])
+            ud_t, ud_s = u_mod.dims[a.target], u_mod.dims[a.source]
+            m[:ud_t, :ud_s] = u_mod.mats[ai]
+            m[ud_t:, ud_s:] = q_mod.mats[ai]
+            m[:ud_t, ud_s:] = vec[offsets[ai] : offsets[ai + 1]].reshape(
+                ud_t, q_mod.dims[a.source]
+            )
+            mats.append(m)
+        z = modrep.Module(algebra, dims, tuple(mats))
+        if not any(modrep.is_isomorphic(z, r) for r in reps):
+            reps.append(z)
+    return reps
+
+
 def extension_parts(cat):
     """Per ordered pair (sub, quot): every extension middle, decomposed."""
     out = {}
     for ui, u in enumerate(cat.ind):
         for qi, q in enumerate(cat.ind):
             mids = set()
-            for e in modrep.all_extensions(q, u, cat.config):
+            for e in extensions_by_cocycles(q, u):
                 mids.add(cat.decompose_indices(e))
             out[(ui, qi)] = frozenset(mids)
     return out

@@ -8,13 +8,18 @@ from torslat import modrep
 from torslat import verify as verify_mod
 from torslat.catalog import (
     build_catalog,
-    enumerate_indecomposables,
     from_json,
     to_json,
 )
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import NotClosed
-from torslat.quivalg import Arrow, Quiver, build_algebra
+from torslat.quivalg import (
+    Arrow,
+    Quiver,
+    build_algebra,
+    parse_algebra_text,
+    projective_module,
+)
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
@@ -139,7 +144,70 @@ def test_closure_scans_each_input_once(name, monkeypatch):
 
     monkeypatch.setattr(modrep, "all_extensions", counting_extensions)
     monkeypatch.setattr(modrep, "submodules", counting_submodules)
-    cat = enumerate_indecomposables(verify_mod.load_corpus_algebra(name))
+    cat = build_catalog(verify_mod.load_corpus_algebra(name))
     members = [id(m) for m in cat.ind]
     assert ext_calls == Counter({(q, u): 1 for q in members for u in members})
     assert sub_calls == Counter({x: 1 for x in members})
+    assert not hasattr(cat, "_subquotients")
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS)
+def test_extensions_match_cocycle_oracle(name, cat_of):
+    cat = cat_of(name)
+    for u in cat.ind:
+        for q in cat.ind:
+            fast = {cat.decompose_indices(z) for z in modrep.all_extensions(q, u)}
+            slow = {
+                cat.decompose_indices(z)
+                for z in oracles.extensions_by_cocycles(q, u)
+            }
+            assert fast == slow
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS)
+def test_local_ring_iso_agrees_with_search(name, cat_of):
+    cat = cat_of(name)
+    pieces = list(cat.ind)
+    for x in cat.ind:
+        for sub, inc in modrep.submodules(x):
+            pieces += [sub, modrep.quotient_by(inc)[0]]
+    for x in cat.ind:
+        for y in pieces:
+            if y.dims == x.dims:
+                fast = modrep.is_isomorphic_indecomposable(x, y)
+                assert fast == modrep.is_isomorphic(x, y)
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS)
+def test_index_of_rejects_non_members(name, cat_of):
+    cat = cat_of(name)
+    for x in cat.ind:
+        for y in cat.ind:
+            with pytest.raises(NotClosed):
+                cat.index_of(modrep.direct_sum(x, y))
+
+
+# Gabriel: A_n has n(n+1)/2 indecomposables and D4 has 12, in every
+# orientation; k[x]/x^n has its n Jordan blocks
+CLOSED_FORM_SPECS = {
+    "a4": "vertices 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\nprime {p}\n",
+    # the central vertex 2 is the target of two arrows and the source of one
+    "d4": "vertices 4\narrow a 1 2\narrow b 3 2\narrow c 2 4\nprime {p}\n",
+    "kx3": "vertices 1\narrow x 1 1\nrelation x x x\nprime {p}\n",
+    "kx4": "vertices 1\narrow x 1 1\nrelation x x x x\nprime {p}\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name,prime,count",
+    [("a4", p, 10) for p in (2, 3, 5, 7)]
+    + [("d4", p, 12) for p in (2, 3, 5, 7)]
+    + [("kx3", p, 3) for p in (2, 3, 5)]
+    + [("kx4", 2, 4)],
+)
+def test_closed_form_counts(name, prime, count):
+    alg = parse_algebra_text(CLOSED_FORM_SPECS[name].format(p=prime))
+    cat = build_catalog(alg)
+    assert len(cat) == count
+    for v in range(alg.quiver.vertex_count):
+        cat.index_of(projective_module(alg, v))

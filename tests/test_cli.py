@@ -132,6 +132,14 @@ def test_resource_exit_code(tmp_path):
     assert "path basis" in res.stderr
 
 
+def test_ext_budget_exit_code(tmp_path, capsys):
+    # Kronecker at p=3: Ext^1 between the simples has 3^2 elements
+    spec = tmp_path / "kron3.alg"
+    spec.write_text("vertices 2\narrow a 1 2\narrow b 1 2\nprime 3\n")
+    assert cli.main(["indec", str(spec), "--ext-budget", "8"]) == 2
+    assert "budget 8 (--ext-budget)" in capsys.readouterr().err
+
+
 def test_bad_spec_exit_code(tmp_path):
     spec = tmp_path / "bad.alg"
     spec.write_text("vertices 2\nprime 6\n")

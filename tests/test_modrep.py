@@ -25,9 +25,12 @@ from torslat.quivalg import (
     Arrow,
     Quiver,
     build_algebra,
+    parse_algebra_text,
     projective_module,
     simple_module,
 )
+
+KRONECKER_P3 = "vertices 2\narrow a 1 2\narrow b 1 2\nprime 3\n"
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +241,37 @@ def test_extension_count_respects_prime():
     # four nonsplit cocycle lines at p=5, all the same middle up to iso
     mids = all_extensions(s1, s2)
     assert len(mids) == 2
+
+
+def test_ext_budget_counts_classes_not_cocycles(a2):
+    # Z^1 is a line, but it is all coboundaries: only the split class is left
+    p1, s2 = projective_module(a2, 0), simple_module(a2, 1)
+    mids = all_extensions(p1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=1))
+    assert [m.dims for m in mids] == [(1, 2)]
+
+
+def test_ext_budget_caps_classes_and_names_flag():
+    alg = parse_algebra_text(KRONECKER_P3)
+    s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
+    # Ext^1(S1, S2) = F_3^2: the split middle plus one per point of P^1(F_3)
+    mids = all_extensions(s1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=9))
+    assert len(mids) == 1 + linalg.ray_count(2, 3)
+    with pytest.raises(
+        SubspaceBlowup, match=r"^3\^2 Ext classes to scan, budget 8 \(--ext-budget\)$"
+    ):
+        all_extensions(s1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=8))
+
+
+def test_extensions_match_cocycle_oracle_on_kronecker():
+    # Ext^1 between the Kronecker simples is 2-dimensional, which no corpus
+    # algebra has; the regular modules of dims (1,1) have 1-dimensional
+    # self-extensions inside a 2-dimensional cocycle space
+    alg = parse_algebra_text(KRONECKER_P3)
+    s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
+    mods = [s1, s2] + all_extensions(s1, s2)[1:]
+    for q in mods:
+        for u in mods:
+            fast = all_extensions(q, u)
+            slow = oracles.extensions_by_cocycles(q, u)
+            assert len(fast) == len(slow)
+            assert all(sum(is_isomorphic(f, z) for z in slow) == 1 for f in fast)
