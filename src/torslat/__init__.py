@@ -23,8 +23,8 @@ from .modrep import (
     decompose,
     direct_sum,
     hom_basis,
+    hom_rays,
     is_brick,
-    is_isomorphic,
     kernel_image_cokernel,
     submodules,
     zero_module,
@@ -35,7 +35,6 @@ from .lattice import (
     Interval,
     TorsLattice,
     build_lattice,
-    check_duality,
     dual_correspondence,
 )
 from .widelab import (
@@ -47,7 +46,6 @@ from .widelab import (
     is_wide_interval,
     is_widely_generated,
     left_wide,
-    leftwide_roundtrip,
     reduce_interval,
     right_wide,
     serre_mutation,
@@ -78,7 +76,6 @@ __all__ = [
     "build_algebra",
     "build_catalog",
     "build_lattice",
-    "check_duality",
     "decompose",
     "direct_sum",
     "dual_correspondence",
@@ -87,13 +84,12 @@ __all__ = [
     "errors",
     "from_json",
     "hom_basis",
+    "hom_rays",
     "is_brick",
-    "is_isomorphic",
     "is_wide_interval",
     "is_widely_generated",
     "kernel_image_cokernel",
     "left_wide",
-    "leftwide_roundtrip",
     "load_corpus_algebra",
     "parse_algebra_file",
     "parse_algebra_text",

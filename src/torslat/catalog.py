@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg, modrep
 from .config import DEFAULT_CONFIG
-from .errors import IsoSearchBlowup, NotClosed
+from .errors import NotClosed
 from .quivalg import Arrow, Quiver, build_algebra, simple_module
 
 
@@ -98,22 +98,7 @@ class Catalog:
         """One morphism per ray of Hom(ind[i], ind[j]); empty when Hom vanishes."""
         hit = self._hom_elems_cache.get((i, j))
         if hit is None:
-            x, y = self.ind[i], self.ind[j]
-            p = self.algebra.prime
-            basis = modrep.hom_basis(x, y)
-            d = len(basis)
-            hit = []
-            if d:
-                if linalg.ray_count(d, p) > self.config.iso_budget:
-                    raise IsoSearchBlowup(
-                        f"hom space ({i},{j}) has {p}^{d} elements,"
-                        f" budget {self.config.iso_budget}"
-                    )
-                stacked = modrep._stack_basis([f.comps for f in basis], y.dims, x.dims)
-                for coeffs in linalg.ray_representatives(d, p):
-                    comps = modrep._comps_from_coeffs(coeffs, stacked, p)
-                    hit.append(modrep.Morphism(x, y, comps, check=False))
-            hit = tuple(hit)
+            hit = tuple(modrep.hom_rays(self.ind[i], self.ind[j], self.config))
             self._hom_elems_cache[(i, j)] = hit
         return hit
 
@@ -153,10 +138,11 @@ def enumerate_indecomposables(algebra, config=None):
     closure stabilizes.  Each member's quotients are computed once, when it
     is registered, and each ordered pair's extensions once, when its later
     member is registered; every summand they produce is admitted, so the
-    result is closed without a second pass.  The split middle term of a
-    pair is skipped, since its summands are the pair itself.  The
-    (submodule, quotient parts) pairs of each member's quotient scan are
-    kept for build_tables.
+    result is closed without a second pass.  all_extensions builds no split
+    middle term, whose summands would be the pair itself, and admitting
+    decomposes every middle term, so two isomorphic middle terms of one pair
+    land on the same members.  The (submodule, quotient parts) pairs of each
+    member's quotient scan are kept for build_tables.
     """
     cfg = config or DEFAULT_CONFIG
     reps = []
@@ -171,8 +157,8 @@ def enumerate_indecomposables(algebra, config=None):
                 return i
         if part.total_dim > cfg.dim_bound:
             raise NotClosed(
-                f"indecomposable with dims {part.dims} exceeds"
-                f" dim_bound {cfg.dim_bound}"
+                f"indecomposable with dims {part.dims} has total dimension"
+                f" {part.total_dim}, dim_bound {cfg.dim_bound} (--dim-bound)"
             )
         k = len(reps)
         reps.append(part)
@@ -201,8 +187,7 @@ def enumerate_indecomposables(algebra, config=None):
             ]
         else:
             _, qi, ui = task
-            # the first middle term is the split one
-            for z in modrep.all_extensions(reps[qi], reps[ui], cfg)[1:]:
+            for z in modrep.all_extensions(reps[qi], reps[ui], cfg):
                 admit(z)
 
     order = sorted(

@@ -13,9 +13,9 @@ class Config:
     dim_bound: int = 8
     # cap on the number of basis paths of the algebra
     path_budget: int = 1024
-    # cap on enumerated elements of a Hom or End space (iso tests between
-    # decomposable modules, brick tests, idempotent searches, morphism audits);
-    # catalog membership tests use the local-ring test, which enumerates nothing
+    # cap on enumerated elements of a Hom or End space: the rays of
+    # modrep.hom_rays (brick tests, morphism audits) and the idempotent search
+    # of decompose; isomorphism tests enumerate nothing
     iso_budget: int = 65536
     # cap on the product of per-vertex subspace counts in submodule enumeration
     subspace_budget: int = 1_000_000

@@ -25,7 +25,7 @@ class DecomposeBlowup(ResourceError):
 
 
 class IsoSearchBlowup(ResourceError):
-    """Hom-space enumeration needed for an isomorphism test passed the budget."""
+    """Enumeration of the rays of a Hom space (modrep.hom_rays) passed the budget."""
 
 
 class SubspaceBlowup(ResourceError):
@@ -94,7 +94,3 @@ class LabelNotBrick(VerificationError):
 
 class LabelNotUnique(VerificationError):
     """More than one brick sits in the interval category of a cover arrow."""
-
-
-class DualityMismatch(VerificationError):
-    """The torsion and torsion-free lattices are not label-preservingly anti-isomorphic."""

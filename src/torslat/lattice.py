@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import subcat
 from .errors import (
-    DualityMismatch,
     LabelNotBrick,
     LabelNotUnique,
     LatticeBlowup,
@@ -208,7 +207,10 @@ def build_lattice(cat, side="tors", within=None, config=None):
             if top not in seen:
                 seen.add(top)
                 if len(seen) > cfg.node_budget:
-                    raise LatticeBlowup(f"more than {cfg.node_budget} classes")
+                    raise LatticeBlowup(
+                        f"{len(seen)} torsion classes found, budget"
+                        f" {cfg.node_budget} (--node-budget)"
+                    )
                 queue.append(top)
     nodes = tuple(sorted(seen, key=lambda m: (len(m), sorted(m))))
     index = {m: i for i, m in enumerate(nodes)}
@@ -284,11 +286,3 @@ def dual_correspondence(tors_lat, torf_lat):
     )
     return mapping, node_checks, arrow_checks
 
-
-def check_duality(tors_lat, torf_lat):
-    """Raise DualityMismatch unless the label-preserving anti-isomorphism holds."""
-    mapping, node_checks, arrow_checks = dual_correspondence(tors_lat, torf_lat)
-    for desc, ok, witness in node_checks + arrow_checks:
-        if not ok:
-            raise DualityMismatch(f"{desc}: {witness}")
-    return mapping

@@ -134,12 +134,6 @@ def complement_projection(basis, p):
     return proj, section
 
 
-def all_vectors(dim, p):
-    """Every vector of F_p^dim, lexicographically, most significant first."""
-    for t in itertools.product(range(p), repeat=dim):
-        yield np.array(t, dtype=np.int64)
-
-
 def ray_representatives(dim, p):
     """One nonzero vector per scalar ray (first nonzero coordinate is 1)."""
     for t in itertools.product(range(p), repeat=dim):

@@ -112,6 +112,11 @@ class Morphism:
     def is_zero(self):
         return all(not c.size or not np.any(c) for c in self.comps)
 
+    @property
+    def is_invertible(self):
+        p = self.source.algebra.prime
+        return all(linalg.is_invertible(c, p) for c in self.comps)
+
     def compose(self, other):
         """self after other."""
         p = self.source.algebra.prime
@@ -276,13 +281,6 @@ def quotient_by(inclusion):
     return kic.cokernel, kic.cokernel_projection
 
 
-def morphism_power(f, n):
-    g = f
-    for _ in range(n - 1):
-        g = g.compose(f)
-    return g
-
-
 def _is_idempotent(comps, p):
     return all(
         not c.size or not np.any((c @ c) % p != c) for c in comps
@@ -317,7 +315,9 @@ def decompose(x, config=None):
     n = x.total_dim
 
     for f in end:
-        g = morphism_power(f, n)
+        g = f
+        for _ in range(n - 1):
+            g = g.compose(f)
         kic = kernel_image_cokernel(g)
         kd = kic.kernel.total_dim
         if 0 < kd < n:
@@ -325,7 +325,8 @@ def decompose(x, config=None):
 
     if p ** d > cfg.iso_budget:
         raise DecomposeBlowup(
-            f"endomorphism space has {p}^{d} elements, budget {cfg.iso_budget}"
+            f"endomorphism space has {p}^{d} elements,"
+            f" budget {cfg.iso_budget} (--iso-budget)"
         )
     stacked = _stack_basis([f.comps for f in end], x.dims, x.dims)
     for coeffs in itertools.product(range(p), repeat=d):
@@ -344,28 +345,30 @@ def decompose(x, config=None):
     return [x]
 
 
-def is_isomorphic(x, y, config=None):
-    """Exhaustive search for an invertible morphism, one candidate per ray."""
+def hom_rays(x, y, config=None):
+    """One morphism x -> y per ray of Hom(x, y), as an iterator.
+
+    A ray is a nonzero morphism up to a nonzero scalar; its representative
+    is the combination of the hom_basis(x, y) elements whose first nonzero
+    coefficient is 1.  The iterator is empty when Hom(x, y) vanishes.
+    Raises IsoSearchBlowup, at the call rather than during iteration, when
+    there are more rays than iso_budget.
+    """
     cfg = config or DEFAULT_CONFIG
-    if x.dims != y.dims:
-        return False
-    if x.total_dim == 0:
-        return True
     p = x.algebra.prime
-    hom = hom_basis(x, y)
-    d = len(hom)
-    if d == 0:
-        return False
-    if linalg.ray_count(d, p) > cfg.iso_budget:
+    basis = hom_basis(x, y)
+    d = len(basis)
+    rays = linalg.ray_count(d, p)
+    if rays > cfg.iso_budget:
         raise IsoSearchBlowup(
-            f"hom space has {p}^{d} elements, budget {cfg.iso_budget}"
+            f"Hom space has {rays} rays ({p}^{d} elements),"
+            f" budget {cfg.iso_budget} (--iso-budget)"
         )
-    stacked = _stack_basis([f.comps for f in hom], y.dims, x.dims)
-    for coeffs in linalg.ray_representatives(d, p):
-        comps = _comps_from_coeffs(coeffs, stacked, p)
-        if all(linalg.is_invertible(c, p) for c in comps):
-            return True
-    return False
+    stacked = _stack_basis([f.comps for f in basis], y.dims, x.dims)
+    return (
+        Morphism(x, y, _comps_from_coeffs(coeffs, stacked, p), check=False)
+        for coeffs in linalg.ray_representatives(d, p)
+    )
 
 
 def is_isomorphic_indecomposable(x, y):
@@ -374,37 +377,20 @@ def is_isomorphic_indecomposable(x, y):
     End(x) is local, so if x and y are isomorphic the non-invertible
     morphisms x -> y form a proper subspace of Hom(x, y) and some element of
     any basis lies outside it.  One pass over hom_basis(x, y) decides, with
-    no enumeration of the Hom space.  The answer is wrong when x decomposes:
-    use is_isomorphic there.
+    no enumeration of the Hom space.  The answer can be wrong when x
+    decomposes.
     """
-    if x.dims != y.dims:
-        return False
-    p = x.algebra.prime
-    return any(
-        all(linalg.is_invertible(c, p) for c in f.comps) for f in hom_basis(x, y)
-    )
+    return x.dims == y.dims and any(f.is_invertible for f in hom_basis(x, y))
 
 
 def is_brick(x, config=None):
-    """True when every nonzero endomorphism is invertible."""
-    cfg = config or DEFAULT_CONFIG
+    """True when every ray of End(x) is invertible, that is End(x) is a division ring.
+
+    Raises IsoSearchBlowup when End(x) has more rays than iso_budget.
+    """
     if x.is_zero:
         raise ValueError("the zero module is not a brick candidate")
-    p = x.algebra.prime
-    end = hom_basis(x, x)
-    d = len(end)
-    if d == 1:
-        return True
-    if linalg.ray_count(d, p) > cfg.iso_budget:
-        raise IsoSearchBlowup(
-            f"endomorphism space has {p}^{d} elements, budget {cfg.iso_budget}"
-        )
-    stacked = _stack_basis([f.comps for f in end], x.dims, x.dims)
-    for coeffs in linalg.ray_representatives(d, p):
-        comps = _comps_from_coeffs(coeffs, stacked, p)
-        if not all(linalg.is_invertible(c, p) for c in comps):
-            return False
-    return True
+    return all(f.is_invertible for f in hom_rays(x, x, config))
 
 
 def submodules(x, config=None):
@@ -425,6 +411,7 @@ def submodules(x, config=None):
     if total > cfg.subspace_budget:
         raise SubspaceBlowup(
             f"{total} subspace tuples to scan, budget {cfg.subspace_budget}"
+            " (--subspace-budget)"
         )
     per_vertex = [linalg.all_subspace_row_bases(d, p) for d in x.dims]
     out = []
@@ -447,16 +434,17 @@ def submodules(x, config=None):
 
 
 def all_extensions(q_mod, u_mod, config=None):
-    """Middle terms Z of exact sequences 0 -> u_mod -> Z -> q_mod -> 0, up to iso.
+    """Middle terms Z of non-split exact sequences 0 -> u_mod -> Z -> q_mod -> 0.
 
     Z is assembled block upper-triangularly, u_mod coordinates first, with
     an off-diagonal block c_a: q_s -> u_t per arrow a: s -> t.  The cocycles
     Z^1 are the blocks that satisfy the relations.  Cocycles that differ by
     a coboundary U_a h_s - h_t Q_a give isomorphic middle terms, and so do
-    nonzero scalar multiples of one class, so one middle term is built for
-    the split class and one per ray of a complement of B^1 in Z^1, that is
-    per ray of Ext^1(q_mod, u_mod); these are then deduplicated by module
-    isomorphism.  The split extension is always first.  Raises
+    nonzero scalar multiples of one class, so one middle term is built per
+    ray of a complement of B^1 in Z^1, that is per ray of Ext^1(q_mod,
+    u_mod), in the order of linalg.ray_representatives.  The list is empty
+    when Ext^1 vanishes; the split middle term is not built.  Two rays may
+    give isomorphic middle terms; nothing here removes them.  Raises
     SubspaceBlowup when Ext^1 has more than ext_budget elements.
     """
     cfg = config or DEFAULT_CONFIG
@@ -509,11 +497,9 @@ def all_extensions(q_mod, u_mod, config=None):
         )
 
     dims = tuple(u + q for u, q in zip(u_mod.dims, q_mod.dims))
-    split = np.zeros(ncols, dtype=np.int64)
-    reps = []
-    for vec in itertools.chain(
-        [split], ((classes @ c) % p for c in linalg.ray_representatives(e, p))
-    ):
+    out = []
+    for c in linalg.ray_representatives(e, p):
+        vec = (classes @ c) % p
         mats = []
         for ai, a in enumerate(qv.arrows):
             m = linalg.zeros(dims[a.target], dims[a.source])
@@ -526,7 +512,5 @@ def all_extensions(q_mod, u_mod, config=None):
                 )
                 m[:ud_t, ud_s:] = cblock
             mats.append(m)
-        z = Module(algebra, dims, tuple(mats))
-        if not any(is_isomorphic(z, r, cfg) for r in reps):
-            reps.append(z)
-    return reps
+        out.append(Module(algebra, dims, tuple(mats)))
+    return out

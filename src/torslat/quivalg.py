@@ -141,8 +141,9 @@ def build_algebra(quiver, relations, prime, config=None):
         basis.extend(nxt)
         if len(basis) > cfg.path_budget:
             raise PathBlowup(
-                f"path basis passed {cfg.path_budget} elements; "
-                "the algebra is too large or infinite-dimensional"
+                f"path basis reached {len(basis)} elements, budget"
+                f" {cfg.path_budget} (--path-budget); the algebra is too large"
+                " or infinite-dimensional"
             )
         frontier = nxt
     return Algebra(quiver, rels, prime, tuple(basis))

@@ -16,7 +16,6 @@ that masks cannot denote.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,16 +248,3 @@ def canonical_sequence(cat, module, t_mask):
     inclusion = modrep.Morphism(tpart, module, tuple(bases), check=False)
     fpart, _ = modrep.quotient_by(inclusion)
     return tpart, fpart
-
-
-@dataclass(frozen=True)
-class TorsionPairWitness:
-    """A torsion class with its Hom-orthogonal complement."""
-
-    torsion: frozenset
-    free: frozenset
-
-    def valid(self, cat):
-        return self.free == perp_right(cat, self.torsion) and (
-            self.torsion == perp_left(cat, self.free)
-        )

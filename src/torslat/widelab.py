@@ -345,21 +345,3 @@ def enumerate_wide_subcats(cat):
     if len(set(masks)) != len(masks):
         raise TheoremViolation("distinct semibricks generated the same mask")
     return sorted(set(masks), key=lambda s: (len(s), sorted(s)))
-
-
-def leftwide_roundtrip(cat, lat):
-    """Generate a torsion class from each wide subcategory and read it back."""
-    out = []
-    for w in enumerate_wide_subcats(cat):
-        t_node = lat.node_index.get(subcat.tors_gen(cat, w))
-        if t_node is None:
-            raise TheoremViolation(
-                f"{cat.mask_name(w)} generated a non-torsion-class"
-            )
-        got = left_wide(lat, t_node)
-        if got != w:
-            raise TheoremViolation(
-                f"round trip sent {cat.mask_name(w)} to {cat.mask_name(got)}"
-            )
-        out.append((w, t_node))
-    return out

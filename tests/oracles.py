@@ -2,8 +2,10 @@
 
 Everything here goes back to raw module arithmetic: quotients are taken by
 actually enumerating submodules, extension middles by enumerating cocycles,
-Hom dimensions by scanning every componentwise matrix tuple.  The main
-library is only trusted for module construction and iso classification.
+Hom dimensions by scanning every componentwise matrix tuple, isomorphism by
+searching every ray of the Hom space for an invertible morphism.  The main
+library is only trusted for module construction, Hom bases and the
+classification of summands.
 """
 
 import itertools
@@ -69,6 +71,39 @@ def brute_hom_dim(x, y):
     return dim
 
 
+def is_isomorphic(x, y):
+    """Exhaustive search for an invertible morphism x -> y, one candidate per ray.
+
+    Needs no indecomposability, unlike modrep.is_isomorphic_indecomposable.
+    """
+    if x.dims != y.dims:
+        return False
+    return x.is_zero or any(f.is_invertible for f in modrep.hom_rays(x, y))
+
+
+def injective_module(algebra, vertex):
+    """The injective envelope of the simple at `vertex`.
+
+    Basis: the basis paths ending at `vertex`, graded by their start vertex.
+    An arrow acts by deleting itself from the front of a path that begins
+    with it, and by zero on every other path.
+    """
+    paths = [pth for pth in algebra.path_basis if pth.end == vertex]
+    slot = {}
+    dims = [0] * algebra.quiver.vertex_count
+    for pth in paths:
+        slot[pth.names] = dims[pth.start]
+        dims[pth.start] += 1
+    mats = []
+    for a in algebra.quiver.arrows:
+        m = linalg.zeros(dims[a.target], dims[a.source])
+        for pth in paths:
+            if pth.names[:1] == (a.name,):
+                m[slot[pth.names[1:]], slot[pth.names]] = 1
+        mats.append(m)
+    return modrep.Module(algebra, tuple(dims), tuple(mats))
+
+
 def quotient_parts(cat):
     """Per indecomposable: every quotient by an actual submodule, decomposed."""
     out = []
@@ -96,7 +131,9 @@ def extensions_by_cocycles(q_mod, u_mod):
 
     Every solution of the relation constraints on the off-diagonal blocks is
     turned into a middle term, with no quotient by coboundaries or scalars,
-    and the list is deduplicated by exhaustive isomorphism search.
+    and the list is deduplicated by exhaustive isomorphism search.  The zero
+    cocycle comes first, so the split middle term is element 0 and every
+    coboundary merges into it.
     """
     algebra = q_mod.algebra
     p = algebra.prime
@@ -147,7 +184,7 @@ def extensions_by_cocycles(q_mod, u_mod):
             )
             mats.append(m)
         z = modrep.Module(algebra, dims, tuple(mats))
-        if not any(modrep.is_isomorphic(z, r) for r in reps):
+        if not any(is_isomorphic(z, r) for r in reps):
             reps.append(z)
     return reps
 

@@ -6,6 +6,19 @@ from importlib import resources
 import pytest
 
 from torslat import cli
+from torslat.catalog import build_catalog
+from torslat.config import DEFAULT_CONFIG
+from torslat.errors import (
+    DecomposeBlowup,
+    IsoSearchBlowup,
+    LatticeBlowup,
+    NotClosed,
+    PathBlowup,
+    SubspaceBlowup,
+)
+from torslat.lattice import build_lattice
+from torslat.quivalg import parse_algebra_text
+from torslat.verify import run_verify
 
 
 def corpus_path(name):
@@ -172,3 +185,50 @@ def test_bad_paths_and_budgets_are_usage_errors(argv, tmp_path, capsys):
     args = [a.format(tmp=tmp_path, a2=corpus_path("a2")) for a in argv]
     assert cli.main(args) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# spec texts of the budget cases; a bare name is a corpus algebra
+BUDGET_SPECS = {
+    "kron2": "vertices 2\narrow a 1 2\narrow b 1 2\nprime 2\n",
+    # D4 with three arrows into the centre: Hom(P_centre, M) is 2-dimensional
+    # for the indecomposable M with dims (2,1,1,1), though every End is a field
+    "d4p2": "vertices 4\narrow a 2 1\narrow b 3 1\narrow c 4 1\nprime 2\n",
+    "kx3p2": "vertices 1\narrow x 1 1\nrelation x x x\nprime 2\n",
+}
+
+
+def _lattice_of(text, cfg):
+    return build_lattice(build_catalog(parse_algebra_text(text, cfg), cfg))
+
+
+def _hom_audit(text, cfg):
+    return run_verify([("spec", parse_algebra_text(text, cfg))], ["hom-audit"], cfg)
+
+
+@pytest.mark.parametrize(
+    "flag,value,error,spec,argv,call",
+    [
+        ("--dim-bound", 2, NotClosed, "kron2", ["indec"], _lattice_of),
+        ("--path-budget", 4, PathBlowup, "a4", ["indec"], _lattice_of),
+        ("--iso-budget", 1, DecomposeBlowup, "kx3p2", ["indec"], _lattice_of),
+        ("--iso-budget", 2, IsoSearchBlowup, "d4p2", ["verify", "--props", "hom-audit"], _hom_audit),
+        ("--subspace-budget", 4, SubspaceBlowup, "a4", ["indec"], _lattice_of),
+        ("--ext-budget", 2, SubspaceBlowup, "kron2", ["indec"], _lattice_of),
+        ("--node-budget", 10, LatticeBlowup, "a4", ["lattice"], _lattice_of),
+    ],
+    ids=["dim", "path", "iso-decompose", "iso-hom-rays", "subspace", "ext", "node"],
+)
+def test_budget_errors_name_their_flag(flag, value, error, spec, argv, call, tmp_path, capsys):
+    if spec in BUDGET_SPECS:
+        path = tmp_path / f"{spec}.alg"
+        path.write_text(BUDGET_SPECS[spec])
+    else:
+        path = corpus_path(spec)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = DEFAULT_CONFIG.with_overrides(**{flag[2:].replace("-", "_"): value})
+    with pytest.raises(error, match=rf"\({flag}\)"):
+        call(text, cfg)
+    assert cli.main([argv[0], str(path), *argv[1:], flag, str(value)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f" {value} ({flag})" in err

@@ -9,7 +9,7 @@ from torslat import subcat, widelab
 from torslat import verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import LabelNotBrick, LatticeBlowup, NotAnInterval
-from torslat.lattice import build_lattice, check_duality
+from torslat.lattice import build_lattice, dual_correspondence
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
@@ -103,7 +103,11 @@ def test_endpoint_arrows(name, cat_of, lat_of):
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
 def test_duality_holds(name, cat_of, lat_of):
-    mapping = check_duality(lat_of(name), lat_of(name, "torf"))
+    mapping, node_checks, arrow_checks = dual_correspondence(
+        lat_of(name), lat_of(name, "torf")
+    )
+    for desc, ok, witness in node_checks + arrow_checks:
+        assert ok, f"{desc}: {witness}"
     assert sorted(mapping) == list(range(len(lat_of(name))))
 
 

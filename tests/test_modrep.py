@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import is_isomorphic
 import torslat
 from torslat import linalg, verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
-from torslat.errors import DecomposeBlowup, SubspaceBlowup
+from torslat.errors import DecomposeBlowup, IsoSearchBlowup, SubspaceBlowup
 from torslat.modrep import (
     Module,
     Morphism,
@@ -13,9 +14,9 @@ from torslat.modrep import (
     decompose,
     direct_sum,
     hom_basis,
+    hom_rays,
     identity_morphism,
     is_brick,
-    is_isomorphic,
     kernel_image_cokernel,
     quotient_by,
     submodules,
@@ -135,6 +136,29 @@ def test_local_endomorphisms_and_budget():
         decompose(jordan, DEFAULT_CONFIG.with_overrides(iso_budget=2))
 
 
+def test_hom_rays_one_per_ray():
+    alg = parse_algebra_text(KRONECKER_P3)
+    s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
+    s11 = direct_sum(s1, s1)
+    mods = [s1, s2, s11, direct_sum(s2, s2)] + all_extensions(s1, s2)
+    for x in mods:
+        for y in mods:
+            rays = list(hom_rays(x, y))
+            assert len(rays) == linalg.ray_count(len(hom_basis(x, y)), 3)
+            # scaled so the first nonzero entry is 1, no two rays agree
+            flat = [np.concatenate([c.ravel() for c in f.comps]) for f in rays]
+            lead = [int(v[np.flatnonzero(v)[0]]) for v in flat]
+            scaled = {tuple(v * pow(a, -1, 3) % 3) for v, a in zip(flat, lead)}
+            assert len(scaled) == len(rays)
+    # Hom(S1, S1 + S1) = F_3^2 has 4 rays
+    assert len(list(hom_rays(s1, s11, DEFAULT_CONFIG.with_overrides(iso_budget=4)))) == 4
+    with pytest.raises(
+        IsoSearchBlowup,
+        match=r"^Hom space has 4 rays \(3\^2 elements\), budget 3 \(--iso-budget\)$",
+    ):
+        hom_rays(s1, s11, DEFAULT_CONFIG.with_overrides(iso_budget=3))
+
+
 def test_is_isomorphic_distinguishes(a2):
     s1 = simple_module(a2, 0)
     s2 = simple_module(a2, 1)
@@ -214,15 +238,11 @@ def test_quotient_by_submodule(a2):
 def test_extensions_of_simples_give_projective(a2):
     s1 = simple_module(a2, 0)
     s2 = simple_module(a2, 1)
-    # middles of 0 -> S2 -> E -> S1 -> 0
-    mids = all_extensions(s1, s2)
-    kinds = sorted(tuple(m.dims) for m in mids)
-    assert kinds == [(1, 1), (1, 1)]
-    split = [m for m in mids if not is_isomorphic(m, projective_module(a2, 0))]
-    assert len(split) == 1
-    # the reversed direction only splits
-    mids_rev = all_extensions(s2, s1)
-    assert len(mids_rev) == 1
+    # non-split middles of 0 -> S2 -> E -> S1 -> 0: Ext^1 is a line
+    (mid,) = all_extensions(s1, s2)
+    assert is_isomorphic(mid, projective_module(a2, 0))
+    # the reversed direction only splits, and the split middle is not built
+    assert all_extensions(s2, s1) == []
 
 
 def test_extension_middles_contain_sub():
@@ -238,24 +258,24 @@ def test_extension_count_respects_prime():
     alg = verify_mod.load_corpus_algebra("a3s")
     s1 = simple_module(alg, 0)
     s2 = simple_module(alg, 1)
-    # four nonsplit cocycle lines at p=5, all the same middle up to iso
+    # four nonsplit cocycle lines at p=5, one ray of Ext^1 up to coboundaries
     mids = all_extensions(s1, s2)
-    assert len(mids) == 2
+    assert len(mids) == 1
 
 
 def test_ext_budget_counts_classes_not_cocycles(a2):
-    # Z^1 is a line, but it is all coboundaries: only the split class is left
+    # Z^1 is a line, but it is all coboundaries: Ext^1 vanishes, no middle is
+    # built, and a budget of one element (the zero class) suffices
     p1, s2 = projective_module(a2, 0), simple_module(a2, 1)
-    mids = all_extensions(p1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=1))
-    assert [m.dims for m in mids] == [(1, 2)]
+    assert all_extensions(p1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=1)) == []
 
 
 def test_ext_budget_caps_classes_and_names_flag():
     alg = parse_algebra_text(KRONECKER_P3)
     s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
-    # Ext^1(S1, S2) = F_3^2: the split middle plus one per point of P^1(F_3)
+    # Ext^1(S1, S2) = F_3^2: one middle per point of P^1(F_3)
     mids = all_extensions(s1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=9))
-    assert len(mids) == 1 + linalg.ray_count(2, 3)
+    assert len(mids) == linalg.ray_count(2, 3)
     with pytest.raises(
         SubspaceBlowup, match=r"^3\^2 Ext classes to scan, budget 8 \(--ext-budget\)$"
     ):
@@ -268,10 +288,11 @@ def test_extensions_match_cocycle_oracle_on_kronecker():
     # self-extensions inside a 2-dimensional cocycle space
     alg = parse_algebra_text(KRONECKER_P3)
     s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
-    mods = [s1, s2] + all_extensions(s1, s2)[1:]
+    mods = [s1, s2] + all_extensions(s1, s2)
     for q in mods:
         for u in mods:
             fast = all_extensions(q, u)
-            slow = oracles.extensions_by_cocycles(q, u)
-            assert len(fast) == len(slow)
+            # element 0 of the oracle is the split middle
+            slow = oracles.extensions_by_cocycles(q, u)[1:]
             assert all(sum(is_isomorphic(f, z) for z in slow) == 1 for f in fast)
+            assert all(any(is_isomorphic(f, z) for f in fast) for z in slow)

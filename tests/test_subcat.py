@@ -147,11 +147,12 @@ def test_star_contains_both_sides(left, right):
 
 
 def test_torsion_pair_witness(a2cat):
+    # (T, T^perp) is a torsion pair: T is the left perpendicular of T^perp
     t = names_to_mask(a2cat, "10a", "11a")
-    w = subcat.TorsionPairWitness(t, subcat.perp_right(a2cat, t))
-    assert w.valid(a2cat)
-    bad = subcat.TorsionPairWitness(t, t)
-    assert not bad.valid(a2cat)
+    free = subcat.perp_right(a2cat, t)
+    assert subcat.perp_left(a2cat, free) == t
+    # (T, T) is not: T^perp differs from T
+    assert free != t
 
 
 def test_semibrick_detection(a2cat):

@@ -166,8 +166,19 @@ def test_wide_subcat_enumeration(a2cat):
     ]
 
 
+def roundtrip(cat, lat):
+    """(W, node of T(W)) per wide subcategory W, asserting L(T(W)) = W."""
+    pairs = []
+    for w in widelab.enumerate_wide_subcats(cat):
+        node = lat.node_index.get(subcat.tors_gen(cat, w))
+        assert node is not None, f"{cat.mask_name(w)} generated a non-torsion-class"
+        assert widelab.left_wide(lat, node) == w
+        pairs.append((w, node))
+    return pairs
+
+
 def test_roundtrip_on_pentagon(a2cat, a2lat):
-    pairs = widelab.leftwide_roundtrip(a2cat, a2lat)
+    pairs = roundtrip(a2cat, a2lat)
     assert len(pairs) == 5
     w_to_node = dict(pairs)
     assert w_to_node[names_to_mask(a2cat, "11a")] == 3
@@ -176,7 +187,7 @@ def test_roundtrip_on_pentagon(a2cat, a2lat):
 
 def test_roundtrip_across_corpus(cat_of, lat_of):
     for name in ("a3s", "ppa2", "nak3"):
-        pairs = widelab.leftwide_roundtrip(cat_of(name), lat_of(name))
+        pairs = roundtrip(cat_of(name), lat_of(name))
         assert len(pairs) == len(widelab.enumerate_wide_subcats(cat_of(name)))
 
 
