@@ -5,6 +5,9 @@ under quotients and pair extensions at the configured dimension bound.  The
 tables (Hom dimensions, brick flags, subfactor pairs) turn every downstream
 subcategory operator into finite index combinatorics on masks, where a mask
 is a frozenset of catalog indices denoting the additive hull of its members.
+``Catalog.set_tables`` is the one place the tables are set; it derives the
+index rows (``maps_out``, ``maps_in``, ``subfactor_sets``, ``full_mask``) on
+which those operators are set algebra.
 """
 
 import json
@@ -49,6 +52,10 @@ class Catalog:
         self.hom_dim = ()
         self.bricks = ()
         self.subfactors = ()
+        self.maps_out = ()
+        self.maps_in = ()
+        self.subfactor_sets = ()
+        self.full_mask = frozenset()
         self._key_index = {}
         self._decompose_cache = {}
         self._profile_cache = {}
@@ -59,19 +66,34 @@ class Catalog:
         return len(self.ind)
 
     @property
-    def full_mask(self):
-        return frozenset(range(len(self.ind)))
-
-    @property
     def simple_indices(self):
         return tuple(i for i, m in enumerate(self.ind) if m.total_dim == 1)
 
-    def hom_nonzero(self, i, j):
-        return self.hom_dim[i][j] > 0
+    def set_tables(self, hom_dim, bricks, subfactors):
+        """Set the structure tables of the members and derive their index rows.
 
-    def quotients(self, i):
-        """Distinct decomposition multisets of all quotients of ind[i]."""
-        return frozenset(q for _, q in self.subfactors[i])
+        maps_out[i] holds the j with Hom(ind[i], ind[j]) nonzero and maps_in[j]
+        the i; subfactor_sets[i] holds the pairs of subfactors[i] as
+        (frozenset(u), frozenset(q)); full_mask holds every index.
+        """
+        n = len(self.ind)
+        if not (len(hom_dim) == len(bricks) == len(subfactors) == n) or any(
+            len(row) != n for row in hom_dim
+        ):
+            raise ValueError(f"tables do not match the {n} catalog members")
+        self.hom_dim = hom_dim
+        self.bricks = bricks
+        self.subfactors = subfactors
+        self.maps_out = tuple(
+            frozenset(j for j, d in enumerate(row) if d) for row in hom_dim
+        )
+        self.maps_in = tuple(
+            frozenset(i for i in range(n) if hom_dim[i][j]) for j in range(n)
+        )
+        self.subfactor_sets = tuple(
+            tuple((frozenset(u), frozenset(q)) for u, q in row) for row in subfactors
+        )
+        self.full_mask = frozenset(range(n))
 
     def index_of(self, module):
         key = module.key()
@@ -222,14 +244,16 @@ def build_tables(cat):
     which are dropped afterwards.
     """
     n = len(cat.ind)
-    cat.hom_dim = tuple(
-        tuple(len(modrep.hom_basis(cat.ind[i], cat.ind[j])) for j in range(n))
-        for i in range(n)
-    )
-    cat.bricks = tuple(modrep.is_brick(m, cat.config) for m in cat.ind)
-    cat.subfactors = tuple(
-        tuple(sorted({(cat.decompose_indices(sub), q) for sub, q in pairs}))
-        for pairs in cat._subquotients
+    cat.set_tables(
+        tuple(
+            tuple(len(modrep.hom_basis(cat.ind[i], cat.ind[j])) for j in range(n))
+            for i in range(n)
+        ),
+        tuple(modrep.is_brick(m, cat.config) for m in cat.ind),
+        tuple(
+            tuple(sorted({(cat.decompose_indices(sub), q) for sub, q in pairs}))
+            for pairs in cat._subquotients
+        ),
     )
     del cat._subquotients
     return cat
@@ -298,9 +322,12 @@ def from_json(text, config=None):
         cat._key_index[m.key()] = i
     cat.names = tuple(doc["names"])
     t = doc["tables"]
-    cat.hom_dim = tuple(tuple(row) for row in t["hom_dim"])
-    cat.bricks = tuple(bool(b) for b in t["bricks"])
-    cat.subfactors = tuple(
-        tuple(sorted((tuple(u), tuple(q)) for u, q in row)) for row in t["subfactors"]
+    cat.set_tables(
+        tuple(tuple(row) for row in t["hom_dim"]),
+        tuple(bool(b) for b in t["bricks"]),
+        tuple(
+            tuple(sorted((tuple(u), tuple(q)) for u, q in row))
+            for row in t["subfactors"]
+        ),
     )
     return cat

@@ -88,7 +88,10 @@ def reduce_interval(lat, iv, config=None):
     inverse order isomorphisms, psi agrees with the extension product with
     the bottom, covering arrows match bijectively with equal labels, and the
     gap's simples are both the upper and the lower labels of the interval.
+    The trace of a node v is W & v for the gap W = U^perp & T, since v <= T.
     """
+    if lat.side != "tors":
+        raise ValueError("reduce_interval needs the torsion side")
     cat = lat.cat
     report = is_wide_interval(lat, iv, "all")
     if not report.wide:
@@ -102,7 +105,7 @@ def reduce_interval(lat, iv, config=None):
 
     phi = {}
     for v in inside:
-        image = subcat.perp_right(cat, u_mask, lat.within) & lat.nodes[v]
+        image = w & lat.nodes[v]
         hit = wlat.node_index.get(image)
         if hit is None:
             raise TheoremViolation(

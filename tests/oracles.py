@@ -270,3 +270,87 @@ def hasse_covers(nodes):
             if not any(nodes[u] < nodes[z] for z in below if z != u):
                 pairs.append((t, u))
     return pairs
+
+
+# Element-by-element subcategory operators over the raw tables (hom_dim and
+# the subfactor tuples): the reference for the set-algebra versions in
+# subcat, which read the catalog's derived rows instead.
+
+
+def _ambient(cat, within):
+    return frozenset(range(len(cat.ind))) if within is None else within
+
+
+def perp_right(cat, members, within=None):
+    return frozenset(
+        j
+        for j in _ambient(cat, within)
+        if all(cat.hom_dim[i][j] == 0 for i in members)
+    )
+
+
+def perp_left(cat, members, within=None):
+    return frozenset(
+        j
+        for j in _ambient(cat, within)
+        if all(cat.hom_dim[j][i] == 0 for i in members)
+    )
+
+
+def fac(cat, members, within=None):
+    out = set(members)
+    for i in members:
+        for u, q in cat.subfactors[i]:
+            if within is None or all(k in within for k in u):
+                out.update(q)
+    return frozenset(out)
+
+
+def sub_cl(cat, members, within=None):
+    out = set(members)
+    for i in members:
+        for u, q in cat.subfactors[i]:
+            if within is None or all(k in within for k in u):
+                out.update(u)
+    return frozenset(out)
+
+
+def filt(cat, members, within=None):
+    cur = set(members)
+    outside = [j for j in sorted(_ambient(cat, within)) if j not in cur]
+    changed = True
+    while changed:
+        changed = False
+        remaining = []
+        for j in outside:
+            if any(
+                u and q and all(k in cur for k in u) and all(k in cur for k in q)
+                for u, q in cat.subfactors[j]
+            ):
+                cur.add(j)
+                changed = True
+            else:
+                remaining.append(j)
+        outside = remaining
+    return frozenset(cur)
+
+
+def star(cat, left, right):
+    return frozenset(
+        j
+        for j in range(len(cat.ind))
+        if any(
+            all(k in left for k in u) and all(k in right for k in q)
+            for u, q in cat.subfactors[j]
+        )
+    )
+
+
+def candidate_simples(cat, members):
+    return frozenset(
+        i
+        for i in members
+        if not any(
+            u and q and all(k in members for k in u) for u, q in cat.subfactors[i]
+        )
+    )

@@ -57,7 +57,9 @@ def test_hom_nonzero_agrees_with_dims(cat_of):
     n = len(cat.ind)
     for i in range(n):
         for j in range(n):
-            assert cat.hom_nonzero(i, j) == (cat.hom_dim[i][j] > 0)
+            assert (j in cat.maps_out[i]) == (cat.hom_dim[i][j] > 0)
+            assert (i in cat.maps_in[j]) == (cat.hom_dim[i][j] > 0)
+    assert cat.full_mask == frozenset(range(n))
 
 
 def test_subfactor_pairs_are_length_additive(cat_of):
@@ -82,8 +84,9 @@ def test_subfactors_include_trivial_splittings(cat_of):
 def test_quotients_derived_from_subfactors(cat_of):
     cat = cat_of("nak3")
     for j in range(len(cat.ind)):
-        from_pairs = {q for u, q in cat.subfactors[j]}
-        assert cat.quotients(j) == frozenset(from_pairs)
+        assert cat.subfactor_sets[j] == tuple(
+            (frozenset(u), frozenset(q)) for u, q in cat.subfactors[j]
+        )
 
 
 def test_decompose_indices_sorted(a2cat):
@@ -108,6 +111,29 @@ def test_json_round_trip_is_byte_exact(cat_of):
         assert again.hom_dim == cat.hom_dim
         assert again.bricks == cat.bricks
         assert again.subfactors == cat.subfactors
+
+
+def _rows(cat):
+    return (cat.maps_out, cat.maps_in, cat.subfactor_sets, cat.full_mask)
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + ("d4p3",))
+def test_json_round_trip_keeps_rows(name, cat_of):
+    if name == "d4p3":
+        cat = build_catalog(parse_algebra_text(CLOSED_FORM_SPECS["d4"].format(p=3)))
+    else:
+        cat = cat_of(name)
+    assert _rows(from_json(to_json(cat))) == _rows(cat)
+
+
+def test_tables_must_match_the_members(a2cat):
+    again = from_json(to_json(a2cat))
+    with pytest.raises(ValueError):
+        again.set_tables(a2cat.hom_dim[:2], a2cat.bricks, a2cat.subfactors)
+    with pytest.raises(ValueError):
+        again.set_tables(
+            tuple(row[:2] for row in a2cat.hom_dim), a2cat.bricks, a2cat.subfactors
+        )
 
 
 def test_json_is_canonical(cat_of):

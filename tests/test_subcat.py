@@ -3,8 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+import torslat
 from conftest import names_to_mask
-from torslat import subcat
+from torslat import subcat, widelab
 from torslat import verify as verify_mod
 from torslat.errors import NotWide
 from torslat.modrep import direct_sum
@@ -221,3 +222,57 @@ def test_canonical_sequence_requires_torsion_class(a2cat):
         subcat.canonical_sequence(
             a2cat, a2cat.ind[2], names_to_mask(a2cat, "11a")
         )
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS)
+def test_set_algebra_operators_match_oracles(name, cat_of, lat_of):
+    cat = cat_of(name)
+    nodes = sorted(
+        set(lat_of(name, "tors").nodes) | set(lat_of(name, "torf").nodes),
+        key=lambda m: (len(m), sorted(m)),
+    )
+    wides = widelab.enumerate_wide_subcats(cat)
+    withins = [None] + (wides if name in ("a3", "a4") else [])
+    for m in nodes:
+        for within in withins:
+            x = m if within is None else m & within
+            for op in ("perp_right", "perp_left", "fac", "sub_cl", "filt"):
+                got = getattr(subcat, op)(cat, x, within)
+                assert got == getattr(oracles, op)(cat, x, within), (op, x, within)
+        assert subcat.candidate_simples(cat, m) == oracles.candidate_simples(cat, m)
+        for w in wides:
+            assert subcat.star(cat, m, w) == oracles.star(cat, m, w)
+            assert subcat.star(cat, w, m) == oracles.star(cat, w, m)
+
+
+def test_serre_list_is_computed_once(cat_of):
+    cat = cat_of("a3")
+    first = subcat.serre_list(cat, cat.full_mask)
+    assert isinstance(first, tuple)
+    assert subcat.serre_list(cat, cat.full_mask) is first
+
+
+def test_verify_keeps_one_serre_entry_per_left_wide_mask(monkeypatch):
+    built, calls = [], []
+    build_catalog, serre_list = verify_mod.build_catalog, subcat.serre_list
+
+    def capturing_build(*args, **kwargs):
+        built.append(build_catalog(*args, **kwargs))
+        return built[-1]
+
+    def counting_serre_list(cat, members):
+        calls.append(members)
+        return serre_list(cat, members)
+
+    monkeypatch.setattr(verify_mod, "build_catalog", capturing_build)
+    monkeypatch.setattr(subcat, "serre_list", counting_serre_list)
+    results = verify_mod.run_verify([("a4", verify_mod.load_corpus_algebra("a4"))])
+    assert all(r.ok for r in results)
+    (cat,) = built
+    lat = torslat.build_lattice(cat)
+    left_wide = {widelab.left_wide(lat, t) for t in range(len(lat))}
+    serre_keys = [k for k in cat.op_cache if k[0] == "serre"]
+    assert len(serre_keys) == len(left_wide)
+    assert {k[1] for k in serre_keys} == left_wide
+    assert set(calls) == left_wide
+    assert len(calls) > len(serre_keys)

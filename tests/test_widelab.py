@@ -2,6 +2,7 @@ import pytest
 
 from conftest import names_to_mask
 from torslat import subcat, widelab
+from torslat import verify as verify_mod
 from torslat.errors import NotSerre, NotWide, NotWideInterval
 from torslat.lattice import Interval
 
@@ -75,6 +76,47 @@ def test_reduce_small_wide_interval(a2cat, a2lat):
 def test_reduce_rejects_non_wide(a2lat):
     with pytest.raises(NotWideInterval):
         widelab.reduce_interval(a2lat, _interval(a2lat, 0, 3))
+
+
+def test_reduce_needs_the_torsion_side(lat_of):
+    flat = lat_of("a2", "torf")
+    with pytest.raises(ValueError):
+        widelab.reduce_interval(flat, _interval(flat, 0, 0))
+
+
+def test_reduce_scans_the_perpendicular_once(monkeypatch):
+    # perp_right calls made by reduce_interval itself, not by the walk that
+    # builds the gap's own lattice
+    state = {"calls": 0, "in_walk": False}
+    per_call = []
+    perp_right, reduce_interval = subcat.perp_right, widelab.reduce_interval
+    build_lattice = widelab.build_lattice
+
+    def counting_perp(*args, **kwargs):
+        state["calls"] += not state["in_walk"]
+        return perp_right(*args, **kwargs)
+
+    def quiet_walk(*args, **kwargs):
+        state["in_walk"] = True
+        try:
+            return build_lattice(*args, **kwargs)
+        finally:
+            state["in_walk"] = False
+
+    def counting_reduce(*args, **kwargs):
+        before = state["calls"]
+        out = reduce_interval(*args, **kwargs)
+        per_call.append(state["calls"] - before)
+        return out
+
+    monkeypatch.setattr(subcat, "perp_right", counting_perp)
+    monkeypatch.setattr(widelab, "build_lattice", quiet_walk)
+    monkeypatch.setattr(widelab, "reduce_interval", counting_reduce)
+    results = verify_mod.run_verify(
+        [("a4", verify_mod.load_corpus_algebra("a4"))], props=["reduction"]
+    )
+    assert results and all(r.ok for r in results)
+    assert per_call == [1] * len(results)
 
 
 def test_left_wide_per_node(a2cat, a2lat):
