@@ -7,7 +7,11 @@ subcategory operator into finite index combinatorics on masks, where a mask
 is a frozenset of catalog indices denoting the additive hull of its members.
 ``Catalog.set_tables`` is the one place the tables are set; it derives the
 index rows (``maps_out``, ``maps_in``, ``subfactor_sets``, ``full_mask``) on
-which those operators are set algebra.
+which those operators are set algebra.  ``op_cache`` holds every memo of
+the library under tagged keys: the summand indices of ``decompose_indices``
+under ``("decompose", module key)``, the ray profiles of ``hom_profile``
+under ``("profile", i, j)``, and the subcategory operators' results (see
+``subcat``).  ``_key_index`` is the member index, not a memo.
 """
 
 import json
@@ -16,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg, modrep
+from . import linalg, modrep, subcat
 from .config import DEFAULT_CONFIG
 from .errors import NotClosed
 from .quivalg import Arrow, Quiver, build_algebra, simple_module
@@ -57,9 +61,6 @@ class Catalog:
         self.subfactor_sets = ()
         self.full_mask = frozenset()
         self._key_index = {}
-        self._decompose_cache = {}
-        self._profile_cache = {}
-        self._hom_elems_cache = {}
         self.op_cache = {}
 
     def __len__(self):
@@ -108,21 +109,12 @@ class Catalog:
 
     def decompose_indices(self, module):
         """Sorted index multiset of the indecomposable summands of a module."""
-        key = module.key()
-        hit = self._decompose_cache.get(key)
-        if hit is None:
-            parts = modrep.decompose(module, self.config)
-            hit = tuple(sorted(self.index_of(s) for s in parts))
-            self._decompose_cache[key] = hit
-        return hit
 
-    def hom_elements(self, i, j):
-        """One morphism per ray of Hom(ind[i], ind[j]); empty when Hom vanishes."""
-        hit = self._hom_elems_cache.get((i, j))
-        if hit is None:
-            hit = tuple(modrep.hom_rays(self.ind[i], self.ind[j], self.config))
-            self._hom_elems_cache[(i, j)] = hit
-        return hit
+        def run():
+            parts = modrep.decompose(module, self.config)
+            return tuple(sorted(self.index_of(s) for s in parts))
+
+        return subcat._cached(self, ("decompose", module.key()), run)
 
     def hom_profile(self, i, j):
         """HomProfile per nonzero ray of Hom(ind[i], ind[j]).
@@ -130,10 +122,10 @@ class Catalog:
         Kernel/image/cokernel shapes are scaling-invariant, so one entry per
         ray covers the full punctured Hom space.
         """
-        hit = self._profile_cache.get((i, j))
-        if hit is None:
+
+        def run():
             entries = []
-            for f in self.hom_elements(i, j):
+            for f in modrep.hom_rays(self.ind[i], self.ind[j], self.config):
                 kic = modrep.kernel_image_cokernel(f)
                 entries.append(
                     HomProfile(
@@ -144,9 +136,9 @@ class Catalog:
                         mono=kic.kernel.total_dim == 0,
                     )
                 )
-            hit = tuple(entries)
-            self._profile_cache[(i, j)] = hit
-        return hit
+            return tuple(entries)
+
+        return subcat._cached(self, ("profile", i, j), run)
 
     def mask_name(self, mask):
         return "{" + ",".join(self.names[i] for i in sorted(mask)) + "}"

@@ -164,7 +164,7 @@ def _cmd_interval(args, cfg, out):
         file=out,
     )
     if args.check_wide or args.reduce:
-        report = widelab.is_wide_interval(lat, iv, "all")
+        report = widelab.is_wide_interval(lat, iv)
         print(f"wide: {_yesno(report.wide)}", file=out)
         print(f"gap: {cat.mask_name(report.wide_mask)}", file=out)
         print(

@@ -129,11 +129,6 @@ class Morphism:
         return f"Morphism({self.source!r} -> {self.target!r})"
 
 
-def identity_morphism(module):
-    comps = tuple(linalg.eye(d) for d in module.dims)
-    return Morphism(module, module, comps, check=False)
-
-
 def _comps_from_coeffs(coeffs, stacked, p):
     return tuple(
         (np.tensordot(coeffs, s, axes=1) % p) if s.shape[0] else np.zeros(s.shape[1:], dtype=np.int64)

@@ -78,14 +78,6 @@ class Algebra:
     def paths_from(self, vertex):
         return [pth for pth in self.path_basis if pth.start == vertex]
 
-    def fingerprint(self):
-        return (
-            self.quiver.vertex_count,
-            tuple(self.quiver.arrows),
-            self.relations,
-            self.prime,
-        )
-
 
 def _contains_relation_suffix(names, relations):
     # the parent path was clean, so only suffixes ending at the new arrow matter

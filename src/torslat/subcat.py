@@ -11,7 +11,9 @@ The operators are set algebra on the rows the catalog derives from its
 tables: a perpendicular is the ambient minus the ``maps_out`` (or
 ``maps_in``) rows of the members, and the closures test each subfactor pair
 of ``subfactor_sets`` by set inclusion.  Results that are reused are kept in
-the catalog's ``op_cache``.
+the catalog's ``op_cache`` through ``_cached``, the one memo helper of the
+library: the catalog's own decompose and Hom-profile memos and widelab's
+verdicts go through it too, each under a key tagged by its kind.
 
 The extension-closure operator ``filt`` works pairwise on the subfactor
 table.  That computes the smallest extension-closed summand-closed class
@@ -141,13 +143,6 @@ def star(cat, left, right):
 def is_torsion_class(cat, members, within=None):
     return (
         fac(cat, members, within) == members
-        and filt(cat, members, within) == members
-    )
-
-
-def is_torsion_free_class(cat, members, within=None):
-    return (
-        sub_cl(cat, members, within) == members
         and filt(cat, members, within) == members
     )
 

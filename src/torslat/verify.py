@@ -8,6 +8,7 @@ the input order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from . import subcat, widelab
@@ -55,40 +56,24 @@ class CheckResult:
 
 
 class AlgebraContext:
-    """Lazily built catalog, lattices and duality data for one algebra."""
+    """Lazily built catalog and lattices for one algebra."""
 
     def __init__(self, name, algebra, config=None):
         self.name = name
         self.algebra = algebra
         self.config = config
-        self._cat = None
-        self._lat = None
-        self._flat = None
-        self._dual = None
 
-    @property
+    @cached_property
     def cat(self):
-        if self._cat is None:
-            self._cat = build_catalog(self.algebra, self.config)
-        return self._cat
+        return build_catalog(self.algebra, self.config)
 
-    @property
+    @cached_property
     def lat(self):
-        if self._lat is None:
-            self._lat = build_lattice(self.cat, side="tors")
-        return self._lat
+        return build_lattice(self.cat, side="tors")
 
-    @property
+    @cached_property
     def flat(self):
-        if self._flat is None:
-            self._flat = build_lattice(self.cat, side="torf")
-        return self._flat
-
-    @property
-    def dual(self):
-        if self._dual is None:
-            self._dual = dual_correspondence(self.lat, self.flat)
-        return self._dual
+        return build_lattice(self.cat, side="torf")
 
 
 def _interval_name(lat, iv):
@@ -124,7 +109,7 @@ def _check_brick_labels(ctx):
 
 
 def _check_duality(ctx):
-    _, node_checks, arrow_checks = ctx.dual
+    _, node_checks, arrow_checks = dual_correspondence(ctx.lat, ctx.flat)
     for desc, ok, witness in node_checks + arrow_checks:
         def thunk(ok=ok, witness=witness):
             _require(ok, witness)
@@ -172,7 +157,7 @@ def _check_wide_detect(ctx):
     lat = ctx.lat
     for iv in lat.all_intervals():
         def thunk(iv=iv):
-            widelab.is_wide_interval(lat, iv, "all")
+            widelab.is_wide_interval(lat, iv)
         yield _interval_name(lat, iv), thunk
 
 
@@ -180,7 +165,7 @@ def _check_lower_filt(ctx):
     cat, lat = ctx.cat, ctx.lat
     for iv in lat.all_intervals():
         def thunk(iv=iv):
-            report = widelab.is_wide_interval(lat, iv, "all")
+            report = widelab.is_wide_interval(lat, iv)
             if not report.join:
                 return
             rebuilt = subcat.filt(cat, lat.labels_of(lat.lower_set(iv)))
@@ -195,7 +180,7 @@ def _check_lower_filt(ctx):
 def _check_reduction(ctx):
     lat = ctx.lat
     for iv in lat.all_intervals():
-        if not widelab.is_wide_interval(lat, iv, "direct").wide:
+        if not widelab.is_wide_interval(lat, iv).wide:
             continue
         def thunk(iv=iv):
             widelab.reduce_interval(lat, iv)
@@ -283,7 +268,7 @@ def _check_wide_serre(ctx):
     cat, lat, flat = ctx.cat, ctx.lat, ctx.flat
     for iv in lat.all_intervals():
         def thunk(iv=iv):
-            report = widelab.is_wide_interval(lat, iv, "all")
+            report = widelab.is_wide_interval(lat, iv)
             w = report.wide_mask
             via_serre = w in subcat.serre_list(cat, widelab.left_wide(lat, iv.top))
             fnode = flat.node_index[subcat.perp_right(cat, lat.nodes[iv.bottom])]

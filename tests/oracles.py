@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from torslat import linalg, modrep
+from torslat import linalg, modrep, subcat
 
 # torsion class counts derived by hand before the build:
 # chains a2/a2r give the 5-element Tamari lattice on 3 letters, a3/a3s the
@@ -353,4 +353,14 @@ def candidate_simples(cat, members):
         if not any(
             u and q and all(k in members for k in u) for u, q in cat.subfactors[i]
         )
+    )
+
+
+def is_torsion_free_class(cat, members, within=None):
+    """Closed under subobjects and extensions, by the library's own operators:
+    the tests compare it with torf_masks_by_filtering, so it checks sub_cl and
+    filt rather than standing in for them."""
+    return (
+        subcat.sub_cl(cat, members, within) == members
+        and subcat.filt(cat, members, within) == members
     )

@@ -4,6 +4,7 @@ Run with -s to see the lines as they happen; without it they appear in the
 captured output of failing tests.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -211,3 +212,30 @@ def test_criterion_12_determinism(tmp_path):
     assert _line(
         12, ok, "verify --corpus and every export byte-identical across runs"
     )
+
+
+# sha256 of the verify --corpus report and of each corpus catalog's JSON
+# export; a change here is a change of output, not of speed.
+REPORT_SHA256 = (
+    "b084032e656e9974d6ea097a0094971a338a4cf734e4352e286b50bc03548d6e"
+)
+CATALOG_SHA256 = {
+    "a2": "7c7eee60e98db1695d6572ced0dd295f9858fa0cfeae1333c9ba4e23c6872e39",
+    "a2r": "23696692a7df4ee1c769a59f11c8669939e55b2fda486c9650230848f600bbf0",
+    "a3": "038f79b6cee1abecb27bd5fcacf7d4e5dd70355d9dc2e7d92fe0f5b58af34482",
+    "a3s": "4c0b539a67c2de9fcb0c91f85ce20ff3de1cd72fa702ae035519c78ee51f82c5",
+    "a4": "419629c62838a6a76d720ad2a069b149fa7249e108d11217e4d4a4c540965425",
+    "ss2": "63a824d5350fb6b58261cf5aa3f8a912bf72108c9d886e371a65ccceaec7c340",
+    "ppa2": "bad2b20956be6586668a9a14e9d2061dbf4cac810434e5a2530a914d974512e9",
+    "nak3": "a55de12cbbbe9c490c65320fa60817c57fe05ef66f34c97880a7c02f0c2b1078",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_outputs_are_pinned(full_results, cat_of):
+    assert _sha256(verify.format_report(full_results)[0]) == REPORT_SHA256
+    got = {name: _sha256(torslat.to_json(cat_of(name))) for name in verify.CORPUS}
+    assert got == CATALOG_SHA256

@@ -15,7 +15,6 @@ from torslat.modrep import (
     direct_sum,
     hom_basis,
     hom_rays,
-    identity_morphism,
     is_brick,
     kernel_image_cokernel,
     quotient_by,
@@ -85,7 +84,8 @@ def test_zero_and_identity_maps(a2):
     assert kic.kernel.dims == p1.dims
     assert kic.image.is_zero
     assert kic.cokernel.dims == p1.dims
-    kic_id = kernel_image_cokernel(identity_morphism(p1))
+    ident = Morphism(p1, p1, tuple(np.eye(d, dtype=np.int64) for d in p1.dims))
+    kic_id = kernel_image_cokernel(ident)
     assert kic_id.kernel.is_zero
     assert kic_id.cokernel.is_zero
 

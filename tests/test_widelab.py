@@ -3,8 +3,8 @@ import pytest
 from conftest import names_to_mask
 from torslat import subcat, widelab
 from torslat import verify as verify_mod
-from torslat.errors import NotSerre, NotWide, NotWideInterval
-from torslat.lattice import Interval
+from torslat.errors import NotSerre, NotWide, NotWideInterval, TheoremViolation
+from torslat.lattice import HasseArrow, TorsLattice
 
 
 def _interval(lat, b, t):
@@ -14,7 +14,7 @@ def _interval(lat, b, t):
 def test_wide_interval_census_on_pentagon(a2lat):
     verdicts = {}
     for iv in a2lat.all_intervals():
-        report = widelab.is_wide_interval(a2lat, iv, "all")
+        report = widelab.is_wide_interval(a2lat, iv)
         verdicts[(iv.bottom, iv.top)] = report.wide
     assert len(verdicts) == 13
     assert sum(verdicts.values()) == 11
@@ -22,24 +22,12 @@ def test_wide_interval_census_on_pentagon(a2lat):
     assert verdicts[(2, 4)] is False
 
 
-def test_single_mode_reports(a2lat):
-    iv = _interval(a2lat, 0, 3)
-    join_only = widelab.is_wide_interval(a2lat, iv, "join")
-    assert join_only.direct is None and join_only.meet is None
-    assert join_only.join is False and join_only.wide is False
-    direct_only = widelab.is_wide_interval(a2lat, iv, "direct")
-    assert direct_only.join is None
-    assert direct_only.wide is False
-    with pytest.raises(ValueError):
-        widelab.is_wide_interval(a2lat, iv, "sideways")
-
-
 def test_gap_masks(a2cat, a2lat):
     iv = _interval(a2lat, 2, 3)
-    report = widelab.is_wide_interval(a2lat, iv, "all")
+    report = widelab.is_wide_interval(a2lat, iv)
     assert report.wide is True
     assert report.wide_mask == names_to_mask(a2cat, "11a")
-    full = widelab.is_wide_interval(a2lat, _interval(a2lat, 1, 4), "all")
+    full = widelab.is_wide_interval(a2lat, _interval(a2lat, 1, 4))
     assert full.wide_mask == names_to_mask(a2cat, "10a")
 
 
@@ -76,6 +64,25 @@ def test_reduce_small_wide_interval(a2cat, a2lat):
 def test_reduce_rejects_non_wide(a2lat):
     with pytest.raises(NotWideInterval):
         widelab.reduce_interval(a2lat, _interval(a2lat, 0, 3))
+
+
+@pytest.mark.parametrize("tamper", ("relabel", "drop"))
+def test_reduce_rejects_a_tampered_gap_lattice(tamper, a2cat, a2lat, monkeypatch):
+    # with the order loop gone, the arrow checks must still catch a wide
+    # lattice whose covers differ from the interval's
+    tors_of_wide = widelab.tors_of_wide
+
+    def tampered(cat, w_mask, config=None):
+        wlat = tors_of_wide(cat, w_mask, config)
+        first, *rest = wlat.arrows
+        if tamper == "relabel":
+            other = (first.label + 1) % len(cat.ind)
+            rest.insert(0, HasseArrow(first.src, first.dst, other))
+        return TorsLattice(cat, wlat.side, wlat.within, wlat.nodes, tuple(rest))
+
+    monkeypatch.setattr(widelab, "tors_of_wide", tampered)
+    with pytest.raises(TheoremViolation):
+        widelab.reduce_interval(a2lat, _interval(a2lat, 0, 4))
 
 
 def test_reduce_needs_the_torsion_side(lat_of):
@@ -231,11 +238,3 @@ def test_roundtrip_across_corpus(cat_of, lat_of):
     for name in ("a3s", "ppa2", "nak3"):
         pairs = roundtrip(cat_of(name), lat_of(name))
         assert len(pairs) == len(widelab.enumerate_wide_subcats(cat_of(name)))
-
-
-def test_report_requires_some_verdict(a2lat):
-    report = widelab.WideIntervalReport(
-        Interval(0, 0), frozenset(), None, None, None
-    )
-    with pytest.raises(ValueError):
-        report.wide
