@@ -11,6 +11,7 @@ ambient throughout.
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import subcat
 from .errors import (
@@ -69,8 +70,12 @@ class TorsLattice:
         gen = subcat.tors_gen if self.side == "tors" else subcat.torf_gen
         return gen(self.cat, mask, self.within)
 
+    @cached_property
+    def names(self):
+        return tuple(self.cat.mask_name(m) for m in self.nodes)
+
     def name(self, i):
-        return self.cat.mask_name(self.nodes[i])
+        return self.names[i]
 
     def leq(self, i, j):
         return self.nodes[i] <= self.nodes[j]
@@ -135,8 +140,8 @@ class TorsLattice:
     def to_dot(self):
         cat = self.cat
         lines = [f"digraph {self.side} {{"]
-        for mask in self.nodes:
-            lines.append(f'  "{cat.mask_name(mask)}";')
+        for name in self.names:
+            lines.append(f'  "{name}";')
         for a in self.arrows:
             dims = "".join(str(d) for d in cat.ind[a.label].dims)
             lines.append(

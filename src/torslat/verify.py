@@ -5,6 +5,14 @@ covering arrow, per node, per interval, per wide subcategory.  Output is one
 line per checked object, PASS or FAIL with a witness, plus a two-line
 summary.  Algebras are verified one after another, so the report order is
 the input order.
+
+Work that several properties share is done once per algebra.  Each
+interval's wideness verdict is computed once (``AlgebraContext.wide_verdicts``)
+and read by wide-detect, lower-filt, reduction and wide-serre.  Reduction
+builds the torsion lattice of each gap category W once for all the wide
+intervals with that gap, drops it before the next gap, and then reports the
+outcomes in interval order, so the report order does not depend on the
+grouping.
 """
 
 from dataclasses import dataclass
@@ -75,6 +83,30 @@ class AlgebraContext:
     def flat(self):
         return build_lattice(self.cat, side="torf")
 
+    @cached_property
+    def wide_verdicts(self):
+        """One verdict per interval of ``lat``, in ``all_intervals`` order:
+        the gap if the interval is wide, None if it is not, or the
+        VerificationError ``is_wide_interval`` raised.  Equal gaps are one
+        object."""
+        lat = self.lat
+        gaps = {}
+        verdicts = []
+        for iv in lat.all_intervals():
+            try:
+                report = widelab.is_wide_interval(lat, iv)
+            except VerificationError as exc:
+                # without its traceback, whose frames would hold this list
+                verdicts.append(exc.with_traceback(None))
+                continue
+            w = report.wide_mask
+            verdicts.append(gaps.setdefault(w, w) if report.wide else None)
+        return tuple(verdicts)
+
+    def intervals(self):
+        """(interval, verdict) pairs of ``lat``, in ``all_intervals`` order."""
+        return zip(self.lat.all_intervals(), self.wide_verdicts)
+
 
 def _interval_name(lat, iv):
     return f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]"
@@ -83,6 +115,14 @@ def _interval_name(lat, iv):
 def _require(cond, witness):
     if not cond:
         raise TheoremViolation(witness)
+
+
+def _gap_of(verdict):
+    """The gap of a wide verdict, None for a non-wide one; a failed verdict
+    is raised again."""
+    if isinstance(verdict, VerificationError):
+        raise verdict
+    return verdict
 
 
 def _check_brick_labels(ctx):
@@ -155,36 +195,70 @@ def _check_incident_semibricks(ctx):
 
 def _check_wide_detect(ctx):
     lat = ctx.lat
-    for iv in lat.all_intervals():
-        def thunk(iv=iv):
-            widelab.is_wide_interval(lat, iv)
+    for iv, verdict in ctx.intervals():
+        def thunk(verdict=verdict):
+            _gap_of(verdict)
         yield _interval_name(lat, iv), thunk
 
 
 def _check_lower_filt(ctx):
     cat, lat = ctx.cat, ctx.lat
-    for iv in lat.all_intervals():
-        def thunk(iv=iv):
-            report = widelab.is_wide_interval(lat, iv)
-            if not report.join:
+    for iv, verdict in ctx.intervals():
+        def thunk(iv=iv, verdict=verdict):
+            # the join verdict agrees with the direct one
+            gap = _gap_of(verdict)
+            if gap is None:
                 return
             rebuilt = subcat.filt(cat, lat.labels_of(lat.lower_set(iv)))
             _require(
-                rebuilt == report.wide_mask,
+                rebuilt == gap,
                 f"lower labels build {cat.mask_name(rebuilt)} instead of"
-                f" {cat.mask_name(report.wide_mask)}",
+                f" {cat.mask_name(gap)}",
             )
         yield _interval_name(lat, iv), thunk
 
 
+def _reduce_group(lat, gap, ivs):
+    """Reduce wide intervals sharing one gap onto one torsion lattice of it.
+
+    One outcome per interval: None, or the VerificationError raised.  The
+    gap lattice is dropped on return.
+    """
+    try:
+        wlat = widelab.tors_of_wide(lat.cat, gap)
+    except VerificationError as exc:
+        return [exc.with_traceback(None)] * len(ivs)
+    outcomes = []
+    for iv in ivs:
+        try:
+            widelab._reduce_onto(lat, iv, gap, wlat)
+            outcomes.append(None)
+        except VerificationError as exc:
+            outcomes.append(exc.with_traceback(None))
+    return outcomes
+
+
 def _check_reduction(ctx):
+    # a failed verdict aborts the property, after the wide intervals before it
     lat = ctx.lat
-    for iv in lat.all_intervals():
-        if not widelab.is_wide_interval(lat, iv).wide:
-            continue
-        def thunk(iv=iv):
-            widelab.reduce_interval(lat, iv)
+    wide, by_gap, error = [], {}, None
+    for iv, verdict in ctx.intervals():
+        if isinstance(verdict, VerificationError):
+            error = verdict
+            break
+        if verdict is not None:
+            wide.append(iv)
+            by_gap.setdefault(verdict, []).append(iv)
+    outcome = {}
+    for gap, ivs in by_gap.items():
+        outcome.update(zip(ivs, _reduce_group(lat, gap, ivs)))
+    for iv in wide:
+        def thunk(failure=outcome[iv]):
+            if failure is not None:
+                raise failure
         yield _interval_name(lat, iv), thunk
+    if error is not None:
+        raise error
 
 
 def _check_roundtrip(ctx):
@@ -266,18 +340,21 @@ def _check_simples_out(ctx):
 
 def _check_wide_serre(ctx):
     cat, lat, flat = ctx.cat, ctx.lat, ctx.flat
-    for iv in lat.all_intervals():
-        def thunk(iv=iv):
-            report = widelab.is_wide_interval(lat, iv)
-            w = report.wide_mask
+    for iv, verdict in ctx.intervals():
+        def thunk(iv=iv, verdict=verdict):
+            gap = _gap_of(verdict)
+            perp = subcat.perp_right(cat, lat.nodes[iv.bottom])
+            # the table keeps no gap U^perp & T for a non-wide interval
+            w = perp & lat.nodes[iv.top] if gap is None else gap
             via_serre = w in subcat.serre_list(cat, widelab.left_wide(lat, iv.top))
-            fnode = flat.node_index[subcat.perp_right(cat, lat.nodes[iv.bottom])]
+            fnode = flat.node_index[perp]
             via_sides = w == (
                 widelab.right_wide(flat, fnode) & widelab.left_wide(lat, iv.top)
             )
+            wide = gap is not None
             _require(
-                report.wide == via_serre == via_sides,
-                f"wide={report.wide} serre={via_serre} sides={via_sides}",
+                wide == via_serre == via_sides,
+                f"wide={wide} serre={via_serre} sides={via_sides}",
             )
         yield _interval_name(lat, iv), thunk
 

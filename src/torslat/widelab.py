@@ -81,15 +81,20 @@ def reduce_interval(lat, iv, config=None):
     """
     if lat.side != "tors":
         raise ValueError("reduce_interval needs the torsion side")
-    cat = lat.cat
     report = is_wide_interval(lat, iv)
     if not report.wide:
         raise NotWideInterval(
             f"[{lat.name(iv.bottom)}, {lat.name(iv.top)}] is not wide"
         )
     w = report.wide_mask
+    return _reduce_onto(lat, iv, w, tors_of_wide(lat.cat, w, config))
+
+
+def _reduce_onto(lat, iv, w, wlat):
+    """The checks of reduce_interval for a wide interval of the torsion side
+    with gap ``w``, against a prebuilt torsion lattice ``wlat`` of the gap."""
+    cat = lat.cat
     u_mask = lat.nodes[iv.bottom]
-    wlat = tors_of_wide(cat, w, config)
     inside = lat.interval_nodes(iv)
 
     phi = {}
@@ -310,20 +315,20 @@ def enumerate_semibricks(cat):
     """Every pairwise Hom-orthogonal set of bricks, the empty set included."""
     bricks = [i for i in range(len(cat.ind)) if cat.bricks[i]]
     out = []
-
-    def extend(prefix, start):
+    # an explicit stack, not a recursive closure: a closure that calls itself
+    # is a reference cycle, and it would keep the catalog alive until the
+    # cyclic garbage collector happened to run
+    stack = [((), 0)]
+    while stack:
+        prefix, start = stack.pop()
         out.append(frozenset(prefix))
-        for k in range(start, len(bricks)):
+        for k in reversed(range(start, len(bricks))):
             b = bricks[k]
             if all(
                 cat.hom_dim[b][o] == 0 and cat.hom_dim[o][b] == 0
                 for o in prefix
             ):
-                prefix.append(b)
-                extend(prefix, k + 1)
-                prefix.pop()
-
-    extend([], 0)
+                stack.append((prefix + (b,), k + 1))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 

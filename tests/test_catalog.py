@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from torslat import modrep
+from torslat import modrep, widelab
 from torslat import verify as verify_mod
 from torslat.catalog import (
     build_catalog,
@@ -215,32 +215,48 @@ def test_index_of_rejects_non_members(name, cat_of):
                 cat.index_of(modrep.direct_sum(x, y))
 
 
-# Gabriel: A_n has n(n+1)/2 indecomposables and D4 has 12, in every
+# Gabriel: A_n has n(n+1)/2 indecomposables and D_n has n(n-1), in every
 # orientation; k[x]/x^n has its n Jordan blocks
 CLOSED_FORM_SPECS = {
     "a4": "vertices 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\nprime {p}\n",
     # the central vertex 2 is the target of two arrows and the source of one
     "d4": "vertices 4\narrow a 1 2\narrow b 3 2\narrow c 2 4\nprime {p}\n",
+    # D5 and D6: two arms of length one meet at vertex 3, then a tail
+    "d5": "vertices 5\narrow a 1 3\narrow b 2 3\narrow c3 3 4\narrow c4 4 5\nprime {p}\n",
+    "d6": (
+        "vertices 6\narrow a 1 3\narrow b 2 3\narrow c3 3 4\narrow c4 4 5"
+        "\narrow c5 5 6\nprime {p}\n"
+    ),
     "kx3": "vertices 1\narrow x 1 1\nrelation x x x\nprime {p}\n",
     "kx4": "vertices 1\narrow x 1 1\nrelation x x x x\nprime {p}\n",
 }
-# torsion classes: Catalan(n+1) for A_n (Ingalls-Thomas), the 50 clusters of
-# type D4 in every orientation, and only 0 and everything over a local algebra
-CLOSED_FORM_TORS = {"a4": 42, "d4": 50, "kx3": 2, "kx4": 2}
+# torsion classes: the W-Catalan number of the root system (Ingalls-Thomas),
+# Catalan(n+1) for A_n and (3n-2)/n * C(2n-2, n-1) for D_n, and only 0 and
+# everything over a local algebra
+CLOSED_FORM_TORS = {"a4": 42, "d4": 50, "d5": 182, "d6": 672, "kx3": 2, "kx4": 2}
+# the highest root of D6 has total dimension 9
+CLOSED_FORM_CONFIG = {"d6": DEFAULT_CONFIG.with_overrides(dim_bound=9)}
 
 
 @pytest.mark.parametrize(
     "name,prime,count",
     [("a4", p, 10) for p in (2, 3, 5, 7)]
     + [("d4", p, 12) for p in (2, 3, 5, 7)]
+    + [("d5", 2, 20), ("d6", 2, 30)]
     + [("kx3", p, 3) for p in (2, 3, 5)]
     + [("kx4", 2, 4)],
 )
 def test_closed_form_counts(name, prime, count):
     alg = parse_algebra_text(CLOSED_FORM_SPECS[name].format(p=prime))
-    cat = build_catalog(alg)
+    cat = build_catalog(alg, CLOSED_FORM_CONFIG.get(name))
     assert len(cat) == count
-    for v in range(alg.quiver.vertex_count):
+    n = alg.quiver.vertex_count
+    for v in range(n):
         cat.index_of(projective_module(alg, v))
         cat.index_of(oracles.injective_module(alg, v))
-    assert len(build_lattice(cat)) == CLOSED_FORM_TORS[name]
+    lat = build_lattice(cat)
+    assert len(lat) == CLOSED_FORM_TORS[name]
+    # every torsion class has n covers in all (Adachi-Iyama-Reiten), and
+    # wide subcategories are as many as torsion classes (Ingalls-Thomas)
+    assert len(lat.arrows) == n * len(lat) // 2
+    assert len(widelab.enumerate_wide_subcats(cat)) == len(lat)

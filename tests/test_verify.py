@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
-from torslat import verify
-from torslat.errors import UnknownProperty
+from torslat import verify, widelab
+from torslat.errors import TheoremViolation, UnknownProperty
+from torslat.lattice import HasseArrow, TorsLattice
 
 A2_OBJECT_COUNTS = {
     "brick-labels": 5,
@@ -75,3 +79,119 @@ def test_corpus_names_all_load():
     for name in verify.CORPUS:
         alg = verify.load_corpus_algebra(name)
         assert alg.quiver.vertex_count >= 1
+
+
+def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_of):
+    built = []
+    tors_of_wide = widelab.tors_of_wide
+
+    def counting(cat, w_mask, config=None):
+        built.append(w_mask)
+        return tors_of_wide(cat, w_mask, config)
+
+    monkeypatch.setattr(widelab, "tors_of_wide", counting)
+    results = verify.run_verify(
+        [("a4", verify.load_corpus_algebra("a4"))], props=["reduction"]
+    )
+    assert results and all(r.ok for r in results)
+    wides = widelab.enumerate_wide_subcats(cat_of("a4"))
+    assert len(built) == len(wides) == 42
+    assert set(built) == set(wides)
+
+
+@pytest.mark.parametrize("tamper", ("relabel", "drop"))
+def test_a_tampered_gap_lattice_fails_exactly_its_intervals(
+    tamper, monkeypatch, lat_of
+):
+    # the same tampering as test_reduce_rejects_a_tampered_gap_lattice, on
+    # the gap of a3 with the most wide intervals among those with an arrow
+    lat = lat_of("a3")
+    wide, by_gap = [], {}
+    for iv in lat.all_intervals():
+        report = widelab.is_wide_interval(lat, iv)
+        if report.wide:
+            wide.append(iv)
+            by_gap.setdefault(report.wide_mask, []).append(iv)
+    target = max(by_gap, key=lambda w: (len(w) > 0, len(by_gap[w]), sorted(w)))
+    assert target and len(by_gap[target]) > 1
+    tors_of_wide = widelab.tors_of_wide
+
+    def tampered(cat, w_mask, config=None):
+        wlat = tors_of_wide(cat, w_mask, config)
+        if w_mask != target:
+            return wlat
+        first, *rest = wlat.arrows
+        if tamper == "relabel":
+            other = (first.label + 1) % len(cat.ind)
+            rest.insert(0, HasseArrow(first.src, first.dst, other))
+        return TorsLattice(cat, wlat.side, wlat.within, wlat.nodes, tuple(rest))
+
+    monkeypatch.setattr(widelab, "tors_of_wide", tampered)
+    results = verify.run_verify(
+        [("a3", verify.load_corpus_algebra("a3"))], props=["reduction"]
+    )
+    assert [r.obj for r in results] == [
+        f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]" for iv in wide
+    ]
+    assert [r.obj for r in results if not r.ok] == [
+        f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]" for iv in by_gap[target]
+    ]
+
+
+def test_a_failed_verdict_reports_as_before(monkeypatch, lat_of):
+    # a wideness verdict that raises is a FAIL line of each interval
+    # property, and aborts reduction after the wide intervals before it
+    lat = lat_of("a2")
+    ivs = list(lat.all_intervals())
+    bad = ivs[len(ivs) // 2]
+    bad_nodes = (lat.nodes[bad.bottom], lat.nodes[bad.top])
+    is_wide_interval = widelab.is_wide_interval
+
+    def failing(lat, iv):
+        if (lat.nodes[iv.bottom], lat.nodes[iv.top]) == bad_nodes:
+            raise TheoremViolation("planted disagreement")
+        return is_wide_interval(lat, iv)
+
+    monkeypatch.setattr(widelab, "is_wide_interval", failing)
+    props = ["reduction", "wide-detect", "lower-filt", "wide-serre"]
+    results = verify.run_verify(
+        [("a2", verify.load_corpus_algebra("a2"))], props=props
+    )
+    name = f"[{lat.name(bad.bottom)},{lat.name(bad.top)}]"
+    failed = [(r.prop, r.obj, r.witness) for r in results if not r.ok]
+    assert failed == [
+        ("reduction", "(setup)", "planted disagreement"),
+        ("wide-detect", name, "planted disagreement"),
+        ("lower-filt", name, "planted disagreement"),
+        ("wide-serre", name, "planted disagreement"),
+    ]
+    wide_before = [
+        iv for iv in ivs[: ivs.index(bad)] if is_wide_interval(lat, iv).wide
+    ]
+    reduced = [r.obj for r in results if r.prop == "reduction" and r.ok]
+    assert reduced == [
+        f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]" for iv in wide_before
+    ]
+    for prop in props[1:]:
+        assert sum(r.prop == prop for r in results) == len(ivs)
+
+
+def test_verify_releases_the_catalog(monkeypatch):
+    # no reference cycle may keep the catalog alive once verify returns
+    refs = []
+    build_catalog = verify.build_catalog
+
+    def tracked(*args, **kwargs):
+        cat = build_catalog(*args, **kwargs)
+        refs.append(weakref.ref(cat))
+        return cat
+
+    monkeypatch.setattr(verify, "build_catalog", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        results = verify.run_verify([("a3", verify.load_corpus_algebra("a3"))])
+        assert results and all(r.ok for r in results)
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()

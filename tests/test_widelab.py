@@ -2,7 +2,6 @@ import pytest
 
 from conftest import names_to_mask
 from torslat import subcat, widelab
-from torslat import verify as verify_mod
 from torslat.errors import NotSerre, NotWide, NotWideInterval, TheoremViolation
 from torslat.lattice import HasseArrow, TorsLattice
 
@@ -91,13 +90,11 @@ def test_reduce_needs_the_torsion_side(lat_of):
         widelab.reduce_interval(flat, _interval(flat, 0, 0))
 
 
-def test_reduce_scans_the_perpendicular_once(monkeypatch):
+def test_reduce_scans_the_perpendicular_once(monkeypatch, lat_of):
     # perp_right calls made by reduce_interval itself, not by the walk that
     # builds the gap's own lattice
     state = {"calls": 0, "in_walk": False}
-    per_call = []
-    perp_right, reduce_interval = subcat.perp_right, widelab.reduce_interval
-    build_lattice = widelab.build_lattice
+    perp_right, build_lattice = subcat.perp_right, widelab.build_lattice
 
     def counting_perp(*args, **kwargs):
         state["calls"] += not state["in_walk"]
@@ -110,20 +107,18 @@ def test_reduce_scans_the_perpendicular_once(monkeypatch):
         finally:
             state["in_walk"] = False
 
-    def counting_reduce(*args, **kwargs):
-        before = state["calls"]
-        out = reduce_interval(*args, **kwargs)
-        per_call.append(state["calls"] - before)
-        return out
-
+    lat = lat_of("a4")
+    wide = [
+        iv for iv in lat.all_intervals() if widelab.is_wide_interval(lat, iv).wide
+    ]
     monkeypatch.setattr(subcat, "perp_right", counting_perp)
     monkeypatch.setattr(widelab, "build_lattice", quiet_walk)
-    monkeypatch.setattr(widelab, "reduce_interval", counting_reduce)
-    results = verify_mod.run_verify(
-        [("a4", verify_mod.load_corpus_algebra("a4"))], props=["reduction"]
-    )
-    assert results and all(r.ok for r in results)
-    assert per_call == [1] * len(results)
+    per_call = []
+    for iv in wide:
+        before = state["calls"]
+        widelab.reduce_interval(lat, iv)
+        per_call.append(state["calls"] - before)
+    assert wide and per_call == [1] * len(wide)
 
 
 def test_left_wide_per_node(a2cat, a2lat):
