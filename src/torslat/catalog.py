@@ -155,12 +155,18 @@ def enumerate_indecomposables(algebra, config=None):
     result is closed without a second pass.  all_extensions builds no split
     middle term, whose summands would be the pair itself, and admitting
     decomposes every middle term, so two isomorphic middle terms of one pair
-    land on the same members.  The (submodule, quotient parts) pairs of each
-    member's quotient scan are kept for build_tables.
+    land on the same members.  Admitting decomposes each distinct module,
+    by Module.key(), once per call: quotients repeat across members (every
+    scan includes the member itself and the zero module), and a repeat gets
+    the indices of its first sighting, which registered its classes in the
+    same order a second decomposition would find them.  That table dies
+    with the call.  The (submodule, quotient parts) pairs of each member's
+    quotient scan are kept for build_tables.
     """
     cfg = config or DEFAULT_CONFIG
     reps = []
     buckets = {}
+    admitted = {}
     subquotients = []
     pending = deque()
 
@@ -186,7 +192,10 @@ def enumerate_indecomposables(algebra, config=None):
         return k
 
     def admit(module):
-        return [index(part) for part in modrep.decompose(module, cfg)]
+        key = module.key()
+        if key not in admitted:
+            admitted[key] = [index(part) for part in modrep.decompose(module, cfg)]
+        return admitted[key]
 
     for v in range(algebra.quiver.vertex_count):
         admit(simple_module(algebra, v))

@@ -28,6 +28,17 @@ def matmul(a, b, p):
     return (a @ b) % p
 
 
+def kron(a, b):
+    """Kronecker product of two matrices, equal to np.kron on 2-d int64 input.
+
+    One broadcast product and a reshape: np.kron goes through expand_dims and
+    a general n-d path that dominates its cost on the small blocks here.
+    Entries are not reduced mod p.
+    """
+    (m, n), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * r, n * s)
+
+
 def inv_scalar(x, p):
     # p is prime, x nonzero mod p
     return pow(int(x) % p, p - 2, p)

@@ -175,13 +175,13 @@ def _intertwining_system(x, y):
         block = linalg.zeros(nrows, ncols)
         if sizes[u]:
             # vec(Y_a f_u) = (Y_a kron I) vec(f_u), row-major vec
-            block[:, offsets[u] : offsets[u + 1]] = np.kron(
+            block[:, offsets[u] : offsets[u + 1]] = linalg.kron(
                 y.mats[ai], linalg.eye(x.dims[u])
             ) % p
         if sizes[v]:
             block[:, offsets[v] : offsets[v + 1]] = (
                 block[:, offsets[v] : offsets[v + 1]]
-                - np.kron(linalg.eye(y.dims[v]), x.mats[ai].T)
+                - linalg.kron(linalg.eye(y.dims[v]), x.mats[ai].T)
             ) % p
         rows.append(block)
     if rows:
@@ -271,9 +271,30 @@ def kernel_image_cokernel(f):
 
 
 def quotient_by(inclusion):
-    """Cokernel of a submodule inclusion, with its projection."""
-    kic = kernel_image_cokernel(inclusion)
-    return kic.cokernel, kic.cokernel_projection
+    """Cokernel of a submodule inclusion, with its projection.
+
+    Builds only the cokernel: per vertex the complement projection of the
+    inclusion's columns, and per arrow a: s -> t the map proj_t X_a sect_s.
+    complement_projection depends only on the column span, and an
+    inclusion's columns span its image, so module and projection equal the
+    cokernel of kernel_image_cokernel(inclusion) entry for entry, without
+    its kernel, image and solves.
+    """
+    x = inclusion.target
+    algebra = x.algebra
+    p = algebra.prime
+    projs, sects = zip(
+        *(linalg.complement_projection(c, p) for c in inclusion.comps)
+    )
+    mats = tuple(
+        linalg.matmul(
+            projs[a.target], linalg.matmul(x.mats[ai], sects[a.source], p), p
+        )
+        for ai, a in enumerate(algebra.quiver.arrows)
+    )
+    dims = tuple(pr.shape[0] for pr in projs)
+    quotient = Module(algebra, dims, mats, check=False)
+    return quotient, Morphism(x, quotient, projs, check=False)
 
 
 def _is_idempotent(comps, p):
@@ -472,7 +493,7 @@ def all_extensions(q_mod, u_mod, config=None):
             prefix = linalg.eye(q_mod.dims[a.source])
             for b in reversed(steps[:i]):
                 prefix = linalg.matmul(prefix, q_mod.mats[idx[b.name]], p)
-            coeff = np.kron(suffix, prefix.T) % p
+            coeff = linalg.kron(suffix, prefix.T) % p
             block[:, offsets[ai] : offsets[ai + 1]] = (
                 block[:, offsets[ai] : offsets[ai + 1]] + coeff
             ) % p

@@ -71,6 +71,43 @@ def brute_hom_dim(x, y):
     return dim
 
 
+def intertwining_system(x, y):
+    """The Hom system of modrep._intertwining_system, assembled with np.kron.
+
+    Same layout: one row block per arrow a: u -> v holding Y_a kron I on the
+    columns of f_u and -(I kron X_a^T) on those of f_v, blocks stacked by
+    np.concatenate.  Returns the matrix and the column offset of each vertex.
+    """
+    p = x.algebra.prime
+    q = x.algebra.quiver
+    nv = q.vertex_count
+    sizes = [y.dims[v] * x.dims[v] for v in range(nv)]
+    offsets = [0]
+    for s in sizes:
+        offsets.append(offsets[-1] + s)
+    ncols = offsets[-1]
+    rows = []
+    for ai, a in enumerate(q.arrows):
+        u, v = a.source, a.target
+        nrows = y.dims[v] * x.dims[u]
+        if nrows == 0:
+            continue
+        block = linalg.zeros(nrows, ncols)
+        if sizes[u]:
+            block[:, offsets[u] : offsets[u + 1]] = (
+                np.kron(y.mats[ai], linalg.eye(x.dims[u])) % p
+            )
+        if sizes[v]:
+            block[:, offsets[v] : offsets[v + 1]] = (
+                block[:, offsets[v] : offsets[v + 1]]
+                - np.kron(linalg.eye(y.dims[v]), x.mats[ai].T)
+            ) % p
+        rows.append(block)
+    if rows:
+        return np.concatenate(rows, axis=0), offsets
+    return linalg.zeros(0, ncols), offsets
+
+
 def is_isomorphic(x, y):
     """Exhaustive search for an invertible morphism x -> y, one candidate per ray.
 

@@ -17,6 +17,7 @@ import oracles
 import torslat
 from torslat import verify, widelab
 from torslat.lattice import build_lattice
+from torslat.quivalg import parse_algebra_text
 
 
 def _line(num, ok, text):
@@ -239,3 +240,31 @@ def test_outputs_are_pinned(full_results, cat_of):
     assert _sha256(verify.format_report(full_results)[0]) == REPORT_SHA256
     got = {name: _sha256(torslat.to_json(cat_of(name))) for name in verify.CORPUS}
     assert got == CATALOG_SHA256
+
+
+# copies of scale specs of the benchmark, with the sha256 of each catalog's
+# JSON export; d4@p3 is the one whose representatives once moved when the
+# discovery order changed
+SCALE_SPECS = {
+    "d4p3": "vertices 4\narrow a 2 1\narrow b 3 1\narrow c 4 1\nprime 3\n",
+    "kx3p2": "vertices 1\narrow x 1 1\nrelation x x x\nprime 2\n",
+    "a4p5": "vertices 4\narrow a1 1 2\narrow a2 2 3\narrow a3 3 4\nprime 5\n",
+    "nak3p2": (
+        "vertices 3\narrow a 1 2\narrow b 2 3\narrow c 3 1\nrelation a b c"
+        "\nrelation b c a\nrelation c a b\nprime 2\n"
+    ),
+}
+SCALE_CATALOG_SHA256 = {
+    "d4p3": "9d397cbd2caa5d9bf74690b21b2fcebc674dc58b823cc683f1cfbd3e7a7ef068",
+    "kx3p2": "480b5d93256e414a78c9e9378f32c625b5874b28229f98658f1d2a7a3e12bb37",
+    "a4p5": "4d1393676706b88922dad3156ef86b9e486c3eb5fd06f2086b3749bc7d750c6f",
+    "nak3p2": "c5164129c1e5337ad6f16ee5b4cbbc5d537f3420be7abd493f57bc205aba8e4a",
+}
+
+
+def test_scale_catalogs_are_pinned():
+    got = {
+        name: _sha256(torslat.to_json(torslat.build_catalog(parse_algebra_text(text))))
+        for name, text in SCALE_SPECS.items()
+    }
+    assert got == SCALE_CATALOG_SHA256

@@ -8,6 +8,7 @@ from torslat import modrep, widelab
 from torslat import verify as verify_mod
 from torslat.catalog import (
     build_catalog,
+    enumerate_indecomposables,
     from_json,
     to_json,
 )
@@ -176,6 +177,26 @@ def test_closure_scans_each_input_once(name, monkeypatch):
     assert ext_calls == Counter({(q, u): 1 for q in members for u in members})
     assert sub_calls == Counter({x: 1 for x in members})
     assert not hasattr(cat, "_subquotients")
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS)
+def test_closure_decomposes_each_module_once(name, monkeypatch):
+    # top-level calls only: decompose recurses through the module attribute
+    calls, depth = Counter(), [0]
+    decompose = modrep.decompose
+
+    def counting_decompose(x, config=None):
+        if not depth[0]:
+            calls[x.key()] += 1
+        depth[0] += 1
+        try:
+            return decompose(x, config)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(modrep, "decompose", counting_decompose)
+    enumerate_indecomposables(verify_mod.load_corpus_algebra(name))
+    assert calls and max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)

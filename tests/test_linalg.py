@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -102,3 +104,21 @@ def test_is_invertible_examples():
 def test_inv_scalar(p):
     for x in range(1, p):
         assert (x * linalg.inv_scalar(x, p)) % p == 1
+
+
+@given(matrices(), matrices())
+def test_kron_matches_numpy(ap, bp):
+    (a, _), (b, _) = ap, bp
+    got, want = linalg.kron(a, b), np.kron(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_kron_matches_numpy_on_empty_shapes():
+    shapes = [(0, 0), (0, 3), (2, 0), (2, 3)]
+    for (m, n), (r, s) in itertools.product(shapes, repeat=2):
+        a = np.arange(m * n, dtype=np.int64).reshape(m, n) + 1
+        b = np.arange(r * s, dtype=np.int64).reshape(r, s) + 2
+        got, want = linalg.kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

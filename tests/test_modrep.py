@@ -4,7 +4,7 @@ import pytest
 import oracles
 from oracles import is_isomorphic
 import torslat
-from torslat import linalg, verify as verify_mod
+from torslat import linalg, modrep, verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import DecomposeBlowup, IsoSearchBlowup, SubspaceBlowup
 from torslat.modrep import (
@@ -31,6 +31,9 @@ from torslat.quivalg import (
 )
 
 KRONECKER_P3 = "vertices 2\narrow a 1 2\narrow b 1 2\nprime 3\n"
+D4_P3 = "vertices 4\narrow a 2 1\narrow b 3 1\narrow c 4 1\nprime 3\n"
+# the loop puts both blocks of its row block into the same columns
+KX3_P2 = "vertices 1\narrow x 1 1\nrelation x x x\nprime 2\n"
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +236,38 @@ def test_quotient_by_submodule(a2):
         assert q.total_dim == p1.total_dim - sub.total_dim
         if sub.dims == (0, 1):
             assert is_isomorphic(q, simple_module(a2, 0))
+
+
+@pytest.fixture(scope="module")
+def member_lists(cat_of):
+    extra = [parse_algebra_text(D4_P3), parse_algebra_text(KX3_P2)]
+    return [cat_of(n).ind for n in verify_mod.CORPUS] + [
+        torslat.build_catalog(alg).ind for alg in extra
+    ]
+
+
+def test_intertwining_system_matches_kron_oracle(member_lists):
+    for members in member_lists:
+        for x in members:
+            for y in members:
+                got, got_offsets = modrep._intertwining_system(x, y)
+                want, want_offsets = oracles.intertwining_system(x, y)
+                assert got_offsets == want_offsets
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+def test_quotient_by_is_the_cokernel(member_lists):
+    for members in member_lists:
+        for x in members:
+            for _, incl in submodules(x):
+                q, proj = quotient_by(incl)
+                kic = kernel_image_cokernel(incl)
+                assert q.key() == kic.cokernel.key()
+                assert all(
+                    np.array_equal(got, want)
+                    for got, want in zip(proj.comps, kic.cokernel_projection.comps)
+                )
 
 
 def test_extensions_of_simples_give_projective(a2):
