@@ -25,7 +25,6 @@ from .modrep import (
     hom_basis,
     hom_rays,
     is_brick,
-    kernel_image_cokernel,
     submodules,
     zero_module,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "is_brick",
     "is_wide_interval",
     "is_widely_generated",
-    "kernel_image_cokernel",
     "left_wide",
     "load_corpus_algebra",
     "parse_algebra_file",

@@ -9,9 +9,11 @@ is a frozenset of catalog indices denoting the additive hull of its members.
 index rows (``maps_out``, ``maps_in``, ``subfactor_sets``, ``full_mask``) on
 which those operators are set algebra.  ``op_cache`` holds every memo of
 the library under tagged keys: the summand indices of ``decompose_indices``
-under ``("decompose", module key)``, the ray profiles of ``hom_profile``
-under ``("profile", i, j)``, and the subcategory operators' results (see
-``subcat``).  ``_key_index`` is the member index, not a memo.
+under ``("decompose", module key)``, seeded with every module the closure
+decomposed, the ray profiles of ``hom_profile`` (kernel, image and
+cokernel summands of each ray) under ``("profile", i, j)``, and the
+subcategory operators' results (see ``subcat``).  ``_key_index`` is the
+member index, not a memo.
 """
 
 import json
@@ -126,14 +128,16 @@ class Catalog:
         def run():
             entries = []
             for f in modrep.hom_rays(self.ind[i], self.ind[j], self.config):
-                kic = modrep.kernel_image_cokernel(f)
+                ker, _ = modrep.kernel(f)
+                im, inclusion = modrep.image(f)
+                coker, _ = modrep.quotient_by(inclusion)
                 entries.append(
                     HomProfile(
-                        kernel=self.decompose_indices(kic.kernel),
-                        image=self.decompose_indices(kic.image),
-                        cokernel=self.decompose_indices(kic.cokernel),
-                        epi=kic.cokernel.total_dim == 0,
-                        mono=kic.kernel.total_dim == 0,
+                        kernel=self.decompose_indices(ker),
+                        image=self.decompose_indices(im),
+                        cokernel=self.decompose_indices(coker),
+                        epi=coker.is_zero,
+                        mono=ker.is_zero,
                     )
                 )
             return tuple(entries)
@@ -159,9 +163,11 @@ def enumerate_indecomposables(algebra, config=None):
     by Module.key(), once per call: quotients repeat across members (every
     scan includes the member itself and the zero module), and a repeat gets
     the indices of its first sighting, which registered its classes in the
-    same order a second decomposition would find them.  That table dies
-    with the call.  The (submodule, quotient parts) pairs of each member's
-    quotient scan are kept for build_tables.
+    same order a second decomposition would find them.  After ranking, that
+    table becomes the catalog's decompose memo, so decompose_indices (and
+    build_tables through it) decomposes no module the closure already did.
+    The (submodule, quotient parts) pairs of each member's quotient scan are
+    kept for build_tables.
     """
     cfg = config or DEFAULT_CONFIG
     reps = []
@@ -222,6 +228,8 @@ def enumerate_indecomposables(algebra, config=None):
     cat.ind = tuple(reps[i] for i in order)
     for i, m in enumerate(cat.ind):
         cat._key_index[m.key()] = i
+    for key, parts in admitted.items():
+        cat.op_cache[("decompose", key)] = tuple(sorted(rank[j] for j in parts))
     cat._subquotients = tuple(
         [(sub, tuple(sorted(rank[j] for j in parts))) for sub, parts in subquotients[i]]
         for i in order

@@ -4,10 +4,14 @@ A Module stores one dimension per vertex and one matrix per arrow (shape
 dims[target] x dims[source], entries in [0, p)).  A Morphism stores one matrix
 per vertex intertwining the arrow actions.  All computations are exact over
 F_p and deterministic.
+
+Every submodule (a kernel, an image, each of the ``submodules`` scan, the
+torsion part of ``subcat.canonical_sequence``) is built by ``restrict`` from
+per-vertex column bases, and every cokernel by ``quotient_by`` from an
+inclusion.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,77 +212,50 @@ def hom_basis(x, y):
     return out
 
 
-@dataclass
-class KernelImageCokernel:
-    kernel: Module
-    kernel_inclusion: Morphism
-    image: Module
-    image_inclusion: Morphism
-    image_projection: Morphism
-    cokernel: Module
-    cokernel_projection: Morphism
+def restrict(x, bases):
+    """The submodule of x on per-vertex column bases, with its inclusion.
 
-
-def kernel_image_cokernel(f):
-    """Vertex-wise kernel, image, and cokernel with their induced arrow actions.
-
-    Per vertex, dim kernel + dim image equals the source dimension, and the
-    cokernel dimension is the target dimension minus the image dimension.
+    bases[v] is a dims[v] x k_v matrix of independent columns.  Per arrow
+    a: s -> t the submodule's map M solves bases[t] M = X_a bases[s]; None
+    when some arrow has no solution, that is when the span is not
+    arrow-stable.
     """
-    x, y = f.source, f.target
     algebra = x.algebra
     p = algebra.prime
-    q = algebra.quiver
-    nv = q.vertex_count
+    mats = []
+    for ai, a in enumerate(algebra.quiver.arrows):
+        moved = linalg.matmul(x.mats[ai], bases[a.source], p)
+        sol = linalg.solve(bases[a.target], moved, p)
+        if sol is None:
+            return None
+        mats.append(sol)
+    sub = Module(algebra, tuple(b.shape[1] for b in bases), tuple(mats), check=False)
+    return sub, Morphism(sub, x, tuple(bases), check=False)
 
-    kbases = [linalg.nullspace(f.comps[v], p) for v in range(nv)]
-    ibases = [linalg.column_space(f.comps[v], p) for v in range(nv)]
-    projs, sects = zip(*(linalg.complement_projection(ibases[v], p) for v in range(nv)))
 
-    for v in range(nv):
-        assert kbases[v].shape[1] + ibases[v].shape[1] == x.dims[v]
+def kernel(f):
+    """Kernel of a morphism with its inclusion, on per-vertex nullspace bases."""
+    p = f.source.algebra.prime
+    return restrict(f.source, [linalg.nullspace(c, p) for c in f.comps])
 
-    kdims = tuple(b.shape[1] for b in kbases)
-    idims = tuple(b.shape[1] for b in ibases)
-    cdims = tuple(y.dims[v] - idims[v] for v in range(nv))
 
-    kmats, imats, cmats = [], [], []
-    for ai, a in enumerate(q.arrows):
-        u, v = a.source, a.target
-        km = linalg.solve(kbases[v], linalg.matmul(x.mats[ai], kbases[u], p), p)
-        assert km is not None, "kernel is not arrow-stable"
-        kmats.append(km)
-        im = linalg.solve(ibases[v], linalg.matmul(y.mats[ai], ibases[u], p), p)
-        assert im is not None, "image is not arrow-stable"
-        imats.append(im)
-        cm = linalg.matmul(projs[v], linalg.matmul(y.mats[ai], sects[u], p), p)
-        cmats.append(cm)
+def image(f):
+    """Image of a morphism with its inclusion, on per-vertex column-space bases.
 
-    kernel = Module(algebra, kdims, tuple(kmats), check=False)
-    image = Module(algebra, idims, tuple(imats), check=False)
-    cokernel = Module(algebra, cdims, tuple(cmats), check=False)
-
-    k_in = Morphism(kernel, x, tuple(kbases), check=False)
-    i_in = Morphism(image, y, tuple(ibases), check=False)
-    iproj_comps = []
-    for v in range(nv):
-        c = linalg.solve(ibases[v], f.comps[v], p)
-        assert c is not None
-        iproj_comps.append(c)
-    i_pr = Morphism(x, image, tuple(iproj_comps), check=False)
-    c_pr = Morphism(y, cokernel, tuple(projs), check=False)
-    return KernelImageCokernel(kernel, k_in, image, i_in, i_pr, cokernel, c_pr)
+    The cokernel of f is quotient_by of this inclusion.
+    """
+    p = f.source.algebra.prime
+    return restrict(f.target, [linalg.column_space(c, p) for c in f.comps])
 
 
 def quotient_by(inclusion):
     """Cokernel of a submodule inclusion, with its projection.
 
-    Builds only the cokernel: per vertex the complement projection of the
-    inclusion's columns, and per arrow a: s -> t the map proj_t X_a sect_s.
-    complement_projection depends only on the column span, and an
-    inclusion's columns span its image, so module and projection equal the
-    cokernel of kernel_image_cokernel(inclusion) entry for entry, without
-    its kernel, image and solves.
+    Per vertex the complement projection of the inclusion's columns, and per
+    arrow a: s -> t the map proj_t X_a sect_s.  complement_projection depends
+    only on the column span, so any two inclusions of one submodule give the
+    same quotient entry for entry.  This is the library's one cokernel
+    constructor: the cokernel of a morphism f is the quotient by image(f).
     """
     x = inclusion.target
     algebra = x.algebra
@@ -334,10 +311,9 @@ def decompose(x, config=None):
         g = f
         for _ in range(n - 1):
             g = g.compose(f)
-        kic = kernel_image_cokernel(g)
-        kd = kic.kernel.total_dim
-        if 0 < kd < n:
-            return decompose(kic.kernel, cfg) + decompose(kic.image, cfg)
+        ker, _ = kernel(g)
+        if 0 < ker.total_dim < n:
+            return decompose(ker, cfg) + decompose(image(g)[0], cfg)
 
     if p ** d > cfg.iso_budget:
         raise DecomposeBlowup(
@@ -355,9 +331,9 @@ def decompose(x, config=None):
         if not _is_idempotent(comps, p):
             continue
         e = Morphism(x, x, comps, check=False)
-        kic = kernel_image_cokernel(e)
-        assert 0 < kic.kernel.total_dim < n
-        return decompose(kic.kernel, cfg) + decompose(kic.image, cfg)
+        ker, _ = kernel(e)
+        assert 0 < ker.total_dim < n
+        return decompose(ker, cfg) + decompose(image(e)[0], cfg)
     return [x]
 
 
@@ -417,10 +393,7 @@ def submodules(x, config=None):
     Raises SubspaceBlowup when the product would pass the subspace budget.
     """
     cfg = config or DEFAULT_CONFIG
-    algebra = x.algebra
-    p = algebra.prime
-    q = algebra.quiver
-    nv = q.vertex_count
+    p = x.algebra.prime
     total = 1
     for d in x.dims:
         total *= linalg.subspace_count(d, p)
@@ -432,20 +405,9 @@ def submodules(x, config=None):
     per_vertex = [linalg.all_subspace_row_bases(d, p) for d in x.dims]
     out = []
     for combo in itertools.product(*per_vertex):
-        bases = [b.T for b in combo]
-        mats = []
-        ok = True
-        for ai, a in enumerate(q.arrows):
-            moved = linalg.matmul(x.mats[ai], bases[a.source], p)
-            sol = linalg.solve(bases[a.target], moved, p)
-            if sol is None:
-                ok = False
-                break
-            mats.append(sol)
-        if not ok:
-            continue
-        sub = Module(algebra, tuple(b.shape[1] for b in bases), tuple(mats), check=False)
-        out.append((sub, Morphism(sub, x, tuple(bases), check=False)))
+        hit = restrict(x, [b.T for b in combo])
+        if hit is not None:
+            out.append(hit)
     return out
 
 

@@ -228,15 +228,7 @@ def canonical_sequence(cat, module, t_mask):
             bases.append(linalg.column_space(stacked, p))
         else:
             bases.append(linalg.zeros(module.dims[v], 0))
-    mats = []
-    for ai, a in enumerate(algebra.quiver.arrows):
-        moved = linalg.matmul(module.mats[ai], bases[a.source], p)
-        sol = linalg.solve(bases[a.target], moved, p)
-        assert sol is not None, "trace must be arrow-stable"
-        mats.append(sol)
-    tpart = modrep.Module(
-        algebra, tuple(b.shape[1] for b in bases), tuple(mats), check=False
-    )
-    inclusion = modrep.Morphism(tpart, module, tuple(bases), check=False)
+    # a sum of images is a submodule, so restrict finds every arrow map
+    tpart, inclusion = modrep.restrict(module, bases)
     fpart, _ = modrep.quotient_by(inclusion)
     return tpart, fpart

@@ -8,11 +8,12 @@ the input order.
 
 Work that several properties share is done once per algebra.  Each
 interval's wideness verdict is computed once (``AlgebraContext.wide_verdicts``)
-and read by wide-detect, lower-filt, reduction and wide-serre.  Reduction
-builds the torsion lattice of each gap category W once for all the wide
-intervals with that gap, drops it before the next gap, and then reports the
-outcomes in interval order, so the report order does not depend on the
-grouping.
+and read by wide-detect, lower-filt, reduction, wide-serre and serre-count;
+serre-count compares the Serre route under each top with the wide bottoms
+the verdicts give.  Reduction builds the torsion lattice of each gap
+category W once for all the wide intervals with that gap, drops it before
+the next gap, and then reports the outcomes in interval order, so the
+report order does not depend on the grouping.
 """
 
 from dataclasses import dataclass
@@ -360,10 +361,25 @@ def _check_wide_serre(ctx):
 
 
 def _check_serre_count(ctx):
+    # the Serre route under each top against the verdict table's wide bottoms
     lat = ctx.lat
+    wide = [[] for _ in range(len(lat))]
+    failed = {}
+    for iv, verdict in ctx.intervals():
+        if isinstance(verdict, VerificationError):
+            failed.setdefault(iv.top, verdict)
+        elif verdict is not None:
+            wide[iv.top].append(iv.bottom)
     for t in range(len(lat)):
         def thunk(t=t):
-            widelab.wide_intervals_with_top(lat, t)
+            bottoms = widelab.wide_intervals_with_top(lat, t)
+            if t in failed:
+                raise failed[t]
+            _require(
+                bottoms == wide[t],
+                f"Serre route found {len(bottoms)} bottoms under"
+                f" {lat.name(t)}, the verdicts have {len(wide[t])}",
+            )
         yield lat.name(t), thunk
 
 

@@ -9,6 +9,7 @@ classification of summands.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,6 +107,72 @@ def intertwining_system(x, y):
     if rows:
         return np.concatenate(rows, axis=0), offsets
     return linalg.zeros(0, ncols), offsets
+
+
+@dataclass
+class KernelImageCokernel:
+    kernel: modrep.Module
+    kernel_inclusion: modrep.Morphism
+    image: modrep.Module
+    image_inclusion: modrep.Morphism
+    image_projection: modrep.Morphism
+    cokernel: modrep.Module
+    cokernel_projection: modrep.Morphism
+
+
+def kernel_image_cokernel(f):
+    """Vertex-wise kernel, image, and cokernel with their induced arrow actions.
+
+    The reference for modrep.kernel, modrep.image and modrep.quotient_by:
+    one solve loop per submodule, the cokernel maps read off the complement
+    projection of the image, and the image projection x -> image solved
+    per vertex.  Per vertex, dim kernel + dim image equals the source
+    dimension, and the cokernel dimension is the target dimension minus the
+    image dimension.
+    """
+    x, y = f.source, f.target
+    algebra = x.algebra
+    p = algebra.prime
+    q = algebra.quiver
+    nv = q.vertex_count
+
+    kbases = [linalg.nullspace(f.comps[v], p) for v in range(nv)]
+    ibases = [linalg.column_space(f.comps[v], p) for v in range(nv)]
+    projs, sects = zip(*(linalg.complement_projection(ibases[v], p) for v in range(nv)))
+
+    for v in range(nv):
+        assert kbases[v].shape[1] + ibases[v].shape[1] == x.dims[v]
+
+    kdims = tuple(b.shape[1] for b in kbases)
+    idims = tuple(b.shape[1] for b in ibases)
+    cdims = tuple(y.dims[v] - idims[v] for v in range(nv))
+
+    kmats, imats, cmats = [], [], []
+    for ai, a in enumerate(q.arrows):
+        u, v = a.source, a.target
+        km = linalg.solve(kbases[v], linalg.matmul(x.mats[ai], kbases[u], p), p)
+        assert km is not None, "kernel is not arrow-stable"
+        kmats.append(km)
+        im = linalg.solve(ibases[v], linalg.matmul(y.mats[ai], ibases[u], p), p)
+        assert im is not None, "image is not arrow-stable"
+        imats.append(im)
+        cm = linalg.matmul(projs[v], linalg.matmul(y.mats[ai], sects[u], p), p)
+        cmats.append(cm)
+
+    kernel = modrep.Module(algebra, kdims, tuple(kmats), check=False)
+    image = modrep.Module(algebra, idims, tuple(imats), check=False)
+    cokernel = modrep.Module(algebra, cdims, tuple(cmats), check=False)
+
+    k_in = modrep.Morphism(kernel, x, tuple(kbases), check=False)
+    i_in = modrep.Morphism(image, y, tuple(ibases), check=False)
+    iproj_comps = []
+    for v in range(nv):
+        c = linalg.solve(ibases[v], f.comps[v], p)
+        assert c is not None
+        iproj_comps.append(c)
+    i_pr = modrep.Morphism(x, image, tuple(iproj_comps), check=False)
+    c_pr = modrep.Morphism(y, cokernel, tuple(projs), check=False)
+    return KernelImageCokernel(kernel, k_in, image, i_in, i_pr, cokernel, c_pr)
 
 
 def is_isomorphic(x, y):

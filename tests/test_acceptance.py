@@ -268,3 +268,10 @@ def test_scale_catalogs_are_pinned():
         for name, text in SCALE_SPECS.items()
     }
     assert got == SCALE_CATALOG_SHA256
+
+
+def test_every_public_name_resolves():
+    # a removed export must not leave its name behind in __all__
+    missing = [name for name in torslat.__all__ if not hasattr(torslat, name)]
+    assert missing == []
+    assert len(set(torslat.__all__)) == len(torslat.__all__)

@@ -140,7 +140,8 @@ def test_a_tampered_gap_lattice_fails_exactly_its_intervals(
 
 def test_a_failed_verdict_reports_as_before(monkeypatch, lat_of):
     # a wideness verdict that raises is a FAIL line of each interval
-    # property, and aborts reduction after the wide intervals before it
+    # property and of serre-count at its top, and aborts reduction after the
+    # wide intervals before it
     lat = lat_of("a2")
     ivs = list(lat.all_intervals())
     bad = ivs[len(ivs) // 2]
@@ -153,7 +154,7 @@ def test_a_failed_verdict_reports_as_before(monkeypatch, lat_of):
         return is_wide_interval(lat, iv)
 
     monkeypatch.setattr(widelab, "is_wide_interval", failing)
-    props = ["reduction", "wide-detect", "lower-filt", "wide-serre"]
+    props = ["reduction", "wide-detect", "lower-filt", "wide-serre", "serre-count"]
     results = verify.run_verify(
         [("a2", verify.load_corpus_algebra("a2"))], props=props
     )
@@ -164,6 +165,7 @@ def test_a_failed_verdict_reports_as_before(monkeypatch, lat_of):
         ("wide-detect", name, "planted disagreement"),
         ("lower-filt", name, "planted disagreement"),
         ("wide-serre", name, "planted disagreement"),
+        ("serre-count", lat.name(bad.top), "planted disagreement"),
     ]
     wide_before = [
         iv for iv in ivs[: ivs.index(bad)] if is_wide_interval(lat, iv).wide
@@ -172,8 +174,33 @@ def test_a_failed_verdict_reports_as_before(monkeypatch, lat_of):
     assert reduced == [
         f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]" for iv in wide_before
     ]
-    for prop in props[1:]:
+    for prop in props[1:4]:
         assert sum(r.prop == prop for r in results) == len(ivs)
+    assert sum(r.prop == "serre-count" for r in results) == len(lat)
+
+
+def test_serre_count_compares_the_route_with_the_verdicts(monkeypatch, lat_of):
+    # a Serre route that loses a bottom fails exactly at its top
+    lat = lat_of("a2")
+    top = lat.top_index
+    route = widelab.wide_intervals_with_top
+
+    def lossy(lat, t):
+        bottoms = route(lat, t)
+        return bottoms[1:] if t == top else bottoms
+
+    monkeypatch.setattr(widelab, "wide_intervals_with_top", lossy)
+    results = verify.run_verify(
+        [("a2", verify.load_corpus_algebra("a2"))], props=["serre-count"]
+    )
+    want = len(route(lat, top))
+    assert [(r.obj, r.witness) for r in results if not r.ok] == [
+        (
+            lat.name(top),
+            f"Serre route found {want - 1} bottoms under {lat.name(top)},"
+            f" the verdicts have {want}",
+        )
+    ]
 
 
 def test_verify_releases_the_catalog(monkeypatch):
