@@ -6,14 +6,16 @@ tables (Hom dimensions, brick flags, subfactor pairs) turn every downstream
 subcategory operator into finite index combinatorics on masks, where a mask
 is a frozenset of catalog indices denoting the additive hull of its members.
 ``Catalog.set_tables`` is the one place the tables are set; it derives the
-index rows (``maps_out``, ``maps_in``, ``subfactor_sets``, ``full_mask``) on
-which those operators are set algebra.  ``op_cache`` holds every memo of
-the library under tagged keys: the summand indices of ``decompose_indices``
-under ``("decompose", module key)``, seeded with every module the closure
-decomposed, the ray profiles of ``hom_profile`` (kernel, image and
-cokernel summands of each ray) under ``("profile", i, j)``, and the
-subcategory operators' results (see ``subcat``).  ``_key_index`` is the
-member index, not a memo.
+index rows (``maps_out``, ``maps_in``, ``subfactor_sets``, ``full_mask``)
+on which those operators are set algebra, and three per-member unions over
+the subfactor pairs: ``quotient_rows`` (the quotient parts), ``sub_rows``
+(the subobject parts) and ``extension_rows`` (u | q of each nontrivial
+pair).  ``op_cache`` holds every memo of the library under tagged keys:
+the summand indices of ``decompose_indices`` under ``("decompose", module
+key)``, seeded with every module the closure decomposed, the ray profiles
+of ``hom_profile`` (kernel, image and cokernel summands of each ray) under
+``("profile", i, j)``, and the subcategory operators' results (see
+``subcat``).  ``_key_index`` is the member index, not a memo.
 """
 
 import json
@@ -61,6 +63,9 @@ class Catalog:
         self.maps_out = ()
         self.maps_in = ()
         self.subfactor_sets = ()
+        self.quotient_rows = ()
+        self.sub_rows = ()
+        self.extension_rows = ()
         self.full_mask = frozenset()
         self._key_index = {}
         self.op_cache = {}
@@ -77,7 +82,10 @@ class Catalog:
 
         maps_out[i] holds the j with Hom(ind[i], ind[j]) nonzero and maps_in[j]
         the i; subfactor_sets[i] holds the pairs of subfactors[i] as
-        (frozenset(u), frozenset(q)); full_mask holds every index.
+        (frozenset(u), frozenset(q)); quotient_rows[i] is the union of their q
+        parts and sub_rows[i] of their u parts; extension_rows[i] holds u | q
+        for each nontrivial pair (u and q nonempty), once per distinct set;
+        full_mask holds every index.
         """
         n = len(self.ind)
         if not (len(hom_dim) == len(bricks) == len(subfactors) == n) or any(
@@ -95,6 +103,12 @@ class Catalog:
         )
         self.subfactor_sets = tuple(
             tuple((frozenset(u), frozenset(q)) for u, q in row) for row in subfactors
+        )
+        self.quotient_rows = subcat.part_rows(self.subfactor_sets, 1)
+        self.sub_rows = subcat.part_rows(self.subfactor_sets, 0)
+        self.extension_rows = tuple(
+            tuple(dict.fromkeys(u | q for u, q in pairs if u and q))
+            for pairs in self.subfactor_sets
         )
         self.full_mask = frozenset(range(n))
 

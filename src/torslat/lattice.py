@@ -19,6 +19,7 @@ from .errors import (
     LabelNotUnique,
     LatticeBlowup,
     NotAnInterval,
+    TheoremViolation,
 )
 
 
@@ -80,17 +81,24 @@ class TorsLattice:
     def leq(self, i, j):
         return self.nodes[i] <= self.nodes[j]
 
+    def _node_of(self, mask, op, node_ids):
+        hit = self.node_index.get(mask)
+        if hit is None:
+            raise TheoremViolation(
+                f"{op} of {' & '.join(self.name(i) for i in sorted(node_ids))}"
+                f" is {self.cat.mask_name(mask)}, not a node"
+            )
+        return hit
+
     def join(self, node_ids):
         mask = frozenset().union(*(self.nodes[i] for i in node_ids)) if node_ids else frozenset()
-        return self.node_index[self._gen(mask)]
+        return self._node_of(self._gen(mask), "join", node_ids)
 
     def meet(self, node_ids):
         mask = self.ambient
         for i in node_ids:
             mask = mask & self.nodes[i]
-        hit = self.node_index.get(mask)
-        assert hit is not None, "meet of nodes left the lattice"
-        return hit
+        return self._node_of(mask, "meet", node_ids)
 
     def interval(self, bottom, top):
         if not self.leq(bottom, top):
@@ -193,17 +201,31 @@ def build_lattice(cat, side="tors", within=None, config=None):
     by its T-torsion part lies in T' and in T^perp, so one of its summands x
     is a candidate with T < gen(T + x) <= T'.  Every class is the top of a
     chain of covers from zero, so the walk reaches every class.
+
+    Only the quotient-minimal x are tried: those with fac(x) & T^perp = {x}
+    (on the torsion-free side, sub_cl(x) & perp-T = {x}).  This loses no
+    cover.  If some y != x lies in fac(x) & T^perp, y is a summand of a
+    proper quotient of x, so it has smaller total dimension, and
+    gen(T + y) <= gen(T + x).  By induction on the dimension, every
+    candidate contains the candidate of a quotient-minimal x, so the
+    inclusion-minimal candidates are the same.
     """
     cfg = config or cat.config
-    gen = subcat.tors_gen if side == "tors" else subcat.torf_gen
-    perp = subcat.perp_right if side == "tors" else subcat.perp_left
+    if side == "tors":
+        gen, perp, close = subcat.tors_gen, subcat.perp_right, subcat.fac
+    else:
+        gen, perp, close = subcat.torf_gen, subcat.perp_left, subcat.sub_cl
     seen = {frozenset()}
     queue = deque([frozenset()])
     covers = []
     while queue:
         bottom = queue.popleft()
         bottom_perp = perp(cat, bottom, within)
-        cands = {gen(cat, bottom | {x}, within) for x in bottom_perp}
+        cands = {
+            gen(cat, bottom | {x}, within)
+            for x in bottom_perp
+            if close(cat, frozenset((x,)), within) & bottom_perp == {x}
+        }
         for top in cands:
             if any(c < top for c in cands):
                 continue

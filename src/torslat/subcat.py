@@ -9,8 +9,12 @@ category.
 
 The operators are set algebra on the rows the catalog derives from its
 tables: a perpendicular is the ambient minus the ``maps_out`` (or
-``maps_in``) rows of the members, and the closures test each subfactor pair
-of ``subfactor_sets`` by set inclusion.  Results that are reused are kept in
+``maps_in``) rows of the members.  ``fac`` and ``sub_cl`` are one union of
+the members with their ``quotient_rows`` (or ``sub_rows``), without a memo;
+inside ``within`` they read rows that keep only the subfactor pairs whose
+subobject lies in ``within``, built once per ambient under the key
+``("rows", side, within)``, side "fac" or "sub".  ``filt`` tests the
+``extension_rows`` by set inclusion.  Results that are reused are kept in
 the catalog's ``op_cache`` through ``_cached``, the one memo helper of the
 library: the catalog's own decompose and Hom-profile memos and widelab's
 verdicts go through it too, each under a key tagged by its kind.
@@ -43,32 +47,41 @@ def _ambient(cat, within):
     return cat.full_mask if within is None else within
 
 
+# Rows are passed to union and difference as a list: unpacking a generator
+# instead grows the argument tuple by reallocation, which raised the peak RSS
+# of an a6 verify by 1.4 MiB.
+
+
+def part_rows(subfactor_sets, part, within=None):
+    """Per member, the union of one part (0: u, 1: q) of its subfactor pairs,
+    over the pairs whose u lies in ``within``."""
+    return tuple(
+        frozenset().union(
+            *[p[part] for p in pairs if within is None or p[0] <= within]
+        )
+        for pairs in subfactor_sets
+    )
+
+
+def _rows(cat, side, within):
+    part = 1 if side == "fac" else 0
+    if within is None:
+        return cat.quotient_rows if part else cat.sub_rows
+    return _cached(
+        cat, ("rows", side, within), lambda: part_rows(cat.subfactor_sets, part, within)
+    )
+
+
 def fac(cat, members, within=None):
     """Closure under quotients (within: quotients by subobjects of ``within``)."""
-
-    def run():
-        out = set(members)
-        for i in members:
-            for u, q in cat.subfactor_sets[i]:
-                if within is None or u <= within:
-                    out |= q
-        return frozenset(out)
-
-    return _cached(cat, ("fac", members, within), run)
+    rows = _rows(cat, "fac", within)
+    return frozenset(members).union(*[rows[i] for i in members])
 
 
 def sub_cl(cat, members, within=None):
     """Closure under subobjects (within: subobjects lying in ``within``)."""
-
-    def run():
-        out = set(members)
-        for i in members:
-            for u, q in cat.subfactor_sets[i]:
-                if within is None or u <= within:
-                    out |= u
-        return frozenset(out)
-
-    return _cached(cat, ("sub", members, within), run)
+    rows = _rows(cat, "sub", within)
+    return frozenset(members).union(*[rows[i] for i in members])
 
 
 def filt(cat, members, within=None):
@@ -76,17 +89,16 @@ def filt(cat, members, within=None):
 
     def run():
         cur = set(members)
-        outside = sorted(_ambient(cat, within) - cur)
+        # j without a nontrivial pair is no extension of anything smaller
+        outside = sorted(
+            j for j in _ambient(cat, within) - cur if cat.extension_rows[j]
+        )
         changed = True
         while changed:
             changed = False
             remaining = []
             for j in outside:
-                # (0, X) and (X, 0) encode trivial chains, not extensions
-                if any(
-                    u and q and u <= cur and q <= cur
-                    for u, q in cat.subfactor_sets[j]
-                ):
+                if any(uq <= cur for uq in cat.extension_rows[j]):
                     cur.add(j)
                     changed = True
                 else:
@@ -95,11 +107,6 @@ def filt(cat, members, within=None):
         return frozenset(cur)
 
     return _cached(cat, ("filt", members, within), run)
-
-
-# The rows are passed as a list: unpacking a generator instead grows the
-# argument tuple by reallocation, which raised the peak RSS of an a6 verify
-# by 1.4 MiB.
 
 
 def perp_right(cat, members, within=None):

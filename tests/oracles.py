@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from torslat import linalg, modrep, subcat
+from torslat import lattice, linalg, modrep, subcat
 
 # torsion class counts derived by hand before the build:
 # chains a2/a2r give the 5-element Tamari lattice on 3 letters, a3/a3s the
@@ -374,6 +374,36 @@ def hasse_covers(nodes):
             if not any(nodes[u] < nodes[z] for z in below if z != u):
                 pairs.append((t, u))
     return pairs
+
+
+def cover_walk(cat, side="tors", within=None):
+    """The cover walk of lattice.build_lattice with every x of the orthogonal
+    of T as a candidate gen(T + x), not only the quotient-minimal ones (the
+    submodule-minimal ones on the torsion-free side); no node budget."""
+    gen = subcat.tors_gen if side == "tors" else subcat.torf_gen
+    perp = subcat.perp_right if side == "tors" else subcat.perp_left
+    seen = {frozenset()}
+    queue = [frozenset()]
+    covers = []
+    while queue:
+        bottom = queue.pop()
+        bottom_perp = perp(cat, bottom, within)
+        cands = {gen(cat, bottom | {x}, within) for x in bottom_perp}
+        for top in cands:
+            if not any(c < top for c in cands):
+                covers.append(
+                    (top, bottom, lattice._label(cat, within, top, bottom, bottom_perp))
+                )
+                if top not in seen:
+                    seen.add(top)
+                    queue.append(top)
+    nodes = tuple(sorted(seen, key=lambda m: (len(m), sorted(m))))
+    index = {m: i for i, m in enumerate(nodes)}
+    arrows = sorted(
+        (lattice.HasseArrow(index[t], index[b], s) for t, b, s in covers),
+        key=lambda a: (a.src, a.dst),
+    )
+    return lattice.TorsLattice(cat, side, within, nodes, tuple(arrows))
 
 
 # Element-by-element subcategory operators over the raw tables (hom_dim and

@@ -114,7 +114,15 @@ def test_json_round_trip_is_byte_exact(cat_of):
 
 
 def _rows(cat):
-    return (cat.maps_out, cat.maps_in, cat.subfactor_sets, cat.full_mask)
+    return (
+        cat.maps_out,
+        cat.maps_in,
+        cat.subfactor_sets,
+        cat.full_mask,
+        cat.quotient_rows,
+        cat.sub_rows,
+        cat.extension_rows,
+    )
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS + ("d4p3",))
@@ -124,6 +132,13 @@ def test_json_round_trip_keeps_rows(name, cat_of):
     else:
         cat = cat_of(name)
     assert _rows(from_json(to_json(cat))) == _rows(cat)
+    for j, pairs in enumerate(cat.subfactors):
+        assert cat.quotient_rows[j] == {k for _, q in pairs for k in q}
+        assert cat.sub_rows[j] == {k for u, _ in pairs for k in u}
+        assert set(cat.extension_rows[j]) == {
+            frozenset(u) | frozenset(q) for u, q in pairs if u and q
+        }
+        assert len(set(cat.extension_rows[j])) == len(cat.extension_rows[j])
 
 
 def test_tables_must_match_the_members(a2cat):

@@ -5,11 +5,13 @@ import pytest
 import oracles
 import torslat
 from conftest import names_to_mask
+from test_acceptance import SCALE_SPECS
 from torslat import subcat, widelab
 from torslat import verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import LabelNotBrick, LatticeBlowup, NotAnInterval
 from torslat.lattice import build_lattice, dual_correspondence
+from torslat.quivalg import parse_algebra_text
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
@@ -200,3 +202,49 @@ def test_label_checks_are_live():
     cat.bricks = (False,) * len(cat.ind)
     with pytest.raises(LabelNotBrick):
         build_lattice(cat)
+
+
+def _assert_same_lattice(got, want):
+    assert got.nodes == want.nodes
+    assert got.arrows == want.arrows
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + ("d4p3", "kx3p2", "nak3p2"))
+def test_cover_walk_matches_the_unfiltered_walk(name, cat_of):
+    if name in SCALE_SPECS:
+        cat = torslat.build_catalog(parse_algebra_text(SCALE_SPECS[name]))
+    else:
+        cat = cat_of(name)
+    for side in ("tors", "torf"):
+        _assert_same_lattice(
+            build_lattice(cat, side=side), oracles.cover_walk(cat, side)
+        )
+
+
+@pytest.mark.parametrize("name", ["a3", "a4", "nak3"])
+def test_relative_cover_walk_matches_the_unfiltered_walk(name, cat_of):
+    cat = cat_of(name)
+    for w in widelab.enumerate_wide_subcats(cat):
+        _assert_same_lattice(
+            build_lattice(cat, within=w), oracles.cover_walk(cat, within=w)
+        )
+
+
+@pytest.mark.parametrize("side", ["tors", "torf"])
+@pytest.mark.parametrize("name", ["a4", "nak3"])
+def test_cover_walk_skips_candidates(name, side, cat_of, monkeypatch):
+    # the filter is not vacuous: the walk forms fewer candidates gen(T + x)
+    cat = cat_of(name)
+    op = "tors_gen" if side == "tors" else "torf_gen"
+    gen, calls = getattr(subcat, op), []
+
+    def counting(*args):
+        calls.append(args)
+        return gen(*args)
+
+    monkeypatch.setattr(subcat, op, counting)
+    build_lattice(cat, side=side)
+    filtered = len(calls)
+    oracles.cover_walk(cat, side)
+    assert 0 < filtered < len(calls) - filtered

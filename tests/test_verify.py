@@ -5,6 +5,7 @@ import pytest
 
 from torslat import verify, widelab
 from torslat.errors import TheoremViolation, UnknownProperty
+from conftest import names_to_mask
 from torslat.lattice import HasseArrow, TorsLattice
 
 A2_OBJECT_COUNTS = {
@@ -222,3 +223,54 @@ def test_verify_releases_the_catalog(monkeypatch):
         assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()
+
+
+def _verify_tampered_a2(monkeypatch, tamper):
+    build_lattice = verify.build_lattice
+
+    def tampered(cat, side="tors", **kwargs):
+        lat = build_lattice(cat, side=side, **kwargs)
+        if side == "tors":
+            tamper(cat, lat)
+        return lat
+
+    monkeypatch.setattr(verify, "build_lattice", tampered)
+    results = verify.run_verify(
+        [("a2", verify.load_corpus_algebra("a2"))], props=["wide-detect"]
+    )
+    return verify.format_report(results)
+
+
+def test_a_meet_outside_the_lattice_is_a_failed_check(monkeypatch):
+    # a2's node {10a,11a} shrunk to {11a} after construction: the meet of
+    # that node with the top is {11a}, no node, which must be a FAIL line
+    # and not an escaping error
+    def shrink(cat, lat):
+        k = lat.node_index[names_to_mask(cat, "10a", "11a")]
+        nodes = list(lat.nodes)
+        nodes[k] = names_to_mask(cat, "11a")
+        lat.nodes = tuple(nodes)
+
+    text, failures = _verify_tampered_a2(monkeypatch, shrink)
+    assert failures == 3
+    assert (
+        "FAIL a2 wide-detect [{11a},{11a}] :: meet of {11a} is {11a}, not a node"
+    ) in text
+    assert (
+        "FAIL a2 wide-detect [{11a},{01a,10a,11a}] :: meet of"
+        " {11a} & {01a,10a,11a} is {11a}, not a node"
+    ) in text
+
+
+def test_a_join_outside_the_lattice_is_a_failed_check(monkeypatch):
+    # the same with the node {10a,11a} dropped from the index: its own
+    # interval joins to it
+    def forget(cat, lat):
+        del lat.node_index[names_to_mask(cat, "10a", "11a")]
+
+    text, failures = _verify_tampered_a2(monkeypatch, forget)
+    assert failures > 0
+    assert (
+        "FAIL a2 wide-detect [{10a,11a},{10a,11a}] :: join of {10a,11a} is"
+        " {10a,11a}, not a node"
+    ) in text
