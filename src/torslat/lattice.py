@@ -107,9 +107,47 @@ class TorsLattice:
             )
         return Interval(bottom, top)
 
+    # Order from the covering arrows.  Nodes are sorted by size, so every
+    # arrow runs from a higher index to a lower one, and one pass in index
+    # order fills each set from sets already filled.  upper_set, lower_set,
+    # join and meet read the masks, not these sets.
+
+    @cached_property
+    def down_sets(self):
+        """down_sets[i]: the nodes at or below node i, as an int bitset."""
+        down = []
+        for i in range(len(self.nodes)):
+            bits = 1 << i
+            for a in self.out_of[i]:
+                bits |= down[a.dst]
+            down.append(bits)
+        return tuple(down)
+
+    @cached_property
+    def up_sets(self):
+        """up_sets[i]: the nodes at or above node i, as an int bitset."""
+        up = [0] * len(self.nodes)
+        for i in reversed(range(len(self.nodes))):
+            bits = 1 << i
+            for a in self.into[i]:
+                bits |= up[a.src]
+            up[i] = bits
+        return tuple(up)
+
+    @cached_property
+    def arrow_labels(self):
+        """The label of each covering arrow, keyed by (src, dst)."""
+        return {(a.src, a.dst): a.label for a in self.arrows}
+
     def interval_nodes(self, iv):
-        b, t = self.nodes[iv.bottom], self.nodes[iv.top]
-        return [i for i, m in enumerate(self.nodes) if b <= m <= t]
+        """The nodes of the interval, in ascending index order."""
+        bits = self.up_sets[iv.bottom] & self.down_sets[iv.top]
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
 
     def all_intervals(self):
         for t in range(len(self.nodes)):
@@ -287,7 +325,7 @@ def dual_correspondence(tors_lat, torf_lat):
     node_checks.append(
         ("order reversal", order_ok, "" if order_ok else "inclusions not reversed")
     )
-    torf_arrows = {(a.src, a.dst): a.label for a in torf_lat.arrows}
+    torf_arrows = torf_lat.arrow_labels
     arrow_checks = []
     for a in tors_lat.arrows:
         desc = f"arrow {tors_lat.name(a.src)}->{tors_lat.name(a.dst)}"

@@ -5,10 +5,9 @@ dims[target] x dims[source], entries in [0, p)).  A Morphism stores one matrix
 per vertex intertwining the arrow actions.  All computations are exact over
 F_p and deterministic.
 
-Every submodule (a kernel, an image, each of the ``submodules`` scan, the
-torsion part of ``subcat.canonical_sequence``) is built by ``restrict`` from
-per-vertex column bases, and every cokernel by ``quotient_by`` from an
-inclusion.
+Every submodule (a kernel, an image, each of the ``submodules`` scan) is
+built by ``restrict`` from per-vertex column bases, and every cokernel by
+``quotient_by`` from an inclusion.
 """
 
 import itertools

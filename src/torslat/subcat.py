@@ -29,9 +29,6 @@ that masks cannot denote.
 
 import itertools
 
-import numpy as np
-
-from . import linalg, modrep
 from .errors import NotWide
 
 
@@ -147,13 +144,6 @@ def star(cat, left, right):
     return _cached(cat, ("star", left, right), run)
 
 
-def is_torsion_class(cat, members, within=None):
-    return (
-        fac(cat, members, within) == members
-        and filt(cat, members, within) == members
-    )
-
-
 def is_semibrick(cat, members):
     """All members bricks, pairwise Hom-orthogonal in both directions."""
     for i in members:
@@ -210,32 +200,3 @@ def serre_list(cat, members):
         )
 
     return _cached(cat, ("serre", members), run)
-
-
-def canonical_sequence(cat, module, t_mask):
-    """Split a module along a torsion class: (torsion part, torsion-free part).
-
-    The torsion part is the sum of the images of all maps from members of the
-    class; the quotient receives no nonzero map from the class.
-    """
-    if not is_torsion_class(cat, t_mask):
-        raise ValueError("canonical_sequence needs a torsion class")
-    algebra = module.algebra
-    p = algebra.prime
-    nv = algebra.quiver.vertex_count
-    cols = [[] for _ in range(nv)]
-    for i in sorted(t_mask):
-        for f in modrep.hom_basis(cat.ind[i], module):
-            for v in range(nv):
-                cols[v].append(f.comps[v])
-    bases = []
-    for v in range(nv):
-        if cols[v]:
-            stacked = linalg.normalize(np.concatenate(cols[v], axis=1), p)
-            bases.append(linalg.column_space(stacked, p))
-        else:
-            bases.append(linalg.zeros(module.dims[v], 0))
-    # a sum of images is a submodule, so restrict finds every arrow map
-    tpart, inclusion = modrep.restrict(module, bases)
-    fpart, _ = modrep.quotient_by(inclusion)
-    return tpart, fpart

@@ -13,7 +13,10 @@ serre-count compares the Serre route under each top with the wide bottoms
 the verdicts give.  Reduction builds the torsion lattice of each gap
 category W once for all the wide intervals with that gap, drops it before
 the next gap, and then reports the outcomes in interval order, so the
-report order does not depend on the grouping.
+report order does not depend on the grouping.  Per interval it reads the
+interval's nodes from the lattice's cover bitsets, and checks each class
+psi(X) against the extension product of the bottom with X by scanning only
+that class's members.
 """
 
 from dataclasses import dataclass

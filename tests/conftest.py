@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -14,6 +16,9 @@ settings.load_profile("suite")
 
 _CATS = {}
 _LATS = {}
+
+# the a7@p2 catalog export of the benchmark, read only
+A7_EXPORT = Path(__file__).resolve().parent.parent / "bench" / "data" / "a7p2.catalog.json"
 
 
 def _catalog(name):
@@ -47,6 +52,12 @@ def a2cat():
 @pytest.fixture(scope="session")
 def a2lat():
     return _lattice("a2")
+
+
+@pytest.fixture(scope="session")
+def a7lat():
+    """The torsion lattice of A7@p2 (1430 classes), built from the export."""
+    return torslat.build_lattice(torslat.from_json(A7_EXPORT.read_text()))
 
 
 def names_to_mask(cat, *names):

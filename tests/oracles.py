@@ -498,3 +498,46 @@ def is_torsion_free_class(cat, members, within=None):
         subcat.sub_cl(cat, members, within) == members
         and subcat.filt(cat, members, within) == members
     )
+
+
+def is_torsion_class(cat, members, within=None):
+    """Closed under quotients and extensions, by the library's fac and filt."""
+    return (
+        subcat.fac(cat, members, within) == members
+        and subcat.filt(cat, members, within) == members
+    )
+
+
+def canonical_sequence(cat, module, t_mask):
+    """Split a module along a torsion class: (torsion part, torsion-free part).
+
+    The torsion part is the sum of the images of all maps from members of the
+    class; the quotient receives no nonzero map from the class.
+    """
+    if not is_torsion_class(cat, t_mask):
+        raise ValueError("canonical_sequence needs a torsion class")
+    algebra = module.algebra
+    p = algebra.prime
+    nv = algebra.quiver.vertex_count
+    cols = [[] for _ in range(nv)]
+    for i in sorted(t_mask):
+        for f in modrep.hom_basis(cat.ind[i], module):
+            for v in range(nv):
+                cols[v].append(f.comps[v])
+    bases = []
+    for v in range(nv):
+        if cols[v]:
+            stacked = linalg.normalize(np.concatenate(cols[v], axis=1), p)
+            bases.append(linalg.column_space(stacked, p))
+        else:
+            bases.append(linalg.zeros(module.dims[v], 0))
+    # a sum of images is a submodule, so restrict finds every arrow map
+    tpart, inclusion = modrep.restrict(module, bases)
+    fpart, _ = modrep.quotient_by(inclusion)
+    return tpart, fpart
+
+
+def interval_nodes_by_subsets(lat, iv):
+    """The nodes of an interval by a subset test against every node."""
+    b, t = lat.nodes[iv.bottom], lat.nodes[iv.top]
+    return [i for i, m in enumerate(lat.nodes) if b <= m <= t]

@@ -81,6 +81,16 @@ def test_subfactors_include_trivial_splittings(cat_of):
         assert ((j,), ()) in pairs
 
 
+@pytest.mark.parametrize("name", verify_mod.CORPUS + ("a7p2",))
+def test_every_row_has_both_trivial_pairs(name, cat_of, a7lat):
+    # reduce_interval counts a member of U or of X in star(U, X) through
+    # these two pairs without scanning its row
+    cat = a7lat.cat if name == "a7p2" else cat_of(name)
+    for j, pairs in enumerate(cat.subfactor_sets):
+        assert (frozenset((j,)), frozenset()) in pairs
+        assert (frozenset(), frozenset((j,))) in pairs
+
+
 def test_quotients_derived_from_subfactors(cat_of):
     cat = cat_of("nak3")
     for j in range(len(cat.ind)):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -64,6 +65,38 @@ def test_interval_membership(a2lat):
     assert sorted(a2lat.interval_nodes(iv)) == [0, 2, 3]
     with pytest.raises(NotAnInterval):
         a2lat.interval(3, 2)
+
+
+def _bits(nodes):
+    return sum(1 << i for i in nodes)
+
+
+@pytest.mark.parametrize("side", ["tors", "torf"])
+@pytest.mark.parametrize("name", verify_mod.CORPUS)
+def test_cover_bitsets_match_the_masks(name, side, lat_of):
+    lat = lat_of(name, side)
+    nodes = lat.nodes
+    for i, m in enumerate(nodes):
+        assert lat.down_sets[i] >> i & 1 and lat.up_sets[i] >> i & 1
+        assert lat.down_sets[i] == _bits(j for j, o in enumerate(nodes) if o <= m)
+        assert lat.up_sets[i] == _bits(j for j, o in enumerate(nodes) if o >= m)
+    for iv in lat.all_intervals():
+        assert lat.interval_nodes(iv) == oracles.interval_nodes_by_subsets(lat, iv)
+
+
+def test_interval_nodes_match_the_subset_scan_on_a7(a7lat):
+    # 2,000 intervals under random tops of the 1430-node lattice
+    rng = random.Random(0)
+    nodes = a7lat.nodes
+    sizes = set()
+    for _ in range(2000):
+        t = rng.randrange(len(nodes))
+        b = rng.choice([i for i, m in enumerate(nodes) if m <= nodes[t]])
+        iv = a7lat.interval(b, t)
+        got = a7lat.interval_nodes(iv)
+        assert got == oracles.interval_nodes_by_subsets(a7lat, iv)
+        sizes.add(len(got))
+    assert len(nodes) == 1430 and max(sizes) > 100
 
 
 def test_interval_count_on_pentagon(a2lat):
@@ -192,7 +225,7 @@ def test_relative_cover_walk_matches_oracles(name, cat_of):
             for c in itertools.combinations(sorted(w), r)
         )
         assert set(lat.nodes) == {
-            m for m in subsets if subcat.is_torsion_class(cat, m, within=w)
+            m for m in subsets if oracles.is_torsion_class(cat, m, within=w)
         }
         assert _cover_pairs(lat) == oracles.hasse_covers(lat.nodes)
 

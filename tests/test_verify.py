@@ -1,12 +1,16 @@
 import gc
+import math
 import weakref
 
 import pytest
 
+import torslat
 from torslat import verify, widelab
 from torslat.errors import TheoremViolation, UnknownProperty
 from conftest import names_to_mask
-from torslat.lattice import HasseArrow, TorsLattice
+from test_widelab import merge_the_bottom_into_a_cover
+from torslat.lattice import HasseArrow, TorsLattice, build_lattice
+from torslat.quivalg import parse_algebra_text
 
 A2_OBJECT_COUNTS = {
     "brick-labels": 5,
@@ -137,6 +141,68 @@ def test_a_tampered_gap_lattice_fails_exactly_its_intervals(
     assert [r.obj for r in results if not r.ok] == [
         f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]" for iv in by_gap[target]
     ]
+
+
+def test_a_phi_that_is_not_injective_fails_exactly_its_intervals(
+    monkeypatch, lat_of
+):
+    # one a3 gap lattice with its zero node merged into a cover
+    lat = lat_of("a3")
+    wide, by_gap = [], {}
+    for iv in lat.all_intervals():
+        report = widelab.is_wide_interval(lat, iv)
+        if report.wide:
+            wide.append(iv)
+            by_gap.setdefault(report.wide_mask, []).append(iv)
+    target = max(by_gap, key=lambda w: (len(w) > 0, len(by_gap[w]), sorted(w)))
+    assert target and len(by_gap[target]) > 1
+    tors_of_wide = widelab.tors_of_wide
+
+    def tampered(cat, w_mask, config=None):
+        wlat = tors_of_wide(cat, w_mask, config)
+        return merge_the_bottom_into_a_cover(wlat) if w_mask == target else wlat
+
+    monkeypatch.setattr(widelab, "tors_of_wide", tampered)
+    results = verify.run_verify(
+        [("a3", verify.load_corpus_algebra("a3"))], props=["reduction"]
+    )
+    assert [r.obj for r in results] == [
+        f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]" for iv in wide
+    ]
+    assert [(r.obj, r.witness) for r in results if not r.ok] == [
+        (
+            f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]",
+            "phi is not a bijection onto the gap lattice",
+        )
+        for iv in by_gap[target]
+    ]
+
+
+# the self-injective Nakayama algebra N_5^5: the cyclic quiver 1 -> ... -> 5
+# -> 1 with every path of length 5 zero
+NAKAYAMA_5_5 = (
+    "vertices 5\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\narrow e 5 1\n"
+    "relation a b c d e\nrelation b c d e a\nrelation c d e a b\n"
+    "relation d e a b c\nrelation e a b c d\nprime 2\n"
+)
+
+
+def test_reduction_on_the_self_injective_nakayama_algebra():
+    # n*r = 25 indecomposables; C(2n, n) = 252 torsion classes (Adachi) and
+    # as many wide subcategories, since the algebra is tau-tilting finite;
+    # n*N/2 Hasse arrows; one reduction per wide interval, 2^outdegree under
+    # each top
+    algebra = parse_algebra_text(NAKAYAMA_5_5)
+    cat = torslat.build_catalog(algebra)
+    lat = build_lattice(cat)
+    assert len(cat.ind) == 25
+    assert len(lat) == math.comb(10, 5) == 252
+    assert len(widelab.enumerate_wide_subcats(cat)) == 252
+    assert len(lat.arrows) == 5 * 252 // 2
+    results = verify.run_verify([("nak5", algebra)], props=["reduction"])
+    assert [r for r in results if not r.ok] == []
+    assert len(results) == sum(2 ** len(lat.out_of[t]) for t in range(len(lat)))
+    assert len(results) == 1683
 
 
 def test_a_failed_verdict_reports_as_before(monkeypatch, lat_of):

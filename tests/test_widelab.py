@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import oracles
 from conftest import names_to_mask
 from torslat import subcat, widelab
 from torslat.errors import NotSerre, NotWide, NotWideInterval, TheoremViolation
@@ -82,6 +85,86 @@ def test_reduce_rejects_a_tampered_gap_lattice(tamper, a2cat, a2lat, monkeypatch
     monkeypatch.setattr(widelab, "tors_of_wide", tampered)
     with pytest.raises(TheoremViolation):
         widelab.reduce_interval(a2lat, _interval(a2lat, 0, 4))
+
+
+def merge_the_bottom_into_a_cover(wlat):
+    """The gap lattice with its zero node merged into the first node that
+    covers it.  phi then sends two interval nodes to one gap node but still
+    hits every gap node, every covering arrow still has an image with its
+    label (the merged arrow as a loop), and phi inverted still sends each gap
+    node to its extension product with the bottom."""
+    assert wlat.bottom_index == 0
+    cover = wlat.into[0][0].src
+
+    def moved(i):
+        return (cover if i == 0 else i) - 1
+
+    arrows = tuple(
+        HasseArrow(moved(a.src), moved(a.dst), a.label) for a in wlat.arrows
+    )
+    merged = TorsLattice(wlat.cat, wlat.side, wlat.within, wlat.nodes[1:], arrows)
+    merged.node_index[frozenset()] = cover - 1
+    return merged
+
+
+def test_reduce_rejects_a_phi_that_is_not_injective(a2lat, monkeypatch):
+    tors_of_wide = widelab.tors_of_wide
+
+    def tampered(cat, w_mask, config=None):
+        return merge_the_bottom_into_a_cover(tors_of_wide(cat, w_mask, config))
+
+    monkeypatch.setattr(widelab, "tors_of_wide", tampered)
+    with pytest.raises(TheoremViolation, match="phi is not a bijection onto"):
+        widelab.reduce_interval(a2lat, _interval(a2lat, 0, 4))
+
+
+@pytest.mark.parametrize("name", ["a3", "a4"])
+def test_psi_is_the_extension_product_over_the_bottom(name, cat_of, lat_of):
+    # what the removed rebuild checked: psi(X) = tors_gen(U | X) = star(U, X)
+    cat, lat = cat_of(name), lat_of(name)
+    for iv in lat.all_intervals():
+        if not widelab.is_wide_interval(lat, iv).wide:
+            continue
+        red = widelab.reduce_interval(lat, iv)
+        u_mask, wlat = lat.nodes[iv.bottom], red.wide_lattice
+        assert sorted(red.psi) == list(range(len(wlat)))
+        assert sorted(red.phi) == lat.interval_nodes(iv)
+        for x, v in red.psi.items():
+            x_mask = wlat.nodes[x]
+            assert red.phi[v] == x
+            assert lat.nodes[v] == subcat.tors_gen(cat, u_mask | x_mask)
+            assert lat.nodes[v] == oracles.star(cat, u_mask, x_mask)
+
+
+def test_reduce_makes_no_star_entry_and_no_tors_gen_call(monkeypatch, a7lat):
+    # the wide intervals under ten random tops of a7
+    lat, cat = a7lat, a7lat.cat
+    tops = random.Random(0).sample(range(len(lat)), 10)
+    wide = [
+        lat.interval(b, t) for t in tops for b in widelab.wide_intervals_with_top(lat, t)
+    ]
+    state = {"in_reduce": False, "inside": 0, "outside": 0}
+    tors_gen, reduce_onto = subcat.tors_gen, widelab._reduce_onto
+
+    def counting_gen(*args, **kwargs):
+        state["inside" if state["in_reduce"] else "outside"] += 1
+        return tors_gen(*args, **kwargs)
+
+    def flagged_reduce(*args, **kwargs):
+        state["in_reduce"] = True
+        try:
+            return reduce_onto(*args, **kwargs)
+        finally:
+            state["in_reduce"] = False
+
+    monkeypatch.setattr(subcat, "tors_gen", counting_gen)
+    monkeypatch.setattr(widelab, "_reduce_onto", flagged_reduce)
+    stars = sum(key[0] == "star" for key in cat.op_cache)
+    for iv in wide:
+        widelab.reduce_interval(lat, iv)
+    assert len(wide) > 10 and state["outside"] > 0
+    assert state["inside"] == 0
+    assert sum(key[0] == "star" for key in cat.op_cache) == stars
 
 
 def test_reduce_needs_the_torsion_side(lat_of):
