@@ -6,6 +6,12 @@ produces the dual lattice of torsion-free classes (``side="torf"``) and the
 relative lattice inside a wide subcategory (``within=``); joins, meets,
 perpendiculars and extension closures are taken on the chosen side and
 ambient throughout.
+
+``build_lattice`` walks the covers on int bitsets (bit i for catalog index
+i), over rows it derives from the catalog once per call, with a memo of
+extension closures local to the call; it leaves ``op_cache`` untouched and
+turns its nodes into masks once, at the end.  ``TorsLattice`` keeps masks,
+and its order bitsets (``up_sets``, ``down_sets``) run over node indices.
 """
 
 import json
@@ -141,13 +147,7 @@ class TorsLattice:
 
     def interval_nodes(self, iv):
         """The nodes of the interval, in ascending index order."""
-        bits = self.up_sets[iv.bottom] & self.down_sets[iv.top]
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+        return subcat.indices(self.up_sets[iv.bottom] & self.down_sets[iv.top])
 
     def all_intervals(self):
         for t in range(len(self.nodes)):
@@ -206,26 +206,9 @@ class TorsLattice:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _label(cat, within, top_mask, bottom_mask, bottom_perp):
-    gap = bottom_perp & top_mask
-    bricks = [s for s in sorted(gap) if cat.bricks[s]]
-    if not bricks:
-        raise LabelNotBrick(
-            f"no brick between {cat.mask_name(bottom_mask)}"
-            f" and {cat.mask_name(top_mask)}"
-        )
-    if len(bricks) > 1:
-        raise LabelNotUnique(
-            f"{len(bricks)} bricks between {cat.mask_name(bottom_mask)}"
-            f" and {cat.mask_name(top_mask)}"
-        )
-    s = bricks[0]
-    if subcat.filt(cat, frozenset((s,)), within) != gap:
-        raise LabelNotBrick(
-            f"brick {cat.names[s]} does not generate the gap over"
-            f" {cat.mask_name(bottom_mask)}"
-        )
-    return s
+def _quotient_minimal(perp, close):
+    """The x of the bitset perp whose close row meets perp in x alone."""
+    return [x for x in subcat.indices(perp) if close[x] & perp == 1 << x]
 
 
 def build_lattice(cat, side="tors", within=None, config=None):
@@ -247,27 +230,75 @@ def build_lattice(cat, side="tors", within=None, config=None):
     gen(T + y) <= gen(T + x).  By induction on the dimension, every
     candidate contains the candidate of a quotient-minimal x, so the
     inclusion-minimal candidates are the same.
+
+    The walk runs on int bitsets (bit i for catalog index i).  Once per
+    call it derives, for each member x of the ambient, the rows it reads:
+    the members x maps to (from, on the torsion-free side) inside the
+    ambient, x's fac (sub_cl) row over the pairs whose subobject lies in
+    ``within``, and the u | q bitsets of x's nontrivial pairs that lie in
+    the ambient.  ``within`` must be a wide subcategory, so that fac and
+    sub_cl stay inside it and the pairs left out can never fire.  Both the
+    candidates gen(T + x) = filt(fac(T) | fac(x)) and the label check
+    filt(s) = gap call subcat.extension_closure through one memo local to
+    the call, keyed by the bitset closed; nothing goes to ``op_cache``.
+    The nodes become masks once, at the end.
     """
     cfg = config or cat.config
-    if side == "tors":
-        gen, perp, close = subcat.tors_gen, subcat.perp_right, subcat.fac
-    else:
-        gen, perp, close = subcat.torf_gen, subcat.perp_left, subcat.sub_cl
-    seen = {frozenset()}
-    queue = deque([frozenset()])
+    ambient = cat.full_mask if within is None else within
+    amb = subcat.bits(ambient)
+    maps = cat.maps_out if side == "tors" else cat.maps_in
+    part = 1 if side == "tors" else 0
+    hits, close, ext = {}, {}, []
+    for x in ambient:
+        hits[x] = subcat.bits(maps[x]) & amb
+        row = 1 << x
+        for pair in cat.subfactor_sets[x]:
+            if within is None or pair[0] <= within:
+                row |= subcat.bits(pair[part])
+        close[x] = row
+        uqs = [b for b in map(subcat.bits, cat.extension_rows[x]) if not b & ~amb]
+        if uqs:
+            ext.append((1 << x, uqs))
+    bricks = subcat.bits(x for x in ambient if cat.bricks[x])
+    closed = {}
+
+    def gen(start):
+        hit = closed.get(start)
+        if hit is None:
+            hit = closed[start] = subcat.extension_closure(start, ext)
+        return hit
+
+    def name(b):
+        return cat.mask_name(frozenset(subcat.indices(b)))
+
+    seen = {0}
+    queue = deque([0])
     covers = []
     while queue:
         bottom = queue.popleft()
-        bottom_perp = perp(cat, bottom, within)
-        cands = {
-            gen(cat, bottom | {x}, within)
-            for x in bottom_perp
-            if close(cat, frozenset((x,)), within) & bottom_perp == {x}
-        }
+        perp, below = amb, bottom
+        for i in subcat.indices(bottom):
+            perp &= ~hits[i]
+            below |= close[i]
+        cands = {gen(below | close[x]) for x in _quotient_minimal(perp, close)}
         for top in cands:
-            if any(c < top for c in cands):
+            if any(c != top and c | top == top for c in cands):
                 continue
-            s = _label(cat, within, top, bottom, bottom_perp)
+            gap = perp & top
+            found = gap & bricks
+            if not found:
+                raise LabelNotBrick(f"no brick between {name(bottom)} and {name(top)}")
+            if found & (found - 1):
+                raise LabelNotUnique(
+                    f"{found.bit_count()} bricks between {name(bottom)}"
+                    f" and {name(top)}"
+                )
+            s = found.bit_length() - 1
+            if gen(found) != gap:
+                raise LabelNotBrick(
+                    f"brick {cat.names[s]} does not generate the gap over"
+                    f" {name(bottom)}"
+                )
             covers.append((top, bottom, s))
             if top not in seen:
                 seen.add(top)
@@ -277,8 +308,9 @@ def build_lattice(cat, side="tors", within=None, config=None):
                         f" {cfg.node_budget} (--node-budget)"
                     )
                 queue.append(top)
-    nodes = tuple(sorted(seen, key=lambda m: (len(m), sorted(m))))
-    index = {m: i for i, m in enumerate(nodes)}
+    members = sorted(map(subcat.indices, seen), key=lambda m: (len(m), m))
+    nodes = tuple(frozenset(m) for m in members)
+    index = {subcat.bits(m): i for i, m in enumerate(members)}
     arrows = sorted(
         (HasseArrow(index[top], index[bottom], s) for top, bottom, s in covers),
         key=lambda a: (a.src, a.dst),

@@ -13,8 +13,11 @@ tables: a perpendicular is the ambient minus the ``maps_out`` (or
 the members with their ``quotient_rows`` (or ``sub_rows``), without a memo;
 inside ``within`` they read rows that keep only the subfactor pairs whose
 subobject lies in ``within``, built once per ambient under the key
-``("rows", side, within)``, side "fac" or "sub".  ``filt`` tests the
-``extension_rows`` by set inclusion.  Results that are reused are kept in
+``("rows", side, within)``, side "fac" or "sub".  ``filt`` converts its
+input and the ``extension_rows`` of the candidates to int bitsets (bit i
+for catalog index i) and runs ``extension_closure``, the one
+extension-closure fixpoint of the library, which ``lattice.build_lattice``
+calls on its own bitset rows.  Results that are reused are kept in
 the catalog's ``op_cache`` through ``_cached``, the one memo helper of the
 library: the catalog's own decompose and Hom-profile memos and widelab's
 verdicts go through it too, each under a key tagged by its kind.
@@ -81,27 +84,60 @@ def sub_cl(cat, members, within=None):
     return frozenset(members).union(*[rows[i] for i in members])
 
 
+def bits(mask):
+    """A mask as an int bitset: bit i set for catalog index i."""
+    out = 0
+    for i in mask:
+        out |= 1 << i
+    return out
+
+
+def indices(bitset):
+    """The set bits of an int bitset, in ascending order."""
+    out = []
+    while bitset:
+        low = bitset & -bitset
+        out.append(low.bit_length() - 1)
+        bitset ^= low
+    return out
+
+
+def extension_closure(cur, rows):
+    """The extension-closure fixpoint on int bitsets.
+
+    ``rows`` holds, per candidate j, the pair (1 << j, the u | q bitsets of
+    j's nontrivial subfactor pairs).  A candidate joins ``cur`` once one of
+    its bitsets lies inside ``cur``; the pass repeats until none joins.  The
+    result is the least fixpoint, so the order of the candidates is free.
+    """
+    todo = [r for r in rows if not r[0] & cur]
+    grew = True
+    while grew:
+        grew = False
+        rest = []
+        for r in todo:
+            for uq in r[1]:
+                if uq & cur == uq:
+                    cur |= r[0]
+                    grew = True
+                    break
+            else:
+                rest.append(r)
+        todo = rest
+    return cur
+
+
 def filt(cat, members, within=None):
     """Least summand-closed extension-closed mask containing the input."""
 
     def run():
-        cur = set(members)
         # j without a nontrivial pair is no extension of anything smaller
-        outside = sorted(
-            j for j in _ambient(cat, within) - cur if cat.extension_rows[j]
-        )
-        changed = True
-        while changed:
-            changed = False
-            remaining = []
-            for j in outside:
-                if any(uq <= cur for uq in cat.extension_rows[j]):
-                    cur.add(j)
-                    changed = True
-                else:
-                    remaining.append(j)
-            outside = remaining
-        return frozenset(cur)
+        rows = [
+            (1 << j, [bits(uq) for uq in cat.extension_rows[j]])
+            for j in _ambient(cat, within) - members
+            if cat.extension_rows[j]
+        ]
+        return frozenset(indices(extension_closure(bits(members), rows)))
 
     return _cached(cat, ("filt", members, within), run)
 

@@ -205,6 +205,11 @@ def serre_mutation(lat, t_node, w_mask):
 
     Verified: the returned class rebuilds the top as an extension product
     with the Serre piece, and the gap of the produced interval is that piece.
+    The extension product needs only one inclusion: once the piece W lies in
+    the top T, star(U, W) <= T, because U and W lie in T and T is a torsion
+    class (every lattice node is, as in reduce_interval).  So star(U, W) = T
+    once every member of T has a subfactor pair (u, q) with u in U and q in
+    W, and only the members of T are scanned.
     """
     cat = lat.cat
     wl = left_wide(lat, t_node)
@@ -213,16 +218,21 @@ def serre_mutation(lat, t_node, w_mask):
             f"{cat.mask_name(w_mask)} is not Serre in {cat.mask_name(wl)}"
         )
     t_mask = lat.nodes[t_node]
+    if not w_mask <= t_mask:
+        raise TheoremViolation(
+            f"{cat.mask_name(w_mask)} is not inside {cat.mask_name(t_mask)}"
+        )
     u_mask = t_mask & subcat.perp_left(cat, w_mask, lat.within)
     u_node = lat.node_index.get(u_mask)
     if u_node is None:
         raise TheoremViolation(
             f"{cat.mask_name(u_mask)} is not a torsion class"
         )
-    if subcat.star(cat, u_mask, w_mask) != t_mask:
-        raise TheoremViolation(
-            f"extension product over {cat.mask_name(u_mask)} misses the top"
-        )
+    for j in t_mask:
+        if not any(u <= u_mask and q <= w_mask for u, q in cat.subfactor_sets[j]):
+            raise TheoremViolation(
+                f"extension product over {cat.mask_name(u_mask)} misses the top"
+            )
     if subcat.perp_right(cat, u_mask, lat.within) & t_mask != w_mask:
         raise TheoremViolation(
             f"gap over {cat.mask_name(u_mask)} is not {cat.mask_name(w_mask)}"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from torslat import lattice, linalg, modrep, subcat
+from torslat.errors import LabelNotBrick, LabelNotUnique
 
 # torsion class counts derived by hand before the build:
 # chains a2/a2r give the 5-element Tamari lattice on 3 letters, a3/a3s the
@@ -376,6 +377,29 @@ def hasse_covers(nodes):
     return pairs
 
 
+def _label(cat, within, top_mask, bottom_mask, bottom_perp):
+    """The brick label of a covering pair, with the checks of the walk."""
+    gap = bottom_perp & top_mask
+    bricks = [s for s in sorted(gap) if cat.bricks[s]]
+    if not bricks:
+        raise LabelNotBrick(
+            f"no brick between {cat.mask_name(bottom_mask)}"
+            f" and {cat.mask_name(top_mask)}"
+        )
+    if len(bricks) > 1:
+        raise LabelNotUnique(
+            f"{len(bricks)} bricks between {cat.mask_name(bottom_mask)}"
+            f" and {cat.mask_name(top_mask)}"
+        )
+    s = bricks[0]
+    if subcat.filt(cat, frozenset((s,)), within) != gap:
+        raise LabelNotBrick(
+            f"brick {cat.names[s]} does not generate the gap over"
+            f" {cat.mask_name(bottom_mask)}"
+        )
+    return s
+
+
 def cover_walk(cat, side="tors", within=None):
     """The cover walk of lattice.build_lattice with every x of the orthogonal
     of T as a candidate gen(T + x), not only the quotient-minimal ones (the
@@ -391,9 +415,7 @@ def cover_walk(cat, side="tors", within=None):
         cands = {gen(cat, bottom | {x}, within) for x in bottom_perp}
         for top in cands:
             if not any(c < top for c in cands):
-                covers.append(
-                    (top, bottom, lattice._label(cat, within, top, bottom, bottom_perp))
-                )
+                covers.append((top, bottom, _label(cat, within, top, bottom, bottom_perp)))
                 if top not in seen:
                     seen.add(top)
                     queue.append(top)

@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 import torslat
-from conftest import names_to_mask
+from conftest import A7_EXPORT, names_to_mask
 from test_acceptance import SCALE_SPECS
-from torslat import subcat, widelab
+from torslat import lattice, subcat, widelab
 from torslat import verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import LabelNotBrick, LatticeBlowup, NotAnInterval
@@ -268,16 +268,52 @@ def test_relative_cover_walk_matches_the_unfiltered_walk(name, cat_of):
 @pytest.mark.parametrize("name", ["a4", "nak3"])
 def test_cover_walk_skips_candidates(name, side, cat_of, monkeypatch):
     # the filter is not vacuous: the walk forms fewer candidates gen(T + x)
+    # than the unfiltered walk, which forms one per x of the orthogonal of T
     cat = cat_of(name)
+    pick, closures = lattice._quotient_minimal, []
+
+    def counting(*args):
+        xs = pick(*args)
+        closures.extend(xs)
+        return xs
+
+    monkeypatch.setattr(lattice, "_quotient_minimal", counting)
+    build_lattice(cat, side=side)
+    filtered = len(closures)
     op = "tors_gen" if side == "tors" else "torf_gen"
     gen, calls = getattr(subcat, op), []
 
-    def counting(*args):
+    def counting_gen(*args):
         calls.append(args)
         return gen(*args)
 
-    monkeypatch.setattr(subcat, op, counting)
-    build_lattice(cat, side=side)
-    filtered = len(calls)
+    monkeypatch.setattr(subcat, op, counting_gen)
     oracles.cover_walk(cat, side)
-    assert 0 < filtered < len(calls) - filtered
+    assert 0 < filtered < len(calls)
+
+
+# the a7@p2 torsion lattice export of the benchmark, read only
+A7_TORS = A7_EXPORT.with_name("a7p2.tors.json")
+
+
+def test_a7_lattice_matches_the_bench_export(a7lat):
+    assert a7lat.to_json() == A7_TORS.read_text()
+
+
+def test_relative_walk_on_a7_matches_the_unfiltered_walk(a7lat):
+    # 100 seeded wide subcategories of a7 of rank at most 4; the walk leaves
+    # op_cache as it found it, on the whole category and inside each W
+    cat = a7lat.cat
+    small = [
+        w
+        for w in widelab.enumerate_wide_subcats(cat)
+        if len(subcat.candidate_simples(cat, w)) <= 4
+    ]
+    sample = random.Random(0).sample(small, 100)
+    assert {len(subcat.candidate_simples(cat, w)) for w in sample} == {1, 2, 3, 4}
+    keys = set(cat.op_cache)
+    assert build_lattice(cat).to_json() == a7lat.to_json()
+    walks = [build_lattice(cat, within=w) for w in sample]
+    assert set(cat.op_cache) == keys
+    for w, lat in zip(sample, walks):
+        _assert_same_lattice(lat, oracles.cover_walk(cat, within=w))

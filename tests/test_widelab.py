@@ -249,6 +249,28 @@ def test_serre_mutation_rejects_non_serre(a2cat, a2lat):
         widelab.serre_mutation(a2lat, 3, names_to_mask(a2cat, "10a"))
 
 
+@pytest.mark.parametrize("name", ["a4", "nak3"])
+def test_serre_mutation_rebuilds_the_top_as_the_extension_product(name, cat_of, lat_of):
+    cat, lat = cat_of(name), lat_of(name)
+    stars = sum(key[0] == "star" for key in cat.op_cache)
+    pieces = 0
+    for t in range(len(lat)):
+        for w in subcat.serre_list(cat, widelab.left_wide(lat, t)):
+            u = widelab.serre_mutation(lat, t, w)
+            assert oracles.star(cat, lat.nodes[u], w) == lat.nodes[t]
+            pieces += 1
+    assert pieces > len(lat)
+    assert sum(key[0] == "star" for key in cat.op_cache) == stars
+
+
+def test_serre_mutation_rejects_a_piece_outside_the_top(a2cat, a2lat, monkeypatch):
+    # a left wide subcategory that leaves the top {10a,11a}: its whole
+    # Serre piece is no subcategory of the top
+    monkeypatch.setattr(widelab, "left_wide", lambda lat, node: a2cat.full_mask)
+    with pytest.raises(TheoremViolation, match="is not inside"):
+        widelab.serre_mutation(a2lat, 3, a2cat.full_mask)
+
+
 def test_wide_intervals_with_top(a2lat):
     assert widelab.wide_intervals_with_top(a2lat, 4) == [0, 1, 3, 4]
     assert widelab.wide_intervals_with_top(a2lat, 3) == [2, 3]
