@@ -10,12 +10,14 @@ index rows (``maps_out``, ``maps_in``, ``subfactor_sets``, ``full_mask``)
 on which those operators are set algebra, and three per-member unions over
 the subfactor pairs: ``quotient_rows`` (the quotient parts), ``sub_rows``
 (the subobject parts) and ``extension_rows`` (u | q of each nontrivial
-pair).  ``op_cache`` holds every memo of the library under tagged keys:
-the summand indices of ``decompose_indices`` under ``("decompose", module
-key)``, seeded with every module the closure decomposed, the ray profiles
-of ``hom_profile`` (kernel, image and cokernel summands of each ray) under
-``("profile", i, j)``, and the subcategory operators' results (see
-``subcat``).  ``_key_index`` is the member index, not a memo.
+pair, as an int bitset with bit i for catalog index i, the form in which
+``subcat.filt`` and ``lattice.build_lattice`` test it).  ``op_cache`` holds
+every memo of the library under tagged keys: the summand indices of
+``decompose_indices`` under ``("decompose", module key)``, seeded with
+every module the closure decomposed, the ray profiles of ``hom_profile``
+(kernel, image and cokernel summands of each ray) under ``("profile", i,
+j)``, and the subcategory operators' results (see ``subcat``).
+``_key_index`` is the member index, not a memo.
 """
 
 import json
@@ -84,8 +86,8 @@ class Catalog:
         the i; subfactor_sets[i] holds the pairs of subfactors[i] as
         (frozenset(u), frozenset(q)); quotient_rows[i] is the union of their q
         parts and sub_rows[i] of their u parts; extension_rows[i] holds u | q
-        for each nontrivial pair (u and q nonempty), once per distinct set;
-        full_mask holds every index.
+        for each nontrivial pair (u and q nonempty) as an int bitset (bit k
+        for index k), once per distinct set; full_mask holds every index.
         """
         n = len(self.ind)
         if not (len(hom_dim) == len(bricks) == len(subfactors) == n) or any(
@@ -107,7 +109,7 @@ class Catalog:
         self.quotient_rows = subcat.part_rows(self.subfactor_sets, 1)
         self.sub_rows = subcat.part_rows(self.subfactor_sets, 0)
         self.extension_rows = tuple(
-            tuple(dict.fromkeys(u | q for u, q in pairs if u and q))
+            tuple(dict.fromkeys(subcat.bits(u | q) for u, q in pairs if u and q))
             for pairs in self.subfactor_sets
         )
         self.full_mask = frozenset(range(n))

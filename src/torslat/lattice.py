@@ -87,24 +87,30 @@ class TorsLattice:
     def leq(self, i, j):
         return self.nodes[i] <= self.nodes[j]
 
-    def _node_of(self, mask, op, node_ids):
+    def _node_of(self, mask, what):
+        """The node of a mask.  A mask that is no node raises a
+        TheoremViolation naming ``what()``, the operation that gave it."""
         hit = self.node_index.get(mask)
         if hit is None:
             raise TheoremViolation(
-                f"{op} of {' & '.join(self.name(i) for i in sorted(node_ids))}"
-                f" is {self.cat.mask_name(mask)}, not a node"
+                f"{what()} is {self.cat.mask_name(mask)}, not a node"
             )
         return hit
 
+    def _describe(self, op, node_ids):
+        return f"{op} of {' & '.join(self.name(i) for i in sorted(node_ids))}"
+
     def join(self, node_ids):
         mask = frozenset().union(*(self.nodes[i] for i in node_ids)) if node_ids else frozenset()
-        return self._node_of(self._gen(mask), "join", node_ids)
+        return self._node_of(
+            self._gen(mask), lambda: self._describe("join", node_ids)
+        )
 
     def meet(self, node_ids):
         mask = self.ambient
         for i in node_ids:
             mask = mask & self.nodes[i]
-        return self._node_of(mask, "meet", node_ids)
+        return self._node_of(mask, lambda: self._describe("meet", node_ids))
 
     def interval(self, bottom, top):
         if not self.leq(bottom, top):
@@ -233,11 +239,12 @@ def build_lattice(cat, side="tors", within=None, config=None):
 
     The walk runs on int bitsets (bit i for catalog index i).  Once per
     call it derives, for each member x of the ambient, the rows it reads:
-    the members x maps to (from, on the torsion-free side) inside the
-    ambient, x's fac (sub_cl) row over the pairs whose subobject lies in
-    ``within``, and the u | q bitsets of x's nontrivial pairs that lie in
-    the ambient.  ``within`` must be a wide subcategory, so that fac and
-    sub_cl stay inside it and the pairs left out can never fire.  Both the
+    the members x maps to (from, on the torsion-free side), x's
+    ``quotient_rows`` (``sub_rows``) row, both cut down to the ambient, and
+    the ``extension_rows`` of x that lie in the ambient.  ``within`` must be
+    a wide subcategory W: then fac and sub_cl cut down to W are the closures
+    under quotients and subobjects inside W, and the extension closure of a
+    mask inside W stays inside it (the argument is in ``subcat``).  Both the
     candidates gen(T + x) = filt(fac(T) | fac(x)) and the label check
     filt(s) = gap call subcat.extension_closure through one memo local to
     the call, keyed by the bitset closed; nothing goes to ``op_cache``.
@@ -247,16 +254,12 @@ def build_lattice(cat, side="tors", within=None, config=None):
     ambient = cat.full_mask if within is None else within
     amb = subcat.bits(ambient)
     maps = cat.maps_out if side == "tors" else cat.maps_in
-    part = 1 if side == "tors" else 0
+    rows = cat.quotient_rows if side == "tors" else cat.sub_rows
     hits, close, ext = {}, {}, []
     for x in ambient:
         hits[x] = subcat.bits(maps[x]) & amb
-        row = 1 << x
-        for pair in cat.subfactor_sets[x]:
-            if within is None or pair[0] <= within:
-                row |= subcat.bits(pair[part])
-        close[x] = row
-        uqs = [b for b in map(subcat.bits, cat.extension_rows[x]) if not b & ~amb]
+        close[x] = subcat.bits(rows[x]) & amb
+        uqs = [b for b in cat.extension_rows[x] if b & amb == b]
         if uqs:
             ext.append((1 << x, uqs))
     bricks = subcat.bits(x for x in ambient if cat.bricks[x])

@@ -30,10 +30,6 @@ class Path(NamedTuple):
     names: tuple
     end: int
 
-    @property
-    def length(self):
-        return len(self.names)
-
 
 @dataclass(frozen=True)
 class Quiver:

@@ -1,26 +1,47 @@
 """Subcategory operators on catalog masks.
 
 A mask (frozenset of catalog indices) denotes the additive hull of its
-members.  Every operator takes the catalog first and admits an optional
-``within`` mask restricting the ambient category to a wide subcategory: the
-closure then only uses subobjects/quotients/extensions whose pieces stay
-inside ``within``.  With ``within=None`` the ambient is the whole module
-category.
+members.  Every operator takes the catalog first.  The perpendiculars,
+``fac``, ``sub_cl``, ``tors_gen`` and ``torf_gen`` admit an optional
+``within`` mask, a wide subcategory W, as the ambient: the perpendiculars
+are taken inside W, and the closures of a mask inside W are the closures
+in the whole module category cut down to W.  ``filt`` takes no ``within``,
+because from a mask inside W its closure never leaves W.  With
+``within=None`` the ambient is the whole module category.
+
+Restriction is exact because W is wide, that is closed under kernels,
+cokernels and extensions (Ingalls-Thomas, arXiv:math/0612219).  Let x lie
+in W, and let (u, q) be one of its subfactor pairs: u the summands of a
+subobject U of x, q those of x/U.
+
+1. u lies in W iff q does: x/U is the cokernel of U -> x, and U is the
+   kernel of x -> x/U.
+2. Each summand Q of x/U that lies in W is itself the quotient of x by a
+   subobject in W: x -> x/U -> Q is onto, and its kernel, the kernel of a
+   map between objects of W, lies in W.  So x has a pair whose u lies in W
+   and whose q is Q alone.  Dually, each summand of U that lies in W is a
+   subobject of x whose quotient lies in W.
+3. An extension of two objects of W lies in W.
+
+By 1 and 2, the members of W among the q parts of x's pairs are the
+members of the q parts of the pairs whose u lies in W: fac cut down to W is
+the closure under quotients by subobjects in W, and sub_cl cut down to W
+the closure under subobjects in W.  By 3, each step of the ``filt``
+fixpoint from a mask inside W adds a member j with a pair inside the mask,
+so j lies in W; the fixpoint over the whole catalog is the fixpoint over W.
+``tests/oracles.py`` keeps the literal relative operators as the reference.
 
 The operators are set algebra on the rows the catalog derives from its
 tables: a perpendicular is the ambient minus the ``maps_out`` (or
 ``maps_in``) rows of the members.  ``fac`` and ``sub_cl`` are one union of
-the members with their ``quotient_rows`` (or ``sub_rows``), without a memo;
-inside ``within`` they read rows that keep only the subfactor pairs whose
-subobject lies in ``within``, built once per ambient under the key
-``("rows", side, within)``, side "fac" or "sub".  ``filt`` converts its
-input and the ``extension_rows`` of the candidates to int bitsets (bit i
-for catalog index i) and runs ``extension_closure``, the one
-extension-closure fixpoint of the library, which ``lattice.build_lattice``
-calls on its own bitset rows.  Results that are reused are kept in
-the catalog's ``op_cache`` through ``_cached``, the one memo helper of the
-library: the catalog's own decompose and Hom-profile memos and widelab's
-verdicts go through it too, each under a key tagged by its kind.
+the members with their ``quotient_rows`` (or ``sub_rows``), without a memo.
+``filt`` runs ``extension_closure``, the one extension-closure fixpoint of
+the library, on the catalog's ``extension_rows`` (int bitsets, bit i for
+catalog index i); ``lattice.build_lattice`` calls it on rows it restricts
+to its ambient.  Results that are reused are kept in the catalog's
+``op_cache`` through ``_cached``, the one memo helper of the library: the
+catalog's own decompose and Hom-profile memos and widelab's verdicts go
+through it too, each under a key tagged by its kind.
 
 The extension-closure operator ``filt`` works pairwise on the subfactor
 table.  That computes the smallest extension-closed summand-closed class
@@ -52,36 +73,24 @@ def _ambient(cat, within):
 # of an a6 verify by 1.4 MiB.
 
 
-def part_rows(subfactor_sets, part, within=None):
-    """Per member, the union of one part (0: u, 1: q) of its subfactor pairs,
-    over the pairs whose u lies in ``within``."""
-    return tuple(
-        frozenset().union(
-            *[p[part] for p in pairs if within is None or p[0] <= within]
-        )
-        for pairs in subfactor_sets
-    )
+def part_rows(subfactor_sets, part):
+    """Per member, the union of one part (0: u, 1: q) of its subfactor pairs."""
+    return tuple(frozenset().union(*[p[part] for p in pairs]) for pairs in subfactor_sets)
 
 
-def _rows(cat, side, within):
-    part = 1 if side == "fac" else 0
-    if within is None:
-        return cat.quotient_rows if part else cat.sub_rows
-    return _cached(
-        cat, ("rows", side, within), lambda: part_rows(cat.subfactor_sets, part, within)
-    )
+def _union_rows(rows, members, within):
+    out = frozenset(members).union(*[rows[i] for i in members])
+    return out if within is None else out & within
 
 
 def fac(cat, members, within=None):
-    """Closure under quotients (within: quotients by subobjects of ``within``)."""
-    rows = _rows(cat, "fac", within)
-    return frozenset(members).union(*[rows[i] for i in members])
+    """Closure under quotients, cut down to ``within``."""
+    return _union_rows(cat.quotient_rows, members, within)
 
 
 def sub_cl(cat, members, within=None):
-    """Closure under subobjects (within: subobjects lying in ``within``)."""
-    rows = _rows(cat, "sub", within)
-    return frozenset(members).union(*[rows[i] for i in members])
+    """Closure under subobjects, cut down to ``within``."""
+    return _union_rows(cat.sub_rows, members, within)
 
 
 def bits(mask):
@@ -127,19 +136,15 @@ def extension_closure(cur, rows):
     return cur
 
 
-def filt(cat, members, within=None):
+def filt(cat, members):
     """Least summand-closed extension-closed mask containing the input."""
 
     def run():
         # j without a nontrivial pair is no extension of anything smaller
-        rows = [
-            (1 << j, [bits(uq) for uq in cat.extension_rows[j]])
-            for j in _ambient(cat, within) - members
-            if cat.extension_rows[j]
-        ]
+        rows = [(1 << j, uqs) for j, uqs in enumerate(cat.extension_rows) if uqs]
         return frozenset(indices(extension_closure(bits(members), rows)))
 
-    return _cached(cat, ("filt", members, within), run)
+    return _cached(cat, ("filt", members), run)
 
 
 def perp_right(cat, members, within=None):
@@ -154,30 +159,12 @@ def perp_left(cat, members, within=None):
 
 def tors_gen(cat, members, within=None):
     """Smallest torsion class containing the mask: filt after fac."""
-    return filt(cat, fac(cat, members, within), within)
+    return filt(cat, fac(cat, members, within))
 
 
 def torf_gen(cat, members, within=None):
     """Smallest torsion-free class containing the mask: filt after sub_cl."""
-    return filt(cat, sub_cl(cat, members, within), within)
-
-
-def star(cat, left, right):
-    """Members that are an extension of a ``right`` part by a ``left`` part.
-
-    Exact as a class comparison whenever the true extension class is
-    summand-closed, which holds at every call site in this package (both
-    sides are then torsion classes or wide subcategories).
-    """
-
-    def run():
-        return frozenset(
-            j
-            for j, pairs in enumerate(cat.subfactor_sets)
-            if any(u <= left and q <= right for u, q in pairs)
-        )
-
-    return _cached(cat, ("star", left, right), run)
+    return filt(cat, sub_cl(cat, members, within))
 
 
 def is_semibrick(cat, members):
@@ -230,7 +217,7 @@ def serre_list(cat, members):
     def run():
         simples = sorted(simples_of_wide(cat, members))
         return tuple(
-            filt(cat, frozenset(c), within=members)
+            filt(cat, frozenset(c))
             for r in range(len(simples) + 1)
             for c in itertools.combinations(simples, r)
         )

@@ -168,7 +168,13 @@ def _check_endpoint_arrows(ctx):
             (a.src, a.label) for a in lat.into[lat.bottom_index]
         }
         want = {
-            (lat.node_index[subcat.filt(cat, frozenset((s,)))], s)
+            (
+                lat._node_of(
+                    subcat.filt(cat, frozenset((s,))),
+                    lambda: f"filt of {cat.names[s]}",
+                ),
+                s,
+            )
             for s in cat.simple_indices
         }
         _require(got == want, f"arrows into the zero class: {sorted(got)}")
@@ -351,7 +357,9 @@ def _check_wide_serre(ctx):
             # the table keeps no gap U^perp & T for a non-wide interval
             w = perp & lat.nodes[iv.top] if gap is None else gap
             via_serre = w in subcat.serre_list(cat, widelab.left_wide(lat, iv.top))
-            fnode = flat.node_index[perp]
+            fnode = flat._node_of(
+                perp, lambda: f"perp_right of {lat.name(iv.bottom)}"
+            )
             via_sides = w == (
                 widelab.right_wide(flat, fnode) & widelab.left_wide(lat, iv.top)
             )

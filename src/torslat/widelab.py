@@ -179,7 +179,7 @@ def _one_sided_wide(lat, node, left):
     ambient = lat.nodes[node]
 
     def run():
-        mask = subcat.filt(cat, lat.out_labels(node), lat.within)
+        mask = subcat.filt(cat, lat.out_labels(node))
         for x in sorted(mask):
             for y in sorted(ambient):
                 pair = (y, x) if left else (x, y)
@@ -300,7 +300,10 @@ def is_widely_generated(lat, t_node):
     canonical = None
     if via_wide:
         part_ids = [
-            lat.node_index[subcat.tors_gen(cat, frozenset((s,)), lat.within)]
+            lat._node_of(
+                subcat.tors_gen(cat, frozenset((s,)), lat.within),
+                lambda: f"tors_gen of {cat.names[s]}",
+            )
             for s in sorted(lat.out_labels(t_node))
         ]
         canonical = lat.join(part_ids) == t_node

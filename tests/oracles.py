@@ -392,7 +392,7 @@ def _label(cat, within, top_mask, bottom_mask, bottom_perp):
             f" and {cat.mask_name(top_mask)}"
         )
     s = bricks[0]
-    if subcat.filt(cat, frozenset((s,)), within) != gap:
+    if subcat.filt(cat, frozenset((s,))) != gap:
         raise LabelNotBrick(
             f"brick {cat.names[s]} does not generate the gap over"
             f" {cat.mask_name(bottom_mask)}"
@@ -518,7 +518,7 @@ def is_torsion_free_class(cat, members, within=None):
     filt rather than standing in for them."""
     return (
         subcat.sub_cl(cat, members, within) == members
-        and subcat.filt(cat, members, within) == members
+        and subcat.filt(cat, members) == members
     )
 
 
@@ -526,7 +526,7 @@ def is_torsion_class(cat, members, within=None):
     """Closed under quotients and extensions, by the library's fac and filt."""
     return (
         subcat.fac(cat, members, within) == members
-        and subcat.filt(cat, members, within) == members
+        and subcat.filt(cat, members) == members
     )
 
 

@@ -145,8 +145,9 @@ def test_json_round_trip_keeps_rows(name, cat_of):
     for j, pairs in enumerate(cat.subfactors):
         assert cat.quotient_rows[j] == {k for _, q in pairs for k in q}
         assert cat.sub_rows[j] == {k for u, _ in pairs for k in u}
+        # one int bitset per distinct u | q, bit k for catalog index k
         assert set(cat.extension_rows[j]) == {
-            frozenset(u) | frozenset(q) for u, q in pairs if u and q
+            sum(1 << k for k in set(u) | set(q)) for u, q in pairs if u and q
         }
         assert len(set(cat.extension_rows[j])) == len(cat.extension_rows[j])
 

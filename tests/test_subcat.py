@@ -42,12 +42,12 @@ def test_perp_right_on_a2(a2cat):
 
 def test_star_endpoint_cases(a2cat):
     p1 = names_to_mask(a2cat, "11a")
-    assert subcat.star(a2cat, frozenset(), p1) == p1
-    assert subcat.star(a2cat, p1, frozenset()) == p1
+    assert oracles.star(a2cat, frozenset(), p1) == p1
+    assert oracles.star(a2cat, p1, frozenset()) == p1
     # S2 under P1 assembles the whole category
     s2 = names_to_mask(a2cat, "01a")
     s1 = names_to_mask(a2cat, "10a")
-    assert subcat.star(a2cat, s2, s1) == a2cat.full_mask
+    assert oracles.star(a2cat, s2, s1) == a2cat.full_mask
 
 
 def test_torsion_classes_of_a2_by_hand(a2cat):
@@ -143,7 +143,7 @@ def test_perp_antitone_and_closed(mask):
 @given(masks_a3, masks_a3)
 def test_star_contains_both_sides(left, right):
     cat = _a3()
-    got = subcat.star(cat, left, right)
+    got = oracles.star(cat, left, right)
     assert left <= got and right <= got
 
 
@@ -231,18 +231,18 @@ def test_set_algebra_operators_match_oracles(name, cat_of, lat_of):
         set(lat_of(name, "tors").nodes) | set(lat_of(name, "torf").nodes),
         key=lambda m: (len(m), sorted(m)),
     )
-    wides = widelab.enumerate_wide_subcats(cat)
-    withins = [None] + (wides if name in ("a3", "a4") else [])
+    # inside every wide subcategory W: fac and sub_cl are the closures cut
+    # down to W, and filt, which takes no W, is the closure inside W
+    withins = [None] + widelab.enumerate_wide_subcats(cat)
     for m in nodes:
         for within in withins:
             x = m if within is None else m & within
-            for op in ("perp_right", "perp_left", "fac", "sub_cl", "filt"):
+            for op in ("perp_right", "perp_left", "fac", "sub_cl"):
                 got = getattr(subcat, op)(cat, x, within)
                 assert got == getattr(oracles, op)(cat, x, within), (op, x, within)
+            got = subcat.filt(cat, x)
+            assert got == oracles.filt(cat, x, within), ("filt", x, within)
         assert subcat.candidate_simples(cat, m) == oracles.candidate_simples(cat, m)
-        for w in wides:
-            assert subcat.star(cat, m, w) == oracles.star(cat, m, w)
-            assert subcat.star(cat, w, m) == oracles.star(cat, w, m)
 
 
 def test_serre_list_is_computed_once(cat_of):
@@ -276,3 +276,25 @@ def test_verify_keeps_one_serre_entry_per_left_wide_mask(monkeypatch):
     assert {k[1] for k in serre_keys} == left_wide
     assert set(calls) == left_wide
     assert len(calls) > len(serre_keys)
+
+
+def test_verify_keeps_one_filt_entry_per_mask(monkeypatch):
+    # relative and absolute closures of one mask share an entry, and no
+    # per-ambient rows are cached
+    built = []
+    build_catalog = verify_mod.build_catalog
+
+    def capturing_build(*args, **kwargs):
+        built.append(build_catalog(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify_mod, "build_catalog", capturing_build)
+    results = verify_mod.run_verify([("a4", verify_mod.load_corpus_algebra("a4"))])
+    assert all(r.ok for r in results)
+    (cat,) = built
+    assert not [k for k in cat.op_cache if k[0] == "rows"]
+    filts = [k for k in cat.op_cache if k[0] == "filt"]
+    assert filts
+    for key in filts:
+        assert len(key) == 2 and isinstance(key[1], frozenset)
+        assert cat.op_cache[key] == oracles.filt(cat, key[1])

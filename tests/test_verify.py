@@ -291,18 +291,18 @@ def test_verify_releases_the_catalog(monkeypatch):
         gc.enable()
 
 
-def _verify_tampered_a2(monkeypatch, tamper):
+def _verify_tampered_a2(monkeypatch, tamper, prop="wide-detect", side="tors"):
     build_lattice = verify.build_lattice
 
-    def tampered(cat, side="tors", **kwargs):
+    def tampered(cat, side="tors", _tampered=side, **kwargs):
         lat = build_lattice(cat, side=side, **kwargs)
-        if side == "tors":
+        if side == _tampered:
             tamper(cat, lat)
         return lat
 
     monkeypatch.setattr(verify, "build_lattice", tampered)
     results = verify.run_verify(
-        [("a2", verify.load_corpus_algebra("a2"))], props=["wide-detect"]
+        [("a2", verify.load_corpus_algebra("a2"))], props=[prop]
     )
     return verify.format_report(results)
 
@@ -340,3 +340,49 @@ def test_a_join_outside_the_lattice_is_a_failed_check(monkeypatch):
         "FAIL a2 wide-detect [{10a,11a},{10a,11a}] :: join of {10a,11a} is"
         " {10a,11a}, not a node"
     ) in text
+
+
+@pytest.mark.parametrize(
+    "prop, side, name, lines",
+    [
+        # the arrow into zero labelled by the simple 10a starts at no node
+        (
+            "endpoint-arrows",
+            "tors",
+            "10a",
+            ["into-bottom :: filt of 10a is {10a}, not a node"],
+        ),
+        # {01a} is the right perpendicular of the bottom of two intervals
+        (
+            "wide-serre",
+            "torf",
+            "01a",
+            [
+                f"[{{10a,11a}},{top}] :: perp_right of {{10a,11a}} is {{01a}},"
+                " not a node"
+                for top in ("{10a,11a}", "{01a,10a,11a}")
+            ],
+        ),
+        # the canonical join at each node with the outgoing label 01a
+        (
+            "widely-generated",
+            "tors",
+            "01a",
+            [
+                f"{node} :: tors_gen of 01a is {{01a}}, not a node"
+                for node in ("{01a}", "{01a,10a,11a}")
+            ],
+        ),
+    ],
+)
+def test_a_class_outside_the_lattice_is_a_failed_check(
+    monkeypatch, prop, side, name, lines
+):
+    # a2's class {name} dropped from the index of one side after construction
+    def forget(cat, lat):
+        del lat.node_index[names_to_mask(cat, name)]
+
+    text, failures = _verify_tampered_a2(monkeypatch, forget, prop, side)
+    assert failures == len(lines)
+    for line in lines:
+        assert f"FAIL a2 {prop} {line}" in text
