@@ -11,8 +11,11 @@ on which those operators are set algebra, and three per-member unions over
 the subfactor pairs: ``quotient_rows`` (the quotient parts), ``sub_rows``
 (the subobject parts) and ``extension_rows`` (u | q of each nontrivial
 pair, as an int bitset with bit i for catalog index i, the form in which
-``subcat.filt`` and ``lattice.build_lattice`` test it).  ``op_cache`` holds
-every memo of the library under tagged keys: the summand indices of
+``subcat.filt`` and ``lattice.build_lattice`` test it).  Next to the
+frozenset rows it keeps their int bitset copies (``out_bits``,
+``in_bits``, ``quotient_bits``, ``sub_bits``, and ``pair_bits`` for the
+subfactor pairs), which the cover walk and the interval verdicts read.
+``op_cache`` holds every memo of the library under tagged keys: the summand indices of
 ``decompose_indices`` under ``("decompose", module key)``, seeded with
 every module the closure decomposed, the ray profiles of ``hom_profile``
 (kernel, image and cokernel summands of each ray) under ``("profile", i,
@@ -68,6 +71,11 @@ class Catalog:
         self.quotient_rows = ()
         self.sub_rows = ()
         self.extension_rows = ()
+        self.out_bits = ()
+        self.in_bits = ()
+        self.quotient_bits = ()
+        self.sub_bits = ()
+        self.pair_bits = ()
         self.full_mask = frozenset()
         self._key_index = {}
         self.op_cache = {}
@@ -88,6 +96,11 @@ class Catalog:
         parts and sub_rows[i] of their u parts; extension_rows[i] holds u | q
         for each nontrivial pair (u and q nonempty) as an int bitset (bit k
         for index k), once per distinct set; full_mask holds every index.
+        out_bits, in_bits, quotient_bits and sub_bits are maps_out, maps_in,
+        quotient_rows and sub_rows as bitsets, and pair_bits[i] holds the
+        pairs of subfactor_sets[i] as (u bitset, q bitset).  The frozenset
+        rows stay: the set-algebra operators take and return frozensets, and
+        running them on the bitset rows measured slower.
         """
         n = len(self.ind)
         if not (len(hom_dim) == len(bricks) == len(subfactors) == n) or any(
@@ -110,6 +123,14 @@ class Catalog:
         self.sub_rows = subcat.part_rows(self.subfactor_sets, 0)
         self.extension_rows = tuple(
             tuple(dict.fromkeys(subcat.bits(u | q) for u, q in pairs if u and q))
+            for pairs in self.subfactor_sets
+        )
+        self.out_bits = tuple(map(subcat.bits, self.maps_out))
+        self.in_bits = tuple(map(subcat.bits, self.maps_in))
+        self.quotient_bits = tuple(map(subcat.bits, self.quotient_rows))
+        self.sub_bits = tuple(map(subcat.bits, self.sub_rows))
+        self.pair_bits = tuple(
+            tuple((subcat.bits(u), subcat.bits(q)) for u, q in pairs)
             for pairs in self.subfactor_sets
         )
         self.full_mask = frozenset(range(n))

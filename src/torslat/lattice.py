@@ -11,13 +11,18 @@ ambient throughout.
 i), over rows it derives from the catalog once per call, with a memo of
 extension closures local to the call; it leaves ``op_cache`` untouched and
 turns its nodes into masks once, at the end.  ``TorsLattice`` keeps masks,
-and its order bitsets (``up_sets``, ``down_sets``) run over node indices.
+and next to them, derived from ``nodes`` and ``node_index`` on first use,
+each node as a catalog bitset (``node_bits``, ``bits_index``) and the
+members each node reaches by a map (``reach``); joins, meets, gaps and the
+interval enumeration run on these.  Its order bitsets (``up_sets``,
+``down_sets``) run over node indices.
 """
 
 import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import subcat
 from .errors import (
@@ -36,7 +41,8 @@ class HasseArrow:
     label: int
 
 
-@dataclass(frozen=True)
+# slots: a lattice keeps every interval in one tuple
+@dataclass(frozen=True, slots=True)
 class Interval:
     bottom: int
     top: int
@@ -50,6 +56,7 @@ class TorsLattice:
         self.nodes = nodes
         self.arrows = arrows
         self.node_index = {m: i for i, m in enumerate(nodes)}
+        self._closures = {}
         out = {i: [] for i in range(len(nodes))}
         into = {i: [] for i in range(len(nodes))}
         for a in arrows:
@@ -72,10 +79,6 @@ class TorsLattice:
     @property
     def top_index(self):
         return self.node_index[self.ambient]
-
-    def _gen(self, mask):
-        gen = subcat.tors_gen if self.side == "tors" else subcat.torf_gen
-        return gen(self.cat, mask, self.within)
 
     @cached_property
     def names(self):
@@ -100,17 +103,42 @@ class TorsLattice:
     def _describe(self, op, node_ids):
         return f"{op} of {' & '.join(self.name(i) for i in sorted(node_ids))}"
 
+    def _node_at(self, b, what):
+        """The node of a bitset; one that is no node goes to ``_node_of``."""
+        hit = self.bits_index.get(b)
+        if hit is None:
+            hit = self._node_of(frozenset(subcat.indices(b)), what)
+        return hit
+
     def join(self, node_ids):
-        mask = frozenset().union(*(self.nodes[i] for i in node_ids)) if node_ids else frozenset()
-        return self._node_of(
-            self._gen(mask), lambda: self._describe("join", node_ids)
-        )
+        """The smallest class of the side containing the nodes.
+
+        That is gen of their union, gen = filt after fac (sub_cl on the
+        torsion-free side) cut down to the ambient, and fac of a union is
+        the union of the members' fac rows.  On a lattice of torsion
+        classes each node's fac row is the node itself, so the join is the
+        extension closure of the union, which is already quotient-closed
+        (Ingalls-Thomas, arXiv:math/0612219: a join of torsion classes is
+        the extension closure of their union); dually on the torsion-free
+        side.  The rows are read anyway, from ``_closed_bits``, so the join
+        is gen of the union for whatever masks ``nodes`` holds.  Closures
+        are kept per lattice, keyed by the bitset closed: the intervals of
+        one bottom share a few lower sets.
+        """
+        start = 0
+        for i in node_ids:
+            start |= self._closed_bits[i]
+        closed = self._closures.get(start)
+        if closed is None:
+            closed = subcat.extension_closure(start, self._rows.ext)
+            self._closures[start] = closed
+        return self._node_at(closed, lambda: self._describe("join", node_ids))
 
     def meet(self, node_ids):
-        mask = self.ambient
+        b = self._rows.amb
         for i in node_ids:
-            mask = mask & self.nodes[i]
-        return self._node_of(mask, lambda: self._describe("meet", node_ids))
+            b &= self.node_bits[i]
+        return self._node_at(b, lambda: self._describe("meet", node_ids))
 
     def interval(self, bottom, top):
         if not self.leq(bottom, top):
@@ -119,10 +147,56 @@ class TorsLattice:
             )
         return Interval(bottom, top)
 
+    # Catalog bitsets of the nodes, derived on first use from nodes and
+    # node_index as they are then, so that a lattice whose nodes were
+    # altered after construction is read as altered.
+
+    @cached_property
+    def _rows(self):
+        return _side_rows(self.cat, self.side, self.within)
+
+    @cached_property
+    def node_bits(self):
+        """node_bits[i]: the mask of node i as an int bitset."""
+        return tuple(map(subcat.bits, self.nodes))
+
+    @cached_property
+    def bits_index(self):
+        """node_index keyed by bitsets."""
+        return {subcat.bits(m): i for m, i in self.node_index.items()}
+
+    def _node_unions(self, rows):
+        out = []
+        for b in self.node_bits:
+            acc = 0
+            for x in subcat.indices(b):
+                acc |= rows[x]
+            out.append(acc)
+        return tuple(out)
+
+    @cached_property
+    def reach(self):
+        """reach[i]: the members of the ambient that some member of node i
+        maps to (maps from, on the torsion-free side), as a bitset."""
+        return self._node_unions(self._rows.hits)
+
+    @cached_property
+    def _closed_bits(self):
+        """_closed_bits[i]: fac of node i (sub_cl on the torsion-free side)
+        cut down to the ambient, as a bitset; node i itself when it is a
+        class of the side."""
+        return self._node_unions(self._rows.close)
+
+    def gap(self, iv):
+        """The gap of [U, T] as a bitset: the members of T that U maps
+        nothing to (that map nothing to U, on the torsion-free side), that
+        is U^perp & T (perp-U & T) in the ambient."""
+        return self.node_bits[iv.top] & ~self.reach[iv.bottom]
+
     # Order from the covering arrows.  Nodes are sorted by size, so every
     # arrow runs from a higher index to a lower one, and one pass in index
     # order fills each set from sets already filled.  upper_set, lower_set,
-    # join and meet read the masks, not these sets.
+    # join, meet and the intervals read the node bitsets, not these sets.
 
     @cached_property
     def down_sets(self):
@@ -156,24 +230,36 @@ class TorsLattice:
         return subcat.indices(self.up_sets[iv.bottom] & self.down_sets[iv.top])
 
     def all_intervals(self):
-        for t in range(len(self.nodes)):
-            for b in range(len(self.nodes)):
-                if self.nodes[b] <= self.nodes[t]:
+        """Enumerate the pairs of nodes whose masks are nested: by top, then
+        by bottom, in index order.  ``intervals`` keeps them."""
+        nb = self.node_bits
+        for t, top in enumerate(nb):
+            for b, bottom in enumerate(nb):
+                if bottom & top == bottom:
                     yield Interval(b, t)
+
+    @cached_property
+    def intervals(self):
+        """Every interval, in ``all_intervals`` order, enumerated once."""
+        return tuple(self.all_intervals())
 
     def upper_set(self, iv):
         """The top of the interval plus the interval nodes it covers."""
+        nb = self.node_bits
+        bottom = nb[iv.bottom]
         members = {iv.top}
         for a in self.out_of[iv.top]:
-            if self.nodes[iv.bottom] <= self.nodes[a.dst]:
+            if bottom & nb[a.dst] == bottom:
                 members.add(a.dst)
         return frozenset(members)
 
     def lower_set(self, iv):
         """The bottom of the interval plus the interval nodes covering it."""
+        nb = self.node_bits
+        top = nb[iv.top]
         members = {iv.bottom}
         for a in self.into[iv.bottom]:
-            if self.nodes[a.src] <= self.nodes[iv.top]:
+            if nb[a.src] & top == nb[a.src]:
                 members.add(a.src)
         return frozenset(members)
 
@@ -212,6 +298,34 @@ class TorsLattice:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class SideRows(NamedTuple):
+    """The rows of one side and ambient: ``amb`` the ambient as a bitset
+    and, per member x of it, ``hits[x]`` the members x maps to (from, on the
+    torsion-free side) and ``close[x]`` x's ``quotient_bits`` (``sub_bits``)
+    row, both cut down to the ambient; ``ext`` the rows of
+    extension_closure for the members with an ``extension_rows`` entry
+    inside the ambient."""
+
+    amb: int
+    hits: dict
+    close: dict
+    ext: list
+
+
+def _side_rows(cat, side, within):
+    amb = subcat.bits(cat.full_mask if within is None else within)
+    maps = cat.out_bits if side == "tors" else cat.in_bits
+    rows = cat.quotient_bits if side == "tors" else cat.sub_bits
+    hits, close, ext = {}, {}, []
+    for x in subcat.indices(amb):
+        hits[x] = maps[x] & amb
+        close[x] = rows[x] & amb
+        uqs = [b for b in cat.extension_rows[x] if b & amb == b]
+        if uqs:
+            ext.append((1 << x, uqs))
+    return SideRows(amb, hits, close, ext)
+
+
 def _quotient_minimal(perp, close):
     """The x of the bitset perp whose close row meets perp in x alone."""
     return [x for x in subcat.indices(perp) if close[x] & perp == 1 << x]
@@ -238,31 +352,22 @@ def build_lattice(cat, side="tors", within=None, config=None):
     inclusion-minimal candidates are the same.
 
     The walk runs on int bitsets (bit i for catalog index i).  Once per
-    call it derives, for each member x of the ambient, the rows it reads:
-    the members x maps to (from, on the torsion-free side), x's
-    ``quotient_rows`` (``sub_rows``) row, both cut down to the ambient, and
-    the ``extension_rows`` of x that lie in the ambient.  ``within`` must be
-    a wide subcategory W: then fac and sub_cl cut down to W are the closures
-    under quotients and subobjects inside W, and the extension closure of a
-    mask inside W stays inside it (the argument is in ``subcat``).  Both the
+    call it derives, for each member x of the ambient, the rows it reads
+    (``_side_rows``): the members x maps to (from, on the torsion-free
+    side), x's ``quotient_bits`` (``sub_bits``) row, both cut down to the
+    ambient, and the ``extension_rows`` of x that lie in the ambient.
+    ``within`` must be a wide subcategory W: then fac and sub_cl cut down to
+    W are the closures under quotients and subobjects inside W, and the
+    extension closure of a mask inside W stays inside it (the argument is
+    in ``subcat``).  Both the
     candidates gen(T + x) = filt(fac(T) | fac(x)) and the label check
     filt(s) = gap call subcat.extension_closure through one memo local to
     the call, keyed by the bitset closed; nothing goes to ``op_cache``.
     The nodes become masks once, at the end.
     """
     cfg = config or cat.config
-    ambient = cat.full_mask if within is None else within
-    amb = subcat.bits(ambient)
-    maps = cat.maps_out if side == "tors" else cat.maps_in
-    rows = cat.quotient_rows if side == "tors" else cat.sub_rows
-    hits, close, ext = {}, {}, []
-    for x in ambient:
-        hits[x] = subcat.bits(maps[x]) & amb
-        close[x] = subcat.bits(rows[x]) & amb
-        uqs = [b for b in cat.extension_rows[x] if b & amb == b]
-        if uqs:
-            ext.append((1 << x, uqs))
-    bricks = subcat.bits(x for x in ambient if cat.bricks[x])
+    amb, hits, close, ext = _side_rows(cat, side, within)
+    bricks = subcat.bits(x for x in subcat.indices(amb) if cat.bricks[x])
     closed = {}
 
     def gen(start):
@@ -350,12 +455,14 @@ def dual_correspondence(tors_lat, torf_lat):
     node_checks.append(
         ("node bijection", bijective, "" if bijective else "map is not a bijection")
     )
+    # every ordered pair of mapped nodes, by subset tests on the masks
+    mapped = [i for i, hit in enumerate(mapping) if hit is not None]
+    tb = [tors_lat.node_bits[i] for i in mapped]
+    fb = [torf_lat.node_bits[mapping[i]] for i in mapped]
     order_ok = all(
-        (tors_lat.nodes[i] <= tors_lat.nodes[j])
-        == (torf_lat.nodes[mapping[j]] <= torf_lat.nodes[mapping[i]])
-        for i in range(len(tors_lat))
-        for j in range(len(tors_lat))
-        if mapping[i] is not None and mapping[j] is not None
+        (t & t2 == t) == (f2 & f == f2)
+        for t, f in zip(tb, fb)
+        for t2, f2 in zip(tb, fb)
     )
     node_checks.append(
         ("order reversal", order_ok, "" if order_ok else "inclusions not reversed")

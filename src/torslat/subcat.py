@@ -43,6 +43,15 @@ to its ambient.  Results that are reused are kept in the catalog's
 catalog's own decompose and Hom-profile memos and widelab's verdicts go
 through it too, each under a key tagged by its kind.
 
+Wideness has one test, ``is_wide_bits``, on an int bitset: the candidate
+simples come from the catalog's ``pair_bits``, the semibrick check reads the
+``out_bits`` rows, and ``extension_closure`` rebuilds the class from them;
+``is_wide`` converts a mask and calls it.  The lattice joins that the
+interval verdicts read are extension closures too: the join of torsion
+classes is the smallest torsion class containing their union, and that
+union is already closed under quotients, so the join is ``filt`` of the
+union (Ingalls-Thomas, arXiv:math/0612219); dually for torsion-free classes.
+
 The extension-closure operator ``filt`` works pairwise on the subfactor
 table.  That computes the smallest extension-closed summand-closed class
 containing the input, which agrees with iterated-extension closure on every
@@ -136,13 +145,18 @@ def extension_closure(cur, rows):
     return cur
 
 
+def _closure_rows(cat):
+    """The rows of extension_closure over the whole catalog."""
+    # j without a nontrivial pair is no extension of anything smaller
+    return [(1 << j, uqs) for j, uqs in enumerate(cat.extension_rows) if uqs]
+
+
 def filt(cat, members):
     """Least summand-closed extension-closed mask containing the input."""
 
     def run():
-        # j without a nontrivial pair is no extension of anything smaller
-        rows = [(1 << j, uqs) for j, uqs in enumerate(cat.extension_rows) if uqs]
-        return frozenset(indices(extension_closure(bits(members), rows)))
+        closed = extension_closure(bits(members), _closure_rows(cat))
+        return frozenset(indices(closed))
 
     return _cached(cat, ("filt", members), run)
 
@@ -178,28 +192,46 @@ def is_semibrick(cat, members):
     return True
 
 
+def candidate_bits(cat, w):
+    """The members of the bitset w with no nonzero proper subobject built
+    from w: no nontrivial subfactor pair whose subobject part lies in w."""
+    out = 0
+    for i in indices(w):
+        for u, q in cat.pair_bits[i]:
+            if u and q and u & w == u:
+                break
+        else:
+            out |= 1 << i
+    return out
+
+
 def candidate_simples(cat, members):
     """Members with no nonzero proper subobject built from the mask."""
-    return frozenset(
-        i
-        for i in members
-        if not any(u and q and u <= members for u, q in cat.subfactor_sets[i])
-    )
+    return frozenset(indices(candidate_bits(cat, bits(members))))
 
 
-def is_wide(cat, members):
+def is_wide_bits(cat, w):
     """Wide = abelian exact subcategory; tested via its simple objects.
 
-    The candidate simples must form a semibrick whose extension closure
-    recovers the mask; both directions of that bijection are what wideness
-    amounts to for summand-closed classes.
+    The candidate simples of the bitset w must form a semibrick (bricks
+    with no nonzero map between two of them, read off the ``out_bits``
+    rows) whose extension closure recovers w; both directions of that
+    bijection are what wideness amounts to for summand-closed classes.
     """
 
     def run():
-        s = candidate_simples(cat, members)
-        return is_semibrick(cat, s) and filt(cat, s) == members
+        s = candidate_bits(cat, w)
+        for i in indices(s):
+            if not cat.bricks[i] or cat.out_bits[i] & s & ~(1 << i):
+                return False
+        return extension_closure(s, _closure_rows(cat)) == w
 
-    return _cached(cat, ("wide", members), run)
+    return _cached(cat, ("wide", w), run)
+
+
+def is_wide(cat, members):
+    """is_wide_bits on a mask."""
+    return is_wide_bits(cat, bits(members))
 
 
 def simples_of_wide(cat, members):

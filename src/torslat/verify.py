@@ -6,9 +6,12 @@ line per checked object, PASS or FAIL with a witness, plus a two-line
 summary.  Algebras are verified one after another, so the report order is
 the input order.
 
-Work that several properties share is done once per algebra.  Each
-interval's wideness verdict is computed once (``AlgebraContext.wide_verdicts``)
-and read by wide-detect, lower-filt, reduction, wide-serre and serre-count;
+Work that several properties share is done once per algebra.  The
+torsion lattice enumerates its intervals once, as a tuple
+(``TorsLattice.intervals``), which ``AlgebraContext.wide_verdicts`` and every
+interval property read.  Each interval's wideness verdict is computed once
+(``AlgebraContext.wide_verdicts``), on the lattice's node bitsets, and read
+by wide-detect, lower-filt, reduction, wide-serre and serre-count;
 serre-count compares the Serre route under each top with the wide bottoms
 the verdicts give.  Reduction builds the torsion lattice of each gap
 category W once for all the wide intervals with that gap, drops it before
@@ -89,27 +92,31 @@ class AlgebraContext:
 
     @cached_property
     def wide_verdicts(self):
-        """One verdict per interval of ``lat``, in ``all_intervals`` order:
-        the gap if the interval is wide, None if it is not, or the
+        """One verdict per interval of ``lat``, in ``lat.intervals`` order:
+        the gap mask if the interval is wide, None if it is not, or the
         VerificationError ``is_wide_interval`` raised.  Equal gaps are one
         object."""
         lat = self.lat
         gaps = {}
         verdicts = []
-        for iv in lat.all_intervals():
+        for iv in lat.intervals:
             try:
                 report = widelab.is_wide_interval(lat, iv)
             except VerificationError as exc:
                 # without its traceback, whose frames would hold this list
                 verdicts.append(exc.with_traceback(None))
                 continue
-            w = report.wide_mask
-            verdicts.append(gaps.setdefault(w, w) if report.wide else None)
+            if not report.wide:
+                verdicts.append(None)
+                continue
+            if report.gap not in gaps:
+                gaps[report.gap] = report.wide_mask
+            verdicts.append(gaps[report.gap])
         return tuple(verdicts)
 
     def intervals(self):
-        """(interval, verdict) pairs of ``lat``, in ``all_intervals`` order."""
-        return zip(self.lat.all_intervals(), self.wide_verdicts)
+        """(interval, verdict) pairs of ``lat``, in ``lat.intervals`` order."""
+        return zip(self.lat.intervals, self.wide_verdicts)
 
 
 def _interval_name(lat, iv):

@@ -19,7 +19,7 @@ from .lattice import Interval, build_lattice
 @dataclass(frozen=True)
 class WideIntervalReport:
     interval: Interval
-    wide_mask: frozenset
+    gap: int
     direct: bool
     join: bool
     meet: bool
@@ -28,17 +28,24 @@ class WideIntervalReport:
     def wide(self):
         return self.direct
 
-
-def _gap_mask(lat, iv):
-    perp = subcat.perp_right if lat.side == "tors" else subcat.perp_left
-    return perp(lat.cat, lat.nodes[iv.bottom], lat.within) & lat.nodes[iv.top]
+    @property
+    def wide_mask(self):
+        """The gap as a mask."""
+        return frozenset(subcat.indices(self.gap))
 
 
 def is_wide_interval(lat, iv):
     """Test an interval three ways: gap wideness, join of lower elements,
-    meet of upper elements; raises TheoremViolation unless all three agree."""
-    w = _gap_mask(lat, iv)
-    direct = subcat.is_wide(lat.cat, w)
+    meet of upper elements; raises TheoremViolation unless all three agree.
+
+    All three run on the lattice's node bitsets: the gap W = U^perp & T is
+    ``lat.gap``, the join of U and its covers inside [U, T] is the
+    extension closure of their union (see ``TorsLattice.join``), and the
+    meet of T and the nodes it covers inside [U, T] is the AND of their
+    bitsets.  The same code serves both sides and relative lattices.
+    """
+    w = lat.gap(iv)
+    direct = subcat.is_wide_bits(lat.cat, w)
     join = lat.join(lat.lower_set(iv)) == iv.top
     meet = lat.meet(lat.upper_set(iv)) == iv.bottom
     if not (direct == join == meet):
@@ -73,6 +80,9 @@ def reduce_interval(lat, iv, config=None):
     extension product of the bottom U with X, and the gap's simples are both
     the upper and the lower labels of the interval.
 
+    The scans run on bitsets: phi(v) is looked up as the gap's bitset AND
+    v's, and the extension product is tested on the catalog's pair bits.
+
     A bijection that matches the covering arrows one to one is an order
     isomorphism, because each order is the transitive closure of its covers;
     so phi and psi = phi^-1 are inverse order isomorphisms.  The extension
@@ -98,17 +108,18 @@ def _reduce_onto(lat, iv, w, wlat):
     """The checks of reduce_interval for a wide interval of the torsion side
     with gap ``w``, against a prebuilt torsion lattice ``wlat`` of the gap."""
     cat = lat.cat
-    u_mask = lat.nodes[iv.bottom]
+    nb = lat.node_bits
+    w_bits, u_bits = subcat.bits(w), nb[iv.bottom]
     inside = lat.interval_nodes(iv)
 
     phi = {}
     for v in inside:
-        image = w & lat.nodes[v]
-        hit = wlat.node_index.get(image)
+        image = w_bits & nb[v]
+        hit = wlat.bits_index.get(image)
         if hit is None:
             raise TheoremViolation(
-                f"phi({lat.name(v)}) = {cat.mask_name(image)} is not a"
-                f" torsion class of the gap"
+                f"phi({lat.name(v)}) = {cat.mask_name(subcat.indices(image))}"
+                f" is not a torsion class of the gap"
             )
         phi[v] = hit
     psi = {x: v for v, x in phi.items()}
@@ -133,11 +144,11 @@ def _reduce_onto(lat, iv, w, wlat):
     # pairs over a subobject in U are kept once per interval.
     over_u = {}
     for x, v in psi.items():
-        x_mask = wlat.nodes[x]
-        for j in lat.nodes[v] - u_mask - x_mask:
+        x_bits = wlat.node_bits[x]
+        for j in subcat.indices(nb[v] & ~u_bits & ~x_bits):
             if j not in over_u:
-                over_u[j] = [q for u, q in cat.subfactor_sets[j] if u <= u_mask]
-            if not any(q <= x_mask for q in over_u[j]):
+                over_u[j] = [q for u, q in cat.pair_bits[j] if u & u_bits == u]
+            if not any(q & x_bits == q for q in over_u[j]):
                 raise TheoremViolation(
                     f"psi({wlat.name(x)}) differs from the extension product"
                 )

@@ -60,6 +60,15 @@ def a7lat():
     return torslat.build_lattice(torslat.from_json(A7_EXPORT.read_text()))
 
 
+# the self-injective Nakayama algebra N_5^5: the cyclic quiver 1 -> ... -> 5
+# -> 1 with every path of length 5 zero
+NAKAYAMA_5_5 = (
+    "vertices 5\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\narrow e 5 1\n"
+    "relation a b c d e\nrelation b c d e a\nrelation c d e a b\n"
+    "relation d e a b c\nrelation e a b c d\nprime 2\n"
+)
+
+
 def names_to_mask(cat, *names):
     index = {n: i for i, n in enumerate(cat.names)}
     return frozenset(index[n] for n in names)

@@ -563,3 +563,60 @@ def interval_nodes_by_subsets(lat, iv):
     """The nodes of an interval by a subset test against every node."""
     b, t = lat.nodes[iv.bottom], lat.nodes[iv.top]
     return [i for i, m in enumerate(lat.nodes) if b <= m <= t]
+
+
+# Wide intervals on masks: the interval verdicts and the reduction maps on
+# frozensets, the reference for the node-bitset versions in lattice and
+# widelab.
+
+
+def is_wide(cat, members):
+    """Candidate simples that form a semibrick and filter back to the mask."""
+    s = candidate_simples(cat, members)
+    semibrick = all(
+        cat.bricks[i] and all(i == j or cat.hom_dim[i][j] == 0 for j in s) for i in s
+    )
+    return semibrick and filt(cat, s) == members
+
+
+def intervals_by_subsets(lat):
+    """(bottom, top) of every pair of nested node masks, by top, then bottom."""
+    n = range(len(lat.nodes))
+    return [(b, t) for t in n for b in n if lat.nodes[b] <= lat.nodes[t]]
+
+
+def is_wide_interval(lat, iv):
+    """(gap, direct, join, meet) of an interval, read off the masks.
+
+    The gap is perp_right(U) & T (perp_left(U) & T on the torsion-free
+    side) inside the lattice's ambient; direct is is_wide of the gap; join
+    says gen of U and its covers inside [U, T] is T, and meet that the
+    intersection of T and the nodes it covers inside [U, T] is U.
+    """
+    cat, nodes, within = lat.cat, lat.nodes, lat.within
+    u, t = nodes[iv.bottom], nodes[iv.top]
+    tors = lat.side == "tors"
+    gap = (perp_right if tors else perp_left)(cat, u, within) & t
+    lower = [u] + [nodes[a.src] for a in lat.into[iv.bottom] if nodes[a.src] <= t]
+    upper = [t] + [nodes[a.dst] for a in lat.out_of[iv.top] if u <= nodes[a.dst]]
+    close = fac if tors else sub_cl
+    joined = filt(cat, close(cat, frozenset().union(*lower), within), within)
+    met = lat.ambient.intersection(*upper)
+    return (
+        gap,
+        is_wide(cat, gap),
+        lat.node_index.get(joined) == iv.top,
+        lat.node_index.get(met) == iv.bottom,
+    )
+
+
+def reduction_maps(lat, iv, wlat):
+    """(phi, psi) of a wide interval of the torsion side onto the gap
+    lattice wlat: phi sends each node v of the interval to the node of
+    wlat whose mask is gap & v, and psi inverts it."""
+    gap = is_wide_interval(lat, iv)[0]
+    u, t = lat.nodes[iv.bottom], lat.nodes[iv.top]
+    phi = {
+        v: wlat.node_index[gap & m] for v, m in enumerate(lat.nodes) if u <= m <= t
+    }
+    return phi, {x: v for v, x in phi.items()}

@@ -132,7 +132,16 @@ def _rows(cat):
         cat.quotient_rows,
         cat.sub_rows,
         cat.extension_rows,
+        cat.out_bits,
+        cat.in_bits,
+        cat.quotient_bits,
+        cat.sub_bits,
+        cat.pair_bits,
     )
+
+
+def _bits(mask):
+    return sum(1 << k for k in mask)
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS + ("d4p3",))
@@ -150,6 +159,12 @@ def test_json_round_trip_keeps_rows(name, cat_of):
             sum(1 << k for k in set(u) | set(q)) for u, q in pairs if u and q
         }
         assert len(set(cat.extension_rows[j])) == len(cat.extension_rows[j])
+        # the bitset copies of the frozenset rows
+        assert cat.out_bits[j] == _bits(cat.maps_out[j])
+        assert cat.in_bits[j] == _bits(cat.maps_in[j])
+        assert cat.quotient_bits[j] == _bits(cat.quotient_rows[j])
+        assert cat.sub_bits[j] == _bits(cat.sub_rows[j])
+        assert cat.pair_bits[j] == tuple((_bits(u), _bits(q)) for u, q in pairs)
 
 
 def test_tables_must_match_the_members(a2cat):

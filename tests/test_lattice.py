@@ -146,6 +146,20 @@ def test_duality_holds(name, cat_of, lat_of):
     assert sorted(mapping) == list(range(len(lat_of(name))))
 
 
+def test_duality_fails_on_a_torsion_free_node_shrunk_after_construction(a2cat):
+    # a2's torsion-free class {01a,11a}, the dual of {10a}, shrunk to {11a}
+    # in nodes but not in node_index: the node map still finds it, and the
+    # inclusion {10a} <= {10a,11a} is no longer reversed
+    lat, flat = build_lattice(a2cat), build_lattice(a2cat, side="torf")
+    k = flat.node_index[names_to_mask(a2cat, "01a", "11a")]
+    nodes = list(flat.nodes)
+    nodes[k] = names_to_mask(a2cat, "11a")
+    flat.nodes = tuple(nodes)
+    _, node_checks, _ = dual_correspondence(lat, flat)
+    failed = [(desc, witness) for desc, ok, witness in node_checks if not ok]
+    assert failed == [("order reversal", "inclusions not reversed")]
+
+
 def test_torf_side_counts(lat_of):
     for name in verify_mod.CORPUS:
         assert len(lat_of(name, "torf")) == oracles.TORS_COUNTS[name]

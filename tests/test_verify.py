@@ -7,7 +7,7 @@ import pytest
 import torslat
 from torslat import verify, widelab
 from torslat.errors import TheoremViolation, UnknownProperty
-from conftest import names_to_mask
+from conftest import NAKAYAMA_5_5, names_to_mask
 from test_widelab import merge_the_bottom_into_a_cover
 from torslat.lattice import HasseArrow, TorsLattice, build_lattice
 from torslat.quivalg import parse_algebra_text
@@ -84,6 +84,22 @@ def test_corpus_names_all_load():
     for name in verify.CORPUS:
         alg = verify.load_corpus_algebra(name)
         assert alg.quiver.vertex_count >= 1
+
+
+def test_verify_enumerates_the_intervals_once(monkeypatch):
+    # every interval property reads one tuple of the torsion lattice
+    calls = []
+    all_intervals = TorsLattice.all_intervals
+
+    def counting(lat):
+        calls.append((lat.side, lat.within))
+        return all_intervals(lat)
+
+    monkeypatch.setattr(TorsLattice, "all_intervals", counting)
+    results = verify.run_verify([("a3", verify.load_corpus_algebra("a3"))])
+    assert {r.prop for r in results} == set(verify.PROPERTIES)
+    assert all(r.ok for r in results)
+    assert calls == [("tors", None)]
 
 
 def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_of):
@@ -176,15 +192,6 @@ def test_a_phi_that_is_not_injective_fails_exactly_its_intervals(
         )
         for iv in by_gap[target]
     ]
-
-
-# the self-injective Nakayama algebra N_5^5: the cyclic quiver 1 -> ... -> 5
-# -> 1 with every path of length 5 zero
-NAKAYAMA_5_5 = (
-    "vertices 5\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\narrow e 5 1\n"
-    "relation a b c d e\nrelation b c d e a\nrelation c d e a b\n"
-    "relation d e a b c\nrelation e a b c d\nprime 2\n"
-)
 
 
 def test_reduction_on_the_self_injective_nakayama_algebra():

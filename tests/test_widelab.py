@@ -3,10 +3,13 @@ import random
 import pytest
 
 import oracles
-from conftest import names_to_mask
+import torslat
+from conftest import NAKAYAMA_5_5, names_to_mask
+from test_acceptance import SCALE_SPECS
 from torslat import subcat, widelab
 from torslat.errors import NotSerre, NotWide, NotWideInterval, TheoremViolation
-from torslat.lattice import HasseArrow, TorsLattice
+from torslat.lattice import HasseArrow, TorsLattice, build_lattice
+from torslat.quivalg import parse_algebra_text
 
 
 def _interval(lat, b, t):
@@ -107,6 +110,21 @@ def merge_the_bottom_into_a_cover(wlat):
     return merged
 
 
+def test_reduce_rejects_a_node_that_is_no_extension_product(a2cat):
+    # a2's class {10a,11a} grown to the full class after construction: on
+    # [{10a}, it] phi and the covering arrows still match the gap {11a},
+    # but 01a is no extension of a part of {11a} by a part of {10a}
+    lat = build_lattice(a2cat)
+    n = names_to_mask
+    u, t = lat.node_index[n(a2cat, "10a")], lat.node_index[n(a2cat, "10a", "11a")]
+    nodes = list(lat.nodes)
+    nodes[t] = a2cat.full_mask
+    lat.nodes = tuple(nodes)
+    w = n(a2cat, "11a")
+    with pytest.raises(TheoremViolation, match="differs from the extension product"):
+        widelab._reduce_onto(lat, lat.interval(u, t), w, widelab.tors_of_wide(a2cat, w))
+
+
 def test_reduce_rejects_a_phi_that_is_not_injective(a2lat, monkeypatch):
     tors_of_wide = widelab.tors_of_wide
 
@@ -137,7 +155,9 @@ def test_psi_is_the_extension_product_over_the_bottom(name, cat_of, lat_of):
 
 
 def test_reduce_makes_no_star_entry_and_no_tors_gen_call(monkeypatch, a7lat):
-    # the wide intervals under ten random tops of a7
+    # the wide intervals under ten random tops of a7: reduce_interval adds
+    # wideness verdicts to op_cache and nothing else (tors_gen would add a
+    # filt entry), and the checks after the verdict call no tors_gen
     lat, cat = a7lat, a7lat.cat
     tops = random.Random(0).sample(range(len(lat)), 10)
     wide = [
@@ -159,12 +179,12 @@ def test_reduce_makes_no_star_entry_and_no_tors_gen_call(monkeypatch, a7lat):
 
     monkeypatch.setattr(subcat, "tors_gen", counting_gen)
     monkeypatch.setattr(widelab, "_reduce_onto", flagged_reduce)
-    stars = sum(key[0] == "star" for key in cat.op_cache)
+    before = set(cat.op_cache)
     for iv in wide:
         widelab.reduce_interval(lat, iv)
-    assert len(wide) > 10 and state["outside"] > 0
+    assert len(wide) > 10
+    assert {key[0] for key in set(cat.op_cache) - before} == {"wide"}
     assert state["inside"] == 0
-    assert sum(key[0] == "star" for key in cat.op_cache) == stars
 
 
 def test_reduce_needs_the_torsion_side(lat_of):
@@ -174,13 +194,18 @@ def test_reduce_needs_the_torsion_side(lat_of):
 
 
 def test_reduce_scans_the_perpendicular_once(monkeypatch, lat_of):
-    # perp_right calls made by reduce_interval itself, not by the walk that
-    # builds the gap's own lattice
-    state = {"calls": 0, "in_walk": False}
-    perp_right, build_lattice = subcat.perp_right, widelab.build_lattice
+    # gap computations made by reduce_interval itself, not by the walk that
+    # builds the gap's own lattice; the frozenset perp_right is not called
+    state = {"calls": 0, "in_walk": False, "perp": 0}
+    gap, perp_right = TorsLattice.gap, subcat.perp_right
+    build_lattice = widelab.build_lattice
+
+    def counting_gap(*args, **kwargs):
+        state["calls"] += not state["in_walk"]
+        return gap(*args, **kwargs)
 
     def counting_perp(*args, **kwargs):
-        state["calls"] += not state["in_walk"]
+        state["perp"] += 1
         return perp_right(*args, **kwargs)
 
     def quiet_walk(*args, **kwargs):
@@ -194,6 +219,7 @@ def test_reduce_scans_the_perpendicular_once(monkeypatch, lat_of):
     wide = [
         iv for iv in lat.all_intervals() if widelab.is_wide_interval(lat, iv).wide
     ]
+    monkeypatch.setattr(TorsLattice, "gap", counting_gap)
     monkeypatch.setattr(subcat, "perp_right", counting_perp)
     monkeypatch.setattr(widelab, "build_lattice", quiet_walk)
     per_call = []
@@ -202,6 +228,63 @@ def test_reduce_scans_the_perpendicular_once(monkeypatch, lat_of):
         widelab.reduce_interval(lat, iv)
         per_call.append(state["calls"] - before)
     assert wide and per_call == [1] * len(wide)
+    assert state["perp"] == 0
+
+
+_SCALE = {"d4p3": SCALE_SPECS["d4p3"], "nak55": NAKAYAMA_5_5}
+_SCALE_CATS = {}
+
+
+def _oracle_lattice(name, side, lat_of):
+    if name not in _SCALE:
+        return lat_of(name, side)
+    if name not in _SCALE_CATS:
+        _SCALE_CATS[name] = torslat.build_catalog(parse_algebra_text(_SCALE[name]))
+    return build_lattice(_SCALE_CATS[name], side=side)
+
+
+def _wide_count_matching_the_oracle(lat):
+    """The number of wide intervals, once every verdict matches the oracle."""
+    assert [(iv.bottom, iv.top) for iv in lat.intervals] == (
+        oracles.intervals_by_subsets(lat)
+    )
+    wide = 0
+    for iv in lat.intervals:
+        r = widelab.is_wide_interval(lat, iv)
+        assert (r.wide_mask, r.direct, r.join, r.meet) == (
+            oracles.is_wide_interval(lat, iv)
+        )
+        wide += r.wide
+    return wide
+
+
+@pytest.mark.parametrize("side", ["tors", "torf"])
+@pytest.mark.parametrize("name", ["a2", "a4", "nak3", "d4p3", "nak55"])
+def test_verdicts_match_the_mask_oracle(name, side, lat_of):
+    lat = _oracle_lattice(name, side, lat_of)
+    assert 0 < _wide_count_matching_the_oracle(lat) < len(lat.intervals)
+
+
+@pytest.mark.parametrize("name", ["a4", "nak55"])
+def test_relative_verdicts_match_the_mask_oracle(name, lat_of):
+    # inside the largest proper wide subcategory
+    cat = _oracle_lattice(name, "tors", lat_of).cat
+    w = max(
+        (m for m in widelab.enumerate_wide_subcats(cat) if m != cat.full_mask),
+        key=lambda m: (len(m), sorted(m)),
+    )
+    wlat = widelab.tors_of_wide(cat, w)
+    assert len(wlat) > 5 and _wide_count_matching_the_oracle(wlat) > 0
+
+
+@pytest.mark.parametrize("name", ["a4", "nak3"])
+def test_reduction_maps_match_the_mask_oracle(name, lat_of):
+    lat = lat_of(name)
+    wide = [iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv).wide]
+    for iv in wide:
+        red = widelab.reduce_interval(lat, iv)
+        assert (red.phi, red.psi) == oracles.reduction_maps(lat, iv, red.wide_lattice)
+    assert len(wide) > len(lat)
 
 
 def test_left_wide_per_node(a2cat, a2lat):
@@ -251,16 +334,17 @@ def test_serre_mutation_rejects_non_serre(a2cat, a2lat):
 
 @pytest.mark.parametrize("name", ["a4", "nak3"])
 def test_serre_mutation_rebuilds_the_top_as_the_extension_product(name, cat_of, lat_of):
+    # the extension product is checked by a scan that leaves no op_cache entry
     cat, lat = cat_of(name), lat_of(name)
-    stars = sum(key[0] == "star" for key in cat.op_cache)
     pieces = 0
     for t in range(len(lat)):
         for w in subcat.serre_list(cat, widelab.left_wide(lat, t)):
+            before = len(cat.op_cache)
             u = widelab.serre_mutation(lat, t, w)
+            assert len(cat.op_cache) == before
             assert oracles.star(cat, lat.nodes[u], w) == lat.nodes[t]
             pieces += 1
     assert pieces > len(lat)
-    assert sum(key[0] == "star" for key in cat.op_cache) == stars
 
 
 def test_serre_mutation_rejects_a_piece_outside_the_top(a2cat, a2lat, monkeypatch):
