@@ -4,17 +4,13 @@ The catalog lists one representative per isomorphism class, certified closed
 under quotients and pair extensions at the configured dimension bound.  The
 tables (Hom dimensions, brick flags, subfactor pairs) turn every downstream
 subcategory operator into finite index combinatorics on masks, where a mask
-is a frozenset of catalog indices denoting the additive hull of its members.
-``Catalog.set_tables`` is the one place the tables are set; it derives the
-index rows (``maps_out``, ``maps_in``, ``subfactor_sets``, ``full_mask``)
-on which those operators are set algebra, and three per-member unions over
-the subfactor pairs: ``quotient_rows`` (the quotient parts), ``sub_rows``
-(the subobject parts) and ``extension_rows`` (u | q of each nontrivial
-pair, as an int bitset with bit i for catalog index i, the form in which
-``subcat.filt`` and ``lattice.build_lattice`` test it).  Next to the
-frozenset rows it keeps their int bitset copies (``out_bits``,
-``in_bits``, ``quotient_bits``, ``sub_bits``, and ``pair_bits`` for the
-subfactor pairs), which the cover walk and the interval verdicts read.
+is an int bitset (bit i for catalog index i) denoting the additive hull of
+its members.  ``Catalog.set_tables`` is the one place the tables are set; it
+derives from them the bitset rows those operators read: ``out_bits`` and
+``in_bits`` (the members a member maps to and from), ``pair_bits`` (the
+subfactor pairs as (u, q) bitsets), ``quotient_bits`` and ``sub_bits``
+(the union of their q and u parts), ``extension_rows`` (u | q of each
+nontrivial pair) and ``full_mask``.
 ``op_cache`` holds every memo of the library under tagged keys: the summand indices of
 ``decompose_indices`` under ``("decompose", module key)``, seeded with
 every module the closure decomposed, the ray profiles of ``hom_profile``
@@ -65,18 +61,13 @@ class Catalog:
         self.hom_dim = ()
         self.bricks = ()
         self.subfactors = ()
-        self.maps_out = ()
-        self.maps_in = ()
-        self.subfactor_sets = ()
-        self.quotient_rows = ()
-        self.sub_rows = ()
         self.extension_rows = ()
         self.out_bits = ()
         self.in_bits = ()
         self.quotient_bits = ()
         self.sub_bits = ()
         self.pair_bits = ()
-        self.full_mask = frozenset()
+        self.full_mask = 0
         self._key_index = {}
         self.op_cache = {}
 
@@ -88,19 +79,15 @@ class Catalog:
         return tuple(i for i, m in enumerate(self.ind) if m.total_dim == 1)
 
     def set_tables(self, hom_dim, bricks, subfactors):
-        """Set the structure tables of the members and derive their index rows.
+        """Set the structure tables of the members and derive their bitset rows.
 
-        maps_out[i] holds the j with Hom(ind[i], ind[j]) nonzero and maps_in[j]
-        the i; subfactor_sets[i] holds the pairs of subfactors[i] as
-        (frozenset(u), frozenset(q)); quotient_rows[i] is the union of their q
-        parts and sub_rows[i] of their u parts; extension_rows[i] holds u | q
-        for each nontrivial pair (u and q nonempty) as an int bitset (bit k
-        for index k), once per distinct set; full_mask holds every index.
-        out_bits, in_bits, quotient_bits and sub_bits are maps_out, maps_in,
-        quotient_rows and sub_rows as bitsets, and pair_bits[i] holds the
-        pairs of subfactor_sets[i] as (u bitset, q bitset).  The frozenset
-        rows stay: the set-algebra operators take and return frozensets, and
-        running them on the bitset rows measured slower.
+        Bit k of a row stands for catalog index k.  out_bits[i] holds the j
+        with Hom(ind[i], ind[j]) nonzero and in_bits[j] the i; pair_bits[i]
+        holds the pairs of subfactors[i] as (u bitset, q bitset);
+        quotient_bits[i] is the union of their q parts and sub_bits[i] of
+        their u parts; extension_rows[i] holds u | q for each nontrivial pair
+        (u and q nonempty), once per distinct bitset; full_mask holds every
+        index.
         """
         n = len(self.ind)
         if not (len(hom_dim) == len(bricks) == len(subfactors) == n) or any(
@@ -110,30 +97,27 @@ class Catalog:
         self.hom_dim = hom_dim
         self.bricks = bricks
         self.subfactors = subfactors
-        self.maps_out = tuple(
-            frozenset(j for j, d in enumerate(row) if d) for row in hom_dim
+        self.out_bits = tuple(
+            subcat.bits(j for j, d in enumerate(row) if d) for row in hom_dim
         )
-        self.maps_in = tuple(
-            frozenset(i for i in range(n) if hom_dim[i][j]) for j in range(n)
+        self.in_bits = tuple(
+            subcat.bits(i for i in range(n) if hom_dim[i][j]) for j in range(n)
         )
-        self.subfactor_sets = tuple(
-            tuple((frozenset(u), frozenset(q)) for u, q in row) for row in subfactors
-        )
-        self.quotient_rows = subcat.part_rows(self.subfactor_sets, 1)
-        self.sub_rows = subcat.part_rows(self.subfactor_sets, 0)
-        self.extension_rows = tuple(
-            tuple(dict.fromkeys(subcat.bits(u | q) for u, q in pairs if u and q))
-            for pairs in self.subfactor_sets
-        )
-        self.out_bits = tuple(map(subcat.bits, self.maps_out))
-        self.in_bits = tuple(map(subcat.bits, self.maps_in))
-        self.quotient_bits = tuple(map(subcat.bits, self.quotient_rows))
-        self.sub_bits = tuple(map(subcat.bits, self.sub_rows))
         self.pair_bits = tuple(
-            tuple((subcat.bits(u), subcat.bits(q)) for u, q in pairs)
-            for pairs in self.subfactor_sets
+            tuple((subcat.bits(u), subcat.bits(q)) for u, q in row)
+            for row in subfactors
         )
-        self.full_mask = frozenset(range(n))
+        self.quotient_bits = tuple(
+            subcat.bits(k for _, q in row for k in q) for row in subfactors
+        )
+        self.sub_bits = tuple(
+            subcat.bits(k for u, _ in row for k in u) for row in subfactors
+        )
+        self.extension_rows = tuple(
+            tuple(dict.fromkeys(u | q for u, q in row if u and q))
+            for row in self.pair_bits
+        )
+        self.full_mask = (1 << n) - 1
 
     def index_of(self, module):
         key = module.key()
@@ -181,8 +165,8 @@ class Catalog:
 
         return subcat._cached(self, ("profile", i, j), run)
 
-    def mask_name(self, mask):
-        return "{" + ",".join(self.names[i] for i in sorted(mask)) + "}"
+    def mask_name(self, b):
+        return "{" + ",".join(self.names[i] for i in subcat.indices(b)) + "}"
 
 
 def enumerate_indecomposables(algebra, config=None):

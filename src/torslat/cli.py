@@ -87,22 +87,19 @@ def _build_parser():
 
 def _parse_node(cat, lat, token):
     tok = token.strip()
-    if tok in ("0", "∅", "{}"):
-        members = frozenset()
-    else:
+    members = 0
+    if tok not in ("0", "∅", "{}"):
         if tok.startswith("{") and tok.endswith("}"):
             tok = tok[1:-1]
         index = {n: i for i, n in enumerate(cat.names)}
-        members = set()
         for part in tok.split(","):
             nm = part.strip()
             if not nm:
                 continue
             if nm not in index:
                 raise NotAnInterval(f"unknown indecomposable name {nm!r}")
-            members.add(index[nm])
-        members = frozenset(members)
-    node = lat.node_index.get(members)
+            members |= 1 << index[nm]
+    node = lat.bits_index.get(members)
     if node is None:
         raise NotAnInterval(f"{cat.mask_name(members)} is not a torsion class")
     return node
@@ -166,7 +163,7 @@ def _cmd_interval(args, cfg, out):
     if args.check_wide or args.reduce:
         report = widelab.is_wide_interval(lat, iv)
         print(f"wide: {_yesno(report.wide)}", file=out)
-        print(f"gap: {cat.mask_name(report.wide_mask)}", file=out)
+        print(f"gap: {cat.mask_name(report.gap)}", file=out)
         print(
             f"verdicts: direct={_yesno(report.direct)}"
             f" join={_yesno(report.join)} meet={_yesno(report.meet)}",

@@ -1,19 +1,23 @@
 """The complete lattice of torsion classes with its brick-labeled Hasse quiver.
 
-Nodes are masks; arrows point from the larger class of a covering pair to the
-smaller and carry the unique brick of the gap as label.  The same builder
-produces the dual lattice of torsion-free classes (``side="torf"``) and the
-relative lattice inside a wide subcategory (``within=``); joins, meets,
-perpendiculars and extension closures are taken on the chosen side and
-ambient throughout.
+Nodes are classes of catalog members; arrows point from the larger class of
+a covering pair to the smaller and carry the unique brick of the gap as
+label.  The same builder produces the dual lattice of torsion-free classes
+(``side="torf"``) and the relative lattice inside a wide subcategory
+(``within=``, a mask); joins, meets, perpendiculars and extension closures
+are taken on the chosen side and ambient throughout.
 
-``build_lattice`` walks the covers on int bitsets (bit i for catalog index
-i), over rows it derives from the catalog once per call, with a memo of
-extension closures local to the call; it leaves ``op_cache`` untouched and
-turns its nodes into masks once, at the end.  ``TorsLattice`` keeps masks,
-and next to them, derived from ``nodes`` and ``node_index`` on first use,
-each node as a catalog bitset (``node_bits``, ``bits_index``) and the
-members each node reaches by a map (``reach``); joins, meets, gaps and the
+Masks are int bitsets (bit i for catalog index i), as everywhere in the
+library; this module alone also keeps frozensets, as the lattice's public
+face.  ``build_lattice`` walks the covers on bitsets, over rows it derives
+from the catalog once per call, with a memo of extension closures local to
+the call; it leaves ``op_cache`` untouched and turns its nodes into
+frozensets once, at the end.  ``TorsLattice.nodes`` and ``node_index``
+hold those frozensets, which the exports and callers that look a class up
+by its members read.  Every other reader takes the internal view, derived
+from ``nodes`` and ``node_index`` on first use: each node's mask
+(``node_bits``, ``bits_index``) and the members each node reaches by a map
+(``reach``, and from it ``perp``); joins, meets, gaps, labels and the
 interval enumeration run on these.  Its order bitsets (``up_sets``,
 ``down_sets``) run over node indices.
 """
@@ -74,15 +78,15 @@ class TorsLattice:
 
     @property
     def bottom_index(self):
-        return self.node_index[frozenset()]
+        return self.bits_index[0]
 
     @property
     def top_index(self):
-        return self.node_index[self.ambient]
+        return self.bits_index[self.ambient]
 
     @cached_property
     def names(self):
-        return tuple(self.cat.mask_name(m) for m in self.nodes)
+        return tuple(map(self.cat.mask_name, self.node_bits))
 
     def name(self, i):
         return self.names[i]
@@ -90,25 +94,16 @@ class TorsLattice:
     def leq(self, i, j):
         return self.nodes[i] <= self.nodes[j]
 
-    def _node_of(self, mask, what):
+    def _node_of(self, b, what):
         """The node of a mask.  A mask that is no node raises a
         TheoremViolation naming ``what()``, the operation that gave it."""
-        hit = self.node_index.get(mask)
+        hit = self.bits_index.get(b)
         if hit is None:
-            raise TheoremViolation(
-                f"{what()} is {self.cat.mask_name(mask)}, not a node"
-            )
+            raise TheoremViolation(f"{what()} is {self.cat.mask_name(b)}, not a node")
         return hit
 
     def _describe(self, op, node_ids):
         return f"{op} of {' & '.join(self.name(i) for i in sorted(node_ids))}"
-
-    def _node_at(self, b, what):
-        """The node of a bitset; one that is no node goes to ``_node_of``."""
-        hit = self.bits_index.get(b)
-        if hit is None:
-            hit = self._node_of(frozenset(subcat.indices(b)), what)
-        return hit
 
     def join(self, node_ids):
         """The smallest class of the side containing the nodes.
@@ -132,13 +127,13 @@ class TorsLattice:
         if closed is None:
             closed = subcat.extension_closure(start, self._rows.ext)
             self._closures[start] = closed
-        return self._node_at(closed, lambda: self._describe("join", node_ids))
+        return self._node_of(closed, lambda: self._describe("join", node_ids))
 
     def meet(self, node_ids):
         b = self._rows.amb
         for i in node_ids:
             b &= self.node_bits[i]
-        return self._node_at(b, lambda: self._describe("meet", node_ids))
+        return self._node_of(b, lambda: self._describe("meet", node_ids))
 
     def interval(self, bottom, top):
         if not self.leq(bottom, top):
@@ -147,7 +142,7 @@ class TorsLattice:
             )
         return Interval(bottom, top)
 
-    # Catalog bitsets of the nodes, derived on first use from nodes and
+    # The masks of the nodes, derived on first use from nodes and
     # node_index as they are then, so that a lattice whose nodes were
     # altered after construction is read as altered.
 
@@ -157,12 +152,12 @@ class TorsLattice:
 
     @cached_property
     def node_bits(self):
-        """node_bits[i]: the mask of node i as an int bitset."""
+        """node_bits[i]: the mask of node i."""
         return tuple(map(subcat.bits, self.nodes))
 
     @cached_property
     def bits_index(self):
-        """node_index keyed by bitsets."""
+        """node_index keyed by masks."""
         return {subcat.bits(m): i for m, i in self.node_index.items()}
 
     def _node_unions(self, rows):
@@ -187,10 +182,16 @@ class TorsLattice:
         class of the side."""
         return self._node_unions(self._rows.close)
 
+    def perp(self, i):
+        """The members of the ambient that node i maps nothing to (that map
+        nothing to node i, on the torsion-free side): U^perp (perp-U) in the
+        ambient, for U node i."""
+        return self.ambient & ~self.reach[i]
+
     def gap(self, iv):
-        """The gap of [U, T] as a bitset: the members of T that U maps
-        nothing to (that map nothing to U, on the torsion-free side), that
-        is U^perp & T (perp-U & T) in the ambient."""
+        """The gap of [U, T]: the members of T that U maps nothing to (that
+        map nothing to U, on the torsion-free side), that is U^perp & T
+        (perp-U & T) in the ambient."""
         return self.node_bits[iv.top] & ~self.reach[iv.bottom]
 
     # Order from the covering arrows.  Nodes are sorted by size, so every
@@ -264,16 +265,17 @@ class TorsLattice:
         return frozenset(members)
 
     def labels_of(self, node_ids):
-        """Labels of arrows with both endpoints in the given node set."""
-        return frozenset(
+        """The mask of the labels of arrows with both endpoints in the given
+        node set."""
+        return subcat.bits(
             a.label for i in node_ids for a in self.out_of[i] if a.dst in node_ids
         )
 
     def out_labels(self, i):
-        return frozenset(a.label for a in self.out_of[i])
+        return subcat.bits(a.label for a in self.out_of[i])
 
     def in_labels(self, i):
-        return frozenset(a.label for a in self.into[i])
+        return subcat.bits(a.label for a in self.into[i])
 
     def to_dot(self):
         cat = self.cat
@@ -313,7 +315,7 @@ class SideRows(NamedTuple):
 
 
 def _side_rows(cat, side, within):
-    amb = subcat.bits(cat.full_mask if within is None else within)
+    amb = cat.full_mask if within is None else within
     maps = cat.out_bits if side == "tors" else cat.in_bits
     rows = cat.quotient_bits if side == "tors" else cat.sub_bits
     hits, close, ext = {}, {}, []
@@ -363,7 +365,7 @@ def build_lattice(cat, side="tors", within=None, config=None):
     candidates gen(T + x) = filt(fac(T) | fac(x)) and the label check
     filt(s) = gap call subcat.extension_closure through one memo local to
     the call, keyed by the bitset closed; nothing goes to ``op_cache``.
-    The nodes become masks once, at the end.
+    The nodes become frozensets once, at the end.
     """
     cfg = config or cat.config
     amb, hits, close, ext = _side_rows(cat, side, within)
@@ -376,8 +378,7 @@ def build_lattice(cat, side="tors", within=None, config=None):
             hit = closed[start] = subcat.extension_closure(start, ext)
         return hit
 
-    def name(b):
-        return cat.mask_name(frozenset(subcat.indices(b)))
+    name = cat.mask_name
 
     seen = {0}
     queue = deque([0])
@@ -431,14 +432,16 @@ def dual_correspondence(tors_lat, torf_lat):
 
     Returns (mapping, node_checks, arrow_checks): the node map as a list, and
     per-object (description, ok, witness) tuples for the bijection/order
-    conditions and for every arrow's dual arrow with equal label.
+    conditions and for every arrow's dual arrow with equal label.  The
+    torsion-free class of a torsion class T is ``tors_lat.perp`` of it,
+    T^perp in the ambient.
     """
     cat = tors_lat.cat
     mapping = []
     node_checks = []
-    for i, tmask in enumerate(tors_lat.nodes):
-        fmask = subcat.perp_right(cat, tmask)
-        hit = torf_lat.node_index.get(fmask)
+    for i in range(len(tors_lat)):
+        fmask = tors_lat.perp(i)
+        hit = torf_lat.bits_index.get(fmask)
         mapping.append(hit)
         ok = hit is not None
         node_checks.append(

@@ -1,11 +1,13 @@
 """Subcategory operators on catalog masks.
 
-A mask (frozenset of catalog indices) denotes the additive hull of its
-members.  Every operator takes the catalog first.  The perpendiculars,
-``fac``, ``sub_cl``, ``tors_gen`` and ``torf_gen`` admit an optional
-``within`` mask, a wide subcategory W, as the ambient: the perpendiculars
-are taken inside W, and the closures of a mask inside W are the closures
-in the whole module category cut down to W.  ``filt`` takes no ``within``,
+A mask is an int bitset, bit i set for catalog index i, and denotes the
+additive hull of its members.  Every operator takes the catalog first and
+masks in and out; an order that follows the members comes from ``indices``,
+ascending, never from the int value.  The perpendiculars, ``fac``,
+``sub_cl``, ``tors_gen`` and ``torf_gen`` admit an optional ``within``
+mask, a wide subcategory W, as the ambient: the perpendiculars are taken
+inside W, and the closures of a mask inside W are the closures in the
+whole module category cut down to W.  ``filt`` takes no ``within``,
 because from a mask inside W its closure never leaves W.  With
 ``within=None`` the ambient is the whole module category.
 
@@ -31,26 +33,26 @@ fixpoint from a mask inside W adds a member j with a pair inside the mask,
 so j lies in W; the fixpoint over the whole catalog is the fixpoint over W.
 ``tests/oracles.py`` keeps the literal relative operators as the reference.
 
-The operators are set algebra on the rows the catalog derives from its
-tables: a perpendicular is the ambient minus the ``maps_out`` (or
-``maps_in``) rows of the members.  ``fac`` and ``sub_cl`` are one union of
-the members with their ``quotient_rows`` (or ``sub_rows``), without a memo.
+The operators are bit algebra on the rows the catalog derives from its
+tables: a perpendicular is the ambient minus the ``out_bits`` (or
+``in_bits``) rows of the members.  ``fac`` and ``sub_cl`` are one union of
+the members with their ``quotient_bits`` (or ``sub_bits``), without a memo.
 ``filt`` runs ``extension_closure``, the one extension-closure fixpoint of
-the library, on the catalog's ``extension_rows`` (int bitsets, bit i for
-catalog index i); ``lattice.build_lattice`` calls it on rows it restricts
-to its ambient.  Results that are reused are kept in the catalog's
-``op_cache`` through ``_cached``, the one memo helper of the library: the
-catalog's own decompose and Hom-profile memos and widelab's verdicts go
-through it too, each under a key tagged by its kind.
+the library, on the catalog's ``extension_rows``; ``lattice.build_lattice``
+calls it on rows it restricts to its ambient.  Results that are reused are
+kept in the catalog's ``op_cache`` through ``_cached``, the one memo helper
+of the library: the catalog's own decompose and Hom-profile memos and
+widelab's verdicts go through it too, each under a key tagged by its kind.
 
-Wideness has one test, ``is_wide_bits``, on an int bitset: the candidate
-simples come from the catalog's ``pair_bits``, the semibrick check reads the
-``out_bits`` rows, and ``extension_closure`` rebuilds the class from them;
-``is_wide`` converts a mask and calls it.  The lattice joins that the
-interval verdicts read are extension closures too: the join of torsion
-classes is the smallest torsion class containing their union, and that
-union is already closed under quotients, so the join is ``filt`` of the
-union (Ingalls-Thomas, arXiv:math/0612219); dually for torsion-free classes.
+``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows
+miss the other members.  Wideness has one test, ``is_wide``: the candidate
+simples come from the catalog's ``pair_bits``, they must form a semibrick,
+and ``extension_closure`` rebuilds the class from them.  The lattice joins
+that the interval verdicts read are extension closures too: the join of
+torsion classes is the smallest torsion class containing their union, and
+that union is already closed under quotients, so the join is ``filt`` of
+the union (Ingalls-Thomas, arXiv:math/0612219); dually for torsion-free
+classes.
 
 The extension-closure operator ``filt`` works pairwise on the subfactor
 table.  That computes the smallest extension-closed summand-closed class
@@ -73,51 +75,44 @@ def _cached(cat, key, fn):
     return hit
 
 
-def _ambient(cat, within):
-    return cat.full_mask if within is None else within
-
-
-# Rows are passed to union and difference as a list: unpacking a generator
-# instead grows the argument tuple by reallocation, which raised the peak RSS
-# of an a6 verify by 1.4 MiB.
-
-
-def part_rows(subfactor_sets, part):
-    """Per member, the union of one part (0: u, 1: q) of its subfactor pairs."""
-    return tuple(frozenset().union(*[p[part] for p in pairs]) for pairs in subfactor_sets)
-
-
-def _union_rows(rows, members, within):
-    out = frozenset(members).union(*[rows[i] for i in members])
-    return out if within is None else out & within
-
-
-def fac(cat, members, within=None):
-    """Closure under quotients, cut down to ``within``."""
-    return _union_rows(cat.quotient_rows, members, within)
-
-
-def sub_cl(cat, members, within=None):
-    """Closure under subobjects, cut down to ``within``."""
-    return _union_rows(cat.sub_rows, members, within)
-
-
-def bits(mask):
-    """A mask as an int bitset: bit i set for catalog index i."""
+def bits(members):
+    """An iterable of catalog indices as an int bitset."""
     out = 0
-    for i in mask:
+    for i in members:
         out |= 1 << i
     return out
 
 
-def indices(bitset):
+def indices(b):
     """The set bits of an int bitset, in ascending order."""
     out = []
-    while bitset:
-        low = bitset & -bitset
+    while b:
+        low = b & -b
         out.append(low.bit_length() - 1)
-        bitset ^= low
+        b ^= low
     return out
+
+
+def _union_rows(rows, b):
+    """b together with the rows of its members."""
+    out = b
+    for i in indices(b):
+        out |= rows[i]
+    return out
+
+
+def _cut(b, within):
+    return b if within is None else b & within
+
+
+def fac(cat, b, within=None):
+    """Closure under quotients, cut down to ``within``."""
+    return _cut(_union_rows(cat.quotient_bits, b), within)
+
+
+def sub_cl(cat, b, within=None):
+    """Closure under subobjects, cut down to ``within``."""
+    return _cut(_union_rows(cat.sub_bits, b), within)
 
 
 def extension_closure(cur, rows):
@@ -151,107 +146,93 @@ def _closure_rows(cat):
     return [(1 << j, uqs) for j, uqs in enumerate(cat.extension_rows) if uqs]
 
 
-def filt(cat, members):
+def filt(cat, b):
     """Least summand-closed extension-closed mask containing the input."""
-
-    def run():
-        closed = extension_closure(bits(members), _closure_rows(cat))
-        return frozenset(indices(closed))
-
-    return _cached(cat, ("filt", members), run)
+    return _cached(cat, ("filt", b), lambda: extension_closure(b, _closure_rows(cat)))
 
 
-def perp_right(cat, members, within=None):
+def _perp(rows, b, ambient):
+    out = ambient
+    for i in indices(b):
+        out &= ~rows[i]
+    return out
+
+
+def perp_right(cat, b, within=None):
     """Objects receiving no nonzero map from any member."""
-    return _ambient(cat, within).difference(*[cat.maps_out[i] for i in members])
+    return _perp(cat.out_bits, b, _cut(cat.full_mask, within))
 
 
-def perp_left(cat, members, within=None):
+def perp_left(cat, b, within=None):
     """Objects sending no nonzero map to any member."""
-    return _ambient(cat, within).difference(*[cat.maps_in[i] for i in members])
+    return _perp(cat.in_bits, b, _cut(cat.full_mask, within))
 
 
-def tors_gen(cat, members, within=None):
+def tors_gen(cat, b, within=None):
     """Smallest torsion class containing the mask: filt after fac."""
-    return filt(cat, fac(cat, members, within))
+    return filt(cat, fac(cat, b, within))
 
 
-def torf_gen(cat, members, within=None):
+def torf_gen(cat, b, within=None):
     """Smallest torsion-free class containing the mask: filt after sub_cl."""
-    return filt(cat, sub_cl(cat, members, within))
+    return filt(cat, sub_cl(cat, b, within))
 
 
-def is_semibrick(cat, members):
-    """All members bricks, pairwise Hom-orthogonal in both directions."""
-    for i in members:
-        if not cat.bricks[i]:
+def is_semibrick(cat, b):
+    """All members bricks, with no nonzero map between two of them."""
+    for i in indices(b):
+        if not cat.bricks[i] or cat.out_bits[i] & b & ~(1 << i):
             return False
-        for j in members:
-            if i != j and cat.hom_dim[i][j] != 0:
-                return False
     return True
 
 
-def candidate_bits(cat, w):
-    """The members of the bitset w with no nonzero proper subobject built
-    from w: no nontrivial subfactor pair whose subobject part lies in w."""
+def candidate_simples(cat, b):
+    """The members with no nonzero proper subobject built from the mask: no
+    nontrivial subfactor pair whose subobject part lies in it."""
     out = 0
-    for i in indices(w):
+    for i in indices(b):
         for u, q in cat.pair_bits[i]:
-            if u and q and u & w == u:
+            if u and q and u & b == u:
                 break
         else:
             out |= 1 << i
     return out
 
 
-def candidate_simples(cat, members):
-    """Members with no nonzero proper subobject built from the mask."""
-    return frozenset(indices(candidate_bits(cat, bits(members))))
-
-
-def is_wide_bits(cat, w):
+def is_wide(cat, b):
     """Wide = abelian exact subcategory; tested via its simple objects.
 
-    The candidate simples of the bitset w must form a semibrick (bricks
-    with no nonzero map between two of them, read off the ``out_bits``
-    rows) whose extension closure recovers w; both directions of that
-    bijection are what wideness amounts to for summand-closed classes.
+    The candidate simples must form a semibrick whose extension closure
+    recovers the mask; both directions of that bijection are what wideness
+    amounts to for summand-closed classes.
     """
 
     def run():
-        s = candidate_bits(cat, w)
-        for i in indices(s):
-            if not cat.bricks[i] or cat.out_bits[i] & s & ~(1 << i):
-                return False
-        return extension_closure(s, _closure_rows(cat)) == w
+        s = candidate_simples(cat, b)
+        return is_semibrick(cat, s) and extension_closure(s, _closure_rows(cat)) == b
 
-    return _cached(cat, ("wide", w), run)
+    return _cached(cat, ("wide", b), run)
 
 
-def is_wide(cat, members):
-    """is_wide_bits on a mask."""
-    return is_wide_bits(cat, bits(members))
+def simples_of_wide(cat, b):
+    if not is_wide(cat, b):
+        raise NotWide(f"{cat.mask_name(b)} is not wide")
+    return candidate_simples(cat, b)
 
 
-def simples_of_wide(cat, members):
-    if not is_wide(cat, members):
-        raise NotWide(f"{cat.mask_name(members)} is not wide")
-    return candidate_simples(cat, members)
-
-
-def serre_list(cat, members):
+def serre_list(cat, b):
     """All Serre subcategories of a wide mask, one per subset of its simples.
 
-    A tuple in deterministic order: by subset size, then sorted index tuple.
+    A tuple in deterministic order: by subset size, then ascending index
+    tuple.
     """
 
     def run():
-        simples = sorted(simples_of_wide(cat, members))
+        simples = indices(simples_of_wide(cat, b))
         return tuple(
-            filt(cat, frozenset(c))
+            filt(cat, bits(c))
             for r in range(len(simples) + 1)
             for c in itertools.combinations(simples, r)
         )
 
-    return _cached(cat, ("serre", members), run)
+    return _cached(cat, ("serre", b), run)

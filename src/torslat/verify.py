@@ -19,7 +19,9 @@ the next gap, and then reports the outcomes in interval order, so the
 report order does not depend on the grouping.  Per interval it reads the
 interval's nodes from the lattice's cover bitsets, and checks each class
 psi(X) against the extension product of the bottom with X by scanning only
-that class's members.
+that class's members.  The perpendiculars that duality and wide-serre read
+are the lattice's own (``TorsLattice.perp``), found on the other side by
+mask (``bits_index``).
 """
 
 from dataclasses import dataclass
@@ -109,9 +111,7 @@ class AlgebraContext:
             if not report.wide:
                 verdicts.append(None)
                 continue
-            if report.gap not in gaps:
-                gaps[report.gap] = report.wide_mask
-            verdicts.append(gaps[report.gap])
+            verdicts.append(gaps.setdefault(report.gap, report.gap))
         return tuple(verdicts)
 
     def intervals(self):
@@ -140,20 +140,18 @@ def _check_brick_labels(ctx):
     cat, lat = ctx.cat, ctx.lat
     for a in lat.arrows:
         def thunk(a=a):
-            top, bottom = lat.nodes[a.src], lat.nodes[a.dst]
+            top, bottom = lat.node_bits[a.src], lat.node_bits[a.dst]
+            label = 1 << a.label
             gap = subcat.perp_right(cat, bottom) & top
-            found = sorted(s for s in gap if cat.bricks[s])
+            found = [s for s in subcat.indices(gap) if cat.bricks[s]]
             _require(found == [a.label], f"bricks in gap are {found}")
+            _require(subcat.filt(cat, label) == gap, "label does not build the gap")
             _require(
-                subcat.filt(cat, frozenset((a.label,))) == gap,
-                "label does not build the gap",
-            )
-            _require(
-                bottom == top & subcat.perp_left(cat, frozenset((a.label,))),
+                bottom == top & subcat.perp_left(cat, label),
                 "bottom is not the label's left orthogonal inside the top",
             )
             _require(
-                top == subcat.tors_gen(cat, bottom | {a.label}),
+                top == subcat.tors_gen(cat, bottom | label),
                 "bottom plus label does not regenerate the top",
             )
         yield f"{lat.name(a.src)}->{lat.name(a.dst)}", thunk
@@ -177,8 +175,7 @@ def _check_endpoint_arrows(ctx):
         want = {
             (
                 lat._node_of(
-                    subcat.filt(cat, frozenset((s,))),
-                    lambda: f"filt of {cat.names[s]}",
+                    subcat.filt(cat, 1 << s), lambda: f"filt of {cat.names[s]}"
                 ),
                 s,
             )
@@ -189,7 +186,7 @@ def _check_endpoint_arrows(ctx):
     def out_of_top():
         labels = lat.out_labels(lat.top_index)
         _require(
-            labels == frozenset(cat.simple_indices)
+            labels == subcat.bits(cat.simple_indices)
             and len(lat.out_of[lat.top_index]) == len(cat.simple_indices),
             f"labels out of the full class: {cat.mask_name(labels)}",
         )
@@ -282,7 +279,7 @@ def _check_roundtrip(ctx):
     cat, lat = ctx.cat, ctx.lat
     for w in widelab.enumerate_wide_subcats(cat):
         def thunk(w=w):
-            node = lat.node_index.get(subcat.tors_gen(cat, w))
+            node = lat.bits_index.get(subcat.tors_gen(cat, w))
             _require(node is not None, "generated class is not a torsion class")
             got = widelab.left_wide(lat, node)
             _require(got == w, f"came back as {cat.mask_name(got)}")
@@ -293,19 +290,19 @@ def _check_hom_audit(ctx):
     cat, lat = ctx.cat, ctx.lat
     for t in range(len(lat)):
         wl = widelab.left_wide(lat, t)
-        t_mask = lat.nodes[t]
+        t_mask = lat.node_bits[t]
         for w in subcat.serre_list(cat, wl):
             def thunk(t_mask=t_mask, w=w):
                 fw = subcat.torf_gen(cat, w)
-                for x in sorted(t_mask):
-                    for y in sorted(fw):
+                for x in subcat.indices(t_mask):
+                    for y in subcat.indices(fw):
                         for prof in cat.hom_profile(x, y):
-                            if set(prof.image) - w:
+                            if subcat.bits(prof.image) & ~w:
                                 raise AuditFailed(
                                     f"image of a map {cat.names[x]}->"
                                     f"{cat.names[y]} leaves {cat.mask_name(w)}"
                                 )
-                            if set(prof.kernel) - t_mask:
+                            if subcat.bits(prof.kernel) & ~t_mask:
                                 raise AuditFailed(
                                     f"kernel of a map {cat.names[x]}->"
                                     f"{cat.names[y]} leaves the class"
@@ -326,15 +323,15 @@ def _check_label_maps(ctx):
     cat, lat = ctx.cat, ctx.lat
     for a in lat.arrows:
         def thunk(a=a):
-            t_mask = lat.nodes[a.src]
-            for x in sorted(t_mask):
+            t_mask = lat.node_bits[a.src]
+            for x in subcat.indices(t_mask):
                 for prof in cat.hom_profile(x, a.label):
                     if not prof.epi:
                         raise AuditFailed(
                             f"a nonzero map {cat.names[x]}->"
                             f"{cat.names[a.label]} is not epic"
                         )
-                    if set(prof.kernel) - t_mask:
+                    if subcat.bits(prof.kernel) & ~t_mask:
                         raise AuditFailed(
                             f"kernel of a map {cat.names[x]}->"
                             f"{cat.names[a.label]} leaves the class"
@@ -359,10 +356,9 @@ def _check_wide_serre(ctx):
     cat, lat, flat = ctx.cat, ctx.lat, ctx.flat
     for iv, verdict in ctx.intervals():
         def thunk(iv=iv, verdict=verdict):
-            gap = _gap_of(verdict)
-            perp = subcat.perp_right(cat, lat.nodes[iv.bottom])
-            # the table keeps no gap U^perp & T for a non-wide interval
-            w = perp & lat.nodes[iv.top] if gap is None else gap
+            wide = _gap_of(verdict) is not None
+            perp = lat.perp(iv.bottom)
+            w = perp & lat.node_bits[iv.top]
             via_serre = w in subcat.serre_list(cat, widelab.left_wide(lat, iv.top))
             fnode = flat._node_of(
                 perp, lambda: f"perp_right of {lat.name(iv.bottom)}"
@@ -370,7 +366,6 @@ def _check_wide_serre(ctx):
             via_sides = w == (
                 widelab.right_wide(flat, fnode) & widelab.left_wide(lat, iv.top)
             )
-            wide = gap is not None
             _require(
                 wide == via_serre == via_sides,
                 f"wide={wide} serre={via_serre} sides={via_sides}",

@@ -7,6 +7,13 @@ off the incident labels, the Serre-subcategory bijection below a fixed top,
 and widely generated torsion classes.  Each operation re-verifies the
 identities it relies on and raises TheoremViolation if any fails, so a green
 run is evidence, not trust.
+
+Subcategories are masks, int bitsets of catalog indices (see ``subcat``):
+the gap of an interval, the one-sided wide subcategories, the Serre pieces
+and the semibricks are all taken and returned as masks, and read the
+lattice through its node masks (``TorsLattice.node_bits``,
+``bits_index``).  Lists of masks are sorted by size, then by ascending
+member indices.
 """
 
 from dataclasses import dataclass
@@ -28,11 +35,6 @@ class WideIntervalReport:
     def wide(self):
         return self.direct
 
-    @property
-    def wide_mask(self):
-        """The gap as a mask."""
-        return frozenset(subcat.indices(self.gap))
-
 
 def is_wide_interval(lat, iv):
     """Test an interval three ways: gap wideness, join of lower elements,
@@ -45,7 +47,7 @@ def is_wide_interval(lat, iv):
     bitsets.  The same code serves both sides and relative lattices.
     """
     w = lat.gap(iv)
-    direct = subcat.is_wide_bits(lat.cat, w)
+    direct = subcat.is_wide(lat.cat, w)
     join = lat.join(lat.lower_set(iv)) == iv.top
     meet = lat.meet(lat.upper_set(iv)) == iv.bottom
     if not (direct == join == meet):
@@ -56,10 +58,10 @@ def is_wide_interval(lat, iv):
     return WideIntervalReport(iv, w, direct, join, meet)
 
 
-def tors_of_wide(cat, w_mask, config=None):
+def tors_of_wide(cat, w, config=None):
     """The torsion-class lattice of a wide subcategory, labels included."""
-    subcat.simples_of_wide(cat, w_mask)  # NotWide on bad input
-    return build_lattice(cat, side="tors", within=w_mask, config=config)
+    subcat.simples_of_wide(cat, w)  # NotWide on bad input
+    return build_lattice(cat, side="tors", within=w, config=config)
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def reduce_interval(lat, iv, config=None):
         raise NotWideInterval(
             f"[{lat.name(iv.bottom)}, {lat.name(iv.top)}] is not wide"
         )
-    w = report.wide_mask
+    w = report.gap
     return _reduce_onto(lat, iv, w, tors_of_wide(lat.cat, w, config))
 
 
@@ -109,16 +111,16 @@ def _reduce_onto(lat, iv, w, wlat):
     with gap ``w``, against a prebuilt torsion lattice ``wlat`` of the gap."""
     cat = lat.cat
     nb = lat.node_bits
-    w_bits, u_bits = subcat.bits(w), nb[iv.bottom]
+    u_bits = nb[iv.bottom]
     inside = lat.interval_nodes(iv)
 
     phi = {}
     for v in inside:
-        image = w_bits & nb[v]
+        image = w & nb[v]
         hit = wlat.bits_index.get(image)
         if hit is None:
             raise TheoremViolation(
-                f"phi({lat.name(v)}) = {cat.mask_name(subcat.indices(image))}"
+                f"phi({lat.name(v)}) = {cat.mask_name(image)}"
                 f" is not a torsion class of the gap"
             )
         phi[v] = hit
@@ -187,18 +189,16 @@ def right_wide(lat, node):
 
 def _one_sided_wide(lat, node, left):
     cat = lat.cat
-    ambient = lat.nodes[node]
+    ambient = lat.node_bits[node]
 
     def run():
         mask = subcat.filt(cat, lat.out_labels(node))
-        for x in sorted(mask):
-            for y in sorted(ambient):
+        for x in subcat.indices(mask):
+            for y in subcat.indices(ambient):
                 pair = (y, x) if left else (x, y)
                 for prof in cat.hom_profile(*pair):
                     escaped = (
-                        set(prof.kernel) - ambient
-                        if left
-                        else set(prof.cokernel) - ambient
+                        subcat.bits(prof.kernel if left else prof.cokernel) & ~ambient
                     )
                     if escaped:
                         raise AuditFailed(
@@ -211,7 +211,7 @@ def _one_sided_wide(lat, node, left):
     return subcat._cached(cat, ("oneside", lat.side, lat.within, ambient), run)
 
 
-def serre_mutation(lat, t_node, w_mask):
+def serre_mutation(lat, t_node, w):
     """Bottom of the wide interval below t_node determined by a Serre piece.
 
     Verified: the returned class rebuilds the top as an extension product
@@ -224,29 +224,27 @@ def serre_mutation(lat, t_node, w_mask):
     """
     cat = lat.cat
     wl = left_wide(lat, t_node)
-    if w_mask not in subcat.serre_list(cat, wl):
-        raise NotSerre(
-            f"{cat.mask_name(w_mask)} is not Serre in {cat.mask_name(wl)}"
-        )
-    t_mask = lat.nodes[t_node]
-    if not w_mask <= t_mask:
+    if w not in subcat.serre_list(cat, wl):
+        raise NotSerre(f"{cat.mask_name(w)} is not Serre in {cat.mask_name(wl)}")
+    t_mask = lat.node_bits[t_node]
+    if w & ~t_mask:
         raise TheoremViolation(
-            f"{cat.mask_name(w_mask)} is not inside {cat.mask_name(t_mask)}"
+            f"{cat.mask_name(w)} is not inside {cat.mask_name(t_mask)}"
         )
-    u_mask = t_mask & subcat.perp_left(cat, w_mask, lat.within)
-    u_node = lat.node_index.get(u_mask)
+    u_mask = t_mask & subcat.perp_left(cat, w, lat.within)
+    u_node = lat.bits_index.get(u_mask)
     if u_node is None:
         raise TheoremViolation(
             f"{cat.mask_name(u_mask)} is not a torsion class"
         )
-    for j in t_mask:
-        if not any(u <= u_mask and q <= w_mask for u, q in cat.subfactor_sets[j]):
+    for j in subcat.indices(t_mask):
+        if not any(u & u_mask == u and q & w == q for u, q in cat.pair_bits[j]):
             raise TheoremViolation(
                 f"extension product over {cat.mask_name(u_mask)} misses the top"
             )
-    if subcat.perp_right(cat, u_mask, lat.within) & t_mask != w_mask:
+    if lat.perp(u_node) & t_mask != w:
         raise TheoremViolation(
-            f"gap over {cat.mask_name(u_mask)} is not {cat.mask_name(w_mask)}"
+            f"gap over {cat.mask_name(u_mask)} is not {cat.mask_name(w)}"
         )
     return u_node
 
@@ -295,13 +293,14 @@ def is_widely_generated(lat, t_node):
     outgoing labels is checked to rebuild the class exactly.
     """
     cat = lat.cat
-    t_mask = lat.nodes[t_node]
+    nb = lat.node_bits
+    t_mask = nb[t_node]
     via_wide = t_mask == subcat.tors_gen(cat, left_wide(lat, t_node), lat.within)
     via_labels = t_mask == subcat.tors_gen(cat, lat.out_labels(t_node), lat.within)
     via_covers = all(
-        any(lat.nodes[u] <= lat.nodes[a.dst] for a in lat.out_of[t_node])
-        for u in range(len(lat))
-        if lat.nodes[u] < t_mask
+        any(u & nb[a.dst] == u for a in lat.out_of[t_node])
+        for u in nb
+        if u != t_mask and u & t_mask == u
     )
     if not (via_wide == via_labels == via_covers):
         raise TheoremViolation(
@@ -312,10 +311,10 @@ def is_widely_generated(lat, t_node):
     if via_wide:
         part_ids = [
             lat._node_of(
-                subcat.tors_gen(cat, frozenset((s,)), lat.within),
+                subcat.tors_gen(cat, 1 << s, lat.within),
                 lambda: f"tors_gen of {cat.names[s]}",
             )
-            for s in sorted(lat.out_labels(t_node))
+            for s in subcat.indices(lat.out_labels(t_node))
         ]
         canonical = lat.join(part_ids) == t_node
         if not canonical:
@@ -325,25 +324,27 @@ def is_widely_generated(lat, t_node):
     return WidelyGeneratedReport(t_node, via_wide, via_labels, via_covers, canonical)
 
 
+def _by_size(b):
+    return b.bit_count(), subcat.indices(b)
+
+
 def enumerate_semibricks(cat):
-    """Every pairwise Hom-orthogonal set of bricks, the empty set included."""
+    """Every semibrick, the empty one included, as masks: each set of
+    bricks that ``subcat.is_semibrick`` accepts."""
     bricks = [i for i in range(len(cat.ind)) if cat.bricks[i]]
     out = []
     # an explicit stack, not a recursive closure: a closure that calls itself
     # is a reference cycle, and it would keep the catalog alive until the
     # cyclic garbage collector happened to run
-    stack = [((), 0)]
+    stack = [(0, 0)]
     while stack:
         prefix, start = stack.pop()
-        out.append(frozenset(prefix))
+        out.append(prefix)
         for k in reversed(range(start, len(bricks))):
-            b = bricks[k]
-            if all(
-                cat.hom_dim[b][o] == 0 and cat.hom_dim[o][b] == 0
-                for o in prefix
-            ):
-                stack.append((prefix + (b,), k + 1))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+            grown = prefix | 1 << bricks[k]
+            if subcat.is_semibrick(cat, grown):
+                stack.append((grown, k + 1))
+    return sorted(out, key=_by_size)
 
 
 def enumerate_wide_subcats(cat):
@@ -351,4 +352,4 @@ def enumerate_wide_subcats(cat):
     masks = [subcat.filt(cat, sb) for sb in enumerate_semibricks(cat)]
     if len(set(masks)) != len(masks):
         raise TheoremViolation("distinct semibricks generated the same mask")
-    return sorted(set(masks), key=lambda s: (len(s), sorted(s)))
+    return sorted(set(masks), key=_by_size)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import torslat
+from torslat import subcat
 from torslat import verify as verify_mod
 
 settings.register_profile(
@@ -72,3 +73,8 @@ NAKAYAMA_5_5 = (
 def names_to_mask(cat, *names):
     index = {n: i for i, n in enumerate(cat.names)}
     return frozenset(index[n] for n in names)
+
+
+def names_to_bits(cat, *names):
+    """The names as a library mask, an int bitset."""
+    return subcat.bits(names_to_mask(cat, *names))

@@ -6,10 +6,15 @@ Hom dimensions by scanning every componentwise matrix tuple, isomorphism by
 searching every ray of the Hom space for an invertible morphism.  The main
 library is only trusted for module construction, Hom bases and the
 classification of summands.
+
+Masks here are frozensets of catalog indices, ``within`` included; the
+library's masks are int bitsets, converted by ``to_bits`` and ``to_set`` where
+an oracle calls the library or builds a lattice.
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -231,6 +236,49 @@ def sub_parts(cat):
     return out
 
 
+def exact_inverse(rows):
+    """The inverse of a square integer matrix over the rationals, by
+    Gauss-Jordan elimination on Fractions; None if it is singular."""
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if aug[r][c]), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        lead = aug[c][c]
+        aug[c] = [x / lead for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def decompose_by_hom_dims(cat, module, h_inv):
+    """Summand indices of a module from Hom dimensions alone, sorted as
+    Catalog.decompose_indices sorts them.
+
+    Over a representation-finite algebra, dim Hom(M_i, X) = sum_j H[i][j]
+    m_j, with H = cat.hom_dim and m_j the multiplicity of the member M_j in
+    X (Auslander 1982; Bongartz 1989).  So m = H^-1 (dim Hom(M_i, X))_i,
+    for h_inv = exact_inverse(cat.hom_dim).  Uses no idempotent search,
+    only Hom bases.  Raises ValueError unless every m_j is a nonnegative
+    integer.
+    """
+    h = [len(modrep.hom_basis(m, module)) for m in cat.ind]
+    out = []
+    for j, row in enumerate(h_inv):
+        mult = sum(x * y for x, y in zip(row, h))
+        if mult.denominator != 1 or mult < 0:
+            raise ValueError(f"multiplicity {mult} of member {j}")
+        out.extend([j] * int(mult))
+    return tuple(out)
+
+
 def extensions_by_cocycles(q_mod, u_mod):
     """Middle terms of 0 -> u_mod -> Z -> q_mod -> 0, one per cocycle, up to iso.
 
@@ -392,7 +440,7 @@ def _label(cat, within, top_mask, bottom_mask, bottom_perp):
             f" and {cat.mask_name(top_mask)}"
         )
     s = bricks[0]
-    if subcat.filt(cat, frozenset((s,))) != gap:
+    if to_set(subcat.filt(cat, 1 << s)) != gap:
         raise LabelNotBrick(
             f"brick {cat.names[s]} does not generate the gap over"
             f" {cat.mask_name(bottom_mask)}"
@@ -404,15 +452,20 @@ def cover_walk(cat, side="tors", within=None):
     """The cover walk of lattice.build_lattice with every x of the orthogonal
     of T as a candidate gen(T + x), not only the quotient-minimal ones (the
     submodule-minimal ones on the torsion-free side); no node budget."""
-    gen = subcat.tors_gen if side == "tors" else subcat.torf_gen
-    perp = subcat.perp_right if side == "tors" else subcat.perp_left
+    lib_gen = subcat.tors_gen if side == "tors" else subcat.torf_gen
+    lib_perp = subcat.perp_right if side == "tors" else subcat.perp_left
+    lib_within = to_bits(within)
+
+    def gen(mask):
+        return to_set(lib_gen(cat, subcat.bits(mask), lib_within))
+
     seen = {frozenset()}
     queue = [frozenset()]
     covers = []
     while queue:
         bottom = queue.pop()
-        bottom_perp = perp(cat, bottom, within)
-        cands = {gen(cat, bottom | {x}, within) for x in bottom_perp}
+        bottom_perp = to_set(lib_perp(cat, subcat.bits(bottom), lib_within))
+        cands = {gen(bottom | {x}) for x in bottom_perp}
         for top in cands:
             if not any(c < top for c in cands):
                 covers.append((top, bottom, _label(cat, within, top, bottom, bottom_perp)))
@@ -425,7 +478,17 @@ def cover_walk(cat, side="tors", within=None):
         (lattice.HasseArrow(index[t], index[b], s) for t, b, s in covers),
         key=lambda a: (a.src, a.dst),
     )
-    return lattice.TorsLattice(cat, side, within, nodes, tuple(arrows))
+    return lattice.TorsLattice(cat, side, lib_within, nodes, tuple(arrows))
+
+
+def to_bits(mask):
+    """A mask as a library mask; None stays None."""
+    return None if mask is None else subcat.bits(mask)
+
+
+def to_set(b):
+    """A library mask as a mask; None stays None."""
+    return None if b is None else frozenset(subcat.indices(b))
 
 
 # Element-by-element subcategory operators over the raw tables (hom_dim and
@@ -516,18 +579,14 @@ def is_torsion_free_class(cat, members, within=None):
     """Closed under subobjects and extensions, by the library's own operators:
     the tests compare it with torf_masks_by_filtering, so it checks sub_cl and
     filt rather than standing in for them."""
-    return (
-        subcat.sub_cl(cat, members, within) == members
-        and subcat.filt(cat, members) == members
-    )
+    b = subcat.bits(members)
+    return subcat.sub_cl(cat, b, to_bits(within)) == b and subcat.filt(cat, b) == b
 
 
 def is_torsion_class(cat, members, within=None):
     """Closed under quotients and extensions, by the library's fac and filt."""
-    return (
-        subcat.fac(cat, members, within) == members
-        and subcat.filt(cat, members) == members
-    )
+    b = subcat.bits(members)
+    return subcat.fac(cat, b, to_bits(within)) == b and subcat.filt(cat, b) == b
 
 
 def canonical_sequence(cat, module, t_mask):
@@ -593,7 +652,7 @@ def is_wide_interval(lat, iv):
     says gen of U and its covers inside [U, T] is T, and meet that the
     intersection of T and the nodes it covers inside [U, T] is U.
     """
-    cat, nodes, within = lat.cat, lat.nodes, lat.within
+    cat, nodes, within = lat.cat, lat.nodes, to_set(lat.within)
     u, t = nodes[iv.bottom], nodes[iv.top]
     tors = lat.side == "tors"
     gap = (perp_right if tors else perp_left)(cat, u, within) & t
@@ -601,7 +660,7 @@ def is_wide_interval(lat, iv):
     upper = [t] + [nodes[a.dst] for a in lat.out_of[iv.top] if u <= nodes[a.dst]]
     close = fac if tors else sub_cl
     joined = filt(cat, close(cat, frozenset().union(*lower), within), within)
-    met = lat.ambient.intersection(*upper)
+    met = to_set(lat.ambient).intersection(*upper)
     return (
         gap,
         is_wide(cat, gap),

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from torslat import modrep, widelab
+from torslat import modrep, subcat, widelab
 from torslat import verify as verify_mod
 from torslat.catalog import (
     build_catalog,
@@ -57,9 +57,9 @@ def test_hom_nonzero_agrees_with_dims(cat_of):
     n = len(cat.ind)
     for i in range(n):
         for j in range(n):
-            assert (j in cat.maps_out[i]) == (cat.hom_dim[i][j] > 0)
-            assert (i in cat.maps_in[j]) == (cat.hom_dim[i][j] > 0)
-    assert cat.full_mask == frozenset(range(n))
+            assert bool(cat.out_bits[i] >> j & 1) == (cat.hom_dim[i][j] > 0)
+            assert bool(cat.in_bits[j] >> i & 1) == (cat.hom_dim[i][j] > 0)
+    assert cat.full_mask == subcat.bits(range(n))
 
 
 def test_subfactor_pairs_are_length_additive(cat_of):
@@ -86,17 +86,36 @@ def test_every_row_has_both_trivial_pairs(name, cat_of, a7lat):
     # reduce_interval counts a member of U or of X in star(U, X) through
     # these two pairs without scanning its row
     cat = a7lat.cat if name == "a7p2" else cat_of(name)
-    for j, pairs in enumerate(cat.subfactor_sets):
-        assert (frozenset((j,)), frozenset()) in pairs
-        assert (frozenset(), frozenset((j,))) in pairs
+    for j, pairs in enumerate(cat.pair_bits):
+        assert (1 << j, 0) in pairs
+        assert (0, 1 << j) in pairs
 
 
 def test_quotients_derived_from_subfactors(cat_of):
     cat = cat_of("nak3")
     for j in range(len(cat.ind)):
-        assert cat.subfactor_sets[j] == tuple(
-            (frozenset(u), frozenset(q)) for u, q in cat.subfactors[j]
+        assert cat.pair_bits[j] == tuple(
+            (subcat.bits(u), subcat.bits(q)) for u, q in cat.subfactors[j]
         )
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + ("d4p3",))
+def test_decompose_indices_match_the_hom_dimension_oracle(name, cat_of):
+    # every submodule of every member, split by H^-1 times its Hom vector
+    if name == "d4p3":
+        spec = "vertices 4\narrow a 2 1\narrow b 3 1\narrow c 4 1\nprime 3\n"
+        cat = build_catalog(parse_algebra_text(spec))
+    else:
+        cat = cat_of(name)
+    h_inv = oracles.exact_inverse(cat.hom_dim)
+    assert h_inv is not None
+    seen = 0
+    for x in cat.ind:
+        for sub, _ in modrep.submodules(x, cat.config):
+            got = cat.decompose_indices(sub)
+            assert got == oracles.decompose_by_hom_dims(cat, sub, h_inv)
+            seen += 1
+    assert seen > len(cat)
 
 
 def test_decompose_indices_sorted(a2cat):
@@ -107,8 +126,8 @@ def test_decompose_indices_sorted(a2cat):
 
 
 def test_mask_name(a2cat):
-    assert a2cat.mask_name(frozenset()) == "{}"
-    assert a2cat.mask_name(frozenset((2, 0))) == "{01a,11a}"
+    assert a2cat.mask_name(0) == "{}"
+    assert a2cat.mask_name(subcat.bits((2, 0))) == "{01a,11a}"
 
 
 def test_json_round_trip_is_byte_exact(cat_of):
@@ -125,12 +144,7 @@ def test_json_round_trip_is_byte_exact(cat_of):
 
 def _rows(cat):
     return (
-        cat.maps_out,
-        cat.maps_in,
-        cat.subfactor_sets,
         cat.full_mask,
-        cat.quotient_rows,
-        cat.sub_rows,
         cat.extension_rows,
         cat.out_bits,
         cat.in_bits,
@@ -141,7 +155,7 @@ def _rows(cat):
 
 
 def _bits(mask):
-    return sum(1 << k for k in mask)
+    return sum(1 << k for k in set(mask))
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS + ("d4p3",))
@@ -152,18 +166,16 @@ def test_json_round_trip_keeps_rows(name, cat_of):
         cat = cat_of(name)
     assert _rows(from_json(to_json(cat))) == _rows(cat)
     for j, pairs in enumerate(cat.subfactors):
-        assert cat.quotient_rows[j] == {k for _, q in pairs for k in q}
-        assert cat.sub_rows[j] == {k for u, _ in pairs for k in u}
-        # one int bitset per distinct u | q, bit k for catalog index k
+        # bit k for catalog index k
+        assert cat.quotient_bits[j] == _bits(k for _, q in pairs for k in q)
+        assert cat.sub_bits[j] == _bits(k for u, _ in pairs for k in u)
+        assert cat.out_bits[j] == _bits(k for k, d in enumerate(cat.hom_dim[j]) if d)
+        assert cat.in_bits[j] == _bits(k for k, row in enumerate(cat.hom_dim) if row[j])
+        # one bitset per distinct u | q
         assert set(cat.extension_rows[j]) == {
             sum(1 << k for k in set(u) | set(q)) for u, q in pairs if u and q
         }
         assert len(set(cat.extension_rows[j])) == len(cat.extension_rows[j])
-        # the bitset copies of the frozenset rows
-        assert cat.out_bits[j] == _bits(cat.maps_out[j])
-        assert cat.in_bits[j] == _bits(cat.maps_in[j])
-        assert cat.quotient_bits[j] == _bits(cat.quotient_rows[j])
-        assert cat.sub_bits[j] == _bits(cat.sub_rows[j])
         assert cat.pair_bits[j] == tuple((_bits(u), _bits(q)) for u, q in pairs)
 
 

@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 import torslat
-from conftest import A7_EXPORT, names_to_mask
+from conftest import A7_EXPORT, names_to_bits, names_to_mask
+from oracles import to_set
 from test_acceptance import SCALE_SPECS
 from torslat import lattice, subcat, widelab
 from torslat import verify as verify_mod
@@ -27,7 +28,7 @@ def test_pentagon_nodes_and_arrows(a2cat, a2lat):
         n(a2cat, "01a"),
         n(a2cat, "10a"),
         n(a2cat, "10a", "11a"),
-        a2cat.full_mask,
+        to_set(a2cat.full_mask),
     ]
     got = [
         (a2lat.name(a.src), a2lat.name(a.dst), a2cat.names[a.label])
@@ -117,11 +118,11 @@ def test_upper_and_lower_sets(a2lat):
 
 def test_labels_of_sets(a2cat, a2lat):
     full = a2lat.interval(0, 4)
-    assert a2lat.labels_of(a2lat.upper_set(full)) == frozenset(
+    assert a2lat.labels_of(a2lat.upper_set(full)) == subcat.bits(
         a2cat.simple_indices
     )
     iv = a2lat.interval(0, 3)
-    assert a2lat.labels_of(a2lat.lower_set(iv)) == names_to_mask(a2cat, "10a")
+    assert a2lat.labels_of(a2lat.lower_set(iv)) == names_to_bits(a2cat, "10a")
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
@@ -129,11 +130,11 @@ def test_endpoint_arrows(name, cat_of, lat_of):
     cat, lat = cat_of(name), lat_of(name)
     into_zero = {(a.src, a.label) for a in lat.into[lat.bottom_index]}
     expected = {
-        (lat.node_index[subcat.filt(cat, frozenset((s,)))], s)
+        (lat.node_index[to_set(subcat.filt(cat, 1 << s))], s)
         for s in cat.simple_indices
     }
     assert into_zero == expected
-    assert lat.out_labels(lat.top_index) == frozenset(cat.simple_indices)
+    assert lat.out_labels(lat.top_index) == subcat.bits(cat.simple_indices)
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
@@ -166,7 +167,7 @@ def test_torf_side_counts(lat_of):
 
 
 def test_relative_lattice_inside_wide(a2cat):
-    w = names_to_mask(a2cat, "11a")
+    w = names_to_bits(a2cat, "11a")
     lat = build_lattice(a2cat, within=w)
     assert len(lat) == 2
     assert len(lat.arrows) == 1
@@ -186,8 +187,8 @@ def test_exports_are_stable(cat_of):
 def test_dot_mentions_every_node_and_label(a2cat, a2lat):
     dot = a2lat.to_dot()
     assert dot.startswith("digraph tors {")
-    for mask in a2lat.nodes:
-        assert f'"{a2cat.mask_name(mask)}";' in dot
+    for b in a2lat.node_bits:
+        assert f'"{a2cat.mask_name(b)}";' in dot
     assert 'label="11 #2"' in dot
     assert dot.count("->") == len(a2lat.arrows)
 
@@ -233,13 +234,14 @@ def test_relative_cover_walk_matches_oracles(name, cat_of):
     cat = cat_of(name)
     for w in widelab.enumerate_wide_subcats(cat):
         lat = build_lattice(cat, within=w)
+        members = subcat.indices(w)
         subsets = (
             frozenset(c)
-            for r in range(len(w) + 1)
-            for c in itertools.combinations(sorted(w), r)
+            for r in range(len(members) + 1)
+            for c in itertools.combinations(members, r)
         )
         assert set(lat.nodes) == {
-            m for m in subsets if oracles.is_torsion_class(cat, m, within=w)
+            m for m in subsets if oracles.is_torsion_class(cat, m, within=to_set(w))
         }
         assert _cover_pairs(lat) == oracles.hasse_covers(lat.nodes)
 
@@ -274,7 +276,7 @@ def test_relative_cover_walk_matches_the_unfiltered_walk(name, cat_of):
     cat = cat_of(name)
     for w in widelab.enumerate_wide_subcats(cat):
         _assert_same_lattice(
-            build_lattice(cat, within=w), oracles.cover_walk(cat, within=w)
+            build_lattice(cat, within=w), oracles.cover_walk(cat, within=to_set(w))
         )
 
 
@@ -321,13 +323,15 @@ def test_relative_walk_on_a7_matches_the_unfiltered_walk(a7lat):
     small = [
         w
         for w in widelab.enumerate_wide_subcats(cat)
-        if len(subcat.candidate_simples(cat, w)) <= 4
+        if subcat.candidate_simples(cat, w).bit_count() <= 4
     ]
     sample = random.Random(0).sample(small, 100)
-    assert {len(subcat.candidate_simples(cat, w)) for w in sample} == {1, 2, 3, 4}
+    assert {subcat.candidate_simples(cat, w).bit_count() for w in sample} == {
+        1, 2, 3, 4
+    }
     keys = set(cat.op_cache)
     assert build_lattice(cat).to_json() == a7lat.to_json()
     walks = [build_lattice(cat, within=w) for w in sample]
     assert set(cat.op_cache) == keys
     for w, lat in zip(sample, walks):
-        _assert_same_lattice(lat, oracles.cover_walk(cat, within=w))
+        _assert_same_lattice(lat, oracles.cover_walk(cat, within=to_set(w)))

@@ -42,3 +42,21 @@ def unreferenced_defs(root):
 def test_every_library_def_has_a_library_caller():
     # a def that only tests call belongs in tests/oracles.py, or nowhere
     assert unreferenced_defs(SRC) == []
+
+
+def names_frozenset(root):
+    """(file, line) of each use of the name frozenset under root, outside
+    lattice.py: masks are int bitsets everywhere else in the library."""
+    out = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "lattice.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Name) and n.id == "frozenset":
+                out.append((rel, n.lineno))
+    return out
+
+
+def test_frozenset_masks_live_only_in_the_lattice():
+    assert names_frozenset(SRC) == []

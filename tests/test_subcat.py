@@ -4,40 +4,40 @@ from hypothesis import strategies as st
 
 import oracles
 import torslat
-from conftest import names_to_mask
+from conftest import names_to_bits, names_to_mask
+from oracles import to_set
 from torslat import subcat, widelab
 from torslat import verify as verify_mod
 from torslat.errors import NotWide
 from torslat.modrep import direct_sum
 
-ALL = frozenset
-masks_a3 = st.frozensets(st.integers(0, 5))
+masks_a3 = st.integers(0, (1 << 6) - 1)
 
 
 def test_fac_and_sub_on_a2(a2cat):
-    p1 = names_to_mask(a2cat, "11a")
-    assert subcat.fac(a2cat, p1) == names_to_mask(a2cat, "11a", "10a")
-    assert subcat.sub_cl(a2cat, p1) == names_to_mask(a2cat, "11a", "01a")
+    p1 = names_to_bits(a2cat, "11a")
+    assert subcat.fac(a2cat, p1) == names_to_bits(a2cat, "11a", "10a")
+    assert subcat.sub_cl(a2cat, p1) == names_to_bits(a2cat, "11a", "01a")
 
 
 def test_filt_builds_everything_from_simples(a2cat):
-    simples = frozenset(a2cat.simple_indices)
+    simples = subcat.bits(a2cat.simple_indices)
     assert subcat.filt(a2cat, simples) == a2cat.full_mask
-    assert subcat.filt(a2cat, frozenset()) == frozenset()
+    assert subcat.filt(a2cat, 0) == 0
 
 
 def test_tors_gen_examples(a2cat):
-    s2 = names_to_mask(a2cat, "01a")
-    p1 = names_to_mask(a2cat, "11a")
+    s2 = names_to_bits(a2cat, "01a")
+    p1 = names_to_bits(a2cat, "11a")
     assert subcat.tors_gen(a2cat, s2) == s2
-    assert subcat.tors_gen(a2cat, p1) == names_to_mask(a2cat, "11a", "10a")
+    assert subcat.tors_gen(a2cat, p1) == names_to_bits(a2cat, "11a", "10a")
 
 
 def test_perp_right_on_a2(a2cat):
-    s1 = names_to_mask(a2cat, "10a")
-    assert subcat.perp_right(a2cat, s1) == names_to_mask(a2cat, "01a", "11a")
-    assert subcat.perp_right(a2cat, a2cat.full_mask) == frozenset()
-    assert subcat.perp_left(a2cat, frozenset()) == a2cat.full_mask
+    s1 = names_to_bits(a2cat, "10a")
+    assert subcat.perp_right(a2cat, s1) == names_to_bits(a2cat, "01a", "11a")
+    assert subcat.perp_right(a2cat, a2cat.full_mask) == 0
+    assert subcat.perp_left(a2cat, 0) == a2cat.full_mask
 
 
 def test_star_endpoint_cases(a2cat):
@@ -47,7 +47,7 @@ def test_star_endpoint_cases(a2cat):
     # S2 under P1 assembles the whole category
     s2 = names_to_mask(a2cat, "01a")
     s1 = names_to_mask(a2cat, "10a")
-    assert oracles.star(a2cat, s2, s1) == a2cat.full_mask
+    assert oracles.star(a2cat, s2, s1) == to_set(a2cat.full_mask)
 
 
 def test_torsion_classes_of_a2_by_hand(a2cat):
@@ -56,7 +56,7 @@ def test_torsion_classes_of_a2_by_hand(a2cat):
         names_to_mask(a2cat, "01a"),
         names_to_mask(a2cat, "10a"),
         names_to_mask(a2cat, "10a", "11a"),
-        a2cat.full_mask,
+        to_set(a2cat.full_mask),
     }
     got = {
         m
@@ -105,6 +105,7 @@ def test_torsion_free_classes_match_definitional_filtering(name, cat_of):
 
 @given(masks_a3)
 def test_closure_operators_are_idempotent(mask):
+    # masks are int bitsets: bit i for catalog index i
     cat = _a3()
     assert subcat.fac(cat, subcat.fac(cat, mask)) == subcat.fac(cat, mask)
     assert subcat.filt(cat, subcat.filt(cat, mask)) == subcat.filt(cat, mask)
@@ -126,30 +127,31 @@ def _a3():
 def test_tors_gen_lands_on_torsion_classes(mask):
     cat = _a3()
     t = subcat.tors_gen(cat, mask)
-    assert mask <= t
-    assert oracles.is_torsion_class(cat, t)
+    assert mask & t == mask
+    assert oracles.is_torsion_class(cat, to_set(t))
     f = subcat.torf_gen(cat, mask)
-    assert oracles.is_torsion_free_class(cat, f)
+    assert oracles.is_torsion_free_class(cat, to_set(f))
 
 
 @given(masks_a3)
 def test_perp_antitone_and_closed(mask):
     cat = _a3()
     f = subcat.perp_right(cat, mask)
-    assert oracles.is_torsion_free_class(cat, f)
+    assert oracles.is_torsion_free_class(cat, to_set(f))
     assert subcat.perp_right(cat, subcat.tors_gen(cat, mask)) == f
 
 
 @given(masks_a3, masks_a3)
 def test_star_contains_both_sides(left, right):
     cat = _a3()
+    left, right = to_set(left), to_set(right)
     got = oracles.star(cat, left, right)
     assert left <= got and right <= got
 
 
 def test_torsion_pair_witness(a2cat):
     # (T, T^perp) is a torsion pair: T is the left perpendicular of T^perp
-    t = names_to_mask(a2cat, "10a", "11a")
+    t = names_to_bits(a2cat, "10a", "11a")
     free = subcat.perp_right(a2cat, t)
     assert subcat.perp_left(a2cat, free) == t
     # (T, T) is not: T^perp differs from T
@@ -157,29 +159,29 @@ def test_torsion_pair_witness(a2cat):
 
 
 def test_semibrick_detection(a2cat):
-    assert subcat.is_semibrick(a2cat, frozenset())
-    assert subcat.is_semibrick(a2cat, frozenset(a2cat.simple_indices))
+    assert subcat.is_semibrick(a2cat, 0)
+    assert subcat.is_semibrick(a2cat, subcat.bits(a2cat.simple_indices))
     # S2 maps into P1, so the pair is not Hom-orthogonal
-    assert not subcat.is_semibrick(a2cat, names_to_mask(a2cat, "01a", "11a"))
+    assert not subcat.is_semibrick(a2cat, names_to_bits(a2cat, "01a", "11a"))
 
 
 def test_wide_detection_on_a2(a2cat):
-    assert subcat.is_wide(a2cat, frozenset())
+    assert subcat.is_wide(a2cat, 0)
     assert subcat.is_wide(a2cat, a2cat.full_mask)
-    assert subcat.is_wide(a2cat, names_to_mask(a2cat, "11a"))
-    assert not subcat.is_wide(a2cat, names_to_mask(a2cat, "10a", "11a"))
-    assert subcat.simples_of_wide(a2cat, a2cat.full_mask) == frozenset(
+    assert subcat.is_wide(a2cat, names_to_bits(a2cat, "11a"))
+    assert not subcat.is_wide(a2cat, names_to_bits(a2cat, "10a", "11a"))
+    assert subcat.simples_of_wide(a2cat, a2cat.full_mask) == subcat.bits(
         a2cat.simple_indices
     )
     with pytest.raises(NotWide):
-        subcat.simples_of_wide(a2cat, names_to_mask(a2cat, "10a", "11a"))
+        subcat.simples_of_wide(a2cat, names_to_bits(a2cat, "10a", "11a"))
 
 
 def test_serre_list_of_full_category(cat_of):
     cat = cat_of("a3")
     serres = subcat.serre_list(cat, cat.full_mask)
     assert len(serres) == 8
-    assert serres[0] == frozenset()
+    assert serres[0] == 0
     assert serres[-1] == cat.full_mask
     for w in serres:
         assert subcat.is_wide(cat, w)
@@ -233,16 +235,18 @@ def test_set_algebra_operators_match_oracles(name, cat_of, lat_of):
     )
     # inside every wide subcategory W: fac and sub_cl are the closures cut
     # down to W, and filt, which takes no W, is the closure inside W
-    withins = [None] + widelab.enumerate_wide_subcats(cat)
+    withins = [None] + [to_set(w) for w in widelab.enumerate_wide_subcats(cat)]
     for m in nodes:
         for within in withins:
             x = m if within is None else m & within
+            xb, wb = subcat.bits(x), oracles.to_bits(within)
             for op in ("perp_right", "perp_left", "fac", "sub_cl"):
-                got = getattr(subcat, op)(cat, x, within)
+                got = to_set(getattr(subcat, op)(cat, xb, wb))
                 assert got == getattr(oracles, op)(cat, x, within), (op, x, within)
-            got = subcat.filt(cat, x)
+            got = to_set(subcat.filt(cat, xb))
             assert got == oracles.filt(cat, x, within), ("filt", x, within)
-        assert subcat.candidate_simples(cat, m) == oracles.candidate_simples(cat, m)
+        got = to_set(subcat.candidate_simples(cat, subcat.bits(m)))
+        assert got == oracles.candidate_simples(cat, m)
 
 
 def test_serre_list_is_computed_once(cat_of):
@@ -296,5 +300,5 @@ def test_verify_keeps_one_filt_entry_per_mask(monkeypatch):
     filts = [k for k in cat.op_cache if k[0] == "filt"]
     assert filts
     for key in filts:
-        assert len(key) == 2 and isinstance(key[1], frozenset)
-        assert cat.op_cache[key] == oracles.filt(cat, key[1])
+        assert len(key) == 2 and isinstance(key[1], int)
+        assert to_set(cat.op_cache[key]) == oracles.filt(cat, to_set(key[1]))

@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 import torslat
-from torslat import verify, widelab
+from torslat import subcat, verify, widelab
 from torslat.errors import TheoremViolation, UnknownProperty
 from conftest import NAKAYAMA_5_5, names_to_mask
 from test_widelab import merge_the_bottom_into_a_cover
@@ -120,6 +120,42 @@ def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_
     assert set(built) == set(wides)
 
 
+def test_wide_serre_and_duality_make_no_perp_right_call(monkeypatch):
+    # both read the perpendiculars off the lattices' reach rows
+    calls = []
+    perp_right = subcat.perp_right
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return perp_right(*args, **kwargs)
+
+    monkeypatch.setattr(subcat, "perp_right", counting)
+    results = verify.run_verify(
+        [("a4", verify.load_corpus_algebra("a4"))], props=["wide-serre", "duality"]
+    )
+    assert {r.prop for r in results} == {"wide-serre", "duality"}
+    assert all(r.ok for r in results) and len(results) == 528
+    assert calls == []
+
+
+def test_verify_leaves_no_frozenset_in_op_cache_keys(monkeypatch):
+    # every mask in a memo key is an int bitset
+    built = []
+    build_catalog = verify.build_catalog
+
+    def capturing_build(*args, **kwargs):
+        built.append(build_catalog(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "build_catalog", capturing_build)
+    results = verify.run_verify([("a4", verify.load_corpus_algebra("a4"))])
+    assert all(r.ok for r in results)
+    (cat,) = built
+    kinds = {key[0] for key in cat.op_cache}
+    assert {"filt", "wide", "serre", "oneside"} <= kinds
+    assert [k for k in cat.op_cache if any(isinstance(p, frozenset) for p in k)] == []
+
+
 @pytest.mark.parametrize("tamper", ("relabel", "drop"))
 def test_a_tampered_gap_lattice_fails_exactly_its_intervals(
     tamper, monkeypatch, lat_of
@@ -132,8 +168,10 @@ def test_a_tampered_gap_lattice_fails_exactly_its_intervals(
         report = widelab.is_wide_interval(lat, iv)
         if report.wide:
             wide.append(iv)
-            by_gap.setdefault(report.wide_mask, []).append(iv)
-    target = max(by_gap, key=lambda w: (len(w) > 0, len(by_gap[w]), sorted(w)))
+            by_gap.setdefault(report.gap, []).append(iv)
+    target = max(
+        by_gap, key=lambda w: (w > 0, len(by_gap[w]), subcat.indices(w))
+    )
     assert target and len(by_gap[target]) > 1
     tors_of_wide = widelab.tors_of_wide
 
@@ -169,8 +207,10 @@ def test_a_phi_that_is_not_injective_fails_exactly_its_intervals(
         report = widelab.is_wide_interval(lat, iv)
         if report.wide:
             wide.append(iv)
-            by_gap.setdefault(report.wide_mask, []).append(iv)
-    target = max(by_gap, key=lambda w: (len(w) > 0, len(by_gap[w]), sorted(w)))
+            by_gap.setdefault(report.gap, []).append(iv)
+    target = max(
+        by_gap, key=lambda w: (w > 0, len(by_gap[w]), subcat.indices(w))
+    )
     assert target and len(by_gap[target]) > 1
     tors_of_wide = widelab.tors_of_wide
 

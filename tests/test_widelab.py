@@ -4,7 +4,8 @@ import pytest
 
 import oracles
 import torslat
-from conftest import NAKAYAMA_5_5, names_to_mask
+from conftest import NAKAYAMA_5_5, names_to_bits, names_to_mask
+from oracles import to_set
 from test_acceptance import SCALE_SPECS
 from torslat import subcat, widelab
 from torslat.errors import NotSerre, NotWide, NotWideInterval, TheoremViolation
@@ -31,17 +32,17 @@ def test_gap_masks(a2cat, a2lat):
     iv = _interval(a2lat, 2, 3)
     report = widelab.is_wide_interval(a2lat, iv)
     assert report.wide is True
-    assert report.wide_mask == names_to_mask(a2cat, "11a")
+    assert report.gap == names_to_bits(a2cat, "11a")
     full = widelab.is_wide_interval(a2lat, _interval(a2lat, 1, 4))
-    assert full.wide_mask == names_to_mask(a2cat, "10a")
+    assert full.gap == names_to_bits(a2cat, "10a")
 
 
 def test_tors_of_wide(a2cat):
-    w = names_to_mask(a2cat, "11a")
+    w = names_to_bits(a2cat, "11a")
     wlat = widelab.tors_of_wide(a2cat, w)
     assert len(wlat) == 2 and len(wlat.arrows) == 1
     with pytest.raises(NotWide):
-        widelab.tors_of_wide(a2cat, names_to_mask(a2cat, "10a", "11a"))
+        widelab.tors_of_wide(a2cat, names_to_bits(a2cat, "10a", "11a"))
 
 
 def test_reduce_point_and_full(a2cat, a2lat):
@@ -118,9 +119,9 @@ def test_reduce_rejects_a_node_that_is_no_extension_product(a2cat):
     n = names_to_mask
     u, t = lat.node_index[n(a2cat, "10a")], lat.node_index[n(a2cat, "10a", "11a")]
     nodes = list(lat.nodes)
-    nodes[t] = a2cat.full_mask
+    nodes[t] = to_set(a2cat.full_mask)
     lat.nodes = tuple(nodes)
-    w = n(a2cat, "11a")
+    w = names_to_bits(a2cat, "11a")
     with pytest.raises(TheoremViolation, match="differs from the extension product"):
         widelab._reduce_onto(lat, lat.interval(u, t), w, widelab.tors_of_wide(a2cat, w))
 
@@ -150,7 +151,8 @@ def test_psi_is_the_extension_product_over_the_bottom(name, cat_of, lat_of):
         for x, v in red.psi.items():
             x_mask = wlat.nodes[x]
             assert red.phi[v] == x
-            assert lat.nodes[v] == subcat.tors_gen(cat, u_mask | x_mask)
+            gen = subcat.tors_gen(cat, subcat.bits(u_mask | x_mask))
+            assert lat.nodes[v] == to_set(gen)
             assert lat.nodes[v] == oracles.star(cat, u_mask, x_mask)
 
 
@@ -251,7 +253,7 @@ def _wide_count_matching_the_oracle(lat):
     wide = 0
     for iv in lat.intervals:
         r = widelab.is_wide_interval(lat, iv)
-        assert (r.wide_mask, r.direct, r.join, r.meet) == (
+        assert (to_set(r.gap), r.direct, r.join, r.meet) == (
             oracles.is_wide_interval(lat, iv)
         )
         wide += r.wide
@@ -271,7 +273,7 @@ def test_relative_verdicts_match_the_mask_oracle(name, lat_of):
     cat = _oracle_lattice(name, "tors", lat_of).cat
     w = max(
         (m for m in widelab.enumerate_wide_subcats(cat) if m != cat.full_mask),
-        key=lambda m: (len(m), sorted(m)),
+        key=lambda m: (m.bit_count(), subcat.indices(m)),
     )
     wlat = widelab.tors_of_wide(cat, w)
     assert len(wlat) > 5 and _wide_count_matching_the_oracle(wlat) > 0
@@ -288,9 +290,9 @@ def test_reduction_maps_match_the_mask_oracle(name, lat_of):
 
 
 def test_left_wide_per_node(a2cat, a2lat):
-    n = names_to_mask
+    n = names_to_bits
     expected = {
-        0: frozenset(),
+        0: 0,
         1: n(a2cat, "01a"),
         2: n(a2cat, "10a"),
         3: n(a2cat, "11a"),
@@ -314,22 +316,22 @@ def test_right_wide_on_torf_side(a2cat, lat_of):
 
 
 def test_serre_mutation_examples(a2cat, a2lat):
-    n = names_to_mask
+    n = names_to_bits
     u = widelab.serre_mutation(a2lat, 4, n(a2cat, "01a"))
-    assert a2lat.nodes[u] == n(a2cat, "10a", "11a")
+    assert a2lat.nodes[u] == names_to_mask(a2cat, "10a", "11a")
     u = widelab.serre_mutation(a2lat, 4, n(a2cat, "10a"))
-    assert a2lat.nodes[u] == n(a2cat, "01a")
+    assert a2lat.nodes[u] == names_to_mask(a2cat, "01a")
     u = widelab.serre_mutation(a2lat, 4, a2cat.full_mask)
     assert u == a2lat.bottom_index
-    u = widelab.serre_mutation(a2lat, 4, frozenset())
+    u = widelab.serre_mutation(a2lat, 4, 0)
     assert u == a2lat.top_index
 
 
 def test_serre_mutation_rejects_non_serre(a2cat, a2lat):
     with pytest.raises(NotSerre):
-        widelab.serre_mutation(a2lat, 4, names_to_mask(a2cat, "11a"))
+        widelab.serre_mutation(a2lat, 4, names_to_bits(a2cat, "11a"))
     with pytest.raises(NotSerre):
-        widelab.serre_mutation(a2lat, 3, names_to_mask(a2cat, "10a"))
+        widelab.serre_mutation(a2lat, 3, names_to_bits(a2cat, "10a"))
 
 
 @pytest.mark.parametrize("name", ["a4", "nak3"])
@@ -342,7 +344,7 @@ def test_serre_mutation_rebuilds_the_top_as_the_extension_product(name, cat_of, 
             before = len(cat.op_cache)
             u = widelab.serre_mutation(lat, t, w)
             assert len(cat.op_cache) == before
-            assert oracles.star(cat, lat.nodes[u], w) == lat.nodes[t]
+            assert oracles.star(cat, lat.nodes[u], to_set(w)) == lat.nodes[t]
             pieces += 1
     assert pieces > len(lat)
 
@@ -381,17 +383,17 @@ def test_widely_generated_everywhere(lat_of):
 def test_semibrick_enumeration(a2cat):
     sbs = widelab.enumerate_semibricks(a2cat)
     assert len(sbs) == 5
-    assert frozenset() in sbs
-    assert frozenset(a2cat.simple_indices) in sbs
+    assert 0 in sbs
+    assert subcat.bits(a2cat.simple_indices) in sbs
     assert all(subcat.is_semibrick(a2cat, s) for s in sbs)
 
 
 def test_wide_subcat_enumeration(a2cat):
     wides = widelab.enumerate_wide_subcats(a2cat)
     assert len(wides) == 5
-    n = names_to_mask
+    n = names_to_bits
     assert wides == [
-        frozenset(),
+        0,
         n(a2cat, "01a"),
         n(a2cat, "10a"),
         n(a2cat, "11a"),
@@ -403,7 +405,7 @@ def roundtrip(cat, lat):
     """(W, node of T(W)) per wide subcategory W, asserting L(T(W)) = W."""
     pairs = []
     for w in widelab.enumerate_wide_subcats(cat):
-        node = lat.node_index.get(subcat.tors_gen(cat, w))
+        node = lat.node_index.get(to_set(subcat.tors_gen(cat, w)))
         assert node is not None, f"{cat.mask_name(w)} generated a non-torsion-class"
         assert widelab.left_wide(lat, node) == w
         pairs.append((w, node))
@@ -414,7 +416,7 @@ def test_roundtrip_on_pentagon(a2cat, a2lat):
     pairs = roundtrip(a2cat, a2lat)
     assert len(pairs) == 5
     w_to_node = dict(pairs)
-    assert w_to_node[names_to_mask(a2cat, "11a")] == 3
+    assert w_to_node[names_to_bits(a2cat, "11a")] == 3
     assert w_to_node[a2cat.full_mask] == 4
 
 
