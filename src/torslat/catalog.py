@@ -13,9 +13,9 @@ subfactor pairs as (u, q) bitsets), ``quotient_bits`` and ``sub_bits``
 nontrivial pair) and ``full_mask``.
 ``op_cache`` holds every memo of the library under tagged keys: the summand indices of
 ``decompose_indices`` under ``("decompose", module key)``, seeded with
-every module the closure decomposed, the ray profiles of ``hom_profile``
-(kernel, image and cokernel summands of each ray) under ``("profile", i,
-j)``, and the subcategory operators' results (see ``subcat``).
+every module the closure decomposed, the table ``hom_table`` of one
+``HomProfile`` per ordered pair of members under ``("hom_table",)``, and
+the subcategory operators' results (see ``subcat``).
 ``_key_index`` is the member index, not a memo.
 """
 
@@ -41,13 +41,22 @@ def _letters(k):
 
 
 class HomProfile(NamedTuple):
-    """Shape data of one nonzero morphism ray, scaling-invariant."""
+    """Summands of the nonzero maps from one member to another.
 
-    kernel: tuple
-    image: tuple
-    cokernel: tuple
+    kernel, image and cokernel are int bitsets: each is the OR, over the
+    nonzero rays of the Hom space, of the catalog indices of that summand.
+    epi holds when every nonzero map is onto.  An OR lies inside a mask
+    exactly when each ray's summands do, so one entry answers a subset test
+    for every map at once.
+    """
+
+    kernel: int
+    image: int
+    cokernel: int
     epi: bool
-    mono: bool
+
+
+_ZERO_HOM = HomProfile(0, 0, 0, True)
 
 
 class Catalog:
@@ -139,31 +148,42 @@ class Catalog:
 
         return subcat._cached(self, ("decompose", module.key()), run)
 
-    def hom_profile(self, i, j):
-        """HomProfile per nonzero ray of Hom(ind[i], ind[j]).
+    @property
+    def hom_table(self):
+        """hom_table[i][j] is the HomProfile of Hom(ind[i], ind[j]).
 
-        Kernel/image/cokernel shapes are scaling-invariant, so one entry per
-        ray covers the full punctured Hom space.
+        Built by ``hom_profile`` for every ordered pair on first use; the
+        table is the one memo of the profiles.
         """
 
         def run():
-            entries = []
-            for f in modrep.hom_rays(self.ind[i], self.ind[j], self.config):
-                ker, _ = modrep.kernel(f)
-                im, inclusion = modrep.image(f)
-                coker, _ = modrep.quotient_by(inclusion)
-                entries.append(
-                    HomProfile(
-                        kernel=self.decompose_indices(ker),
-                        image=self.decompose_indices(im),
-                        cokernel=self.decompose_indices(coker),
-                        epi=coker.is_zero,
-                        mono=ker.is_zero,
-                    )
-                )
-            return tuple(entries)
+            n = len(self.ind)
+            return tuple(
+                tuple(self.hom_profile(i, j) for j in range(n)) for i in range(n)
+            )
 
-        return subcat._cached(self, ("profile", i, j), run)
+        return subcat._cached(self, ("hom_table",), run)
+
+    def hom_profile(self, i, j):
+        """The HomProfile of Hom(ind[i], ind[j]), computed afresh.
+
+        Kernel, image and cokernel are scaling-invariant, so one morphism
+        per ray covers the punctured Hom space.  Every pair with zero Hom
+        gets the one shared zero entry and enumerates no rays.
+        """
+        if not self.hom_dim[i][j]:
+            return _ZERO_HOM
+        kernel = image = cokernel = 0
+        epi = True
+        for f in modrep.hom_rays(self.ind[i], self.ind[j], self.config):
+            ker, _ = modrep.kernel(f)
+            im, inclusion = modrep.image(f)
+            coker, _ = modrep.quotient_by(inclusion)
+            kernel |= subcat.bits(self.decompose_indices(ker))
+            image |= subcat.bits(self.decompose_indices(im))
+            cokernel |= subcat.bits(self.decompose_indices(coker))
+            epi = epi and coker.is_zero
+        return HomProfile(kernel, image, cokernel, epi)
 
     def mask_name(self, b):
         return "{" + ",".join(self.names[i] for i in subcat.indices(b)) + "}"

@@ -41,7 +41,7 @@ the members with their ``quotient_bits`` (or ``sub_bits``), without a memo.
 the library, on the catalog's ``extension_rows``; ``lattice.build_lattice``
 calls it on rows it restricts to its ambient.  Results that are reused are
 kept in the catalog's ``op_cache`` through ``_cached``, the one memo helper
-of the library: the catalog's own decompose and Hom-profile memos and
+of the library: the catalog's own decompose memo and Hom table and
 widelab's verdicts go through it too, each under a key tagged by its kind.
 
 ``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows

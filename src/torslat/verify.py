@@ -21,7 +21,19 @@ interval's nodes from the lattice's cover bitsets, and checks each class
 psi(X) against the extension product of the bottom with X by scanning only
 that class's members.  The perpendiculars that duality and wide-serre read
 are the lattice's own (``TorsLattice.perp``), found on the other side by
-mask (``bits_index``).
+mask (``bits_index``); wide-serre reads each top's left wide subcategory
+once per interval and tests the gap against a set of that top's Serre
+pieces, built on the top's first interval.
+
+The morphism audits (hom-audit, label-maps, and the audit inside
+``widelab.left_wide`` and ``right_wide``) read ``Catalog.hom_table``: per
+ordered pair, the OR over the nonzero maps of their kernel, image and
+cokernel summands, and whether every map is epic.  An OR passes a subset
+test exactly when each map does.  hom-audit is hoisted per top T: the
+images and the kernels of the maps from T into each y are ORed once, and
+each Serre piece w then ORs the rows of the y in torf_gen(w).  Only a
+failed test rescans the pairs, x ascending then y ascending, image before
+kernel, to name the first failing map.
 """
 
 from dataclasses import dataclass
@@ -287,27 +299,56 @@ def _check_roundtrip(ctx):
 
 
 def _check_hom_audit(ctx):
+    # rows[y]: the ORed images and kernels of the maps from the top into y
     cat, lat = ctx.cat, ctx.lat
     for t in range(len(lat)):
         wl = widelab.left_wide(lat, t)
         t_mask = lat.node_bits[t]
+        t_name = cat.mask_name(t_mask)
+        rows = {}
         for w in subcat.serre_list(cat, wl):
-            def thunk(t_mask=t_mask, w=w):
+            def thunk(t_mask=t_mask, w=w, rows=rows):
                 fw = subcat.torf_gen(cat, w)
-                for x in subcat.indices(t_mask):
-                    for y in subcat.indices(fw):
-                        for prof in cat.hom_profile(x, y):
-                            if subcat.bits(prof.image) & ~w:
-                                raise AuditFailed(
-                                    f"image of a map {cat.names[x]}->"
-                                    f"{cat.names[y]} leaves {cat.mask_name(w)}"
-                                )
-                            if subcat.bits(prof.kernel) & ~t_mask:
-                                raise AuditFailed(
-                                    f"kernel of a map {cat.names[x]}->"
-                                    f"{cat.names[y]} leaves the class"
-                                )
-            yield f"{cat.mask_name(t_mask)}|{cat.mask_name(w)}", thunk
+                image = kernel = 0
+                for y in subcat.indices(fw):
+                    row = rows.get(y)
+                    if row is None:
+                        row = rows[y] = _maps_into(cat, t_mask, y)
+                    image |= row[0]
+                    kernel |= row[1]
+                if image & ~w or kernel & ~t_mask:
+                    _audit_maps(cat, t_mask, fw, w)
+            yield f"{t_name}|{cat.mask_name(w)}", thunk
+
+
+def _maps_into(cat, t_mask, y):
+    """OR of the images and of the kernels of the maps from t_mask into y."""
+    table = cat.hom_table
+    image = kernel = 0
+    for x in subcat.indices(t_mask & cat.in_bits[y]):
+        prof = table[x][y]
+        image |= prof.image
+        kernel |= prof.kernel
+    return image, kernel
+
+
+def _audit_maps(cat, t_mask, fw, w):
+    """Raise on the first map x -> y, x in t_mask and y in fw, whose image
+    leaves w or whose kernel leaves t_mask."""
+    table = cat.hom_table
+    for x in subcat.indices(t_mask):
+        for y in subcat.indices(fw & cat.out_bits[x]):
+            prof = table[x][y]
+            if prof.image & ~w:
+                raise AuditFailed(
+                    f"image of a map {cat.names[x]}->"
+                    f"{cat.names[y]} leaves {cat.mask_name(w)}"
+                )
+            if prof.kernel & ~t_mask:
+                raise AuditFailed(
+                    f"kernel of a map {cat.names[x]}->"
+                    f"{cat.names[y]} leaves the class"
+                )
 
 
 def _check_serre_mutation(ctx):
@@ -324,18 +365,19 @@ def _check_label_maps(ctx):
     for a in lat.arrows:
         def thunk(a=a):
             t_mask = lat.node_bits[a.src]
-            for x in subcat.indices(t_mask):
-                for prof in cat.hom_profile(x, a.label):
-                    if not prof.epi:
-                        raise AuditFailed(
-                            f"a nonzero map {cat.names[x]}->"
-                            f"{cat.names[a.label]} is not epic"
-                        )
-                    if subcat.bits(prof.kernel) & ~t_mask:
-                        raise AuditFailed(
-                            f"kernel of a map {cat.names[x]}->"
-                            f"{cat.names[a.label]} leaves the class"
-                        )
+            table = cat.hom_table
+            for x in subcat.indices(t_mask & cat.in_bits[a.label]):
+                prof = table[x][a.label]
+                if not prof.epi:
+                    raise AuditFailed(
+                        f"a nonzero map {cat.names[x]}->"
+                        f"{cat.names[a.label]} is not epic"
+                    )
+                if prof.kernel & ~t_mask:
+                    raise AuditFailed(
+                        f"kernel of a map {cat.names[x]}->"
+                        f"{cat.names[a.label]} leaves the class"
+                    )
         yield f"{lat.name(a.src)}->{lat.name(a.dst)}", thunk
 
 
@@ -354,18 +396,21 @@ def _check_simples_out(ctx):
 
 def _check_wide_serre(ctx):
     cat, lat, flat = ctx.cat, ctx.lat, ctx.flat
+    pieces = {}  # top -> set of its Serre pieces, filled on the top's first check
     for iv, verdict in ctx.intervals():
         def thunk(iv=iv, verdict=verdict):
             wide = _gap_of(verdict) is not None
             perp = lat.perp(iv.bottom)
             w = perp & lat.node_bits[iv.top]
-            via_serre = w in subcat.serre_list(cat, widelab.left_wide(lat, iv.top))
+            wl = widelab.left_wide(lat, iv.top)
+            serre = pieces.get(iv.top)
+            if serre is None:
+                serre = pieces[iv.top] = set(subcat.serre_list(cat, wl))
+            via_serre = w in serre
             fnode = flat._node_of(
                 perp, lambda: f"perp_right of {lat.name(iv.bottom)}"
             )
-            via_sides = w == (
-                widelab.right_wide(flat, fnode) & widelab.left_wide(lat, iv.top)
-            )
+            via_sides = w == (widelab.right_wide(flat, fnode) & wl)
             _require(
                 wide == via_serre == via_sides,
                 f"wide={wide} serre={via_serre} sides={via_sides}",

@@ -193,19 +193,20 @@ def _one_sided_wide(lat, node, left):
 
     def run():
         mask = subcat.filt(cat, lat.out_labels(node))
+        table = cat.hom_table
+        # the y of the ambient with a nonzero map y -> x, or x -> y on the right
+        nonzero = cat.in_bits if left else cat.out_bits
         for x in subcat.indices(mask):
-            for y in subcat.indices(ambient):
+            for y in subcat.indices(ambient & nonzero[x]):
                 pair = (y, x) if left else (x, y)
-                for prof in cat.hom_profile(*pair):
-                    escaped = (
-                        subcat.bits(prof.kernel if left else prof.cokernel) & ~ambient
+                prof = table[pair[0]][pair[1]]
+                escaped = (prof.kernel if left else prof.cokernel) & ~ambient
+                if escaped:
+                    raise AuditFailed(
+                        f"map {cat.names[pair[0]]}->{cat.names[pair[1]]}"
+                        f" drops {cat.mask_name(escaped)} outside"
+                        f" {cat.mask_name(ambient)}"
                     )
-                    if escaped:
-                        raise AuditFailed(
-                            f"map {cat.names[pair[0]]}->{cat.names[pair[1]]}"
-                            f" drops {cat.mask_name(escaped)} outside"
-                            f" {cat.mask_name(ambient)}"
-                        )
         return mask
 
     return subcat._cached(cat, ("oneside", lat.side, lat.within, ambient), run)

@@ -70,6 +70,17 @@ NAKAYAMA_5_5 = (
 )
 
 
+# N_7^7: the cyclic quiver 1 -> ... -> 7 -> 1 with every path of length 7
+# zero, the scale point of the verify paths
+NAKAYAMA_7_7 = (
+    "vertices 7\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\narrow e 5 6"
+    "\narrow f 6 7\narrow g 7 1\n"
+    "relation a b c d e f g\nrelation b c d e f g a\nrelation c d e f g a b\n"
+    "relation d e f g a b c\nrelation e f g a b c d\nrelation f g a b c d e\n"
+    "relation g a b c d e f\nprime 2\n"
+)
+
+
 def names_to_mask(cat, *names):
     index = {n: i for i, n in enumerate(cat.names)}
     return frozenset(index[n] for n in names)

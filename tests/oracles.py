@@ -181,6 +181,37 @@ def kernel_image_cokernel(f):
     return KernelImageCokernel(kernel, k_in, image, i_in, i_pr, cokernel, c_pr)
 
 
+@dataclass(frozen=True)
+class RayProfile:
+    """Kernel, image and cokernel summands of one ray; epi when it is onto."""
+
+    kernel: tuple
+    image: tuple
+    cokernel: tuple
+    epi: bool
+
+
+def hom_ray_profiles(cat, i, j):
+    """One RayProfile per ray of Hom(ind[i], ind[j]), in modrep.hom_rays order.
+
+    The per-ray reference for Catalog.hom_table, whose entry ORs these: the
+    kernel, image and cokernel come from kernel_image_cokernel, their
+    summands from the catalog's decompose_indices.
+    """
+    out = []
+    for f in modrep.hom_rays(cat.ind[i], cat.ind[j], cat.config):
+        kic = kernel_image_cokernel(f)
+        out.append(
+            RayProfile(
+                cat.decompose_indices(kic.kernel),
+                cat.decompose_indices(kic.image),
+                cat.decompose_indices(kic.cokernel),
+                kic.cokernel.is_zero,
+            )
+        )
+    return out
+
+
 def is_isomorphic(x, y):
     """Exhaustive search for an invertible morphism x -> y, one candidate per ray.
 

@@ -7,6 +7,7 @@ import oracles
 from torslat import modrep, subcat, widelab
 from torslat import verify as verify_mod
 from torslat.catalog import (
+    HomProfile,
     build_catalog,
     from_json,
     to_json,
@@ -21,6 +22,7 @@ from torslat.quivalg import (
     parse_algebra_text,
     projective_module,
 )
+from test_acceptance import SCALE_SPECS
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
@@ -116,6 +118,33 @@ def test_decompose_indices_match_the_hom_dimension_oracle(name, cat_of):
             assert got == oracles.decompose_by_hom_dims(cat, sub, h_inv)
             seen += 1
     assert seen > len(cat)
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + ("kx3p2", "d4p3"))
+def test_hom_table_is_the_or_of_the_ray_profiles(name, cat_of):
+    # every ordered pair; k[x]/x^3 (a three-dimensional End) and d4@p3 (a
+    # two-dimensional Hom into the member with dims (2,1,1,1)) have pairs whose
+    # rays differ in shape, so their entries are genuine ORs
+    if name in SCALE_SPECS:
+        cat = build_catalog(parse_algebra_text(SCALE_SPECS[name]))
+    else:
+        cat = cat_of(name)
+    p = cat.algebra.prime
+    mixed = 0
+    for i in range(len(cat)):
+        for j in range(len(cat)):
+            rays = oracles.hom_ray_profiles(cat, i, j)
+            d = cat.hom_dim[i][j]
+            assert len(rays) == (p**d - 1) // (p - 1)
+            want = HomProfile(
+                subcat.bits(k for r in rays for k in r.kernel),
+                subcat.bits(k for r in rays for k in r.image),
+                subcat.bits(k for r in rays for k in r.cokernel),
+                all(r.epi for r in rays),
+            )
+            assert cat.hom_table[i][j] == want
+            mixed += len(set(rays)) > 1
+    assert (mixed > 0) == (name in ("kx3p2", "d4p3"))
 
 
 def test_decompose_indices_sorted(a2cat):

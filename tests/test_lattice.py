@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 
 import oracles
 import torslat
-from conftest import A7_EXPORT, names_to_bits, names_to_mask
+from conftest import A7_EXPORT, NAKAYAMA_7_7, names_to_bits, names_to_mask
 from oracles import to_set
 from test_acceptance import SCALE_SPECS
 from torslat import lattice, subcat, widelab
@@ -335,3 +336,15 @@ def test_relative_walk_on_a7_matches_the_unfiltered_walk(a7lat):
     assert set(cat.op_cache) == keys
     for w, lat in zip(sample, walks):
         _assert_same_lattice(lat, oracles.cover_walk(cat, within=to_set(w)))
+
+
+def test_the_self_injective_nakayama_algebra_n7_is_pinned():
+    # N_7^7: n*r = 49 indecomposables, C(2n, n) = 3432 torsion classes
+    # (Adachi, arXiv:1309.2216) and as many wide subcategories, n*N/2 Hasse
+    # arrows
+    cat = torslat.build_catalog(parse_algebra_text(NAKAYAMA_7_7))
+    lat = build_lattice(cat)
+    assert len(cat) == 49
+    assert len(lat) == math.comb(14, 7) == 3432
+    assert len(lat.arrows) == 7 * 3432 // 2 == 12012
+    assert len(widelab.enumerate_wide_subcats(cat)) == 3432

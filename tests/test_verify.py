@@ -1,11 +1,13 @@
 import gc
 import math
+import re
 import weakref
 
 import pytest
 
 import torslat
 from torslat import subcat, verify, widelab
+from torslat.catalog import Catalog
 from torslat.errors import TheoremViolation, UnknownProperty
 from conftest import NAKAYAMA_5_5, names_to_mask
 from test_widelab import merge_the_bottom_into_a_cover
@@ -232,6 +234,95 @@ def test_a_phi_that_is_not_injective_fails_exactly_its_intervals(
         )
         for iv in by_gap[target]
     ]
+
+
+# one altered a4 hom_table entry: the field, the pair (x, y) and the property
+# that reads it; a bitset field gains the simple 1000a, epi is cleared
+HOM_TAMPERS = [
+    ("image", ("0011a", "0110a"), "hom-audit"),
+    ("kernel", ("0111a", "0110a"), "label-maps"),
+    ("kernel", ("0111a", "0110a"), "roundtrip"),
+    ("cokernel", ("0001a", "0011a"), "wide-serre"),
+    ("epi", ("1111a", "1110a"), "label-maps"),
+]
+
+
+def _checks_reading(prop, field, x, y, z, lat, flat):
+    """The objects of prop whose check reads the entry (x, y) and fails once
+    bit z joins its field (or its epi flag is cleared)."""
+    cat = lat.cat
+
+    def has(mask, k):
+        return bool(mask >> k & 1)
+
+    out = set()
+    if prop == "hom-audit":
+        # the maps from T into torf_gen(w): images inside w
+        for t in range(len(lat)):
+            t_mask = lat.node_bits[t]
+            for w in subcat.serre_list(cat, widelab.left_wide(lat, t)):
+                fw = subcat.torf_gen(cat, w)
+                if has(t_mask, x) and has(fw, y) and not has(w, z):
+                    out.add(f"{cat.mask_name(t_mask)}|{cat.mask_name(w)}")
+    elif prop == "label-maps":
+        # the maps from T onto the label: epic, kernels inside T
+        for a in lat.arrows:
+            t_mask = lat.node_bits[a.src]
+            breaks = field == "epi" or not has(t_mask, z)
+            if a.label == y and has(t_mask, x) and breaks:
+                out.add(f"{lat.name(a.src)}->{lat.name(a.dst)}")
+    elif prop == "roundtrip":
+        # left_wide of T = tors_gen(w): the maps from T into w, kernels inside T
+        for w in widelab.enumerate_wide_subcats(cat):
+            t_mask = subcat.tors_gen(cat, w)
+            if has(t_mask, x) and has(w, y) and not has(t_mask, z):
+                out.add(cat.mask_name(w))
+    else:
+        # wide-serre's right_wide of F: the maps from its wide subcategory
+        # into F, cokernels inside F
+        for iv in lat.intervals:
+            f = flat.bits_index[lat.perp(iv.bottom)]
+            f_mask = flat.node_bits[f]
+            rw = widelab.right_wide(flat, f)
+            if has(rw, x) and has(f_mask, y) and not has(f_mask, z):
+                out.add(f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]")
+    return out
+
+
+@pytest.mark.parametrize("field,pair,prop", HOM_TAMPERS)
+def test_a_tampered_hom_table_entry_fails_where_it_is_read(
+    field, pair, prop, monkeypatch, lat_of
+):
+    # every other entry passes, so each failed check's first failing map in
+    # the scan order (x, then y) is the tampered pair: the one the per-ray
+    # scan named before the table
+    lat, flat = lat_of("a4"), lat_of("a4", "torf")
+    cat = lat.cat
+    index = {name: i for i, name in enumerate(cat.names)}
+    x, y, z = index[pair[0]], index[pair[1]], index["1000a"]
+    entry = cat.hom_table[x][y]
+    assert cat.hom_dim[x][y]
+    assert entry.epi if field == "epi" else not getattr(entry, field) >> z & 1
+    want = _checks_reading(prop, field, x, y, z, lat, flat)
+    hom_profile = Catalog.hom_profile
+
+    def tampered(c, i, j):
+        prof = hom_profile(c, i, j)
+        if (c.names[i], c.names[j]) != pair:
+            return prof
+        if field == "epi":
+            return prof._replace(epi=False)
+        return prof._replace(**{field: getattr(prof, field) | 1 << z})
+
+    monkeypatch.setattr(Catalog, "hom_profile", tampered)
+    results = verify.run_verify(
+        [("a4", verify.load_corpus_algebra("a4"))], props=[prop]
+    )
+    failed = {r.obj: r.witness for r in results if not r.ok}
+    assert 0 < len(failed) < len(results)
+    assert set(failed) == want
+    for witness in failed.values():
+        assert re.search(r"map (\S+)->(\S+) ", witness).groups() == pair
 
 
 def test_reduction_on_the_self_injective_nakayama_algebra():
