@@ -51,7 +51,14 @@ from .widelab import (
     tors_of_wide,
     wide_intervals_with_top,
 )
-from .verify import CORPUS, load_corpus_algebra, run_verify, verify_algebra
+from .verify import (
+    CORPUS,
+    format_report,
+    iter_checks,
+    load_corpus_algebra,
+    run_verify,
+    verify_algebra,
+)
 from . import errors, subcat
 
 __version__ = "0.1.0"
@@ -81,12 +88,14 @@ __all__ = [
     "enumerate_semibricks",
     "enumerate_wide_subcats",
     "errors",
+    "format_report",
     "from_json",
     "hom_basis",
     "hom_rays",
     "is_brick",
     "is_wide_interval",
     "is_widely_generated",
+    "iter_checks",
     "left_wide",
     "load_corpus_algebra",
     "parse_algebra_file",

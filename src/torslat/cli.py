@@ -5,6 +5,11 @@ as JSON, ``lattice`` builds the labeled lattice with DOT/JSON export,
 ``interval`` inspects one interval (wideness report, reduction), ``verify``
 runs the full identity suite over a spec file or the bundled corpus.
 
+``verify`` writes each report line as its check finishes.  An error that
+stops the run leaves the lines already written on stdout, without the
+summary lines.  If stdout is closed early, the remaining checks still run,
+unwritten, so the exit code still tells whether one failed.
+
 Exit codes: 0 success, 1 failed verification, 2 resource or closure error,
 3 usage error, 4 precondition error.
 """
@@ -196,10 +201,33 @@ def _cmd_verify(args, cfg, out):
         base = os.path.basename(args.spec)
         name = base[:-4] if base.endswith(".alg") else base
         named = [(name, _load_algebra(args.spec, cfg))]
-    results = verify_mod.run_verify(named, props, cfg)
-    text, failures = verify_mod.format_report(results)
-    out.write(text)
+    checks = failures = 0
+    results = verify_mod.iter_checks(named, props, cfg)
+    try:
+        for r in results:
+            checks += 1
+            failures += not r.ok
+            out.write(verify_mod.format_line(r))
+        out.write(verify_mod.format_summary(checks, failures))
+        out.flush()
+    except BrokenPipeError:
+        # run the rest unwritten: the exit code still says whether one failed
+        _discard_output(out)
+        for r in results:
+            failures += not r.ok
     return 1 if failures else 0
+
+
+def _discard_output(out):
+    """Point a closed pipe's descriptor at the null device, so that the
+    flush at exit does not fail again."""
+    try:
+        fd = out.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None, out=None):

@@ -6,6 +6,16 @@ line per checked object, PASS or FAIL with a witness, plus a two-line
 summary.  Algebras are verified one after another, so the report order is
 the input order.
 
+The report is a stream: ``iter_checks`` yields one ``CheckResult`` at a time,
+in report order, and ``format_line`` turns each into its line, so a caller
+that writes the lines as they come (``torslat verify``) holds no result
+after its line is out.  ``run_verify`` and ``verify_algebra`` collect the
+stream into a list; ``format_report`` joins a list's lines a chunk at a
+time.  The records are compact: ``CheckResult`` has slots, and the name of
+an object that several properties print (an interval's ``[U,T]``, an
+arrow's ``src->dst``, a top's ``T|W`` for a Serre piece W) is built once per
+algebra by ``AlgebraContext`` and shared by their results.
+
 Work that several properties share is done once per algebra.  The
 torsion lattice enumerates its intervals once, as a tuple
 (``TorsLattice.intervals``), which ``AlgebraContext.wide_verdicts`` and every
@@ -39,6 +49,7 @@ kernel, to name the first failing map.
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import islice
 
 from . import subcat, widelab
 from .catalog import build_catalog
@@ -75,7 +86,7 @@ def load_corpus_algebra(name, config=None):
     return parse_algebra_text(corpus_text(name), config)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     algebra: str
     prop: str
@@ -91,6 +102,7 @@ class AlgebraContext:
         self.name = name
         self.algebra = algebra
         self.config = config
+        self._pieces = {}
 
     @cached_property
     def cat(self):
@@ -126,13 +138,39 @@ class AlgebraContext:
             verdicts.append(gaps.setdefault(report.gap, report.gap))
         return tuple(verdicts)
 
+    @cached_property
+    def interval_names(self):
+        """The report name ``[U,T]`` of each interval of ``lat``, in
+        ``lat.intervals`` order."""
+        names = self.lat.names
+        return tuple(
+            f"[{names[iv.bottom]},{names[iv.top]}]" for iv in self.lat.intervals
+        )
+
     def intervals(self):
-        """(interval, verdict) pairs of ``lat``, in ``lat.intervals`` order."""
-        return zip(self.lat.intervals, self.wide_verdicts)
+        """(name, interval, verdict) triples of ``lat``, in ``lat.intervals``
+        order."""
+        return zip(self.interval_names, self.lat.intervals, self.wide_verdicts)
 
+    @cached_property
+    def arrow_names(self):
+        """The report name ``src->dst`` of each arrow of ``lat``."""
+        names = self.lat.names
+        return tuple(f"{names[a.src]}->{names[a.dst]}" for a in self.lat.arrows)
 
-def _interval_name(lat, iv):
-    return f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]"
+    def pieces(self, t):
+        """(W, report name ``T|W``) for each Serre piece W of the left wide
+        subcategory of node t of ``lat``, in ``serre_list`` order; built once
+        per node."""
+        got = self._pieces.get(t)
+        if got is None:
+            cat, lat = self.cat, self.lat
+            top = lat.name(t)
+            got = self._pieces[t] = tuple(
+                (w, f"{top}|{cat.mask_name(w)}")
+                for w in subcat.serre_list(cat, widelab.left_wide(lat, t))
+            )
+        return got
 
 
 def _require(cond, witness):
@@ -150,7 +188,7 @@ def _gap_of(verdict):
 
 def _check_brick_labels(ctx):
     cat, lat = ctx.cat, ctx.lat
-    for a in lat.arrows:
+    for name, a in zip(ctx.arrow_names, lat.arrows):
         def thunk(a=a):
             top, bottom = lat.node_bits[a.src], lat.node_bits[a.dst]
             label = 1 << a.label
@@ -166,7 +204,7 @@ def _check_brick_labels(ctx):
                 top == subcat.tors_gen(cat, bottom | label),
                 "bottom plus label does not regenerate the top",
             )
-        yield f"{lat.name(a.src)}->{lat.name(a.dst)}", thunk
+        yield name, thunk
 
 
 def _check_duality(ctx):
@@ -220,16 +258,15 @@ def _check_incident_semibricks(ctx):
 
 
 def _check_wide_detect(ctx):
-    lat = ctx.lat
-    for iv, verdict in ctx.intervals():
+    for name, _, verdict in ctx.intervals():
         def thunk(verdict=verdict):
             _gap_of(verdict)
-        yield _interval_name(lat, iv), thunk
+        yield name, thunk
 
 
 def _check_lower_filt(ctx):
     cat, lat = ctx.cat, ctx.lat
-    for iv, verdict in ctx.intervals():
+    for name, iv, verdict in ctx.intervals():
         def thunk(iv=iv, verdict=verdict):
             # the join verdict agrees with the direct one
             gap = _gap_of(verdict)
@@ -241,7 +278,7 @@ def _check_lower_filt(ctx):
                 f"lower labels build {cat.mask_name(rebuilt)} instead of"
                 f" {cat.mask_name(gap)}",
             )
-        yield _interval_name(lat, iv), thunk
+        yield name, thunk
 
 
 def _reduce_group(lat, gap, ivs):
@@ -268,21 +305,21 @@ def _check_reduction(ctx):
     # a failed verdict aborts the property, after the wide intervals before it
     lat = ctx.lat
     wide, by_gap, error = [], {}, None
-    for iv, verdict in ctx.intervals():
+    for name, iv, verdict in ctx.intervals():
         if isinstance(verdict, VerificationError):
             error = verdict
             break
         if verdict is not None:
-            wide.append(iv)
+            wide.append((name, iv))
             by_gap.setdefault(verdict, []).append(iv)
     outcome = {}
     for gap, ivs in by_gap.items():
         outcome.update(zip(ivs, _reduce_group(lat, gap, ivs)))
-    for iv in wide:
+    for name, iv in wide:
         def thunk(failure=outcome[iv]):
             if failure is not None:
                 raise failure
-        yield _interval_name(lat, iv), thunk
+        yield name, thunk
     if error is not None:
         raise error
 
@@ -302,11 +339,9 @@ def _check_hom_audit(ctx):
     # rows[y]: the ORed images and kernels of the maps from the top into y
     cat, lat = ctx.cat, ctx.lat
     for t in range(len(lat)):
-        wl = widelab.left_wide(lat, t)
         t_mask = lat.node_bits[t]
-        t_name = cat.mask_name(t_mask)
         rows = {}
-        for w in subcat.serre_list(cat, wl):
+        for w, name in ctx.pieces(t):
             def thunk(t_mask=t_mask, w=w, rows=rows):
                 fw = subcat.torf_gen(cat, w)
                 image = kernel = 0
@@ -318,7 +353,7 @@ def _check_hom_audit(ctx):
                     kernel |= row[1]
                 if image & ~w or kernel & ~t_mask:
                     _audit_maps(cat, t_mask, fw, w)
-            yield f"{t_name}|{cat.mask_name(w)}", thunk
+            yield name, thunk
 
 
 def _maps_into(cat, t_mask, y):
@@ -352,17 +387,17 @@ def _audit_maps(cat, t_mask, fw, w):
 
 
 def _check_serre_mutation(ctx):
-    cat, lat = ctx.cat, ctx.lat
+    lat = ctx.lat
     for t in range(len(lat)):
-        for w in subcat.serre_list(cat, widelab.left_wide(lat, t)):
+        for w, name in ctx.pieces(t):
             def thunk(t=t, w=w):
                 widelab.serre_mutation(lat, t, w)
-            yield f"{lat.name(t)}|{cat.mask_name(w)}", thunk
+            yield name, thunk
 
 
 def _check_label_maps(ctx):
     cat, lat = ctx.cat, ctx.lat
-    for a in lat.arrows:
+    for name, a in zip(ctx.arrow_names, lat.arrows):
         def thunk(a=a):
             t_mask = lat.node_bits[a.src]
             table = cat.hom_table
@@ -378,7 +413,7 @@ def _check_label_maps(ctx):
                         f"kernel of a map {cat.names[x]}->"
                         f"{cat.names[a.label]} leaves the class"
                     )
-        yield f"{lat.name(a.src)}->{lat.name(a.dst)}", thunk
+        yield name, thunk
 
 
 def _check_simples_out(ctx):
@@ -397,7 +432,7 @@ def _check_simples_out(ctx):
 def _check_wide_serre(ctx):
     cat, lat, flat = ctx.cat, ctx.lat, ctx.flat
     pieces = {}  # top -> set of its Serre pieces, filled on the top's first check
-    for iv, verdict in ctx.intervals():
+    for name, iv, verdict in ctx.intervals():
         def thunk(iv=iv, verdict=verdict):
             wide = _gap_of(verdict) is not None
             perp = lat.perp(iv.bottom)
@@ -415,7 +450,7 @@ def _check_wide_serre(ctx):
                 wide == via_serre == via_sides,
                 f"wide={wide} serre={via_serre} sides={via_sides}",
             )
-        yield _interval_name(lat, iv), thunk
+        yield name, thunk
 
 
 def _check_serre_count(ctx):
@@ -423,7 +458,7 @@ def _check_serre_count(ctx):
     lat = ctx.lat
     wide = [[] for _ in range(len(lat))]
     failed = {}
-    for iv, verdict in ctx.intervals():
+    for _, iv, verdict in ctx.intervals():
         if isinstance(verdict, VerificationError):
             failed.setdefault(iv.top, verdict)
         elif verdict is not None:
@@ -472,54 +507,89 @@ assert set(PROPERTY_FUNCS) == set(PROPERTIES)
 
 
 def validate_props(props):
+    """The selected properties as a tuple; None selects every property.
+    An empty selection, an unknown name or a repeated name raises
+    UnknownProperty."""
     if props is None:
         return PROPERTIES
     chosen = tuple(props)
-    for p in chosen:
+    if not chosen:
+        raise UnknownProperty(
+            f"no property selected; valid: {', '.join(PROPERTIES)}"
+        )
+    for k, p in enumerate(chosen):
         if p not in PROPERTY_FUNCS:
             raise UnknownProperty(
                 f"unknown property {p!r}; valid: {', '.join(PROPERTIES)}"
             )
+        if p in chosen[:k]:
+            raise UnknownProperty(f"property {p!r} selected twice")
     return chosen
 
 
-def verify_algebra(name, algebra, props=None, config=None):
-    """All requested property checks for one algebra, in property order."""
-    chosen = validate_props(props)
+def _checks(name, algebra, chosen, config):
+    """The results of one algebra, property by property; a property whose
+    own code raises a VerificationError ends with a ``(setup)`` FAIL."""
     ctx = AlgebraContext(name, algebra, config)
-    results = []
     for prop in chosen:
         try:
             for obj, thunk in PROPERTY_FUNCS[prop](ctx):
                 try:
                     thunk()
-                    results.append(CheckResult(name, prop, obj, True, ""))
+                    yield CheckResult(name, prop, obj, True, "")
                 except VerificationError as exc:
-                    results.append(CheckResult(name, prop, obj, False, str(exc)))
+                    yield CheckResult(name, prop, obj, False, str(exc))
         except VerificationError as exc:
-            results.append(CheckResult(name, prop, "(setup)", False, str(exc)))
-    return results
+            yield CheckResult(name, prop, "(setup)", False, str(exc))
+
+
+def iter_checks(named_algebras, props=None, config=None):
+    """Every check of several algebras, one CheckResult at a time, in report
+    order: algebras in input order, then properties in selection order.
+    The selection is validated before the first result."""
+    chosen = validate_props(props)
+    for name, algebra in named_algebras:
+        yield from _checks(name, algebra, chosen, config)
+
+
+def verify_algebra(name, algebra, props=None, config=None):
+    """All requested property checks for one algebra, in property order."""
+    return list(iter_checks([(name, algebra)], props, config))
 
 
 def run_verify(named_algebras, props=None, config=None):
     """Verify several algebras in input order."""
-    chosen = validate_props(props)
-    return [
-        r
-        for name, alg in named_algebras
-        for r in verify_algebra(name, alg, chosen, config)
-    ]
+    return list(iter_checks(named_algebras, props, config))
+
+
+def format_line(r):
+    """The report line of one result, newline included."""
+    if r.ok:
+        return f"PASS {r.algebra} {r.prop} {r.obj}\n"
+    return f"FAIL {r.algebra} {r.prop} {r.obj} :: {r.witness}\n"
+
+
+def format_summary(checks, failures):
+    """The two closing lines of a report."""
+    return f"checks run: {checks}\nfailures: {failures}\n"
+
+
+_CHUNK_LINES = 4096
 
 
 def format_report(results):
-    lines = []
-    failures = 0
-    for r in results:
-        if r.ok:
-            lines.append(f"PASS {r.algebra} {r.prop} {r.obj}")
-        else:
-            failures += 1
-            lines.append(f"FAIL {r.algebra} {r.prop} {r.obj} :: {r.witness}")
-    lines.append(f"checks run: {len(results)}")
-    lines.append(f"failures: {failures}")
-    return "\n".join(lines) + "\n", failures
+    """The report text of some results and its number of FAIL lines.  The
+    lines are joined a chunk at a time, so only one chunk of them is held
+    beside the text."""
+    chunks = []
+    checks = failures = 0
+    results = iter(results)
+    while True:
+        batch = list(islice(results, _CHUNK_LINES))
+        if not batch:
+            break
+        checks += len(batch)
+        failures += sum(not r.ok for r in batch)
+        chunks.append("".join(map(format_line, batch)))
+    chunks.append(format_summary(checks, failures))
+    return "".join(chunks), failures

@@ -1,11 +1,14 @@
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
-from torslat import cli
+from torslat import cli, verify as verify_mod
 from torslat.catalog import build_catalog
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import (
@@ -15,10 +18,12 @@ from torslat.errors import (
     NotClosed,
     PathBlowup,
     SubspaceBlowup,
+    TheoremViolation,
 )
 from torslat.lattice import build_lattice
 from torslat.quivalg import parse_algebra_text
-from torslat.verify import run_verify
+from test_acceptance import REPORT_SHA256
+from torslat.verify import CORPUS, format_report, load_corpus_algebra, run_verify
 
 
 def corpus_path(name):
@@ -232,3 +237,144 @@ def test_budget_errors_name_their_flag(flag, value, error, spec, argv, call, tmp
     assert cli.main([argv[0], str(path), *argv[1:], flag, str(value)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f" {value} ({flag})" in err
+
+
+def _corpus_named():
+    return [(n, load_corpus_algebra(n)) for n in CORPUS]
+
+
+def _plant_a_failure(monkeypatch, prop="widely-generated"):
+    # prop's checks run as before, and one more check after them fails
+    checks = verify_mod.PROPERTY_FUNCS[prop]
+
+    def planted(ctx):
+        yield from checks(ctx)
+
+        def fail():
+            raise TheoremViolation("planted")
+
+        yield "planted", fail
+
+    monkeypatch.setitem(verify_mod.PROPERTY_FUNCS, prop, planted)
+
+
+@pytest.mark.parametrize(
+    "argv, props, failed",
+    [
+        (["--corpus"], None, False),
+        (
+            ["--corpus", "--props", "serre-count, duality"],
+            ["serre-count", "duality"],
+            False,
+        ),
+        (["--corpus"], None, True),
+    ],
+    ids=["corpus", "props", "planted-fail"],
+)
+def test_streamed_report_matches_the_list_report(monkeypatch, argv, props, failed):
+    if failed:
+        _plant_a_failure(monkeypatch)
+    out = io.StringIO()
+    status = cli.main(["verify", *argv], out=out)
+    text, failures = format_report(run_verify(_corpus_named(), props))
+    assert out.getvalue() == text
+    assert status == (1 if failed else 0)
+    assert failures == len(CORPUS if failed else ())
+    if not (failed or props):
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
+
+
+def test_verify_writes_lines_before_the_last_property_starts(monkeypatch):
+    out = io.StringIO()
+    seen = []
+    checks = verify_mod.PROPERTY_FUNCS["widely-generated"]
+
+    def last(ctx):
+        seen.append(out.getvalue())
+        yield from checks(ctx)
+
+    monkeypatch.setitem(verify_mod.PROPERTY_FUNCS, "widely-generated", last)
+    assert cli.main(["verify", corpus_path("a2")], out=out) == 0
+    assert seen and seen[0].startswith("PASS a2 brick-labels {01a}->{}\n")
+    assert out.getvalue().startswith(seen[0])
+
+
+class _ClosingPipe(io.StringIO):
+    """Keeps its first write; every later one raises like a closed pipe."""
+
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("failed", [False, True], ids=["pass", "planted-fail"])
+def test_verify_exit_status_survives_a_closed_stdout(monkeypatch, capsys, failed):
+    if failed:
+        _plant_a_failure(monkeypatch)
+    out = _ClosingPipe()
+    assert cli.main(["verify", corpus_path("a3")], out=out) == (1 if failed else 0)
+    assert out.getvalue() == "PASS a3 brick-labels {001a}->{}\n"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # like `torslat verify --corpus | head -1`: the report is far longer
+        # than a pipe holds, so the writes after the reader leaves fail
+        (["--corpus"], 1),
+        # a short report waits in the stdout buffer until the last flush,
+        # which finds the reader gone
+        ([corpus_path("a2"), "--props", "endpoint-arrows"], 0),
+    ],
+    ids=["corpus-head-1", "a2-buffered"],
+)
+def test_verify_into_a_pipe_the_reader_closes(argv, lines):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torslat", "verify", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    first = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    with proc.stderr:
+        assert proc.stderr.read() == ""
+    assert first == ["PASS a2 brick-labels {01a}->{}\n"][:lines]
+
+
+@pytest.mark.parametrize(
+    "props", [",", "", " , ", "duality,duality", "duality, roundtrip,duality"]
+)
+def test_verify_rejects_empty_and_repeated_props(props, capsys):
+    out = io.StringIO()
+    assert cli.main(["verify", corpus_path("a2"), "--props", props], out=out) == 3
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("twice" if "duality" in props else "no property selected") in err
+
+
+def test_an_escaped_error_leaves_the_lines_before_it(tmp_path, capsys):
+    # d4p2's Hom table needs more than 2 rays; roundtrip is the first
+    # property to read it, so the lines of the properties before it stay
+    path = tmp_path / "d4p2.alg"
+    path.write_text(BUDGET_SPECS["d4p2"])
+    full = io.StringIO()
+    assert cli.main(["verify", str(path)], out=full) == 0
+    capsys.readouterr()
+    out = io.StringIO()
+    assert cli.main(["verify", str(path), "--iso-budget", "2"], out=out) == 2
+    assert capsys.readouterr().err == (
+        "error: Hom space has 3 rays (2^2 elements), budget 2 (--iso-budget)\n"
+    )
+    text = out.getvalue()
+    assert text.endswith("\n") and full.getvalue().startswith(text)
+    props = {line.split(" ")[2] for line in text.splitlines()}
+    first_to_read = verify_mod.PROPERTIES.index("roundtrip")
+    assert props == set(verify_mod.PROPERTIES[:first_to_read])
+    assert "checks run:" not in text and "failures:" not in text

@@ -82,6 +82,48 @@ def test_unknown_property_rejected():
         verify.validate_props(("duality", "nonsense"))
 
 
+@pytest.mark.parametrize(
+    "props", [(), ("duality", "duality"), ("roundtrip", "duality", "roundtrip")]
+)
+def test_empty_and_repeated_selections_rejected(props):
+    with pytest.raises(UnknownProperty):
+        verify.validate_props(props)
+    with pytest.raises(UnknownProperty):
+        verify.run_verify([("a2", verify.load_corpus_algebra("a2"))], props)
+
+
+def test_shared_object_names_and_slotted_results():
+    # a name that several properties print is one string object per algebra
+    results = verify.verify_algebra("a4", verify.load_corpus_algebra("a4"))
+    assert not hasattr(results[0], "__dict__")
+    objs = {}
+    for r in results:
+        objs.setdefault(r.prop, []).append(r.obj)
+    intervals = objs["wide-detect"]
+    assert len(set(intervals)) == len(intervals) > len(objs["reduction"])
+    for a, b, c in zip(intervals, objs["lower-filt"], objs["wide-serre"], strict=True):
+        assert a is b is c
+    # reduction names the wide intervals only
+    shared = dict(zip(intervals, intervals))
+    assert all(shared[o] is o for o in objs["reduction"])
+    for a, b in zip(objs["brick-labels"], objs["label-maps"], strict=True):
+        assert a is b
+    for a, b in zip(objs["hom-audit"], objs["serre-mutation"], strict=True):
+        assert a is b
+
+
+def test_format_report_reads_a_stream_across_chunks(monkeypatch):
+    monkeypatch.setattr(verify, "_CHUNK_LINES", 100)
+    named = [(n, verify.load_corpus_algebra(n)) for n in ("a2", "a3")]
+    results = verify.run_verify(named)
+    assert len(results) > 3 * 100
+    text, failures = verify.format_report(verify.iter_checks(named))
+    assert (text, failures) == verify.format_report(results)
+    assert text == "".join(map(verify.format_line, results)) + (
+        f"checks run: {len(results)}\nfailures: 0\n"
+    )
+
+
 def test_corpus_names_all_load():
     for name in verify.CORPUS:
         alg = verify.load_corpus_algebra(name)
