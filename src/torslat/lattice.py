@@ -17,9 +17,14 @@ hold those frozensets, which the exports and callers that look a class up
 by its members read.  Every other reader takes the internal view, derived
 from ``nodes`` and ``node_index`` on first use: each node's mask
 (``node_bits``, ``bits_index``) and the members each node reaches by a map
-(``reach``, and from it ``perp``); joins, meets, gaps, labels and the
-interval enumeration run on these.  Its order bitsets (``up_sets``,
-``down_sets``) run over node indices.
+(``reach``, and from it ``perp``); joins, meets, gaps and labels run on
+these.  The order bitsets (``up_sets``, ``down_sets``) run over node
+indices and are built from the covering arrows.  The intervals come from
+them: the bottoms of a top t are the nodes of ``down_sets[t]``, so the
+enumeration costs one step per interval, not one per pair of nodes; an
+interval's nodes are ``up_sets[U] & down_sets[T]``.  ``dual_correspondence``
+derives the order reversal of the torsion-free dual from the arrows, with
+the same Hasse-diagram argument, instead of comparing every pair of nodes.
 """
 
 import json
@@ -99,8 +104,13 @@ class TorsLattice:
         TheoremViolation naming ``what()``, the operation that gave it."""
         hit = self.bits_index.get(b)
         if hit is None:
-            raise TheoremViolation(f"{what()} is {self.cat.mask_name(b)}, not a node")
+            raise self._not_a_node(b, what())
         return hit
+
+    def _not_a_node(self, b, what):
+        """The TheoremViolation for the mask b, given by the operation
+        ``what`` and no node."""
+        return TheoremViolation(f"{what} is {self.cat.mask_name(b)}, not a node")
 
     def _describe(self, op, node_ids):
         return f"{op} of {' & '.join(self.name(i) for i in sorted(node_ids))}"
@@ -116,17 +126,12 @@ class TorsLattice:
         (Ingalls-Thomas, arXiv:math/0612219: a join of torsion classes is
         the extension closure of their union); dually on the torsion-free
         side.  The rows are read anyway, from ``_closed_bits``, so the join
-        is gen of the union for whatever masks ``nodes`` holds.  Closures
-        are kept per lattice, keyed by the bitset closed: the intervals of
-        one bottom share a few lower sets.
+        is gen of the union for whatever masks ``nodes`` holds.
         """
         start = 0
         for i in node_ids:
             start |= self._closed_bits[i]
-        closed = self._closures.get(start)
-        if closed is None:
-            closed = subcat.extension_closure(start, self._rows.ext)
-            self._closures[start] = closed
+        closed = self._closure(start)
         return self._node_of(closed, lambda: self._describe("join", node_ids))
 
     def meet(self, node_ids):
@@ -134,6 +139,17 @@ class TorsLattice:
         for i in node_ids:
             b &= self.node_bits[i]
         return self._node_of(b, lambda: self._describe("meet", node_ids))
+
+    def _closure(self, start):
+        """The extension closure of a bitset of the ambient, kept per
+        lattice, keyed by the bitset closed: the joins of the intervals of
+        one bottom share a few starts."""
+        closed = self._closures.get(start)
+        if closed is None:
+            closed = self._closures[start] = subcat.extension_closure(
+                start, self._rows.ext
+            )
+        return closed
 
     def interval(self, bottom, top):
         if not self.leq(bottom, top):
@@ -196,8 +212,9 @@ class TorsLattice:
 
     # Order from the covering arrows.  Nodes are sorted by size, so every
     # arrow runs from a higher index to a lower one, and one pass in index
-    # order fills each set from sets already filled.  upper_set, lower_set,
-    # join, meet and the intervals read the node bitsets, not these sets.
+    # order fills each set from sets already filled.  The intervals, their
+    # nodes and their upper and lower sets read these sets; join, meet and
+    # gap read the node bitsets.
 
     @cached_property
     def down_sets(self):
@@ -226,18 +243,26 @@ class TorsLattice:
         """The label of each covering arrow, keyed by (src, dst)."""
         return {(a.src, a.dst): a.label for a in self.arrows}
 
+    def interval_bits(self, iv):
+        """The nodes of the interval, as an int bitset over node indices."""
+        return self.up_sets[iv.bottom] & self.down_sets[iv.top]
+
     def interval_nodes(self, iv):
         """The nodes of the interval, in ascending index order."""
-        return subcat.indices(self.up_sets[iv.bottom] & self.down_sets[iv.top])
+        return subcat.indices(self.interval_bits(iv))
 
     def all_intervals(self):
-        """Enumerate the pairs of nodes whose masks are nested: by top, then
-        by bottom, in index order.  ``intervals`` keeps them."""
-        nb = self.node_bits
-        for t, top in enumerate(nb):
-            for b, bottom in enumerate(nb):
-                if bottom & top == bottom:
-                    yield Interval(b, t)
+        """Enumerate the intervals: by top, then by bottom, in index order.
+
+        The bottoms of a top t are the nodes of ``down_sets[t]``, so the
+        enumeration is O(#intervals).  On a lattice whose arrows are the
+        Hasse diagram of its masks, these are the nodes whose masks lie in
+        t's, in the order of a subset scan over every pair of nodes
+        (``tests/oracles.py``).  ``intervals`` keeps them.
+        """
+        for t, down in enumerate(self.down_sets):
+            for b in subcat.indices(down):
+                yield Interval(b, t)
 
     @cached_property
     def intervals(self):
@@ -246,23 +271,17 @@ class TorsLattice:
 
     def upper_set(self, iv):
         """The top of the interval plus the interval nodes it covers."""
-        nb = self.node_bits
-        bottom = nb[iv.bottom]
-        members = {iv.top}
-        for a in self.out_of[iv.top]:
-            if bottom & nb[a.dst] == bottom:
-                members.add(a.dst)
-        return frozenset(members)
+        up = self.up_sets[iv.bottom]
+        return frozenset(
+            [iv.top] + [a.dst for a in self.out_of[iv.top] if up >> a.dst & 1]
+        )
 
     def lower_set(self, iv):
         """The bottom of the interval plus the interval nodes covering it."""
-        nb = self.node_bits
-        top = nb[iv.top]
-        members = {iv.bottom}
-        for a in self.into[iv.bottom]:
-            if nb[a.src] & top == nb[a.src]:
-                members.add(a.src)
-        return frozenset(members)
+        down = self.down_sets[iv.top]
+        return frozenset(
+            [iv.bottom] + [a.src for a in self.into[iv.bottom] if down >> a.src & 1]
+        )
 
     def labels_of(self, node_ids):
         """The mask of the labels of arrows with both endpoints in the given
@@ -434,41 +453,43 @@ def dual_correspondence(tors_lat, torf_lat):
     per-object (description, ok, witness) tuples for the bijection/order
     conditions and for every arrow's dual arrow with equal label.  The
     torsion-free class of a torsion class T is ``tors_lat.perp`` of it,
-    T^perp in the ambient.
+    T^perp in the ambient; node T's line holds when T^perp is the mask of a
+    node of ``torf_lat``, found by mask and read back from ``node_bits``.
+
+    The order reversal is derived, not scanned over pairs of nodes.  Let the
+    map be a bijection on nodes, give every tors arrow T -> T' a torf arrow
+    from the image of T' to the image of T with the same label, and let the
+    two lattices have equally many arrows.  The map sends distinct arrows to
+    distinct arrows, so, with the counts equal, it matches the two Hasse
+    diagrams one to one, reversed.  Each order is the transitive closure of
+    its covers, so the map reverses order, as in ``reduce_interval``.  The
+    "order reversal" line holds when every node line, the bijection, every
+    arrow line and the count hold.
     """
     cat = tors_lat.cat
+    torf_bits = torf_lat.node_bits
     mapping = []
     node_checks = []
     for i in range(len(tors_lat)):
         fmask = tors_lat.perp(i)
         hit = torf_lat.bits_index.get(fmask)
         mapping.append(hit)
-        ok = hit is not None
-        node_checks.append(
-            (
-                f"node {tors_lat.name(i)}",
-                ok,
-                "" if ok else f"{cat.mask_name(fmask)} is not torsion-free",
+        if hit is None:
+            witness = f"{cat.mask_name(fmask)} is not torsion-free"
+        elif torf_bits[hit] != fmask:
+            witness = (
+                f"torsion-free node {torf_lat.name(hit)} is not"
+                f" {cat.mask_name(fmask)}"
             )
-        )
+        else:
+            witness = ""
+        node_checks.append((f"node {tors_lat.name(i)}", not witness, witness))
     bijective = (
         sorted(x for x in mapping if x is not None) == list(range(len(torf_lat)))
         and len(mapping) == len(torf_lat)
     )
     node_checks.append(
         ("node bijection", bijective, "" if bijective else "map is not a bijection")
-    )
-    # every ordered pair of mapped nodes, by subset tests on the masks
-    mapped = [i for i, hit in enumerate(mapping) if hit is not None]
-    tb = [tors_lat.node_bits[i] for i in mapped]
-    fb = [torf_lat.node_bits[mapping[i]] for i in mapped]
-    order_ok = all(
-        (t & t2 == t) == (f2 & f == f2)
-        for t, f in zip(tb, fb)
-        for t2, f2 in zip(tb, fb)
-    )
-    node_checks.append(
-        ("order reversal", order_ok, "" if order_ok else "inclusions not reversed")
     )
     torf_arrows = torf_lat.arrow_labels
     arrow_checks = []
@@ -494,5 +515,8 @@ def dual_correspondence(tors_lat, torf_lat):
             "" if counts_ok else f"{len(tors_lat.arrows)} != {len(torf_lat.arrows)}",
         )
     )
+    order_ok = all(ok for _, ok, _ in node_checks + arrow_checks)
+    node_checks.append(
+        ("order reversal", order_ok, "" if order_ok else "inclusions not reversed")
+    )
     return mapping, node_checks, arrow_checks
-

@@ -16,24 +16,30 @@ an object that several properties print (an interval's ``[U,T]``, an
 arrow's ``src->dst``, a top's ``T|W`` for a Serre piece W) is built once per
 algebra by ``AlgebraContext`` and shared by their results.
 
-Work that several properties share is done once per algebra.  The
-torsion lattice enumerates its intervals once, as a tuple
-(``TorsLattice.intervals``), which ``AlgebraContext.wide_verdicts`` and every
-interval property read.  Each interval's wideness verdict is computed once
-(``AlgebraContext.wide_verdicts``), on the lattice's node bitsets, and read
-by wide-detect, lower-filt, reduction, wide-serre and serre-count;
-serre-count compares the Serre route under each top with the wide bottoms
-the verdicts give.  Reduction builds the torsion lattice of each gap
-category W once for all the wide intervals with that gap, drops it before
-the next gap, and then reports the outcomes in interval order, so the
-report order does not depend on the grouping.  Per interval it reads the
-interval's nodes from the lattice's cover bitsets, and checks each class
-psi(X) against the extension product of the bottom with X by scanning only
-that class's members.  The perpendiculars that duality and wide-serre read
-are the lattice's own (``TorsLattice.perp``), found on the other side by
-mask (``bits_index``); wide-serre reads each top's left wide subcategory
-once per interval and tests the gap against a set of that top's Serre
-pieces, built on the top's first interval.
+Work that several properties share is done once per algebra, and no check
+scans every pair of nodes.  The torsion lattice enumerates its intervals
+once, as a tuple (``TorsLattice.intervals``), each top's bottoms read off
+its down-set bitset; ``AlgebraContext.wide_verdicts`` and every interval
+property read it.  Each interval's wideness verdict is computed once
+(``AlgebraContext.wide_verdicts``): ``widelab.wide_verdicts`` runs once per
+top, on the lattice's node and order bitsets, and keeps one outcome per
+interval, a failure included.  wide-detect, lower-filt, reduction,
+wide-serre and serre-count read the verdicts; serre-count compares the
+Serre route under each top with the wide bottoms the verdicts give, and the
+route reads the bottoms serre-mutation found (``widelab.serre_mutation``
+keeps each in ``op_cache``).  Reduction builds the torsion lattice of each
+gap category W once for all the wide intervals with that gap, drops it
+before the next gap, and then reports the outcomes in interval order, so
+the report order does not depend on the grouping.  Per interval it reads
+the interval as a bitset of nodes (``TorsLattice.interval_bits``), picks
+its arrows and labels by bit tests, and checks each class psi(X) against
+the extension product of the bottom with X by scanning only that class's
+members.  Duality derives the order reversal from its node, bijection and
+arrow lines (``lattice.dual_correspondence``).  The perpendiculars that
+duality and wide-serre read are the lattice's own (``TorsLattice.perp``),
+found on the other side by mask (``bits_index``); wide-serre reads each
+top's left wide subcategory once per interval and tests the gap against a
+set of that top's Serre pieces, built on the top's first interval.
 
 The morphism audits (hom-audit, label-maps, and the audit inside
 ``widelab.left_wide`` and ``right_wide``) read ``Catalog.hom_table``: per
@@ -49,7 +55,8 @@ kernel, to name the first failing map.
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import islice
+from itertools import groupby, islice
+from operator import attrgetter
 
 from . import subcat, widelab
 from .catalog import build_catalog
@@ -120,22 +127,17 @@ class AlgebraContext:
     def wide_verdicts(self):
         """One verdict per interval of ``lat``, in ``lat.intervals`` order:
         the gap mask if the interval is wide, None if it is not, or the
-        VerificationError ``is_wide_interval`` raised.  Equal gaps are one
-        object."""
+        VerificationError the checks raised.  ``widelab.wide_verdicts``
+        runs once per top, on the bottoms of its intervals.  Equal gaps are
+        one object."""
         lat = self.lat
         gaps = {}
         verdicts = []
-        for iv in lat.intervals:
-            try:
-                report = widelab.is_wide_interval(lat, iv)
-            except VerificationError as exc:
-                # without its traceback, whose frames would hold this list
-                verdicts.append(exc.with_traceback(None))
-                continue
-            if not report.wide:
-                verdicts.append(None)
-                continue
-            verdicts.append(gaps.setdefault(report.gap, report.gap))
+        for t, ivs in groupby(lat.intervals, attrgetter("top")):
+            for v in widelab.wide_verdicts(lat, t, [iv.bottom for iv in ivs]):
+                if type(v) is int:
+                    v = gaps.setdefault(v, v)
+                verdicts.append(v)
         return tuple(verdicts)
 
     @cached_property

@@ -19,8 +19,79 @@ member indices.
 from dataclasses import dataclass
 
 from . import subcat
-from .errors import AuditFailed, NotSerre, NotWideInterval, TheoremViolation
+from .errors import (
+    AuditFailed,
+    NotSerre,
+    NotWideInterval,
+    TheoremViolation,
+    VerificationError,
+)
 from .lattice import Interval, build_lattice
+
+
+def wide_verdicts(lat, t, bottoms):
+    """The wideness verdicts of the intervals [U, T], T node t, for each U of
+    ``bottoms``, nodes below t.
+
+    Three readings of "wide" must agree (arXiv 1905.01148): direct, the gap
+    W = U^perp & T is a wide subcategory; join, T is the join of U and the
+    nodes covering U inside [U, T]; meet, U is the meet of T and the nodes T
+    covers inside [U, T].  One outcome per bottom, in order: W when the
+    interval is wide, None when it is not, or the VerificationError raised
+    (its traceback stripped, whose frames would hold the lattice), so a
+    failed check leaves the other verdicts standing.  A join or meet that is
+    no node raises as ``TorsLattice.join`` and ``meet`` do, naming the
+    nodes; three readings that differ raise "verdicts disagree".
+
+    T's mask and its lower covers are read once.  Per bottom it is bit
+    algebra: the gap is T & ~reach[U], tested by ``subcat.is_wide`` under
+    its ``("wide", W)`` memo; the join is the extension closure of the
+    ``_closed_bits`` of U and of the covers of U inside T (``down_sets``),
+    through the lattice's closure memo; the meet is T's mask ANDed with the
+    covers of T that contain U (``up_sets``).  Nothing else is built unless
+    a check fails.  The same code serves both sides and relative lattices.
+    """
+    cat = lat.cat
+    nb, reach, closed = lat.node_bits, lat.reach, lat._closed_bits
+    index, into, up = lat.bits_index, lat.into, lat.up_sets
+    t_mask = nb[t]
+    top = lat._rows.amb & t_mask
+    below_t = lat.down_sets[t]
+    covers = [(a.dst, nb[a.dst]) for a in lat.out_of[t]]
+    out = []
+    for u in bottoms:
+        try:
+            w = t_mask & ~reach[u]
+            direct = subcat.is_wide(cat, w)
+            start = closed[u]
+            for a in into[u]:
+                if below_t >> a.src & 1:
+                    start |= closed[a.src]
+            b = lat._closure(start)
+            hit = index.get(b)
+            if hit is None:
+                lower = lat.lower_set(Interval(u, t))
+                raise lat._not_a_node(b, lat._describe("join", lower))
+            join = hit == t
+            above_u = up[u]
+            b = top
+            for c, c_mask in covers:
+                if above_u >> c & 1:
+                    b &= c_mask
+            hit = index.get(b)
+            if hit is None:
+                upper = lat.upper_set(Interval(u, t))
+                raise lat._not_a_node(b, lat._describe("meet", upper))
+            meet = hit == u
+            if not (direct == join == meet):
+                raise TheoremViolation(
+                    f"verdicts disagree on [{lat.name(u)}, {lat.name(t)}]:"
+                    f" direct={direct} join={join} meet={meet}"
+                )
+            out.append(w if direct else None)
+        except VerificationError as exc:
+            out.append(exc.with_traceback(None))
+    return out
 
 
 @dataclass(frozen=True)
@@ -40,22 +111,14 @@ def is_wide_interval(lat, iv):
     """Test an interval three ways: gap wideness, join of lower elements,
     meet of upper elements; raises TheoremViolation unless all three agree.
 
-    All three run on the lattice's node bitsets: the gap W = U^perp & T is
-    ``lat.gap``, the join of U and its covers inside [U, T] is the
-    extension closure of their union (see ``TorsLattice.join``), and the
-    meet of T and the nodes it covers inside [U, T] is the AND of their
-    bitsets.  The same code serves both sides and relative lattices.
+    This is ``wide_verdicts`` on the one bottom, so the three agree in the
+    report; its gap is ``lat.gap``.
     """
-    w = lat.gap(iv)
-    direct = subcat.is_wide(lat.cat, w)
-    join = lat.join(lat.lower_set(iv)) == iv.top
-    meet = lat.meet(lat.upper_set(iv)) == iv.bottom
-    if not (direct == join == meet):
-        raise TheoremViolation(
-            f"verdicts disagree on [{lat.name(iv.bottom)}, {lat.name(iv.top)}]:"
-            f" direct={direct} join={join} meet={meet}"
-        )
-    return WideIntervalReport(iv, w, direct, join, meet)
+    (verdict,) = wide_verdicts(lat, iv.top, [iv.bottom])
+    if isinstance(verdict, VerificationError):
+        raise verdict
+    wide = verdict is not None
+    return WideIntervalReport(iv, lat.gap(iv), wide, wide, wide)
 
 
 def tors_of_wide(cat, w, config=None):
@@ -82,8 +145,12 @@ def reduce_interval(lat, iv, config=None):
     extension product of the bottom U with X, and the gap's simples are both
     the upper and the lower labels of the interval.
 
-    The scans run on bitsets: phi(v) is looked up as the gap's bitset AND
-    v's, and the extension product is tested on the catalog's pair bits.
+    The scans run on bitsets.  The interval is the bitset ``up_sets[U] &
+    down_sets[T]`` over node indices, and its internal arrows, its upper
+    labels (on the arrows out of T) and its lower labels (on the arrows into
+    U) are picked by bit tests on it; phi(v) is looked up as the gap's
+    bitset AND v's, and the extension product is tested on the catalog's
+    pair bits.
 
     A bijection that matches the covering arrows one to one is an order
     isomorphism, because each order is the transitive closure of its covers;
@@ -112,10 +179,11 @@ def _reduce_onto(lat, iv, w, wlat):
     cat = lat.cat
     nb = lat.node_bits
     u_bits = nb[iv.bottom]
-    inside = lat.interval_nodes(iv)
+    inside = lat.interval_bits(iv)
+    nodes = subcat.indices(inside)
 
     phi = {}
-    for v in inside:
+    for v in nodes:
         image = w & nb[v]
         hit = wlat.bits_index.get(image)
         if hit is None:
@@ -126,18 +194,22 @@ def _reduce_onto(lat, iv, w, wlat):
         phi[v] = hit
     psi = {x: v for v, x in phi.items()}
     # inverting drops repeated images, so injectivity needs the count
-    if len(inside) != len(wlat) or sorted(psi) != list(range(len(wlat))):
+    if len(nodes) != len(wlat) or sorted(psi) != list(range(len(wlat))):
         raise TheoremViolation("phi is not a bijection onto the gap lattice")
 
-    internal = [a for v in inside for a in lat.out_of[v] if a.dst in phi]
-    for a in internal:
-        got = wlat.arrow_labels.get((phi[a.src], phi[a.dst]))
-        if got != a.label:
-            raise TheoremViolation(
-                f"arrow {lat.name(a.src)}->{lat.name(a.dst)} label"
-                f" changed under phi"
-            )
-    if len(internal) != len(wlat.arrows):
+    # the covering arrows with both ends in the interval
+    internal = 0
+    w_labels = wlat.arrow_labels
+    for v in nodes:
+        for a in lat.out_of[v]:
+            if inside >> a.dst & 1:
+                if w_labels.get((phi[v], phi[a.dst])) != a.label:
+                    raise TheoremViolation(
+                        f"arrow {lat.name(a.src)}->{lat.name(a.dst)} label"
+                        f" changed under phi"
+                    )
+                internal += 1
+    if internal != len(wlat.arrows):
         raise TheoremViolation("phi is not a bijection on covering arrows")
 
     # psi(X) = star(U, X): every member j of psi(X) is an extension of a
@@ -148,16 +220,21 @@ def _reduce_onto(lat, iv, w, wlat):
     for x, v in psi.items():
         x_bits = wlat.node_bits[x]
         for j in subcat.indices(nb[v] & ~u_bits & ~x_bits):
-            if j not in over_u:
-                over_u[j] = [q for u, q in cat.pair_bits[j] if u & u_bits == u]
-            if not any(q & x_bits == q for q in over_u[j]):
+            qs = over_u.get(j)
+            if qs is None:
+                qs = over_u[j] = [q for u, q in cat.pair_bits[j] if u & u_bits == u]
+            for q in qs:
+                if q & x_bits == q:
+                    break
+            else:
                 raise TheoremViolation(
                     f"psi({wlat.name(x)}) differs from the extension product"
                 )
 
+    # the labels of the arrows out of the top and into the bottom, inside
     simples = subcat.simples_of_wide(cat, w)
-    uppers = lat.labels_of(lat.upper_set(iv))
-    lowers = lat.labels_of(lat.lower_set(iv))
+    uppers = subcat.bits(a.label for a in lat.out_of[iv.top] if inside >> a.dst & 1)
+    lowers = subcat.bits(a.label for a in lat.into[iv.bottom] if inside >> a.src & 1)
     if not (simples == uppers == lowers):
         raise TheoremViolation(
             f"gap simples {cat.mask_name(simples)}, upper labels"
@@ -221,8 +298,18 @@ def serre_mutation(lat, t_node, w):
     the top T, star(U, W) <= T, because U and W lie in T and T is a torsion
     class (every lattice node is, as in reduce_interval).  So star(U, W) = T
     once every member of T has a subfactor pair (u, q) with u in U and q in
-    W, and only the members of T are scanned.
+    W, and only the members of T outside U and W are scanned.
+
+    The bottom is kept in ``op_cache`` under the side, the ambient, T's mask
+    and W, so the Serre route under a top (``wide_intervals_with_top``)
+    reuses the work; a failed check keeps nothing and raises on every call.
     """
+    key = ("mutation", lat.side, lat.within, lat.node_bits[t_node], w)
+    return subcat._cached(lat.cat, key, lambda: _serre_bottom(lat, t_node, w))
+
+
+def _serre_bottom(lat, t_node, w):
+    """The checks and the bottom of ``serre_mutation``."""
     cat = lat.cat
     wl = left_wide(lat, t_node)
     if w not in subcat.serre_list(cat, wl):
@@ -238,8 +325,12 @@ def serre_mutation(lat, t_node, w):
         raise TheoremViolation(
             f"{cat.mask_name(u_mask)} is not a torsion class"
         )
-    for j in subcat.indices(t_mask):
-        if not any(u & u_mask == u and q & w == q for u, q in cat.pair_bits[j]):
+    # members of U and of W pass through their pairs (j, 0) and (0, j)
+    for j in subcat.indices(t_mask & ~u_mask & ~w):
+        for u, q in cat.pair_bits[j]:
+            if u & u_mask == u and q & w == q:
+                break
+        else:
             raise TheoremViolation(
                 f"extension product over {cat.mask_name(u_mask)} misses the top"
             )
@@ -255,8 +346,10 @@ def wide_intervals_with_top(lat, t_node):
 
     Produced through the Serre subcategories of the left wide subcategory,
     checked to be distinct and to number 2 to the outdegree.  The
-    exhaustive cross-check against is_wide_interval on every node below is
-    verify's serre-count property, which reads its per-interval verdicts.
+    exhaustive cross-check against the wideness verdict of every interval
+    below is verify's serre-count property, which reads ``wide_verdicts``.
+    ``serre_mutation`` keeps each bottom it finds, so a route run after the
+    same mutations reads them back.
     """
     cat = lat.cat
     wl = left_wide(lat, t_node)

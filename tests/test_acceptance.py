@@ -270,6 +270,25 @@ def test_scale_catalogs_are_pinned():
     assert got == SCALE_CATALOG_SHA256
 
 
+# linear A6 at p = 2, a copy of the benchmark's a6p2 spec, whose verify job
+# is most of the verify-suite workload; the sha256 of `torslat verify
+# a6p2.alg`, byte for byte
+A6_P2 = (
+    "vertices 6\narrow a1 1 2\narrow a2 2 3\narrow a3 3 4\narrow a4 4 5"
+    "\narrow a5 5 6\nprime 2\n"
+)
+A6_REPORT_SHA256 = (
+    "e438055f127a2e8cb50d96080f693fceccddc671a1250d3100ad892896c8d3ac"
+)
+
+
+def test_a6_report_is_pinned():
+    results = verify.run_verify([("a6p2", parse_algebra_text(A6_P2))])
+    text, failures = verify.format_report(results)
+    assert (len(results), failures) == (70172, 0)
+    assert _sha256(text) == A6_REPORT_SHA256
+
+
 def test_every_public_name_resolves():
     # a removed export must not leave its name behind in __all__
     missing = [name for name in torslat.__all__ if not hasattr(torslat, name)]

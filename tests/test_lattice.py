@@ -13,7 +13,7 @@ from torslat import lattice, subcat, widelab
 from torslat import verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import LabelNotBrick, LatticeBlowup, NotAnInterval
-from torslat.lattice import build_lattice, dual_correspondence
+from torslat.lattice import HasseArrow, TorsLattice, build_lattice, dual_correspondence
 from torslat.quivalg import parse_algebra_text
 
 
@@ -101,6 +101,19 @@ def test_interval_nodes_match_the_subset_scan_on_a7(a7lat):
     assert len(nodes) == 1430 and max(sizes) > 100
 
 
+# linear A5 at p = 2, a copy of the benchmark's a5p2 spec
+A5_P2 = "vertices 5\narrow a1 1 2\narrow a2 2 3\narrow a3 3 4\narrow a4 4 5\nprime 2\n"
+
+
+def test_intervals_match_the_subset_scan_on_a5():
+    # the bottoms read off down_sets against the scan over every node pair
+    lat = build_lattice(torslat.build_catalog(parse_algebra_text(A5_P2)))
+    assert len(lat) == math.comb(12, 6) // 7 == 132
+    assert [(iv.bottom, iv.top) for iv in lat.intervals] == (
+        oracles.intervals_by_subsets(lat)
+    )
+
+
 def test_interval_count_on_pentagon(a2lat):
     assert sum(1 for _ in a2lat.all_intervals()) == 13
 
@@ -150,8 +163,9 @@ def test_duality_holds(name, cat_of, lat_of):
 
 def test_duality_fails_on_a_torsion_free_node_shrunk_after_construction(a2cat):
     # a2's torsion-free class {01a,11a}, the dual of {10a}, shrunk to {11a}
-    # in nodes but not in node_index: the node map still finds it, and the
-    # inclusion {10a} <= {10a,11a} is no longer reversed
+    # in nodes but not in node_index: the node map still finds it, but its
+    # mask is no longer {10a}^perp, so the node line of {10a} fails, and the
+    # order reversal derived from the node lines with it
     lat, flat = build_lattice(a2cat), build_lattice(a2cat, side="torf")
     k = flat.node_index[names_to_mask(a2cat, "01a", "11a")]
     nodes = list(flat.nodes)
@@ -159,7 +173,71 @@ def test_duality_fails_on_a_torsion_free_node_shrunk_after_construction(a2cat):
     flat.nodes = tuple(nodes)
     _, node_checks, _ = dual_correspondence(lat, flat)
     failed = [(desc, witness) for desc, ok, witness in node_checks if not ok]
-    assert failed == [("order reversal", "inclusions not reversed")]
+    assert failed == [
+        ("node {10a}", "torsion-free node {11a} is not {01a,11a}"),
+        ("order reversal", "inclusions not reversed"),
+    ]
+
+
+def _duality_failures(lat, flat):
+    _, node_checks, arrow_checks = dual_correspondence(lat, flat)
+    checks = node_checks + arrow_checks
+    return [(desc, witness) for desc, ok, witness in checks if not ok]
+
+
+def _with_arrows(flat, arrows):
+    return TorsLattice(flat.cat, flat.side, flat.within, flat.nodes, tuple(arrows))
+
+
+REVERSAL_FAILS = ("order reversal", "inclusions not reversed")
+
+
+def test_duality_fails_on_a_relabelled_torsion_free_arrow(a2cat):
+    # a2's torf arrow {01a,11a}->{01a}, the dual of {10a,11a}->{10a}, with
+    # the label 10a for 11a: that arrow line fails, and the order reversal
+    # derived from it
+    lat, flat = build_lattice(a2cat), build_lattice(a2cat, side="torf")
+    n = {name: i for i, name in enumerate(flat.names)}
+    label = {name: i for i, name in enumerate(a2cat.names)}
+    src, dst = n["{01a,11a}"], n["{01a}"]
+    arrows = list(flat.arrows)
+    k = arrows.index(HasseArrow(src, dst, label["11a"]))
+    arrows[k] = HasseArrow(src, dst, label["10a"])
+    assert _duality_failures(lat, _with_arrows(flat, arrows)) == [
+        REVERSAL_FAILS,
+        ("arrow {10a,11a}->{10a}", "label 10a != 11a"),
+    ]
+
+
+def test_duality_fails_on_a_dropped_torsion_free_arrow(a2cat):
+    # a2's torf arrow {01a,10a,11a}->{10a}, the dual of {01a}->{}, dropped:
+    # that arrow line and the arrow count fail, and the order reversal
+    lat, flat = build_lattice(a2cat), build_lattice(a2cat, side="torf")
+    n = {name: i for i, name in enumerate(flat.names)}
+    arrows = [
+        a for a in flat.arrows if (a.src, a.dst) != (n["{01a,10a,11a}"], n["{10a}"])
+    ]
+    assert len(arrows) == len(flat.arrows) - 1
+    assert _duality_failures(lat, _with_arrows(flat, arrows)) == [
+        REVERSAL_FAILS,
+        ("arrow {01a}->{}", "no dual arrow"),
+        ("arrow count", "5 != 4"),
+    ]
+
+
+def test_duality_fails_on_a_torsion_free_node_missing_from_the_index(a2cat):
+    # a2's torf class {01a,11a}, the dual of {10a}, dropped from node_index:
+    # the node line of {10a}, the bijection, and the arrows at {10a} fail,
+    # and the order reversal with them
+    lat, flat = build_lattice(a2cat), build_lattice(a2cat, side="torf")
+    del flat.node_index[names_to_mask(a2cat, "01a", "11a")]
+    assert _duality_failures(lat, flat) == [
+        ("node {10a}", "{01a,11a} is not torsion-free"),
+        ("node bijection", "map is not a bijection"),
+        REVERSAL_FAILS,
+        ("arrow {10a}->{}", "endpoint missing in dual"),
+        ("arrow {10a,11a}->{10a}", "endpoint missing in dual"),
+    ]
 
 
 def test_torf_side_counts(lat_of):

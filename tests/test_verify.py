@@ -5,11 +5,13 @@ import weakref
 
 import pytest
 
+import oracles
 import torslat
 from torslat import subcat, verify, widelab
 from torslat.catalog import Catalog
 from torslat.errors import TheoremViolation, UnknownProperty
 from conftest import NAKAYAMA_5_5, names_to_mask
+from oracles import to_set
 from test_widelab import merge_the_bottom_into_a_cover
 from torslat.lattice import HasseArrow, TorsLattice, build_lattice
 from torslat.quivalg import parse_algebra_text
@@ -144,6 +146,51 @@ def test_verify_enumerates_the_intervals_once(monkeypatch):
     assert {r.prop for r in results} == set(verify.PROPERTIES)
     assert all(r.ok for r in results)
     assert calls == [("tors", None)]
+
+
+@pytest.mark.parametrize("name", verify.CORPUS + ("nak55",))
+def test_context_verdicts_match_the_mask_oracle(name):
+    # the per-top verdicts of AlgebraContext on every interval, N_5^5's too
+    text = NAKAYAMA_5_5 if name == "nak55" else verify.corpus_text(name)
+    ctx = verify.AlgebraContext(name, parse_algebra_text(text))
+    lat = ctx.lat
+    assert [(iv.bottom, iv.top) for iv in lat.intervals] == (
+        oracles.intervals_by_subsets(lat)
+    )
+    wide = 0
+    for iv, verdict in zip(lat.intervals, ctx.wide_verdicts, strict=True):
+        gap, *readings = oracles.is_wide_interval(lat, iv)
+        assert verdict is None or type(verdict) is int
+        assert readings == [verdict is not None] * 3
+        if verdict is not None:
+            assert to_set(verdict) == gap
+            wide += 1
+    # every interval of ss2's Boolean lattice is wide
+    assert 0 < wide <= len(lat.intervals)
+
+
+def test_serre_mutation_runs_once_per_top_and_piece(monkeypatch, lat_of):
+    # serre-count's Serre route reads the bottoms serre-mutation found
+    calls = []
+    body = widelab._serre_bottom
+
+    def counting(lat, t, w):
+        calls.append((lat.node_bits[t], w))
+        return body(lat, t, w)
+
+    monkeypatch.setattr(widelab, "_serre_bottom", counting)
+    results = verify.run_verify([("a4", verify.load_corpus_algebra("a4"))])
+    assert {r.prop for r in results} == set(verify.PROPERTIES)
+    assert all(r.ok for r in results)
+    lat = lat_of("a4")
+    pieces = [
+        (lat.node_bits[t], w)
+        for t in range(len(lat))
+        for w in subcat.serre_list(lat.cat, widelab.left_wide(lat, t))
+    ]
+    assert len(calls) == len(set(calls)) == len(pieces)
+    assert set(calls) == set(pieces)
+    assert len(pieces) == sum(r.prop == "serre-mutation" for r in results)
 
 
 def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_of):
@@ -393,14 +440,16 @@ def test_a_failed_verdict_reports_as_before(monkeypatch, lat_of):
     ivs = list(lat.all_intervals())
     bad = ivs[len(ivs) // 2]
     bad_nodes = (lat.nodes[bad.bottom], lat.nodes[bad.top])
-    is_wide_interval = widelab.is_wide_interval
+    is_wide_interval, wide_verdicts = widelab.is_wide_interval, widelab.wide_verdicts
 
-    def failing(lat, iv):
-        if (lat.nodes[iv.bottom], lat.nodes[iv.top]) == bad_nodes:
-            raise TheoremViolation("planted disagreement")
-        return is_wide_interval(lat, iv)
+    def failing(lat, t, bottoms):
+        out = wide_verdicts(lat, t, bottoms)
+        for k, u in enumerate(bottoms):
+            if (lat.nodes[u], lat.nodes[t]) == bad_nodes:
+                out[k] = TheoremViolation("planted disagreement")
+        return out
 
-    monkeypatch.setattr(widelab, "is_wide_interval", failing)
+    monkeypatch.setattr(widelab, "wide_verdicts", failing)
     props = ["reduction", "wide-detect", "lower-filt", "wide-serre", "serre-count"]
     results = verify.run_verify(
         [("a2", verify.load_corpus_algebra("a2"))], props=props
@@ -490,7 +539,9 @@ def _verify_tampered_a2(monkeypatch, tamper, prop="wide-detect", side="tors"):
 def test_a_meet_outside_the_lattice_is_a_failed_check(monkeypatch):
     # a2's node {10a,11a} shrunk to {11a} after construction: the meet of
     # that node with the top is {11a}, no node, which must be a FAIL line
-    # and not an escaping error
+    # and not an escaping error.  The intervals and their covers come from
+    # the arrows, which still put the shrunk node above {10a}: [{10a}, it]
+    # is an interval, and the node is a cover of the top above {10a}
     def shrink(cat, lat):
         k = lat.node_index[names_to_mask(cat, "10a", "11a")]
         nodes = list(lat.nodes)
@@ -498,13 +549,18 @@ def test_a_meet_outside_the_lattice_is_a_failed_check(monkeypatch):
         lat.nodes = tuple(nodes)
 
     text, failures = _verify_tampered_a2(monkeypatch, shrink)
-    assert failures == 3
+    assert failures == 5
     assert (
         "FAIL a2 wide-detect [{11a},{11a}] :: meet of {11a} is {11a}, not a node"
     ) in text
+    for bottom in ("{10a}", "{11a}"):
+        assert (
+            f"FAIL a2 wide-detect [{bottom},{{01a,10a,11a}}] :: meet of"
+            " {11a} & {01a,10a,11a} is {11a}, not a node"
+        ) in text
     assert (
-        "FAIL a2 wide-detect [{11a},{01a,10a,11a}] :: meet of"
-        " {11a} & {01a,10a,11a} is {11a}, not a node"
+        "FAIL a2 wide-detect [{10a},{11a}] :: verdicts disagree on"
+        " [{10a}, {11a}]: direct=True join=True meet=False"
     ) in text
 
 
