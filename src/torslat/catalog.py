@@ -10,7 +10,8 @@ derives from them the bitset rows those operators read: ``out_bits`` and
 ``in_bits`` (the members a member maps to and from), ``pair_bits`` (the
 subfactor pairs as (u, q) bitsets), ``quotient_bits`` and ``sub_bits``
 (the union of their q and u parts), ``extension_rows`` (u | q of each
-nontrivial pair) and ``full_mask``.
+nontrivial pair), ``closure_rows`` (the rows of ``subcat.filt``) and
+``full_mask``.
 ``op_cache`` holds every memo of the library under tagged keys: the summand indices of
 ``decompose_indices`` under ``("decompose", module key)``, seeded with
 every module the closure decomposed, the table ``hom_table`` of one
@@ -71,6 +72,7 @@ class Catalog:
         self.bricks = ()
         self.subfactors = ()
         self.extension_rows = ()
+        self.closure_rows = ()
         self.out_bits = ()
         self.in_bits = ()
         self.quotient_bits = ()
@@ -95,8 +97,10 @@ class Catalog:
         holds the pairs of subfactors[i] as (u bitset, q bitset);
         quotient_bits[i] is the union of their q parts and sub_bits[i] of
         their u parts; extension_rows[i] holds u | q for each nontrivial pair
-        (u and q nonempty), once per distinct bitset; full_mask holds every
-        index.
+        (u and q nonempty), once per distinct bitset; closure_rows holds
+        (1 << i, extension_rows[i]) for each i with a nontrivial pair, the
+        rows of ``subcat.extension_closure`` over the whole catalog;
+        full_mask holds every index.
         """
         n = len(self.ind)
         if not (len(hom_dim) == len(bricks) == len(subfactors) == n) or any(
@@ -125,6 +129,10 @@ class Catalog:
         self.extension_rows = tuple(
             tuple(dict.fromkeys(u | q for u, q in row if u and q))
             for row in self.pair_bits
+        )
+        # i without a nontrivial pair is no extension of anything smaller
+        self.closure_rows = tuple(
+            (1 << i, uqs) for i, uqs in enumerate(self.extension_rows) if uqs
         )
         self.full_mask = (1 << n) - 1
 

@@ -8,31 +8,31 @@ label.  The same builder produces the dual lattice of torsion-free classes
 are taken on the chosen side and ambient throughout.
 
 Masks are int bitsets (bit i for catalog index i), as everywhere in the
-library; this module alone also keeps frozensets, as the lattice's public
-face.  ``build_lattice`` walks the covers on bitsets, over rows it derives
-from the catalog once per call, with a memo of extension closures local to
-the call; it leaves ``op_cache`` untouched and turns its nodes into
-frozensets once, at the end.  ``TorsLattice.nodes`` and ``node_index``
-hold those frozensets, which the exports and callers that look a class up
-by its members read.  Every other reader takes the internal view, derived
-from ``nodes`` and ``node_index`` on first use: each node's mask
-(``node_bits``, ``bits_index``) and the members each node reaches by a map
-(``reach``, and from it ``perp``); joins, meets, gaps and labels run on
-these.  The order bitsets (``up_sets``, ``down_sets``) run over node
-indices and are built from the covering arrows.  The intervals come from
-them: the bottoms of a top t are the nodes of ``down_sets[t]``, so the
-enumeration costs one step per interval, not one per pair of nodes; an
-interval's nodes are ``up_sets[U] & down_sets[T]``.  ``dual_correspondence``
-derives the order reversal of the torsion-free dual from the arrows, with
-the same Hasse-diagram argument, instead of comparing every pair of nodes.
+library, and a node is its mask: ``TorsLattice.node_bits`` holds the masks
+in node order and ``bits_index`` finds a node by its mask.  Once, on
+construction, the lattice also turns them into frozensets, ``nodes`` and
+``node_index``, for callers that look a class up by its members; no code of
+the library reads them.  ``build_lattice`` walks the covers on bitsets,
+over rows it derives from the catalog once per call, with a memo of
+extension closures local to the call; it leaves ``op_cache`` untouched and
+passes its sorted masks to ``TorsLattice``.  The members each node reaches
+by a map (``reach``, and from it ``perp``) and its closure row
+(``_closed_bits``) are derived from ``node_bits`` on first use.  Gaps read
+``reach``; a join is ``subcat.filt`` of the union of closure rows, so every
+closure read after a build goes through the one memo, ``op_cache``.  The
+order bitsets (``up_sets``, ``down_sets``) run over node indices and are
+built from the covering arrows.  The intervals come from them: the bottoms
+of a top t are the nodes of ``down_sets[t]``, so the enumeration costs one
+step per interval, not one per pair of nodes; an interval's nodes are
+``up_sets[U] & down_sets[T]``.  ``dual_correspondence`` derives the order
+reversal of the torsion-free dual from the arrows, with the same
+Hasse-diagram argument, instead of comparing every pair of nodes.
 """
 
 import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
-
 from . import subcat
 from .errors import (
     LabelNotBrick,
@@ -58,16 +58,17 @@ class Interval:
 
 
 class TorsLattice:
-    def __init__(self, cat, side, within, nodes, arrows):
+    def __init__(self, cat, side, within, node_bits, arrows):
         self.cat = cat
         self.side = side
         self.within = within
-        self.nodes = nodes
+        self.node_bits = tuple(node_bits)
+        self.bits_index = {b: i for i, b in enumerate(self.node_bits)}
+        self.nodes = tuple(frozenset(subcat.indices(b)) for b in self.node_bits)
+        self.node_index = {m: i for i, m in enumerate(self.nodes)}
         self.arrows = arrows
-        self.node_index = {m: i for i, m in enumerate(nodes)}
-        self._closures = {}
-        out = {i: [] for i in range(len(nodes))}
-        into = {i: [] for i in range(len(nodes))}
+        out = {i: [] for i in range(len(self.node_bits))}
+        into = {i: [] for i in range(len(self.node_bits))}
         for a in arrows:
             out[a.src].append(a)
             into[a.dst].append(a)
@@ -75,7 +76,7 @@ class TorsLattice:
         self.into = {i: tuple(v) for i, v in into.items()}
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.node_bits)
 
     @property
     def ambient(self):
@@ -97,7 +98,7 @@ class TorsLattice:
         return self.names[i]
 
     def leq(self, i, j):
-        return self.nodes[i] <= self.nodes[j]
+        return not self.node_bits[i] & ~self.node_bits[j]
 
     def _node_of(self, b, what):
         """The node of a mask.  A mask that is no node raises a
@@ -126,30 +127,15 @@ class TorsLattice:
         (Ingalls-Thomas, arXiv:math/0612219: a join of torsion classes is
         the extension closure of their union); dually on the torsion-free
         side.  The rows are read anyway, from ``_closed_bits``, so the join
-        is gen of the union for whatever masks ``nodes`` holds.
+        is gen of the union for whatever masks ``node_bits`` holds.  The
+        closure is ``subcat.filt``, exact inside a wide ambient (see
+        ``subcat``) and kept in ``op_cache``.
         """
         start = 0
         for i in node_ids:
             start |= self._closed_bits[i]
-        closed = self._closure(start)
+        closed = subcat.filt(self.cat, start)
         return self._node_of(closed, lambda: self._describe("join", node_ids))
-
-    def meet(self, node_ids):
-        b = self._rows.amb
-        for i in node_ids:
-            b &= self.node_bits[i]
-        return self._node_of(b, lambda: self._describe("meet", node_ids))
-
-    def _closure(self, start):
-        """The extension closure of a bitset of the ambient, kept per
-        lattice, keyed by the bitset closed: the joins of the intervals of
-        one bottom share a few starts."""
-        closed = self._closures.get(start)
-        if closed is None:
-            closed = self._closures[start] = subcat.extension_closure(
-                start, self._rows.ext
-            )
-        return closed
 
     def interval(self, bottom, top):
         if not self.leq(bottom, top):
@@ -158,45 +144,35 @@ class TorsLattice:
             )
         return Interval(bottom, top)
 
-    # The masks of the nodes, derived on first use from nodes and
-    # node_index as they are then, so that a lattice whose nodes were
-    # altered after construction is read as altered.
+    # The rows of each node, derived on first use from node_bits as it is
+    # then, so that a lattice whose masks were altered after construction
+    # is read as altered.
 
-    @cached_property
-    def _rows(self):
-        return _side_rows(self.cat, self.side, self.within)
-
-    @cached_property
-    def node_bits(self):
-        """node_bits[i]: the mask of node i."""
-        return tuple(map(subcat.bits, self.nodes))
-
-    @cached_property
-    def bits_index(self):
-        """node_index keyed by masks."""
-        return {subcat.bits(m): i for m, i in self.node_index.items()}
-
-    def _node_unions(self, rows):
+    def _node_unions(self, tors_rows, torf_rows):
+        """Per node, the union of its members' rows of the side, cut down to
+        the ambient."""
+        rows = tors_rows if self.side == "tors" else torf_rows
+        amb = self.ambient
         out = []
         for b in self.node_bits:
             acc = 0
             for x in subcat.indices(b):
                 acc |= rows[x]
-            out.append(acc)
+            out.append(acc & amb)
         return tuple(out)
 
     @cached_property
     def reach(self):
         """reach[i]: the members of the ambient that some member of node i
         maps to (maps from, on the torsion-free side), as a bitset."""
-        return self._node_unions(self._rows.hits)
+        return self._node_unions(self.cat.out_bits, self.cat.in_bits)
 
     @cached_property
     def _closed_bits(self):
         """_closed_bits[i]: fac of node i (sub_cl on the torsion-free side)
         cut down to the ambient, as a bitset; node i itself when it is a
         class of the side."""
-        return self._node_unions(self._rows.close)
+        return self._node_unions(self.cat.quotient_bits, self.cat.sub_bits)
 
     def perp(self, i):
         """The members of the ambient that node i maps nothing to (that map
@@ -213,14 +189,14 @@ class TorsLattice:
     # Order from the covering arrows.  Nodes are sorted by size, so every
     # arrow runs from a higher index to a lower one, and one pass in index
     # order fills each set from sets already filled.  The intervals, their
-    # nodes and their upper and lower sets read these sets; join, meet and
-    # gap read the node bitsets.
+    # nodes and their upper and lower sets read these sets; join and gap
+    # read the node bitsets.
 
     @cached_property
     def down_sets(self):
         """down_sets[i]: the nodes at or below node i, as an int bitset."""
         down = []
-        for i in range(len(self.nodes)):
+        for i in range(len(self)):
             bits = 1 << i
             for a in self.out_of[i]:
                 bits |= down[a.dst]
@@ -230,8 +206,8 @@ class TorsLattice:
     @cached_property
     def up_sets(self):
         """up_sets[i]: the nodes at or above node i, as an int bitset."""
-        up = [0] * len(self.nodes)
-        for i in reversed(range(len(self.nodes))):
+        up = [0] * len(self)
+        for i in reversed(range(len(self))):
             bits = 1 << i
             for a in self.into[i]:
                 bits |= up[a.src]
@@ -313,27 +289,18 @@ class TorsLattice:
     def to_json(self):
         doc = {
             "side": self.side,
-            "nodes": [sorted(m) for m in self.nodes],
+            "nodes": [subcat.indices(b) for b in self.node_bits],
             "arrows": [[a.src, a.dst, a.label] for a in self.arrows],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-class SideRows(NamedTuple):
-    """The rows of one side and ambient: ``amb`` the ambient as a bitset
-    and, per member x of it, ``hits[x]`` the members x maps to (from, on the
-    torsion-free side) and ``close[x]`` x's ``quotient_bits`` (``sub_bits``)
-    row, both cut down to the ambient; ``ext`` the rows of
-    extension_closure for the members with an ``extension_rows`` entry
-    inside the ambient."""
-
-    amb: int
-    hits: dict
-    close: dict
-    ext: list
-
-
 def _side_rows(cat, side, within):
+    """The rows of one side and ambient: the ambient as a bitset and, per
+    member x of it, the members x maps to (from, on the torsion-free side)
+    and x's ``quotient_bits`` (``sub_bits``) row, both cut down to the
+    ambient; then the rows of extension_closure for the members with an
+    ``extension_rows`` entry inside the ambient."""
     amb = cat.full_mask if within is None else within
     maps = cat.out_bits if side == "tors" else cat.in_bits
     rows = cat.quotient_bits if side == "tors" else cat.sub_bits
@@ -344,7 +311,7 @@ def _side_rows(cat, side, within):
         uqs = [b for b in cat.extension_rows[x] if b & amb == b]
         if uqs:
             ext.append((1 << x, uqs))
-    return SideRows(amb, hits, close, ext)
+    return amb, hits, close, ext
 
 
 def _quotient_minimal(perp, close):
@@ -384,7 +351,8 @@ def build_lattice(cat, side="tors", within=None, config=None):
     candidates gen(T + x) = filt(fac(T) | fac(x)) and the label check
     filt(s) = gap call subcat.extension_closure through one memo local to
     the call, keyed by the bitset closed; nothing goes to ``op_cache``.
-    The nodes become frozensets once, at the end.
+    The masks of the classes, sorted by size and then by members, are the
+    nodes.
     """
     cfg = config or cat.config
     amb, hits, close, ext = _side_rows(cat, side, within)
@@ -436,14 +404,13 @@ def build_lattice(cat, side="tors", within=None, config=None):
                         f" {cfg.node_budget} (--node-budget)"
                     )
                 queue.append(top)
-    members = sorted(map(subcat.indices, seen), key=lambda m: (len(m), m))
-    nodes = tuple(frozenset(m) for m in members)
-    index = {subcat.bits(m): i for i, m in enumerate(members)}
+    node_bits = sorted(seen, key=lambda b: (b.bit_count(), subcat.indices(b)))
+    index = {b: i for i, b in enumerate(node_bits)}
     arrows = sorted(
         (HasseArrow(index[top], index[bottom], s) for top, bottom, s in covers),
         key=lambda a: (a.src, a.dst),
     )
-    return TorsLattice(cat, side, within, nodes, tuple(arrows))
+    return TorsLattice(cat, side, within, node_bits, tuple(arrows))
 
 
 def dual_correspondence(tors_lat, torf_lat):

@@ -181,6 +181,15 @@ def projective_module(algebra, vertex):
 _DIRECTIVES = ("vertices", "arrow", "relation", "prime")
 
 
+def _one_integer(lineno, head, args):
+    """The argument of a directive that takes exactly one integer."""
+    try:
+        (value,) = args
+        return int(value)
+    except ValueError:
+        raise SpecParseError(f"line {lineno}: {head} needs one integer") from None
+
+
 def parse_algebra_text(text, config=None):
     """Parse the line-oriented spec format and build the algebra.
 
@@ -200,10 +209,7 @@ def parse_algebra_text(text, config=None):
         if head == "vertices":
             if vertex_count is not None:
                 raise SpecParseError(f"line {lineno}: repeated vertices directive")
-            try:
-                vertex_count = int(args[0])
-            except (IndexError, ValueError):
-                raise SpecParseError(f"line {lineno}: vertices needs one integer") from None
+            vertex_count = _one_integer(lineno, head, args)
         elif head == "arrow":
             if len(args) != 3:
                 raise SpecParseError(f"line {lineno}: arrow needs name, source, target")
@@ -217,10 +223,9 @@ def parse_algebra_text(text, config=None):
                 raise SpecParseError(f"line {lineno}: empty relation")
             relations.append(tuple(args))
         elif head == "prime":
-            try:
-                prime = int(args[0])
-            except (IndexError, ValueError):
-                raise SpecParseError(f"line {lineno}: prime needs one integer") from None
+            if prime is not None:
+                raise SpecParseError(f"line {lineno}: repeated prime directive")
+            prime = _one_integer(lineno, head, args)
         else:
             raise SpecParseError(
                 f"line {lineno}: unknown directive {head!r}, expected one of {_DIRECTIVES}"

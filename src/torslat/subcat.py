@@ -38,11 +38,16 @@ tables: a perpendicular is the ambient minus the ``out_bits`` (or
 ``in_bits``) rows of the members.  ``fac`` and ``sub_cl`` are one union of
 the members with their ``quotient_bits`` (or ``sub_bits``), without a memo.
 ``filt`` runs ``extension_closure``, the one extension-closure fixpoint of
-the library, on the catalog's ``extension_rows``; ``lattice.build_lattice``
-calls it on rows it restricts to its ambient.  Results that are reused are
-kept in the catalog's ``op_cache`` through ``_cached``, the one memo helper
-of the library: the catalog's own decompose memo and Hom table and
-widelab's verdicts go through it too, each under a key tagged by its kind.
+the library, on the catalog's ``closure_rows`` and keeps the result under
+``("filt", mask)``, the one closure memo: the joins of every lattice,
+relative ones included, read it, exact by the argument above.
+``lattice.build_lattice`` runs the fixpoint on rows it restricts to its
+ambient, through a memo local to the walk that leaves ``op_cache`` as it
+was, and ``is_wide`` under its own ``("wide", mask)`` entry.  Results that
+are reused are kept in the catalog's ``op_cache`` through ``_cached``, the
+one memo helper of the library: the catalog's own decompose memo and Hom
+table and widelab's verdicts go through it too, each under a key tagged by
+its kind.
 
 ``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows
 miss the other members.  Wideness has one test, ``is_wide``: the candidate
@@ -140,15 +145,9 @@ def extension_closure(cur, rows):
     return cur
 
 
-def _closure_rows(cat):
-    """The rows of extension_closure over the whole catalog."""
-    # j without a nontrivial pair is no extension of anything smaller
-    return [(1 << j, uqs) for j, uqs in enumerate(cat.extension_rows) if uqs]
-
-
 def filt(cat, b):
     """Least summand-closed extension-closed mask containing the input."""
-    return _cached(cat, ("filt", b), lambda: extension_closure(b, _closure_rows(cat)))
+    return _cached(cat, ("filt", b), lambda: extension_closure(b, cat.closure_rows))
 
 
 def _perp(rows, b, ambient):
@@ -209,7 +208,7 @@ def is_wide(cat, b):
 
     def run():
         s = candidate_simples(cat, b)
-        return is_semibrick(cat, s) and extension_closure(s, _closure_rows(cat)) == b
+        return is_semibrick(cat, s) and extension_closure(s, cat.closure_rows) == b
 
     return _cached(cat, ("wide", b), run)
 

@@ -40,14 +40,14 @@ def wide_verdicts(lat, t, bottoms):
     interval is wide, None when it is not, or the VerificationError raised
     (its traceback stripped, whose frames would hold the lattice), so a
     failed check leaves the other verdicts standing.  A join or meet that is
-    no node raises as ``TorsLattice.join`` and ``meet`` do, naming the
-    nodes; three readings that differ raise "verdicts disagree".
+    no node raises as ``TorsLattice.join`` does, naming the nodes; three
+    readings that differ raise "verdicts disagree".
 
     T's mask and its lower covers are read once.  Per bottom it is bit
     algebra: the gap is T & ~reach[U], tested by ``subcat.is_wide`` under
-    its ``("wide", W)`` memo; the join is the extension closure of the
+    its ``("wide", W)`` memo; the join is ``subcat.filt`` of the
     ``_closed_bits`` of U and of the covers of U inside T (``down_sets``),
-    through the lattice's closure memo; the meet is T's mask ANDed with the
+    as in ``TorsLattice.join``; the meet is T's mask ANDed with the
     covers of T that contain U (``up_sets``).  Nothing else is built unless
     a check fails.  The same code serves both sides and relative lattices.
     """
@@ -55,7 +55,7 @@ def wide_verdicts(lat, t, bottoms):
     nb, reach, closed = lat.node_bits, lat.reach, lat._closed_bits
     index, into, up = lat.bits_index, lat.into, lat.up_sets
     t_mask = nb[t]
-    top = lat._rows.amb & t_mask
+    top = lat.ambient & t_mask
     below_t = lat.down_sets[t]
     covers = [(a.dst, nb[a.dst]) for a in lat.out_of[t]]
     out = []
@@ -67,7 +67,7 @@ def wide_verdicts(lat, t, bottoms):
             for a in into[u]:
                 if below_t >> a.src & 1:
                     start |= closed[a.src]
-            b = lat._closure(start)
+            b = subcat.filt(cat, start)
             hit = index.get(b)
             if hit is None:
                 lower = lat.lower_set(Interval(u, t))

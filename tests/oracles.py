@@ -509,7 +509,8 @@ def cover_walk(cat, side="tors", within=None):
         (lattice.HasseArrow(index[t], index[b], s) for t, b, s in covers),
         key=lambda a: (a.src, a.dst),
     )
-    return lattice.TorsLattice(cat, side, lib_within, nodes, tuple(arrows))
+    node_bits = [subcat.bits(m) for m in nodes]
+    return lattice.TorsLattice(cat, side, lib_within, node_bits, tuple(arrows))
 
 
 def to_bits(mask):
@@ -667,6 +668,13 @@ def is_wide(cat, members):
         cat.bricks[i] and all(i == j or cat.hom_dim[i][j] == 0 for j in s) for i in s
     )
     return semibrick and filt(cat, s) == members
+
+
+def meet(lat, node_ids):
+    """The node that is the intersection of the nodes' masks (the ambient
+    for no node), or None when it is no node."""
+    met = to_set(lat.ambient).intersection(*(lat.nodes[i] for i in node_ids))
+    return lat.node_index.get(met)
 
 
 def intervals_by_subsets(lat):

@@ -318,8 +318,8 @@ def test_index_of_rejects_non_members(name, cat_of):
                 cat.index_of(modrep.direct_sum(x, y))
 
 
-# Gabriel: A_n has n(n+1)/2 indecomposables and D_n has n(n-1), in every
-# orientation; k[x]/x^n has its n Jordan blocks
+# Gabriel: A_n has n(n+1)/2 indecomposables, D_n has n(n-1) and E6 36, in
+# every orientation; k[x]/x^n has its n Jordan blocks
 CLOSED_FORM_SPECS = {
     "a4": "vertices 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\nprime {p}\n",
     # the central vertex 2 is the target of two arrows and the source of one
@@ -330,22 +330,32 @@ CLOSED_FORM_SPECS = {
         "vertices 6\narrow a 1 3\narrow b 2 3\narrow c3 3 4\narrow c4 4 5"
         "\narrow c5 5 6\nprime {p}\n"
     ),
+    # E6: arms 1->2->3 and 5->4->3 and the short arm 6->3
+    "e6": (
+        "vertices 6\narrow a 1 2\narrow b 2 3\narrow c 5 4\narrow d 4 3"
+        "\narrow e 6 3\nprime {p}\n"
+    ),
     "kx3": "vertices 1\narrow x 1 1\nrelation x x x\nprime {p}\n",
     "kx4": "vertices 1\narrow x 1 1\nrelation x x x x\nprime {p}\n",
 }
 # torsion classes: the W-Catalan number of the root system (Ingalls-Thomas),
-# Catalan(n+1) for A_n and (3n-2)/n * C(2n-2, n-1) for D_n, and only 0 and
-# everything over a local algebra
-CLOSED_FORM_TORS = {"a4": 42, "d4": 50, "d5": 182, "d6": 672, "kx3": 2, "kx4": 2}
-# the highest root of D6 has total dimension 9
-CLOSED_FORM_CONFIG = {"d6": DEFAULT_CONFIG.with_overrides(dim_bound=9)}
+# Catalan(n+1) for A_n, (3n-2)/n * C(2n-2, n-1) for D_n and 833 for E6, and
+# only 0 and everything over a local algebra
+CLOSED_FORM_TORS = {
+    "a4": 42, "d4": 50, "d5": 182, "d6": 672, "e6": 833, "kx3": 2, "kx4": 2
+}
+# the highest roots of D6 and E6 have total dimension 9 and 11
+CLOSED_FORM_CONFIG = {
+    "d6": DEFAULT_CONFIG.with_overrides(dim_bound=9),
+    "e6": DEFAULT_CONFIG.with_overrides(dim_bound=11),
+}
 
 
 @pytest.mark.parametrize(
     "name,prime,count",
     [("a4", p, 10) for p in (2, 3, 5, 7)]
     + [("d4", p, 12) for p in (2, 3, 5, 7)]
-    + [("d5", 2, 20), ("d6", 2, 30)]
+    + [("d5", 2, 20), ("d6", 2, 30), ("e6", 2, 36)]
     + [("kx3", p, 3) for p in (2, 3, 5)]
     + [("kx4", 2, 4)],
 )

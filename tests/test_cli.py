@@ -165,6 +165,22 @@ def test_bad_spec_exit_code(tmp_path):
     assert res.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("vertices 2\nprime 2\nprime 3\n", 3),
+        ("vertices 2 7\nprime 2\n", 1),
+        ("vertices 2\nprime 2 5\n", 2),
+    ],
+)
+def test_spec_directive_errors_name_the_line(text, line, tmp_path, capsys):
+    # a repeated prime and extra tokens are rejected, not silently dropped
+    spec = tmp_path / "bad.alg"
+    spec.write_text(text)
+    assert cli.main(["indec", str(spec)]) == 3
+    assert f"line {line}: " in capsys.readouterr().err
+
+
 def test_verify_corpus_subset_deterministic():
     r1 = run_cli("verify", corpus_path("nak3"), "--props", "reduction,duality")
     r2 = run_cli("verify", corpus_path("nak3"), "--props", "reduction,duality")

@@ -10,7 +10,7 @@ import torslat
 from torslat import subcat, verify, widelab
 from torslat.catalog import Catalog
 from torslat.errors import TheoremViolation, UnknownProperty
-from conftest import NAKAYAMA_5_5, names_to_mask
+from conftest import NAKAYAMA_5_5, names_to_bits
 from oracles import to_set
 from test_widelab import merge_the_bottom_into_a_cover
 from torslat.lattice import HasseArrow, TorsLattice, build_lattice
@@ -274,7 +274,7 @@ def test_a_tampered_gap_lattice_fails_exactly_its_intervals(
         if tamper == "relabel":
             other = (first.label + 1) % len(cat.ind)
             rest.insert(0, HasseArrow(first.src, first.dst, other))
-        return TorsLattice(cat, wlat.side, wlat.within, wlat.nodes, tuple(rest))
+        return TorsLattice(cat, wlat.side, wlat.within, wlat.node_bits, tuple(rest))
 
     monkeypatch.setattr(widelab, "tors_of_wide", tampered)
     results = verify.run_verify(
@@ -543,10 +543,10 @@ def test_a_meet_outside_the_lattice_is_a_failed_check(monkeypatch):
     # the arrows, which still put the shrunk node above {10a}: [{10a}, it]
     # is an interval, and the node is a cover of the top above {10a}
     def shrink(cat, lat):
-        k = lat.node_index[names_to_mask(cat, "10a", "11a")]
-        nodes = list(lat.nodes)
-        nodes[k] = names_to_mask(cat, "11a")
-        lat.nodes = tuple(nodes)
+        k = lat.bits_index[names_to_bits(cat, "10a", "11a")]
+        nodes = list(lat.node_bits)
+        nodes[k] = names_to_bits(cat, "11a")
+        lat.node_bits = tuple(nodes)
 
     text, failures = _verify_tampered_a2(monkeypatch, shrink)
     assert failures == 5
@@ -568,7 +568,7 @@ def test_a_join_outside_the_lattice_is_a_failed_check(monkeypatch):
     # the same with the node {10a,11a} dropped from the index: its own
     # interval joins to it
     def forget(cat, lat):
-        del lat.node_index[names_to_mask(cat, "10a", "11a")]
+        del lat.bits_index[names_to_bits(cat, "10a", "11a")]
 
     text, failures = _verify_tampered_a2(monkeypatch, forget)
     assert failures > 0
@@ -616,7 +616,7 @@ def test_a_class_outside_the_lattice_is_a_failed_check(
 ):
     # a2's class {name} dropped from the index of one side after construction
     def forget(cat, lat):
-        del lat.node_index[names_to_mask(cat, name)]
+        del lat.bits_index[names_to_bits(cat, name)]
 
     text, failures = _verify_tampered_a2(monkeypatch, forget, prop, side)
     assert failures == len(lines)

@@ -84,7 +84,7 @@ def test_reduce_rejects_a_tampered_gap_lattice(tamper, a2cat, a2lat, monkeypatch
         if tamper == "relabel":
             other = (first.label + 1) % len(cat.ind)
             rest.insert(0, HasseArrow(first.src, first.dst, other))
-        return TorsLattice(cat, wlat.side, wlat.within, wlat.nodes, tuple(rest))
+        return TorsLattice(cat, wlat.side, wlat.within, wlat.node_bits, tuple(rest))
 
     monkeypatch.setattr(widelab, "tors_of_wide", tampered)
     with pytest.raises(TheoremViolation):
@@ -106,8 +106,8 @@ def merge_the_bottom_into_a_cover(wlat):
     arrows = tuple(
         HasseArrow(moved(a.src), moved(a.dst), a.label) for a in wlat.arrows
     )
-    merged = TorsLattice(wlat.cat, wlat.side, wlat.within, wlat.nodes[1:], arrows)
-    merged.node_index[frozenset()] = cover - 1
+    merged = TorsLattice(wlat.cat, wlat.side, wlat.within, wlat.node_bits[1:], arrows)
+    merged.bits_index[0] = cover - 1
     return merged
 
 
@@ -116,11 +116,11 @@ def test_reduce_rejects_a_node_that_is_no_extension_product(a2cat):
     # [{10a}, it] phi and the covering arrows still match the gap {11a},
     # but 01a is no extension of a part of {11a} by a part of {10a}
     lat = build_lattice(a2cat)
-    n = names_to_mask
-    u, t = lat.node_index[n(a2cat, "10a")], lat.node_index[n(a2cat, "10a", "11a")]
-    nodes = list(lat.nodes)
-    nodes[t] = to_set(a2cat.full_mask)
-    lat.nodes = tuple(nodes)
+    n = names_to_bits
+    u, t = lat.bits_index[n(a2cat, "10a")], lat.bits_index[n(a2cat, "10a", "11a")]
+    nodes = list(lat.node_bits)
+    nodes[t] = a2cat.full_mask
+    lat.node_bits = tuple(nodes)
     w = names_to_bits(a2cat, "11a")
     with pytest.raises(TheoremViolation, match="differs from the extension product"):
         widelab._reduce_onto(lat, lat.interval(u, t), w, widelab.tors_of_wide(a2cat, w))
@@ -185,7 +185,7 @@ def test_reduce_makes_no_star_entry_and_no_tors_gen_call(monkeypatch, a7lat):
     for iv in wide:
         widelab.reduce_interval(lat, iv)
     assert len(wide) > 10
-    assert {key[0] for key in set(cat.op_cache) - before} == {"wide"}
+    assert {key[0] for key in set(cat.op_cache) - before} == {"wide", "filt"}
     assert state["inside"] == 0
 
 
@@ -277,6 +277,10 @@ def test_relative_verdicts_match_the_mask_oracle(name, lat_of):
     )
     wlat = widelab.tors_of_wide(cat, w)
     assert len(wlat) > 5 and _wide_count_matching_the_oracle(wlat) > 0
+    # the torsion-free side: its joins close over the rows of the whole
+    # catalog, which stay inside W
+    flat = build_lattice(cat, side="torf", within=w)
+    assert len(flat) == len(wlat) and _wide_count_matching_the_oracle(flat) > 0
 
 
 @pytest.mark.parametrize("name", ["a4", "nak3"])
