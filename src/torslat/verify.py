@@ -11,10 +11,11 @@ in report order, and ``format_line`` turns each into its line, so a caller
 that writes the lines as they come (``torslat verify``) holds no result
 after its line is out.  ``run_verify`` and ``verify_algebra`` collect the
 stream into a list; ``format_report`` joins a list's lines a chunk at a
-time.  The records are compact: ``CheckResult`` has slots, and the name of
-an object that several properties print (an interval's ``[U,T]``, an
-arrow's ``src->dst``, a top's ``T|W`` for a Serre piece W) is built once per
-algebra by ``AlgebraContext`` and shared by their results.
+time.  The records are compact: ``CheckResult`` is a named tuple, with no
+per-instance dict, and the name of an object that several properties print
+(an interval's ``[U,T]``, an arrow's ``src->dst``, a top's ``T|W`` for a
+Serre piece W) is built once per algebra by ``AlgebraContext`` and shared
+by their results.
 
 Work that several properties share is done once per algebra, and no check
 scans every pair of nodes.  The torsion lattice enumerates its intervals
@@ -27,19 +28,26 @@ interval, a failure included.  wide-detect, lower-filt, reduction,
 wide-serre and serre-count read the verdicts; serre-count compares the
 Serre route under each top with the wide bottoms the verdicts give, and the
 route reads the bottoms serre-mutation found (``widelab.serre_mutation``
-keeps each in ``op_cache``).  Reduction builds the torsion lattice of each
-gap category W once for all the wide intervals with that gap, drops it
-before the next gap, and then reports the outcomes in interval order, so
-the report order does not depend on the grouping.  Per interval it reads
+keeps each in ``op_cache``).  Reduction takes the torsion lattice of each
+gap category W from ``widelab.gap_lattices``, once for all the wide
+intervals with that gap, and the gap's simples once.  That seam walks one
+lattice per maximal semibrick grown from the gaps' simples, none for the
+simples of the whole algebra, whose lattice is the context's own, and
+reads each gap's lattice off its walk as a down-set (Serre restriction,
+see ``widelab.tors_of_wide``), one walked lattice alive at a time.
+Reduction then reports the outcomes in interval order, so the report
+order does not depend on the grouping.  Per interval it reads
 the interval as a bitset of nodes (``TorsLattice.interval_bits``), picks
 its arrows and labels by bit tests, and checks each class psi(X) against
 the extension product of the bottom with X by scanning only that class's
 members.  Duality derives the order reversal from its node, bijection and
 arrow lines (``lattice.dual_correspondence``).  The perpendiculars that
 duality and wide-serre read are the lattice's own (``TorsLattice.perp``),
-found on the other side by mask (``bits_index``); wide-serre reads each
-top's left wide subcategory once per interval and tests the gap against a
-set of that top's Serre pieces, built on the top's first interval.
+found on the other side by mask (``bits_index``).  wide-serre computes,
+once per top, its left wide subcategory and the set of its Serre pieces,
+and once per bottom, its perpendicular and the right wide subcategory of
+its dual node, each on the first interval that reads it; a failure there
+is kept and raised again on each interval that reads it.
 
 The morphism audits (hom-audit, label-maps, and the audit inside
 ``widelab.left_wide`` and ``right_wide``) read ``Catalog.hom_table``: per
@@ -52,11 +60,11 @@ failed test rescans the pairs, x ascending then y ascending, image before
 kernel, to name the first failing map.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import groupby, islice
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import subcat, widelab
 from .catalog import build_catalog
@@ -93,8 +101,7 @@ def load_corpus_algebra(name, config=None):
     return parse_algebra_text(corpus_text(name), config)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     algebra: str
     prop: str
     obj: str
@@ -283,29 +290,10 @@ def _check_lower_filt(ctx):
         yield name, thunk
 
 
-def _reduce_group(lat, gap, ivs):
-    """Reduce wide intervals sharing one gap onto one torsion lattice of it.
-
-    One outcome per interval: None, or the VerificationError raised.  The
-    gap lattice is dropped on return.
-    """
-    try:
-        wlat = widelab.tors_of_wide(lat.cat, gap)
-    except VerificationError as exc:
-        return [exc.with_traceback(None)] * len(ivs)
-    outcomes = []
-    for iv in ivs:
-        try:
-            widelab._reduce_onto(lat, iv, gap, wlat)
-            outcomes.append(None)
-        except VerificationError as exc:
-            outcomes.append(exc.with_traceback(None))
-    return outcomes
-
-
 def _check_reduction(ctx):
-    # a failed verdict aborts the property, after the wide intervals before it
-    lat = ctx.lat
+    # a failed verdict aborts the property, after the wide intervals before it;
+    # outcome[iv]: None, or the VerificationError its reduction raised
+    cat, lat = ctx.cat, ctx.lat
     wide, by_gap, error = [], {}, None
     for name, iv, verdict in ctx.intervals():
         if isinstance(verdict, VerificationError):
@@ -315,8 +303,18 @@ def _check_reduction(ctx):
             wide.append((name, iv))
             by_gap.setdefault(verdict, []).append(iv)
     outcome = {}
-    for gap, ivs in by_gap.items():
-        outcome.update(zip(ivs, _reduce_group(lat, gap, ivs)))
+    for gap, wlat in widelab.gap_lattices(lat, by_gap):
+        ivs = by_gap[gap]
+        if isinstance(wlat, VerificationError):
+            outcome.update(dict.fromkeys(ivs, wlat))
+            continue
+        simples = subcat.simples_of_wide(cat, gap)
+        for iv in ivs:
+            try:
+                widelab._reduce_onto(lat, iv, gap, wlat, simples)
+                outcome[iv] = None
+            except VerificationError as exc:
+                outcome[iv] = exc.with_traceback(None)
     for name, iv in wide:
         def thunk(failure=outcome[iv]):
             if failure is not None:
@@ -432,22 +430,41 @@ def _check_simples_out(ctx):
 
 
 def _check_wide_serre(ctx):
+    # per top: its left wide subcategory and the set of its Serre pieces; per
+    # bottom: its perpendicular and the right wide subcategory of its dual
+    # node.  Each is computed on its first interval, and a failure is kept
+    # and raised again on each interval that reads it.
     cat, lat, flat = ctx.cat, ctx.lat, ctx.flat
-    pieces = {}  # top -> set of its Serre pieces, filled on the top's first check
+    tops, bottoms = {}, {}
+
+    def per_node(memo, i, fn):
+        got = memo.get(i)
+        if got is None:
+            try:
+                got = memo[i] = fn(i)
+            except VerificationError as exc:
+                got = memo[i] = exc.with_traceback(None)
+        if isinstance(got, VerificationError):
+            raise got
+        return got
+
+    def top_of(t):
+        wl = widelab.left_wide(lat, t)
+        return wl, set(subcat.serre_list(cat, wl))
+
+    def bottom_of(u):
+        perp = lat.perp(u)
+        fnode = flat._node_of(perp, lambda: f"perp_right of {lat.name(u)}")
+        return perp, widelab.right_wide(flat, fnode)
+
     for name, iv, verdict in ctx.intervals():
         def thunk(iv=iv, verdict=verdict):
             wide = _gap_of(verdict) is not None
-            perp = lat.perp(iv.bottom)
+            wl, serre = per_node(tops, iv.top, top_of)
+            perp, rw = per_node(bottoms, iv.bottom, bottom_of)
             w = perp & lat.node_bits[iv.top]
-            wl = widelab.left_wide(lat, iv.top)
-            serre = pieces.get(iv.top)
-            if serre is None:
-                serre = pieces[iv.top] = set(subcat.serre_list(cat, wl))
             via_serre = w in serre
-            fnode = flat._node_of(
-                perp, lambda: f"perp_right of {lat.name(iv.bottom)}"
-            )
-            via_sides = w == (widelab.right_wide(flat, fnode) & wl)
+            via_sides = w == (rw & wl)
             _require(
                 wide == via_serre == via_sides,
                 f"wide={wide} serre={via_serre} sides={via_sides}",

@@ -14,6 +14,14 @@ and the semibricks are all taken and returned as masks, and read the
 lattice through its node masks (``TorsLattice.node_bits``,
 ``bits_index``).  Lists of masks are sorted by size, then by ascending
 member indices.
+
+The torsion lattices of many wide subcategories come from one walk
+(``gap_lattices``): if the simples S of W lie in a semibrick S*, then W is
+a Serre subcategory of W* = Filt(S*), and tors W is the down-set of W in
+tors W*, covering arrows and brick labels included (the proof is at
+``tors_of_wide``).  So each gap's simples are grown to a maximal semibrick,
+one lattice is walked per maximal semibrick met, and every gap under it is
+read off that lattice's order bitsets.
 """
 
 from dataclasses import dataclass
@@ -21,12 +29,13 @@ from dataclasses import dataclass
 from . import subcat
 from .errors import (
     AuditFailed,
+    LatticeBlowup,
     NotSerre,
     NotWideInterval,
     TheoremViolation,
     VerificationError,
 )
-from .lattice import Interval, build_lattice
+from .lattice import HasseArrow, Interval, TorsLattice, build_lattice
 
 
 def wide_verdicts(lat, t, bottoms):
@@ -122,9 +131,124 @@ def is_wide_interval(lat, iv):
 
 
 def tors_of_wide(cat, w, config=None):
-    """The torsion-class lattice of a wide subcategory, labels included."""
+    """The torsion-class lattice of a wide subcategory, labels included.
+
+    One walk serves many wide subcategories (Serre restriction,
+    Demonet-Iyama-Reading-Reiten-Thomas, arXiv:1711.01785).  Let W* be wide
+    with simples S*, so W* = Filt(S*) is abelian with simple objects S*
+    (Asai, arXiv:1610.05860: a wide subcategory is Filt of its simples, a
+    semibrick), and let W = Filt(S) for S inside S*.  By Jordan-Hoelder in
+    W*, W is the class of the objects of W* whose composition factors all
+    lie in S.  A subobject, a quotient or an extension in W* of objects of
+    W has its composition factors among theirs, so W is a Serre
+    subcategory of W*.  Then the torsion classes of W are the torsion
+    classes T of W* with T <= W:
+
+    - such a T is closed under the quotients and extensions of W, which
+      are quotients and extensions in W*;
+    - a torsion class T of W is closed under quotients in W*, because a
+      quotient in W* of an object of W lies in W and is a quotient there,
+      and under extensions in W*, because an extension in W* of objects of
+      W lies in W.
+
+    So tors W is the down-set [0, W] of tors W* (W itself is a torsion
+    class of W*, being Serre).  A down-set is convex, so its covering pairs
+    are those of tors W*, and the label of a cover T' -> T is the one brick
+    of T' & T^perp: the perpendicular inside W is the one inside W* cut
+    down to W, which leaves T' & T^perp unchanged as T' <= W.
+    """
     subcat.simples_of_wide(cat, w)  # NotWide on bad input
     return build_lattice(cat, side="tors", within=w, config=config)
+
+
+def gap_lattices(lat, gaps):
+    """(W, the torsion lattice of W) for each wide subcategory W of
+    ``gaps``, masks inside the ambient of ``lat``, a lattice of the torsion
+    side.  A gap whose lattice cannot be had comes as (W, the
+    VerificationError), its traceback stripped; the pairs come grouped by
+    their walk, not in the order of ``gaps``.
+
+    The simples of each gap are grown greedily to a maximal semibrick S*
+    among the bricks of the ambient: the lowest-index brick with no nonzero
+    map to or from any member so far is added until none is left, which is
+    ``subcat.is_semibrick`` of the grown set.  The gaps of one S* are Serre
+    in W* = Filt(S*), so each is read off tors W* as its down-set (see
+    ``tors_of_wide``): the nodes of ``down_sets`` of W, renumbered in
+    ascending order, which keeps the walk's node order, and the arrows out
+    of them, which keeps its (src, dst) order.  tors W* is walked once by
+    ``tors_of_wide``, except when W* is the ambient, whose lattice is
+    ``lat``.  One walked lattice is alive at a time.  A gap that is no node
+    of tors W* fails with a TheoremViolation.  If the walk of W* raises a
+    VerificationError or passes the node budget, each gap of its group is
+    walked on its own instead, so its outcome is the one that walk gives.
+    """
+    if lat.side != "tors":
+        raise ValueError("gap_lattices needs the torsion side")
+    cat = lat.cat
+    bricks = subcat.bits(x for x in subcat.indices(lat.ambient) if cat.bricks[x])
+    groups = {}
+    for w in gaps:
+        try:
+            simples = subcat.simples_of_wide(cat, w)
+        except VerificationError as exc:
+            yield w, exc.with_traceback(None)
+            continue
+        groups.setdefault(_grown_semibrick(cat, simples, bricks), []).append(w)
+    for sb, ws in groups.items():
+        yield from _group_lattices(lat, subcat.filt(cat, sb), ws)
+
+
+def _grown_semibrick(cat, s, bricks):
+    """The semibrick s grown greedily to a maximal one among ``bricks``."""
+    free = bricks
+    for x in subcat.indices(s):
+        free &= ~(cat.out_bits[x] | cat.in_bits[x])
+    while free:
+        b = free & -free
+        x = b.bit_length() - 1
+        s |= b
+        free &= ~(cat.out_bits[x] | cat.in_bits[x])
+    return s
+
+
+def _group_lattices(lat, root_mask, ws):
+    """The pairs of ``gap_lattices`` for the gaps ws, Serre in root_mask."""
+    if root_mask == lat.ambient:
+        root = lat
+    else:
+        try:
+            root = tors_of_wide(lat.cat, root_mask)
+        except (VerificationError, LatticeBlowup):
+            root = None
+    for w in ws:
+        try:
+            if root is None:
+                wlat = tors_of_wide(lat.cat, w)
+            else:
+                wlat = _down_set_lattice(root, w)
+        except VerificationError as exc:
+            wlat = exc.with_traceback(None)
+        yield w, wlat
+
+
+def _down_set_lattice(root, w):
+    """The torsion lattice of w read off ``root``, a lattice of the torsion
+    side in which w is Serre: the down-set of w's node, renumbered."""
+    hit = root.bits_index.get(w)
+    if hit is None:
+        raise TheoremViolation(
+            f"{root.cat.mask_name(w)} is not a torsion class of"
+            f" {root.cat.mask_name(root.ambient)}"
+        )
+    keep = subcat.indices(root.down_sets[hit])
+    new = {i: n for n, i in enumerate(keep)}
+    arrows = tuple(
+        HasseArrow(n, new[a.dst], a.label)
+        for n, i in enumerate(keep)
+        for a in root.out_of[i]
+    )
+    nb = root.node_bits
+    return TorsLattice(root.cat, "tors", w, [nb[i] for i in keep], arrows)
 
 
 @dataclass(frozen=True)
@@ -170,12 +294,15 @@ def reduce_interval(lat, iv, config=None):
             f"[{lat.name(iv.bottom)}, {lat.name(iv.top)}] is not wide"
         )
     w = report.gap
-    return _reduce_onto(lat, iv, w, tors_of_wide(lat.cat, w, config))
+    wlat = tors_of_wide(lat.cat, w, config)
+    # tors_of_wide checked that w is wide, so its candidate simples are its simples
+    return _reduce_onto(lat, iv, w, wlat, subcat.candidate_simples(lat.cat, w))
 
 
-def _reduce_onto(lat, iv, w, wlat):
+def _reduce_onto(lat, iv, w, wlat, simples=None):
     """The checks of reduce_interval for a wide interval of the torsion side
-    with gap ``w``, against a prebuilt torsion lattice ``wlat`` of the gap."""
+    with gap ``w``, against a prebuilt torsion lattice ``wlat`` of the gap
+    and the gap's simples (``subcat.simples_of_wide`` when not given)."""
     cat = lat.cat
     nb = lat.node_bits
     u_bits = nb[iv.bottom]
@@ -232,7 +359,8 @@ def _reduce_onto(lat, iv, w, wlat):
                 )
 
     # the labels of the arrows out of the top and into the bottom, inside
-    simples = subcat.simples_of_wide(cat, w)
+    if simples is None:
+        simples = subcat.simples_of_wide(cat, w)
     uppers = subcat.bits(a.label for a in lat.out_of[iv.top] if inside >> a.dst & 1)
     lowers = subcat.bits(a.label for a in lat.into[iv.bottom] if inside >> a.src & 1)
     if not (simples == uppers == lowers):

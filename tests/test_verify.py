@@ -194,21 +194,46 @@ def test_serre_mutation_runs_once_per_top_and_piece(monkeypatch, lat_of):
 
 
 def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_of):
-    built = []
-    tors_of_wide = widelab.tors_of_wide
+    # the seam gives one lattice per wide subcategory; walks are made only
+    # for maximal semibricks other than the simples of the whole category
+    read, walked = [], []
+    gap_lattices, tors_of_wide = widelab.gap_lattices, widelab.tors_of_wide
+
+    def reading(lat, gaps):
+        for w, wlat in gap_lattices(lat, gaps):
+            read.append((w, wlat))
+            yield w, wlat
 
     def counting(cat, w_mask, config=None):
-        built.append(w_mask)
+        walked.append(w_mask)
         return tors_of_wide(cat, w_mask, config)
 
+    monkeypatch.setattr(widelab, "gap_lattices", reading)
     monkeypatch.setattr(widelab, "tors_of_wide", counting)
     results = verify.run_verify(
         [("a4", verify.load_corpus_algebra("a4"))], props=["reduction"]
     )
     assert results and all(r.ok for r in results)
-    wides = widelab.enumerate_wide_subcats(cat_of("a4"))
-    assert len(built) == len(wides) == 42
-    assert set(built) == set(wides)
+    cat = cat_of("a4")
+    wides = widelab.enumerate_wide_subcats(cat)
+    assert len(read) == len(wides) == 42
+    assert {w for w, _ in read} == set(wides)
+    assert all(
+        wlat.within == w and wlat.top_index == len(wlat) - 1 for w, wlat in read
+    )
+    semibricks = widelab.enumerate_semibricks(cat)
+    maximal = {
+        s for s in semibricks if not any(s != b and s & b == s for b in semibricks)
+    }
+    roots = [subcat.simples_of_wide(cat, w) for w in walked]
+    assert len(walked) == len(set(walked)) == 8
+    assert cat.full_mask not in walked
+    assert set(roots) <= maximal
+    # every gap's simples lie in a walked root's or in the simples of a4
+    tops = roots + [subcat.bits(cat.simple_indices)]
+    for w in wides:
+        s = subcat.simples_of_wide(cat, w)
+        assert any(s & r == s for r in tops)
 
 
 def test_wide_serre_and_duality_make_no_perp_right_call(monkeypatch):
@@ -264,19 +289,22 @@ def test_a_tampered_gap_lattice_fails_exactly_its_intervals(
         by_gap, key=lambda w: (w > 0, len(by_gap[w]), subcat.indices(w))
     )
     assert target and len(by_gap[target]) > 1
-    tors_of_wide = widelab.tors_of_wide
+    gap_lattices = widelab.gap_lattices
 
-    def tampered(cat, w_mask, config=None):
-        wlat = tors_of_wide(cat, w_mask, config)
-        if w_mask != target:
-            return wlat
-        first, *rest = wlat.arrows
-        if tamper == "relabel":
-            other = (first.label + 1) % len(cat.ind)
-            rest.insert(0, HasseArrow(first.src, first.dst, other))
-        return TorsLattice(cat, wlat.side, wlat.within, wlat.node_bits, tuple(rest))
+    def tampered(lat, gaps):
+        for w_mask, wlat in gap_lattices(lat, gaps):
+            if w_mask == target:
+                cat = wlat.cat
+                first, *rest = wlat.arrows
+                if tamper == "relabel":
+                    other = (first.label + 1) % len(cat.ind)
+                    rest.insert(0, HasseArrow(first.src, first.dst, other))
+                wlat = TorsLattice(
+                    cat, wlat.side, wlat.within, wlat.node_bits, tuple(rest)
+                )
+            yield w_mask, wlat
 
-    monkeypatch.setattr(widelab, "tors_of_wide", tampered)
+    monkeypatch.setattr(widelab, "gap_lattices", tampered)
     results = verify.run_verify(
         [("a3", verify.load_corpus_algebra("a3"))], props=["reduction"]
     )
@@ -303,13 +331,15 @@ def test_a_phi_that_is_not_injective_fails_exactly_its_intervals(
         by_gap, key=lambda w: (w > 0, len(by_gap[w]), subcat.indices(w))
     )
     assert target and len(by_gap[target]) > 1
-    tors_of_wide = widelab.tors_of_wide
+    gap_lattices = widelab.gap_lattices
 
-    def tampered(cat, w_mask, config=None):
-        wlat = tors_of_wide(cat, w_mask, config)
-        return merge_the_bottom_into_a_cover(wlat) if w_mask == target else wlat
+    def tampered(lat, gaps):
+        for w_mask, wlat in gap_lattices(lat, gaps):
+            if w_mask == target:
+                wlat = merge_the_bottom_into_a_cover(wlat)
+            yield w_mask, wlat
 
-    monkeypatch.setattr(widelab, "tors_of_wide", tampered)
+    monkeypatch.setattr(widelab, "gap_lattices", tampered)
     results = verify.run_verify(
         [("a3", verify.load_corpus_algebra("a3"))], props=["reduction"]
     )

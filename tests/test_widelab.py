@@ -7,7 +7,9 @@ import torslat
 from conftest import NAKAYAMA_5_5, names_to_bits, names_to_mask
 from oracles import to_set
 from test_acceptance import SCALE_SPECS
+from test_lattice import A5_P2
 from torslat import subcat, widelab
+from torslat import verify as verify_mod
 from torslat.errors import NotSerre, NotWide, NotWideInterval, TheoremViolation
 from torslat.lattice import HasseArrow, TorsLattice, build_lattice
 from torslat.quivalg import parse_algebra_text
@@ -291,6 +293,105 @@ def test_reduction_maps_match_the_mask_oracle(name, lat_of):
         red = widelab.reduce_interval(lat, iv)
         assert (red.phi, red.psi) == oracles.reduction_maps(lat, iv, red.wide_lattice)
     assert len(wide) > len(lat)
+
+
+# the walks that a lattice read off a down-set is checked against
+_SERRE_SPECS = {
+    "d4p3": SCALE_SPECS["d4p3"],
+    "nak3p2": SCALE_SPECS["nak3p2"],
+    "a5p2": A5_P2,
+    "nak55": NAKAYAMA_5_5,
+}
+
+
+def _assert_same_lattice(got, want):
+    assert got.within == want.within
+    assert got.to_json() == want.to_json()
+    assert [(a.src, a.dst, a.label) for a in got.arrows] == [
+        (a.src, a.dst, a.label) for a in want.arrows
+    ]
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + tuple(_SERRE_SPECS))
+def test_down_set_lattices_match_their_own_walks(name, cat_of):
+    # tors W read off tors W*, for W* = filt(S | b) with S the simples of W
+    # and b a brick orthogonal to them, and each lattice gap_lattices gives,
+    # against the walk inside W
+    if name in _SERRE_SPECS:
+        cat = torslat.build_catalog(parse_algebra_text(_SERRE_SPECS[name]))
+    else:
+        cat = cat_of(name)
+    walks = {}
+
+    def walk(w):
+        if w not in walks:
+            walks[w] = build_lattice(cat, "tors", w)
+        return walks[w]
+
+    bricks = subcat.bits(i for i in range(len(cat.ind)) if cat.bricks[i])
+    wides = widelab.enumerate_wide_subcats(cat)
+    pairs = 0
+    for w in wides:
+        s = subcat.simples_of_wide(cat, w)
+        for b in subcat.indices(bricks & ~s):
+            if subcat.is_semibrick(cat, s | 1 << b):
+                root = walk(subcat.filt(cat, s | 1 << b))
+                assert w in root.bits_index and w != root.ambient
+                _assert_same_lattice(widelab._down_set_lattice(root, w), walk(w))
+                pairs += 1
+    assert pairs > 0
+    got = dict(widelab.gap_lattices(build_lattice(cat), wides))
+    assert sorted(got) == sorted(wides)
+    for w in wides:
+        _assert_same_lattice(got[w], walk(w))
+
+
+def test_a_gap_that_is_no_node_of_its_root_fails(a2cat, a2lat):
+    w = names_to_bits(a2cat, "01a", "10a")
+    with pytest.raises(TheoremViolation, match="is not a torsion class of"):
+        widelab._down_set_lattice(a2lat, w)
+
+
+def test_a_failed_root_walk_walks_its_gaps_on_their_own(monkeypatch, lat_of):
+    # the walk of the a4 root with the most gaps fails, and so does the walk
+    # of one gap under it: those two gaps get the failures, the others of
+    # the group their own walks
+    lat = lat_of("a4")
+    cat = lat.cat
+    wides = widelab.enumerate_wide_subcats(cat)
+    bricks = subcat.bits(i for i in range(len(cat.ind)) if cat.bricks[i])
+    groups = {}
+    for w in wides:
+        sb = widelab._grown_semibrick(cat, subcat.simples_of_wide(cat, w), bricks)
+        groups.setdefault(subcat.filt(cat, sb), []).append(w)
+    root = max(
+        (r for r in groups if r != cat.full_mask), key=lambda r: len(groups[r])
+    )
+    victim = max(
+        (w for w in groups[root] if w != root),
+        key=lambda w: (w.bit_count(), subcat.indices(w)),
+    )
+    assert len(groups[root]) > 3
+    walked = []
+    tors_of_wide = widelab.tors_of_wide
+
+    def failing(cat, w, config=None):
+        walked.append(w)
+        if w in (root, victim):
+            raise TheoremViolation(f"walk of {cat.mask_name(w)}")
+        return tors_of_wide(cat, w, config)
+
+    monkeypatch.setattr(widelab, "tors_of_wide", failing)
+    got = dict(widelab.gap_lattices(lat, wides))
+    assert sorted(got) == sorted(wides)
+    # the root is a gap of its own group, so its walk fails twice
+    for w in (root, victim):
+        assert str(got[w]) == f"walk of {cat.mask_name(w)}"
+    assert walked.count(root) == 2
+    assert set(groups[root]) <= set(walked)
+    for w in wides:
+        if w not in (root, victim):
+            _assert_same_lattice(got[w], build_lattice(cat, "tors", w))
 
 
 def test_left_wide_per_node(a2cat, a2lat):
