@@ -32,9 +32,13 @@ from .lattice import build_lattice
 from .quivalg import parse_algebra_file
 
 
+def _usage_error(parser, message):
+    raise UsageError(message)
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+    # argparse reports every bad argument through error(); exit 3, not 2
+    error = _usage_error
 
 
 def _budget_parent():

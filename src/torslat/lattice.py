@@ -24,7 +24,9 @@ order bitsets (``up_sets``, ``down_sets``) run over node indices and are
 built from the covering arrows.  The intervals come from them: the bottoms
 of a top t are the nodes of ``down_sets[t]``, so the enumeration costs one
 step per interval, not one per pair of nodes; an interval's nodes are
-``up_sets[U] & down_sets[T]``.  ``dual_correspondence`` derives the order
+``up_sets[U] & down_sets[T]``.  ``mask_down_sets`` reads the same order
+from the masks alone, for a reading that must not lean on the arrows
+(widely generated's covers).  ``dual_correspondence`` derives the order
 reversal of the torsion-free dual from the arrows, with the same
 Hasse-diagram argument, instead of comparing every pair of nodes.
 """
@@ -213,6 +215,27 @@ class TorsLattice:
                 bits |= up[a.src]
             up[i] = bits
         return tuple(up)
+
+    @cached_property
+    def mask_down_sets(self):
+        """mask_down_sets[i]: the nodes whose masks lie in node i's, as an
+        int bitset, read from the masks alone, not from the arrows as
+        ``down_sets`` is.  Per member x of the ambient, the nodes whose mask
+        lacks x; node i's set is their AND over the x outside its mask."""
+        full = (1 << len(self)) - 1
+        has = [0] * len(self.cat.ind)
+        for i, b in enumerate(self.node_bits):
+            for x in subcat.indices(b):
+                has[x] |= 1 << i
+        lacks = [full & ~h for h in has]
+        amb = self.ambient
+        out = []
+        for b in self.node_bits:
+            bits = full
+            for x in subcat.indices(amb & ~b):
+                bits &= lacks[x]
+            out.append(bits)
+        return tuple(out)
 
     @cached_property
     def arrow_labels(self):

@@ -15,7 +15,8 @@ time.  The records are compact: ``CheckResult`` is a named tuple, with no
 per-instance dict, and the name of an object that several properties print
 (an interval's ``[U,T]``, an arrow's ``src->dst``, a top's ``T|W`` for a
 Serre piece W) is built once per algebra by ``AlgebraContext`` and shared
-by their results.
+by their results.  A check builds its witness text only when it fails, so a
+passing run names masks only for its objects.
 
 Work that several properties share is done once per algebra, and no check
 scans every pair of nodes.  The torsion lattice enumerates its intervals
@@ -28,18 +29,24 @@ interval, a failure included.  wide-detect, lower-filt, reduction,
 wide-serre and serre-count read the verdicts; serre-count compares the
 Serre route under each top with the wide bottoms the verdicts give, and the
 route reads the bottoms serre-mutation found (``widelab.serre_mutation``
-keeps each in ``op_cache``).  Reduction takes the torsion lattice of each
-gap category W from ``widelab.gap_lattices``, once for all the wide
-intervals with that gap, and the gap's simples once.  That seam walks one
-lattice per maximal semibrick grown from the gaps' simples, none for the
-simples of the whole algebra, whose lattice is the context's own, and
-reads each gap's lattice off its walk as a down-set (Serre restriction,
-see ``widelab.tors_of_wide``), one walked lattice alive at a time.
-Reduction then reports the outcomes in interval order, so the report
-order does not depend on the grouping.  Per interval it reads
-the interval as a bitset of nodes (``TorsLattice.interval_bits``), picks
-its arrows and labels by bit tests, and checks each class psi(X) against
-the extension product of the bottom with X by scanning only that class's
+keeps each in ``op_cache``).  Reduction runs in full once per bottom U.
+By the dual of the Serre bijection below a fixed top, the wide intervals
+[U, T] match the Serre subcategories of one wide W_U, the union of their
+gaps, which must be one of them, the gap of [U, T_U] (a bottom where it is
+none fails each of its wide intervals).  [U, T_U] is reduced onto tors W_U,
+read as the down-set of W_U in a root lattice from
+``widelab.serre_roots``.  That seam walks one lattice per maximal semibrick
+grown from the gaps' simples, none for the simples of the whole algebra,
+whose lattice is the context's own; tors W is the down-set of W in it
+(Serre restriction, see ``widelab.tors_of_wide``), one walked lattice alive
+at a time.  Every other wide [U, T] is checked as the restriction of that
+label-preserving isomorphism to the down-set of its gap
+(``widelab._reduce_bottom``): four bitset and label tests, and no scan of
+its nodes.  Reduction then reports the outcomes in interval order, so the
+report order does not depend on the grouping.  The full check reads the
+interval as a bitset of nodes (``TorsLattice.interval_bits``), picks its
+arrows and labels by bit tests, and checks each class psi(X) against the
+extension product of the bottom with X by scanning only that class's
 members.  Duality derives the order reversal from its node, bijection and
 arrow lines (``lattice.dual_correspondence``).  The perpendiculars that
 duality and wide-serre read are the lattice's own (``TorsLattice.perp``),
@@ -244,11 +251,13 @@ def _check_endpoint_arrows(ctx):
 
     def out_of_top():
         labels = lat.out_labels(lat.top_index)
-        _require(
+        if not (
             labels == subcat.bits(cat.simple_indices)
-            and len(lat.out_of[lat.top_index]) == len(cat.simple_indices),
-            f"labels out of the full class: {cat.mask_name(labels)}",
-        )
+            and len(lat.out_of[lat.top_index]) == len(cat.simple_indices)
+        ):
+            raise TheoremViolation(
+                f"labels out of the full class: {cat.mask_name(labels)}"
+            )
 
     yield "into-bottom", into_bottom
     yield "out-of-top", out_of_top
@@ -259,10 +268,10 @@ def _check_incident_semibricks(ctx):
     for i in range(len(lat)):
         def thunk(i=i):
             for labels in (lat.in_labels(i), lat.out_labels(i)):
-                _require(
-                    subcat.is_semibrick(cat, labels),
-                    f"{cat.mask_name(labels)} is not a semibrick",
-                )
+                if not subcat.is_semibrick(cat, labels):
+                    raise TheoremViolation(
+                        f"{cat.mask_name(labels)} is not a semibrick"
+                    )
         yield lat.name(i), thunk
 
 
@@ -282,46 +291,50 @@ def _check_lower_filt(ctx):
             if gap is None:
                 return
             rebuilt = subcat.filt(cat, lat.labels_of(lat.lower_set(iv)))
-            _require(
-                rebuilt == gap,
-                f"lower labels build {cat.mask_name(rebuilt)} instead of"
-                f" {cat.mask_name(gap)}",
-            )
+            if rebuilt != gap:
+                raise TheoremViolation(
+                    f"lower labels build {cat.mask_name(rebuilt)} instead of"
+                    f" {cat.mask_name(gap)}"
+                )
         yield name, thunk
 
 
 def _check_reduction(ctx):
-    # a failed verdict aborts the property, after the wide intervals before it;
-    # outcome[iv]: None, or the VerificationError its reduction raised
-    cat, lat = ctx.cat, ctx.lat
-    wide, by_gap, error = [], {}, None
+    # the wide intervals grouped by bottom U over every verdict; W_U, the
+    # union of U's gaps, must be one of them.  A failed verdict aborts the
+    # property, after the wide intervals before it.
+    lat = ctx.lat
+    over = {}
+    for iv, verdict in zip(lat.intervals, ctx.wide_verdicts):
+        if type(verdict) is int:
+            over.setdefault(iv.bottom, []).append((iv, verdict))
+    outcome, largest = {}, {}
+    for u, wides in over.items():
+        w_u = 0
+        for _, w in wides:
+            w_u |= w
+        if any(w == w_u for _, w in wides):
+            largest.setdefault(w_u, []).append(wides)
+        else:
+            exc = TheoremViolation(
+                f"the gaps of the wide intervals over {lat.name(u)} have no"
+                f" largest member"
+            )
+            outcome.update(dict.fromkeys((iv for iv, _ in wides), exc))
+    simples = {}
+    for w_u, root in widelab.serre_roots(lat, largest):
+        for wides in largest[w_u]:
+            outcome.update(widelab._reduce_bottom(lat, wides, w_u, root, simples))
+        # the next root is walked on the next step: keep one alive
+        del root
     for name, iv, verdict in ctx.intervals():
         if isinstance(verdict, VerificationError):
-            error = verdict
-            break
+            raise verdict
         if verdict is not None:
-            wide.append((name, iv))
-            by_gap.setdefault(verdict, []).append(iv)
-    outcome = {}
-    for gap, wlat in widelab.gap_lattices(lat, by_gap):
-        ivs = by_gap[gap]
-        if isinstance(wlat, VerificationError):
-            outcome.update(dict.fromkeys(ivs, wlat))
-            continue
-        simples = subcat.simples_of_wide(cat, gap)
-        for iv in ivs:
-            try:
-                widelab._reduce_onto(lat, iv, gap, wlat, simples)
-                outcome[iv] = None
-            except VerificationError as exc:
-                outcome[iv] = exc.with_traceback(None)
-    for name, iv in wide:
-        def thunk(failure=outcome[iv]):
-            if failure is not None:
-                raise failure
-        yield name, thunk
-    if error is not None:
-        raise error
+            def thunk(failure=outcome[iv]):
+                if failure is not None:
+                    raise failure
+            yield name, thunk
 
 
 def _check_roundtrip(ctx):
@@ -331,7 +344,8 @@ def _check_roundtrip(ctx):
             node = lat.bits_index.get(subcat.tors_gen(cat, w))
             _require(node is not None, "generated class is not a torsion class")
             got = widelab.left_wide(lat, node)
-            _require(got == w, f"came back as {cat.mask_name(got)}")
+            if got != w:
+                raise TheoremViolation(f"came back as {cat.mask_name(got)}")
         yield cat.mask_name(w), thunk
 
 
@@ -421,11 +435,11 @@ def _check_simples_out(ctx):
     for t in range(len(lat)):
         def thunk(t=t):
             got = subcat.simples_of_wide(cat, widelab.left_wide(lat, t))
-            _require(
-                got == lat.out_labels(t),
-                f"wide simples {cat.mask_name(got)} against labels"
-                f" {cat.mask_name(lat.out_labels(t))}",
-            )
+            if got != lat.out_labels(t):
+                raise TheoremViolation(
+                    f"wide simples {cat.mask_name(got)} against labels"
+                    f" {cat.mask_name(lat.out_labels(t))}"
+                )
         yield lat.name(t), thunk
 
 

@@ -16,12 +16,25 @@ lattice through its node masks (``TorsLattice.node_bits``,
 member indices.
 
 The torsion lattices of many wide subcategories come from one walk
-(``gap_lattices``): if the simples S of W lie in a semibrick S*, then W is
+(``serre_roots``): if the simples S of W lie in a semibrick S*, then W is
 a Serre subcategory of W* = Filt(S*), and tors W is the down-set of W in
 tors W*, covering arrows and brick labels included (the proof is at
 ``tors_of_wide``).  So each gap's simples are grown to a maximal semibrick,
 one lattice is walked per maximal semibrick met, and every gap under it is
-read off that lattice's order bitsets.
+read in that lattice, as the down-set of its node.
+
+The reduction of the wide intervals over one bottom U is proved once, on
+the largest of them.  Dually to the Serre bijection below a fixed top, the
+wide intervals [U, T] match the Serre subcategories of one wide W_U
+(arXiv 1905.01148; Marks-Stovicek, arXiv:1503.04639), so their gaps are
+Serre in W_U and each lies inside [U, T_U], the one whose gap is W_U.  Once
+[U, T_U] is reduced onto tors W_U, a label-preserving isomorphism of the
+Hasse diagrams, each other [U, T] with gap W is its restriction to the
+down-set of W, which is tors W: W is a node of tors W_U under W_U, psi(W)
+is T, and psi maps W's down-set onto the nodes of [U, T]
+(``_reduce_bottom``).  A restriction of an isomorphism that keeps covers
+and labels to a down-set keeps them too, and phi there is v -> W & v,
+since W_U & v = U^perp & v = W & v for v <= T.
 """
 
 from dataclasses import dataclass
@@ -35,7 +48,7 @@ from .errors import (
     TheoremViolation,
     VerificationError,
 )
-from .lattice import HasseArrow, Interval, TorsLattice, build_lattice
+from .lattice import Interval, build_lattice
 
 
 def wide_verdicts(lat, t, bottoms):
@@ -161,29 +174,29 @@ def tors_of_wide(cat, w, config=None):
     return build_lattice(cat, side="tors", within=w, config=config)
 
 
-def gap_lattices(lat, gaps):
-    """(W, the torsion lattice of W) for each wide subcategory W of
-    ``gaps``, masks inside the ambient of ``lat``, a lattice of the torsion
-    side.  A gap whose lattice cannot be had comes as (W, the
-    VerificationError), its traceback stripped; the pairs come grouped by
-    their walk, not in the order of ``gaps``.
+def serre_roots(lat, gaps):
+    """(W, root) for each wide subcategory W of ``gaps``, masks inside the
+    ambient of ``lat``, a lattice of the torsion side: root is the torsion
+    lattice of a wide subcategory W* in which W is Serre, so tors W is the
+    down-set of W's node in root (see ``tors_of_wide``).  A gap whose root
+    cannot be had comes as (W, the VerificationError), its traceback
+    stripped; the pairs come grouped by their root, not in the order of
+    ``gaps``.
 
     The simples of each gap are grown greedily to a maximal semibrick S*
     among the bricks of the ambient: the lowest-index brick with no nonzero
     map to or from any member so far is added until none is left, which is
     ``subcat.is_semibrick`` of the grown set.  The gaps of one S* are Serre
-    in W* = Filt(S*), so each is read off tors W* as its down-set (see
-    ``tors_of_wide``): the nodes of ``down_sets`` of W, renumbered in
-    ascending order, which keeps the walk's node order, and the arrows out
-    of them, which keeps its (src, dst) order.  tors W* is walked once by
-    ``tors_of_wide``, except when W* is the ambient, whose lattice is
-    ``lat``.  One walked lattice is alive at a time.  A gap that is no node
-    of tors W* fails with a TheoremViolation.  If the walk of W* raises a
+    in W* = Filt(S*), and tors W* is walked once by ``tors_of_wide``,
+    except when W* is the ambient, whose lattice is ``lat``.  One walked
+    root is alive at a time, so a caller that drops each root before it
+    asks for the next keeps it so.  If the walk of W* raises a
     VerificationError or passes the node budget, each gap of its group is
-    walked on its own instead, so its outcome is the one that walk gives.
+    walked on its own instead and is its own root, or gets the error that
+    walk raises.
     """
     if lat.side != "tors":
-        raise ValueError("gap_lattices needs the torsion side")
+        raise ValueError("serre_roots needs the torsion side")
     cat = lat.cat
     bricks = subcat.bits(x for x in subcat.indices(lat.ambient) if cat.bricks[x])
     groups = {}
@@ -195,7 +208,7 @@ def gap_lattices(lat, gaps):
             continue
         groups.setdefault(_grown_semibrick(cat, simples, bricks), []).append(w)
     for sb, ws in groups.items():
-        yield from _group_lattices(lat, subcat.filt(cat, sb), ws)
+        yield from _group_roots(lat, subcat.filt(cat, sb), ws)
 
 
 def _grown_semibrick(cat, s, bricks):
@@ -211,8 +224,8 @@ def _grown_semibrick(cat, s, bricks):
     return s
 
 
-def _group_lattices(lat, root_mask, ws):
-    """The pairs of ``gap_lattices`` for the gaps ws, Serre in root_mask."""
+def _group_roots(lat, root_mask, ws):
+    """The pairs of ``serre_roots`` for the gaps ws, Serre in root_mask."""
     if root_mask == lat.ambient:
         root = lat
     else:
@@ -221,34 +234,14 @@ def _group_lattices(lat, root_mask, ws):
         except (VerificationError, LatticeBlowup):
             root = None
     for w in ws:
+        if root is not None:
+            yield w, root
+            continue
         try:
-            if root is None:
-                wlat = tors_of_wide(lat.cat, w)
-            else:
-                wlat = _down_set_lattice(root, w)
+            own = tors_of_wide(lat.cat, w)
         except VerificationError as exc:
-            wlat = exc.with_traceback(None)
-        yield w, wlat
-
-
-def _down_set_lattice(root, w):
-    """The torsion lattice of w read off ``root``, a lattice of the torsion
-    side in which w is Serre: the down-set of w's node, renumbered."""
-    hit = root.bits_index.get(w)
-    if hit is None:
-        raise TheoremViolation(
-            f"{root.cat.mask_name(w)} is not a torsion class of"
-            f" {root.cat.mask_name(root.ambient)}"
-        )
-    keep = subcat.indices(root.down_sets[hit])
-    new = {i: n for n, i in enumerate(keep)}
-    arrows = tuple(
-        HasseArrow(n, new[a.dst], a.label)
-        for n, i in enumerate(keep)
-        for a in root.out_of[i]
-    )
-    nb = root.node_bits
-    return TorsLattice(root.cat, "tors", w, [nb[i] for i in keep], arrows)
+            own = exc.with_traceback(None)
+        yield w, own
 
 
 @dataclass(frozen=True)
@@ -299,34 +292,53 @@ def reduce_interval(lat, iv, config=None):
     return _reduce_onto(lat, iv, w, wlat, subcat.candidate_simples(lat.cat, w))
 
 
-def _reduce_onto(lat, iv, w, wlat, simples=None):
+def _reduce_onto(lat, iv, w, root, simples=None):
     """The checks of reduce_interval for a wide interval of the torsion side
-    with gap ``w``, against a prebuilt torsion lattice ``wlat`` of the gap
-    and the gap's simples (``subcat.simples_of_wide`` when not given)."""
+    with gap ``w``, against ``root``, a prebuilt torsion lattice of a wide
+    subcategory in which w is Serre, and the gap's simples
+    (``subcat.simples_of_wide`` when not given).  The gap lattice is the
+    down-set D of w's node in root (see ``tors_of_wide``): all of root when
+    w is its ambient, which reads no ``down_sets``, and otherwise
+    ``root.down_sets`` of it, whose arrows are the arrows out of its nodes.
+    phi maps onto D, into root's node indices."""
     cat = lat.cat
     nb = lat.node_bits
     u_bits = nb[iv.bottom]
     inside = lat.interval_bits(iv)
     nodes = subcat.indices(inside)
+    x_w = root.bits_index.get(w)
+    if x_w is None:
+        raise TheoremViolation(
+            f"{cat.mask_name(w)} is not a torsion class of"
+            f" {cat.mask_name(root.ambient)}"
+        )
+    if w == root.ambient:
+        down = (1 << len(root)) - 1
+        arrow_count = len(root.arrows)
+    else:
+        down = root.down_sets[x_w]
+        arrow_count = sum(len(root.out_of[x]) for x in subcat.indices(down))
 
     phi = {}
+    hits = 0
     for v in nodes:
         image = w & nb[v]
-        hit = wlat.bits_index.get(image)
-        if hit is None:
+        hit = root.bits_index.get(image)
+        if hit is None or not down >> hit & 1:
             raise TheoremViolation(
                 f"phi({lat.name(v)}) = {cat.mask_name(image)}"
                 f" is not a torsion class of the gap"
             )
         phi[v] = hit
-    psi = {x: v for v, x in phi.items()}
-    # inverting drops repeated images, so injectivity needs the count
-    if len(nodes) != len(wlat) or sorted(psi) != list(range(len(wlat))):
+        hits |= 1 << hit
+    # the images cover D, and as many as D has: no image repeats
+    if len(nodes) != down.bit_count() or hits != down:
         raise TheoremViolation("phi is not a bijection onto the gap lattice")
+    psi = {x: v for v, x in phi.items()}
 
     # the covering arrows with both ends in the interval
     internal = 0
-    w_labels = wlat.arrow_labels
+    w_labels = root.arrow_labels
     for v in nodes:
         for a in lat.out_of[v]:
             if inside >> a.dst & 1:
@@ -336,7 +348,7 @@ def _reduce_onto(lat, iv, w, wlat, simples=None):
                         f" changed under phi"
                     )
                 internal += 1
-    if internal != len(wlat.arrows):
+    if internal != arrow_count:
         raise TheoremViolation("phi is not a bijection on covering arrows")
 
     # psi(X) = star(U, X): every member j of psi(X) is an extension of a
@@ -345,7 +357,7 @@ def _reduce_onto(lat, iv, w, wlat, simples=None):
     # pairs over a subobject in U are kept once per interval.
     over_u = {}
     for x, v in psi.items():
-        x_bits = wlat.node_bits[x]
+        x_bits = root.node_bits[x]
         for j in subcat.indices(nb[v] & ~u_bits & ~x_bits):
             qs = over_u.get(j)
             if qs is None:
@@ -355,21 +367,101 @@ def _reduce_onto(lat, iv, w, wlat, simples=None):
                     break
             else:
                 raise TheoremViolation(
-                    f"psi({wlat.name(x)}) differs from the extension product"
+                    f"psi({root.name(x)}) differs from the extension product"
                 )
 
-    # the labels of the arrows out of the top and into the bottom, inside
     if simples is None:
         simples = subcat.simples_of_wide(cat, w)
+    _check_end_labels(lat, iv, inside, simples)
+    return ReductionIso(iv, root, phi, psi)
+
+
+def _check_end_labels(lat, iv, inside, simples):
+    """The labels of the arrows out of the top and into the bottom of iv,
+    inside it (node bitset ``inside``), must be the gap's simples."""
     uppers = subcat.bits(a.label for a in lat.out_of[iv.top] if inside >> a.dst & 1)
     lowers = subcat.bits(a.label for a in lat.into[iv.bottom] if inside >> a.src & 1)
     if not (simples == uppers == lowers):
+        mask_name = lat.cat.mask_name
         raise TheoremViolation(
-            f"gap simples {cat.mask_name(simples)}, upper labels"
-            f" {cat.mask_name(uppers)}, lower labels {cat.mask_name(lowers)}"
+            f"gap simples {mask_name(simples)}, upper labels"
+            f" {mask_name(uppers)}, lower labels {mask_name(lowers)}"
             f" differ on [{lat.name(iv.bottom)}, {lat.name(iv.top)}]"
         )
-    return ReductionIso(iv, wlat, phi, psi)
+
+
+def _reduce_bottom(lat, wides, w_u, root, simples):
+    """(interval, None or the VerificationError it fails with) for each of
+    ``wides``, the (interval, gap) pairs of the wide intervals over one
+    bottom U, whose gaps' union w_u is the gap of one of them, [U, T_U].
+    root is what ``serre_roots`` gave for w_u: a torsion lattice in which
+    w_u is Serre, or the error that failed every interval.  ``simples``
+    memoises ``subcat.simples_of_wide`` by gap, across bottoms.
+
+    [U, T_U] is reduced onto root in full (``_reduce_onto``); a failure
+    there fails every interval over U.  Each other [U, T] with gap W is
+    checked as a restriction of it (module docstring): W is a node x of
+    root inside D, the down-set of w_u; psi(x) is T; the nodes of [U, T]
+    are psi of the down-set of x, which ``img`` holds per node of D as a
+    bitset of lat's nodes, filled in ascending node order from the covers;
+    and the upper and lower labels of [U, T] are the simples of W.  The
+    lower labels lie among those of [U, T_U], the simples of w_u, so the
+    simples of W lie in w_u's, and W is Serre in w_u.
+    """
+    if isinstance(root, VerificationError):
+        return [(iv, root) for iv, _ in wides]
+    cat = lat.cat
+
+    def simples_of(w):
+        got = simples.get(w)
+        if got is None:
+            got = simples[w] = subcat.simples_of_wide(cat, w)
+        return got
+
+    full = next(iv for iv, w in wides if w == w_u)
+    try:
+        psi = _reduce_onto(lat, full, w_u, root, simples_of(w_u)).psi
+    except VerificationError as exc:
+        exc = exc.with_traceback(None)
+        return [(iv, exc) for iv, _ in wides]
+    img = {}
+    for x in sorted(psi):
+        bits = 1 << psi[x]
+        for a in root.out_of[x]:
+            bits |= img[a.dst]
+        img[x] = bits
+    out = []
+    for iv, w in wides:
+        try:
+            if iv != full:
+                _check_restriction(lat, iv, w, w_u, root, psi, img, simples_of(w))
+            out.append((iv, None))
+        except VerificationError as exc:
+            out.append((iv, exc.with_traceback(None)))
+    return out
+
+
+def _check_restriction(lat, iv, w, w_u, root, psi, img, simples):
+    """The checks of ``_reduce_bottom`` for one interval other than the
+    largest over its bottom."""
+    mask_name = lat.cat.mask_name
+    x = root.bits_index.get(w)
+    if x not in img:
+        raise TheoremViolation(
+            f"gap {mask_name(w)} is not a torsion class of {mask_name(w_u)}"
+        )
+    if psi[x] != iv.top:
+        raise TheoremViolation(
+            f"psi({root.name(x)}) is {lat.name(psi[x])}, not the top"
+            f" {lat.name(iv.top)}"
+        )
+    inside = lat.interval_bits(iv)
+    if inside != img[x]:
+        raise TheoremViolation(
+            f"[{lat.name(iv.bottom)}, {lat.name(iv.top)}] is not psi of the"
+            f" down-set of {mask_name(w)}"
+        )
+    _check_end_labels(lat, iv, inside, simples)
 
 
 def left_wide(lat, node):
@@ -511,19 +603,21 @@ def is_widely_generated(lat, t_node):
     (wide) the class is generated by its left wide subcategory; (labels) it
     is generated by its outgoing labels; (covers) every strictly smaller
     class sits under some cover.  Disagreement is an implementation bug.
+    The covers reading compares masks, through ``mask_down_sets``, not the
+    order the arrows give: the nodes whose masks lie in T's, T aside, all
+    lie in the sets of T's lower covers.
     When the verdict holds, the canonical join representation over the
     outgoing labels is checked to rebuild the class exactly.
     """
     cat = lat.cat
-    nb = lat.node_bits
-    t_mask = nb[t_node]
+    t_mask = lat.node_bits[t_node]
     via_wide = t_mask == subcat.tors_gen(cat, left_wide(lat, t_node), lat.within)
     via_labels = t_mask == subcat.tors_gen(cat, lat.out_labels(t_node), lat.within)
-    via_covers = all(
-        any(u & nb[a.dst] == u for a in lat.out_of[t_node])
-        for u in nb
-        if u != t_mask and u & t_mask == u
-    )
+    below = lat.mask_down_sets
+    under_covers = 0
+    for a in lat.out_of[t_node]:
+        under_covers |= below[a.dst]
+    via_covers = not below[t_node] & ~(1 << t_node) & ~under_covers
     if not (via_wide == via_labels == via_covers):
         raise TheoremViolation(
             f"widely-generated verdicts disagree at {lat.name(t_node)}:"

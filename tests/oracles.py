@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from torslat import lattice, linalg, modrep, subcat
-from torslat.errors import LabelNotBrick, LabelNotUnique
+from torslat.errors import LabelNotBrick, LabelNotUnique, TheoremViolation
 
 # torsion class counts derived by hand before the build:
 # chains a2/a2r give the 5-element Tamari lattice on 3 letters, a3/a3s the
@@ -718,3 +718,40 @@ def reduction_maps(lat, iv, wlat):
         v: wlat.node_index[gap & m] for v, m in enumerate(lat.nodes) if u <= m <= t
     }
     return phi, {x: v for v, x in phi.items()}
+
+
+def down_set_lattice(root, w):
+    """The torsion lattice of w read off ``root``, a lattice of the torsion
+    side in which w, a library mask, is Serre: the down-set of w's node,
+    renumbered in ascending order, which keeps the walk's node order, with
+    the arrows out of its nodes in the walk's (src, dst) order.  The Serre
+    restriction reference (proof at ``widelab.tors_of_wide``) that the
+    reduction's reading of a gap lattice inside its root stands on."""
+    hit = root.bits_index.get(w)
+    if hit is None:
+        raise TheoremViolation(
+            f"{root.cat.mask_name(w)} is not a torsion class of"
+            f" {root.cat.mask_name(root.ambient)}"
+        )
+    keep = subcat.indices(root.down_sets[hit])
+    new = {i: n for n, i in enumerate(keep)}
+    arrows = tuple(
+        lattice.HasseArrow(n, new[a.dst], a.label)
+        for n, i in enumerate(keep)
+        for a in root.out_of[i]
+    )
+    nb = root.node_bits
+    return lattice.TorsLattice(root.cat, "tors", w, [nb[i] for i in keep], arrows)
+
+
+def covers_by_pairs(lat, t):
+    """The covers reading of widely generated at node t, by a scan of every
+    node: each node whose mask lies strictly in t's lies in the mask of one
+    of t's lower covers."""
+    nb = lat.node_bits
+    t_mask = nb[t]
+    return all(
+        any(u & nb[a.dst] == u for a in lat.out_of[t])
+        for u in nb
+        if u != t_mask and u & t_mask == u
+    )

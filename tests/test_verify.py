@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from torslat.catalog import Catalog
 from torslat.errors import TheoremViolation, UnknownProperty
 from conftest import NAKAYAMA_5_5, names_to_bits
 from oracles import to_set
-from test_widelab import merge_the_bottom_into_a_cover
+from test_acceptance import A6_P2
 from torslat.lattice import HasseArrow, TorsLattice, build_lattice
 from torslat.quivalg import parse_algebra_text
 
@@ -193,34 +194,64 @@ def test_serre_mutation_runs_once_per_top_and_piece(monkeypatch, lat_of):
     assert len(pieces) == sum(r.prop == "serre-mutation" for r in results)
 
 
-def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_of):
-    # the seam gives one lattice per wide subcategory; walks are made only
-    # for maximal semibricks other than the simples of the whole category
-    read, walked = [], []
-    gap_lattices, tors_of_wide = widelab.gap_lattices, widelab.tors_of_wide
+def _wide_over_bottoms(lat):
+    """The wide intervals of lat by bottom, each as (interval, gap) in
+    interval order, from the mask oracle, and per bottom W_U, the union of
+    its gaps."""
+    over = {}
+    for iv in lat.intervals:
+        gap, direct, _, _ = oracles.is_wide_interval(lat, iv)
+        if direct:
+            over.setdefault(iv.bottom, []).append((iv, oracles.to_bits(gap)))
+    union = {}
+    for u, wides in over.items():
+        union[u] = 0
+        for _, w in wides:
+            union[u] |= w
+    return over, union
 
-    def reading(lat, gaps):
-        for w, wlat in gap_lattices(lat, gaps):
-            read.append((w, wlat))
-            yield w, wlat
+
+def _root_of(cat, w):
+    """The mask of the root serre_roots reads the wide w in: the filt of
+    w's simples grown to a maximal semibrick."""
+    bricks = subcat.bits(i for i in range(len(cat.ind)) if cat.bricks[i])
+    sb = widelab._grown_semibrick(cat, subcat.simples_of_wide(cat, w), bricks)
+    return subcat.filt(cat, sb)
+
+
+def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_of):
+    # one full reduction per wide subcategory W_U, each against its root;
+    # the only lattices built are the context's own and the root walks, for
+    # maximal semibricks other than the simples of the whole category
+    reduced, walked, built = [], [], []
+    reduce_onto, tors_of_wide = widelab._reduce_onto, widelab.tors_of_wide
+    init = TorsLattice.__init__
+
+    def recording(lat, iv, w, root, simples=None):
+        reduced.append((iv, w, root.ambient))
+        return reduce_onto(lat, iv, w, root, simples)
 
     def counting(cat, w_mask, config=None):
         walked.append(w_mask)
         return tors_of_wide(cat, w_mask, config)
 
-    monkeypatch.setattr(widelab, "gap_lattices", reading)
+    def constructing(self, cat, side, within, node_bits, arrows):
+        built.append(within)
+        init(self, cat, side, within, node_bits, arrows)
+
+    monkeypatch.setattr(widelab, "_reduce_onto", recording)
     monkeypatch.setattr(widelab, "tors_of_wide", counting)
+    monkeypatch.setattr(TorsLattice, "__init__", constructing)
     results = verify.run_verify(
         [("a4", verify.load_corpus_algebra("a4"))], props=["reduction"]
     )
     assert results and all(r.ok for r in results)
     cat = cat_of("a4")
     wides = widelab.enumerate_wide_subcats(cat)
-    assert len(read) == len(wides) == 42
-    assert {w for w, _ in read} == set(wides)
-    assert all(
-        wlat.within == w and wlat.top_index == len(wlat) - 1 for w, wlat in read
-    )
+    assert len(reduced) == len(wides) == 42
+    assert {w for _, w, _ in reduced} == set(wides)
+    assert all(w & root == w for _, w, root in reduced)
+    assert built == [None] + walked
     semibricks = widelab.enumerate_semibricks(cat)
     maximal = {
         s for s in semibricks if not any(s != b and s & b == s for b in semibricks)
@@ -234,6 +265,67 @@ def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_
     for w in wides:
         s = subcat.simples_of_wide(cat, w)
         assert any(s & r == s for r in tops)
+
+
+@pytest.mark.parametrize(
+    "name,bottoms,nodes,per_interval",
+    [("a4", 42, 273, 672), ("a6p2", 429, 7752, 27456)],
+)
+def test_reduction_runs_in_full_once_per_bottom(
+    name, bottoms, nodes, per_interval, monkeypatch
+):
+    # the full checks run on [U, T_U], the largest wide interval over each
+    # bottom U, and their node scans cover its nodes once; a scan per wide
+    # interval would cover per_interval nodes
+    text = A6_P2 if name == "a6p2" else verify.corpus_text(name)
+    ctx = verify.AlgebraContext(name, parse_algebra_text(text))
+    lat = ctx.lat
+    full = []
+    reduce_onto = widelab._reduce_onto
+
+    def recording(lat, iv, w, root, simples=None):
+        full.append(iv)
+        return reduce_onto(lat, iv, w, root, simples)
+
+    monkeypatch.setattr(widelab, "_reduce_onto", recording)
+    for _, thunk in verify._check_reduction(ctx):
+        thunk()
+    wide = [(iv, w) for iv, w in zip(lat.intervals, ctx.wide_verdicts) if w is not None]
+    union = {}
+    for iv, w in wide:
+        union[iv.bottom] = union.get(iv.bottom, 0) | w
+    largest = [iv for iv, w in wide if w == union[iv.bottom]]
+    assert len(full) == len(set(full)) == len(largest) == bottoms
+    assert set(full) == set(largest)
+    assert sum(len(lat.interval_nodes(iv)) for iv in full) == nodes
+    assert sum(len(lat.interval_nodes(iv)) for iv, _ in wide) == per_interval
+
+
+def test_an_all_pass_verify_names_masks_only_for_its_objects(monkeypatch, lat_of):
+    # witness texts are built only when a check fails: on an all-PASS a4
+    # run, mask_name names the nodes, the wide subcategories of roundtrip
+    # and the Serre pieces under each top, once each
+    calls = []
+    mask_name = Catalog.mask_name
+
+    def recording(cat, b):
+        calls.append(b)
+        return mask_name(cat, b)
+
+    monkeypatch.setattr(Catalog, "mask_name", recording)
+    results = verify.run_verify([("a4", verify.load_corpus_algebra("a4"))])
+    assert all(r.ok for r in results)
+    got = Counter(calls)
+    lat = lat_of("a4")
+    cat = lat.cat
+    pieces = [
+        w
+        for t in range(len(lat))
+        for w in subcat.serre_list(cat, widelab.left_wide(lat, t))
+    ]
+    wides = widelab.enumerate_wide_subcats(cat)
+    assert got == Counter(list(lat.node_bits) + wides + pieces)
+    assert sum(got.values()) == 42 + 42 + 197
 
 
 def test_wide_serre_and_duality_make_no_perp_right_call(monkeypatch):
@@ -272,87 +364,173 @@ def test_verify_leaves_no_frozenset_in_op_cache_keys(monkeypatch):
     assert [k for k in cat.op_cache if any(isinstance(p, frozenset) for p in k)] == []
 
 
+def _tampered_root_run(monkeypatch, lat, tamper):
+    """Run a4's reduction with the walk of one root, the one with the most
+    wide intervals over its bottoms, altered by tamper(root) after the walk.
+    The report's objects, its failures (object, witness), and the wide
+    intervals whose bottom U has that root and a W_U holding the mask of
+    the node tamper returns: the arrow or node a failure must read."""
+    cat = lat.cat
+    over, union = _wide_over_bottoms(lat)
+    by_root = {}
+    for u in over:
+        by_root.setdefault(_root_of(cat, union[u]), []).append(u)
+    target = max(
+        (r for r in by_root if r != cat.full_mask),
+        key=lambda r: (sum(len(over[u]) for u in by_root[r]), subcat.indices(r)),
+    )
+    tors_of_wide = widelab.tors_of_wide
+    marked = []
+
+    def tampered(cat, w_mask, config=None):
+        root = tors_of_wide(cat, w_mask, config)
+        if w_mask == target:
+            root, node = tamper(root)
+            marked.append(root.node_bits[node])
+        return root
+
+    monkeypatch.setattr(widelab, "tors_of_wide", tampered)
+    results = verify.run_verify(
+        [("a4", verify.load_corpus_algebra("a4"))], props=["reduction"]
+    )
+    (mark,) = marked
+    hit = [
+        iv
+        for u in by_root[target]
+        if mark & union[u] == mark
+        for iv, _ in over[u]
+    ]
+    failed = [(r.obj, r.witness) for r in results if not r.ok]
+    return [r.obj for r in results], failed, sorted(hit, key=lat.intervals.index)
+
+
+def _iv_name(lat, iv):
+    return f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]"
+
+
 @pytest.mark.parametrize("tamper", ("relabel", "drop"))
 def test_a_tampered_gap_lattice_fails_exactly_its_intervals(
     tamper, monkeypatch, lat_of
 ):
-    # the same tampering as test_reduce_rejects_a_tampered_gap_lattice, on
-    # the gap of a3 with the most wide intervals among those with an arrow
-    lat = lat_of("a3")
-    wide, by_gap = [], {}
-    for iv in lat.all_intervals():
-        report = widelab.is_wide_interval(lat, iv)
-        if report.wide:
-            wide.append(iv)
-            by_gap.setdefault(report.gap, []).append(iv)
-    target = max(
-        by_gap, key=lambda w: (w > 0, len(by_gap[w]), subcat.indices(w))
-    )
-    assert target and len(by_gap[target]) > 1
-    gap_lattices = widelab.gap_lattices
+    # the first arrow of an a4 root relabelled or dropped, as in
+    # test_reduce_rejects_a_tampered_gap_lattice: the wide intervals whose
+    # bottom's W_U down-set holds the arrow's source fail, and only those
+    lat = lat_of("a4")
 
-    def tampered(lat, gaps):
-        for w_mask, wlat in gap_lattices(lat, gaps):
-            if w_mask == target:
-                cat = wlat.cat
-                first, *rest = wlat.arrows
-                if tamper == "relabel":
-                    other = (first.label + 1) % len(cat.ind)
-                    rest.insert(0, HasseArrow(first.src, first.dst, other))
-                wlat = TorsLattice(
-                    cat, wlat.side, wlat.within, wlat.node_bits, tuple(rest)
-                )
-            yield w_mask, wlat
+    def alter(root):
+        first, *rest = root.arrows
+        if tamper == "relabel":
+            other = (first.label + 1) % len(root.cat.ind)
+            rest.insert(0, HasseArrow(first.src, first.dst, other))
+        altered = TorsLattice(
+            root.cat, root.side, root.within, root.node_bits, tuple(rest)
+        )
+        return altered, first.src
 
-    monkeypatch.setattr(widelab, "gap_lattices", tampered)
-    results = verify.run_verify(
-        [("a3", verify.load_corpus_algebra("a3"))], props=["reduction"]
-    )
-    assert [r.obj for r in results] == [
-        f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]" for iv in wide
-    ]
-    assert [r.obj for r in results if not r.ok] == [
-        f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]" for iv in by_gap[target]
-    ]
+    objs, failed, hit = _tampered_root_run(monkeypatch, lat, alter)
+    wide = [iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv).wide]
+    assert objs == [_iv_name(lat, iv) for iv in wide]
+    assert 1 < len(hit) < len(wide)
+    assert [obj for obj, _ in failed] == [_iv_name(lat, iv) for iv in hit]
 
 
 def test_a_phi_that_is_not_injective_fails_exactly_its_intervals(
     monkeypatch, lat_of
 ):
-    # one a3 gap lattice with its zero node merged into a cover
-    lat = lat_of("a3")
-    wide, by_gap = [], {}
-    for iv in lat.all_intervals():
-        report = widelab.is_wide_interval(lat, iv)
-        if report.wide:
-            wide.append(iv)
-            by_gap.setdefault(report.gap, []).append(iv)
-    target = max(
-        by_gap, key=lambda w: (w > 0, len(by_gap[w]), subcat.indices(w))
-    )
-    assert target and len(by_gap[target]) > 1
-    gap_lattices = widelab.gap_lattices
+    # one a4 root whose first atom's mask is looked up as its zero node: on
+    # the intervals whose bottom's W_U holds that atom, phi sends two nodes
+    # to zero and misses the atom
+    lat = lat_of("a4")
 
-    def tampered(lat, gaps):
-        for w_mask, wlat in gap_lattices(lat, gaps):
-            if w_mask == target:
-                wlat = merge_the_bottom_into_a_cover(wlat)
-            yield w_mask, wlat
+    def merge_an_atom_into_zero(root):
+        atom = root.arrows[0].src
+        assert root.node_bits[atom].bit_count() == 1 and atom != root.top_index
+        root.bits_index[root.node_bits[atom]] = root.bottom_index
+        return root, atom
 
-    monkeypatch.setattr(widelab, "gap_lattices", tampered)
+    objs, failed, hit = _tampered_root_run(monkeypatch, lat, merge_an_atom_into_zero)
+    assert len(objs) > len(hit) > 1
+    assert failed == [
+        (_iv_name(lat, iv), "phi is not a bijection onto the gap lattice")
+        for iv in hit
+    ]
+
+
+def test_a_bottom_whose_gaps_have_no_largest_member_fails_its_intervals(
+    monkeypatch, lat_of
+):
+    # [U, T_U] of the a4 bottom with the most wide intervals read as not
+    # wide: the union of U's other gaps is none of them, so each of U's wide
+    # intervals fails, and no other interval
+    lat = lat_of("a4")
+    over, union = _wide_over_bottoms(lat)
+    u = max(over, key=lambda b: (len(over[b]), -b))
+    (t_u,) = [iv.top for iv, w in over[u] if w == union[u]]
+    assert len(over[u]) > 2
+    wide_verdicts = widelab.wide_verdicts
+
+    def planted(lat, t, bottoms):
+        got = wide_verdicts(lat, t, bottoms)
+        if t == t_u:
+            got[bottoms.index(u)] = None
+        return got
+
+    monkeypatch.setattr(widelab, "wide_verdicts", planted)
     results = verify.run_verify(
-        [("a3", verify.load_corpus_algebra("a3"))], props=["reduction"]
+        [("a4", verify.load_corpus_algebra("a4"))], props=["reduction"]
     )
-    assert [r.obj for r in results] == [
-        f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]" for iv in wide
-    ]
+    wide = [iv for ivs in over.values() for iv, _ in ivs]
+    assert len(results) == len(wide) - 1
+    witness = (
+        f"the gaps of the wide intervals over {lat.name(u)} have no largest member"
+    )
     assert [(r.obj, r.witness) for r in results if not r.ok] == [
-        (
-            f"[{lat.name(iv.bottom)},{lat.name(iv.top)}]",
-            "phi is not a bijection onto the gap lattice",
-        )
-        for iv in by_gap[target]
+        (_iv_name(lat, iv), witness) for iv, _ in over[u] if iv.top != t_u
     ]
+
+
+@pytest.mark.parametrize("check", ("node", "top", "image", "labels"))
+def test_a_restriction_names_the_check_it_fails(check, monkeypatch, lat_of):
+    # the wide intervals over a4's zero class against a4's own lattice, one
+    # of them altered so that one restriction check fails: its witness names
+    # that check, and the other intervals pass
+    lat = lat_of("a4")
+    cat = lat.cat
+    over, union = _wide_over_bottoms(lat)
+    wides = list(over[lat.bottom_index])
+    w_u = union[lat.bottom_index]
+    assert w_u == lat.ambient and len(wides) > 3
+    k = max(
+        (i for i, (_, v) in enumerate(wides) if v != w_u),
+        key=lambda i: (wides[i][1].bit_count(), -i),
+    )
+    iv, w = wides[k]
+    assert 0 < w != w_u
+    simples = {}
+    if check == "node":
+        w = next(v for v in widelab.enumerate_wide_subcats(cat) if v not in lat.bits_index)
+        wides[k] = (iv, w)
+        want = f"gap {cat.mask_name(w)} is not a torsion class of {cat.mask_name(w_u)}"
+    elif check == "top":
+        w = next(v for _, v in wides if 0 < v != w and v != w_u)
+        wides[k] = (iv, w)
+        want = f", not the top {lat.name(iv.top)}"
+    elif check == "image":
+        interval_bits = lat.interval_bits
+
+        def widened(other):
+            bits = interval_bits(other)
+            return bits | 1 << lat.top_index if other == iv else bits
+
+        monkeypatch.setattr(lat, "interval_bits", widened)
+        want = f"is not psi of the down-set of {cat.mask_name(w)}"
+    else:
+        simples[w] = subcat.simples_of_wide(cat, w) & ~(1 << min(subcat.indices(w)))
+        want = "gap simples "
+    out = widelab._reduce_bottom(lat, wides, w_u, lat, simples)
+    assert [v for v, _ in out] == [v for v, _ in wides]
+    assert [v for v, exc in out if exc is not None] == [iv]
+    assert want in str(dict(out)[iv])
 
 
 # one altered a4 hom_table entry: the field, the pair (x, y) and the property

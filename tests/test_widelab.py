@@ -235,6 +235,15 @@ def test_reduce_scans_the_perpendicular_once(monkeypatch, lat_of):
     assert state["perp"] == 0
 
 
+def test_reduce_interval_reads_no_order_bitsets_of_its_gap_lattice(lat_of):
+    # the gap lattice is the whole of its walk, so no down-set is read
+    lat = lat_of("a4")
+    wide = [iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv).wide]
+    for iv in wide:
+        wlat = widelab.reduce_interval(lat, iv).wide_lattice
+        assert "down_sets" not in vars(wlat)
+
+
 _SCALE = {"d4p3": SCALE_SPECS["d4p3"], "nak55": NAKAYAMA_5_5}
 _SCALE_CATS = {}
 
@@ -315,7 +324,7 @@ def _assert_same_lattice(got, want):
 @pytest.mark.parametrize("name", verify_mod.CORPUS + tuple(_SERRE_SPECS))
 def test_down_set_lattices_match_their_own_walks(name, cat_of):
     # tors W read off tors W*, for W* = filt(S | b) with S the simples of W
-    # and b a brick orthogonal to them, and each lattice gap_lattices gives,
+    # and b a brick orthogonal to them, and off each root serre_roots gives,
     # against the walk inside W
     if name in _SERRE_SPECS:
         cat = torslat.build_catalog(parse_algebra_text(_SERRE_SPECS[name]))
@@ -337,19 +346,25 @@ def test_down_set_lattices_match_their_own_walks(name, cat_of):
             if subcat.is_semibrick(cat, s | 1 << b):
                 root = walk(subcat.filt(cat, s | 1 << b))
                 assert w in root.bits_index and w != root.ambient
-                _assert_same_lattice(widelab._down_set_lattice(root, w), walk(w))
+                _assert_same_lattice(oracles.down_set_lattice(root, w), walk(w))
                 pairs += 1
     assert pairs > 0
-    got = dict(widelab.gap_lattices(build_lattice(cat), wides))
-    assert sorted(got) == sorted(wides)
-    for w in wides:
-        _assert_same_lattice(got[w], walk(w))
+    seen = []
+    for w, root in widelab.serre_roots(build_lattice(cat), wides):
+        seen.append(w)
+        _assert_same_lattice(oracles.down_set_lattice(root, w), walk(w))
+    assert sorted(seen) == sorted(wides)
 
 
 def test_a_gap_that_is_no_node_of_its_root_fails(a2cat, a2lat):
-    w = names_to_bits(a2cat, "01a", "10a")
+    # the wide interval [{10a}, {10a,11a}] against the whole of a2 as root,
+    # where its gap {11a} is no torsion class
+    n = names_to_bits
+    u, t = a2lat.bits_index[n(a2cat, "10a")], a2lat.bits_index[n(a2cat, "10a", "11a")]
+    w = n(a2cat, "11a")
+    assert a2lat.gap(a2lat.interval(u, t)) == w
     with pytest.raises(TheoremViolation, match="is not a torsion class of"):
-        widelab._down_set_lattice(a2lat, w)
+        widelab._reduce_onto(a2lat, a2lat.interval(u, t), w, a2lat)
 
 
 def test_a_failed_root_walk_walks_its_gaps_on_their_own(monkeypatch, lat_of):
@@ -382,7 +397,7 @@ def test_a_failed_root_walk_walks_its_gaps_on_their_own(monkeypatch, lat_of):
         return tors_of_wide(cat, w, config)
 
     monkeypatch.setattr(widelab, "tors_of_wide", failing)
-    got = dict(widelab.gap_lattices(lat, wides))
+    got = dict(widelab.serre_roots(lat, wides))
     assert sorted(got) == sorted(wides)
     # the root is a gap of its own group, so its walk fails twice
     for w in (root, victim):
@@ -391,7 +406,10 @@ def test_a_failed_root_walk_walks_its_gaps_on_their_own(monkeypatch, lat_of):
     assert set(groups[root]) <= set(walked)
     for w in wides:
         if w not in (root, victim):
-            _assert_same_lattice(got[w], build_lattice(cat, "tors", w))
+            got_lattice = oracles.down_set_lattice(got[w], w)
+            _assert_same_lattice(got_lattice, build_lattice(cat, "tors", w))
+        if w in groups[root] and w not in (root, victim):
+            assert got[w].within == w
 
 
 def test_left_wide_per_node(a2cat, a2lat):
@@ -486,6 +504,22 @@ def test_widely_generated_everywhere(lat_of):
             assert report.holds
             assert report.via_labels and report.via_covers
             assert report.canonical_join is True
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + ("a5p2", "d4p3", "nak55"))
+def test_covers_reading_matches_the_pair_scan(name, lat_of):
+    # mask_down_sets against a subset test on every pair of node masks, and
+    # the covers reading of widely generated against the pair scan
+    if name in _SERRE_SPECS:
+        lat = build_lattice(torslat.build_catalog(parse_algebra_text(_SERRE_SPECS[name])))
+    else:
+        lat = lat_of(name)
+    nb = lat.node_bits
+    for t, t_mask in enumerate(nb):
+        below = subcat.bits(i for i, u in enumerate(nb) if u & t_mask == u)
+        assert lat.mask_down_sets[t] == below
+        report = widelab.is_widely_generated(lat, t)
+        assert report.via_covers == oracles.covers_by_pairs(lat, t)
 
 
 def test_semibrick_enumeration(a2cat):
