@@ -16,7 +16,10 @@ nontrivial pair), ``closure_rows`` (the rows of ``subcat.filt``) and
 ``decompose_indices`` under ``("decompose", module key)``, seeded with
 every module the closure decomposed, the table ``hom_table`` of one
 ``HomProfile`` per ordered pair of members under ``("hom_table",)``, and
-the subcategory operators' results (see ``subcat``).
+the subcategory operators' results (see ``subcat``).  The Hom table is
+read off the subfactor pairs (``Catalog.hom_profile``): a nonzero map is a
+quotient of its source that is a submodule of its target, so the table
+solves no linear algebra.
 ``_key_index`` is the member index, not a memo.
 """
 
@@ -45,10 +48,10 @@ class HomProfile(NamedTuple):
     """Summands of the nonzero maps from one member to another.
 
     kernel, image and cokernel are int bitsets: each is the OR, over the
-    nonzero rays of the Hom space, of the catalog indices of that summand.
-    epi holds when every nonzero map is onto.  An OR lies inside a mask
-    exactly when each ray's summands do, so one entry answers a subset test
-    for every map at once.
+    nonzero maps of the Hom space, of the catalog indices of that module's
+    summands.  epi holds when every nonzero map is onto, that is when the
+    cokernel OR is empty.  An OR lies inside a mask exactly when each map's
+    summands do, so one entry answers a subset test for every map at once.
     """
 
     kernel: int
@@ -160,8 +163,9 @@ class Catalog:
     def hom_table(self):
         """hom_table[i][j] is the HomProfile of Hom(ind[i], ind[j]).
 
-        Built by ``hom_profile`` for every ordered pair on first use; the
-        table is the one memo of the profiles.
+        Built by ``hom_profile`` for every ordered pair on first use, from
+        the subfactor table alone; the table is the one memo of the
+        profiles.
         """
 
         def run():
@@ -173,25 +177,33 @@ class Catalog:
         return subcat._cached(self, ("hom_table",), run)
 
     def hom_profile(self, i, j):
-        """The HomProfile of Hom(ind[i], ind[j]), computed afresh.
+        """The HomProfile of Hom(ind[i], ind[j]), read off the subfactor table.
 
-        Kernel, image and cokernel are scaling-invariant, so one morphism
-        per ray covers the punctured Hom space.  Every pair with zero Hom
-        gets the one shared zero entry and enumerates no rays.
+        A nonzero f: ind[i] -> ind[j] has a kernel K and an image I with
+        ind[i]/K isomorphic to I, so (dec K, dec I) is a pair of
+        subfactors[i] and (dec I, dec ind[j]/I) a pair of subfactors[j].
+        Conversely, a pair (u, q) of i and a pair (q, c) of j with the same
+        nonempty q give modules ind[i]/K and I with the same summands,
+        hence isomorphic (Krull-Schmidt), and ind[i] -> ind[i]/K -> I ->
+        ind[j] is a nonzero map with kernel u, image q and cokernel c.  So
+        the profile ORs u, q and c over the matched pairs, and the maps are
+        all epic exactly when every matched c is empty.  Every pair with
+        zero Hom gets the one shared zero entry.
         """
         if not self.hom_dim[i][j]:
             return _ZERO_HOM
+        # ORed cokernels of the nonzero submodules of ind[j], by summands
+        cokernels = {}
+        for (sub, _), (_, c) in zip(self.subfactors[j], self.pair_bits[j]):
+            if sub:
+                cokernels[sub] = cokernels.get(sub, 0) | c
         kernel = image = cokernel = 0
-        epi = True
-        for f in modrep.hom_rays(self.ind[i], self.ind[j], self.config):
-            ker, _ = modrep.kernel(f)
-            im, inclusion = modrep.image(f)
-            coker, _ = modrep.quotient_by(inclusion)
-            kernel |= subcat.bits(self.decompose_indices(ker))
-            image |= subcat.bits(self.decompose_indices(im))
-            cokernel |= subcat.bits(self.decompose_indices(coker))
-            epi = epi and coker.is_zero
-        return HomProfile(kernel, image, cokernel, epi)
+        for (_, quot), (k, q) in zip(self.subfactors[i], self.pair_bits[i]):
+            if quot in cokernels:
+                kernel |= k
+                image |= q
+                cokernel |= cokernels[quot]
+        return HomProfile(kernel, image, cokernel, not cokernel)
 
     def mask_name(self, b):
         return "{" + ",".join(self.names[i] for i in subcat.indices(b)) + "}"

@@ -14,8 +14,8 @@ class Config:
     # cap on the number of basis paths of the algebra
     path_budget: int = 1024
     # cap on enumerated elements of a Hom or End space: the rays of
-    # modrep.hom_rays (brick tests, morphism audits) and the idempotent search
-    # of decompose; isomorphism tests enumerate nothing
+    # modrep.hom_rays (brick tests) and the idempotent search of decompose;
+    # isomorphism tests and the catalog's Hom table enumerate nothing
     iso_budget: int = 65536
     # cap on the product of per-vertex subspace counts in submodule enumeration
     subspace_budget: int = 1_000_000

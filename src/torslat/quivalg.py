@@ -67,10 +67,6 @@ class Algebra:
         self.path_basis = path_basis
         self.arrow_index = {a.name: i for i, a in enumerate(quiver.arrows)}
 
-    @property
-    def dim(self):
-        return len(self.path_basis)
-
     def paths_from(self, vertex):
         return [pth for pth in self.path_basis if pth.start == vertex]
 

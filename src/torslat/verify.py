@@ -60,7 +60,11 @@ The morphism audits (hom-audit, label-maps, and the audit inside
 ``widelab.left_wide`` and ``right_wide``) read ``Catalog.hom_table``: per
 ordered pair, the OR over the nonzero maps of their kernel, image and
 cokernel summands, and whether every map is epic.  An OR passes a subset
-test exactly when each map does.  hom-audit is hoisted per top T: the
+test exactly when each map does.  The table scans no Hom space: a nonzero
+map is a quotient of its source that is also a submodule of its target,
+so each entry matches the source's subfactor pairs (kernel, quotient)
+with the target's (image, cokernel) on a common nonempty middle
+(``Catalog.hom_profile``).  hom-audit is hoisted per top T: the
 images and the kernels of the maps from T into each y are ORed once, and
 each Serre piece w then ORs the rows of the y in torf_gen(w).  Only a
 failed test rescans the pairs, x ascending then y ascending, image before

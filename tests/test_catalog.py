@@ -22,6 +22,7 @@ from torslat.quivalg import (
     parse_algebra_text,
     projective_module,
 )
+from conftest import NAKAYAMA_5_5
 from test_acceptance import SCALE_SPECS
 
 
@@ -145,6 +146,63 @@ def test_hom_table_is_the_or_of_the_ray_profiles(name, cat_of):
             assert cat.hom_table[i][j] == want
             mixed += len(set(rays)) > 1
     assert (mixed > 0) == (name in ("kx3p2", "d4p3"))
+
+
+def _hom_spec(name):
+    # N_5^5, k[x]/x^4 at p = 5 (a four-dimensional End), linear A5, nak3 and
+    # D5 at p = 2
+    texts = {
+        "nak55": NAKAYAMA_5_5,
+        "kx4p5": CLOSED_FORM_SPECS["kx4"].format(p=5),
+        "a5p2": "vertices 5\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\nprime 2\n",
+        "nak3p2": SCALE_SPECS["nak3p2"],
+        "d5p2": CLOSED_FORM_SPECS["d5"].format(p=2),
+    }
+    return build_catalog(parse_algebra_text(texts[name]))
+
+
+@pytest.mark.parametrize("name", ["nak55", "kx4p5", "a5p2", "nak3p2", "d5p2"])
+def test_hom_table_is_the_or_of_the_rays_past_the_corpus(name):
+    cat = _hom_spec(name)
+    for i in range(len(cat)):
+        for j in range(len(cat)):
+            rays = oracles.hom_ray_profiles(cat, i, j)
+            assert cat.hom_table[i][j] == HomProfile(
+                subcat.bits(k for r in rays for k in r.kernel),
+                subcat.bits(k for r in rays for k in r.image),
+                subcat.bits(k for r in rays for k in r.cokernel),
+                all(r.epi for r in rays),
+            )
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + ("d4p3",))
+def test_hom_is_nonzero_exactly_when_a_subfactor_matches(name, cat_of):
+    # a nonzero map ind[i] -> ind[j] is a quotient of ind[i] that is a
+    # submodule of ind[j]: a nonempty q of a pair (u, q) of i and (q, c) of j
+    if name in SCALE_SPECS:
+        cat = build_catalog(parse_algebra_text(SCALE_SPECS[name]))
+    else:
+        cat = cat_of(name)
+    for i in range(len(cat)):
+        quotients = {q for _, q in cat.subfactors[i] if q}
+        for j in range(len(cat)):
+            subs = {u for u, _ in cat.subfactors[j] if u}
+            assert bool(cat.hom_dim[i][j]) == bool(quotients & subs)
+
+
+@pytest.mark.parametrize(
+    "text", [verify_mod.corpus_text("a4"), SCALE_SPECS["d4p3"]], ids=["a4", "d4p3"]
+)
+def test_the_hom_table_solves_no_linear_algebra(text, monkeypatch):
+    cat = build_catalog(parse_algebra_text(text))
+    for name in ("hom_basis", "hom_rays", "kernel", "image", "quotient_by"):
+        def refuse(*args, name=name, **kw):
+            raise AssertionError(f"the Hom table called modrep.{name}")
+
+        monkeypatch.setattr(modrep, name, refuse)
+    zero = HomProfile(0, 0, 0, True)
+    for row, dims in zip(cat.hom_table, cat.hom_dim):
+        assert [p != zero for p in row] == [d > 0 for d in dims]
 
 
 def test_decompose_indices_sorted(a2cat):

@@ -8,8 +8,8 @@ from importlib import resources
 
 import pytest
 
-from torslat import cli, verify as verify_mod
-from torslat.catalog import build_catalog
+from torslat import cli, modrep, verify as verify_mod
+from torslat.catalog import Catalog, build_catalog
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import (
     DecomposeBlowup,
@@ -222,8 +222,12 @@ def _lattice_of(text, cfg):
     return build_lattice(build_catalog(parse_algebra_text(text, cfg), cfg))
 
 
-def _hom_audit(text, cfg):
-    return run_verify([("spec", parse_algebra_text(text, cfg))], ["hom-audit"], cfg)
+def _hom_rays_into_the_centre(text, cfg):
+    # Hom(P_centre, M) for the member M with dims (2,1,1,1): 3 rays at p = 2
+    cat = build_catalog(parse_algebra_text(text, cfg), cfg)
+    dims = [m.dims for m in cat.ind]
+    x, y = (cat.ind[dims.index(d)] for d in ((1, 0, 0, 0), (2, 1, 1, 1)))
+    return list(modrep.hom_rays(x, y, cfg))
 
 
 @pytest.mark.parametrize(
@@ -232,7 +236,7 @@ def _hom_audit(text, cfg):
         ("--dim-bound", 2, NotClosed, "kron2", ["indec"], _lattice_of),
         ("--path-budget", 4, PathBlowup, "a4", ["indec"], _lattice_of),
         ("--iso-budget", 1, DecomposeBlowup, "kx3p2", ["indec"], _lattice_of),
-        ("--iso-budget", 2, IsoSearchBlowup, "d4p2", ["verify", "--props", "hom-audit"], _hom_audit),
+        ("--iso-budget", 2, IsoSearchBlowup, "d4p2", ["verify"], _hom_rays_into_the_centre),
         ("--subspace-budget", 4, SubspaceBlowup, "a4", ["indec"], _lattice_of),
         ("--ext-budget", 2, SubspaceBlowup, "kron2", ["indec"], _lattice_of),
         ("--node-budget", 10, LatticeBlowup, "a4", ["lattice"], _lattice_of),
@@ -250,7 +254,16 @@ def test_budget_errors_name_their_flag(flag, value, error, spec, argv, call, tmp
     cfg = DEFAULT_CONFIG.with_overrides(**{flag[2:].replace("-", "_"): value})
     with pytest.raises(error, match=rf"\({flag}\)"):
         call(text, cfg)
-    assert cli.main([argv[0], str(path), *argv[1:], flag, str(value)]) == 2
+    argv = [argv[0], str(path), *argv[1:]]
+    if error is IsoSearchBlowup:
+        # no command enumerates Hom rays: the Hom table is read off the
+        # subfactor table, so the budget leaves the report as it is
+        default, capped = io.StringIO(), io.StringIO()
+        assert cli.main(argv, out=default) == 0
+        assert cli.main([*argv, flag, str(value)], out=capped) == 0
+        assert capped.getvalue() == default.getvalue()
+        return
+    assert cli.main([*argv, flag, str(value)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f" {value} ({flag})" in err
 
@@ -375,14 +388,28 @@ def test_verify_rejects_empty_and_repeated_props(props, capsys):
     assert ("twice" if "duality" in props else "no property selected") in err
 
 
-def test_an_escaped_error_leaves_the_lines_before_it(tmp_path, capsys):
-    # d4p2's Hom table needs more than 2 rays; roundtrip is the first
-    # property to read it, so the lines of the properties before it stay
+def _plant_a_ray_scan(monkeypatch):
+    # each Hom-table entry first scans the rays of its Hom space, under the
+    # run's --iso-budget, then is read off the subfactor table as before
+    hom_profile = Catalog.hom_profile
+
+    def planted(cat, i, j):
+        list(modrep.hom_rays(cat.ind[i], cat.ind[j], cat.config))
+        return hom_profile(cat, i, j)
+
+    monkeypatch.setattr(Catalog, "hom_profile", planted)
+
+
+def test_an_escaped_error_leaves_the_lines_before_it(monkeypatch, tmp_path, capsys):
+    # with the planted scan, d4p2's Hom table needs more than 2 rays;
+    # roundtrip is the first property to read it, so the lines of the
+    # properties before it stay
     path = tmp_path / "d4p2.alg"
     path.write_text(BUDGET_SPECS["d4p2"])
     full = io.StringIO()
     assert cli.main(["verify", str(path)], out=full) == 0
     capsys.readouterr()
+    _plant_a_ray_scan(monkeypatch)
     out = io.StringIO()
     assert cli.main(["verify", str(path), "--iso-budget", "2"], out=out) == 2
     assert capsys.readouterr().err == (

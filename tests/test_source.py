@@ -9,13 +9,29 @@ import torslat
 SRC = Path(torslat.__file__).resolve().parent
 
 
-def _references(node):
-    """Each name read or attribute taken under the node, once per use."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
+def _binds(fn):
+    """The names a function binds: its parameters and its Store targets."""
+    a = fn.args
+    params = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+    return {p.arg for p in params if p} | {
+        n.id for n in ast.walk(fn)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
+
+
+def _references(node, bound=frozenset(), defs=()):
+    """(name, defs) for each name read or attribute taken under the node,
+    once per use, defs being the functions it lies in.  A name that an
+    enclosing function binds is its local, not a use of a def."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        bound = bound | _binds(node)
+        defs = (*defs, node)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and child.id not in bound:
+            yield child.id, defs
+        elif isinstance(child, ast.Attribute):
+            yield child.attr, defs
+        yield from _references(child, bound, defs)
 
 
 def unreferenced_defs(root):
@@ -23,7 +39,12 @@ def unreferenced_defs(root):
     root uses outside the def itself.  Dunders and torslat.__all__ are
     exempt: Python and the package's users call them."""
     trees = {p: ast.parse(p.read_text()) for p in sorted(root.rglob("*.py"))}
-    uses = Counter(r for tree in trees.values() for r in _references(tree))
+    uses = Counter()
+    own = Counter()
+    for tree in trees.values():
+        for name, defs in _references(tree):
+            uses[name] += 1
+            own.update(d for d in defs if getattr(d, "name", None) == name)
     exempt = set(torslat.__all__)
     out = []
     for path, tree in trees.items():
@@ -33,8 +54,7 @@ def unreferenced_defs(root):
             name = node.name
             if name in exempt or (name.startswith("__") and name.endswith("__")):
                 continue
-            own = sum(r == name for r in _references(node))
-            if uses[name] == own:
+            if uses[name] == own[node]:
                 out.append((path.relative_to(root).as_posix(), node.lineno, name))
     return out
 
