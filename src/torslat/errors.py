@@ -25,7 +25,11 @@ class DecomposeBlowup(ResourceError):
 
 
 class IsoSearchBlowup(ResourceError):
-    """Enumeration of the rays of a Hom space (modrep.hom_rays) passed the budget."""
+    """Enumeration of the rays of a Hom space (modrep.hom_rays) passed the budget.
+
+    No command raises it: a catalog member's End passed decompose's p^d <=
+    iso_budget check, or is one-dimensional, and has fewer rays than
+    elements; only a library call of hom_rays or is_brick can."""
 
 
 class SubspaceBlowup(ResourceError):

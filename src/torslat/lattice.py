@@ -14,21 +14,22 @@ construction, the lattice also turns them into frozensets, ``nodes`` and
 ``node_index``, for callers that look a class up by its members; no code of
 the library reads them.  ``build_lattice`` walks the covers on bitsets,
 over rows it derives from the catalog once per call, with a memo of
-extension closures local to the call; it leaves ``op_cache`` untouched and
-passes its sorted masks to ``TorsLattice``.  The members each node reaches
-by a map (``reach``, and from it ``perp``) and its closure row
-(``_closed_bits``) are derived from ``node_bits`` on first use.  Gaps read
-``reach``; a join is ``subcat.filt`` of the union of closure rows, so every
-closure read after a build goes through the one memo, ``op_cache``.  The
-order bitsets (``up_sets``, ``down_sets``) run over node indices and are
-built from the covering arrows.  The intervals come from them: the bottoms
-of a top t are the nodes of ``down_sets[t]``, so the enumeration costs one
-step per interval, not one per pair of nodes; an interval's nodes are
-``up_sets[U] & down_sets[T]``.  ``mask_down_sets`` reads the same order
-from the masks alone, for a reading that must not lean on the arrows
-(widely generated's covers).  ``dual_correspondence`` derives the order
-reversal of the torsion-free dual from the arrows, with the same
-Hasse-diagram argument, instead of comparing every pair of nodes.
+extension closures local to the call; it adds to ``op_cache`` only the
+``("wide", within)`` verdict and passes its sorted masks to
+``TorsLattice``.  The members each node reaches by a map (``reach``, and
+from it ``perp``) and its closure row (``_closed_bits``) are derived from
+``node_bits`` on first use.  Gaps read ``reach``; a join is ``subcat.filt``
+of the union of closure rows, so every closure read after a build goes
+through the one memo, ``op_cache``.  The order bitsets (``up_sets``,
+``down_sets``) run over node indices and are built from the covering
+arrows.  The intervals come from them: the bottoms of a top t are the nodes
+of ``down_sets[t]``, so the enumeration costs one step per interval, not
+one per pair of nodes; an interval's nodes are ``up_sets[U] &
+down_sets[T]``.  ``mask_down_sets`` reads the same order from the masks
+alone, for a reading that must not lean on the arrows (widely generated's
+covers).  ``dual_correspondence`` derives the order reversal of the
+torsion-free dual from the arrows, with the same Hasse-diagram argument,
+instead of comparing every pair of nodes.
 """
 
 import json
@@ -342,7 +343,7 @@ def _quotient_minimal(perp, close):
     return [x for x in subcat.indices(perp) if close[x] & perp == 1 << x]
 
 
-def build_lattice(cat, side="tors", within=None, config=None):
+def build_lattice(cat, side="tors", within=None):
     """Walk the covering arrows up from the zero class and label each one.
 
     The covers of a class T are the inclusion-minimal classes among the
@@ -367,17 +368,18 @@ def build_lattice(cat, side="tors", within=None, config=None):
     (``_side_rows``): the members x maps to (from, on the torsion-free
     side), x's ``quotient_bits`` (``sub_bits``) row, both cut down to the
     ambient, and the ``extension_rows`` of x that lie in the ambient.
-    ``within`` must be a wide subcategory W: then fac and sub_cl cut down to
-    W are the closures under quotients and subobjects inside W, and the
-    extension closure of a mask inside W stays inside it (the argument is
-    in ``subcat``).  Both the
-    candidates gen(T + x) = filt(fac(T) | fac(x)) and the label check
-    filt(s) = gap call subcat.extension_closure through one memo local to
-    the call, keyed by the bitset closed; nothing goes to ``op_cache``.
-    The masks of the classes, sorted by size and then by members, are the
-    nodes.
+    ``within`` must be a wide subcategory W, else NotWide: then fac and
+    sub_cl cut down to W are the closures under quotients and subobjects
+    inside W, and the extension closure of a mask inside W stays inside it
+    (the argument is in ``subcat``).  Both the candidates gen(T + x) =
+    filt(fac(T) | fac(x)) and the label check filt(s) = gap call
+    subcat.extension_closure through one memo local to the call, keyed by
+    the bitset closed.  The masks of the classes, sorted by size and then
+    by members, are the nodes, at most ``cat.config.node_budget`` of them.
     """
-    cfg = config or cat.config
+    if within is not None:
+        subcat.simples_of_wide(cat, within)
+    budget = cat.config.node_budget
     amb, hits, close, ext = _side_rows(cat, side, within)
     bricks = subcat.bits(x for x in subcat.indices(amb) if cat.bricks[x])
     closed = {}
@@ -421,10 +423,10 @@ def build_lattice(cat, side="tors", within=None, config=None):
             covers.append((top, bottom, s))
             if top not in seen:
                 seen.add(top)
-                if len(seen) > cfg.node_budget:
+                if len(seen) > budget:
                     raise LatticeBlowup(
                         f"{len(seen)} torsion classes found, budget"
-                        f" {cfg.node_budget} (--node-budget)"
+                        f" {budget} (--node-budget)"
                     )
                 queue.append(top)
     node_bits = sorted(seen, key=lambda b: (b.bit_count(), subcat.indices(b)))

@@ -42,22 +42,22 @@ the library, on the catalog's ``closure_rows`` and keeps the result under
 ``("filt", mask)``, the one closure memo: the joins of every lattice,
 relative ones included, read it, exact by the argument above.
 ``lattice.build_lattice`` runs the fixpoint on rows it restricts to its
-ambient, through a memo local to the walk that leaves ``op_cache`` as it
-was, and ``is_wide`` under its own ``("wide", mask)`` entry.  Results that
-are reused are kept in the catalog's ``op_cache`` through ``_cached``, the
-one memo helper of the library: the catalog's own decompose memo and Hom
-table and widelab's verdicts go through it too, each under a key tagged by
-its kind.
+ambient, through a memo local to the walk, and reads ``op_cache`` only for
+the ``("wide", within)`` verdict.  Results that are reused are kept in the
+catalog's ``op_cache`` through ``_cached``, the one memo helper of the
+library: the catalog's own decompose memo and Hom table and widelab's
+verdicts go through it too, each under a key tagged by its kind, each kind
+at one call site.
 
 ``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows
-miss the other members.  Wideness has one test, ``is_wide``: the candidate
-simples come from the catalog's ``pair_bits``, they must form a semibrick,
-and ``extension_closure`` rebuilds the class from them.  The lattice joins
-that the interval verdicts read are extension closures too: the join of
-torsion classes is the smallest torsion class containing their union, and
-that union is already closed under quotients, so the join is ``filt`` of
-the union (Ingalls-Thomas, arXiv:math/0612219); dually for torsion-free
-classes.
+miss the other members.  Wideness is decided once per mask, and the memo
+holds the simples (``_wide_entry``): ``is_wide`` and ``simples_of_wide``
+read it.  ``extension_product_miss`` is the one extension-product test.
+The lattice joins that the interval verdicts read are extension closures
+too: the join of torsion classes is the smallest torsion class containing
+their union, and that union is already closed under quotients, so the join
+is ``filt`` of the union (Ingalls-Thomas, arXiv:math/0612219); dually for
+torsion-free classes.
 
 The extension-closure operator ``filt`` works pairwise on the subfactor
 table.  That computes the smallest extension-closed summand-closed class
@@ -198,25 +198,52 @@ def candidate_simples(cat, b):
     return out
 
 
-def is_wide(cat, b):
-    """Wide = abelian exact subcategory; tested via its simple objects.
-
-    The candidate simples must form a semibrick whose extension closure
-    recovers the mask; both directions of that bijection are what wideness
-    amounts to for summand-closed classes.
-    """
+def _wide_entry(cat, b):
+    """The ``("wide", mask)`` memo: the mask's simples when it is wide (an
+    abelian exact subcategory), else -1.  For summand-closed classes that
+    means its candidate simples form a semibrick whose extension closure
+    recovers the mask, both directions of that bijection."""
 
     def run():
         s = candidate_simples(cat, b)
-        return is_semibrick(cat, s) and extension_closure(s, cat.closure_rows) == b
+        if is_semibrick(cat, s) and extension_closure(s, cat.closure_rows) == b:
+            return s
+        return -1
 
     return _cached(cat, ("wide", b), run)
 
 
+def is_wide(cat, b):
+    """Whether the mask is a wide subcategory, read off ``_wide_entry``."""
+    return _wide_entry(cat, b) >= 0
+
+
 def simples_of_wide(cat, b):
-    if not is_wide(cat, b):
+    """The simples of a wide mask; NotWide for any other mask."""
+    s = _wide_entry(cat, b)
+    if s < 0:
         raise NotWide(f"{cat.mask_name(b)} is not wide")
-    return candidate_simples(cat, b)
+    return s
+
+
+def extension_product_miss(cat, u, x, target):
+    """The first member of target, outside u and x, with no subfactor pair
+    (u', q) with u' inside u and q inside x; None when there is none.
+
+    For a torsion class target containing u and x, None means target is
+    the extension product u * x, and tors_gen(u | x) too: u * x <=
+    tors_gen(u | x) always, and tors_gen(u | x) <= target, the torsion class
+    containing both, so target <= u * x, the one inclusion scanned, closes
+    the chain.  Members of u and of x pass through their pairs (j, 0) and
+    (0, j), so only the others are scanned.
+    """
+    for j in indices(target & ~u & ~x):
+        for a, q in cat.pair_bits[j]:
+            if a & u == a and q & x == q:
+                break
+        else:
+            return j
+    return None
 
 
 def serre_list(cat, b):

@@ -325,10 +325,9 @@ def _check_reduction(ctx):
                 f" largest member"
             )
             outcome.update(dict.fromkeys((iv for iv, _ in wides), exc))
-    simples = {}
     for w_u, root in widelab.serre_roots(lat, largest):
         for wides in largest[w_u]:
-            outcome.update(widelab._reduce_bottom(lat, wides, w_u, root, simples))
+            outcome.update(widelab._reduce_bottom(lat, wides, w_u, root))
         # the next root is walked on the next step: keep one alive
         del root
     for name, iv, verdict in ctx.intervals():

@@ -143,7 +143,7 @@ def is_wide_interval(lat, iv):
     return WideIntervalReport(iv, lat.gap(iv), wide, wide, wide)
 
 
-def tors_of_wide(cat, w, config=None):
+def tors_of_wide(cat, w):
     """The torsion-class lattice of a wide subcategory, labels included.
 
     One walk serves many wide subcategories (Serre restriction,
@@ -168,10 +168,10 @@ def tors_of_wide(cat, w, config=None):
     class of W*, being Serre).  A down-set is convex, so its covering pairs
     are those of tors W*, and the label of a cover T' -> T is the one brick
     of T' & T^perp: the perpendicular inside W is the one inside W* cut
-    down to W, which leaves T' & T^perp unchanged as T' <= W.
+    down to W, which leaves T' & T^perp unchanged as T' <= W.  A w that is
+    not wide raises NotWide, from ``build_lattice``.
     """
-    subcat.simples_of_wide(cat, w)  # NotWide on bad input
-    return build_lattice(cat, side="tors", within=w, config=config)
+    return build_lattice(cat, side="tors", within=w)
 
 
 def serre_roots(lat, gaps):
@@ -252,7 +252,7 @@ class ReductionIso:
     psi: dict
 
 
-def reduce_interval(lat, iv, config=None):
+def reduce_interval(lat, iv):
     """Collapse a wide interval onto the torsion lattice of its gap category.
 
     phi sends an interval node v to its trace in the gap W = U^perp & T,
@@ -267,17 +267,14 @@ def reduce_interval(lat, iv, config=None):
     labels (on the arrows out of T) and its lower labels (on the arrows into
     U) are picked by bit tests on it; phi(v) is looked up as the gap's
     bitset AND v's, and the extension product is tested on the catalog's
-    pair bits.
+    pair bits by ``subcat.extension_product_miss``, which needs only one
+    inclusion: v = psi(X) is a torsion class (every lattice node is, which
+    build_lattice guarantees) that contains U, as it lies in the interval,
+    and X, its trace.
 
     A bijection that matches the covering arrows one to one is an order
     isomorphism, because each order is the transitive closure of its covers;
-    so phi and psi = phi^-1 are inverse order isomorphisms.  The extension
-    product needs only one inclusion.  star(U, X) <= tors_gen(U | X) always,
-    and tors_gen(U | X) <= v for v = psi(X), because v is a torsion class
-    that contains U (it lies in the interval) and X (its trace is X).  So
-    star(U, X) = v follows once every member of v lies in star(U, X), and
-    then tors_gen(U | X) = v too.  This assumes every lattice node is a
-    torsion class, which build_lattice guarantees.
+    so phi and psi = phi^-1 are inverse order isomorphisms.
     """
     if lat.side != "tors":
         raise ValueError("reduce_interval needs the torsion side")
@@ -287,20 +284,18 @@ def reduce_interval(lat, iv, config=None):
             f"[{lat.name(iv.bottom)}, {lat.name(iv.top)}] is not wide"
         )
     w = report.gap
-    wlat = tors_of_wide(lat.cat, w, config)
-    # tors_of_wide checked that w is wide, so its candidate simples are its simples
-    return _reduce_onto(lat, iv, w, wlat, subcat.candidate_simples(lat.cat, w))
+    return _reduce_onto(lat, iv, w, tors_of_wide(lat.cat, w))
 
 
-def _reduce_onto(lat, iv, w, root, simples=None):
+def _reduce_onto(lat, iv, w, root):
     """The checks of reduce_interval for a wide interval of the torsion side
     with gap ``w``, against ``root``, a prebuilt torsion lattice of a wide
-    subcategory in which w is Serre, and the gap's simples
-    (``subcat.simples_of_wide`` when not given).  The gap lattice is the
+    subcategory in which w is Serre.  The gap lattice is the
     down-set D of w's node in root (see ``tors_of_wide``): all of root when
     w is its ambient, which reads no ``down_sets``, and otherwise
     ``root.down_sets`` of it, whose arrows are the arrows out of its nodes.
-    phi maps onto D, into root's node indices."""
+    phi maps onto D, into root's node indices, and each psi(X) must be the
+    extension product U * X (``subcat.extension_product_miss``)."""
     cat = lat.cat
     nb = lat.node_bits
     u_bits = nb[iv.bottom]
@@ -351,34 +346,21 @@ def _reduce_onto(lat, iv, w, root, simples=None):
     if internal != arrow_count:
         raise TheoremViolation("phi is not a bijection on covering arrows")
 
-    # psi(X) = star(U, X): every member j of psi(X) is an extension of a
-    # part of X by a part of U.  Members of U and of X are, through their
-    # pairs (j, 0) and (0, j); for the others, the quotient parts of j's
-    # pairs over a subobject in U are kept once per interval.
-    over_u = {}
     for x, v in psi.items():
         x_bits = root.node_bits[x]
-        for j in subcat.indices(nb[v] & ~u_bits & ~x_bits):
-            qs = over_u.get(j)
-            if qs is None:
-                qs = over_u[j] = [q for u, q in cat.pair_bits[j] if u & u_bits == u]
-            for q in qs:
-                if q & x_bits == q:
-                    break
-            else:
-                raise TheoremViolation(
-                    f"psi({root.name(x)}) differs from the extension product"
-                )
+        if subcat.extension_product_miss(cat, u_bits, x_bits, nb[v]) is not None:
+            raise TheoremViolation(
+                f"psi({root.name(x)}) differs from the extension product"
+            )
 
-    if simples is None:
-        simples = subcat.simples_of_wide(cat, w)
-    _check_end_labels(lat, iv, inside, simples)
+    _check_end_labels(lat, iv, inside, w)
     return ReductionIso(iv, root, phi, psi)
 
 
-def _check_end_labels(lat, iv, inside, simples):
+def _check_end_labels(lat, iv, inside, w):
     """The labels of the arrows out of the top and into the bottom of iv,
-    inside it (node bitset ``inside``), must be the gap's simples."""
+    inside it (node bitset ``inside``), must be the simples of its gap w."""
+    simples = subcat.simples_of_wide(lat.cat, w)
     uppers = subcat.bits(a.label for a in lat.out_of[iv.top] if inside >> a.dst & 1)
     lowers = subcat.bits(a.label for a in lat.into[iv.bottom] if inside >> a.src & 1)
     if not (simples == uppers == lowers):
@@ -390,13 +372,12 @@ def _check_end_labels(lat, iv, inside, simples):
         )
 
 
-def _reduce_bottom(lat, wides, w_u, root, simples):
+def _reduce_bottom(lat, wides, w_u, root):
     """(interval, None or the VerificationError it fails with) for each of
     ``wides``, the (interval, gap) pairs of the wide intervals over one
     bottom U, whose gaps' union w_u is the gap of one of them, [U, T_U].
     root is what ``serre_roots`` gave for w_u: a torsion lattice in which
-    w_u is Serre, or the error that failed every interval.  ``simples``
-    memoises ``subcat.simples_of_wide`` by gap, across bottoms.
+    w_u is Serre, or the error that failed every interval.
 
     [U, T_U] is reduced onto root in full (``_reduce_onto``); a failure
     there fails every interval over U.  Each other [U, T] with gap W is
@@ -410,17 +391,9 @@ def _reduce_bottom(lat, wides, w_u, root, simples):
     """
     if isinstance(root, VerificationError):
         return [(iv, root) for iv, _ in wides]
-    cat = lat.cat
-
-    def simples_of(w):
-        got = simples.get(w)
-        if got is None:
-            got = simples[w] = subcat.simples_of_wide(cat, w)
-        return got
-
     full = next(iv for iv, w in wides if w == w_u)
     try:
-        psi = _reduce_onto(lat, full, w_u, root, simples_of(w_u)).psi
+        psi = _reduce_onto(lat, full, w_u, root).psi
     except VerificationError as exc:
         exc = exc.with_traceback(None)
         return [(iv, exc) for iv, _ in wides]
@@ -434,14 +407,14 @@ def _reduce_bottom(lat, wides, w_u, root, simples):
     for iv, w in wides:
         try:
             if iv != full:
-                _check_restriction(lat, iv, w, w_u, root, psi, img, simples_of(w))
+                _check_restriction(lat, iv, w, w_u, root, psi, img)
             out.append((iv, None))
         except VerificationError as exc:
             out.append((iv, exc.with_traceback(None)))
     return out
 
 
-def _check_restriction(lat, iv, w, w_u, root, psi, img, simples):
+def _check_restriction(lat, iv, w, w_u, root, psi, img):
     """The checks of ``_reduce_bottom`` for one interval other than the
     largest over its bottom."""
     mask_name = lat.cat.mask_name
@@ -461,7 +434,7 @@ def _check_restriction(lat, iv, w, w_u, root, psi, img, simples):
             f"[{lat.name(iv.bottom)}, {lat.name(iv.top)}] is not psi of the"
             f" down-set of {mask_name(w)}"
         )
-    _check_end_labels(lat, iv, inside, simples)
+    _check_end_labels(lat, iv, inside, w)
 
 
 def left_wide(lat, node):
@@ -513,12 +486,9 @@ def serre_mutation(lat, t_node, w):
     """Bottom of the wide interval below t_node determined by a Serre piece.
 
     Verified: the returned class rebuilds the top as an extension product
-    with the Serre piece, and the gap of the produced interval is that piece.
-    The extension product needs only one inclusion: once the piece W lies in
-    the top T, star(U, W) <= T, because U and W lie in T and T is a torsion
-    class (every lattice node is, as in reduce_interval).  So star(U, W) = T
-    once every member of T has a subfactor pair (u, q) with u in U and q in
-    W, and only the members of T outside U and W are scanned.
+    with the Serre piece (``subcat.extension_product_miss``, once the piece
+    W lies in the top T: U and W lie in T, a torsion class as every lattice
+    node is), and the gap of the produced interval is that piece.
 
     The bottom is kept in ``op_cache`` under the side, the ambient, T's mask
     and W, so the Serre route under a top (``wide_intervals_with_top``)
@@ -545,15 +515,10 @@ def _serre_bottom(lat, t_node, w):
         raise TheoremViolation(
             f"{cat.mask_name(u_mask)} is not a torsion class"
         )
-    # members of U and of W pass through their pairs (j, 0) and (0, j)
-    for j in subcat.indices(t_mask & ~u_mask & ~w):
-        for u, q in cat.pair_bits[j]:
-            if u & u_mask == u and q & w == q:
-                break
-        else:
-            raise TheoremViolation(
-                f"extension product over {cat.mask_name(u_mask)} misses the top"
-            )
+    if subcat.extension_product_miss(cat, u_mask, w, t_mask) is not None:
+        raise TheoremViolation(
+            f"extension product over {cat.mask_name(u_mask)} misses the top"
+        )
     if lat.perp(u_node) & t_mask != w:
         raise TheoremViolation(
             f"gap over {cat.mask_name(u_mask)} is not {cat.mask_name(w)}"

@@ -6,13 +6,13 @@ import pytest
 
 import oracles
 import torslat
-from conftest import A7_EXPORT, NAKAYAMA_7_7, names_to_bits, names_to_mask
+from conftest import A7_EXPORT, NAKAYAMA_5_5, NAKAYAMA_7_7, names_to_bits, names_to_mask
 from oracles import to_set
 from test_acceptance import SCALE_SPECS
 from torslat import lattice, subcat, widelab
 from torslat import verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
-from torslat.errors import LabelNotBrick, LatticeBlowup, NotAnInterval
+from torslat.errors import LabelNotBrick, LatticeBlowup, NotAnInterval, NotWide
 from torslat.lattice import HasseArrow, TorsLattice, build_lattice, dual_correspondence
 from torslat.quivalg import parse_algebra_text
 
@@ -283,12 +283,11 @@ def test_json_export_shape(a2lat):
     assert all(isinstance(a[2], int) for a in data["arrows"])
 
 
-def test_node_budget(cat_of):
+def test_node_budget():
+    budget = DEFAULT_CONFIG.with_overrides(node_budget=3)
+    cat = torslat.build_catalog(verify_mod.load_corpus_algebra("a3"), budget)
     with pytest.raises(LatticeBlowup):
-        build_lattice(
-            cat_of("a3"),
-            config=DEFAULT_CONFIG.with_overrides(node_budget=3),
-        )
+        build_lattice(cat)
 
 
 def _cover_pairs(lat):
@@ -395,9 +394,78 @@ def test_a7_lattice_matches_the_bench_export(a7lat):
     assert a7lat.to_json() == A7_TORS.read_text()
 
 
+@pytest.mark.parametrize("side", ["tors", "torf"])
+@pytest.mark.parametrize("name,count", [("a2", 3), ("a3", 50)])
+def test_a_walk_inside_a_mask_that_is_not_wide_raises(name, count, side):
+    cat = torslat.build_catalog(verify_mod.load_corpus_algebra(name))
+    masks = range(1 << len(cat.ind))
+    bad = [b for b in masks if not oracles.is_wide(cat, to_set(b))]
+    assert len(bad) == count
+    for b in bad:
+        with pytest.raises(NotWide):
+            build_lattice(cat, side, within=b)
+
+
+# the algebras beyond the corpus that the lattice-only oracles read
+_ORACLE_SPECS = {
+    "a5p2": A5_P2,
+    "d4p3": SCALE_SPECS["d4p3"],
+    "nak3p2": SCALE_SPECS["nak3p2"],
+    "nak55": NAKAYAMA_5_5,
+}
+
+
+def _lattices_and_relatives(name, cat_of):
+    """Both lattices of the named algebra, then the torsion lattice of each
+    of its wide subcategories."""
+    if name in _ORACLE_SPECS:
+        cat = torslat.build_catalog(parse_algebra_text(_ORACLE_SPECS[name]))
+    else:
+        cat = cat_of(name)
+    yield build_lattice(cat, "tors")
+    yield build_lattice(cat, "torf")
+    for w in widelab.enumerate_wide_subcats(cat):
+        yield build_lattice(cat, "tors", w)
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + tuple(_ORACLE_SPECS))
+def test_the_hasse_diagram_is_regular(name, cat_of):
+    # a support tau-tilting module has as many summands as there are simples,
+    # one mutation per summand, so every node has that many covering arrows,
+    # up or down (Adachi-Iyama-Reiten, arXiv:1210.1036); inside a wide W,
+    # W's simples count
+    walks = 0
+    for lat in _lattices_and_relatives(name, cat_of):
+        rank = len(oracles.candidate_simples(lat.cat, to_set(lat.ambient)))
+        degrees = {len(lat.out_of[i]) + len(lat.into[i]) for i in range(len(lat))}
+        assert degrees == {rank}, (lat.side, lat.within)
+        walks += 1
+    assert walks > 2
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + tuple(_ORACLE_SPECS))
+def test_join_irreducibles_are_the_classes_of_one_brick(name, cat_of):
+    # on the torsion side the nodes with one arrow out are the tors_gen(B),
+    # one per brick B of the ambient, and that arrow is labelled B
+    # (Demonet-Iyama-Reading-Reiten-Thomas, arXiv:1711.01785)
+    for lat in _lattices_and_relatives(name, cat_of):
+        if lat.side != "tors":
+            continue
+        cat = lat.cat
+        irreducible = {i for i in range(len(lat)) if len(lat.out_of[i]) == 1}
+        bricks = [x for x in subcat.indices(lat.ambient) if cat.bricks[x]]
+        by_brick = {}
+        for b in bricks:
+            node = lat.bits_index[subcat.tors_gen(cat, 1 << b, lat.within)]
+            by_brick[node] = b
+        assert set(by_brick) == irreducible and len(by_brick) == len(bricks)
+        assert all(lat.out_of[i][0].label == b for i, b in by_brick.items())
+
+
 def test_relative_walk_on_a7_matches_the_unfiltered_walk(a7lat):
-    # 100 seeded wide subcategories of a7 of rank at most 4; the walk leaves
-    # op_cache as it found it, on the whole category and inside each W
+    # 100 seeded wide subcategories of a7 of rank at most 4; the walk adds to
+    # op_cache at most the ("wide", W) entry of its W, on the whole category
+    # and inside each W
     cat = a7lat.cat
     small = [
         w
@@ -411,7 +479,7 @@ def test_relative_walk_on_a7_matches_the_unfiltered_walk(a7lat):
     keys = set(cat.op_cache)
     assert build_lattice(cat).to_json() == a7lat.to_json()
     walks = [build_lattice(cat, within=w) for w in sample]
-    assert set(cat.op_cache) == keys
+    assert set(cat.op_cache) - keys <= {("wide", w) for w in sample}
     for w, lat in zip(sample, walks):
         _assert_same_lattice(lat, oracles.cover_walk(cat, within=to_set(w)))
 

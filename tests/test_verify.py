@@ -227,13 +227,13 @@ def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_
     reduce_onto, tors_of_wide = widelab._reduce_onto, widelab.tors_of_wide
     init = TorsLattice.__init__
 
-    def recording(lat, iv, w, root, simples=None):
+    def recording(lat, iv, w, root):
         reduced.append((iv, w, root.ambient))
-        return reduce_onto(lat, iv, w, root, simples)
+        return reduce_onto(lat, iv, w, root)
 
-    def counting(cat, w_mask, config=None):
+    def counting(cat, w_mask):
         walked.append(w_mask)
-        return tors_of_wide(cat, w_mask, config)
+        return tors_of_wide(cat, w_mask)
 
     def constructing(self, cat, side, within, node_bits, arrows):
         built.append(within)
@@ -283,9 +283,9 @@ def test_reduction_runs_in_full_once_per_bottom(
     full = []
     reduce_onto = widelab._reduce_onto
 
-    def recording(lat, iv, w, root, simples=None):
+    def recording(lat, iv, w, root):
         full.append(iv)
-        return reduce_onto(lat, iv, w, root, simples)
+        return reduce_onto(lat, iv, w, root)
 
     monkeypatch.setattr(widelab, "_reduce_onto", recording)
     for _, thunk in verify._check_reduction(ctx):
@@ -346,6 +346,30 @@ def test_wide_serre_and_duality_make_no_perp_right_call(monkeypatch):
     assert calls == []
 
 
+def test_verify_decides_each_mask_wide_once(monkeypatch):
+    # every reader of wideness reads the ("wide", W) memo, which holds the
+    # simples: one candidate_simples run per entry over an a4 verify
+    built, calls = [], []
+    build_catalog, candidate_simples = verify.build_catalog, subcat.candidate_simples
+
+    def capturing_build(*args, **kwargs):
+        built.append(build_catalog(*args, **kwargs))
+        return built[-1]
+
+    def counting(cat, b):
+        calls.append(b)
+        return candidate_simples(cat, b)
+
+    monkeypatch.setattr(verify, "build_catalog", capturing_build)
+    monkeypatch.setattr(subcat, "candidate_simples", counting)
+    results = verify.run_verify([("a4", verify.load_corpus_algebra("a4"))])
+    assert all(r.ok for r in results)
+    (cat,) = built
+    wide = [key[1] for key in cat.op_cache if key[0] == "wide"]
+    assert sorted(calls) == sorted(wide)
+    assert len(calls) == 182
+
+
 def test_verify_leaves_no_frozenset_in_op_cache_keys(monkeypatch):
     # every mask in a memo key is an int bitset
     built = []
@@ -382,8 +406,8 @@ def _tampered_root_run(monkeypatch, lat, tamper):
     tors_of_wide = widelab.tors_of_wide
     marked = []
 
-    def tampered(cat, w_mask, config=None):
-        root = tors_of_wide(cat, w_mask, config)
+    def tampered(cat, w_mask):
+        root = tors_of_wide(cat, w_mask)
         if w_mask == target:
             root, node = tamper(root)
             marked.append(root.node_bits[node])
@@ -506,7 +530,6 @@ def test_a_restriction_names_the_check_it_fails(check, monkeypatch, lat_of):
     )
     iv, w = wides[k]
     assert 0 < w != w_u
-    simples = {}
     if check == "node":
         w = next(v for v in widelab.enumerate_wide_subcats(cat) if v not in lat.bits_index)
         wides[k] = (iv, w)
@@ -525,9 +548,10 @@ def test_a_restriction_names_the_check_it_fails(check, monkeypatch, lat_of):
         monkeypatch.setattr(lat, "interval_bits", widened)
         want = f"is not psi of the down-set of {cat.mask_name(w)}"
     else:
-        simples[w] = subcat.simples_of_wide(cat, w) & ~(1 << min(subcat.indices(w)))
+        simples = subcat.simples_of_wide(cat, w) & ~(1 << min(subcat.indices(w)))
+        monkeypatch.setitem(cat.op_cache, ("wide", w), simples)
         want = "gap simples "
-    out = widelab._reduce_bottom(lat, wides, w_u, lat, simples)
+    out = widelab._reduce_bottom(lat, wides, w_u, lat)
     assert [v for v, _ in out] == [v for v, _ in wides]
     assert [v for v, exc in out if exc is not None] == [iv]
     assert want in str(dict(out)[iv])

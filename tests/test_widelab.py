@@ -80,8 +80,8 @@ def test_reduce_rejects_a_tampered_gap_lattice(tamper, a2cat, a2lat, monkeypatch
     # lattice whose covers differ from the interval's
     tors_of_wide = widelab.tors_of_wide
 
-    def tampered(cat, w_mask, config=None):
-        wlat = tors_of_wide(cat, w_mask, config)
+    def tampered(cat, w_mask):
+        wlat = tors_of_wide(cat, w_mask)
         first, *rest = wlat.arrows
         if tamper == "relabel":
             other = (first.label + 1) % len(cat.ind)
@@ -131,8 +131,8 @@ def test_reduce_rejects_a_node_that_is_no_extension_product(a2cat):
 def test_reduce_rejects_a_phi_that_is_not_injective(a2lat, monkeypatch):
     tors_of_wide = widelab.tors_of_wide
 
-    def tampered(cat, w_mask, config=None):
-        return merge_the_bottom_into_a_cover(tors_of_wide(cat, w_mask, config))
+    def tampered(cat, w_mask):
+        return merge_the_bottom_into_a_cover(tors_of_wide(cat, w_mask))
 
     monkeypatch.setattr(widelab, "tors_of_wide", tampered)
     with pytest.raises(TheoremViolation, match="phi is not a bijection onto"):
@@ -390,11 +390,11 @@ def test_a_failed_root_walk_walks_its_gaps_on_their_own(monkeypatch, lat_of):
     walked = []
     tors_of_wide = widelab.tors_of_wide
 
-    def failing(cat, w, config=None):
+    def failing(cat, w):
         walked.append(w)
         if w in (root, victim):
             raise TheoremViolation(f"walk of {cat.mask_name(w)}")
-        return tors_of_wide(cat, w, config)
+        return tors_of_wide(cat, w)
 
     monkeypatch.setattr(widelab, "tors_of_wide", failing)
     got = dict(widelab.serre_roots(lat, wides))
@@ -481,6 +481,21 @@ def test_serre_mutation_rejects_a_piece_outside_the_top(a2cat, a2lat, monkeypatc
     monkeypatch.setattr(widelab, "left_wide", lambda lat, node: a2cat.full_mask)
     with pytest.raises(TheoremViolation, match="is not inside"):
         widelab.serre_mutation(a2lat, 3, a2cat.full_mask)
+
+
+def test_serre_mutation_rejects_a_top_that_is_no_extension_product():
+    # a2's class {10a,11a} grown by 01a after construction, on a catalog of
+    # its own (the grown mask would key the top's memos): the piece {11a}
+    # has the bottom {10a}, and 01a is no extension of a part of {11a} by a
+    # part of {10a}
+    cat = torslat.build_catalog(verify_mod.load_corpus_algebra("a2"))
+    lat = build_lattice(cat)
+    t = lat.bits_index[names_to_bits(cat, "10a", "11a")]
+    nodes = list(lat.node_bits)
+    nodes[t] = cat.full_mask
+    lat.node_bits = tuple(nodes)
+    with pytest.raises(TheoremViolation, match=r"over \{10a\} misses the top"):
+        widelab.serre_mutation(lat, t, names_to_bits(cat, "11a"))
 
 
 def test_wide_intervals_with_top(a2lat):
