@@ -14,8 +14,8 @@ construction, the lattice also turns them into frozensets, ``nodes`` and
 ``node_index``, for callers that look a class up by its members; no code of
 the library reads them.  ``build_lattice`` walks the covers on bitsets,
 over rows it derives from the catalog once per call, with a memo of
-extension closures local to the call; it adds to ``op_cache`` only the
-``("wide", within)`` verdict and passes its sorted masks to
+extension closures local to the call; it reads ``op_cache`` only for the
+wide table that validates ``within`` and passes its sorted masks to
 ``TorsLattice``.  The members each node reaches by a map (``reach``, and
 from it ``perp``) and its closure row (``_closed_bits``) are derived from
 ``node_bits`` on first use.  Gaps read ``reach``; a join is ``subcat.filt``

@@ -43,16 +43,16 @@ the library, on the catalog's ``closure_rows`` and keeps the result under
 relative ones included, read it, exact by the argument above.
 ``lattice.build_lattice`` runs the fixpoint on rows it restricts to its
 ambient, through a memo local to the walk, and reads ``op_cache`` only for
-the ``("wide", within)`` verdict.  Results that are reused are kept in the
-catalog's ``op_cache`` through ``_cached``, the one memo helper of the
-library: the catalog's own decompose memo and Hom table and widelab's
+the wide table, to validate ``within``.  Results that are reused are kept
+in the catalog's ``op_cache`` through ``_cached``, the one memo helper of
+the library: the catalog's own decompose memo and Hom table and widelab's
 verdicts go through it too, each under a key tagged by its kind, each kind
 at one call site.
 
 ``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows
-miss the other members.  Wideness is decided once per mask, and the memo
-holds the simples (``_wide_entry``): ``is_wide`` and ``simples_of_wide``
-read it.  ``extension_product_miss`` is the one extension-product test.
+miss the other members.  Wideness is decided once per catalog: ``is_wide``
+and ``simples_of_wide`` look up ``wide_table``, Filt(S) -> S per semibrick.
+``extension_product_miss`` is the one extension-product test.
 The lattice joins that the interval verdicts read are extension closures
 too: the join of torsion classes is the smallest torsion class containing
 their union, and that union is already closed under quotients, so the join
@@ -69,7 +69,7 @@ that masks cannot denote.
 
 import itertools
 
-from .errors import NotWide
+from .errors import LatticeBlowup, NotWide, TheoremViolation
 
 
 def _cached(cat, key, fn):
@@ -185,43 +185,54 @@ def is_semibrick(cat, b):
     return True
 
 
-def candidate_simples(cat, b):
-    """The members with no nonzero proper subobject built from the mask: no
-    nontrivial subfactor pair whose subobject part lies in it."""
-    out = 0
-    for i in indices(b):
-        for u, q in cat.pair_bits[i]:
-            if u and q and u & b == u:
-                break
-        else:
-            out |= 1 << i
-    return out
+def wide_table(cat):
+    """``{Filt(S): S}`` over every semibrick S, the empty one included, kept
+    under ``("wide",)``: a wide subcategory is Filt of its simples, a
+    semibrick, and a semibrick S is the set of simples of Filt(S) (Ringel;
+    Asai, arXiv:1610.05860).  There are as many of them as torsion
+    classes (Marks-Stovicek, arXiv:1503.04639), so more than
+    ``cat.config.node_budget`` raise LatticeBlowup."""
+    return _cached(cat, ("wide",), lambda: _semibrick_search(cat))
 
 
-def _wide_entry(cat, b):
-    """The ``("wide", mask)`` memo: the mask's simples when it is wide (an
-    abelian exact subcategory), else -1.  For summand-closed classes that
-    means its candidate simples form a semibrick whose extension closure
-    recovers the mask, both directions of that bijection."""
-
-    def run():
-        s = candidate_simples(cat, b)
-        if is_semibrick(cat, s) and extension_closure(s, cat.closure_rows) == b:
-            return s
-        return -1
-
-    return _cached(cat, ("wide", b), run)
+def _semibrick_search(cat):
+    """The dict of ``wide_table``: a depth-first search over the bricks, in
+    ascending index, adds a brick with no nonzero map to or from a member,
+    and closes each semibrick by ``extension_closure``; two semibricks that
+    close to one mask raise TheoremViolation."""
+    budget = cat.config.node_budget
+    table = {}
+    stack = [(0, bits(x for x in range(len(cat.ind)) if cat.bricks[x]))]
+    while stack:
+        s, free = stack.pop()
+        w = extension_closure(s, cat.closure_rows)
+        if w in table:
+            raise TheoremViolation(
+                f"semibricks {cat.mask_name(table[w])} and {cat.mask_name(s)}"
+                f" close to one mask"
+            )
+        table[w] = s
+        if len(table) > budget:
+            raise LatticeBlowup(
+                f"{len(table)} semibricks found, budget {budget} (--node-budget)"
+            )
+        while free:
+            b = free & -free
+            free ^= b
+            x = b.bit_length() - 1
+            stack.append((s | b, free & ~(cat.out_bits[x] | cat.in_bits[x])))
+    return table
 
 
 def is_wide(cat, b):
-    """Whether the mask is a wide subcategory, read off ``_wide_entry``."""
-    return _wide_entry(cat, b) >= 0
+    """Whether the mask is a wide subcategory: a key of ``wide_table``."""
+    return b in wide_table(cat)
 
 
 def simples_of_wide(cat, b):
     """The simples of a wide mask; NotWide for any other mask."""
-    s = _wide_entry(cat, b)
-    if s < 0:
+    s = wide_table(cat).get(b)
+    if s is None:
         raise NotWide(f"{cat.mask_name(b)} is not wide")
     return s
 

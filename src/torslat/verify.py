@@ -544,10 +544,12 @@ assert set(PROPERTY_FUNCS) == set(PROPERTIES)
 
 def validate_props(props):
     """The selected properties as a tuple; None selects every property.
-    An empty selection, an unknown name or a repeated name raises
-    UnknownProperty."""
+    An empty selection, a bare string, an unknown name or a repeated name
+    raises UnknownProperty."""
     if props is None:
         return PROPERTIES
+    if isinstance(props, str):
+        raise UnknownProperty(f"expected a sequence of names, not the string {props!r}")
     chosen = tuple(props)
     if not chosen:
         raise UnknownProperty(

@@ -66,8 +66,8 @@ def wide_verdicts(lat, t, bottoms):
     readings that differ raise "verdicts disagree".
 
     T's mask and its lower covers are read once.  Per bottom it is bit
-    algebra: the gap is T & ~reach[U], tested by ``subcat.is_wide`` under
-    its ``("wide", W)`` memo; the join is ``subcat.filt`` of the
+    algebra: the gap is T & ~reach[U], looked up by ``subcat.is_wide`` in
+    the catalog's wide table; the join is ``subcat.filt`` of the
     ``_closed_bits`` of U and of the covers of U inside T (``down_sets``),
     as in ``TorsLattice.join``; the meet is T's mask ANDed with the
     covers of T that contain U (``up_sets``).  Nothing else is built unless
@@ -610,27 +610,12 @@ def _by_size(b):
 
 
 def enumerate_semibricks(cat):
-    """Every semibrick, the empty one included, as masks: each set of
-    bricks that ``subcat.is_semibrick`` accepts."""
-    bricks = [i for i in range(len(cat.ind)) if cat.bricks[i]]
-    out = []
-    # an explicit stack, not a recursive closure: a closure that calls itself
-    # is a reference cycle, and it would keep the catalog alive until the
-    # cyclic garbage collector happened to run
-    stack = [(0, 0)]
-    while stack:
-        prefix, start = stack.pop()
-        out.append(prefix)
-        for k in reversed(range(start, len(bricks))):
-            grown = prefix | 1 << bricks[k]
-            if subcat.is_semibrick(cat, grown):
-                stack.append((grown, k + 1))
-    return sorted(out, key=_by_size)
+    """Every semibrick, the empty one included, as masks: the values of
+    ``subcat.wide_table``, so LatticeBlowup past the node budget."""
+    return sorted(subcat.wide_table(cat).values(), key=_by_size)
 
 
 def enumerate_wide_subcats(cat):
-    """All wide subcategories, one per semibrick."""
-    masks = [subcat.filt(cat, sb) for sb in enumerate_semibricks(cat)]
-    if len(set(masks)) != len(masks):
-        raise TheoremViolation("distinct semibricks generated the same mask")
-    return sorted(set(masks), key=_by_size)
+    """All wide subcategories, one per semibrick: the keys of
+    ``subcat.wide_table``."""
+    return sorted(subcat.wide_table(cat), key=_by_size)

@@ -290,6 +290,20 @@ def test_node_budget():
         build_lattice(cat)
 
 
+def test_the_semibrick_search_raises_at_the_lattice_budget():
+    # a3 has 14 torsion classes and 14 semibricks, the empty one and the
+    # zero class counted: budget 13 stops both, naming the flag, 14 builds
+    for budget, raises in ((13, True), (14, False)):
+        config = DEFAULT_CONFIG.with_overrides(node_budget=budget)
+        cat = torslat.build_catalog(verify_mod.load_corpus_algebra("a3"), config)
+        for build in (build_lattice, widelab.enumerate_semibricks):
+            if raises:
+                with pytest.raises(LatticeBlowup, match=r"\(--node-budget\)"):
+                    build(cat)
+            else:
+                assert len(build(cat)) == 14
+
+
 def _cover_pairs(lat):
     return [(a.src, a.dst) for a in lat.arrows]
 
@@ -429,6 +443,33 @@ def _lattices_and_relatives(name, cat_of):
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS + tuple(_ORACLE_SPECS))
+def test_the_wide_table_matches_the_oracles(name, cat_of):
+    # every mask of the corpus and of d4@p3, every distinct gap of the
+    # larger torsion lattices: is_wide and the simples agree with the
+    # candidate-simples reference, and the wide subcategories number the
+    # torsion classes
+    if name in _ORACLE_SPECS:
+        cat = torslat.build_catalog(parse_algebra_text(_ORACLE_SPECS[name]))
+    else:
+        cat = cat_of(name)
+    lat = build_lattice(cat)
+    every_mask = len(cat) <= 12
+    masks = range(1 << len(cat)) if every_mask else {lat.gap(iv) for iv in lat.intervals}
+    wide = 0
+    for b in masks:
+        m = to_set(b)
+        assert subcat.is_wide(cat, b) == oracles.is_wide(cat, m), m
+        if subcat.is_wide(cat, b):
+            assert to_set(subcat.simples_of_wide(cat, b)) == (
+                oracles.candidate_simples(cat, m)
+            )
+            wide += 1
+    assert len(widelab.enumerate_wide_subcats(cat)) == len(lat)
+    if every_mask:
+        assert wide == len(lat)
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + tuple(_ORACLE_SPECS))
 def test_the_hasse_diagram_is_regular(name, cat_of):
     # a support tau-tilting module has as many summands as there are simples,
     # one mutation per summand, so every node has that many covering arrows,
@@ -464,22 +505,22 @@ def test_join_irreducibles_are_the_classes_of_one_brick(name, cat_of):
 
 def test_relative_walk_on_a7_matches_the_unfiltered_walk(a7lat):
     # 100 seeded wide subcategories of a7 of rank at most 4; the walk adds to
-    # op_cache at most the ("wide", W) entry of its W, on the whole category
-    # and inside each W
+    # op_cache at most the wide table, which validates W, on the whole
+    # category and inside each W
     cat = a7lat.cat
     small = [
         w
         for w in widelab.enumerate_wide_subcats(cat)
-        if subcat.candidate_simples(cat, w).bit_count() <= 4
+        if subcat.simples_of_wide(cat, w).bit_count() <= 4
     ]
     sample = random.Random(0).sample(small, 100)
-    assert {subcat.candidate_simples(cat, w).bit_count() for w in sample} == {
+    assert {subcat.simples_of_wide(cat, w).bit_count() for w in sample} == {
         1, 2, 3, 4
     }
     keys = set(cat.op_cache)
     assert build_lattice(cat).to_json() == a7lat.to_json()
     walks = [build_lattice(cat, within=w) for w in sample]
-    assert set(cat.op_cache) - keys <= {("wide", w) for w in sample}
+    assert set(cat.op_cache) - keys <= {("wide",)}
     for w, lat in zip(sample, walks):
         _assert_same_lattice(lat, oracles.cover_walk(cat, within=to_set(w)))
 

@@ -245,8 +245,6 @@ def test_set_algebra_operators_match_oracles(name, cat_of, lat_of):
                 assert got == getattr(oracles, op)(cat, x, within), (op, x, within)
             got = to_set(subcat.filt(cat, xb))
             assert got == oracles.filt(cat, x, within), ("filt", x, within)
-        got = to_set(subcat.candidate_simples(cat, subcat.bits(m)))
-        assert got == oracles.candidate_simples(cat, m)
 
 
 def test_serre_list_is_computed_once(cat_of):

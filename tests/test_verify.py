@@ -95,6 +95,20 @@ def test_empty_and_repeated_selections_rejected(props):
         verify.run_verify([("a2", verify.load_corpus_algebra("a2"))], props)
 
 
+def test_a_bare_string_selection_is_rejected_by_its_name():
+    # a string is iterable, but its characters are no property names
+    alg = verify.load_corpus_algebra("a2")
+    for call in (
+        lambda: verify.validate_props("reduction"),
+        lambda: verify.run_verify([("a2", alg)], "reduction"),
+        lambda: verify.verify_algebra("a2", alg, "reduction"),
+        lambda: next(verify.iter_checks([("a2", alg)], "reduction")),
+    ):
+        with pytest.raises(UnknownProperty, match="sequence of names") as info:
+            call()
+        assert "'reduction'" in str(info.value)
+
+
 def test_shared_object_names_and_slotted_results():
     # a name that several properties print is one string object per algebra
     results = verify.verify_algebra("a4", verify.load_corpus_algebra("a4"))
@@ -347,27 +361,28 @@ def test_wide_serre_and_duality_make_no_perp_right_call(monkeypatch):
 
 
 def test_verify_decides_each_mask_wide_once(monkeypatch):
-    # every reader of wideness reads the ("wide", W) memo, which holds the
-    # simples: one candidate_simples run per entry over an a4 verify
+    # every reader of wideness reads the one wide table, which holds the
+    # simples: an a4 verify runs the semibrick search once and keeps one
+    # ("wide",) entry, where a memo per mask kept 182
     built, calls = [], []
-    build_catalog, candidate_simples = verify.build_catalog, subcat.candidate_simples
+    build_catalog, search = verify.build_catalog, subcat._semibrick_search
 
     def capturing_build(*args, **kwargs):
         built.append(build_catalog(*args, **kwargs))
         return built[-1]
 
-    def counting(cat, b):
-        calls.append(b)
-        return candidate_simples(cat, b)
+    def counting(cat):
+        calls.append(cat)
+        return search(cat)
 
     monkeypatch.setattr(verify, "build_catalog", capturing_build)
-    monkeypatch.setattr(subcat, "candidate_simples", counting)
+    monkeypatch.setattr(subcat, "_semibrick_search", counting)
     results = verify.run_verify([("a4", verify.load_corpus_algebra("a4"))])
     assert all(r.ok for r in results)
     (cat,) = built
-    wide = [key[1] for key in cat.op_cache if key[0] == "wide"]
-    assert sorted(calls) == sorted(wide)
-    assert len(calls) == 182
+    assert calls == [cat]
+    assert [key for key in cat.op_cache if key[0] == "wide"] == [("wide",)]
+    assert len(cat.op_cache[("wide",)]) == 42
 
 
 def test_verify_leaves_no_frozenset_in_op_cache_keys(monkeypatch):
@@ -549,7 +564,7 @@ def test_a_restriction_names_the_check_it_fails(check, monkeypatch, lat_of):
         want = f"is not psi of the down-set of {cat.mask_name(w)}"
     else:
         simples = subcat.simples_of_wide(cat, w) & ~(1 << min(subcat.indices(w)))
-        monkeypatch.setitem(cat.op_cache, ("wide", w), simples)
+        monkeypatch.setitem(subcat.wide_table(cat), w, simples)
         want = "gap simples "
     out = widelab._reduce_bottom(lat, wides, w_u, lat)
     assert [v for v, _ in out] == [v for v, _ in wides]
