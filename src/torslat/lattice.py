@@ -12,24 +12,25 @@ library, and a node is its mask: ``TorsLattice.node_bits`` holds the masks
 in node order and ``bits_index`` finds a node by its mask.  Once, on
 construction, the lattice also turns them into frozensets, ``nodes`` and
 ``node_index``, for callers that look a class up by its members; no code of
-the library reads them.  ``build_lattice`` walks the covers on bitsets,
-over rows it derives from the catalog once per call, with a memo of
-extension closures local to the call; it reads ``op_cache`` only for the
-wide table that validates ``within`` and passes its sorted masks to
-``TorsLattice``.  The members each node reaches by a map (``reach``, and
-from it ``perp``) and its closure row (``_closed_bits``) are derived from
-``node_bits`` on first use.  Gaps read ``reach``; a join is ``subcat.filt``
-of the union of closure rows, so every closure read after a build goes
-through the one memo, ``op_cache``.  The order bitsets (``up_sets``,
-``down_sets``) run over node indices and are built from the covering
-arrows.  The intervals come from them: the bottoms of a top t are the nodes
-of ``down_sets[t]``, so the enumeration costs one step per interval, not
-one per pair of nodes; an interval's nodes are ``up_sets[U] &
-down_sets[T]``.  ``mask_down_sets`` reads the same order from the masks
-alone, for a reading that must not lean on the arrows (widely generated's
-covers).  ``dual_correspondence`` derives the order reversal of the
-torsion-free dual from the arrows, with the same Hasse-diagram argument,
-instead of comparing every pair of nodes.
+the library reads them.  ``build_lattice`` walks the covers down from the
+ambient on bitsets, each lower cover an AND of a node with catalog rows
+(T & perp-B for its label B); its only closures are the label checks'
+Filt(B), one ``subcat.filt`` entry per brick.  It reads ``op_cache``
+otherwise only for the wide table that validates ``within``, and passes
+its sorted masks to ``TorsLattice``.  The members each node reaches by a
+map (``reach``, and from it ``perp``) and its closure row
+(``_closed_bits``) are derived from ``node_bits`` on first use.  Gaps
+read ``reach``; a join is ``subcat.filt`` of the union of closure rows, so
+every closure read after a build goes through the one memo, ``op_cache``.
+The order bitsets (``up_sets``, ``down_sets``) run over node indices and
+are built from the covering arrows.  The intervals come from them: the
+bottoms of a top t are the nodes of ``down_sets[t]``, so the enumeration
+costs one step per interval, not one per pair of nodes; an interval's
+nodes are ``up_sets[U] & down_sets[T]``.  ``mask_down_sets`` reads the
+same order from the masks alone, for a reading that must not lean on the
+arrows (widely generated's covers).  ``dual_correspondence`` derives the
+order reversal of the torsion-free dual from the arrows, with the same
+Hasse-diagram argument, instead of comparing every pair of nodes.
 """
 
 import json
@@ -319,93 +320,81 @@ class TorsLattice:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _side_rows(cat, side, within):
-    """The rows of one side and ambient: the ambient as a bitset and, per
-    member x of it, the members x maps to (from, on the torsion-free side)
-    and x's ``quotient_bits`` (``sub_bits``) row, both cut down to the
-    ambient; then the rows of extension_closure for the members with an
-    ``extension_rows`` entry inside the ambient."""
-    amb = cat.full_mask if within is None else within
-    maps = cat.out_bits if side == "tors" else cat.in_bits
-    rows = cat.quotient_bits if side == "tors" else cat.sub_bits
-    hits, close, ext = {}, {}, []
-    for x in subcat.indices(amb):
-        hits[x] = maps[x] & amb
-        close[x] = rows[x] & amb
-        uqs = [b for b in cat.extension_rows[x] if b & amb == b]
-        if uqs:
-            ext.append((1 << x, uqs))
-    return amb, hits, close, ext
+def _side_rows(cat, side):
+    """The rows the walk reads on one side, uncut: it only ever ANDs them
+    with a node or subtracts them from the ambient.  Per member x: the
+    members x maps to (maps from, on the torsion-free side), which give a
+    node's perpendicular; the members that map to x (that x maps to),
+    which the candidate T & perp-x (T & x^perp) drops; and x's ``sub_bits``
+    (``quotient_bits``) row, for the minimality test."""
+    if side == "tors":
+        return cat.out_bits, cat.in_bits, cat.sub_bits
+    return cat.in_bits, cat.out_bits, cat.quotient_bits
 
 
-def _quotient_minimal(perp, close):
-    """The x of the bitset perp whose close row meets perp in x alone."""
-    return [x for x in subcat.indices(perp) if close[x] & perp == 1 << x]
+def _minimal_members(node, rows):
+    """The x of the bitset node whose row meets node in x alone."""
+    return [x for x in subcat.indices(node) if rows[x] & node == 1 << x]
 
 
 def build_lattice(cat, side="tors", within=None):
-    """Walk the covering arrows up from the zero class and label each one.
+    """Walk the covering arrows down from the ambient and label each one.
 
-    The covers of a class T are the inclusion-minimal classes among the
-    candidates gen(T + x), x an indecomposable of the ambient in the
-    orthogonal of T (T^perp on the torsion side, perp-T on the torsion-free
-    side).  Every candidate strictly contains T, so it contains a cover.
-    Conversely, for a cover T' of T and X in T' outside T, the quotient of X
-    by its T-torsion part lies in T' and in T^perp, so one of its summands x
-    is a candidate with T < gen(T + x) <= T'.  Every class is the top of a
-    chain of covers from zero, so the walk reaches every class.
+    On the torsion side, for a class T and a member x of T, the class
+    T & perp-x is a torsion class strictly below T: perp-x is closed under
+    quotients and, Hom(-, x) being left exact, under extensions, and it
+    lacks x.  Its mask is T minus the members that map to x.  Each lower
+    cover T'' of T is T & perp-B for the brick B labelling the cover
+    (Demonet-Iyama-Reading-Reiten-Thomas, arXiv:1711.01785), so the lower
+    covers are exactly the inclusion-maximal candidates: every candidate
+    lies under some lower cover, and every lower cover is a candidate.
+    Every class is the bottom of a chain of covers from the ambient, so
+    the walk reaches every class.
 
-    Only the quotient-minimal x are tried: those with fac(x) & T^perp = {x}
-    (on the torsion-free side, sub_cl(x) & perp-T = {x}).  This loses no
-    cover.  If some y != x lies in fac(x) & T^perp, y is a summand of a
-    proper quotient of x, so it has smaller total dimension, and
-    gen(T + y) <= gen(T + x).  By induction on the dimension, every
-    candidate contains the candidate of a quotient-minimal x, so the
-    inclusion-minimal candidates are the same.
+    Only the sub-minimal x are tried: those with sub_bits(x) & T = {x}.
+    This loses no cover, because the label B is sub-minimal.  Suppose a
+    member y != B of T were a summand of a submodule of B, necessarily a
+    proper one, and let t(y) be its T''-torsion part.  Then y/t(y) lies in
+    T and in T''^perp, whose meet is Filt(B); a nonzero object of Filt(B)
+    has dimension at least dim B > dim y, so y = t(y) lies in T''.  But y
+    embeds in B, so Hom(y, B) != 0, while T'' lies in perp-B: a
+    contradiction.  The torsion-free side is dual: the candidates are
+    F & x^perp, F minus the members x maps to, for the quotient-minimal x
+    of F (quotient_bits(x) & F = {x}).
 
-    The walk runs on int bitsets (bit i for catalog index i).  Once per
-    call it derives, for each member x of the ambient, the rows it reads
-    (``_side_rows``): the members x maps to (from, on the torsion-free
-    side), x's ``quotient_bits`` (``sub_bits``) row, both cut down to the
-    ambient, and the ``extension_rows`` of x that lie in the ambient.
-    ``within`` must be a wide subcategory W, else NotWide: then fac and
-    sub_cl cut down to W are the closures under quotients and subobjects
-    inside W, and the extension closure of a mask inside W stays inside it
-    (the argument is in ``subcat``).  Both the candidates gen(T + x) =
-    filt(fac(T) | fac(x)) and the label check filt(s) = gap call
-    subcat.extension_closure through one memo local to the call, keyed by
-    the bitset closed.  The masks of the classes, sorted by size and then
+    The walk runs on int bitsets (bit i for catalog index i), one AND per
+    candidate, over the catalog rows ``_side_rows`` picks.  ``within``
+    must be a wide subcategory W, else NotWide.  W is then the module
+    category of an algebra in its own right, so the argument holds in
+    tors W, t(y) taken in W; the Hom rows and the submodules of B are read
+    in the whole category, and every node, a mask inside W, cuts them
+    down to W.  The labels are checked on every arrow: the gap
+    T & T''^perp must hold exactly one brick, and Filt of it must be the
+    gap, read through ``subcat.filt``, the catalog's one closure memo (one
+    entry per brick).  The masks of the classes, sorted by size and then
     by members, are the nodes, at most ``cat.config.node_budget`` of them.
     """
     if within is not None:
         subcat.simples_of_wide(cat, within)
     budget = cat.config.node_budget
-    amb, hits, close, ext = _side_rows(cat, side, within)
+    amb = cat.full_mask if within is None else within
+    reach, cut, minimal = _side_rows(cat, side)
     bricks = subcat.bits(x for x in subcat.indices(amb) if cat.bricks[x])
-    closed = {}
-
-    def gen(start):
-        hit = closed.get(start)
-        if hit is None:
-            hit = closed[start] = subcat.extension_closure(start, ext)
-        return hit
-
     name = cat.mask_name
-
-    seen = {0}
-    queue = deque([0])
+    # the perpendicular of each class seen, the gap rows of its upper covers
+    seen = {amb: subcat._perp(reach, amb, amb)}
+    queue = deque([amb])
     covers = []
     while queue:
-        bottom = queue.popleft()
-        perp, below = amb, bottom
-        for i in subcat.indices(bottom):
-            perp &= ~hits[i]
-            below |= close[i]
-        cands = {gen(below | close[x]) for x in _quotient_minimal(perp, close)}
-        for top in cands:
-            if any(c != top and c | top == top for c in cands):
+        top = queue.popleft()
+        cands = {top & ~cut[x] for x in _minimal_members(top, minimal)}
+        for bottom in cands:
+            if any(c != bottom and c | bottom == c for c in cands):
                 continue
-            gap = perp & top
+            bottom_perp = seen.get(bottom)
+            if bottom_perp is None:
+                bottom_perp = subcat._perp(reach, bottom, amb)
+            gap = bottom_perp & top
             found = gap & bricks
             if not found:
                 raise LabelNotBrick(f"no brick between {name(bottom)} and {name(top)}")
@@ -415,20 +404,20 @@ def build_lattice(cat, side="tors", within=None):
                     f" and {name(top)}"
                 )
             s = found.bit_length() - 1
-            if gen(found) != gap:
+            if subcat.filt(cat, found) != gap:
                 raise LabelNotBrick(
                     f"brick {cat.names[s]} does not generate the gap over"
                     f" {name(bottom)}"
                 )
             covers.append((top, bottom, s))
-            if top not in seen:
-                seen.add(top)
+            if bottom not in seen:
+                seen[bottom] = bottom_perp
                 if len(seen) > budget:
                     raise LatticeBlowup(
                         f"{len(seen)} torsion classes found, budget"
                         f" {budget} (--node-budget)"
                     )
-                queue.append(top)
+                queue.append(bottom)
     node_bits = sorted(seen, key=lambda b: (b.bit_count(), subcat.indices(b)))
     index = {b: i for i, b in enumerate(node_bits)}
     arrows = sorted(

@@ -41,13 +41,13 @@ the members with their ``quotient_bits`` (or ``sub_bits``), without a memo.
 the library, on the catalog's ``closure_rows`` and keeps the result under
 ``("filt", mask)``, the one closure memo: the joins of every lattice,
 relative ones included, read it, exact by the argument above.
-``lattice.build_lattice`` runs the fixpoint on rows it restricts to its
-ambient, through a memo local to the walk, and reads ``op_cache`` only for
-the wide table, to validate ``within``.  Results that are reused are kept
-in the catalog's ``op_cache`` through ``_cached``, the one memo helper of
-the library: the catalog's own decompose memo and Hom table and widelab's
-verdicts go through it too, each under a key tagged by its kind, each kind
-at one call site.
+``lattice.build_lattice`` finds its covers by perpendiculars, with no
+fixpoint; it reads ``op_cache`` for the ``filt`` of each arrow label, one
+entry per brick, and for the wide table, to validate ``within``.  Results
+that are reused are kept in the catalog's ``op_cache`` through
+``_cached``, the one memo helper of the library: the catalog's own
+decompose memo and Hom table and widelab's verdicts go through it too,
+each under a key tagged by its kind, each kind at one call site.
 
 ``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows
 miss the other members.  Wideness is decided once per catalog: ``is_wide``
@@ -69,7 +69,7 @@ that masks cannot denote.
 
 import itertools
 
-from .errors import LatticeBlowup, NotWide, TheoremViolation
+from .errors import LatticeBlowup, NotWide, TheoremViolation, TorslatError
 
 
 def _cached(cat, key, fn):
@@ -191,8 +191,20 @@ def wide_table(cat):
     semibrick, and a semibrick S is the set of simples of Filt(S) (Ringel;
     Asai, arXiv:1610.05860).  There are as many of them as torsion
     classes (Marks-Stovicek, arXiv:1503.04639), so more than
-    ``cat.config.node_budget`` raise LatticeBlowup."""
-    return _cached(cat, ("wide",), lambda: _semibrick_search(cat))
+    ``cat.config.node_budget`` raise LatticeBlowup.  A search that raises
+    runs once: the entry keeps its error, traceback stripped, and every
+    read raises it again."""
+
+    def run():
+        try:
+            return _semibrick_search(cat)
+        except TorslatError as exc:
+            return exc.with_traceback(None)
+
+    hit = _cached(cat, ("wide",), run)
+    if type(hit) is dict:
+        return hit
+    raise hit.with_traceback(None)
 
 
 def _semibrick_search(cat):

@@ -480,9 +480,11 @@ def _label(cat, within, top_mask, bottom_mask, bottom_perp):
 
 
 def cover_walk(cat, side="tors", within=None):
-    """The cover walk of lattice.build_lattice with every x of the orthogonal
-    of T as a candidate gen(T + x), not only the quotient-minimal ones (the
-    submodule-minimal ones on the torsion-free side); no node budget."""
+    """The independent up-walk from zero: the upper covers of T are the
+    inclusion-minimal candidates gen(T + x), one per x of the orthogonal of
+    T, each an extension closure through subcat.tors_gen (torf_gen), with
+    no filter on x and no node budget.  lattice.build_lattice walks down
+    by perpendiculars instead; the two must give the same lattice."""
     lib_gen = subcat.tors_gen if side == "tors" else subcat.torf_gen
     lib_perp = subcat.perp_right if side == "tors" else subcat.perp_left
     lib_within = to_bits(within)

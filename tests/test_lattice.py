@@ -345,27 +345,44 @@ def test_label_checks_are_live():
         build_lattice(cat)
 
 
+# the algebras beyond the corpus that the lattice-only oracles read
+_ORACLE_SPECS = {
+    "a5p2": A5_P2,
+    "d4p3": SCALE_SPECS["d4p3"],
+    "nak3p2": SCALE_SPECS["nak3p2"],
+    "nak55": NAKAYAMA_5_5,
+}
+
+
+def _oracle_catalog(name, cat_of):
+    """The catalog of a corpus algebra, or of a scale spec or an oracle spec
+    by name."""
+    text = _ORACLE_SPECS.get(name) or SCALE_SPECS.get(name)
+    if text is None:
+        return cat_of(name)
+    return torslat.build_catalog(parse_algebra_text(text))
+
+
 def _assert_same_lattice(got, want):
     assert got.nodes == want.nodes
     assert got.arrows == want.arrows
     assert got.to_json() == want.to_json()
 
 
-@pytest.mark.parametrize("name", verify_mod.CORPUS + ("d4p3", "kx3p2", "nak3p2"))
+@pytest.mark.parametrize(
+    "name", verify_mod.CORPUS + ("d4p3", "kx3p2", "nak3p2", "a5p2", "nak55")
+)
 def test_cover_walk_matches_the_unfiltered_walk(name, cat_of):
-    if name in SCALE_SPECS:
-        cat = torslat.build_catalog(parse_algebra_text(SCALE_SPECS[name]))
-    else:
-        cat = cat_of(name)
+    cat = _oracle_catalog(name, cat_of)
     for side in ("tors", "torf"):
         _assert_same_lattice(
             build_lattice(cat, side=side), oracles.cover_walk(cat, side)
         )
 
 
-@pytest.mark.parametrize("name", ["a3", "a4", "nak3"])
+@pytest.mark.parametrize("name", ["a3", "a4", "nak3", "d4p3"])
 def test_relative_cover_walk_matches_the_unfiltered_walk(name, cat_of):
-    cat = cat_of(name)
+    cat = _oracle_catalog(name, cat_of)
     for w in widelab.enumerate_wide_subcats(cat):
         _assert_same_lattice(
             build_lattice(cat, within=w), oracles.cover_walk(cat, within=to_set(w))
@@ -375,29 +392,54 @@ def test_relative_cover_walk_matches_the_unfiltered_walk(name, cat_of):
 @pytest.mark.parametrize("side", ["tors", "torf"])
 @pytest.mark.parametrize("name", ["a4", "nak3"])
 def test_cover_walk_skips_candidates(name, side, cat_of, monkeypatch):
-    # the filter is not vacuous: the walk forms fewer candidates gen(T + x)
-    # than the unfiltered walk, which forms one per x of the orthogonal of T
+    # the filter is not vacuous: the walk forms fewer candidates T & perp-x
+    # (F & x^perp) than its nodes have members, one per member unfiltered
     cat = cat_of(name)
-    pick, closures = lattice._quotient_minimal, []
+    pick, candidates, members = lattice._minimal_members, [], []
 
-    def counting(*args):
-        xs = pick(*args)
-        closures.extend(xs)
+    def counting(node, rows):
+        xs = pick(node, rows)
+        candidates.extend(xs)
+        members.extend(subcat.indices(node))
         return xs
 
-    monkeypatch.setattr(lattice, "_quotient_minimal", counting)
-    build_lattice(cat, side=side)
-    filtered = len(closures)
-    op = "tors_gen" if side == "tors" else "torf_gen"
-    gen, calls = getattr(subcat, op), []
+    monkeypatch.setattr(lattice, "_minimal_members", counting)
+    lat = build_lattice(cat, side=side)
+    assert len(members) == sum(b.bit_count() for b in lat.node_bits)
+    assert 0 < len(candidates) < len(members)
 
-    def counting_gen(*args):
-        calls.append(args)
-        return gen(*args)
 
-    monkeypatch.setattr(subcat, op, counting_gen)
-    oracles.cover_walk(cat, side)
-    assert 0 < filtered < len(calls)
+@pytest.mark.parametrize("name", ["a4", "d4p3"])
+def test_the_walk_closes_each_label_once(name, cat_of, monkeypatch):
+    # with the wide table built, the walks' only extension closures are the
+    # label checks' Filt(B), one subcat.filt entry per brick B: at most one
+    # per distinct label over both sides, and none on a second build or
+    # inside a wide subcategory
+    if name in SCALE_SPECS:
+        algebra = parse_algebra_text(SCALE_SPECS[name])
+    else:
+        algebra = verify_mod.load_corpus_algebra(name)
+    cat = torslat.build_catalog(algebra)
+    subcat.wide_table(cat)
+    close, calls = subcat.extension_closure, []
+
+    def counting(cur, rows):
+        calls.append(cur)
+        return close(cur, rows)
+
+    monkeypatch.setattr(subcat, "extension_closure", counting)
+    labels = {
+        1 << a.label
+        for side in ("tors", "torf")
+        for a in build_lattice(cat, side).arrows
+    }
+    assert 0 < len(calls) == len(set(calls)) and set(calls) <= labels
+    calls.clear()
+    build_lattice(cat, "tors")
+    build_lattice(cat, "torf")
+    for w in widelab.enumerate_wide_subcats(cat):
+        build_lattice(cat, "tors", w)
+    assert calls == []
 
 
 # the a7@p2 torsion lattice export of the benchmark, read only
@@ -420,22 +462,10 @@ def test_a_walk_inside_a_mask_that_is_not_wide_raises(name, count, side):
             build_lattice(cat, side, within=b)
 
 
-# the algebras beyond the corpus that the lattice-only oracles read
-_ORACLE_SPECS = {
-    "a5p2": A5_P2,
-    "d4p3": SCALE_SPECS["d4p3"],
-    "nak3p2": SCALE_SPECS["nak3p2"],
-    "nak55": NAKAYAMA_5_5,
-}
-
-
 def _lattices_and_relatives(name, cat_of):
     """Both lattices of the named algebra, then the torsion lattice of each
     of its wide subcategories."""
-    if name in _ORACLE_SPECS:
-        cat = torslat.build_catalog(parse_algebra_text(_ORACLE_SPECS[name]))
-    else:
-        cat = cat_of(name)
+    cat = _oracle_catalog(name, cat_of)
     yield build_lattice(cat, "tors")
     yield build_lattice(cat, "torf")
     for w in widelab.enumerate_wide_subcats(cat):
@@ -448,10 +478,7 @@ def test_the_wide_table_matches_the_oracles(name, cat_of):
     # larger torsion lattices: is_wide and the simples agree with the
     # candidate-simples reference, and the wide subcategories number the
     # torsion classes
-    if name in _ORACLE_SPECS:
-        cat = torslat.build_catalog(parse_algebra_text(_ORACLE_SPECS[name]))
-    else:
-        cat = cat_of(name)
+    cat = _oracle_catalog(name, cat_of)
     lat = build_lattice(cat)
     every_mask = len(cat) <= 12
     masks = range(1 << len(cat)) if every_mask else {lat.gap(iv) for iv in lat.intervals}
@@ -506,7 +533,8 @@ def test_join_irreducibles_are_the_classes_of_one_brick(name, cat_of):
 def test_relative_walk_on_a7_matches_the_unfiltered_walk(a7lat):
     # 100 seeded wide subcategories of a7 of rank at most 4; the walk adds to
     # op_cache at most the wide table, which validates W, on the whole
-    # category and inside each W
+    # category and inside each W: its label closures, one per brick, are
+    # already there from a7lat's walk
     cat = a7lat.cat
     small = [
         w

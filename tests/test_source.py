@@ -64,6 +64,18 @@ def test_every_library_def_has_a_library_caller():
     assert unreferenced_defs(SRC) == []
 
 
+def test_the_lattice_runs_no_extension_closure():
+    # the walk takes its covers by perpendiculars; its only closures are the
+    # label checks', through subcat.filt
+    tree = ast.parse((SRC / "lattice.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {
+        a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names
+    }
+    assert "extension_closure" not in names
+
+
 def names_frozenset(root):
     """(file, line) of each use of the name frozenset under root, outside
     lattice.py: masks are int bitsets everywhere else in the library."""

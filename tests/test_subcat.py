@@ -8,7 +8,7 @@ from conftest import names_to_bits, names_to_mask
 from oracles import to_set
 from torslat import subcat, widelab
 from torslat import verify as verify_mod
-from torslat.errors import NotWide
+from torslat.errors import NotWide, TheoremViolation
 from torslat.modrep import direct_sum
 
 masks_a3 = st.integers(0, (1 << 6) - 1)
@@ -300,3 +300,33 @@ def test_verify_keeps_one_filt_entry_per_mask(monkeypatch):
     for key in filts:
         assert len(key) == 2 and isinstance(key[1], int)
         assert to_set(cat.op_cache[key]) == oracles.filt(cat, to_set(key[1]))
+
+
+def test_a_failed_semibrick_search_runs_once(monkeypatch):
+    # the ("wide",) entry keeps the search's error, and every read raises
+    # it: an a3 verify runs the failing search once and reports as a verify
+    # that runs it again on every read of wideness
+    runs = []
+
+    def failing(cat):
+        runs.append(cat)
+        raise TheoremViolation("semibricks S1 and S2 close to one mask")
+
+    monkeypatch.setattr(subcat, "_semibrick_search", failing)
+    algebra = [("a3", verify_mod.load_corpus_algebra("a3"))]
+    kept, failures = verify_mod.format_report(verify_mod.run_verify(algebra))
+    (cat,) = runs
+    assert failures > 0
+    entry = cat.op_cache[("wide",)]
+    assert isinstance(entry, TheoremViolation)
+    with pytest.raises(TheoremViolation) as first:
+        subcat.is_wide(cat, 0)
+    with pytest.raises(TheoremViolation) as again:
+        subcat.simples_of_wide(cat, 0)
+    assert first.value is again.value is entry
+    assert len(runs) == 1
+
+    monkeypatch.setattr(subcat, "wide_table", failing)
+    rerun, _ = verify_mod.format_report(verify_mod.run_verify(algebra))
+    assert len(runs) > 2
+    assert rerun == kept
