@@ -9,9 +9,8 @@ its members.  ``Catalog.set_tables`` is the one place the tables are set; it
 derives from them the bitset rows those operators read: ``out_bits`` and
 ``in_bits`` (the members a member maps to and from), ``pair_bits`` (the
 subfactor pairs as (u, q) bitsets), ``quotient_bits`` and ``sub_bits``
-(the union of their q and u parts), ``extension_rows`` (u | q of each
-nontrivial pair), ``closure_rows`` (the rows of ``subcat.filt``) and
-``full_mask``.
+(the union of their q and u parts), ``closure_rows`` (the rows of
+``subcat.filt``: u | q of each nontrivial pair) and ``full_mask``.
 ``op_cache`` holds every memo of the library under tagged keys: the summand indices of
 ``decompose_indices`` under ``("decompose", module key)``, seeded with
 every module the closure decomposed, the table ``hom_table`` of one
@@ -74,7 +73,6 @@ class Catalog:
         self.hom_dim = ()
         self.bricks = ()
         self.subfactors = ()
-        self.extension_rows = ()
         self.closure_rows = ()
         self.out_bits = ()
         self.in_bits = ()
@@ -99,11 +97,10 @@ class Catalog:
         with Hom(ind[i], ind[j]) nonzero and in_bits[j] the i; pair_bits[i]
         holds the pairs of subfactors[i] as (u bitset, q bitset);
         quotient_bits[i] is the union of their q parts and sub_bits[i] of
-        their u parts; extension_rows[i] holds u | q for each nontrivial pair
-        (u and q nonempty), once per distinct bitset; closure_rows holds
-        (1 << i, extension_rows[i]) for each i with a nontrivial pair, the
-        rows of ``subcat.extension_closure`` over the whole catalog;
-        full_mask holds every index.
+        their u parts; closure_rows holds, for each i with a nontrivial pair
+        (u and q nonempty), (1 << i, u | q of each such pair, once per
+        distinct bitset), the rows of ``subcat.extension_closure`` over the
+        whole catalog; full_mask holds every index.
         """
         n = len(self.ind)
         if not (len(hom_dim) == len(bricks) == len(subfactors) == n) or any(
@@ -129,14 +126,13 @@ class Catalog:
         self.sub_bits = tuple(
             subcat.bits(k for u, _ in row for k in u) for row in subfactors
         )
-        self.extension_rows = tuple(
-            tuple(dict.fromkeys(u | q for u, q in row if u and q))
-            for row in self.pair_bits
-        )
-        # i without a nontrivial pair is no extension of anything smaller
-        self.closure_rows = tuple(
-            (1 << i, uqs) for i, uqs in enumerate(self.extension_rows) if uqs
-        )
+        closure_rows = []
+        for i, row in enumerate(self.pair_bits):
+            uqs = tuple(dict.fromkeys(u | q for u, q in row if u and q))
+            # i without a nontrivial pair is no extension of anything smaller
+            if uqs:
+                closure_rows.append((1 << i, uqs))
+        self.closure_rows = tuple(closure_rows)
         self.full_mask = (1 << n) - 1
 
     def index_of(self, module):

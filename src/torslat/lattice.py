@@ -14,12 +14,16 @@ construction, the lattice also turns them into frozensets, ``nodes`` and
 ``node_index``, for callers that look a class up by its members; no code of
 the library reads them.  ``build_lattice`` walks the covers down from the
 ambient on bitsets, each lower cover an AND of a node with catalog rows
-(T & perp-B for its label B); its only closures are the label checks'
-Filt(B), one ``subcat.filt`` entry per brick.  It reads ``op_cache``
-otherwise only for the wide table that validates ``within``, and passes
-its sorted masks to ``TorsLattice``.  The members each node reaches by a
-map (``reach``, and from it ``perp``) and its closure row
-(``_closed_bits``) are derived from ``node_bits`` on first use.  Gaps
+(T & perp-B for its label B).  It lists the members of each class once,
+when it first reaches it, by cutting the list of the cover above down to
+the new mask; the perpendicular, the minimality test and the node order
+read that list.  Its only closures are the label checks' Filt(B), one
+``subcat.filt`` entry per brick, read once per label into a table local
+to the call.  It reads ``op_cache`` otherwise only for the wide table
+that validates ``within``, and passes its sorted masks to
+``TorsLattice``.  The members each node reaches by a map (``reach``, and
+from it ``perp``) and its closure row (``_closed_bits``) are derived from
+``node_bits`` on first use.  Gaps
 read ``reach``; a join is ``subcat.filt`` of the union of closure rows, so
 every closure read after a build goes through the one memo, ``op_cache``.
 The order bitsets (``up_sets``, ``down_sets``) run over node indices and
@@ -33,6 +37,7 @@ order reversal of the torsion-free dual from the arrows, with the same
 Hasse-diagram argument, instead of comparing every pair of nodes.
 """
 
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -332,9 +337,10 @@ def _side_rows(cat, side):
     return cat.in_bits, cat.out_bits, cat.quotient_bits
 
 
-def _minimal_members(node, rows):
-    """The x of the bitset node whose row meets node in x alone."""
-    return [x for x in subcat.indices(node) if rows[x] & node == 1 << x]
+def _minimal_members(node, members, rows):
+    """The x of the bitset node, listed ascending in members, whose row
+    meets node in x alone."""
+    return [x for x in members if rows[x] & node == 1 << x]
 
 
 def build_lattice(cat, side="tors", within=None):
@@ -371,29 +377,50 @@ def build_lattice(cat, side="tors", within=None):
     down to W.  The labels are checked on every arrow: the gap
     T & T''^perp must hold exactly one brick, and Filt of it must be the
     gap, read through ``subcat.filt``, the catalog's one closure memo (one
-    entry per brick).  The masks of the classes, sorted by size and then
-    by members, are the nodes, at most ``cat.config.node_budget`` of them.
+    entry per brick), once per label into a table that lives for this call
+    only.  The masks of the classes, sorted by size and then by members,
+    are the nodes, at most ``cat.config.node_budget`` of them.
+
+    The members of each class are listed once.  The ambient's come from
+    ``subcat.indices``; a class first reached below T keeps those of T's
+    members that lie in its mask, in ascending order.  The perpendicular,
+    the sub-minimal members and the sort key read that list, so the walk
+    makes one ``subcat.indices`` call, and ``TorsLattice`` one per node
+    for its frozenset view.
     """
     if within is not None:
         subcat.simples_of_wide(cat, within)
     budget = cat.config.node_budget
     amb = cat.full_mask if within is None else within
     reach, cut, minimal = _side_rows(cat, side)
-    bricks = subcat.bits(x for x in subcat.indices(amb) if cat.bricks[x])
+    amb_members = subcat.indices(amb)
+    bricks = subcat.bits(x for x in amb_members if cat.bricks[x])
     name = cat.mask_name
-    # the perpendicular of each class seen, the gap rows of its upper covers
-    seen = {amb: subcat._perp(reach, amb, amb)}
+    # per class seen: its perpendicular, the gap rows of its upper covers,
+    # and its members, ascending
+    seen = {amb: (subcat._perp(reach, amb_members, amb), amb_members)}
+    # per label B of this walk: Filt(B), read from subcat.filt once
+    filts = {}
     queue = deque([amb])
     covers = []
     while queue:
         top = queue.popleft()
-        cands = {top & ~cut[x] for x in _minimal_members(top, minimal)}
+        members = seen[top][1]
+        cands = {top & ~cut[x] for x in _minimal_members(top, members, minimal)}
         for bottom in cands:
-            if any(c != bottom and c | bottom == c for c in cands):
+            maximal = True
+            for c in cands:
+                if c != bottom and c | bottom == c:
+                    maximal = False
+                    break
+            if not maximal:
                 continue
-            bottom_perp = seen.get(bottom)
-            if bottom_perp is None:
-                bottom_perp = subcat._perp(reach, bottom, amb)
+            hit = seen.get(bottom)
+            if hit is None:
+                bottom_members = [x for x in members if bottom >> x & 1]
+                bottom_perp = subcat._perp(reach, bottom_members, amb)
+            else:
+                bottom_perp = hit[0]
             gap = bottom_perp & top
             found = gap & bricks
             if not found:
@@ -404,27 +431,30 @@ def build_lattice(cat, side="tors", within=None):
                     f" and {name(top)}"
                 )
             s = found.bit_length() - 1
-            if subcat.filt(cat, found) != gap:
+            closed = filts.get(s)
+            if closed is None:
+                closed = filts[s] = subcat.filt(cat, found)
+            if closed != gap:
                 raise LabelNotBrick(
                     f"brick {cat.names[s]} does not generate the gap over"
                     f" {name(bottom)}"
                 )
             covers.append((top, bottom, s))
-            if bottom not in seen:
-                seen[bottom] = bottom_perp
+            if hit is None:
+                seen[bottom] = (bottom_perp, bottom_members)
                 if len(seen) > budget:
                     raise LatticeBlowup(
                         f"{len(seen)} torsion classes found, budget"
                         f" {budget} (--node-budget)"
                     )
                 queue.append(bottom)
-    node_bits = sorted(seen, key=lambda b: (b.bit_count(), subcat.indices(b)))
+    node_bits = sorted(seen, key=lambda b: (b.bit_count(), seen[b][1]))
     index = {b: i for i, b in enumerate(node_bits)}
-    arrows = sorted(
-        (HasseArrow(index[top], index[bottom], s) for top, bottom, s in covers),
-        key=lambda a: (a.src, a.dst),
+    # (src, dst) is unique, so the label never decides the order
+    arrows = sorted([(index[top], index[bottom], s) for top, bottom, s in covers])
+    return TorsLattice(
+        cat, side, within, node_bits, tuple(itertools.starmap(HasseArrow, arrows))
     )
-    return TorsLattice(cat, side, within, node_bits, tuple(arrows))
 
 
 def dual_correspondence(tors_lat, torf_lat):

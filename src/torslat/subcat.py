@@ -43,11 +43,12 @@ the library, on the catalog's ``closure_rows`` and keeps the result under
 relative ones included, read it, exact by the argument above.
 ``lattice.build_lattice`` finds its covers by perpendiculars, with no
 fixpoint; it reads ``op_cache`` for the ``filt`` of each arrow label, one
-entry per brick, and for the wide table, to validate ``within``.  Results
-that are reused are kept in the catalog's ``op_cache`` through
-``_cached``, the one memo helper of the library: the catalog's own
-decompose memo and Hom table and widelab's verdicts go through it too,
-each under a key tagged by its kind, each kind at one call site.
+entry per brick read once per walk, and for the wide table, to validate
+``within``.  Results that are reused are kept in the catalog's
+``op_cache`` through ``_cached``, the one memo helper of the library: the
+catalog's own decompose memo and Hom table and widelab's verdicts go
+through it too, each under a key tagged by its kind, each kind at one call
+site.
 
 ``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows
 miss the other members.  Wideness is decided once per catalog: ``is_wide``
@@ -150,21 +151,22 @@ def filt(cat, b):
     return _cached(cat, ("filt", b), lambda: extension_closure(b, cat.closure_rows))
 
 
-def _perp(rows, b, ambient):
-    out = ambient
-    for i in indices(b):
-        out &= ~rows[i]
-    return out
+def _perp(rows, members, ambient):
+    """The ambient minus the rows of the listed members."""
+    hit = 0
+    for i in members:
+        hit |= rows[i]
+    return ambient & ~hit
 
 
 def perp_right(cat, b, within=None):
     """Objects receiving no nonzero map from any member."""
-    return _perp(cat.out_bits, b, _cut(cat.full_mask, within))
+    return _perp(cat.out_bits, indices(b), _cut(cat.full_mask, within))
 
 
 def perp_left(cat, b, within=None):
     """Objects sending no nonzero map to any member."""
-    return _perp(cat.in_bits, b, _cut(cat.full_mask, within))
+    return _perp(cat.in_bits, indices(b), _cut(cat.full_mask, within))
 
 
 def tors_gen(cat, b, within=None):

@@ -757,3 +757,53 @@ def covers_by_pairs(lat, t):
         for u in nb
         if u != t_mask and u & t_mask == u
     )
+
+
+# The Tamari lattice: for linear A_n (1 -> ... -> n) the torsion classes are
+# the inversion sets of the 231-avoiding permutations of {0, ..., n}, and the
+# torsion-free classes those of the 312-avoiding ones, an inversion at
+# positions a < b standing for the interval module on vertices a+1 ... b
+# (Bjorner-Wachs 1997; Reading, "Cambrian lattices", Adv. Math. 2006;
+# Ingalls-Thomas, arXiv:math/0612219).  No module arithmetic: only the
+# dimension vectors of the catalog are read.
+
+
+def avoiding_231(values):
+    """The permutations of the ascending tuple values that avoid 231, as
+    tuples.  In such a permutation every value left of the largest is below
+    every value right of it, and both sides avoid 231."""
+    if not values:
+        yield ()
+        return
+    *rest, top = values
+    for k in range(len(rest) + 1):
+        for left in avoiding_231(rest[:k]):
+            for right in avoiding_231(rest[k:]):
+                yield left + (top,) + right
+
+
+def avoiding_312(values):
+    """The permutations of the ascending tuple values that avoid 312, as
+    tuples.  In such a permutation every value left of the smallest is below
+    every value right of it, and both sides avoid 312."""
+    if not values:
+        yield ()
+        return
+    low, *rest = values
+    for k in range(len(rest) + 1):
+        for left in avoiding_312(rest[:k]):
+            for right in avoiding_312(rest[k:]):
+                yield left + (low,) + right
+
+
+def inversion_mask(cat, w):
+    """The inversions of w as a library mask over a linear A_n catalog,
+    n = len(w) - 1: positions a < b with w[a] > w[b] give the interval
+    module on vertices a+1 ... b, found by its dimension vector."""
+    n = len(w) - 1
+    by_dims = {m.dims: x for x, m in enumerate(cat.ind)}
+    out = 0
+    for a, b in itertools.combinations(range(n + 1), 2):
+        if w[a] > w[b]:
+            out |= 1 << by_dims[tuple(int(a <= v < b) for v in range(n))]
+    return out

@@ -232,7 +232,7 @@ def test_json_round_trip_is_byte_exact(cat_of):
 def _rows(cat):
     return (
         cat.full_mask,
-        cat.extension_rows,
+        cat.closure_rows,
         cat.out_bits,
         cat.in_bits,
         cat.quotient_bits,
@@ -252,6 +252,9 @@ def test_json_round_trip_keeps_rows(name, cat_of):
     else:
         cat = cat_of(name)
     assert _rows(from_json(to_json(cat))) == _rows(cat)
+    # closure_rows omits the members without a nontrivial pair
+    uqs_of = {bit.bit_length() - 1: uqs for bit, uqs in cat.closure_rows}
+    assert all(uqs_of.values())
     for j, pairs in enumerate(cat.subfactors):
         # bit k for catalog index k
         assert cat.quotient_bits[j] == _bits(k for _, q in pairs for k in q)
@@ -259,10 +262,11 @@ def test_json_round_trip_keeps_rows(name, cat_of):
         assert cat.out_bits[j] == _bits(k for k, d in enumerate(cat.hom_dim[j]) if d)
         assert cat.in_bits[j] == _bits(k for k, row in enumerate(cat.hom_dim) if row[j])
         # one bitset per distinct u | q
-        assert set(cat.extension_rows[j]) == {
+        uqs = uqs_of.get(j, ())
+        assert set(uqs) == {
             sum(1 << k for k in set(u) | set(q)) for u, q in pairs if u and q
         }
-        assert len(set(cat.extension_rows[j])) == len(cat.extension_rows[j])
+        assert len(set(uqs)) == len(uqs)
         assert cat.pair_bits[j] == tuple((_bits(u), _bits(q)) for u, q in pairs)
 
 

@@ -12,7 +12,13 @@ from test_acceptance import SCALE_SPECS
 from torslat import lattice, subcat, widelab
 from torslat import verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
-from torslat.errors import LabelNotBrick, LatticeBlowup, NotAnInterval, NotWide
+from torslat.errors import (
+    LabelNotBrick,
+    LabelNotUnique,
+    LatticeBlowup,
+    NotAnInterval,
+    NotWide,
+)
 from torslat.lattice import HasseArrow, TorsLattice, build_lattice, dual_correspondence
 from torslat.quivalg import parse_algebra_text
 
@@ -341,7 +347,18 @@ def test_relative_cover_walk_matches_oracles(name, cat_of):
 def test_label_checks_are_live():
     cat = torslat.build_catalog(verify_mod.load_corpus_algebra("a2"))
     cat.bricks = (False,) * len(cat.ind)
-    with pytest.raises(LabelNotBrick):
+    with pytest.raises(LabelNotBrick, match="no brick between"):
+        build_lattice(cat)
+    # a member that maps to nothing leaves both simples of ss2 in a gap
+    cat = torslat.build_catalog(verify_mod.load_corpus_algebra("ss2"))
+    cat.out_bits = (0,) * len(cat.ind)
+    with pytest.raises(LabelNotUnique, match="2 bricks between"):
+        build_lattice(cat)
+    # closure rows that every mask satisfies make each Filt(B) everything
+    cat = torslat.build_catalog(verify_mod.load_corpus_algebra("a2"))
+    cat.closure_rows = tuple((1 << j, (0,)) for j in range(len(cat.ind)))
+    cat.op_cache.clear()
+    with pytest.raises(LabelNotBrick, match="does not generate the gap"):
         build_lattice(cat)
 
 
@@ -380,7 +397,7 @@ def test_cover_walk_matches_the_unfiltered_walk(name, cat_of):
         )
 
 
-@pytest.mark.parametrize("name", ["a3", "a4", "nak3", "d4p3"])
+@pytest.mark.parametrize("name", ["a3", "a4", "nak3", "d4p3", "a5p2", "nak55"])
 def test_relative_cover_walk_matches_the_unfiltered_walk(name, cat_of):
     cat = _oracle_catalog(name, cat_of)
     for w in widelab.enumerate_wide_subcats(cat):
@@ -397,16 +414,34 @@ def test_cover_walk_skips_candidates(name, side, cat_of, monkeypatch):
     cat = cat_of(name)
     pick, candidates, members = lattice._minimal_members, [], []
 
-    def counting(node, rows):
-        xs = pick(node, rows)
+    def counting(node, listed, rows):
+        xs = pick(node, listed, rows)
         candidates.extend(xs)
-        members.extend(subcat.indices(node))
+        members.extend(listed)
         return xs
 
     monkeypatch.setattr(lattice, "_minimal_members", counting)
     lat = build_lattice(cat, side=side)
     assert len(members) == sum(b.bit_count() for b in lat.node_bits)
     assert 0 < len(candidates) < len(members)
+
+
+@pytest.mark.parametrize("side", ["tors", "torf"])
+@pytest.mark.parametrize("name", ["a4", "nak3"])
+def test_the_walk_lists_each_class_once(name, side, cat_of, monkeypatch):
+    # the walk reads only the ambient bit by bit, and TorsLattice each node
+    # once for its frozenset view; a class's member list, its perpendicular,
+    # minimality test and sort key all come from one list
+    cat = cat_of(name)
+    listed, calls = subcat.indices, []
+
+    def counting(b):
+        calls.append(b)
+        return listed(b)
+
+    monkeypatch.setattr(subcat, "indices", counting)
+    lat = build_lattice(cat, side=side)
+    assert len(lat) < len(calls) <= len(lat) + 2
 
 
 @pytest.mark.parametrize("name", ["a4", "d4p3"])
@@ -551,6 +586,46 @@ def test_relative_walk_on_a7_matches_the_unfiltered_walk(a7lat):
     assert set(cat.op_cache) - keys <= {("wide",)}
     for w, lat in zip(sample, walks):
         _assert_same_lattice(lat, oracles.cover_walk(cat, within=to_set(w)))
+
+
+def _contains(w, pattern):
+    """Whether some three entries of w, in order, rank as the pattern."""
+    return any(
+        tuple(sorted(sub).index(v) for v in sub) == pattern
+        for sub in itertools.combinations(w, 3)
+    )
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_the_pattern_avoiders_are_the_brute_force_ones(size):
+    values = tuple(range(size))
+    # 231 and 312, ranked from 0
+    for gen, pattern in (
+        (oracles.avoiding_231, (1, 2, 0)),
+        (oracles.avoiding_312, (2, 0, 1)),
+    ):
+        got = list(gen(values))
+        assert len(got) == len(set(got)) == math.comb(2 * size, size) // (size + 1)
+        assert set(got) == {
+            w for w in itertools.permutations(values) if not _contains(w, pattern)
+        }
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_linear_a_lattices_are_the_tamari_lattices(n):
+    # 1 -> ... -> n: the torsion classes are the inversion sets of the
+    # 231-avoiding permutations of {0, ..., n}, the torsion-free classes
+    # those of the 312-avoiding ones, Catalan(n + 1) of each
+    text = f"vertices {n}\n" + "".join(
+        f"arrow a{v} {v} {v + 1}\n" for v in range(1, n)
+    ) + "prime 2\n"
+    cat = torslat.build_catalog(parse_algebra_text(text))
+    values = tuple(range(n + 1))
+    catalan = math.comb(2 * n + 2, n + 1) // (n + 2)
+    for side, gen in (("tors", oracles.avoiding_231), ("torf", oracles.avoiding_312)):
+        lat = build_lattice(cat, side)
+        assert len(lat) == catalan
+        assert set(lat.node_bits) == {oracles.inversion_mask(cat, w) for w in gen(values)}
 
 
 def test_the_self_injective_nakayama_algebra_n7_is_pinned():
