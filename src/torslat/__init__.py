@@ -23,8 +23,6 @@ from .modrep import (
     decompose,
     direct_sum,
     hom_basis,
-    hom_rays,
-    is_brick,
     submodules,
     zero_module,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "format_report",
     "from_json",
     "hom_basis",
-    "hom_rays",
-    "is_brick",
     "is_wide_interval",
     "is_widely_generated",
     "iter_checks",

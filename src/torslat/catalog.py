@@ -2,11 +2,12 @@
 
 The catalog lists one representative per isomorphism class, certified closed
 under quotients and pair extensions at the configured dimension bound.  The
-tables (Hom dimensions, brick flags, subfactor pairs) turn every downstream
-subcategory operator into finite index combinatorics on masks, where a mask
-is an int bitset (bit i for catalog index i) denoting the additive hull of
-its members.  ``Catalog.set_tables`` is the one place the tables are set; it
-derives from them the bitset rows those operators read: ``out_bits`` and
+tables (Hom dimensions, subfactor pairs) turn every downstream subcategory
+operator into finite index combinatorics on masks, where a mask is an int
+bitset (bit i for catalog index i) denoting the additive hull of its
+members.  ``Catalog.set_tables`` is the one place the tables are set; it
+derives from them the brick flags (``bricks``, read off the subfactor
+table, see there) and the bitset rows those operators read: ``out_bits`` and
 ``in_bits`` (the members a member maps to and from), ``pair_bits`` (the
 subfactor pairs as (u, q) bitsets), ``quotient_bits`` and ``sub_bits``
 (the union of their q and u parts), ``closure_rows`` (the rows of
@@ -90,8 +91,8 @@ class Catalog:
     def simple_indices(self):
         return tuple(i for i, m in enumerate(self.ind) if m.total_dim == 1)
 
-    def set_tables(self, hom_dim, bricks, subfactors):
-        """Set the structure tables of the members and derive their bitset rows.
+    def set_tables(self, hom_dim, subfactors):
+        """Set the members' tables and derive their brick flags and bitset rows.
 
         Bit k of a row stands for catalog index k.  out_bits[i] holds the j
         with Hom(ind[i], ind[j]) nonzero and in_bits[j] the i; pair_bits[i]
@@ -101,14 +102,20 @@ class Catalog:
         (u and q nonempty), (1 << i, u | q of each such pair, once per
         distinct bitset), the rows of ``subcat.extension_closure`` over the
         whole catalog; full_mask holds every index.
+
+        bricks[i] holds when the kernel OR of ``hom_profile(i, i)`` is
+        empty, which is exactly when End(ind[i]) is a division ring: by the
+        argument of ``hom_profile`` the OR is empty exactly when every
+        nonzero endomorphism of ind[i] is injective, and ind[i] is
+        finite-dimensional, so an injective endomorphism is bijective,
+        hence invertible.
         """
         n = len(self.ind)
-        if not (len(hom_dim) == len(bricks) == len(subfactors) == n) or any(
+        if not (len(hom_dim) == len(subfactors) == n) or any(
             len(row) != n for row in hom_dim
         ):
             raise ValueError(f"tables do not match the {n} catalog members")
         self.hom_dim = hom_dim
-        self.bricks = bricks
         self.subfactors = subfactors
         self.out_bits = tuple(
             subcat.bits(j for j, d in enumerate(row) if d) for row in hom_dim
@@ -134,6 +141,7 @@ class Catalog:
                 closure_rows.append((1 << i, uqs))
         self.closure_rows = tuple(closure_rows)
         self.full_mask = (1 << n) - 1
+        self.bricks = tuple(not self.hom_profile(i, i).kernel for i in range(n))
 
     def index_of(self, module):
         key = module.key()
@@ -303,7 +311,7 @@ def enumerate_indecomposables(algebra, config=None):
 
 
 def build_tables(cat):
-    """Fill Hom dimensions, brick flags, and subfactor pairs; returns cat.
+    """Fill Hom dimensions and subfactor pairs; returns cat.
 
     cat comes from enumerate_indecomposables: the subfactor pairs are read
     off the submodules and quotient decompositions its quotient scan kept,
@@ -315,7 +323,6 @@ def build_tables(cat):
             tuple(len(modrep.hom_basis(cat.ind[i], cat.ind[j])) for j in range(n))
             for i in range(n)
         ),
-        tuple(modrep.is_brick(m, cat.config) for m in cat.ind),
         tuple(
             tuple(sorted({(cat.decompose_indices(sub), q) for sub, q in pairs}))
             for pairs in cat._subquotients
@@ -363,6 +370,12 @@ def to_json(cat):
 
 
 def from_json(text, config=None):
+    """The catalog of a to_json document.
+
+    The brick flags are derived from the tables (``Catalog.set_tables``);
+    the document's "bricks" field is checked against them, and a
+    disagreement raises ValueError naming the first member it concerns.
+    """
     cfg = config or DEFAULT_CONFIG
     doc = json.loads(text)
     a = doc["algebra"]
@@ -390,10 +403,18 @@ def from_json(text, config=None):
     t = doc["tables"]
     cat.set_tables(
         tuple(tuple(row) for row in t["hom_dim"]),
-        tuple(bool(b) for b in t["bricks"]),
         tuple(
             tuple(sorted((tuple(u), tuple(q)) for u, q in row))
             for row in t["subfactors"]
         ),
     )
+    given = tuple(bool(b) for b in t["bricks"])
+    if len(given) != len(cat):
+        raise ValueError(f"bricks lists {len(given)} flags for {len(cat)} members")
+    for name, flag, derived in zip(cat.names, given, cat.bricks):
+        if flag != derived:
+            raise ValueError(
+                f"bricks says member {name} is {'a' if flag else 'no'} brick;"
+                f" its endomorphisms say it is {'a' if derived else 'no'} brick"
+            )
     return cat

@@ -13,11 +13,9 @@ class Config:
     dim_bound: int = 8
     # cap on the number of basis paths of the algebra
     path_budget: int = 1024
-    # cap on enumerated elements of a Hom or End space: the rays of
-    # modrep.hom_rays (brick tests) and the idempotent search of decompose;
-    # isomorphism tests and the catalog's Hom table enumerate nothing.  On
-    # commands it bounds only decompose: a member's End passed decompose's
-    # check, so its brick test cannot raise IsoSearchBlowup
+    # cap on the End elements that decompose's idempotent search enumerates;
+    # isomorphism tests, the catalog's Hom table and its brick flags
+    # enumerate nothing
     iso_budget: int = 65536
     # cap on the product of per-vertex subspace counts in submodule enumeration
     subspace_budget: int = 1_000_000

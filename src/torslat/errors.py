@@ -5,6 +5,11 @@ closure bound was exceeded, exit code 2), UsageError (bad input, exit code 3),
 PreconditionError (an operation was applied to an object outside its stated
 domain, exit code 4).  VerificationError subclasses signal that a verified
 structural identity failed to hold, which always indicates a bug (exit code 1).
+
+Each budget of ``Config`` has its ResourceError.  --iso-budget bounds only
+the idempotent search of ``modrep.decompose`` (DecomposeBlowup): the
+catalog's Hom table and brick flags are read off its subfactor table and
+enumerate nothing.
 """
 
 
@@ -22,14 +27,6 @@ class PathBlowup(ResourceError):
 
 class DecomposeBlowup(ResourceError):
     """Endomorphism enumeration needed for a decomposition passed the budget."""
-
-
-class IsoSearchBlowup(ResourceError):
-    """Enumeration of the rays of a Hom space (modrep.hom_rays) passed the budget.
-
-    No command raises it: a catalog member's End passed decompose's p^d <=
-    iso_budget check, or is one-dimensional, and has fewer rays than
-    elements; only a library call of hom_rays or is_brick can."""
 
 
 class SubspaceBlowup(ResourceError):

@@ -52,7 +52,9 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+# slots: a walk builds one per cover arrow, and a frozen dataclass without
+# them pays one object.__setattr__ per field
+@dataclass(frozen=True, slots=True)
 class HasseArrow:
     src: int
     dst: int

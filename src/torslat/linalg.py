@@ -153,10 +153,6 @@ def ray_representatives(dim, p):
             yield np.array(t, dtype=np.int64)
 
 
-def ray_count(dim, p):
-    return (p ** dim - 1) // (p - 1) if dim else 0
-
-
 def subspace_count(n, p):
     """Number of subspaces of F_p^n (sum of Gaussian binomials)."""
     total = 0

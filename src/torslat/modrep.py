@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT_CONFIG
-from .errors import DecomposeBlowup, IsoSearchBlowup, SubspaceBlowup
+from .errors import DecomposeBlowup, SubspaceBlowup
 
 
 class Module:
@@ -130,25 +130,6 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
-
-
-def _comps_from_coeffs(coeffs, stacked, p):
-    return tuple(
-        (np.tensordot(coeffs, s, axes=1) % p) if s.shape[0] else np.zeros(s.shape[1:], dtype=np.int64)
-        for s in stacked
-    )
-
-
-def _stack_basis(basis_comps, dims_t, dims_s):
-    """Per-vertex (d, rows, cols) stacks of a hom-space basis for fast combination."""
-    nv = len(dims_t)
-    out = []
-    for v in range(nv):
-        if basis_comps:
-            out.append(np.stack([b[v] for b in basis_comps]))
-        else:
-            out.append(np.zeros((0, dims_t[v], dims_s[v]), dtype=np.int64))
-    return out
 
 
 def _intertwining_system(x, y):
@@ -319,12 +300,13 @@ def decompose(x, config=None):
             f"endomorphism space has {p}^{d} elements,"
             f" budget {cfg.iso_budget} (--iso-budget)"
         )
-    stacked = _stack_basis([f.comps for f in end], x.dims, x.dims)
+    # per-vertex (d, rows, cols) stacks of the basis, for fast combination
+    stacked = [np.stack(c) for c in zip(*(f.comps for f in end))]
     for coeffs in itertools.product(range(p), repeat=d):
         if not any(coeffs):
             continue
         cvec = np.array(coeffs, dtype=np.int64)
-        comps = _comps_from_coeffs(cvec, stacked, p)
+        comps = tuple(np.tensordot(cvec, s, axes=1) % p for s in stacked)
         if _is_identity(comps):
             continue
         if not _is_idempotent(comps, p):
@@ -334,32 +316,6 @@ def decompose(x, config=None):
         assert 0 < ker.total_dim < n
         return decompose(ker, cfg) + decompose(image(e)[0], cfg)
     return [x]
-
-
-def hom_rays(x, y, config=None):
-    """One morphism x -> y per ray of Hom(x, y), as an iterator.
-
-    A ray is a nonzero morphism up to a nonzero scalar; its representative
-    is the combination of the hom_basis(x, y) elements whose first nonzero
-    coefficient is 1.  The iterator is empty when Hom(x, y) vanishes.
-    Raises IsoSearchBlowup, at the call rather than during iteration, when
-    there are more rays than iso_budget.
-    """
-    cfg = config or DEFAULT_CONFIG
-    p = x.algebra.prime
-    basis = hom_basis(x, y)
-    d = len(basis)
-    rays = linalg.ray_count(d, p)
-    if rays > cfg.iso_budget:
-        raise IsoSearchBlowup(
-            f"Hom space has {rays} rays ({p}^{d} elements),"
-            f" budget {cfg.iso_budget} (--iso-budget)"
-        )
-    stacked = _stack_basis([f.comps for f in basis], y.dims, x.dims)
-    return (
-        Morphism(x, y, _comps_from_coeffs(coeffs, stacked, p), check=False)
-        for coeffs in linalg.ray_representatives(d, p)
-    )
 
 
 def is_isomorphic_indecomposable(x, y):
@@ -372,16 +328,6 @@ def is_isomorphic_indecomposable(x, y):
     decomposes.
     """
     return x.dims == y.dims and any(f.is_invertible for f in hom_basis(x, y))
-
-
-def is_brick(x, config=None):
-    """True when every ray of End(x) is invertible, that is End(x) is a division ring.
-
-    Raises IsoSearchBlowup when End(x) has more rays than iso_budget.
-    """
-    if x.is_zero:
-        raise ValueError("the zero module is not a brick candidate")
-    return all(f.is_invertible for f in hom_rays(x, x, config))
 
 
 def submodules(x, config=None):

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
+import oracles
 import torslat
 from torslat import subcat
 from torslat import verify as verify_mod
@@ -63,22 +64,9 @@ def a7lat():
 
 # the self-injective Nakayama algebra N_5^5: the cyclic quiver 1 -> ... -> 5
 # -> 1 with every path of length 5 zero
-NAKAYAMA_5_5 = (
-    "vertices 5\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\narrow e 5 1\n"
-    "relation a b c d e\nrelation b c d e a\nrelation c d e a b\n"
-    "relation d e a b c\nrelation e a b c d\nprime 2\n"
-)
-
-
-# N_7^7: the cyclic quiver 1 -> ... -> 7 -> 1 with every path of length 7
-# zero, the scale point of the verify paths
-NAKAYAMA_7_7 = (
-    "vertices 7\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 5\narrow e 5 6"
-    "\narrow f 6 7\narrow g 7 1\n"
-    "relation a b c d e f g\nrelation b c d e f g a\nrelation c d e f g a b\n"
-    "relation d e f g a b c\nrelation e f g a b c d\nrelation f g a b c d e\n"
-    "relation g a b c d e f\nprime 2\n"
-)
+NAKAYAMA_5_5 = oracles.nakayama_spec(5, 5, 2)
+# N_7^7, the scale point of the verify paths
+NAKAYAMA_7_7 = oracles.nakayama_spec(7, 7, 2)
 
 
 def names_to_mask(cat, *names):

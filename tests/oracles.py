@@ -3,9 +3,10 @@
 Everything here goes back to raw module arithmetic: quotients are taken by
 actually enumerating submodules, extension middles by enumerating cocycles,
 Hom dimensions by scanning every componentwise matrix tuple, isomorphism by
-searching every ray of the Hom space for an invertible morphism.  The main
-library is only trusted for module construction, Hom bases and the
-classification of summands.
+searching every ray of the Hom space for an invertible morphism, brickness
+by checking that every ray of End is invertible.  The main library is only
+trusted for module construction, Hom bases and the classification of
+summands.
 
 Masks here are frozensets of catalog indices, ``within`` included; the
 library's masks are int bitsets, converted by ``to_bits`` and ``to_set`` where
@@ -181,6 +182,36 @@ def kernel_image_cokernel(f):
     return KernelImageCokernel(kernel, k_in, image, i_in, i_pr, cokernel, c_pr)
 
 
+def ray_count(dim, p):
+    """Number of rays (nonzero vectors up to a scalar) of F_p^dim."""
+    return (p ** dim - 1) // (p - 1) if dim else 0
+
+
+def hom_rays(x, y):
+    """One morphism x -> y per ray of Hom(x, y), as an iterator, with no budget.
+
+    A ray is a nonzero morphism up to a nonzero scalar; its representative
+    is the combination of the hom_basis(x, y) elements whose first nonzero
+    coefficient is 1, in linalg.ray_representatives order.  The iterator is
+    empty when Hom(x, y) vanishes.
+    """
+    p = x.algebra.prime
+    basis = modrep.hom_basis(x, y)
+    for coeffs in linalg.ray_representatives(len(basis), p):
+        comps = tuple(
+            sum(int(c) * f.comps[v] for c, f in zip(coeffs, basis)) % p
+            for v in range(len(x.dims))
+        )
+        yield modrep.Morphism(x, y, comps, check=False)
+
+
+def is_brick(x):
+    """True when every ray of End(x) is invertible, that is End(x) is a division ring."""
+    if x.is_zero:
+        raise ValueError("the zero module is not a brick candidate")
+    return all(f.is_invertible for f in hom_rays(x, x))
+
+
 @dataclass(frozen=True)
 class RayProfile:
     """Kernel, image and cokernel summands of one ray; epi when it is onto."""
@@ -192,14 +223,14 @@ class RayProfile:
 
 
 def hom_ray_profiles(cat, i, j):
-    """One RayProfile per ray of Hom(ind[i], ind[j]), in modrep.hom_rays order.
+    """One RayProfile per ray of Hom(ind[i], ind[j]), in hom_rays order.
 
     The per-ray reference for Catalog.hom_table, whose entry ORs these: the
     kernel, image and cokernel come from kernel_image_cokernel, their
     summands from the catalog's decompose_indices.
     """
     out = []
-    for f in modrep.hom_rays(cat.ind[i], cat.ind[j], cat.config):
+    for f in hom_rays(cat.ind[i], cat.ind[j]):
         kic = kernel_image_cokernel(f)
         out.append(
             RayProfile(
@@ -219,7 +250,7 @@ def is_isomorphic(x, y):
     """
     if x.dims != y.dims:
         return False
-    return x.is_zero or any(f.is_invertible for f in modrep.hom_rays(x, y))
+    return x.is_zero or any(f.is_invertible for f in hom_rays(x, y))
 
 
 def injective_module(algebra, vertex):
@@ -807,3 +838,70 @@ def inversion_mask(cat, w):
         if w[a] > w[b]:
             out |= 1 << by_dims[tuple(int(a <= v < b) for v in range(n))]
     return out
+
+
+def positive_roots(quiver):
+    """The positive roots of a Dynkin quiver, sorted, by simple reflections.
+
+    s_i(x) = x - (x, e_i) e_i for the symmetric form (x, y) = 2 sum x_v y_v -
+    sum over arrows u -> v of (x_u y_v + x_v y_u).  s_i maps a positive root
+    other than e_i to a positive root, and every positive root that is not
+    simple has an i with (x, e_i) > 0, whose reflection lowers its height; so
+    the simple roots and their reflections reach every positive root.
+    """
+    n = quiver.vertex_count
+
+    def pairing(x, i):
+        out = 2 * x[i]
+        for a in quiver.arrows:
+            out -= x[a.target] * (a.source == i) + x[a.source] * (a.target == i)
+        return out
+
+    simples = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    roots = set(simples)
+    todo = list(simples)
+    while todo:
+        x = todo.pop()
+        for i in range(n):
+            c = pairing(x, i)
+            y = tuple(xv - c * (v == i) for v, xv in enumerate(x))
+            if y != x and y not in roots and min(y) >= 0:
+                roots.add(y)
+                todo.append(y)
+    return sorted(roots)
+
+
+def nakayama_spec(n, length, prime):
+    """The spec of N_n^length: the cyclic quiver 1 -> 2 -> ... -> n -> 1 with
+    every path of `length` arrows zero."""
+    names = [chr(ord("a") + k) for k in range(n)]
+    lines = [f"vertices {n}"]
+    lines += [f"arrow {names[k]} {k + 1} {(k + 1) % n + 1}" for k in range(n)]
+    lines += [
+        "relation " + " ".join(names[(k + s) % n] for s in range(length))
+        for k in range(n)
+    ]
+    return "\n".join(lines + [f"prime {prime}"]) + "\n"
+
+
+def uniserial_top(module):
+    """The top vertex of a uniserial module M over a cyclic Nakayama algebra.
+
+    M(i, l) has one basis vector at each of the vertices i, i + 1, ...,
+    i + l - 1 (mod n), each arrow taking one to the next, so the path of
+    l - 1 arrows from vertex j acts on M as zero unless j = i.
+    """
+    q = module.algebra.quiver
+    out_arrow = {a.source: a.name for a in q.arrows}
+    length = module.total_dim
+    tops = []
+    for j in range(q.vertex_count):
+        path, v = [], j
+        for _ in range(length - 1):
+            path.append(out_arrow[v])
+            v = (v + 1) % q.vertex_count
+        acts = module.evaluate_path(path).any() if path else module.dims[j] > 0
+        if acts:
+            tops.append(j)
+    assert len(tops) == 1, tops
+    return tops[0]

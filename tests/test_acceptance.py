@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +269,25 @@ def test_scale_catalogs_are_pinned():
         for name, text in SCALE_SPECS.items()
     }
     assert got == SCALE_CATALOG_SHA256
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_the_benchmark_exports_match_their_specs():
+    # the committed catalog exports the benchmark loads, read only: a6p2 and
+    # a7p2 byte for byte, which pins their "bricks" fields; d4p3's matrices
+    # predate the current discovery order, so only its names and tables
+    for name in ("a6p2", "a7p2", "d4p3"):
+        spec = (BENCH / "specs" / f"{name}.alg").read_text()
+        built = torslat.to_json(torslat.build_catalog(parse_algebra_text(spec)))
+        export = (BENCH / "data" / f"{name}.catalog.json").read_text()
+        if name == "d4p3":
+            built, export = json.loads(built), json.loads(export)
+            assert built["names"] == export["names"]
+            assert built["tables"] == export["tables"]
+        else:
+            assert built == export
 
 
 # linear A6 at p = 2, a copy of the benchmark's a6p2 spec, whose verify job

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -195,7 +196,7 @@ def test_hom_is_nonzero_exactly_when_a_subfactor_matches(name, cat_of):
 )
 def test_the_hom_table_solves_no_linear_algebra(text, monkeypatch):
     cat = build_catalog(parse_algebra_text(text))
-    for name in ("hom_basis", "hom_rays", "kernel", "image", "quotient_by"):
+    for name in ("hom_basis", "kernel", "image", "quotient_by"):
         def refuse(*args, name=name, **kw):
             raise AssertionError(f"the Hom table called modrep.{name}")
 
@@ -273,11 +274,9 @@ def test_json_round_trip_keeps_rows(name, cat_of):
 def test_tables_must_match_the_members(a2cat):
     again = from_json(to_json(a2cat))
     with pytest.raises(ValueError):
-        again.set_tables(a2cat.hom_dim[:2], a2cat.bricks, a2cat.subfactors)
+        again.set_tables(a2cat.hom_dim[:2], a2cat.subfactors)
     with pytest.raises(ValueError):
-        again.set_tables(
-            tuple(row[:2] for row in a2cat.hom_dim), a2cat.bricks, a2cat.subfactors
-        )
+        again.set_tables(tuple(row[:2] for row in a2cat.hom_dim), a2cat.subfactors)
 
 
 def test_json_is_canonical(cat_of):
@@ -425,6 +424,14 @@ def test_closed_form_counts(name, prime, count):
     alg = parse_algebra_text(CLOSED_FORM_SPECS[name].format(p=prime))
     cat = build_catalog(alg, CLOSED_FORM_CONFIG.get(name))
     assert len(cat) == count
+    if name in ("kx3", "kx4"):
+        # End of the Jordan block of size l is k[x]/x^l, a field for l = 1 only
+        assert cat.bricks == tuple(m.total_dim == 1 for m in cat.ind)
+    else:
+        # Gabriel: the dimension vectors are the positive roots, each once,
+        # and every indecomposable of a Dynkin quiver is a brick
+        assert sorted(m.dims for m in cat.ind) == oracles.positive_roots(alg.quiver)
+        assert all(cat.bricks)
     n = alg.quiver.vertex_count
     for v in range(n):
         cat.index_of(projective_module(alg, v))
@@ -435,3 +442,79 @@ def test_closed_form_counts(name, prime, count):
     # wide subcategories are as many as torsion classes (Ingalls-Thomas)
     assert len(lat.arrows) == n * len(lat) // 2
     assert len(widelab.enumerate_wide_subcats(cat)) == len(lat)
+
+
+# the representation-finite scale specs of the benchmark, read only; the
+# Kronecker quiver of kronp2 is representation-infinite
+BENCH_SPECS = Path(__file__).resolve().parent.parent / "bench" / "specs"
+CLOSING_BENCH_SPECS = sorted(
+    path.stem for path in BENCH_SPECS.glob("*.alg") if path.stem != "kronp2"
+)
+# N_3^5@p2 and N_2^4@p3, whose non-bricks number 6 of 15 and 4 of 8
+NAKAYAMA_NONBRICKS = {"nak35p2": (3, 5, 2), "nak24p3": (2, 4, 3)}
+
+
+def _reference_catalog(source):
+    kind, name = source
+    if kind == "corpus":
+        return build_catalog(verify_mod.load_corpus_algebra(name))
+    if kind == "bench":
+        text = (BENCH_SPECS / f"{name}.alg").read_text()
+    else:
+        text = oracles.nakayama_spec(*NAKAYAMA_NONBRICKS[name])
+    return build_catalog(parse_algebra_text(text))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("corpus", n) for n in verify_mod.CORPUS]
+    + [("bench", n) for n in CLOSING_BENCH_SPECS]
+    + [("nakayama", n) for n in NAKAYAMA_NONBRICKS],
+    ids=lambda source: f"{source[0]}-{source[1]}",
+)
+def test_brick_flags_match_the_ray_scan(source):
+    # set_tables reads the flags off the subfactor table; the reference
+    # checks every ray of each member's End for an invertible map
+    cat = _reference_catalog(source)
+    assert cat.bricks == tuple(oracles.is_brick(m) for m in cat.ind)
+    if source[0] == "nakayama":
+        n, length, _ = NAKAYAMA_NONBRICKS[source[1]]
+        assert cat.bricks.count(False) == n * (length - n)
+
+
+def test_from_json_rejects_a_flipped_brick_flag():
+    cat = _reference_catalog(("nakayama", "nak24p3"))
+    for i in (0, cat.bricks.index(False)):
+        doc = json.loads(to_json(cat))
+        doc["tables"]["bricks"][i] = not cat.bricks[i]
+        with pytest.raises(ValueError, match=rf"member {cat.names[i]} is"):
+            from_json(json.dumps(doc))
+    doc = json.loads(to_json(cat))
+    doc["tables"]["bricks"].pop()
+    with pytest.raises(ValueError, match="flags for 8 members"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "n,length,prime",
+    [(5, 5, 2), (3, 5, 2), (2, 4, 3)],
+    ids=["nak55", "nak35p2", "nak24p3"],
+)
+def test_nakayama_uniserial_closed_forms(n, length, prime):
+    # every indecomposable of N_n^length is a uniserial M(i, l), 1 <= l <=
+    # length, with top i and l composition factors i, i + 1, ... (mod n)
+    cat = build_catalog(parse_algebra_text(oracles.nakayama_spec(n, length, prime)))
+    index = {(oracles.uniserial_top(m), m.total_dim): x for x, m in enumerate(cat.ind)}
+    assert len(cat) == len(index)
+    assert sorted(index) == [(i, l) for i in range(n) for l in range(1, length + 1)]
+    for (i, l), x in index.items():
+        assert cat.bricks[x] == (l <= n)
+        # the submodules of M(i, l) are M(i + l - k, k), 0 <= k <= l
+        subs = {(index[(i + l - k) % n, k],) if k else () for k in range(l + 1)}
+        assert {u for u, _ in cat.subfactors[x]} == subs
+        # a map M(i, l) -> M(j, m) with image of length k has image M(i, k),
+        # a quotient of the source, equal to M(j + m - k, k), a submodule of
+        # the target
+        for (j, m), y in index.items():
+            hom = sum((j + m - k - i) % n == 0 for k in range(1, min(l, m) + 1))
+            assert cat.hom_dim[x][y] == hom

@@ -8,15 +8,15 @@ from importlib import resources
 
 import pytest
 
-from torslat import cli, modrep, verify as verify_mod
+from torslat import cli, verify as verify_mod
 from torslat.catalog import Catalog, build_catalog
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import (
     DecomposeBlowup,
-    IsoSearchBlowup,
     LatticeBlowup,
     NotClosed,
     PathBlowup,
+    ResourceError,
     SubspaceBlowup,
     TheoremViolation,
 )
@@ -218,32 +218,21 @@ BUDGET_SPECS = {
 }
 
 
-def _lattice_of(text, cfg):
-    return build_lattice(build_catalog(parse_algebra_text(text, cfg), cfg))
-
-
-def _hom_rays_into_the_centre(text, cfg):
-    # Hom(P_centre, M) for the member M with dims (2,1,1,1): 3 rays at p = 2
-    cat = build_catalog(parse_algebra_text(text, cfg), cfg)
-    dims = [m.dims for m in cat.ind]
-    x, y = (cat.ind[dims.index(d)] for d in ((1, 0, 0, 0), (2, 1, 1, 1)))
-    return list(modrep.hom_rays(x, y, cfg))
-
-
 @pytest.mark.parametrize(
-    "flag,value,error,spec,argv,call",
+    "flag,value,error,spec,command",
     [
-        ("--dim-bound", 2, NotClosed, "kron2", ["indec"], _lattice_of),
-        ("--path-budget", 4, PathBlowup, "a4", ["indec"], _lattice_of),
-        ("--iso-budget", 1, DecomposeBlowup, "kx3p2", ["indec"], _lattice_of),
-        ("--iso-budget", 2, IsoSearchBlowup, "d4p2", ["verify"], _hom_rays_into_the_centre),
-        ("--subspace-budget", 4, SubspaceBlowup, "a4", ["indec"], _lattice_of),
-        ("--ext-budget", 2, SubspaceBlowup, "kron2", ["indec"], _lattice_of),
-        ("--node-budget", 10, LatticeBlowup, "a4", ["lattice"], _lattice_of),
+        ("--dim-bound", 2, NotClosed, "kron2", "indec"),
+        ("--path-budget", 4, PathBlowup, "a4", "indec"),
+        ("--iso-budget", 1, DecomposeBlowup, "kx3p2", "indec"),
+        ("--subspace-budget", 4, SubspaceBlowup, "a4", "indec"),
+        ("--ext-budget", 2, SubspaceBlowup, "kron2", "indec"),
+        ("--node-budget", 10, LatticeBlowup, "a4", "lattice"),
     ],
-    ids=["dim", "path", "iso-decompose", "iso-hom-rays", "subspace", "ext", "node"],
+    ids=["dim", "path", "iso-decompose", "subspace", "ext", "node"],
 )
-def test_budget_errors_name_their_flag(flag, value, error, spec, argv, call, tmp_path, capsys):
+def test_budget_errors_name_their_flag(
+    flag, value, error, spec, command, tmp_path, capsys
+):
     if spec in BUDGET_SPECS:
         path = tmp_path / f"{spec}.alg"
         path.write_text(BUDGET_SPECS[spec])
@@ -253,19 +242,22 @@ def test_budget_errors_name_their_flag(flag, value, error, spec, argv, call, tmp
         text = fh.read()
     cfg = DEFAULT_CONFIG.with_overrides(**{flag[2:].replace("-", "_"): value})
     with pytest.raises(error, match=rf"\({flag}\)"):
-        call(text, cfg)
-    argv = [argv[0], str(path), *argv[1:]]
-    if error is IsoSearchBlowup:
-        # no command enumerates Hom rays: the Hom table is read off the
-        # subfactor table, so the budget leaves the report as it is
-        default, capped = io.StringIO(), io.StringIO()
-        assert cli.main(argv, out=default) == 0
-        assert cli.main([*argv, flag, str(value)], out=capped) == 0
-        assert capped.getvalue() == default.getvalue()
-        return
-    assert cli.main([*argv, flag, str(value)]) == 2
+        build_lattice(build_catalog(parse_algebra_text(text, cfg), cfg))
+    assert cli.main([command, str(path), flag, str(value)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f" {value} ({flag})" in err
+
+
+def test_the_iso_budget_leaves_a_verify_report_as_it_is(tmp_path):
+    # d4p2's Hom(P_centre, M) has 3 rays, but no command enumerates a Hom
+    # space: the Hom table and the brick flags are read off the subfactor
+    # table, so an iso budget of 2 leaves the report as it is
+    path = tmp_path / "d4p2.alg"
+    path.write_text(BUDGET_SPECS["d4p2"])
+    default, capped = io.StringIO(), io.StringIO()
+    assert cli.main(["verify", str(path)], out=default) == 0
+    assert cli.main(["verify", str(path), "--iso-budget", "2"], out=capped) == 0
+    assert capped.getvalue() == default.getvalue()
 
 
 def _corpus_named():
@@ -388,33 +380,28 @@ def test_verify_rejects_empty_and_repeated_props(props, capsys):
     assert ("twice" if "duality" in props else "no property selected") in err
 
 
-def _plant_a_ray_scan(monkeypatch):
-    # each Hom-table entry first scans the rays of its Hom space, under the
-    # run's --iso-budget, then is read off the subfactor table as before
-    hom_profile = Catalog.hom_profile
+def _plant_a_resource_error(monkeypatch):
+    # the first read of a catalog's Hom table raises, as a budget error
+    # would; the catalog's build reads hom_profile, not the table
+    def planted(cat):
+        raise ResourceError("planted at the first Hom table read")
 
-    def planted(cat, i, j):
-        list(modrep.hom_rays(cat.ind[i], cat.ind[j], cat.config))
-        return hom_profile(cat, i, j)
-
-    monkeypatch.setattr(Catalog, "hom_profile", planted)
+    monkeypatch.setattr(Catalog, "hom_table", property(planted))
 
 
 def test_an_escaped_error_leaves_the_lines_before_it(monkeypatch, tmp_path, capsys):
-    # with the planted scan, d4p2's Hom table needs more than 2 rays;
-    # roundtrip is the first property to read it, so the lines of the
+    # with the planted error, d4p2's run stops at the first read of its Hom
+    # table; roundtrip is the first property to read it, so the lines of the
     # properties before it stay
     path = tmp_path / "d4p2.alg"
     path.write_text(BUDGET_SPECS["d4p2"])
     full = io.StringIO()
     assert cli.main(["verify", str(path)], out=full) == 0
     capsys.readouterr()
-    _plant_a_ray_scan(monkeypatch)
+    _plant_a_resource_error(monkeypatch)
     out = io.StringIO()
-    assert cli.main(["verify", str(path), "--iso-budget", "2"], out=out) == 2
-    assert capsys.readouterr().err == (
-        "error: Hom space has 3 rays (2^2 elements), budget 2 (--iso-budget)\n"
-    )
+    assert cli.main(["verify", str(path)], out=out) == 2
+    assert capsys.readouterr().err == "error: planted at the first Hom table read\n"
     text = out.getvalue()
     assert text.endswith("\n") and full.getvalue().startswith(text)
     props = {line.split(" ")[2] for line in text.splitlines()}
