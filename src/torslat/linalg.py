@@ -1,7 +1,11 @@
 """Exact dense linear algebra over the prime fields F_p.
 
 Matrices are numpy int64 arrays with entries reduced into [0, p).  A map
-F_p^n -> F_p^m is an m x n matrix acting on column vectors.  Everything here is
+F_p^n -> F_p^m is an m x n matrix acting on column vectors.  numpy is the
+container: elimination runs on Python lists of int rows, in the one routine
+``reduce_rows``, because on the small matrices here numpy's per-call cost
+outweighs the arithmetic.  Each kernel converts its input with ``tolist``
+once and builds one int64 array at the end.  Everything here is
 deterministic; basis choices come out of row-reduced echelon forms.
 """
 
@@ -39,40 +43,66 @@ def kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * r, n * s)
 
 
-def inv_scalar(x, p):
-    # p is prime, x nonzero mod p
-    return pow(int(x) % p, p - 2, p)
+def reduce_rows(rows, ncols, p):
+    """Row-reduce a list of int rows over F_p in place; returns the pivot columns.
 
-
-def rref(a, p):
-    """Row-reduce a copy of `a`; returns (echelon matrix, pivot column list)."""
-    m = normalize(a, p).copy()
-    rows, cols = m.shape
+    Entries may be any ints.  Pivots are sought in the first `ncols` columns;
+    longer rows carry the rest along, as an augmented block.  On return every
+    entry lies in [0, p), rows[:len(pivots)] is the reduced row echelon form
+    and the rows after it are zero in the first `ncols` columns.  This is the
+    one row reduction of the library.
+    """
+    for i, row in enumerate(rows):
+        rows[i] = [x % p for x in row]
     pivots = []
+    n = len(rows)
     r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(ncols):
+        if r == n:
             break
-        pr = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                pr = i
+        for i in range(r, n):
+            if rows[i][c]:
                 break
-        if pr is None:
+        else:
             continue
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = (m[r] * inv_scalar(m[r, c], p)) % p
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        prow = rows[i]
+        rows[i] = rows[r]
+        x = prow[c]
+        if x != 1:
+            x = pow(x, p - 2, p)
+            prow = [y * x % p for y in prow]
+        rows[r] = prow
+        for i, row in enumerate(rows):
+            x = row[c]
+            if x and i != r:
+                rows[i] = [(y - x * z) % p for y, z in zip(row, prow)]
         pivots.append(c)
         r += 1
-    return m, pivots
+    return pivots
+
+
+def kernel_rows(rows, ncols, p):
+    """Canonical kernel basis of the matrix with these rows; reduces them in place.
+
+    Returns (free columns, basis): one vector (an int list) per free column
+    of the echelon form, one at that column, minus the column's entry of
+    each pivot row at that row's pivot, zero elsewhere.
+    """
+    pivots = reduce_rows(rows, ncols, p)
+    taken = set(pivots)
+    free = [c for c in range(ncols) if c not in taken]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] % p
+        basis.append(vec)
+    return free, basis
 
 
 def rank(a, p):
-    return len(rref(a, p)[1])
+    return len(reduce_rows(a.tolist(), a.shape[1], p))
 
 
 def nullspace(a, p):
@@ -81,43 +111,28 @@ def nullspace(a, p):
     One basis column per free column of the echelon form, free coordinate set
     to one, pivot coordinates filled by back-substitution.
     """
-    a = normalize(a, p)
     cols = a.shape[1]
-    r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(cols, len(free))
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-r[i, fc]) % p
-    return basis
+    free, basis = kernel_rows(a.tolist(), cols, p)
+    return np.array(basis, dtype=np.int64).reshape(len(free), cols).T
 
 
 def solve(a, b, p):
     """One solution x of a x = b with free variables zero, or None."""
-    a = normalize(a, p)
-    b = normalize(b, p)
-    n = a.shape[1]
-    aug = np.concatenate([a, b], axis=1)
-    r, pivots = rref(aug, p)
-    if any(c >= n for c in pivots):
+    n, k = a.shape[1], b.shape[1]
+    rows = [ra + rb for ra, rb in zip(a.tolist(), b.tolist())]
+    pivots = reduce_rows(rows, n, p)
+    if any(any(row[n:]) for row in rows[len(pivots) :]):
         return None
-    x = zeros(n, b.shape[1])
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, n:]
-    return x
+    x = [[0] * k for _ in range(n)]
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[n:]
+    return np.array(x, dtype=np.int64).reshape(n, k)
 
 
 def column_space(a, p):
     """Basis of the column space: the pivot columns of `a` themselves."""
-    _, pivots = rref(a, p)
+    pivots = reduce_rows(a.tolist(), a.shape[1], p)
     return normalize(a, p)[:, pivots]
-
-
-def row_canonical(a, p):
-    """The unique RREF row basis of the row space of `a`."""
-    r, pivots = rref(a, p)
-    return r[: len(pivots), :]
 
 
 def is_invertible(a, p):
@@ -129,20 +144,14 @@ def complement_projection(basis, p):
 
     Returns (proj, section) with proj of shape (n-r) x n, kernel of proj
     exactly S, and proj @ section the identity.  Coordinates of the quotient
-    are the non-pivot coordinates of the canonical row basis of S.
+    are the non-pivot coordinates of the canonical row basis of S: row k of
+    proj is one on the k-th of them and minus its entry of each basis row on
+    that row's pivot, that is the kernel basis of the row basis of S.
     """
     n = basis.shape[0]
-    e = row_canonical(basis.T, p)
-    piv = [int(np.argmax(row != 0)) for row in e]
-    free = [c for c in range(n) if c not in piv]
-    m = eye(n)
-    for i, pc in enumerate(piv):
-        hot = zeros(1, n)
-        hot[0, pc] = 1
-        m = (m - np.outer(e[i], hot[0])) % p
-    proj = m[free, :] if free else zeros(0, n)
-    section = eye(n)[:, free]
-    return proj, section
+    free, proj = kernel_rows(basis.T.tolist(), n, p)
+    proj = np.array(proj, dtype=np.int64).reshape(len(free), n)
+    return proj, eye(n)[:, free]
 
 
 def ray_representatives(dim, p):

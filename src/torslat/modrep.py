@@ -133,44 +133,40 @@ class Morphism:
 
 
 def _intertwining_system(x, y):
-    """The linear map f -> (Y_a f_u - f_v X_a)_a, one row block per arrow a: u -> v.
+    """The linear map f -> (Y_a f_u - f_v X_a)_a as int rows, one block per arrow a: u -> v.
 
     Columns are the entries of the per-vertex components f_v: x_v -> y_v in
     row-major order, vertex by vertex; the rows of arrow a are the entries of
-    a y_v x x_u matrix in row-major order, arrow by arrow.  Its kernel is
-    Hom(x, y); its image is the coboundary space B^1 inside the cocycles Z^1
-    of Ext^1(x, y).  Returns the matrix and the column offset of each vertex.
+    a y_v x x_u matrix in row-major order, arrow by arrow.  Row (r, j) holds
+    Y_a[r, i] on the column of f_u[i, j] and -X_a[c, j] on that of f_v[r, c],
+    added when u = v; entries are ints, read mod p.  Its kernel is Hom(x, y);
+    its image is the coboundary space B^1 inside the cocycles Z^1 of
+    Ext^1(x, y).  Returns the rows, lists of offsets[-1] ints, and the column
+    offset of each vertex.
     """
-    algebra = x.algebra
-    p = algebra.prime
-    q = algebra.quiver
-    nv = q.vertex_count
-    sizes = [y.dims[v] * x.dims[v] for v in range(nv)]
+    q = x.algebra.quiver
     offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
+    for v in range(q.vertex_count):
+        offsets.append(offsets[-1] + y.dims[v] * x.dims[v])
     ncols = offsets[-1]
     rows = []
     for ai, a in enumerate(q.arrows):
         u, v = a.source, a.target
-        nrows = y.dims[v] * x.dims[u]
-        if nrows == 0:
+        xu, xv = x.dims[u], x.dims[v]
+        if not (y.dims[v] and xu):
             continue
-        block = linalg.zeros(nrows, ncols)
-        if sizes[u]:
-            # vec(Y_a f_u) = (Y_a kron I) vec(f_u), row-major vec
-            block[:, offsets[u] : offsets[u + 1]] = linalg.kron(
-                y.mats[ai], linalg.eye(x.dims[u])
-            ) % p
-        if sizes[v]:
-            block[:, offsets[v] : offsets[v + 1]] = (
-                block[:, offsets[v] : offsets[v + 1]]
-                - linalg.kron(linalg.eye(y.dims[v]), x.mats[ai].T)
-            ) % p
-        rows.append(block)
-    if rows:
-        return np.concatenate(rows, axis=0), offsets
-    return linalg.zeros(0, ncols), offsets
+        ou = offsets[u]
+        x_cols = x.mats[ai].T.tolist()
+        for r, y_row in enumerate(y.mats[ai].tolist()):
+            ov = offsets[v] + r * xv
+            for j in range(xu):
+                row = [0] * ncols
+                for i, e in enumerate(y_row):
+                    row[ou + i * xu + j] = e
+                for c, e in enumerate(x_cols[j]):
+                    row[ov + c] -= e
+                rows.append(row)
+    return rows, offsets
 
 
 def hom_basis(x, y):
@@ -179,11 +175,11 @@ def hom_basis(x, y):
     Unknowns are the entries of the per-vertex components in row-major order;
     each arrow a: u -> v contributes the equation Y_a f_u = f_v X_a.
     """
-    system, offsets = _intertwining_system(x, y)
-    null = linalg.nullspace(system, x.algebra.prime)
+    rows, offsets = _intertwining_system(x, y)
+    ncols = offsets[-1]
+    _, basis = linalg.kernel_rows(rows, ncols, x.algebra.prime)
     out = []
-    for k in range(null.shape[1]):
-        vec = null[:, k]
+    for vec in np.array(basis, dtype=np.int64).reshape(len(basis), ncols):
         comps = tuple(
             vec[offsets[v] : offsets[v + 1]].reshape(y.dims[v], x.dims[v])
             for v in range(len(x.dims))
@@ -406,14 +402,17 @@ def all_extensions(q_mod, u_mod, config=None):
             ) % p
         rows.append(block)
     system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, ncols)
-    cocycles = linalg.nullspace(system, p)
+    _, cocycles = linalg.kernel_rows(system.tolist(), ncols, p)
     # the coboundary map shares its row layout with the cocycle coordinates;
     # the cocycle columns that are pivots after it span a complement of B^1
-    coboundaries, _ = _intertwining_system(q_mod, u_mod)
-    nb = coboundaries.shape[1]
-    _, pivots = linalg.rref(np.concatenate([coboundaries, cocycles], axis=1), p)
-    classes = cocycles[:, [c - nb for c in pivots if c >= nb]]
-    e = classes.shape[1]
+    coboundaries, cob_offsets = _intertwining_system(q_mod, u_mod)
+    nb = cob_offsets[-1]
+    for i, row in enumerate(coboundaries):
+        row.extend(z[i] for z in cocycles)
+    pivots = linalg.reduce_rows(coboundaries, nb + len(cocycles), p)
+    chosen = [cocycles[c - nb] for c in pivots if c >= nb]
+    e = len(chosen)
+    classes = np.array(chosen, dtype=np.int64).reshape(e, ncols).T
     if p ** e > cfg.ext_budget:
         raise SubspaceBlowup(
             f"{p}^{e} Ext classes to scan, budget {cfg.ext_budget} (--ext-budget)"

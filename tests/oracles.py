@@ -49,6 +49,89 @@ IND_COUNTS = {
 }
 
 
+def rref(a, p):
+    """Row-reduce a copy of `a` with numpy; returns (echelon matrix, pivot column list).
+
+    The reference for linalg.reduce_rows, which runs the same elimination on
+    Python lists of rows.
+    """
+    m = linalg.normalize(a, p).copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = None
+        for i in range(r, rows):
+            if m[i, c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def nullspace(a, p):
+    """Reference for linalg.nullspace, back-substituted from the numpy rref."""
+    a = linalg.normalize(a, p)
+    cols = a.shape[1]
+    r, pivots = rref(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = linalg.zeros(cols, len(free))
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-r[i, fc]) % p
+    return basis
+
+
+def solve(a, b, p):
+    """Reference for linalg.solve: the rref of the augmented matrix [a | b]."""
+    a = linalg.normalize(a, p)
+    b = linalg.normalize(b, p)
+    n = a.shape[1]
+    aug = np.concatenate([a, b], axis=1)
+    r, pivots = rref(aug, p)
+    if any(c >= n for c in pivots):
+        return None
+    x = linalg.zeros(n, b.shape[1])
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, n:]
+    return x
+
+
+def column_space(a, p):
+    """Reference for linalg.column_space: the pivot columns of the numpy rref."""
+    _, pivots = rref(a, p)
+    return linalg.normalize(a, p)[:, pivots]
+
+
+def complement_projection(basis, p):
+    """Reference for linalg.complement_projection, one np.outer per pivot."""
+    n = basis.shape[0]
+    r, pivots = rref(basis.T, p)
+    e = r[: len(pivots), :]
+    piv = [int(np.argmax(row != 0)) for row in e]
+    free = [c for c in range(n) if c not in piv]
+    m = linalg.eye(n)
+    for i, pc in enumerate(piv):
+        hot = linalg.zeros(1, n)
+        hot[0, pc] = 1
+        m = (m - np.outer(e[i], hot[0])) % p
+    proj = m[free, :] if free else linalg.zeros(0, n)
+    section = linalg.eye(n)[:, free]
+    return proj, section
+
+
 def brute_hom_dim(x, y):
     """Count intertwiners by scanning all componentwise matrix tuples."""
     p = x.algebra.prime
@@ -465,7 +548,7 @@ def submodule_sum_torsion_part(cat, module, t_mask):
     dims = []
     rows = []
     for v, stacked in enumerate(best_rows):
-        ech, piv = linalg.rref(stacked, p)
+        ech, piv = rref(stacked, p)
         rows.append(ech[: len(piv)])
         dims.append(len(piv))
     return tuple(dims), rows
@@ -905,3 +988,30 @@ def uniserial_top(module):
             tops.append(j)
     assert len(tops) == 1, tops
     return tops[0]
+
+
+def linear_a_spec(n, prime):
+    """The spec of linear A_n: the path quiver 1 -> 2 -> ... -> n, no relations."""
+    lines = [f"vertices {n}"]
+    lines += [f"arrow a{k} {k} {k + 1}" for k in range(1, n)]
+    return "\n".join(lines + [f"prime {prime}"]) + "\n"
+
+
+def linear_a_interval(module):
+    """The support [a, b] of an interval module of a linear A_n quiver.
+
+    Positions 1 ... n number the vertices along the arrows, from the one
+    vertex no arrow enters.  The module must be one-dimensional on each
+    vertex of a run of positions and zero elsewhere.
+    """
+    q = module.algebra.quiver
+    step = {a.source: a.target for a in q.arrows}
+    (v,) = set(range(q.vertex_count)) - set(step.values())
+    position = {v: 1}
+    while v in step:
+        v = step[v]
+        position[v] = len(position) + 1
+    support = sorted(position[v] for v, d in enumerate(module.dims) if d)
+    assert max(module.dims) == 1, module.dims
+    assert support == list(range(support[0], support[-1] + 1)), module.dims
+    return support[0], support[-1]

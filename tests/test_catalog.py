@@ -518,3 +518,38 @@ def test_nakayama_uniserial_closed_forms(n, length, prime):
         for (j, m), y in index.items():
             hom = sum((j + m - k - i) % n == 0 for k in range(1, min(l, m) + 1))
             assert cat.hom_dim[x][y] == hom
+
+
+def test_linear_a3_intervals_have_their_top_at_the_path_source():
+    # the convention of the closed form below, on 1 -> 2 -> 3: the
+    # projective P(1) is the interval [1, 3], with top S(1) and socle S(3)
+    alg = parse_algebra_text(oracles.linear_a_spec(3, 2))
+    cat = build_catalog(alg)
+    index = {oracles.linear_a_interval(m): x for x, m in enumerate(cat.ind)}
+    p1, s1, s3 = index[1, 3], index[1, 1], index[3, 3]
+    assert cat.index_of(projective_module(alg, 0)) == p1
+    assert (cat.hom_dim[p1][s1], cat.hom_dim[s1][p1]) == (1, 0)
+    assert (cat.hom_dim[s3][p1], cat.hom_dim[p1][s3]) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        CLOSED_FORM_SPECS["a4"].format(p=3),
+        oracles.linear_a_spec(6, 3),
+        (BENCH_SPECS / "a5p2.alg").read_text(),
+    ],
+    ids=["a4p3", "a6p3", "a5p2"],
+)
+def test_linear_a_hom_table_is_the_interval_closed_form(text):
+    # the indecomposables of linear A_n are the intervals [a, b], 1 <= a <= b
+    # <= n; a nonzero map [a, b] -> [c, d] has image [a, d], a quotient of
+    # the source and a submodule of the target, so Hom is one-dimensional
+    # when c <= a <= d <= b and zero otherwise; no linear algebra involved
+    cat = build_catalog(parse_algebra_text(text))
+    n = len(cat.ind[0].dims)
+    intervals = [oracles.linear_a_interval(m) for m in cat.ind]
+    assert sorted(intervals) == [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+    for x, (a, b) in enumerate(intervals):
+        for y, (c, d) in enumerate(intervals):
+            assert cat.hom_dim[x][y] == (c <= a <= d <= b)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from oracles import ray_count
 from torslat import linalg
 
@@ -25,8 +26,8 @@ def matrices(draw, max_dim=5):
 @given(matrices())
 def test_rref_is_idempotent(mp):
     a, p = mp
-    ech, piv = linalg.rref(a, p)
-    again, piv2 = linalg.rref(ech, p)
+    ech, piv = oracles.rref(a, p)
+    again, piv2 = oracles.rref(ech, p)
     assert np.array_equal(ech, again)
     assert piv == piv2
 
@@ -34,10 +35,67 @@ def test_rref_is_idempotent(mp):
 @given(matrices())
 def test_rref_preserves_row_space(mp):
     a, p = mp
-    ech, piv = linalg.rref(a, p)
+    ech, piv = oracles.rref(a, p)
     assert linalg.rank(a, p) == len(piv)
     stacked = np.vstack([a, ech[: len(piv)]])
     assert linalg.rank(stacked, p) == len(piv)
+
+
+@st.composite
+def raw_systems(draw, max_dim=8):
+    """(a, b, p) with b of a's row count; entries outside [0, p) too, negative ones included.
+
+    Half the draws have b in the column space of a, so that solve succeeds.
+    """
+    p = draw(primes)
+    m, n, k = (draw(st.integers(0, max_dim)) for _ in range(3))
+
+    def block(rows, cols):
+        size = rows * cols
+        entries = draw(st.lists(st.integers(-2 * p, 2 * p), min_size=size, max_size=size))
+        return np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+    a = block(m, n)
+    b = block(m, k) if draw(st.booleans()) else a @ block(n, k)
+    return a, b, p
+
+
+def _same_array(got, want):
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _check_kernels_against_references(a, b, p):
+    ech, piv = oracles.rref(a, p)
+    rows = a.tolist()
+    assert linalg.reduce_rows(rows, a.shape[1], p) == piv
+    assert rows == ech.tolist()
+    assert linalg.rank(a, p) == len(piv)
+    _same_array(linalg.nullspace(a, p), oracles.nullspace(a, p))
+    _same_array(linalg.column_space(a, p), oracles.column_space(a, p))
+    for got, want in zip(
+        linalg.complement_projection(a, p), oracles.complement_projection(a, p)
+    ):
+        _same_array(got, want)
+    got, want = linalg.solve(a, b, p), oracles.solve(a, b, p)
+    assert (got is None) == (want is None)
+    if want is not None:
+        _same_array(got, want)
+
+
+@given(raw_systems())
+def test_kernels_match_the_numpy_references(abp):
+    _check_kernels_against_references(*abp)
+
+
+@pytest.mark.parametrize("p", linalg.PRIMES)
+@pytest.mark.parametrize("m,n,k", [(0, 0, 0), (0, 3, 2), (3, 0, 2), (3, 2, 0)])
+def test_kernels_match_the_numpy_references_on_empty_shapes(m, n, k, p):
+    # np.array([]) is float64, so each kernel must pin int64 on empty output
+    a = (np.arange(m * n, dtype=np.int64).reshape(m, n) - 2) * 3
+    b = np.arange(m * k, dtype=np.int64).reshape(m, k) - 1
+    _check_kernels_against_references(a, b, p)
 
 
 @given(matrices())
@@ -99,12 +157,6 @@ def test_is_invertible_examples():
     assert linalg.is_invertible(a, 2)
     b = np.array([[1, 1], [1, 1]], dtype=np.int64)
     assert not linalg.is_invertible(b, 2)
-
-
-@pytest.mark.parametrize("p", linalg.PRIMES)
-def test_inv_scalar(p):
-    for x in range(1, p):
-        assert (x * linalg.inv_scalar(x, p)) % p == 1
 
 
 @given(matrices(), matrices())

@@ -258,9 +258,13 @@ def test_intertwining_system_matches_kron_oracle(member_lists):
     for members in member_lists:
         for x in members:
             for y in members:
-                got, got_offsets = modrep._intertwining_system(x, y)
+                rows, got_offsets = modrep._intertwining_system(x, y)
                 want, want_offsets = oracles.intertwining_system(x, y)
                 assert got_offsets == want_offsets
+                # the rows hold ints read mod p, as the oracle's matrix does
+                got = np.array(rows, dtype=np.int64).reshape(
+                    len(rows), got_offsets[-1]
+                ) % x.algebra.prime
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
 
