@@ -27,9 +27,7 @@ import json
 from collections import deque
 from typing import NamedTuple
 
-import numpy as np
-
-from . import linalg, modrep, subcat
+from . import modrep, subcat
 from .config import DEFAULT_CONFIG
 from .errors import NotClosed
 from .quivalg import Arrow, Quiver, build_algebra, simple_module
@@ -339,6 +337,8 @@ def build_catalog(algebra, config=None):
 def to_json(cat):
     """Canonical JSON document; byte-exact round-trip with from_json.
 
+    A member's matrices are written as they are stored, one list of rows per
+    arrow, so a matrix with no rows is [] and one with empty rows is [[], ...].
     The matrices of each member are those of the representative the closure
     found first for its isomorphism class, so they depend on the discovery
     order: a change to how the closure enumerates modules may export a
@@ -354,8 +354,7 @@ def to_json(cat):
             "prime": cat.algebra.prime,
         },
         "ind": [
-            {"dims": list(m.dims), "mats": [mat.tolist() for mat in m.mats]}
-            for m in cat.ind
+            {"dims": m.dims, "mats": m.mats} for m in cat.ind
         ],
         "names": list(cat.names),
         "tables": {
@@ -372,9 +371,12 @@ def to_json(cat):
 def from_json(text, config=None):
     """The catalog of a to_json document.
 
-    The brick flags are derived from the tables (``Catalog.set_tables``);
-    the document's "bricks" field is checked against them, and a
-    disagreement raises ValueError naming the first member it concerns.
+    Each member is built through the checked Module constructor, so a matrix
+    of the wrong shape, or one that breaks a relation, raises ValueError
+    naming the member's index and the arrow.  The brick flags are derived
+    from the tables (``Catalog.set_tables``); the document's "bricks" field
+    is checked against them, and a disagreement raises ValueError naming the
+    first member it concerns.
     """
     cfg = config or DEFAULT_CONFIG
     doc = json.loads(text)
@@ -387,16 +389,13 @@ def from_json(text, config=None):
     )
     cat = Catalog(algebra, cfg)
 
-    def load_module(entry):
-        dims = tuple(entry["dims"])
-        mats = []
-        for arrow, mat in zip(quiver.arrows, entry["mats"]):
-            shape = (dims[arrow.target], dims[arrow.source])
-            m = np.array(mat, dtype=np.int64).reshape(shape) if mat else linalg.zeros(*shape)
-            mats.append(m)
-        return modrep.Module(algebra, dims, tuple(mats))
+    def load_module(i, entry):
+        try:
+            return modrep.Module(algebra, entry["dims"], entry["mats"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"member {i}: {exc}") from None
 
-    cat.ind = tuple(load_module(entry) for entry in doc["ind"])
+    cat.ind = tuple(load_module(i, entry) for i, entry in enumerate(doc["ind"]))
     for i, m in enumerate(cat.ind):
         cat._key_index[m.key()] = i
     cat.names = tuple(doc["names"])

@@ -1,46 +1,31 @@
 """Exact dense linear algebra over the prime fields F_p.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  A map
-F_p^n -> F_p^m is an m x n matrix acting on column vectors.  numpy is the
-container: elimination runs on Python lists of int rows, in the one routine
-``reduce_rows``, because on the small matrices here numpy's per-call cost
-outweighs the arithmetic.  Each kernel converts its input with ``tolist``
-once and builds one int64 array at the end.  Everything here is
-deterministic; basis choices come out of row-reduced echelon forms.
+A matrix is a tuple of row tuples of ints in [0, p).  A map F_p^n -> F_p^m
+is an m x n matrix acting on column vectors.  A matrix with no rows does not
+show its column count, so each function that needs one takes it as
+``ncols``.  Elimination runs in the one routine ``reduce_rows``, on lists of
+int rows.  Everything here is deterministic; basis choices come out of
+row-reduced echelon forms.
 """
 
 import itertools
-
-import numpy as np
+from operator import mul
 
 PRIMES = (2, 3, 5, 7)
 
 
-def normalize(a, p):
-    return np.asarray(a, dtype=np.int64) % p
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def zeros(rows, cols):
-    return np.zeros((rows, cols), dtype=np.int64)
+def transpose(a, ncols):
+    return tuple(zip(*a)) if a else ((),) * ncols
 
 
-def eye(n):
-    return np.eye(n, dtype=np.int64)
-
-
-def matmul(a, b, p):
-    return (a @ b) % p
-
-
-def kron(a, b):
-    """Kronecker product of two matrices, equal to np.kron on 2-d int64 input.
-
-    One broadcast product and a reshape: np.kron goes through expand_dims and
-    a general n-d path that dominates its cost on the small blocks here.
-    Entries are not reduced mod p.
-    """
-    (m, n), (r, s) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * r, n * s)
+def matmul(a, b, ncols, p):
+    """The product a b, for b with ncols columns."""
+    cols = transpose(b, ncols)
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
 
 
 def reduce_rows(rows, ncols, p):
@@ -101,57 +86,56 @@ def kernel_rows(rows, ncols, p):
     return free, basis
 
 
-def rank(a, p):
-    return len(reduce_rows(a.tolist(), a.shape[1], p))
+def rank(a, ncols, p):
+    return len(reduce_rows(list(a), ncols, p))
 
 
-def nullspace(a, p):
+def nullspace(a, ncols, p):
     """Canonical kernel basis of a: columns of the result span {x : a x = 0}.
 
     One basis column per free column of the echelon form, free coordinate set
     to one, pivot coordinates filled by back-substitution.
     """
-    cols = a.shape[1]
-    free, basis = kernel_rows(a.tolist(), cols, p)
-    return np.array(basis, dtype=np.int64).reshape(len(free), cols).T
+    return transpose(kernel_rows(list(a), ncols, p)[1], ncols)
 
 
-def solve(a, b, p):
-    """One solution x of a x = b with free variables zero, or None."""
-    n, k = a.shape[1], b.shape[1]
-    rows = [ra + rb for ra, rb in zip(a.tolist(), b.tolist())]
-    pivots = reduce_rows(rows, n, p)
-    if any(any(row[n:]) for row in rows[len(pivots) :]):
+def solve(a, b, ncols, k, p):
+    """One solution x of a x = b with free variables zero, or None.
+
+    a has ncols columns and b has k, so x is ncols x k.
+    """
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    pivots = reduce_rows(rows, ncols, p)
+    if any(any(row[ncols:]) for row in rows[len(pivots) :]):
         return None
-    x = [[0] * k for _ in range(n)]
+    x = [(0,) * k] * ncols
     for row, pc in zip(rows, pivots):
-        x[pc] = row[n:]
-    return np.array(x, dtype=np.int64).reshape(n, k)
+        x[pc] = tuple(row[ncols:])
+    return tuple(x)
 
 
-def column_space(a, p):
+def column_space(a, ncols, p):
     """Basis of the column space: the pivot columns of `a` themselves."""
-    pivots = reduce_rows(a.tolist(), a.shape[1], p)
-    return normalize(a, p)[:, pivots]
+    pivots = reduce_rows(list(a), ncols, p)
+    return tuple(tuple(row[c] for c in pivots) for row in a)
 
 
-def is_invertible(a, p):
-    return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
+def is_invertible(a, ncols, p):
+    return len(a) == ncols and rank(a, ncols, p) == ncols
 
 
 def complement_projection(basis, p):
     """Quotient data for the column span S of `basis` inside F_p^n.
 
-    Returns (proj, section) with proj of shape (n-r) x n, kernel of proj
-    exactly S, and proj @ section the identity.  Coordinates of the quotient
-    are the non-pivot coordinates of the canonical row basis of S: row k of
-    proj is one on the k-th of them and minus its entry of each basis row on
-    that row's pivot, that is the kernel basis of the row basis of S.
+    Returns (proj, free) with proj of shape (n-r) x n, kernel of proj
+    exactly S, and the columns `free` of proj the identity.  Coordinates of
+    the quotient are the non-pivot coordinates of the canonical row basis of
+    S: row k of proj is one on the k-th of them and minus its entry of each
+    basis row on that row's pivot, that is the kernel basis of the row basis
+    of S.
     """
-    n = basis.shape[0]
-    free, proj = kernel_rows(basis.T.tolist(), n, p)
-    proj = np.array(proj, dtype=np.int64).reshape(len(free), n)
-    return proj, eye(n)[:, free]
+    free, proj = kernel_rows(list(zip(*basis)), len(basis), p)
+    return tuple(map(tuple, proj)), free
 
 
 def ray_representatives(dim, p):
@@ -159,7 +143,7 @@ def ray_representatives(dim, p):
     for t in itertools.product(range(p), repeat=dim):
         lead = next((x for x in t if x), 0)
         if lead == 1:
-            yield np.array(t, dtype=np.int64)
+            yield t
 
 
 def subspace_count(n, p):
@@ -174,13 +158,13 @@ def subspace_count(n, p):
     return total
 
 
-def all_subspace_row_bases(n, p):
-    """Canonical RREF row basis of every subspace of F_p^n.
+def all_subspace_column_bases(n, p):
+    """Column basis of every subspace of F_p^n: its canonical RREF row basis, transposed.
 
     Ordered by dimension, then pivot columns, then free entries; the zero
-    subspace is a 0 x n matrix.
+    subspace is an n x 0 matrix.
     """
-    out = [zeros(0, n)]
+    out = [((),) * n]
     for k in range(1, n + 1):
         for piv in itertools.combinations(range(n), k):
             free_pos = [
@@ -190,10 +174,10 @@ def all_subspace_row_bases(n, p):
                 if j not in piv
             ]
             for vals in itertools.product(range(p), repeat=len(free_pos)):
-                b = zeros(k, n)
+                b = [[0] * k for _ in range(n)]
                 for i in range(k):
-                    b[i, piv[i]] = 1
+                    b[piv[i]][i] = 1
                 for (i, j), v in zip(free_pos, vals):
-                    b[i, j] = v
-                out.append(b)
+                    b[j][i] = v
+                out.append(tuple(map(tuple, b)))
     return out

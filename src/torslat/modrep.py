@@ -1,9 +1,14 @@
 """Finite-dimensional modules over a monomial path algebra, and their morphisms.
 
-A Module stores one dimension per vertex and one matrix per arrow (shape
-dims[target] x dims[source], entries in [0, p)).  A Morphism stores one matrix
-per vertex intertwining the arrow actions.  All computations are exact over
-F_p and deterministic.
+A Module stores one dimension per vertex and one matrix per arrow (dims[target]
+x dims[source], in the ``linalg`` format: a tuple of row tuples of ints in
+[0, p)).  A Morphism stores one such matrix per vertex intertwining the arrow
+actions.  All computations are exact over F_p and deterministic.
+
+Both constructors validate with check=True, the path for input from outside
+the library: dims and entries are normalised (int, entries mod p), then
+shapes, relations and intertwining are checked.  With check=False they store
+internal results as given; every producer here reduces mod p.
 
 Every submodule (a kernel, an image, each of the ``submodules`` scan) is
 built by ``restrict`` from per-vertex column bases, and every cokernel by
@@ -11,21 +16,38 @@ built by ``restrict`` from per-vertex column bases, and every cokernel by
 """
 
 import itertools
-
-import numpy as np
+from operator import mul
 
 from . import linalg
 from .config import DEFAULT_CONFIG
 from .errors import DecomposeBlowup, SubspaceBlowup
 
 
+def _normalized(mats, p):
+    return tuple(tuple(tuple(int(x) % p for x in row) for row in m) for m in mats)
+
+
+def _has_shape(m, rows, cols):
+    return len(m) == rows and all(len(row) == cols for row in m)
+
+
+def _block(vec, start, rows, cols):
+    """The rows x cols matrix stored row-major in vec from index start."""
+    return tuple(
+        tuple(vec[start + r * cols : start + (r + 1) * cols]) for r in range(rows)
+    )
+
+
 class Module:
     def __init__(self, algebra, dims, mats, check=True):
         self.algebra = algebra
-        self.dims = tuple(int(d) for d in dims)
-        self.mats = tuple(linalg.normalize(m, algebra.prime) for m in mats)
         if check:
+            self.dims = tuple(int(d) for d in dims)
+            self.mats = _normalized(mats, algebra.prime)
             self._validate()
+        else:
+            self.dims = dims
+            self.mats = mats
 
     def _validate(self):
         q = self.algebra.quiver
@@ -34,19 +56,25 @@ class Module:
         if len(self.mats) != len(q.arrows):
             raise ValueError("need one matrix per arrow")
         for a, m in zip(q.arrows, self.mats):
-            if m.shape != (self.dims[a.target], self.dims[a.source]):
-                raise ValueError(f"matrix for arrow {a.name!r} has shape {m.shape}")
+            rows, cols = self.dims[a.target], self.dims[a.source]
+            if not _has_shape(m, rows, cols):
+                raise ValueError(f"matrix for arrow {a.name!r} is not {rows} x {cols}")
         for rel in self.algebra.relations:
-            if np.any(self.evaluate_path(rel)):
+            start = self.dims[q.arrow(rel[0]).source]
+            if any(map(any, self.path_matrix(rel, start))):
                 raise ValueError(f"relation {rel!r} does not annihilate the module")
 
-    def evaluate_path(self, names):
-        """The composite matrix of a path, first arrow applied first."""
-        q = self.algebra.quiver
+    def path_matrix(self, names, n):
+        """The composite matrix of a path from a vertex of dimension n.
+
+        The first arrow is applied first; the empty path gives the n x n
+        identity.
+        """
+        p = self.algebra.prime
         idx = self.algebra.arrow_index
-        m = self.mats[idx[names[0]]]
-        for name in names[1:]:
-            m = linalg.matmul(self.mats[idx[name]], m, self.algebra.prime)
+        m = linalg.identity(n)
+        for name in names:
+            m = linalg.matmul(self.mats[idx[name]], m, n, p)
         return m
 
     @property
@@ -58,18 +86,22 @@ class Module:
         return self.total_dim == 0
 
     def key(self):
-        """Canonical bytes identity; equal keys mean equal modules on the nose."""
-        return (self.dims, b"".join(m.tobytes() for m in self.mats))
+        """Identity on the nose: (dims, mats); equal keys mean equal modules.
+
+        For equal dims the mats compare as their entry sequences.  With every
+        entry below 256 that is also the order of the entries' little-endian
+        int64 bytes, so the catalog, which sorts members of equal dims by
+        key()[1], orders them as a byte key would.
+        """
+        return (self.dims, self.mats)
 
     def __repr__(self):
         return f"Module(dims={self.dims})"
 
 
 def zero_module(algebra):
-    nv = algebra.quiver.vertex_count
-    dims = (0,) * nv
-    mats = tuple(linalg.zeros(0, 0) for _ in algebra.quiver.arrows)
-    return Module(algebra, dims, mats, check=False)
+    q = algebra.quiver
+    return Module(algebra, (0,) * q.vertex_count, ((),) * len(q.arrows), check=False)
 
 
 def direct_sum(*modules):
@@ -78,14 +110,14 @@ def direct_sum(*modules):
     dims = tuple(sum(m.dims[v] for m in modules) for v in range(algebra.quiver.vertex_count))
     mats = []
     for ai, a in enumerate(algebra.quiver.arrows):
-        m = linalg.zeros(dims[a.target], dims[a.source])
-        r = c = 0
+        rows = []
+        c = 0
         for mod in modules:
-            rr, cc = mod.dims[a.target], mod.dims[a.source]
-            m[r : r + rr, c : c + cc] = mod.mats[ai]
-            r += rr
+            cc = mod.dims[a.source]
+            left, right = (0,) * c, (0,) * (dims[a.source] - c - cc)
+            rows.extend(left + row + right for row in mod.mats[ai])
             c += cc
-        mats.append(m)
+        mats.append(tuple(rows))
     return Module(algebra, dims, tuple(mats), check=False)
 
 
@@ -93,9 +125,11 @@ class Morphism:
     def __init__(self, source, target, comps, check=True):
         self.source = source
         self.target = target
-        self.comps = tuple(linalg.normalize(c, source.algebra.prime) for c in comps)
         if check:
+            self.comps = _normalized(comps, source.algebra.prime)
             self._validate()
+        else:
+            self.comps = comps
 
     def _validate(self):
         if self.source.algebra is not self.target.algebra:
@@ -103,28 +137,33 @@ class Morphism:
         q = self.source.algebra.quiver
         p = self.source.algebra.prime
         for v in range(q.vertex_count):
-            if self.comps[v].shape != (self.target.dims[v], self.source.dims[v]):
-                raise ValueError(f"component at vertex {v} has shape {self.comps[v].shape}")
+            rows, cols = self.target.dims[v], self.source.dims[v]
+            if not _has_shape(self.comps[v], rows, cols):
+                raise ValueError(f"component at vertex {v} is not {rows} x {cols}")
         for ai, a in enumerate(q.arrows):
-            lhs = linalg.matmul(self.target.mats[ai], self.comps[a.source], p)
-            rhs = linalg.matmul(self.comps[a.target], self.source.mats[ai], p)
-            if np.any(lhs != rhs):
+            n = self.source.dims[a.source]
+            lhs = linalg.matmul(self.target.mats[ai], self.comps[a.source], n, p)
+            rhs = linalg.matmul(self.comps[a.target], self.source.mats[ai], n, p)
+            if lhs != rhs:
                 raise ValueError(f"components do not intertwine arrow {a.name!r}")
 
     @property
     def is_zero(self):
-        return all(not c.size or not np.any(c) for c in self.comps)
+        return not any(any(row) for c in self.comps for row in c)
 
     @property
     def is_invertible(self):
         p = self.source.algebra.prime
-        return all(linalg.is_invertible(c, p) for c in self.comps)
+        return all(
+            linalg.is_invertible(c, d, p) for c, d in zip(self.comps, self.source.dims)
+        )
 
     def compose(self, other):
         """self after other."""
         p = self.source.algebra.prime
         comps = tuple(
-            linalg.matmul(s, o, p) for s, o in zip(self.comps, other.comps)
+            linalg.matmul(s, o, d, p)
+            for s, o, d in zip(self.comps, other.comps, other.source.dims)
         )
         return Morphism(other.source, self.target, comps, check=False)
 
@@ -156,8 +195,8 @@ def _intertwining_system(x, y):
         if not (y.dims[v] and xu):
             continue
         ou = offsets[u]
-        x_cols = x.mats[ai].T.tolist()
-        for r, y_row in enumerate(y.mats[ai].tolist()):
+        x_cols = linalg.transpose(x.mats[ai], xu)
+        for r, y_row in enumerate(y.mats[ai]):
             ov = offsets[v] + r * xv
             for j in range(xu):
                 row = [0] * ncols
@@ -176,43 +215,42 @@ def hom_basis(x, y):
     each arrow a: u -> v contributes the equation Y_a f_u = f_v X_a.
     """
     rows, offsets = _intertwining_system(x, y)
-    ncols = offsets[-1]
-    _, basis = linalg.kernel_rows(rows, ncols, x.algebra.prime)
-    out = []
-    for vec in np.array(basis, dtype=np.int64).reshape(len(basis), ncols):
-        comps = tuple(
-            vec[offsets[v] : offsets[v + 1]].reshape(y.dims[v], x.dims[v])
-            for v in range(len(x.dims))
-        )
-        out.append(Morphism(x, y, comps, check=False))
-    return out
+    _, basis = linalg.kernel_rows(rows, offsets[-1], x.algebra.prime)
+    blocks = list(zip(offsets, y.dims, x.dims))
+    return [
+        Morphism(x, y, tuple(_block(vec, *b) for b in blocks), check=False)
+        for vec in basis
+    ]
 
 
 def restrict(x, bases):
     """The submodule of x on per-vertex column bases, with its inclusion.
 
-    bases[v] is a dims[v] x k_v matrix of independent columns.  Per arrow
-    a: s -> t the submodule's map M solves bases[t] M = X_a bases[s]; None
-    when some arrow has no solution, that is when the span is not
-    arrow-stable.
+    bases[v] is a dims[v] x k_v matrix of independent columns, so k_v is the
+    length of its first row, and 0 when dims[v] is.  Per arrow a: s -> t the
+    submodule's map M solves bases[t] M = X_a bases[s]; None when some arrow
+    has no solution, that is when the span is not arrow-stable.
     """
     algebra = x.algebra
     p = algebra.prime
+    ks = tuple(len(b[0]) if b else 0 for b in bases)
     mats = []
     for ai, a in enumerate(algebra.quiver.arrows):
-        moved = linalg.matmul(x.mats[ai], bases[a.source], p)
-        sol = linalg.solve(bases[a.target], moved, p)
+        s, t = a.source, a.target
+        moved = linalg.matmul(x.mats[ai], bases[s], ks[s], p)
+        sol = linalg.solve(bases[t], moved, ks[t], ks[s], p)
         if sol is None:
             return None
         mats.append(sol)
-    sub = Module(algebra, tuple(b.shape[1] for b in bases), tuple(mats), check=False)
+    sub = Module(algebra, ks, tuple(mats), check=False)
     return sub, Morphism(sub, x, tuple(bases), check=False)
 
 
 def kernel(f):
     """Kernel of a morphism with its inclusion, on per-vertex nullspace bases."""
     p = f.source.algebra.prime
-    return restrict(f.source, [linalg.nullspace(c, p) for c in f.comps])
+    bases = [linalg.nullspace(c, d, p) for c, d in zip(f.comps, f.source.dims)]
+    return restrict(f.source, bases)
 
 
 def image(f):
@@ -221,14 +259,16 @@ def image(f):
     The cokernel of f is quotient_by of this inclusion.
     """
     p = f.source.algebra.prime
-    return restrict(f.target, [linalg.column_space(c, p) for c in f.comps])
+    bases = [linalg.column_space(c, d, p) for c, d in zip(f.comps, f.source.dims)]
+    return restrict(f.target, bases)
 
 
 def quotient_by(inclusion):
     """Cokernel of a submodule inclusion, with its projection.
 
     Per vertex the complement projection of the inclusion's columns, and per
-    arrow a: s -> t the map proj_t X_a sect_s.  complement_projection depends
+    arrow a: s -> t the map proj_t X_a restricted to the free coordinates of
+    s, on which proj_s is the identity.  complement_projection depends
     only on the column span, so any two inclusions of one submodule give the
     same quotient entry for entry.  This is the library's one cokernel
     constructor: the cokernel of a morphism f is the quotient by image(f).
@@ -236,31 +276,17 @@ def quotient_by(inclusion):
     x = inclusion.target
     algebra = x.algebra
     p = algebra.prime
-    projs, sects = zip(
+    projs, frees = zip(
         *(linalg.complement_projection(c, p) for c in inclusion.comps)
     )
-    mats = tuple(
-        linalg.matmul(
-            projs[a.target], linalg.matmul(x.mats[ai], sects[a.source], p), p
-        )
-        for ai, a in enumerate(algebra.quiver.arrows)
-    )
-    dims = tuple(pr.shape[0] for pr in projs)
-    quotient = Module(algebra, dims, mats, check=False)
+    mats = []
+    for ai, a in enumerate(algebra.quiver.arrows):
+        free = frees[a.source]
+        cols = tuple(tuple(row[c] for c in free) for row in x.mats[ai])
+        mats.append(linalg.matmul(projs[a.target], cols, len(free), p))
+    dims = tuple(len(free) for free in frees)
+    quotient = Module(algebra, dims, tuple(mats), check=False)
     return quotient, Morphism(x, quotient, projs, check=False)
-
-
-def _is_idempotent(comps, p):
-    return all(
-        not c.size or not np.any((c @ c) % p != c) for c in comps
-    )
-
-
-def _is_identity(comps):
-    return all(
-        c.shape[0] == c.shape[1] and np.array_equal(c, linalg.eye(c.shape[0]))
-        for c in comps
-    )
 
 
 def decompose(x, config=None):
@@ -296,16 +322,21 @@ def decompose(x, config=None):
             f"endomorphism space has {p}^{d} elements,"
             f" budget {cfg.iso_budget} (--iso-budget)"
         )
-    # per-vertex (d, rows, cols) stacks of the basis, for fast combination
-    stacked = [np.stack(c) for c in zip(*(f.comps for f in end))]
+    # per vertex, the d basis coefficients of each entry in row-major order
+    entries = [
+        tuple(zip(*(sum(f.comps[v], ()) for f in end))) for v in range(len(x.dims))
+    ]
+    ident = tuple(linalg.identity(dv) for dv in x.dims)
     for coeffs in itertools.product(range(p), repeat=d):
         if not any(coeffs):
             continue
-        cvec = np.array(coeffs, dtype=np.int64)
-        comps = tuple(np.tensordot(cvec, s, axes=1) % p for s in stacked)
-        if _is_identity(comps):
-            continue
-        if not _is_idempotent(comps, p):
+        comps = tuple(
+            _block([sum(map(mul, coeffs, e)) % p for e in es], 0, dv, dv)
+            for es, dv in zip(entries, x.dims)
+        )
+        if comps == ident or any(
+            linalg.matmul(c, c, dv, p) != c for c, dv in zip(comps, x.dims)
+        ):
             continue
         e = Morphism(x, x, comps, check=False)
         ker, _ = kernel(e)
@@ -343,10 +374,10 @@ def submodules(x, config=None):
             f"{total} subspace tuples to scan, budget {cfg.subspace_budget}"
             " (--subspace-budget)"
         )
-    per_vertex = [linalg.all_subspace_row_bases(d, p) for d in x.dims]
+    per_vertex = [linalg.all_subspace_column_bases(d, p) for d in x.dims]
     out = []
     for combo in itertools.product(*per_vertex):
-        hit = restrict(x, [b.T for b in combo])
+        hit = restrict(x, combo)
         if hit is not None:
             out.append(hit)
     return out
@@ -370,39 +401,31 @@ def all_extensions(q_mod, u_mod, config=None):
     algebra = q_mod.algebra
     p = algebra.prime
     qv = algebra.quiver
-    arrow_sizes = [
-        u_mod.dims[a.target] * q_mod.dims[a.source] for a in qv.arrows
-    ]
     offsets = [0]
-    for s in arrow_sizes:
-        offsets.append(offsets[-1] + s)
+    for a in qv.arrows:
+        offsets.append(offsets[-1] + u_mod.dims[a.target] * q_mod.dims[a.source])
     ncols = offsets[-1]
 
     rows = []
     idx = algebra.arrow_index
     for rel in algebra.relations:
-        steps = [qv.arrow(n) for n in rel]
-        nrows = u_mod.dims[steps[-1].target] * q_mod.dims[steps[0].source]
-        if nrows == 0:
-            continue
-        block = linalg.zeros(nrows, ncols)
+        steps = [qv.arrow(name) for name in rel]
+        n = q_mod.dims[steps[0].source]
+        block = [[0] * ncols for _ in range(u_mod.dims[steps[-1].target] * n)]
         for i, a in enumerate(steps):
-            ai = idx[a.name]
-            if arrow_sizes[ai] == 0:
-                continue
-            suffix = linalg.eye(u_mod.dims[a.target])
-            for b in steps[i + 1 :]:
-                suffix = linalg.matmul(u_mod.mats[idx[b.name]], suffix, p)
-            prefix = linalg.eye(q_mod.dims[a.source])
-            for b in reversed(steps[:i]):
-                prefix = linalg.matmul(prefix, q_mod.mats[idx[b.name]], p)
-            coeff = linalg.kron(suffix, prefix.T) % p
-            block[:, offsets[ai] : offsets[ai + 1]] = (
-                block[:, offsets[ai] : offsets[ai + 1]] + coeff
-            ) % p
-        rows.append(block)
-    system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, ncols)
-    _, cocycles = linalg.kernel_rows(system.tolist(), ncols, p)
+            # the relation's term through a is suffix c_a prefix: row (r, j)
+            # holds suffix[r][k] prefix[l][j] on the column of c_a[k, l]
+            suffix = u_mod.path_matrix(rel[i + 1 :], u_mod.dims[a.target])
+            prefix = q_mod.path_matrix(rel[:i], n)
+            at, qs = offsets[idx[a.name]], q_mod.dims[a.source]
+            for r, srow in enumerate(suffix):
+                for k, s in enumerate(srow):
+                    if s:
+                        for l, prow in enumerate(prefix):
+                            for j, y in enumerate(prow):
+                                block[r * n + j][at + k * qs + l] += s * y
+        rows.extend(block)
+    _, cocycles = linalg.kernel_rows(rows, ncols, p)
     # the coboundary map shares its row layout with the cocycle coordinates;
     # the cocycle columns that are pivots after it span a complement of B^1
     coboundaries, cob_offsets = _intertwining_system(q_mod, u_mod)
@@ -410,9 +433,8 @@ def all_extensions(q_mod, u_mod, config=None):
     for i, row in enumerate(coboundaries):
         row.extend(z[i] for z in cocycles)
     pivots = linalg.reduce_rows(coboundaries, nb + len(cocycles), p)
-    chosen = [cocycles[c - nb] for c in pivots if c >= nb]
-    e = len(chosen)
-    classes = np.array(chosen, dtype=np.int64).reshape(e, ncols).T
+    classes = [cocycles[c - nb] for c in pivots if c >= nb]
+    e = len(classes)
     if p ** e > cfg.ext_budget:
         raise SubspaceBlowup(
             f"{p}^{e} Ext classes to scan, budget {cfg.ext_budget} (--ext-budget)"
@@ -420,19 +442,15 @@ def all_extensions(q_mod, u_mod, config=None):
 
     dims = tuple(u + q for u, q in zip(u_mod.dims, q_mod.dims))
     out = []
-    for c in linalg.ray_representatives(e, p):
-        vec = (classes @ c) % p
+    for coeffs in linalg.ray_representatives(e, p):
+        vec = [sum(map(mul, coeffs, col)) % p for col in zip(*classes)]
         mats = []
         for ai, a in enumerate(qv.arrows):
-            m = linalg.zeros(dims[a.target], dims[a.source])
-            ud_t, ud_s = u_mod.dims[a.target], u_mod.dims[a.source]
-            m[:ud_t, :ud_s] = u_mod.mats[ai]
-            m[ud_t:, ud_s:] = q_mod.mats[ai]
-            if arrow_sizes[ai]:
-                cblock = vec[offsets[ai] : offsets[ai + 1]].reshape(
-                    u_mod.dims[a.target], q_mod.dims[a.source]
-                )
-                m[:ud_t, ud_s:] = cblock
-            mats.append(m)
+            qs = q_mod.dims[a.source]
+            cblock = _block(vec, offsets[ai], u_mod.dims[a.target], qs)
+            mats.append(
+                tuple(ur + cr for ur, cr in zip(u_mod.mats[ai], cblock))
+                + tuple((0,) * u_mod.dims[a.source] + qr for qr in q_mod.mats[ai])
+            )
         out.append(Module(algebra, dims, tuple(mats)))
     return out

@@ -139,7 +139,7 @@ def simple_module(algebra, vertex):
 
     dims = tuple(1 if v == vertex else 0 for v in range(algebra.quiver.vertex_count))
     mats = tuple(
-        linalg.zeros(dims[a.target], dims[a.source]) for a in algebra.quiver.arrows
+        ((0,) * dims[a.source],) * dims[a.target] for a in algebra.quiver.arrows
     )
     return Module(algebra, dims, mats)
 
@@ -163,13 +163,13 @@ def projective_module(algebra, vertex):
     dims = tuple(per_vertex)
     mats = []
     for a in algebra.quiver.arrows:
-        m = linalg.zeros(dims[a.target], dims[a.source])
+        m = [[0] * dims[a.source] for _ in range(dims[a.target])]
         for pth in paths:
             if pth.end != a.source:
                 continue
             extended = pth.names + (a.name,)
             if extended in slot:
-                m[slot[extended], slot[pth.names]] = 1
+                m[slot[extended]][slot[pth.names]] = 1
         mats.append(m)
     return Module(algebra, dims, tuple(mats))
 

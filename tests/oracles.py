@@ -11,6 +11,10 @@ summands.
 Masks here are frozensets of catalog indices, ``within`` included; the
 library's masks are int bitsets, converted by ``to_bits`` and ``to_set`` where
 an oracle calls the library or builds a lattice.
+
+The linear algebra references run on numpy int64 arrays, independent of the
+library's tuple-of-rows matrices; ``arrays`` and ``to_rows`` convert
+between the two.
 """
 
 import itertools
@@ -49,13 +53,37 @@ IND_COUNTS = {
 }
 
 
+def arrays(x):
+    """The matrices of a Module (one per arrow) or a Morphism (one per vertex)
+    as int64 arrays of their shapes, which a matrix without rows does not show."""
+    if isinstance(x, modrep.Morphism):
+        mats, shapes = x.comps, zip(x.target.dims, x.source.dims)
+    else:
+        arrows = x.algebra.quiver.arrows
+        mats, shapes = x.mats, ((x.dims[a.target], x.dims[a.source]) for a in arrows)
+    return [np.array(m, dtype=np.int64).reshape(shape) for m, shape in zip(mats, shapes)]
+
+
+def to_rows(a):
+    """An int64 array as a library matrix."""
+    return tuple(map(tuple, a.tolist()))
+
+
+def _eye(n):
+    return np.eye(n, dtype=np.int64)
+
+
+def _zeros(rows, cols):
+    return np.zeros((rows, cols), dtype=np.int64)
+
+
 def rref(a, p):
     """Row-reduce a copy of `a` with numpy; returns (echelon matrix, pivot column list).
 
     The reference for linalg.reduce_rows, which runs the same elimination on
     Python lists of rows.
     """
-    m = linalg.normalize(a, p).copy()
+    m = np.asarray(a, dtype=np.int64) % p
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -82,11 +110,10 @@ def rref(a, p):
 
 def nullspace(a, p):
     """Reference for linalg.nullspace, back-substituted from the numpy rref."""
-    a = linalg.normalize(a, p)
     cols = a.shape[1]
     r, pivots = rref(a, p)
     free = [c for c in range(cols) if c not in pivots]
-    basis = linalg.zeros(cols, len(free))
+    basis = _zeros(cols, len(free))
     for k, fc in enumerate(free):
         basis[fc, k] = 1
         for i, pc in enumerate(pivots):
@@ -96,14 +123,12 @@ def nullspace(a, p):
 
 def solve(a, b, p):
     """Reference for linalg.solve: the rref of the augmented matrix [a | b]."""
-    a = linalg.normalize(a, p)
-    b = linalg.normalize(b, p)
     n = a.shape[1]
     aug = np.concatenate([a, b], axis=1)
     r, pivots = rref(aug, p)
     if any(c >= n for c in pivots):
         return None
-    x = linalg.zeros(n, b.shape[1])
+    x = _zeros(n, b.shape[1])
     for i, pc in enumerate(pivots):
         x[pc] = r[i, n:]
     return x
@@ -112,23 +137,27 @@ def solve(a, b, p):
 def column_space(a, p):
     """Reference for linalg.column_space: the pivot columns of the numpy rref."""
     _, pivots = rref(a, p)
-    return linalg.normalize(a, p)[:, pivots]
+    return (np.asarray(a, dtype=np.int64) % p)[:, pivots]
 
 
 def complement_projection(basis, p):
-    """Reference for linalg.complement_projection, one np.outer per pivot."""
+    """Reference for linalg.complement_projection, one np.outer per pivot.
+
+    Returns (proj, section): the section is the identity's columns at the
+    free coordinates, which linalg.complement_projection returns as a list.
+    """
     n = basis.shape[0]
     r, pivots = rref(basis.T, p)
     e = r[: len(pivots), :]
     piv = [int(np.argmax(row != 0)) for row in e]
     free = [c for c in range(n) if c not in piv]
-    m = linalg.eye(n)
+    m = _eye(n)
     for i, pc in enumerate(piv):
-        hot = linalg.zeros(1, n)
+        hot = _zeros(1, n)
         hot[0, pc] = 1
         m = (m - np.outer(e[i], hot[0])) % p
-    proj = m[free, :] if free else linalg.zeros(0, n)
-    section = linalg.eye(n)[:, free]
+    proj = m[free, :] if free else _zeros(0, n)
+    section = _eye(n)[:, free]
     return proj, section
 
 
@@ -139,6 +168,7 @@ def brute_hom_dim(x, y):
     sizes = [r * c for r, c in shapes]
     total = sum(sizes)
     assert p**total <= 1 << 20, "pair too large for the brute force"
+    xm, ym = arrays(x), arrays(y)
     count = 0
     for flat in itertools.product(range(p), repeat=total):
         comps = []
@@ -148,8 +178,7 @@ def brute_hom_dim(x, y):
             at += r * c
         ok = all(
             np.array_equal(
-                linalg.matmul(comps[a.target], x.mats[k], p),
-                linalg.matmul(y.mats[k], comps[a.source], p),
+                (comps[a.target] @ xm[k]) % p, (ym[k] @ comps[a.source]) % p
             )
             for k, a in enumerate(x.algebra.quiver.arrows)
         )
@@ -177,26 +206,25 @@ def intertwining_system(x, y):
     for s in sizes:
         offsets.append(offsets[-1] + s)
     ncols = offsets[-1]
+    xm, ym = arrays(x), arrays(y)
     rows = []
     for ai, a in enumerate(q.arrows):
         u, v = a.source, a.target
         nrows = y.dims[v] * x.dims[u]
         if nrows == 0:
             continue
-        block = linalg.zeros(nrows, ncols)
+        block = _zeros(nrows, ncols)
         if sizes[u]:
-            block[:, offsets[u] : offsets[u + 1]] = (
-                np.kron(y.mats[ai], linalg.eye(x.dims[u])) % p
-            )
+            block[:, offsets[u] : offsets[u + 1]] = np.kron(ym[ai], _eye(x.dims[u])) % p
         if sizes[v]:
             block[:, offsets[v] : offsets[v + 1]] = (
                 block[:, offsets[v] : offsets[v + 1]]
-                - np.kron(linalg.eye(y.dims[v]), x.mats[ai].T)
+                - np.kron(_eye(y.dims[v]), xm[ai].T)
             ) % p
         rows.append(block)
     if rows:
         return np.concatenate(rows, axis=0), offsets
-    return linalg.zeros(0, ncols), offsets
+    return _zeros(0, ncols), offsets
 
 
 @dataclass
@@ -213,10 +241,10 @@ class KernelImageCokernel:
 def kernel_image_cokernel(f):
     """Vertex-wise kernel, image, and cokernel with their induced arrow actions.
 
-    The reference for modrep.kernel, modrep.image and modrep.quotient_by:
-    one solve loop per submodule, the cokernel maps read off the complement
-    projection of the image, and the image projection x -> image solved
-    per vertex.  Per vertex, dim kernel + dim image equals the source
+    The reference for modrep.kernel, modrep.image and modrep.quotient_by,
+    on the numpy references above: one solve loop per submodule, the
+    cokernel maps read off the complement projection of the image and its
+    section, and the image projection x -> image solved per vertex.  Per vertex, dim kernel + dim image equals the source
     dimension, and the cokernel dimension is the target dimension minus the
     image dimension.
     """
@@ -226,9 +254,10 @@ def kernel_image_cokernel(f):
     q = algebra.quiver
     nv = q.vertex_count
 
-    kbases = [linalg.nullspace(f.comps[v], p) for v in range(nv)]
-    ibases = [linalg.column_space(f.comps[v], p) for v in range(nv)]
-    projs, sects = zip(*(linalg.complement_projection(ibases[v], p) for v in range(nv)))
+    fm, xm, ym = arrays(f), arrays(x), arrays(y)
+    kbases = [nullspace(fm[v], p) for v in range(nv)]
+    ibases = [column_space(fm[v], p) for v in range(nv)]
+    projs, sects = zip(*(complement_projection(ibases[v], p) for v in range(nv)))
 
     for v in range(nv):
         assert kbases[v].shape[1] + ibases[v].shape[1] == x.dims[v]
@@ -240,28 +269,30 @@ def kernel_image_cokernel(f):
     kmats, imats, cmats = [], [], []
     for ai, a in enumerate(q.arrows):
         u, v = a.source, a.target
-        km = linalg.solve(kbases[v], linalg.matmul(x.mats[ai], kbases[u], p), p)
+        km = solve(kbases[v], xm[ai] @ kbases[u] % p, p)
         assert km is not None, "kernel is not arrow-stable"
         kmats.append(km)
-        im = linalg.solve(ibases[v], linalg.matmul(y.mats[ai], ibases[u], p), p)
+        im = solve(ibases[v], ym[ai] @ ibases[u] % p, p)
         assert im is not None, "image is not arrow-stable"
         imats.append(im)
-        cm = linalg.matmul(projs[v], linalg.matmul(y.mats[ai], sects[u], p), p)
-        cmats.append(cm)
+        cmats.append(projs[v] @ (ym[ai] @ sects[u] % p) % p)
 
-    kernel = modrep.Module(algebra, kdims, tuple(kmats), check=False)
-    image = modrep.Module(algebra, idims, tuple(imats), check=False)
-    cokernel = modrep.Module(algebra, cdims, tuple(cmats), check=False)
+    def rows_of(arrs):
+        return tuple(to_rows(m) for m in arrs)
 
-    k_in = modrep.Morphism(kernel, x, tuple(kbases), check=False)
-    i_in = modrep.Morphism(image, y, tuple(ibases), check=False)
+    kernel = modrep.Module(algebra, kdims, rows_of(kmats), check=False)
+    image = modrep.Module(algebra, idims, rows_of(imats), check=False)
+    cokernel = modrep.Module(algebra, cdims, rows_of(cmats), check=False)
+
+    k_in = modrep.Morphism(kernel, x, rows_of(kbases), check=False)
+    i_in = modrep.Morphism(image, y, rows_of(ibases), check=False)
     iproj_comps = []
     for v in range(nv):
-        c = linalg.solve(ibases[v], f.comps[v], p)
+        c = solve(ibases[v], fm[v], p)
         assert c is not None
         iproj_comps.append(c)
-    i_pr = modrep.Morphism(x, image, tuple(iproj_comps), check=False)
-    c_pr = modrep.Morphism(y, cokernel, tuple(projs), check=False)
+    i_pr = modrep.Morphism(x, image, rows_of(iproj_comps), check=False)
+    c_pr = modrep.Morphism(y, cokernel, rows_of(projs), check=False)
     return KernelImageCokernel(kernel, k_in, image, i_in, i_pr, cokernel, c_pr)
 
 
@@ -279,10 +310,10 @@ def hom_rays(x, y):
     empty when Hom(x, y) vanishes.
     """
     p = x.algebra.prime
-    basis = modrep.hom_basis(x, y)
+    basis = [arrays(f) for f in modrep.hom_basis(x, y)]
     for coeffs in linalg.ray_representatives(len(basis), p):
         comps = tuple(
-            sum(int(c) * f.comps[v] for c, f in zip(coeffs, basis)) % p
+            to_rows(sum(c * f[v] for c, f in zip(coeffs, basis)) % p)
             for v in range(len(x.dims))
         )
         yield modrep.Morphism(x, y, comps, check=False)
@@ -351,7 +382,7 @@ def injective_module(algebra, vertex):
         dims[pth.start] += 1
     mats = []
     for a in algebra.quiver.arrows:
-        m = linalg.zeros(dims[a.target], dims[a.source])
+        m = _zeros(dims[a.target], dims[a.source])
         for pth in paths:
             if pth.names[:1] == (a.name,):
                 m[slot[pth.names[1:]], slot[pth.names]] = 1
@@ -442,6 +473,7 @@ def extensions_by_cocycles(q_mod, u_mod):
     for s in arrow_sizes:
         offsets.append(offsets[-1] + s)
     ncols = offsets[-1]
+    um, qm = arrays(u_mod), arrays(q_mod)
 
     rows = []
     for rel in algebra.relations:
@@ -449,21 +481,21 @@ def extensions_by_cocycles(q_mod, u_mod):
         nrows = u_mod.dims[steps[-1].target] * q_mod.dims[steps[0].source]
         if nrows == 0:
             continue
-        block = linalg.zeros(nrows, ncols)
+        block = _zeros(nrows, ncols)
         for i, a in enumerate(steps):
             ai = idx[a.name]
             if arrow_sizes[ai] == 0:
                 continue
-            suffix = linalg.eye(u_mod.dims[a.target])
+            suffix = _eye(u_mod.dims[a.target])
             for b in steps[i + 1 :]:
-                suffix = linalg.matmul(u_mod.mats[idx[b.name]], suffix, p)
-            prefix = linalg.eye(q_mod.dims[a.source])
+                suffix = um[idx[b.name]] @ suffix % p
+            prefix = _eye(q_mod.dims[a.source])
             for b in reversed(steps[:i]):
-                prefix = linalg.matmul(prefix, q_mod.mats[idx[b.name]], p)
+                prefix = prefix @ qm[idx[b.name]] % p
             block[:, offsets[ai] : offsets[ai + 1]] += np.kron(suffix, prefix.T)
         rows.append(block % p)
-    system = np.concatenate(rows, axis=0) if rows else linalg.zeros(0, ncols)
-    null = linalg.nullspace(system, p)
+    system = np.concatenate(rows, axis=0) if rows else _zeros(0, ncols)
+    null = nullspace(system, p)
     s = null.shape[1]
     assert p**s <= 1 << 16, "cocycle space too large for the brute force"
 
@@ -473,10 +505,10 @@ def extensions_by_cocycles(q_mod, u_mod):
         vec = (null @ np.array(coeffs, dtype=np.int64)) % p
         mats = []
         for ai, a in enumerate(qv.arrows):
-            m = linalg.zeros(dims[a.target], dims[a.source])
+            m = _zeros(dims[a.target], dims[a.source])
             ud_t, ud_s = u_mod.dims[a.target], u_mod.dims[a.source]
-            m[:ud_t, :ud_s] = u_mod.mats[ai]
-            m[ud_t:, ud_s:] = q_mod.mats[ai]
+            m[:ud_t, :ud_s] = um[ai]
+            m[ud_t:, ud_s:] = qm[ai]
             m[:ud_t, ud_s:] = vec[offsets[ai] : offsets[ai + 1]].reshape(
                 ud_t, q_mod.dims[a.source]
             )
@@ -537,13 +569,12 @@ def submodule_sum_torsion_part(cat, module, t_mask):
     mask, and sums them inside the ambient module.
     """
     p = module.algebra.prime
-    best_rows = [linalg.zeros(0, d) for d in module.dims]
+    best_rows = [_zeros(0, d) for d in module.dims]
     for sub, incl in modrep.submodules(module, cat.config):
         if not set(cat.decompose_indices(sub)) <= t_mask:
             continue
         best_rows = [
-            np.vstack([best_rows[v], incl.comps[v].T % p])
-            for v in range(len(module.dims))
+            np.vstack([best, comp.T]) for best, comp in zip(best_rows, arrays(incl))
         ]
     dims = []
     rows = []
@@ -751,15 +782,14 @@ def canonical_sequence(cat, module, t_mask):
     cols = [[] for _ in range(nv)]
     for i in sorted(t_mask):
         for f in modrep.hom_basis(cat.ind[i], module):
-            for v in range(nv):
-                cols[v].append(f.comps[v])
+            for v, comp in enumerate(arrays(f)):
+                cols[v].append(comp)
     bases = []
     for v in range(nv):
         if cols[v]:
-            stacked = linalg.normalize(np.concatenate(cols[v], axis=1), p)
-            bases.append(linalg.column_space(stacked, p))
+            bases.append(to_rows(column_space(np.concatenate(cols[v], axis=1), p)))
         else:
-            bases.append(linalg.zeros(module.dims[v], 0))
+            bases.append(((),) * module.dims[v])
     # a sum of images is a submodule, so restrict finds every arrow map
     tpart, inclusion = modrep.restrict(module, bases)
     fpart, _ = modrep.quotient_by(inclusion)
@@ -983,7 +1013,7 @@ def uniserial_top(module):
         for _ in range(length - 1):
             path.append(out_arrow[v])
             v = (v + 1) % q.vertex_count
-        acts = module.evaluate_path(path).any() if path else module.dims[j] > 0
+        acts = any(map(any, module.path_matrix(path, module.dims[j])))
         if acts:
             tops.append(j)
     assert len(tops) == 1, tops

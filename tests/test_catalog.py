@@ -495,6 +495,17 @@ def test_from_json_rejects_a_flipped_brick_flag():
         from_json(json.dumps(doc))
 
 
+def test_from_json_rejects_a_matrix_of_the_wrong_shape():
+    # member 11 of the d4p3 export is 2111a, whose arrow a: 2 -> 1 is 2 x 1;
+    # the same entries as one row of two no longer load
+    export = Path(__file__).resolve().parent.parent / "bench" / "data" / "d4p3.catalog.json"
+    doc = json.loads(export.read_text())
+    assert doc["ind"][11]["mats"][0] == [[0], [1]]
+    doc["ind"][11]["mats"][0] = [[0, 1]]
+    with pytest.raises(ValueError, match=r"^member 11: matrix for arrow 'a' is not 2 x 1$"):
+        from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "n,length,prime",
     [(5, 5, 2), (3, 5, 2), (2, 4, 3)],

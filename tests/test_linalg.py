@@ -1,12 +1,10 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from oracles import ray_count
+from oracles import ray_count, to_rows
 from torslat import linalg
 
 primes = st.sampled_from(linalg.PRIMES)
@@ -36,9 +34,10 @@ def test_rref_is_idempotent(mp):
 def test_rref_preserves_row_space(mp):
     a, p = mp
     ech, piv = oracles.rref(a, p)
-    assert linalg.rank(a, p) == len(piv)
+    cols = a.shape[1]
+    assert linalg.rank(to_rows(a), cols, p) == len(piv)
     stacked = np.vstack([a, ech[: len(piv)]])
-    assert linalg.rank(stacked, p) == len(piv)
+    assert linalg.rank(to_rows(stacked), cols, p) == len(piv)
 
 
 @st.composite
@@ -60,28 +59,38 @@ def raw_systems(draw, max_dim=8):
     return a, b, p
 
 
-def _same_array(got, want):
-    assert got.dtype == np.int64
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+def _same_matrix(got, want):
+    """got is a library matrix of Python ints equal to the int64 array want."""
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+    assert all(type(x) is int for row in got for x in row)
+    assert got == to_rows(want)
 
 
 def _check_kernels_against_references(a, b, p):
+    # reduce_rows takes any ints; the other kernels take matrices in [0, p)
+    (m, n), k = a.shape, b.shape[1]
     ech, piv = oracles.rref(a, p)
     rows = a.tolist()
-    assert linalg.reduce_rows(rows, a.shape[1], p) == piv
+    assert linalg.reduce_rows(rows, n, p) == piv
     assert rows == ech.tolist()
-    assert linalg.rank(a, p) == len(piv)
-    _same_array(linalg.nullspace(a, p), oracles.nullspace(a, p))
-    _same_array(linalg.column_space(a, p), oracles.column_space(a, p))
-    for got, want in zip(
-        linalg.complement_projection(a, p), oracles.complement_projection(a, p)
-    ):
-        _same_array(got, want)
-    got, want = linalg.solve(a, b, p), oracles.solve(a, b, p)
+    a, b = a % p, b % p
+    am, bm = to_rows(a), to_rows(b)
+    assert linalg.rank(am, n, p) == len(piv)
+    assert linalg.is_invertible(am, n, p) == (m == n == len(piv))
+    _same_matrix(linalg.identity(n), np.eye(n, dtype=np.int64))
+    at = linalg.transpose(am, n)
+    _same_matrix(at, a.T)
+    _same_matrix(linalg.matmul(at, bm, k, p), a.T @ b % p)
+    _same_matrix(linalg.nullspace(am, n, p), oracles.nullspace(a, p))
+    _same_matrix(linalg.column_space(am, n, p), oracles.column_space(a, p))
+    proj, free = linalg.complement_projection(am, p)
+    want_proj, want_section = oracles.complement_projection(a, p)
+    _same_matrix(proj, want_proj)
+    assert np.array_equal(np.eye(m, dtype=np.int64)[:, free], want_section)
+    got, want = linalg.solve(am, bm, n, k, p), oracles.solve(a, b, p)
     assert (got is None) == (want is None)
     if want is not None:
-        _same_array(got, want)
+        _same_matrix(got, want)
 
 
 @given(raw_systems())
@@ -92,7 +101,8 @@ def test_kernels_match_the_numpy_references(abp):
 @pytest.mark.parametrize("p", linalg.PRIMES)
 @pytest.mark.parametrize("m,n,k", [(0, 0, 0), (0, 3, 2), (3, 0, 2), (3, 2, 0)])
 def test_kernels_match_the_numpy_references_on_empty_shapes(m, n, k, p):
-    # np.array([]) is float64, so each kernel must pin int64 on empty output
+    # a matrix with no rows shows no column count, so each kernel must take
+    # it from its ncols, and one with empty rows must keep them
     a = (np.arange(m * n, dtype=np.int64).reshape(m, n) - 2) * 3
     b = np.arange(m * k, dtype=np.int64).reshape(m, k) - 1
     _check_kernels_against_references(a, b, p)
@@ -101,36 +111,38 @@ def test_kernels_match_the_numpy_references_on_empty_shapes(m, n, k, p):
 @given(matrices())
 def test_nullspace_kills_and_spans(mp):
     a, p = mp
-    ns = linalg.nullspace(a, p)
-    assert not (linalg.matmul(a, ns, p) % p).any()
-    assert linalg.rank(ns, p) == a.shape[1] - linalg.rank(a, p)
+    am, cols = to_rows(a), a.shape[1]
+    ns = linalg.nullspace(am, cols, p)
+    k = cols - linalg.rank(am, cols, p)
+    assert not any(map(any, linalg.matmul(am, ns, k, p)))
+    assert linalg.rank(ns, k, p) == k
 
 
 @given(matrices())
 def test_solve_recovers_known_combinations(mp):
     a, p = mp
-    x = (np.arange(a.shape[1] * 2, dtype=np.int64).reshape(a.shape[1], 2)) % p
-    b = linalg.matmul(a, x, p)
-    sol = linalg.solve(a, b, p)
+    am, cols = to_rows(a), a.shape[1]
+    x = to_rows(np.arange(cols * 2, dtype=np.int64).reshape(cols, 2) % p)
+    b = linalg.matmul(am, x, 2, p)
+    sol = linalg.solve(am, b, cols, 2, p)
     assert sol is not None
-    assert np.array_equal(linalg.matmul(a, sol, p), b)
+    assert linalg.matmul(am, sol, 2, p) == b
 
 
 def test_solve_detects_inconsistency():
-    a = np.array([[1], [0]], dtype=np.int64)
-    b = np.array([[0], [1]], dtype=np.int64)
-    assert linalg.solve(a, b, 2) is None
+    assert linalg.solve(((1,), (0,)), ((0,), (1,)), 1, 1, 2) is None
 
 
 @given(matrices(max_dim=4))
 def test_complement_projection_splits(mp):
     a, p = mp
-    basis = linalg.column_space(a, p)
-    proj, section = linalg.complement_projection(basis, p)
-    n, r = basis.shape
-    assert proj.shape == (n - r, n)
-    assert not (linalg.matmul(proj, basis, p) % p).any()
-    assert np.array_equal(linalg.matmul(proj, section, p), linalg.eye(n - r))
+    n = a.shape[0]
+    r = linalg.rank(to_rows(a), a.shape[1], p)
+    basis = linalg.column_space(to_rows(a), a.shape[1], p)
+    proj, free = linalg.complement_projection(basis, p)
+    assert len(proj) == n - r and all(len(row) == n for row in proj)
+    assert not any(map(any, linalg.matmul(proj, basis, r, p)))
+    assert tuple(tuple(row[c] for c in free) for row in proj) == linalg.identity(n - r)
 
 
 @given(st.integers(1, 3), primes)
@@ -146,32 +158,14 @@ def test_ray_representatives_cover_space(d, p):
 
 @given(st.integers(0, 3), primes)
 def test_subspace_enumeration_count(n, p):
-    bases = linalg.all_subspace_row_bases(n, p)
+    bases = linalg.all_subspace_column_bases(n, p)
     assert len(bases) == linalg.subspace_count(n, p)
-    canon = {b.tobytes() for b in bases}
-    assert len(canon) == len(bases)
+    assert len(set(bases)) == len(bases)
+    for b in bases:
+        k = len(b[0]) if b else 0
+        assert len(b) == n and linalg.rank(linalg.transpose(b, k), n, p) == k
 
 
 def test_is_invertible_examples():
-    a = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    assert linalg.is_invertible(a, 2)
-    b = np.array([[1, 1], [1, 1]], dtype=np.int64)
-    assert not linalg.is_invertible(b, 2)
-
-
-@given(matrices(), matrices())
-def test_kron_matches_numpy(ap, bp):
-    (a, _), (b, _) = ap, bp
-    got, want = linalg.kron(a, b), np.kron(a, b)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-
-
-def test_kron_matches_numpy_on_empty_shapes():
-    shapes = [(0, 0), (0, 3), (2, 0), (2, 3)]
-    for (m, n), (r, s) in itertools.product(shapes, repeat=2):
-        a = np.arange(m * n, dtype=np.int64).reshape(m, n) + 1
-        b = np.arange(r * s, dtype=np.int64).reshape(r, s) + 2
-        got, want = linalg.kron(a, b), np.kron(a, b)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    assert linalg.is_invertible(((1, 1), (0, 1)), 2, 2)
+    assert not linalg.is_invertible(((1, 1), (1, 1)), 2, 2)

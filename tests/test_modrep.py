@@ -42,14 +42,14 @@ def a2():
 
 def test_module_rejects_relation_violation():
     alg = verify_mod.load_corpus_algebra("ppa2")
-    one = np.array([[1]], dtype=np.int64)
+    one = ((1,),)
     with pytest.raises(ValueError):
         Module(alg, (1, 1), (one, one))
 
 
 def test_module_rejects_shape_mismatch(a2):
     with pytest.raises(ValueError):
-        Module(a2, (1, 1), (np.zeros((2, 1), dtype=np.int64),))
+        Module(a2, (1, 1), (((0,), (0,)),))
 
 
 def test_hom_dims_match_brute_force_everywhere():
@@ -73,12 +73,6 @@ def _kernel_image_cokernel(f):
     return ker, im, coker
 
 
-def _same_comps(got, want):
-    return len(got.comps) == len(want.comps) and all(
-        np.array_equal(g, w) for g, w in zip(got.comps, want.comps)
-    )
-
-
 def test_kernel_image_cokernel_exactness(a2):
     p1 = projective_module(a2, 0)
     s1 = simple_module(a2, 0)
@@ -93,14 +87,12 @@ def test_kernel_image_cokernel_exactness(a2):
 
 def test_zero_and_identity_maps(a2):
     p1 = projective_module(a2, 0)
-    z = Morphism(
-        p1, p1, tuple(np.zeros((d, d), dtype=np.int64) for d in p1.dims)
-    )
+    z = Morphism(p1, p1, tuple(((0,) * d,) * d for d in p1.dims))
     ker, im, coker = _kernel_image_cokernel(z)
     assert ker.dims == p1.dims
     assert im.is_zero
     assert coker.dims == p1.dims
-    ident = Morphism(p1, p1, tuple(np.eye(d, dtype=np.int64) for d in p1.dims))
+    ident = Morphism(p1, p1, tuple(linalg.identity(d) for d in p1.dims))
     ker, _, coker = _kernel_image_cokernel(ident)
     assert ker.is_zero
     assert coker.is_zero
@@ -140,10 +132,7 @@ def test_local_endomorphisms_and_budget():
     jordan = Module(
         alg,
         (2, 2),
-        (
-            np.eye(2, dtype=np.int64),
-            np.array([[0, 1], [0, 0]], dtype=np.int64),
-        ),
+        (((1, 0), (0, 1)), ((0, 1), (0, 0))),
     )
     # indecomposable with a two-dimensional local endomorphism ring
     assert [m.dims for m in decompose(jordan)] == [(2, 2)]
@@ -162,9 +151,9 @@ def test_hom_rays_one_per_ray():
             rays = list(hom_rays(x, y))
             assert len(rays) == ray_count(len(hom_basis(x, y)), 3)
             # scaled so the first nonzero entry is 1, no two rays agree
-            flat = [np.concatenate([c.ravel() for c in f.comps]) for f in rays]
-            lead = [int(v[np.flatnonzero(v)[0]]) for v in flat]
-            scaled = {tuple(v * pow(a, -1, 3) % 3) for v, a in zip(flat, lead)}
+            flat = [[x for c in f.comps for row in c for x in row] for f in rays]
+            lead = [next(x for x in v if x) for v in flat]
+            scaled = {tuple(x * pow(a, -1, 3) % 3 for x in v) for v, a in zip(flat, lead)}
             assert len(scaled) == len(rays)
     # Hom(S1, S1 + S1) = F_3^2 has 4 rays
     assert len(list(hom_rays(s1, s11))) == 4
@@ -181,22 +170,8 @@ def test_is_isomorphic_distinguishes(a2):
 
 def test_iso_invariant_under_base_change():
     alg = verify_mod.load_corpus_algebra("a3s")
-    e = Module(
-        alg,
-        (1, 1, 1),
-        (
-            np.array([[1]], dtype=np.int64),
-            np.array([[1]], dtype=np.int64),
-        ),
-    )
-    twisted = Module(
-        alg,
-        (1, 1, 1),
-        (
-            np.array([[2]], dtype=np.int64),
-            np.array([[3]], dtype=np.int64),
-        ),
-    )
+    e = Module(alg, (1, 1, 1), (((1,),), ((1,),)))
+    twisted = Module(alg, (1, 1, 1), (((2,),), ((3,),)))
     assert is_isomorphic(e, twisted)
     assert is_brick(e)
 
@@ -223,9 +198,12 @@ def test_submodules_are_arrow_stable():
         pv = projective_module(alg, v)
         for sub, incl in submodules(pv):
             for k, a in enumerate(alg.quiver.arrows):
-                moved = (pv.mats[k] @ incl.comps[a.source]) % p
-                span = np.hstack([incl.comps[a.target], moved])
-                assert linalg.rank(span, p) == linalg.rank(incl.comps[a.target], p)
+                ks, kt = sub.dims[a.source], sub.dims[a.target]
+                moved = linalg.matmul(pv.mats[k], incl.comps[a.source], ks, p)
+                span = tuple(r + m for r, m in zip(incl.comps[a.target], moved))
+                assert linalg.rank(span, kt + ks, p) == linalg.rank(
+                    incl.comps[a.target], kt, p
+                )
 
 
 def test_submodule_budget(a2):
@@ -269,6 +247,40 @@ def test_intertwining_system_matches_kron_oracle(member_lists):
                 assert np.array_equal(got, want)
 
 
+def _assert_valid(obj):
+    """An internal result passes the checks of outside input, in normal form."""
+    if isinstance(obj, Module):
+        assert type(obj.dims) is tuple and all(type(d) is int for d in obj.dims)
+        mats, p = obj.mats, obj.algebra.prime
+    else:
+        mats, p = obj.comps, obj.source.algebra.prime
+    assert type(mats) is tuple
+    for m in mats:
+        assert type(m) is tuple and all(type(row) is tuple for row in m)
+        assert all(type(x) is int and 0 <= x < p for row in m for x in row)
+    obj._validate()
+
+
+def test_internal_results_pass_validation(member_lists):
+    # check=False trusts every producer to build valid modules and maps
+    # with entries in [0, p); Module and Morphism do not normalise them
+    for members in member_lists:
+        _assert_valid(zero_module(members[0].algebra))
+        for x in members:
+            for sub, incl in submodules(x):
+                for obj in (sub, incl, *quotient_by(incl)):
+                    _assert_valid(obj)
+            for y in members:
+                for f in hom_basis(x, y):
+                    for obj in (f, *kernel(f), *image(f)):
+                        _assert_valid(obj)
+                    if x is y:
+                        _assert_valid(f.compose(f))
+                xy = direct_sum(x, y)
+                for obj in (xy, *decompose(xy), *all_extensions(x, y)):
+                    _assert_valid(obj)
+
+
 def test_kernel_image_cokernel_match_oracle(member_lists):
     # entry for entry, on every Hom-basis element of every ordered pair
     for members in member_lists:
@@ -280,11 +292,11 @@ def test_kernel_image_cokernel_match_oracle(member_lists):
                     im, i_in = image(f)
                     coker, c_pr = quotient_by(i_in)
                     assert ker.key() == want.kernel.key()
-                    assert _same_comps(k_in, want.kernel_inclusion)
+                    assert k_in.comps == want.kernel_inclusion.comps
                     assert im.key() == want.image.key()
-                    assert _same_comps(i_in, want.image_inclusion)
+                    assert i_in.comps == want.image_inclusion.comps
                     assert coker.key() == want.cokernel.key()
-                    assert _same_comps(c_pr, want.cokernel_projection)
+                    assert c_pr.comps == want.cokernel_projection.comps
 
 
 def test_quotient_by_is_the_cokernel(member_lists):
@@ -294,11 +306,11 @@ def test_quotient_by_is_the_cokernel(member_lists):
                 q, proj = quotient_by(incl)
                 want = oracles.kernel_image_cokernel(incl)
                 assert q.key() == want.cokernel.key()
-                assert _same_comps(proj, want.cokernel_projection)
+                assert proj.comps == want.cokernel_projection.comps
                 # the cokernel hom_profile reads: the quotient by the image
                 q_img, proj_img = quotient_by(image(incl)[1])
                 assert q_img.key() == q.key()
-                assert _same_comps(proj_img, proj)
+                assert proj_img.comps == proj.comps
 
 
 def test_extensions_of_simples_give_projective(a2):

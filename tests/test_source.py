@@ -94,6 +94,28 @@ def test_frozenset_masks_live_only_in_the_lattice():
     assert names_frozenset(SRC) == []
 
 
+def numpy_imports(root):
+    """(file, line) of each import of numpy, or of a numpy submodule, under root."""
+    out = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                out.append((rel, n.lineno))
+    return out
+
+
+def test_the_library_imports_no_numpy():
+    # a matrix is a tuple of int row tuples everywhere in the library
+    assert numpy_imports(SRC) == []
+
+
 # the op_cache key kinds, each memoised by subcat._cached at one call site
 CACHE_KINDS = {"filt", "wide", "serre", "decompose", "hom_table", "oneside", "mutation"}
 
