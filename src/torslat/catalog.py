@@ -376,7 +376,8 @@ def from_json(text, config=None):
     naming the member's index and the arrow.  The brick flags are derived
     from the tables (``Catalog.set_tables``); the document's "bricks" field
     is checked against them, and a disagreement raises ValueError naming the
-    first member it concerns.
+    first member it concerns.  A "names" list of the wrong length raises
+    ValueError naming both counts.
     """
     cfg = config or DEFAULT_CONFIG
     doc = json.loads(text)
@@ -399,6 +400,8 @@ def from_json(text, config=None):
     for i, m in enumerate(cat.ind):
         cat._key_index[m.key()] = i
     cat.names = tuple(doc["names"])
+    if len(cat.names) != len(cat):
+        raise ValueError(f"names lists {len(cat.names)} names for {len(cat)} members")
     t = doc["tables"]
     cat.set_tables(
         tuple(tuple(row) for row in t["hom_dim"]),

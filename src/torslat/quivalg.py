@@ -80,6 +80,13 @@ def _contains_relation_suffix(names, relations):
     return False
 
 
+def _path_blowup(size, budget):
+    return PathBlowup(
+        f"path basis has at least {size} elements, budget {budget}"
+        " (--path-budget); the algebra is too large or infinite-dimensional"
+    )
+
+
 def build_algebra(quiver, relations, prime, config=None):
     """Validate the presentation and enumerate the path basis breadth-first.
 
@@ -111,6 +118,11 @@ def build_algebra(quiver, relations, prime, config=None):
     for lst in by_source.values():
         lst.sort(key=lambda a: a.name)
 
+    # the budget is checked before a path is built, so a blowup stops at
+    # most budget paths in, and before any when the vertices alone pass it
+    budget = cfg.path_budget
+    if quiver.vertex_count > budget:
+        raise _path_blowup(quiver.vertex_count, budget)
     basis = [Path(v, (), v) for v in range(quiver.vertex_count)]
     frontier = list(basis)
     while frontier:
@@ -120,15 +132,11 @@ def build_algebra(quiver, relations, prime, config=None):
                 names = pth.names + (a.name,)
                 if _contains_relation_suffix(names, rels):
                     continue
+                if len(basis) + len(nxt) == budget:
+                    raise _path_blowup(budget + 1, budget)
                 nxt.append(Path(pth.start, names, a.target))
         nxt.sort(key=lambda q: q.names)
         basis.extend(nxt)
-        if len(basis) > cfg.path_budget:
-            raise PathBlowup(
-                f"path basis reached {len(basis)} elements, budget"
-                f" {cfg.path_budget} (--path-budget); the algebra is too large"
-                " or infinite-dimensional"
-            )
         frontier = nxt
     return Algebra(quiver, rels, prime, tuple(basis))
 

@@ -10,12 +10,14 @@ The report is a stream: ``iter_checks`` yields one ``CheckResult`` at a time,
 in report order, and ``format_line`` turns each into its line, so a caller
 that writes the lines as they come (``torslat verify``) holds no result
 after its line is out.  ``run_verify`` and ``verify_algebra`` collect the
-stream into a list; ``format_report`` joins a list's lines a chunk at a
-time.  The records are compact: ``CheckResult`` is a named tuple, with no
-per-instance dict, and the name of an object that several properties print
-(an interval's ``[U,T]``, an arrow's ``src->dst``, a top's ``T|W`` for a
-Serre piece W) is built once per algebra by ``AlgebraContext`` and shared
-by their results.  A check builds its witness text only when it fails, so a
+stream into a list; ``format_report`` joins the report in one pass over
+pieces that already exist (a PASS line is its shared ``PASS algebra prop``
+head, the object's shared name and a newline), so it holds the text once
+and no second copy of its lines.  The records are compact: ``CheckResult``
+is a named tuple, with no per-instance dict, and the name of an object that
+several properties print (an interval's ``[U,T]``, an arrow's ``src->dst``,
+a top's ``T|W`` for a Serre piece W) is built once per algebra by
+``AlgebraContext`` and shared by their results.  A check builds its witness text only when it fails, so a
 passing run names masks only for its objects.
 
 Work that several properties share is done once per algebra, and no check
@@ -73,7 +75,7 @@ kernel, to name the first failing map.
 
 from functools import cached_property
 from importlib import resources
-from itertools import groupby, islice
+from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -612,22 +614,25 @@ def format_summary(checks, failures):
     return f"checks run: {checks}\nfailures: {failures}\n"
 
 
-_CHUNK_LINES = 4096
-
-
 def format_report(results):
-    """The report text of some results and its number of FAIL lines.  The
-    lines are joined a chunk at a time, so only one chunk of them is held
-    beside the text."""
-    chunks = []
+    """The report text of some results, a list or an iterator, and its
+    number of FAIL lines.  One join over pieces the results already hold:
+    a PASS line is its ``PASS algebra prop`` head, built once per (algebra,
+    property), the object's name and a newline; a FAIL line is its
+    ``format_line``.  So the only copy of the lines is the text itself."""
+    pieces = []
+    heads = {}
     checks = failures = 0
-    results = iter(results)
-    while True:
-        batch = list(islice(results, _CHUNK_LINES))
-        if not batch:
-            break
-        checks += len(batch)
-        failures += sum(not r.ok for r in batch)
-        chunks.append("".join(map(format_line, batch)))
-    chunks.append(format_summary(checks, failures))
-    return "".join(chunks), failures
+    for r in results:
+        checks += 1
+        if r.ok:
+            key = (r.algebra, r.prop)
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = f"PASS {r.algebra} {r.prop} "
+            pieces += (head, r.obj, "\n")
+        else:
+            failures += 1
+            pieces.append(format_line(r))
+    pieces.append(format_summary(checks, failures))
+    return "".join(pieces), failures

@@ -506,6 +506,19 @@ def test_from_json_rejects_a_matrix_of_the_wrong_shape():
         from_json(json.dumps(doc))
 
 
+def test_from_json_rejects_a_names_list_of_the_wrong_length():
+    # the d4p3 export has 12 members; without its last name it used to load,
+    # and the first mask_name reaching member 11 raised IndexError
+    export = Path(__file__).resolve().parent.parent / "bench" / "data" / "d4p3.catalog.json"
+    doc = json.loads(export.read_text())
+    assert len(doc["ind"]) == len(doc["names"]) == 12
+    names = doc["names"]
+    for wrong, count in ((names[:-1], 11), (names + ["extra"], 13)):
+        doc["names"] = wrong
+        with pytest.raises(ValueError, match=rf"^names lists {count} names for 12 members$"):
+            from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "n,length,prime",
     [(5, 5, 2), (3, 5, 2), (2, 4, 3)],

@@ -215,6 +215,8 @@ BUDGET_SPECS = {
     # for the indecomposable M with dims (2,1,1,1), though every End is a field
     "d4p2": "vertices 4\narrow a 2 1\narrow b 3 1\narrow c 4 1\nprime 2\n",
     "kx3p2": "vertices 1\narrow x 1 1\nrelation x x x\nprime 2\n",
+    # more trivial paths than the default budget
+    "vertices": "vertices 5000\nprime 2\n",
 }
 
 
@@ -223,12 +225,13 @@ BUDGET_SPECS = {
     [
         ("--dim-bound", 2, NotClosed, "kron2", "indec"),
         ("--path-budget", 4, PathBlowup, "a4", "indec"),
+        ("--path-budget", 1024, PathBlowup, "vertices", "indec"),
         ("--iso-budget", 1, DecomposeBlowup, "kx3p2", "indec"),
         ("--subspace-budget", 4, SubspaceBlowup, "a4", "indec"),
         ("--ext-budget", 2, SubspaceBlowup, "kron2", "indec"),
         ("--node-budget", 10, LatticeBlowup, "a4", "lattice"),
     ],
-    ids=["dim", "path", "iso-decompose", "subspace", "ext", "node"],
+    ids=["dim", "path", "path-vertices", "iso-decompose", "subspace", "ext", "node"],
 )
 def test_budget_errors_name_their_flag(
     flag, value, error, spec, command, tmp_path, capsys

@@ -1,10 +1,12 @@
 import pytest
 
+from torslat import quivalg
 from torslat import verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import BadRelation, PathBlowup, SpecParseError
 from torslat.quivalg import (
     Arrow,
+    Path,
     Quiver,
     build_algebra,
     parse_algebra_text,
@@ -36,6 +38,30 @@ def test_loop_without_relations_blows_up():
     q = Quiver(1, (Arrow("x", 0, 0),))
     with pytest.raises(PathBlowup):
         build_algebra(q, (), 2, DEFAULT_CONFIG.with_overrides(path_budget=16))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "vertices 100\nprime 2\n",
+        "vertices 1\n" + "".join(f"arrow x{k} 1 1\n" for k in range(10)) + "prime 2\n",
+    ],
+    ids=["vertices", "loops"],
+)
+def test_a_path_blowup_builds_at_most_budget_plus_one_paths(monkeypatch, spec):
+    # the budget is checked before the paths are built, not after a whole
+    # level of them
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Path(*args)
+
+    monkeypatch.setattr(quivalg, "Path", counted)
+    cfg = DEFAULT_CONFIG.with_overrides(path_budget=4)
+    with pytest.raises(PathBlowup, match=r"budget 4 \(--path-budget\)"):
+        parse_algebra_text(spec, cfg)
+    assert len(built) <= 4 + 1
 
 
 def test_relation_names_must_exist():

@@ -1,10 +1,14 @@
 import gc
 import math
 import re
+import sys
+import tracemalloc
 import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 import torslat
@@ -129,16 +133,60 @@ def test_shared_object_names_and_slotted_results():
         assert a is b
 
 
-def test_format_report_reads_a_stream_across_chunks(monkeypatch):
-    monkeypatch.setattr(verify, "_CHUNK_LINES", 100)
+def test_format_report_reads_a_stream():
     named = [(n, verify.load_corpus_algebra(n)) for n in ("a2", "a3")]
     results = verify.run_verify(named)
-    assert len(results) > 3 * 100
+    assert len(results) > 300
     text, failures = verify.format_report(verify.iter_checks(named))
     assert (text, failures) == verify.format_report(results)
     assert text == "".join(map(verify.format_line, results)) + (
         f"checks run: {len(results)}\nfailures: 0\n"
     )
+
+
+_names = st.text(alphabet="ab1[],|->", min_size=1, max_size=4)
+
+
+@given(
+    st.lists(
+        st.builds(
+            verify.CheckResult,
+            st.sampled_from(("a2", "a3", "x")),
+            st.sampled_from(verify.PROPERTIES[:3]),
+            _names,
+            st.booleans(),
+            _names,
+        ),
+        max_size=30,
+    )
+)
+def test_format_report_matches_its_lines(results):
+    # PASS and FAIL lines interleaved over several algebras and properties:
+    # a head string shared across the wrong (algebra, property) would show
+    want = "".join(map(verify.format_line, results)) + verify.format_summary(
+        len(results), sum(not r.ok for r in results)
+    )
+    for given_as in (results, iter(results)):
+        text, failures = verify.format_report(given_as)
+        assert text == want
+        assert failures == sum(not r.ok for r in results)
+
+
+def test_format_report_holds_the_text_once():
+    # beyond the results, the report holds the text, the list of pieces it
+    # is joined from (three references a PASS line) and the shared heads:
+    # well under a second copy of the text
+    results = verify.run_verify(
+        [(n, verify.load_corpus_algebra(n)) for n in verify.CORPUS]
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text, _ = verify.format_report(results)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * sys.getsizeof(text)
 
 
 def test_corpus_names_all_load():
