@@ -5,22 +5,24 @@ under quotients and pair extensions at the configured dimension bound.  The
 tables (Hom dimensions, subfactor pairs) turn every downstream subcategory
 operator into finite index combinatorics on masks, where a mask is an int
 bitset (bit i for catalog index i) denoting the additive hull of its
-members.  ``Catalog.set_tables`` is the one place the tables are set; it
-derives from them the brick flags (``bricks``, read off the subfactor
-table, see there) and the bitset rows those operators read: ``out_bits`` and
-``in_bits`` (the members a member maps to and from), ``pair_bits`` (the
-subfactor pairs as (u, q) bitsets), ``quotient_bits`` and ``sub_bits``
-(the union of their q and u parts), ``closure_rows`` (the rows of
-``subcat.filt``: u | q of each nontrivial pair) and ``full_mask``.
-``op_cache`` holds every memo of the library under tagged keys: the summand indices of
-``decompose_indices`` under ``("decompose", module key)``, seeded with
-every module the closure decomposed, the table ``hom_table`` of one
-``HomProfile`` per ordered pair of members under ``("hom_table",)``, and
-the subcategory operators' results (see ``subcat``).  The Hom table is
-read off the subfactor pairs (``Catalog.hom_profile``): a nonzero map is a
-quotient of its source that is a submodule of its target, so the table
-solves no linear algebra.
-``_key_index`` is the member index, not a memo.
+members.  ``build_catalog`` enumerates the members with their subfactor
+pairs (``enumerate_indecomposables``) and then names them and computes their
+Hom dimensions (``build_tables``), and ``from_json`` reads them back; both
+hand them to the ``Catalog`` constructor, the one place the names and
+tables are validated.  It derives from them the brick flags (``bricks``,
+read off the subfactor table, see ``Catalog``) and the bitset rows those
+operators read: ``out_bits`` and ``in_bits`` (the members a member maps to
+and from), ``pair_bits`` (the subfactor pairs as (u, q) bitsets),
+``quotient_bits`` and ``sub_bits`` (the union of their q and u parts),
+``closure_rows`` (the rows of ``subcat.filt``: u | q of each nontrivial
+pair) and ``full_mask``.
+``op_cache`` holds every memo of the library under tagged keys: the table
+``hom_table`` of one ``HomProfile`` per ordered pair of members under
+``("hom_table",)``, and the subcategory operators' results (see
+``subcat``).  The constructor leaves it empty.  The Hom table is read off
+the subfactor pairs (``Catalog.hom_profile``): a nonzero map is a quotient
+of its source that is a submodule of its target, so the table solves no
+linear algebra.
 """
 
 import json
@@ -62,59 +64,57 @@ _ZERO_HOM = HomProfile(0, 0, 0, True)
 
 
 class Catalog:
-    """Immutable once built; all tables are index-based."""
+    """The members of an algebra's catalog and their tables; immutable once built.
 
-    def __init__(self, algebra, config):
-        self.algebra = algebra
-        self.config = config
-        self.ind = ()
-        self.names = ()
-        self.hom_dim = ()
-        self.bricks = ()
-        self.subfactors = ()
-        self.closure_rows = ()
-        self.out_bits = ()
-        self.in_bits = ()
-        self.quotient_bits = ()
-        self.sub_bits = ()
-        self.pair_bits = ()
-        self.full_mask = 0
-        self._key_index = {}
-        self.op_cache = {}
+    ind lists one module per isomorphism class and names their names.
+    hom_dim[i][j] is the dimension of Hom(ind[i], ind[j]); subfactors[i]
+    holds the sorted pairs (u, q) of ind[i], u the sorted summand indices of
+    a submodule U and q those of ind[i]/U, one pair per distinct (u, q).
 
-    def __len__(self):
-        return len(self.ind)
+    The constructor checks the names and the tables against the members,
+    raising ValueError, and derives the rest.  Bit k of a row stands for
+    catalog index k.  out_bits[i] holds the j with Hom(ind[i], ind[j])
+    nonzero and in_bits[j] the i; pair_bits[i] holds the pairs of
+    subfactors[i] as (u bitset, q bitset); quotient_bits[i] is the union of
+    their q parts and sub_bits[i] of their u parts; closure_rows holds, for
+    each i with a nontrivial pair (u and q nonempty), (1 << i, u | q of each
+    such pair, once per distinct bitset), the rows of
+    ``subcat.extension_closure`` over the whole catalog; full_mask holds
+    every index.
 
-    @property
-    def simple_indices(self):
-        return tuple(i for i, m in enumerate(self.ind) if m.total_dim == 1)
+    bricks[i] holds when the kernel OR of ``hom_profile(i, i)`` is empty,
+    which is exactly when End(ind[i]) is a division ring: by the argument of
+    ``hom_profile`` the OR is empty exactly when every nonzero endomorphism
+    of ind[i] is injective, and ind[i] is finite-dimensional, so an
+    injective endomorphism is bijective, hence invertible.
+    """
 
-    def set_tables(self, hom_dim, subfactors):
-        """Set the members' tables and derive their brick flags and bitset rows.
-
-        Bit k of a row stands for catalog index k.  out_bits[i] holds the j
-        with Hom(ind[i], ind[j]) nonzero and in_bits[j] the i; pair_bits[i]
-        holds the pairs of subfactors[i] as (u bitset, q bitset);
-        quotient_bits[i] is the union of their q parts and sub_bits[i] of
-        their u parts; closure_rows holds, for each i with a nontrivial pair
-        (u and q nonempty), (1 << i, u | q of each such pair, once per
-        distinct bitset), the rows of ``subcat.extension_closure`` over the
-        whole catalog; full_mask holds every index.
-
-        bricks[i] holds when the kernel OR of ``hom_profile(i, i)`` is
-        empty, which is exactly when End(ind[i]) is a division ring: by the
-        argument of ``hom_profile`` the OR is empty exactly when every
-        nonzero endomorphism of ind[i] is injective, and ind[i] is
-        finite-dimensional, so an injective endomorphism is bijective,
-        hence invertible.
-        """
-        n = len(self.ind)
+    def __init__(self, algebra, config, ind, names, hom_dim, subfactors):
+        n = len(ind)
+        if len(names) != n:
+            raise ValueError(f"names lists {len(names)} names for {n} members")
         if not (len(hom_dim) == len(subfactors) == n) or any(
             len(row) != n for row in hom_dim
         ):
             raise ValueError(f"tables do not match the {n} catalog members")
+        for i, (row, pairs) in enumerate(zip(hom_dim, subfactors)):
+            for d in row:
+                if type(d) is not int or d < 0:
+                    raise ValueError(f"member {i}: Hom dimension {d!r} is not a natural number")
+            for pair in pairs:
+                for k in (*pair[0], *pair[1]):
+                    if type(k) is not int or not 0 <= k < n:
+                        raise ValueError(
+                            f"member {i}: subfactor pair {pair} names {k!r},"
+                            f" not one of the {n} member indices"
+                        )
+        self.algebra = algebra
+        self.config = config
+        self.ind = ind
+        self.names = names
         self.hom_dim = hom_dim
         self.subfactors = subfactors
+        self.op_cache = {}
         self.out_bits = tuple(
             subcat.bits(j for j, d in enumerate(row) if d) for row in hom_dim
         )
@@ -141,25 +141,12 @@ class Catalog:
         self.full_mask = (1 << n) - 1
         self.bricks = tuple(not self.hom_profile(i, i).kernel for i in range(n))
 
-    def index_of(self, module):
-        key = module.key()
-        hit = self._key_index.get(key)
-        if hit is not None:
-            return hit
-        for i, rep in enumerate(self.ind):
-            if modrep.is_isomorphic_indecomposable(rep, module):
-                self._key_index[key] = i
-                return i
-        raise NotClosed(f"module with dims {module.dims} is not in the catalog")
+    def __len__(self):
+        return len(self.ind)
 
-    def decompose_indices(self, module):
-        """Sorted index multiset of the indecomposable summands of a module."""
-
-        def run():
-            parts = modrep.decompose(module, self.config)
-            return tuple(sorted(self.index_of(s) for s in parts))
-
-        return subcat._cached(self, ("decompose", module.key()), run)
+    @property
+    def simple_indices(self):
+        return tuple(i for i, m in enumerate(self.ind) if m.total_dim == 1)
 
     @property
     def hom_table(self):
@@ -212,8 +199,10 @@ class Catalog:
 
 
 def enumerate_indecomposables(algebra, config=None):
-    """Fixpoint closure from the simples under quotients and pair extensions.
+    """The members of an algebra's catalog in catalog order, each with its
+    row of subfactor pairs: a tuple of (module, pairs).
 
+    A fixpoint closure from the simples under quotients and pair extensions.
     Raises NotClosed when a new isomorphism class appears above the dimension
     bound; for a representation-finite algebra with an adequate bound the
     closure stabilizes.  Each member's quotients are computed once, when it
@@ -222,15 +211,19 @@ def enumerate_indecomposables(algebra, config=None):
     result is closed without a second pass.  all_extensions builds no split
     middle term, whose summands would be the pair itself, and admitting
     decomposes every middle term, so two isomorphic middle terms of one pair
-    land on the same members.  Admitting decomposes each distinct module,
-    by Module.key(), once per call: quotients repeat across members (every
-    scan includes the member itself and the zero module), and a repeat gets
-    the indices of its first sighting, which registered its classes in the
-    same order a second decomposition would find them.  After ranking, that
-    table becomes the catalog's decompose memo, so decompose_indices (and
-    build_tables through it) decomposes no module the closure already did.
-    The (submodule, quotient parts) pairs of each member's quotient scan are
-    kept for build_tables.
+    land on the same members.  A summand's class is looked up among the
+    members of its dimension vector only.  Admitting decomposes each
+    distinct module, by Module.key(), once per call: quotients repeat across
+    members (every scan includes the member itself and the zero module), and
+    a repeat gets the indices of its first sighting, which registered its
+    classes in the same order a second decomposition would find them.
+
+    The members are then ranked by (total dimension, dims, matrices).  The
+    subfactor pairs of a member are its quotient scan's submodules with their
+    quotients' summands; each submodule is admitted through the same memo,
+    so no module the closure decomposed is decomposed again, but no class is
+    registered any more: a submodule summand that no member matches raises
+    NotClosed naming its dims.
     """
     cfg = config or DEFAULT_CONFIG
     reps = []
@@ -239,11 +232,13 @@ def enumerate_indecomposables(algebra, config=None):
     subquotients = []
     pending = deque()
 
-    def index(part):
-        """Index of an indecomposable's class, registering a new class."""
+    def index(part, register):
+        """Index of an indecomposable's class, registering a new class if asked."""
         for i in buckets.get(part.dims, ()):
             if modrep.is_isomorphic_indecomposable(reps[i], part):
                 return i
+        if not register:
+            raise NotClosed(f"module with dims {part.dims} is not in the catalog")
         if part.total_dim > cfg.dim_bound:
             raise NotClosed(
                 f"indecomposable with dims {part.dims} has total dimension"
@@ -260,10 +255,12 @@ def enumerate_indecomposables(algebra, config=None):
                 pending.append(("ext", other, k))
         return k
 
-    def admit(module):
+    def admit(module, register=True):
         key = module.key()
         if key not in admitted:
-            admitted[key] = [index(part) for part in modrep.decompose(module, cfg)]
+            admitted[key] = [
+                index(part, register) for part in modrep.decompose(module, cfg)
+            ]
         return admitted[key]
 
     for v in range(algebra.quiver.vertex_count):
@@ -287,51 +284,38 @@ def enumerate_indecomposables(algebra, config=None):
         key=lambda i: (reps[i].total_dim, reps[i].dims, reps[i].key()[1]),
     )
     rank = {i: r for r, i in enumerate(order)}
-    cat = Catalog(algebra, cfg)
-    cat.ind = tuple(reps[i] for i in order)
-    for i, m in enumerate(cat.ind):
-        cat._key_index[m.key()] = i
-    for key, parts in admitted.items():
-        cat.op_cache[("decompose", key)] = tuple(sorted(rank[j] for j in parts))
-    cat._subquotients = tuple(
-        [(sub, tuple(sorted(rank[j] for j in parts))) for sub, parts in subquotients[i]]
+
+    def ranked(parts):
+        return tuple(sorted(rank[j] for j in parts))
+
+    return tuple(
+        (reps[i], tuple(sorted({
+            (ranked(admit(sub, False)), ranked(q)) for sub, q in subquotients[i]
+        })))
         for i in order
     )
 
+
+def build_tables(algebra, config, members):
+    """The Catalog of enumerate_indecomposables' members: names each by its
+    dims and a letter and computes the Hom dimensions."""
+    ind = tuple(m for m, _ in members)
     counts = {}
     names = []
-    for m in cat.ind:
+    for m in ind:
         ds = "".join(str(d) for d in m.dims)
         names.append(ds + _letters(counts.get(ds, 0)))
         counts[ds] = counts.get(ds, 0) + 1
-    cat.names = tuple(names)
-    return cat
-
-
-def build_tables(cat):
-    """Fill Hom dimensions and subfactor pairs; returns cat.
-
-    cat comes from enumerate_indecomposables: the subfactor pairs are read
-    off the submodules and quotient decompositions its quotient scan kept,
-    which are dropped afterwards.
-    """
-    n = len(cat.ind)
-    cat.set_tables(
-        tuple(
-            tuple(len(modrep.hom_basis(cat.ind[i], cat.ind[j])) for j in range(n))
-            for i in range(n)
-        ),
-        tuple(
-            tuple(sorted({(cat.decompose_indices(sub), q) for sub, q in pairs}))
-            for pairs in cat._subquotients
-        ),
+    hom_dim = tuple(tuple(len(modrep.hom_basis(x, y)) for y in ind) for x in ind)
+    return Catalog(
+        algebra, config, ind, tuple(names), hom_dim, tuple(row for _, row in members)
     )
-    del cat._subquotients
-    return cat
 
 
 def build_catalog(algebra, config=None):
-    return build_tables(enumerate_indecomposables(algebra, config))
+    """The catalog of an algebra: its members, then their tables."""
+    cfg = config or DEFAULT_CONFIG
+    return build_tables(algebra, cfg, enumerate_indecomposables(algebra, cfg))
 
 
 def to_json(cat):
@@ -373,11 +357,14 @@ def from_json(text, config=None):
 
     Each member is built through the checked Module constructor, so a matrix
     of the wrong shape, or one that breaks a relation, raises ValueError
-    naming the member's index and the arrow.  The brick flags are derived
-    from the tables (``Catalog.set_tables``); the document's "bricks" field
-    is checked against them, and a disagreement raises ValueError naming the
-    first member it concerns.  A "names" list of the wrong length raises
-    ValueError naming both counts.
+    naming the member's index and the arrow.  The ``Catalog`` constructor
+    checks the names and the tables: a "names" list of the wrong length
+    raises ValueError naming both counts, and a negative Hom dimension, or a
+    subfactor pair naming no member, raises ValueError naming the member
+    whose row holds it, as does a row whose pairs cannot be read and sorted
+    as pairs of index lists.  The brick flags are derived from the tables;
+    the document's "bricks" field is checked against them, and a
+    disagreement raises ValueError naming the first member it concerns.
     """
     cfg = config or DEFAULT_CONFIG
     doc = json.loads(text)
@@ -388,7 +375,6 @@ def from_json(text, config=None):
     algebra = build_algebra(
         quiver, [tuple(r) for r in a["relations"]], a["prime"], cfg
     )
-    cat = Catalog(algebra, cfg)
 
     def load_module(i, entry):
         try:
@@ -396,19 +382,20 @@ def from_json(text, config=None):
         except (TypeError, ValueError) as exc:
             raise ValueError(f"member {i}: {exc}") from None
 
-    cat.ind = tuple(load_module(i, entry) for i, entry in enumerate(doc["ind"]))
-    for i, m in enumerate(cat.ind):
-        cat._key_index[m.key()] = i
-    cat.names = tuple(doc["names"])
-    if len(cat.names) != len(cat):
-        raise ValueError(f"names lists {len(cat.names)} names for {len(cat)} members")
+    def load_pairs(i, row):
+        try:
+            return tuple(sorted((tuple(u), tuple(q)) for u, q in row))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"member {i}: subfactor pairs {row}: {exc}") from None
+
     t = doc["tables"]
-    cat.set_tables(
+    cat = Catalog(
+        algebra,
+        cfg,
+        tuple(load_module(i, entry) for i, entry in enumerate(doc["ind"])),
+        tuple(doc["names"]),
         tuple(tuple(row) for row in t["hom_dim"]),
-        tuple(
-            tuple(sorted((tuple(u), tuple(q)) for u, q in row))
-            for row in t["subfactors"]
-        ),
+        tuple(load_pairs(i, row) for i, row in enumerate(t["subfactors"])),
     )
     given = tuple(bool(b) for b in t["bricks"])
     if len(given) != len(cat):

@@ -148,10 +148,6 @@ class Morphism:
                 raise ValueError(f"components do not intertwine arrow {a.name!r}")
 
     @property
-    def is_zero(self):
-        return not any(any(row) for c in self.comps for row in c)
-
-    @property
     def is_invertible(self):
         p = self.source.algebra.prime
         return all(

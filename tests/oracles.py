@@ -5,8 +5,9 @@ actually enumerating submodules, extension middles by enumerating cocycles,
 Hom dimensions by scanning every componentwise matrix tuple, isomorphism by
 searching every ray of the Hom space for an invertible morphism, brickness
 by checking that every ray of End is invertible.  The main library is only
-trusted for module construction, Hom bases and the classification of
-summands.
+trusted for module construction, Hom bases, decomposition and the
+local-ring isomorphism test; ``index_of`` and ``decompose_indices``
+classify summands by that test against every member of a catalog.
 
 Masks here are frozensets of catalog indices, ``within`` included; the
 library's masks are int bitsets, converted by ``to_bits`` and ``to_set`` where
@@ -18,13 +19,14 @@ between the two.
 """
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from torslat import lattice, linalg, modrep, subcat
-from torslat.errors import LabelNotBrick, LabelNotUnique, TheoremViolation
+from torslat.errors import LabelNotBrick, LabelNotUnique, NotClosed, TheoremViolation
 
 # torsion class counts derived by hand before the build:
 # chains a2/a2r give the 5-element Tamari lattice on 3 letters, a3/a3s the
@@ -341,16 +343,16 @@ def hom_ray_profiles(cat, i, j):
 
     The per-ray reference for Catalog.hom_table, whose entry ORs these: the
     kernel, image and cokernel come from kernel_image_cokernel, their
-    summands from the catalog's decompose_indices.
+    summands from decompose_indices.
     """
     out = []
     for f in hom_rays(cat.ind[i], cat.ind[j]):
         kic = kernel_image_cokernel(f)
         out.append(
             RayProfile(
-                cat.decompose_indices(kic.kernel),
-                cat.decompose_indices(kic.image),
-                cat.decompose_indices(kic.cokernel),
+                decompose_indices(cat, kic.kernel),
+                decompose_indices(cat, kic.image),
+                decompose_indices(cat, kic.cokernel),
                 kic.cokernel.is_zero,
             )
         )
@@ -365,6 +367,43 @@ def is_isomorphic(x, y):
     if x.dims != y.dims:
         return False
     return x.is_zero or any(f.is_invertible for f in hom_rays(x, y))
+
+
+# per catalog, the memo of index_of and decompose_indices, by tagged
+# module key; an entry goes with its catalog
+_CLASSES = weakref.WeakKeyDictionary()
+
+
+def index_of(cat, module):
+    """Index of the member of cat isomorphic to an indecomposable module.
+
+    Scans every member with the local-ring test
+    (modrep.is_isomorphic_indecomposable), whatever its dims, and raises
+    NotClosed, as build_catalog does, when none matches.  Memoized per
+    catalog by Module.key().
+    """
+    memo = _CLASSES.setdefault(cat, {})
+    key = ("member", module.key())
+    if key not in memo:
+        for i, rep in enumerate(cat.ind):
+            if modrep.is_isomorphic_indecomposable(rep, module):
+                memo[key] = i
+                break
+        else:
+            raise NotClosed(f"module with dims {module.dims} is not in the catalog")
+    return memo[key]
+
+
+def decompose_indices(cat, module):
+    """Sorted member indices of the indecomposable summands of a module,
+    one per summand, by index_of.  Memoized per catalog by Module.key()."""
+    memo = _CLASSES.setdefault(cat, {})
+    key = ("summands", module.key())
+    if key not in memo:
+        memo[key] = tuple(
+            sorted(index_of(cat, s) for s in modrep.decompose(module, cat.config))
+        )
+    return memo[key]
 
 
 def injective_module(algebra, vertex):
@@ -397,7 +436,7 @@ def quotient_parts(cat):
         parts = set()
         for _, incl in modrep.submodules(x, cat.config):
             q, _ = modrep.quotient_by(incl)
-            parts.add(cat.decompose_indices(q))
+            parts.add(decompose_indices(cat, q))
         out.append(frozenset(parts))
     return out
 
@@ -407,7 +446,7 @@ def sub_parts(cat):
     for x in cat.ind:
         parts = set()
         for sub, _ in modrep.submodules(x, cat.config):
-            parts.add(cat.decompose_indices(sub))
+            parts.add(decompose_indices(cat, sub))
         out.append(frozenset(parts))
     return out
 
@@ -436,7 +475,7 @@ def exact_inverse(rows):
 
 def decompose_by_hom_dims(cat, module, h_inv):
     """Summand indices of a module from Hom dimensions alone, sorted as
-    Catalog.decompose_indices sorts them.
+    decompose_indices sorts them.
 
     Over a representation-finite algebra, dim Hom(M_i, X) = sum_j H[i][j]
     m_j, with H = cat.hom_dim and m_j the multiplicity of the member M_j in
@@ -526,7 +565,7 @@ def extension_parts(cat):
         for qi, q in enumerate(cat.ind):
             mids = set()
             for e in extensions_by_cocycles(q, u):
-                mids.add(cat.decompose_indices(e))
+                mids.add(decompose_indices(cat, e))
             out[(ui, qi)] = frozenset(mids)
     return out
 
@@ -571,7 +610,7 @@ def submodule_sum_torsion_part(cat, module, t_mask):
     p = module.algebra.prime
     best_rows = [_zeros(0, d) for d in module.dims]
     for sub, incl in modrep.submodules(module, cat.config):
-        if not set(cat.decompose_indices(sub)) <= t_mask:
+        if not set(decompose_indices(cat, sub)) <= t_mask:
             continue
         best_rows = [
             np.vstack([best, comp.T]) for best, comp in zip(best_rows, arrays(incl))

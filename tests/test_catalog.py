@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -8,6 +9,7 @@ import oracles
 from torslat import modrep, subcat, widelab
 from torslat import verify as verify_mod
 from torslat.catalog import (
+    Catalog,
     HomProfile,
     build_catalog,
     from_json,
@@ -105,7 +107,8 @@ def test_quotients_derived_from_subfactors(cat_of):
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS + ("d4p3",))
 def test_decompose_indices_match_the_hom_dimension_oracle(name, cat_of):
-    # every submodule of every member, split by H^-1 times its Hom vector
+    # the subfactor pairs of every member: each submodule and its quotient,
+    # split by H^-1 times their Hom vectors
     if name == "d4p3":
         spec = "vertices 4\narrow a 2 1\narrow b 3 1\narrow c 4 1\nprime 3\n"
         cat = build_catalog(parse_algebra_text(spec))
@@ -114,11 +117,18 @@ def test_decompose_indices_match_the_hom_dimension_oracle(name, cat_of):
     h_inv = oracles.exact_inverse(cat.hom_dim)
     assert h_inv is not None
     seen = 0
-    for x in cat.ind:
-        for sub, _ in modrep.submodules(x, cat.config):
-            got = cat.decompose_indices(sub)
-            assert got == oracles.decompose_by_hom_dims(cat, sub, h_inv)
+    for x, pairs in zip(cat.ind, cat.subfactors):
+        want = set()
+        for sub, inc in modrep.submodules(x, cat.config):
+            quot = modrep.quotient_by(inc)[0]
+            want.add(
+                (
+                    oracles.decompose_by_hom_dims(cat, sub, h_inv),
+                    oracles.decompose_by_hom_dims(cat, quot, h_inv),
+                )
+            )
             seen += 1
+        assert pairs == tuple(sorted(want))
     assert seen > len(cat)
 
 
@@ -207,10 +217,11 @@ def test_the_hom_table_solves_no_linear_algebra(text, monkeypatch):
 
 
 def test_decompose_indices_sorted(a2cat):
+    # the oracle's decomposition, oracles.decompose_indices
     from torslat.modrep import direct_sum
 
     big = direct_sum(a2cat.ind[2], a2cat.ind[0], a2cat.ind[2])
-    assert a2cat.decompose_indices(big) == (0, 2, 2)
+    assert oracles.decompose_indices(a2cat, big) == (0, 2, 2)
 
 
 def test_mask_name(a2cat):
@@ -271,12 +282,52 @@ def test_json_round_trip_keeps_rows(name, cat_of):
         assert cat.pair_bits[j] == tuple((_bits(u), _bits(q)) for u, q in pairs)
 
 
+def _with_pair(subfactors, i, extra):
+    """The table with `extra` appended to the q part of member i's first pair."""
+    (u, q), *rest = subfactors[i]
+    row = ((u, q + (extra,)), *rest)
+    return subfactors[:i] + (row,) + subfactors[i + 1:]
+
+
 def test_tables_must_match_the_members(a2cat):
-    again = from_json(to_json(a2cat))
-    with pytest.raises(ValueError):
-        again.set_tables(a2cat.hom_dim[:2], a2cat.subfactors)
-    with pytest.raises(ValueError):
-        again.set_tables(tuple(row[:2] for row in a2cat.hom_dim), a2cat.subfactors)
+    hom_dim, subfactors = a2cat.hom_dim, a2cat.subfactors
+    negative = (hom_dim[0], (hom_dim[1][0], -1, hom_dim[1][2]), hom_dim[2])
+    cases = [
+        (hom_dim[:2], subfactors, "tables do not match the 3 catalog members"),
+        (tuple(row[:2] for row in hom_dim), subfactors, "tables do not match"),
+        (hom_dim, subfactors[:2], "tables do not match"),
+        (hom_dim, _with_pair(subfactors, 2, 99), r"^member 2: .* names 99, not one of"),
+        (hom_dim, _with_pair(subfactors, 1, -1), r"^member 1: .* names -1, not one of"),
+        (hom_dim, _with_pair(subfactors, 0, "0"), r"^member 0: .* names '0', not one of"),
+        (negative, subfactors, r"^member 1: Hom dimension -1 is not a natural number$"),
+    ]
+    for bad_hom, bad_sub, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Catalog(a2cat.algebra, a2cat.config, a2cat.ind, a2cat.names, bad_hom, bad_sub)
+    assert Catalog(
+        a2cat.algebra, a2cat.config, a2cat.ind, a2cat.names, hom_dim, subfactors
+    ).pair_bits == a2cat.pair_bits
+    # the same checks on outside input: d4p3's export with a pair of member 5
+    # naming 99 or -1, or with a negative Hom dimension in its row
+    export = Path(__file__).resolve().parent.parent / "bench" / "data" / "d4p3.catalog.json"
+    doc = json.loads(export.read_text())
+    _, q = doc["tables"]["subfactors"][5][0]
+    for bad in (99, -1):
+        q.append(bad)
+        with pytest.raises(ValueError, match=rf"^member 5: .* names {bad}, not one of the 12"):
+            from_json(json.dumps(doc))
+        q.pop()
+    # member 11 has pairs ([3], [0, 9]) and ([3], [1, 8]): a string or null
+    # index in the first q is met while sorting the row, before the checks
+    _, q = doc["tables"]["subfactors"][11][1]
+    for bad in ("0", None):
+        q[0] = bad
+        with pytest.raises(ValueError, match=r"^member 11: subfactor pairs "):
+            from_json(json.dumps(doc))
+    q[0] = 0
+    doc["tables"]["hom_dim"][5][0] = -1
+    with pytest.raises(ValueError, match=r"^member 5: Hom dimension -1 "):
+        from_json(json.dumps(doc))
 
 
 def test_json_is_canonical(cat_of):
@@ -290,6 +341,23 @@ def test_rebuild_is_deterministic():
     a = build_catalog(verify_mod.load_corpus_algebra("a3s"))
     b = build_catalog(verify_mod.load_corpus_algebra("a3s"))
     assert to_json(a) == to_json(b)
+
+
+def test_a_submodule_outside_the_closure_raises_not_closed(monkeypatch):
+    # a3 without the extensions of 010a by 001a: the closure never meets
+    # 011a, yet reaches 111a through 110a, and 011a is a submodule of 111a
+    # that matches no member when the tables are built
+    alg = verify_mod.load_corpus_algebra("a3")
+    all_extensions = modrep.all_extensions
+
+    def without_011(q_mod, u_mod, config=None):
+        if (q_mod.dims, u_mod.dims) == ((0, 1, 0), (0, 0, 1)):
+            return []
+        return all_extensions(q_mod, u_mod, config)
+
+    monkeypatch.setattr(modrep, "all_extensions", without_011)
+    with pytest.raises(NotClosed, match=r"^module with dims \(0, 1, 1\) is not in the catalog$"):
+        build_catalog(alg)
 
 
 def test_representation_infinite_hits_closure_error():
@@ -318,7 +386,6 @@ def test_closure_scans_each_input_once(name, monkeypatch):
     members = [id(m) for m in cat.ind]
     assert ext_calls == Counter({(q, u): 1 for q in members for u in members})
     assert sub_calls == Counter({x: 1 for x in members})
-    assert not hasattr(cat, "_subquotients")
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
@@ -337,7 +404,7 @@ def test_closure_decomposes_each_module_once(name, monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(modrep, "decompose", counting_decompose)
-    # the fixpoint and build_tables' subfactor decompositions together
+    # the fixpoint's decompositions and those of the submodules for the tables
     build_catalog(verify_mod.load_corpus_algebra(name))
     assert calls and max(calls.values()) == 1
 
@@ -347,10 +414,10 @@ def test_extensions_match_cocycle_oracle(name, cat_of):
     cat = cat_of(name)
     for u in cat.ind:
         for q in cat.ind:
-            fast = {cat.decompose_indices(z) for z in modrep.all_extensions(q, u)}
+            fast = {oracles.decompose_indices(cat, z) for z in modrep.all_extensions(q, u)}
             # element 0 of the oracle is the split middle
             slow = {
-                cat.decompose_indices(z)
+                oracles.decompose_indices(cat, z)
                 for z in oracles.extensions_by_cocycles(q, u)[1:]
             }
             assert fast == slow
@@ -372,11 +439,13 @@ def test_local_ring_iso_agrees_with_search(name, cat_of):
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
 def test_index_of_rejects_non_members(name, cat_of):
+    # the oracle's class lookup, oracles.index_of; the library's own lookup
+    # is pinned by test_a_submodule_outside_the_closure_raises_not_closed
     cat = cat_of(name)
     for x in cat.ind:
         for y in cat.ind:
             with pytest.raises(NotClosed):
-                cat.index_of(modrep.direct_sum(x, y))
+                oracles.index_of(cat, modrep.direct_sum(x, y))
 
 
 # Gabriel: A_n has n(n+1)/2 indecomposables, D_n has n(n-1) and E6 36, in
@@ -406,6 +475,9 @@ CLOSED_FORM_TORS = {
     "a4": 42, "d4": 50, "d5": 182, "d6": 672, "e6": 833, "kx3": 2, "kx4": 2
 }
 # the highest roots of D6 and E6 have total dimension 9 and 11
+E6_P2_CATALOG_SHA256 = (
+    "0c8bca896a7b740e32ff46ad9e5fbd0e3082c6757971782ab595729ab45de73e"
+)
 CLOSED_FORM_CONFIG = {
     "d6": DEFAULT_CONFIG.with_overrides(dim_bound=9),
     "e6": DEFAULT_CONFIG.with_overrides(dim_bound=11),
@@ -434,14 +506,18 @@ def test_closed_form_counts(name, prime, count):
         assert all(cat.bricks)
     n = alg.quiver.vertex_count
     for v in range(n):
-        cat.index_of(projective_module(alg, v))
-        cat.index_of(oracles.injective_module(alg, v))
+        oracles.index_of(cat, projective_module(alg, v))
+        oracles.index_of(cat, oracles.injective_module(alg, v))
     lat = build_lattice(cat)
     assert len(lat) == CLOSED_FORM_TORS[name]
     # every torsion class has n covers in all (Adachi-Iyama-Reiten), and
     # wide subcategories are as many as torsion classes (Ingalls-Thomas)
     assert len(lat.arrows) == n * len(lat) // 2
     assert len(widelab.enumerate_wide_subcats(cat)) == len(lat)
+    if (name, prime) == ("e6", 2):
+        # the one pinned export of a tree quiver; a change to the closure's
+        # discovery order may change its matrices
+        assert hashlib.sha256(to_json(cat).encode()).hexdigest() == E6_P2_CATALOG_SHA256
 
 
 # the representation-finite scale specs of the benchmark, read only; the
@@ -473,7 +549,7 @@ def _reference_catalog(source):
     ids=lambda source: f"{source[0]}-{source[1]}",
 )
 def test_brick_flags_match_the_ray_scan(source):
-    # set_tables reads the flags off the subfactor table; the reference
+    # the Catalog constructor reads the flags off the subfactor table; the reference
     # checks every ray of each member's End for an invertible map
     cat = _reference_catalog(source)
     assert cat.bricks == tuple(oracles.is_brick(m) for m in cat.ind)
@@ -551,7 +627,7 @@ def test_linear_a3_intervals_have_their_top_at_the_path_source():
     cat = build_catalog(alg)
     index = {oracles.linear_a_interval(m): x for x, m in enumerate(cat.ind)}
     p1, s1, s3 = index[1, 3], index[1, 1], index[3, 3]
-    assert cat.index_of(projective_module(alg, 0)) == p1
+    assert oracles.index_of(cat, projective_module(alg, 0)) == p1
     assert (cat.hom_dim[p1][s1], cat.hom_dim[s1][p1]) == (1, 0)
     assert (cat.hom_dim[s3][p1], cat.hom_dim[p1][s3]) == (1, 0)
 

@@ -117,7 +117,7 @@ def test_the_library_imports_no_numpy():
 
 
 # the op_cache key kinds, each memoised by subcat._cached at one call site
-CACHE_KINDS = {"filt", "wide", "serre", "decompose", "hom_table", "oneside", "mutation"}
+CACHE_KINDS = {"filt", "wide", "serre", "hom_table", "oneside", "mutation"}
 
 
 def _key_kind(key, tuples):
@@ -168,13 +168,9 @@ def cache_sites(root):
 
 
 def test_each_cache_kind_has_one_call_site():
-    # a second memo of one fact fails here; the catalog's seeding of the
-    # decompose memo, after its closure fixpoint, is the one write outside
-    # _cached, and Catalog.__init__ makes the dict
+    # a second memo of one fact fails here; outside _cached, only
+    # Catalog.__init__ touches op_cache, to make the dict
     calls, others = cache_sites(SRC)
     kinds = Counter(kind for kind, _, _ in calls)
     assert kinds == Counter(CACHE_KINDS)
-    assert [(what, rel) for what, rel, _ in others] == [
-        ("=", "catalog.py"),
-        ("decompose", "catalog.py"),
-    ]
+    assert [(what, rel) for what, rel, _ in others] == [("=", "catalog.py")]
