@@ -9,24 +9,23 @@ members.  ``build_catalog`` enumerates the members with their subfactor
 pairs (``enumerate_indecomposables``) and then names them and computes their
 Hom dimensions (``build_tables``), and ``from_json`` reads them back; both
 hand them to the ``Catalog`` constructor, the one place the names and
-tables are validated.  It derives from them the brick flags (``bricks``,
-read off the subfactor table, see ``Catalog``) and the bitset rows those
-operators read: ``out_bits`` and ``in_bits`` (the members a member maps to
-and from), ``pair_bits`` (the subfactor pairs as (u, q) bitsets),
-``quotient_bits`` and ``sub_bits`` (the union of their q and u parts),
-``closure_rows`` (the rows of ``subcat.filt``: u | q of each nontrivial
-pair) and ``full_mask``.
-``op_cache`` holds every memo of the library under tagged keys: the table
-``hom_table`` of one ``HomProfile`` per ordered pair of members under
-``("hom_table",)``, and the subcategory operators' results (see
-``subcat``).  The constructor leaves it empty.  The Hom table is read off
-the subfactor pairs (``Catalog.hom_profile``): a nonzero map is a quotient
-of its source that is a submodule of its target, so the table solves no
-linear algebra.
+tables are validated.  The subfactor pairs are the catalog's one source for
+Hom vanishing: the constructor reads off them the Hom table ``hom_table``,
+one ``HomProfile`` per ordered pair of members (``Catalog.hom_profile``: a
+nonzero map is a quotient of its source that is a submodule of its target,
+so the table solves no linear algebra), and checks the Hom dimensions
+against it.  From the table it derives the brick flags (``bricks``, see
+``Catalog``) and the bitset rows the operators read: ``out_bits`` and
+``in_bits`` (the members a member maps to and from), ``pair_bits`` (the
+subfactor pairs as (u, q) bitsets), ``quotient_bits`` and ``sub_bits`` (the
+union of their q and u parts), ``closure_rows`` (the rows of
+``subcat.filt``: u | q of each nontrivial pair) and ``full_mask``.
+``op_cache`` holds every memo of the library under tagged keys, the
+subcategory operators' results and widelab's verdicts (see ``subcat``); the
+constructor leaves it empty.
 """
 
 import json
-from collections import deque
 from typing import NamedTuple
 
 from . import modrep, subcat
@@ -72,18 +71,20 @@ class Catalog:
     a submodule U and q those of ind[i]/U, one pair per distinct (u, q).
 
     The constructor checks the names and the tables against the members,
-    raising ValueError, and derives the rest.  Bit k of a row stands for
-    catalog index k.  out_bits[i] holds the j with Hom(ind[i], ind[j])
-    nonzero and in_bits[j] the i; pair_bits[i] holds the pairs of
-    subfactors[i] as (u bitset, q bitset); quotient_bits[i] is the union of
-    their q parts and sub_bits[i] of their u parts; closure_rows holds, for
-    each i with a nontrivial pair (u and q nonempty), (1 << i, u | q of each
-    such pair, once per distinct bitset), the rows of
-    ``subcat.extension_closure`` over the whole catalog; full_mask holds
-    every index.
+    raising ValueError, and derives the rest.  The summands of each pair,
+    counted with multiplicity, must add up to the member's dims.
+    hom_table[i][j] is ``hom_profile(i, j)``, and hom_dim[i][j] must be
+    nonzero exactly when its image is.  Bit k of a row stands for catalog
+    index k.  out_bits[i] holds the j with Hom(ind[i], ind[j]) nonzero and
+    in_bits[j] the i; pair_bits[i] holds the pairs of subfactors[i] as
+    (u bitset, q bitset); quotient_bits[i] is the union of their q parts and
+    sub_bits[i] of their u parts; closure_rows holds, for each i with a
+    nontrivial pair (u and q nonempty), (1 << i, u | q of each such pair,
+    once per distinct bitset), the rows of ``subcat.extension_closure`` over
+    the whole catalog; full_mask holds every index.
 
-    bricks[i] holds when the kernel OR of ``hom_profile(i, i)`` is empty,
-    which is exactly when End(ind[i]) is a division ring: by the argument of
+    bricks[i] holds when the kernel OR of hom_table[i][i] is empty, which is
+    exactly when End(ind[i]) is a division ring: by the argument of
     ``hom_profile`` the OR is empty exactly when every nonzero endomorphism
     of ind[i] is injective, and ind[i] is finite-dimensional, so an
     injective endomorphism is bijective, hence invertible.
@@ -102,12 +103,19 @@ class Catalog:
                 if type(d) is not int or d < 0:
                     raise ValueError(f"member {i}: Hom dimension {d!r} is not a natural number")
             for pair in pairs:
-                for k in (*pair[0], *pair[1]):
+                parts = (*pair[0], *pair[1])
+                for k in parts:
                     if type(k) is not int or not 0 <= k < n:
                         raise ValueError(
                             f"member {i}: subfactor pair {pair} names {k!r},"
                             f" not one of the {n} member indices"
                         )
+                dims = tuple(map(sum, zip(*(ind[k].dims for k in parts))))
+                if dims != ind[i].dims:
+                    raise ValueError(
+                        f"member {i}: subfactor pair {pair} adds up to dims"
+                        f" {dims}, not {ind[i].dims}"
+                    )
         self.algebra = algebra
         self.config = config
         self.ind = ind
@@ -115,15 +123,28 @@ class Catalog:
         self.hom_dim = hom_dim
         self.subfactors = subfactors
         self.op_cache = {}
-        self.out_bits = tuple(
-            subcat.bits(j for j, d in enumerate(row) if d) for row in hom_dim
-        )
-        self.in_bits = tuple(
-            subcat.bits(i for i in range(n) if hom_dim[i][j]) for j in range(n)
-        )
         self.pair_bits = tuple(
             tuple((subcat.bits(u), subcat.bits(q)) for u, q in row)
             for row in subfactors
+        )
+        self.hom_table = tuple(
+            tuple(self.hom_profile(i, j) for j in range(n)) for i in range(n)
+        )
+        for i, (row, dims) in enumerate(zip(self.hom_table, hom_dim)):
+            for j, (prof, d) in enumerate(zip(row, dims)):
+                if bool(prof.image) != bool(d):
+                    raise ValueError(
+                        f"members {i} and {j}: Hom dimension {d}, but the"
+                        f" subfactor pairs give {'a' if prof.image else 'no'}"
+                        " nonzero map"
+                    )
+        self.out_bits = tuple(
+            subcat.bits(j for j, prof in enumerate(row) if prof.image)
+            for row in self.hom_table
+        )
+        self.in_bits = tuple(
+            subcat.bits(i for i in range(n) if self.hom_table[i][j].image)
+            for j in range(n)
         )
         self.quotient_bits = tuple(
             subcat.bits(k for _, q in row for k in q) for row in subfactors
@@ -139,7 +160,7 @@ class Catalog:
                 closure_rows.append((1 << i, uqs))
         self.closure_rows = tuple(closure_rows)
         self.full_mask = (1 << n) - 1
-        self.bricks = tuple(not self.hom_profile(i, i).kernel for i in range(n))
+        self.bricks = tuple(not self.hom_table[i][i].kernel for i in range(n))
 
     def __len__(self):
         return len(self.ind)
@@ -147,23 +168,6 @@ class Catalog:
     @property
     def simple_indices(self):
         return tuple(i for i, m in enumerate(self.ind) if m.total_dim == 1)
-
-    @property
-    def hom_table(self):
-        """hom_table[i][j] is the HomProfile of Hom(ind[i], ind[j]).
-
-        Built by ``hom_profile`` for every ordered pair on first use, from
-        the subfactor table alone; the table is the one memo of the
-        profiles.
-        """
-
-        def run():
-            n = len(self.ind)
-            return tuple(
-                tuple(self.hom_profile(i, j) for j in range(n)) for i in range(n)
-            )
-
-        return subcat._cached(self, ("hom_table",), run)
 
     def hom_profile(self, i, j):
         """The HomProfile of Hom(ind[i], ind[j]), read off the subfactor table.
@@ -176,11 +180,9 @@ class Catalog:
         hence isomorphic (Krull-Schmidt), and ind[i] -> ind[i]/K -> I ->
         ind[j] is a nonzero map with kernel u, image q and cokernel c.  So
         the profile ORs u, q and c over the matched pairs, and the maps are
-        all epic exactly when every matched c is empty.  Every pair with
-        zero Hom gets the one shared zero entry.
+        all epic exactly when every matched c is empty.  A pair with no
+        match has zero Hom and gets the one shared zero entry.
         """
-        if not self.hom_dim[i][j]:
-            return _ZERO_HOM
         # ORed cokernels of the nonzero submodules of ind[j], by summands
         cokernels = {}
         for (sub, _), (_, c) in zip(self.subfactors[j], self.pair_bits[j]):
@@ -192,6 +194,8 @@ class Catalog:
                 kernel |= k
                 image |= q
                 cokernel |= cokernels[quot]
+        if not image:
+            return _ZERO_HOM
         return HomProfile(kernel, image, cokernel, not cokernel)
 
     def mask_name(self, b):
@@ -205,10 +209,12 @@ def enumerate_indecomposables(algebra, config=None):
     A fixpoint closure from the simples under quotients and pair extensions.
     Raises NotClosed when a new isomorphism class appears above the dimension
     bound; for a representation-finite algebra with an adequate bound the
-    closure stabilizes.  Each member's quotients are computed once, when it
-    is registered, and each ordered pair's extensions once, when its later
-    member is registered; every summand they produce is admitted, so the
-    result is closed without a second pass.  all_extensions builds no split
+    closure stabilizes.  One ordered pass visits the members in the order
+    they are registered: a member's visit scans its quotients, then the
+    extensions of each ordered pair of it and a member up to it, so each
+    scan runs once.  Every summand they produce is admitted, and a new
+    member is appended and visited in turn, so the result is closed without
+    a second pass.  all_extensions builds no split
     middle term, whose summands would be the pair itself, and admitting
     decomposes every middle term, so two isomorphic middle terms of one pair
     land on the same members.  A summand's class is looked up among the
@@ -230,7 +236,6 @@ def enumerate_indecomposables(algebra, config=None):
     buckets = {}
     admitted = {}
     subquotients = []
-    pending = deque()
 
     def index(part, register):
         """Index of an indecomposable's class, registering a new class if asked."""
@@ -246,13 +251,7 @@ def enumerate_indecomposables(algebra, config=None):
             )
         k = len(reps)
         reps.append(part)
-        subquotients.append(None)
         buckets.setdefault(part.dims, []).append(k)
-        pending.append(("quot", k))
-        for other in range(k + 1):
-            pending.append(("ext", k, other))
-            if other != k:
-                pending.append(("ext", other, k))
         return k
 
     def admit(module, register=True):
@@ -266,18 +265,19 @@ def enumerate_indecomposables(algebra, config=None):
     for v in range(algebra.quiver.vertex_count):
         admit(simple_module(algebra, v))
 
-    while pending:
-        task = pending.popleft()
-        if task[0] == "quot":
-            k = task[1]
-            subquotients[k] = [
-                (sub, admit(modrep.quotient_by(inc)[0]))
-                for sub, inc in modrep.submodules(reps[k], cfg)
-            ]
-        else:
-            _, qi, ui = task
-            for z in modrep.all_extensions(reps[qi], reps[ui], cfg):
+    k = 0
+    while k < len(reps):
+        subquotients.append([
+            (sub, admit(modrep.quotient_by(inc)[0]))
+            for sub, inc in modrep.submodules(reps[k], cfg)
+        ])
+        for other in range(k + 1):
+            for z in modrep.all_extensions(reps[k], reps[other], cfg):
                 admit(z)
+            if other != k:
+                for z in modrep.all_extensions(reps[other], reps[k], cfg):
+                    admit(z)
+        k += 1
 
     order = sorted(
         range(len(reps)),
@@ -360,11 +360,14 @@ def from_json(text, config=None):
     naming the member's index and the arrow.  The ``Catalog`` constructor
     checks the names and the tables: a "names" list of the wrong length
     raises ValueError naming both counts, and a negative Hom dimension, or a
-    subfactor pair naming no member, raises ValueError naming the member
-    whose row holds it, as does a row whose pairs cannot be read and sorted
-    as pairs of index lists.  The brick flags are derived from the tables;
-    the document's "bricks" field is checked against them, and a
-    disagreement raises ValueError naming the first member it concerns.
+    subfactor pair naming no member or whose summands do not add up to the
+    member, raises ValueError naming the member whose row holds it, as does
+    a row whose pairs cannot be read and sorted as pairs of index lists; a
+    Hom dimension that is zero where the subfactor pairs give a nonzero map,
+    or the reverse, raises ValueError naming both members.  The brick flags
+    are derived from the tables; the document's "bricks" field is checked
+    against them, and a disagreement raises ValueError naming the first
+    member it concerns.
     """
     cfg = config or DEFAULT_CONFIG
     doc = json.loads(text)

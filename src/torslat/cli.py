@@ -17,10 +17,11 @@ Exit codes: 0 success, 1 failed verification, 2 resource or closure error,
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from . import verify as verify_mod, widelab
 from .catalog import build_catalog, to_json
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, Config
 from .errors import (
     NotAnInterval,
     PreconditionError,
@@ -42,25 +43,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget_parent():
+    # one flag per Config field: --dim-bound sets dim_bound
     p = _Parser(add_help=False)
-    p.add_argument("--dim-bound", type=int, default=None)
-    p.add_argument("--path-budget", type=int, default=None)
-    p.add_argument("--iso-budget", type=int, default=None)
-    p.add_argument("--subspace-budget", type=int, default=None)
-    p.add_argument("--ext-budget", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
+    for f in fields(Config):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=None)
     return p
 
 
 def _config_from(args):
     try:
         return DEFAULT_CONFIG.with_overrides(
-            dim_bound=args.dim_bound,
-            path_budget=args.path_budget,
-            iso_budget=args.iso_budget,
-            subspace_budget=args.subspace_budget,
-            ext_budget=args.ext_budget,
-            node_budget=args.node_budget,
+            **{f.name: getattr(args, f.name) for f in fields(Config)}
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

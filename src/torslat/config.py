@@ -4,7 +4,7 @@ Every enumeration in the package is capped by one of these values.  Exceeding a
 budget raises the matching ResourceError; results are never silently truncated.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,9 @@ class Config:
     node_budget: int = 20000
 
     def __post_init__(self):
-        for name in ("dim_bound", "path_budget", "iso_budget", "subspace_budget",
-                     "ext_budget", "node_budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be positive")
 
     def with_overrides(self, **kw):
         kw = {k: v for k, v in kw.items() if v is not None}

@@ -45,9 +45,10 @@ relative ones included, read it, exact by the argument above.
 fixpoint; it reads ``op_cache`` for the ``filt`` of each arrow label, one
 entry per brick read once per walk, and for the wide table, to validate
 ``within``.  Results that are reused are kept in the catalog's
-``op_cache`` through ``_cached``, the one memo helper of the library: the
-catalog's Hom table and widelab's verdicts go through it too, each under a
-key tagged by its kind, each kind at one call site.
+``op_cache`` through ``_cached``, the one memo helper of the library:
+widelab's verdicts go through it too, each under a key tagged by its kind,
+each kind at one call site.  The catalog's Hom table is no memo: the
+``Catalog`` constructor builds it, with the rows it derives.
 
 ``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows
 miss the other members.  Wideness is decided once per catalog: ``is_wide``

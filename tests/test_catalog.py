@@ -205,19 +205,24 @@ def test_hom_is_nonzero_exactly_when_a_subfactor_matches(name, cat_of):
     "text", [verify_mod.corpus_text("a4"), SCALE_SPECS["d4p3"]], ids=["a4", "d4p3"]
 )
 def test_the_hom_table_solves_no_linear_algebra(text, monkeypatch):
+    # the constructor builds the table: rebuild it from a built catalog's
+    # tables while modrep's solvers refuse
     cat = build_catalog(parse_algebra_text(text))
     for name in ("hom_basis", "kernel", "image", "quotient_by"):
         def refuse(*args, name=name, **kw):
             raise AssertionError(f"the Hom table called modrep.{name}")
 
         monkeypatch.setattr(modrep, name, refuse)
+    again = Catalog(
+        cat.algebra, cat.config, cat.ind, cat.names, cat.hom_dim, cat.subfactors
+    )
+    assert again.hom_table == cat.hom_table
     zero = HomProfile(0, 0, 0, True)
-    for row, dims in zip(cat.hom_table, cat.hom_dim):
+    for row, dims in zip(again.hom_table, cat.hom_dim):
         assert [p != zero for p in row] == [d > 0 for d in dims]
 
 
-def test_decompose_indices_sorted(a2cat):
-    # the oracle's decomposition, oracles.decompose_indices
+def test_oracle_decompose_indices_sorted(a2cat):
     from torslat.modrep import direct_sum
 
     big = direct_sum(a2cat.ind[2], a2cat.ind[0], a2cat.ind[2])
@@ -324,8 +329,21 @@ def test_tables_must_match_the_members(a2cat):
         q[0] = bad
         with pytest.raises(ValueError, match=r"^member 11: subfactor pairs "):
             from_json(json.dumps(doc))
+    # its summands 1000a, 0100a and 1110a add up to 2210, not to 2111a
+    q[0] = 2
+    with pytest.raises(ValueError, match=r"^member 11: subfactor pair .* not \(2, 1, 1, 1\)$"):
+        from_json(json.dumps(doc))
     q[0] = 0
-    doc["tables"]["hom_dim"][5][0] = -1
+    # a Hom dimension must be zero exactly when no pair of the source has a
+    # q that is the u of a pair of the target: Hom(0, 1) is zero, and
+    # Hom(3, 4) is not
+    hom = doc["tables"]["hom_dim"]
+    for i, j, bad in ((0, 1, 1), (3, 4, 0)):
+        good, hom[i][j] = hom[i][j], bad
+        with pytest.raises(ValueError, match=rf"^members {i} and {j}: Hom dimension {bad}, "):
+            from_json(json.dumps(doc))
+        hom[i][j] = good
+    hom[5][0] = -1
     with pytest.raises(ValueError, match=r"^member 5: Hom dimension -1 "):
         from_json(json.dumps(doc))
 

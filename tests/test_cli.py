@@ -8,8 +8,8 @@ from importlib import resources
 
 import pytest
 
-from torslat import cli, verify as verify_mod
-from torslat.catalog import Catalog, build_catalog
+from torslat import cli, verify as verify_mod, widelab
+from torslat.catalog import build_catalog
 from torslat.config import DEFAULT_CONFIG
 from torslat.errors import (
     DecomposeBlowup,
@@ -384,18 +384,17 @@ def test_verify_rejects_empty_and_repeated_props(props, capsys):
 
 
 def _plant_a_resource_error(monkeypatch):
-    # the first read of a catalog's Hom table raises, as a budget error
-    # would; the catalog's build reads hom_profile, not the table
-    def planted(cat):
-        raise ResourceError("planted at the first Hom table read")
+    # the first call of widelab.left_wide raises, as a budget error would
+    def planted(lat, node):
+        raise ResourceError("planted at the first left_wide call")
 
-    monkeypatch.setattr(Catalog, "hom_table", property(planted))
+    monkeypatch.setattr(widelab, "left_wide", planted)
 
 
 def test_an_escaped_error_leaves_the_lines_before_it(monkeypatch, tmp_path, capsys):
-    # with the planted error, d4p2's run stops at the first read of its Hom
-    # table; roundtrip is the first property to read it, so the lines of the
-    # properties before it stay
+    # with the planted error, d4p2's run stops at the first call of
+    # left_wide; roundtrip is the first property to call it, so the lines of
+    # the properties before it stay
     path = tmp_path / "d4p2.alg"
     path.write_text(BUDGET_SPECS["d4p2"])
     full = io.StringIO()
@@ -404,7 +403,7 @@ def test_an_escaped_error_leaves_the_lines_before_it(monkeypatch, tmp_path, caps
     _plant_a_resource_error(monkeypatch)
     out = io.StringIO()
     assert cli.main(["verify", str(path)], out=out) == 2
-    assert capsys.readouterr().err == "error: planted at the first Hom table read\n"
+    assert capsys.readouterr().err == "error: planted at the first left_wide call\n"
     text = out.getvalue()
     assert text.endswith("\n") and full.getvalue().startswith(text)
     props = {line.split(" ")[2] for line in text.splitlines()}

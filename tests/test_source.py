@@ -117,7 +117,7 @@ def test_the_library_imports_no_numpy():
 
 
 # the op_cache key kinds, each memoised by subcat._cached at one call site
-CACHE_KINDS = {"filt", "wide", "serre", "hom_table", "oneside", "mutation"}
+CACHE_KINDS = {"filt", "wide", "serre", "oneside", "mutation"}
 
 
 def _key_kind(key, tuples):
@@ -174,3 +174,37 @@ def test_each_cache_kind_has_one_call_site():
     kinds = Counter(kind for kind, _, _ in calls)
     assert kinds == Counter(CACHE_KINDS)
     assert [(what, rel) for what, rel, _ in others] == [("=", "catalog.py")]
+
+
+# the functions that may read a catalog's Hom dimensions: the constructor
+# checks them against the Hom table, build_tables computes them, to_json and
+# from_json write and read them; every other reader takes the Hom table
+HOM_DIM_READERS = {"Catalog.__init__", "build_tables", "to_json", "from_json"}
+
+
+def hom_dim_reads(root):
+    """(file, line, where) of each use of an attribute named hom_dim under
+    root outside HOM_DIM_READERS, where the qualified name of the outermost
+    function it lies in (None at module level)."""
+    out = []
+
+    def walk(node, rel, scope, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (*scope, child.name)
+                is_def = not isinstance(child, ast.ClassDef)
+                walk(child, rel, inner, where or (".".join(inner) if is_def else None))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "hom_dim":
+                if where not in HOM_DIM_READERS:
+                    out.append((rel, child.lineno, where))
+            walk(child, rel, scope, where)
+
+    for path in sorted(root.rglob("*.py")):
+        walk(ast.parse(path.read_text()), path.relative_to(root).as_posix(), (), None)
+    return out
+
+
+def test_hom_dim_is_read_only_where_it_is_checked_built_or_exported():
+    # the subfactor pairs are the one source for Hom vanishing
+    assert hom_dim_reads(SRC) == []
