@@ -9,11 +9,15 @@ are taken on the chosen side and ambient throughout.
 
 Masks are int bitsets (bit i for catalog index i), as everywhere in the
 library, and a node is its mask: ``TorsLattice.node_bits`` holds the masks
-in node order and ``bits_index`` finds a node by its mask.  Once, on
-construction, the lattice also turns them into frozensets, ``nodes`` and
-``node_index``, for callers that look a class up by its members; no code of
-the library reads them.  ``build_lattice`` walks the covers down from the
-ambient on bitsets, each lower cover an AND of a node with catalog rows
+in node order and ``bits_index`` finds a node by its mask.  On the first
+read of ``nodes`` or ``node_index``, the lattice turns the masks into
+frozensets, ``nodes`` in node order and ``node_index`` from each to its
+node, for callers that look a class up by its members; no code of the
+library reads them, so a lattice that nobody asks builds none.  An arrow is
+a ``HasseArrow`` (src, dst, label), a named tuple: it equals, and hashes
+as, the plain tuple of its fields.  ``out_of`` and ``into`` are tuples
+indexed by node.  ``build_lattice`` walks the covers down from the ambient
+on bitsets, each lower cover an AND of a node with catalog rows
 (T & perp-B for its label B).  It lists the members of each class once,
 when it first reaches it, by cutting the list of the cover above down to
 the new mask; the perpendicular, the minimality test and the node order
@@ -37,11 +41,11 @@ order reversal of the torsion-free dual from the arrows, with the same
 Hasse-diagram argument, instead of comparing every pair of nodes.
 """
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 from . import subcat
 from .errors import (
     LabelNotBrick,
@@ -52,10 +56,10 @@ from .errors import (
 )
 
 
-# slots: a walk builds one per cover arrow, and a frozen dataclass without
-# them pays one object.__setattr__ per field
-@dataclass(frozen=True, slots=True)
-class HasseArrow:
+# a named tuple: a walk builds one per cover arrow, and a tuple is built
+# without the per-field __setattr__ of a frozen dataclass; it equals, and
+# hashes as, the plain tuple (src, dst, label)
+class HasseArrow(NamedTuple):
     src: int
     dst: int
     label: int
@@ -75,16 +79,34 @@ class TorsLattice:
         self.within = within
         self.node_bits = tuple(node_bits)
         self.bits_index = {b: i for i, b in enumerate(self.node_bits)}
+        self.arrows = arrows
+        n = len(self.node_bits)
+        out = [[] for _ in range(n)]
+        into = [[] for _ in range(n)]
+        # an index of n or more raises IndexError by itself; a negative one
+        # would silently pick a node from the end
+        try:
+            for a in arrows:
+                src, dst = a.src, a.dst
+                if src < 0 or dst < 0:
+                    raise IndexError
+                out[src].append(a)
+                into[dst].append(a)
+        except IndexError:
+            raise ValueError(f"{a} names a node outside 0..{n - 1}") from None
+        self.out_of = tuple(map(tuple, out))
+        self.into = tuple(map(tuple, into))
+
+    def __getattr__(self, name):
+        # only on a miss: the frozenset view, ``nodes`` and ``node_index``,
+        # is built on the first read of either and then read as attributes
+        if name not in ("nodes", "node_index"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
         self.nodes = tuple(frozenset(subcat.indices(b)) for b in self.node_bits)
         self.node_index = {m: i for i, m in enumerate(self.nodes)}
-        self.arrows = arrows
-        out = {i: [] for i in range(len(self.node_bits))}
-        into = {i: [] for i in range(len(self.node_bits))}
-        for a in arrows:
-            out[a.src].append(a)
-            into[a.dst].append(a)
-        self.out_of = {i: tuple(v) for i, v in out.items()}
-        self.into = {i: tuple(v) for i, v in into.items()}
+        return vars(self)[name]
 
     def __len__(self):
         return len(self.node_bits)
@@ -387,8 +409,8 @@ def build_lattice(cat, side="tors", within=None):
     ``subcat.indices``; a class first reached below T keeps those of T's
     members that lie in its mask, in ascending order.  The perpendicular,
     the sub-minimal members and the sort key read that list, so the walk
-    makes one ``subcat.indices`` call, and ``TorsLattice`` one per node
-    for its frozenset view.
+    makes one ``subcat.indices`` call.  ``TorsLattice`` makes none until
+    its frozenset view is first read.
     """
     if within is not None:
         subcat.simples_of_wide(cat, within)
@@ -455,7 +477,7 @@ def build_lattice(cat, side="tors", within=None):
     # (src, dst) is unique, so the label never decides the order
     arrows = sorted([(index[top], index[bottom], s) for top, bottom, s in covers])
     return TorsLattice(
-        cat, side, within, node_bits, tuple(itertools.starmap(HasseArrow, arrows))
+        cat, side, within, node_bits, tuple(map(HasseArrow._make, arrows))
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -429,9 +430,9 @@ def test_cover_walk_skips_candidates(name, side, cat_of, monkeypatch):
 @pytest.mark.parametrize("side", ["tors", "torf"])
 @pytest.mark.parametrize("name", ["a4", "nak3"])
 def test_the_walk_lists_each_class_once(name, side, cat_of, monkeypatch):
-    # the walk reads only the ambient bit by bit, and TorsLattice each node
-    # once for its frozenset view; a class's member list, its perpendicular,
-    # minimality test and sort key all come from one list
+    # the walk reads only the ambient bit by bit, and TorsLattice no node
+    # until its frozenset view is read; a class's member list, its
+    # perpendicular, minimality test and sort key all come from one list
     cat = cat_of(name)
     listed, calls = subcat.indices, []
 
@@ -440,8 +441,8 @@ def test_the_walk_lists_each_class_once(name, side, cat_of, monkeypatch):
         return listed(b)
 
     monkeypatch.setattr(subcat, "indices", counting)
-    lat = build_lattice(cat, side=side)
-    assert len(lat) < len(calls) <= len(lat) + 2
+    build_lattice(cat, side=side)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["a4", "d4p3"])
@@ -483,6 +484,69 @@ A7_TORS = A7_EXPORT.with_name("a7p2.tors.json")
 
 def test_a7_lattice_matches_the_bench_export(a7lat):
     assert a7lat.to_json() == A7_TORS.read_text()
+
+
+def _bench_catalog(name):
+    """A catalog loaded from the benchmark's export of it, read only."""
+    return torslat.from_json(A7_EXPORT.with_name(f"{name}.catalog.json").read_text())
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the lattice exports the benchmark checks, as in its
+# LATTICE_DIGESTS
+@pytest.mark.parametrize(
+    "name,side,digest",
+    [
+        ("a6p2", "torf", "89af01979fc98720e934e4d087d2358e668ad7e6fea02cfe4e0dca776f245104"),
+        ("d4p3", "tors", "e0b8dc548351713af4b9bbb4803a41e455343af6bf993a49be2e8ed41618407e"),
+        ("d4p3", "torf", "5d5688cc8e33151075836892f1b4600144544865911d355aea80d4fe807d939c"),
+    ],
+)
+def test_the_bench_lattices_keep_their_digests(name, side, digest):
+    assert _sha256(build_lattice(_bench_catalog(name), side).to_json()) == digest
+
+
+def test_the_relative_walks_keep_their_digest():
+    # the torsion lattice of each wide subcategory of the d4@p3 export, in
+    # enumeration order, exported and joined
+    cat = _bench_catalog("d4p3")
+    wides = widelab.enumerate_wide_subcats(cat)
+    assert len(wides) == 50
+    text = "".join(build_lattice(cat, "tors", w).to_json() for w in wides)
+    assert _sha256(text) == (
+        "929e61583f0593ecdd1d760dcd357cf02393b8a6b657a99ee0bb99260f06fae1"
+    )
+
+
+@pytest.mark.parametrize("end", [-1, 50])
+@pytest.mark.parametrize("field", ["src", "dst"])
+def test_an_arrow_outside_the_nodes_raises(field, end):
+    lat = build_lattice(_bench_catalog("d4p3"))
+    assert len(lat) == 50
+    bad = HasseArrow(1, 0, 0)._replace(**{field: end})
+    with pytest.raises(ValueError, match="outside 0..49"):
+        TorsLattice(lat.cat, lat.side, lat.within, lat.node_bits, lat.arrows + (bad,))
+
+
+def test_the_frozenset_view_is_built_on_first_read(cat_of):
+    cat = cat_of("a3")
+    w = widelab.enumerate_wide_subcats(cat)[-2]
+    assert w not in (0, cat.full_mask)
+    for lat in (
+        build_lattice(cat),
+        build_lattice(cat, "torf"),
+        build_lattice(cat, "tors", w),
+    ):
+        assert "nodes" not in vars(lat) and "node_index" not in vars(lat)
+        assert lat.nodes == tuple(
+            frozenset(subcat.indices(b)) for b in lat.node_bits
+        )
+        assert "node_index" in vars(lat)
+        assert all(lat.node_index[m] == i for i, m in enumerate(lat.nodes))
+        assert not hasattr(lat, "x")
 
 
 @pytest.mark.parametrize("side", ["tors", "torf"])

@@ -94,6 +94,35 @@ def test_frozenset_masks_live_only_in_the_lattice():
     assert names_frozenset(SRC) == []
 
 
+def lattice_builders(path):
+    """``build_lattice`` and ``TorsLattice.__init__`` of the file at path,
+    by qualified name."""
+    tree = ast.parse(path.read_text())
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "TorsLattice":
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    out["TorsLattice.__init__"] = fn
+        elif isinstance(node, ast.FunctionDef) and node.name == "build_lattice":
+            out["build_lattice"] = node
+    return out
+
+
+def test_no_frozenset_is_built_while_a_lattice_is_walked_or_constructed():
+    # the lattice's frozenset view is built on first read, not by the walk
+    # or the constructor
+    defs = lattice_builders(SRC / "lattice.py")
+    assert sorted(defs) == ["TorsLattice.__init__", "build_lattice"]
+    for name, fn in defs.items():
+        used = [
+            n.lineno
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and n.id == "frozenset"
+        ]
+        assert used == [], name
+
+
 def numpy_imports(root):
     """(file, line) of each import of numpy, or of a numpy submodule, under root."""
     out = []
