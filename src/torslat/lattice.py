@@ -101,9 +101,9 @@ class TorsLattice:
         # only on a miss: the frozenset view, ``nodes`` and ``node_index``,
         # is built on the first read of either and then read as attributes
         if name not in ("nodes", "node_index"):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
+            # the plain lookup again, to raise its own error: Python's for a
+            # missing name, a cached property's when its body raised
+            return object.__getattribute__(self, name)
         self.nodes = tuple(frozenset(subcat.indices(b)) for b in self.node_bits)
         self.node_index = {m: i for i, m in enumerate(self.nodes)}
         return vars(self)[name]

@@ -549,6 +549,14 @@ def test_the_frozenset_view_is_built_on_first_read(cat_of):
         assert not hasattr(lat, "x")
 
 
+def test_the_view_hook_keeps_a_property_error(a2lat):
+    # a cached property whose body raises AttributeError reaches the view's
+    # __getattr__ hook too; its own error must come out, not "no attribute"
+    bad = TorsLattice(None, "tors", None, a2lat.node_bits, a2lat.arrows)
+    with pytest.raises(AttributeError, match="out_bits"):
+        bad.reach
+
+
 @pytest.mark.parametrize("side", ["tors", "torf"])
 @pytest.mark.parametrize("name,count", [("a2", 3), ("a3", 50)])
 def test_a_walk_inside_a_mask_that_is_not_wide_raises(name, count, side):
