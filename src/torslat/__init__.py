@@ -17,11 +17,12 @@ from .quivalg import (
     simple_module,
 )
 from .modrep import (
+    ExtScan,
     Module,
     Morphism,
-    all_extensions,
     decompose,
     direct_sum,
+    ext_scan,
     hom_basis,
     submodules,
     zero_module,
@@ -67,6 +68,7 @@ __all__ = [
     "Catalog",
     "Config",
     "DEFAULT_CONFIG",
+    "ExtScan",
     "HasseArrow",
     "Interval",
     "Module",
@@ -76,7 +78,6 @@ __all__ = [
     "TorsLattice",
     "WideIntervalReport",
     "WidelyGeneratedReport",
-    "all_extensions",
     "build_algebra",
     "build_catalog",
     "build_lattice",
@@ -86,6 +87,7 @@ __all__ = [
     "enumerate_semibricks",
     "enumerate_wide_subcats",
     "errors",
+    "ext_scan",
     "format_report",
     "from_json",
     "hom_basis",

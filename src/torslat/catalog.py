@@ -6,10 +6,10 @@ tables (Hom dimensions, subfactor pairs) turn every downstream subcategory
 operator into finite index combinatorics on masks, where a mask is an int
 bitset (bit i for catalog index i) denoting the additive hull of its
 members.  ``build_catalog`` enumerates the members with their subfactor
-pairs (``enumerate_indecomposables``) and then names them and computes their
-Hom dimensions (``build_tables``), and ``from_json`` reads them back; both
-hand them to the ``Catalog`` constructor, the one place the names and
-tables are validated.  The subfactor pairs are the catalog's one source for
+pairs and their Hom dimensions, which the closure's Ext scans compute
+(``enumerate_indecomposables``), and then names them (``build_tables``),
+and ``from_json`` reads them back; both hand them to the ``Catalog``
+constructor, the one place the names and tables are validated.  The subfactor pairs are the catalog's one source for
 Hom vanishing: the constructor reads off them the Hom table ``hom_table``,
 one ``HomProfile`` per ordered pair of members (``Catalog.hom_profile``: a
 nonzero map is a quotient of its source that is a submodule of its target,
@@ -204,7 +204,9 @@ class Catalog:
 
 def enumerate_indecomposables(algebra, config=None):
     """The members of an algebra's catalog in catalog order, each with its
-    row of subfactor pairs: a tuple of (module, pairs).
+    row of subfactor pairs and its row of Hom dimensions: a tuple of
+    (module, pairs, hom_row), hom_row[j] the dimension of Hom(module, ind[j])
+    for the catalog's ind.
 
     A fixpoint closure from the simples under quotients and pair extensions.
     Raises NotClosed when a new isomorphism class appears above the dimension
@@ -214,11 +216,11 @@ def enumerate_indecomposables(algebra, config=None):
     extensions of each ordered pair of it and a member up to it, so each
     scan runs once.  Every summand they produce is admitted, and a new
     member is appended and visited in turn, so the result is closed without
-    a second pass.  all_extensions builds no split
-    middle term, whose summands would be the pair itself, and admitting
-    decomposes every middle term, so two isomorphic middle terms of one pair
-    land on the same members.  A summand's class is looked up among the
-    members of its dimension vector only.  Admitting decomposes each
+    a second pass.  ext_scan builds no split middle term, whose summands
+    would be the pair itself, and admitting decomposes every middle term, so
+    two isomorphic middle terms of one pair land on the same members.  A
+    summand's class is looked up among the members of its dimension vector
+    only.  Admitting decomposes each
     distinct module, by Module.key(), once per call: quotients repeat across
     members (every scan includes the member itself and the zero module), and
     a repeat gets the indices of its first sighting, which registered its
@@ -230,12 +232,19 @@ def enumerate_indecomposables(algebra, config=None):
     so no module the closure decomposed is decomposed again, but no class is
     registered any more: a submodule summand that no member matches raises
     NotClosed naming its dims.
+
+    The scan of the ordered pair (X, Y) also gives the dimension of
+    Hom(X, Y), as the kernel of the coboundary map it reduces, so the
+    closure keeps it: as the members are all visited, every ordered pair
+    of them is scanned once, and the rows of Hom dimensions need no other
+    linear system.
     """
     cfg = config or DEFAULT_CONFIG
     reps = []
     buckets = {}
     admitted = {}
     subquotients = []
+    hom = {}
 
     def index(part, register):
         """Index of an indecomposable's class, registering a new class if asked."""
@@ -272,10 +281,12 @@ def enumerate_indecomposables(algebra, config=None):
             for sub, inc in modrep.submodules(reps[k], cfg)
         ])
         for other in range(k + 1):
-            for z in modrep.all_extensions(reps[k], reps[other], cfg):
+            hom[k, other], middles = modrep.ext_scan(reps[k], reps[other], cfg)
+            for z in middles:
                 admit(z)
             if other != k:
-                for z in modrep.all_extensions(reps[other], reps[k], cfg):
+                hom[other, k], middles = modrep.ext_scan(reps[other], reps[k], cfg)
+                for z in middles:
                     admit(z)
         k += 1
 
@@ -291,24 +302,29 @@ def enumerate_indecomposables(algebra, config=None):
     return tuple(
         (reps[i], tuple(sorted({
             (ranked(admit(sub, False)), ranked(q)) for sub, q in subquotients[i]
-        })))
+        })), tuple(hom[i, j] for j in order))
         for i in order
     )
 
 
 def build_tables(algebra, config, members):
     """The Catalog of enumerate_indecomposables' members: names each by its
-    dims and a letter and computes the Hom dimensions."""
-    ind = tuple(m for m, _ in members)
+    dims and a letter, and takes the subfactor pairs and the Hom dimensions
+    as the closure found them; it solves no linear system."""
+    ind = tuple(m for m, _, _ in members)
     counts = {}
     names = []
     for m in ind:
         ds = "".join(str(d) for d in m.dims)
         names.append(ds + _letters(counts.get(ds, 0)))
         counts[ds] = counts.get(ds, 0) + 1
-    hom_dim = tuple(tuple(len(modrep.hom_basis(x, y)) for y in ind) for x in ind)
     return Catalog(
-        algebra, config, ind, tuple(names), hom_dim, tuple(row for _, row in members)
+        algebra,
+        config,
+        ind,
+        tuple(names),
+        tuple(row for _, _, row in members),
+        tuple(pairs for _, pairs, _ in members),
     )
 
 

@@ -20,7 +20,8 @@ class Config:
     # cap on the product of per-vertex subspace counts in submodule enumeration
     subspace_budget: int = 1_000_000
     # cap on the elements of Ext^1 (p^e for an e-dimensional Ext^1) whose
-    # classes all_extensions scans, one middle term per ray
+    # classes ext_scan scans, one middle term per ray; a pair with no
+    # cochains (C^1 = 0) returns before the cap is read
     ext_budget: int = 65536
     # cap on lattice nodes
     node_budget: int = 20000

@@ -17,6 +17,7 @@ built by ``restrict`` from per-vertex column bases, and every cokernel by
 
 import itertools
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .config import DEFAULT_CONFIG
@@ -379,19 +380,47 @@ def submodules(x, config=None):
     return out
 
 
-def all_extensions(q_mod, u_mod, config=None):
-    """Middle terms Z of non-split exact sequences 0 -> u_mod -> Z -> q_mod -> 0.
+class ExtScan(NamedTuple):
+    """What ext_scan finds for a pair (q_mod, u_mod).
+
+    hom_dim is the dimension of Hom(q_mod, u_mod); middles lists the middle
+    terms of the non-split extensions of q_mod by u_mod, one per ray of
+    Ext^1(q_mod, u_mod).
+    """
+
+    hom_dim: int
+    middles: list
+
+
+def ext_scan(q_mod, u_mod, config=None):
+    """Middle terms Z of non-split exact sequences 0 -> u_mod -> Z -> q_mod -> 0,
+    with the dimension of Hom(q_mod, u_mod): an ExtScan.
 
     Z is assembled block upper-triangularly, u_mod coordinates first, with
-    an off-diagonal block c_a: q_s -> u_t per arrow a: s -> t.  The cocycles
-    Z^1 are the blocks that satisfy the relations.  Cocycles that differ by
-    a coboundary U_a h_s - h_t Q_a give isomorphic middle terms, and so do
-    nonzero scalar multiples of one class, so one middle term is built per
-    ray of a complement of B^1 in Z^1, that is per ray of Ext^1(q_mod,
-    u_mod), in the order of linalg.ray_representatives.  The list is empty
-    when Ext^1 vanishes; the split middle term is not built.  Two rays may
-    give isomorphic middle terms; nothing here removes them.  Raises
+    an off-diagonal block c_a: q_s -> u_t per arrow a: s -> t, so the
+    cochains C^1 are the tuples (c_a)_a.  The cocycles Z^1 are the blocks
+    that satisfy the relations.  Cocycles that differ by a coboundary
+    U_a h_s - h_t Q_a give isomorphic middle terms, and so do nonzero
+    scalar multiples of one class, so one middle term is built per ray of a
+    complement of B^1 in Z^1, that is per ray of Ext^1(q_mod, u_mod), in
+    the order of linalg.ray_representatives.  The list is empty when Ext^1
+    vanishes; the split middle term is not built.  Two rays may give
+    isomorphic middle terms; nothing here removes them.  Raises
     SubspaceBlowup when Ext^1 has more than ext_budget elements.
+
+    The coboundary map h -> (U_a h_s - h_t Q_a)_a from the cochains C^0 =
+    (h_v: q_v -> u_v)_v to C^1 is the intertwining system of hom_basis, so
+    its kernel is Hom(q_mod, u_mod) and hom_dim is dim C^0 minus its rank,
+    read off the pivots of the row reduction that finds the Ext classes.
+    The relations cut Z^1 out of C^1 and leave this map alone.
+
+    When C^1 = 0, that is when no arrow a: s -> t has q_s u_t nonzero, the
+    scan returns at once and builds no system.  Proof: both sides of each
+    equation U_a f_s = f_t Q_a are u_t x q_s matrices, that is empty, so
+    every tuple of vertex maps intertwines and hom_dim is dim C^0, the sum
+    of the q_v u_v; and Z^1 lies in C^1 = 0, so Ext^1 vanishes, with or
+    without relations, and the budget, which is at least 1 = p^0, cannot
+    trip.
     """
     cfg = config or DEFAULT_CONFIG
     algebra = q_mod.algebra
@@ -401,6 +430,8 @@ def all_extensions(q_mod, u_mod, config=None):
     for a in qv.arrows:
         offsets.append(offsets[-1] + u_mod.dims[a.target] * q_mod.dims[a.source])
     ncols = offsets[-1]
+    if not ncols:
+        return ExtScan(sum(map(mul, q_mod.dims, u_mod.dims)), [])
 
     rows = []
     idx = algebra.arrow_index
@@ -431,6 +462,8 @@ def all_extensions(q_mod, u_mod, config=None):
     pivots = linalg.reduce_rows(coboundaries, nb + len(cocycles), p)
     classes = [cocycles[c - nb] for c in pivots if c >= nb]
     e = len(classes)
+    # the pivots below nb are the rank of the coboundary block
+    hom_dim = nb - (len(pivots) - e)
     if p ** e > cfg.ext_budget:
         raise SubspaceBlowup(
             f"{p}^{e} Ext classes to scan, budget {cfg.ext_budget} (--ext-budget)"
@@ -449,4 +482,4 @@ def all_extensions(q_mod, u_mod, config=None):
                 + tuple((0,) * u_mod.dims[a.source] + qr for qr in q_mod.mats[ai])
             )
         out.append(Module(algebra, dims, tuple(mats)))
-    return out
+    return ExtScan(hom_dim, out)

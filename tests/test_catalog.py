@@ -1,12 +1,13 @@
 import hashlib
 import json
 from collections import Counter
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 import oracles
-from torslat import modrep, subcat, widelab
+from torslat import linalg, modrep, subcat, widelab
 from torslat import verify as verify_mod
 from torslat.catalog import (
     Catalog,
@@ -366,14 +367,14 @@ def test_a_submodule_outside_the_closure_raises_not_closed(monkeypatch):
     # 011a, yet reaches 111a through 110a, and 011a is a submodule of 111a
     # that matches no member when the tables are built
     alg = verify_mod.load_corpus_algebra("a3")
-    all_extensions = modrep.all_extensions
+    ext_scan = modrep.ext_scan
 
     def without_011(q_mod, u_mod, config=None):
         if (q_mod.dims, u_mod.dims) == ((0, 1, 0), (0, 0, 1)):
-            return []
-        return all_extensions(q_mod, u_mod, config)
+            return ext_scan(q_mod, u_mod, config)._replace(middles=[])
+        return ext_scan(q_mod, u_mod, config)
 
-    monkeypatch.setattr(modrep, "all_extensions", without_011)
+    monkeypatch.setattr(modrep, "ext_scan", without_011)
     with pytest.raises(NotClosed, match=r"^module with dims \(0, 1, 1\) is not in the catalog$"):
         build_catalog(alg)
 
@@ -388,17 +389,17 @@ def test_representation_infinite_hits_closure_error():
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
 def test_closure_scans_each_input_once(name, monkeypatch):
     ext_calls, sub_calls = Counter(), Counter()
-    all_extensions, submodules = modrep.all_extensions, modrep.submodules
+    ext_scan, submodules = modrep.ext_scan, modrep.submodules
 
     def counting_extensions(q_mod, u_mod, config=None):
         ext_calls[id(q_mod), id(u_mod)] += 1
-        return all_extensions(q_mod, u_mod, config)
+        return ext_scan(q_mod, u_mod, config)
 
     def counting_submodules(x, config=None):
         sub_calls[id(x)] += 1
         return submodules(x, config)
 
-    monkeypatch.setattr(modrep, "all_extensions", counting_extensions)
+    monkeypatch.setattr(modrep, "ext_scan", counting_extensions)
     monkeypatch.setattr(modrep, "submodules", counting_submodules)
     cat = build_catalog(verify_mod.load_corpus_algebra(name))
     members = [id(m) for m in cat.ind]
@@ -432,13 +433,68 @@ def test_extensions_match_cocycle_oracle(name, cat_of):
     cat = cat_of(name)
     for u in cat.ind:
         for q in cat.ind:
-            fast = {oracles.decompose_indices(cat, z) for z in modrep.all_extensions(q, u)}
+            fast = {oracles.decompose_indices(cat, z) for z in modrep.ext_scan(q, u).middles}
             # element 0 of the oracle is the split middle
             slow = {
                 oracles.decompose_indices(cat, z)
                 for z in oracles.extensions_by_cocycles(q, u)[1:]
             }
             assert fast == slow
+
+
+@pytest.mark.parametrize("name", verify_mod.CORPUS + ("kx3p2",))
+def test_ext_scan_on_every_pair(name, cat_of, monkeypatch):
+    # nak3, ppa2 and k[x]/x^3 carry relations, which cut the cocycles out of
+    # the cochains but leave the coboundary map, whose kernel is Hom, alone
+    if name in SCALE_SPECS:
+        cat = build_catalog(parse_algebra_text(SCALE_SPECS[name]))
+    else:
+        cat = cat_of(name)
+    arrows = cat.algebra.quiver.arrows
+    trivial = []
+    for q in cat.ind:
+        for u in cat.ind:
+            scan = modrep.ext_scan(q, u)
+            assert scan.hom_dim == len(modrep.hom_basis(q, u))
+            fast = {oracles.decompose_indices(cat, z) for z in scan.middles}
+            # element 0 of the oracle is the split middle
+            slow = {
+                oracles.decompose_indices(cat, z)
+                for z in oracles.extensions_by_cocycles(q, u)[1:]
+            }
+            assert fast == slow
+            if not any(q.dims[a.source] * u.dims[a.target] for a in arrows):
+                trivial.append((q, u))
+    # every loop of k[x]/x^3 meets every nonzero pair
+    assert bool(trivial) == (name != "kx3p2")
+
+    def refuse(*args):
+        raise AssertionError("a scan with no cochains built a system")
+
+    monkeypatch.setattr(modrep, "_intertwining_system", refuse)
+    monkeypatch.setattr(linalg, "reduce_rows", refuse)
+    for q, u in trivial:
+        assert modrep.ext_scan(q, u) == (sum(map(mul, q.dims, u.dims)), [])
+
+
+@pytest.mark.parametrize(
+    "name", verify_mod.CORPUS + tuple(SCALE_SPECS) + ("a5p2",)
+)
+def test_closure_hom_dims_match_hom_basis(name, cat_of):
+    # the closure reads every Hom dimension off an Ext scan; hom_basis
+    # solves the intertwining system on its own
+    if name in SCALE_SPECS:
+        cat = build_catalog(parse_algebra_text(SCALE_SPECS[name]))
+    elif name == "a5p2":
+        cat = _hom_spec(name)
+    else:
+        cat = cat_of(name)
+    for i, x in enumerate(cat.ind):
+        for j, y in enumerate(cat.ind):
+            assert cat.hom_dim[i][j] == len(modrep.hom_basis(x, y)), (
+                cat.names[i],
+                cat.names[j],
+            )
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)

@@ -10,9 +10,9 @@ from torslat.errors import DecomposeBlowup, SubspaceBlowup
 from torslat.modrep import (
     Module,
     Morphism,
-    all_extensions,
     decompose,
     direct_sum,
+    ext_scan,
     hom_basis,
     image,
     kernel,
@@ -145,7 +145,7 @@ def test_hom_rays_one_per_ray():
     alg = parse_algebra_text(KRONECKER_P3)
     s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
     s11 = direct_sum(s1, s1)
-    mods = [s1, s2, s11, direct_sum(s2, s2)] + all_extensions(s1, s2)
+    mods = [s1, s2, s11, direct_sum(s2, s2)] + ext_scan(s1, s2).middles
     for x in mods:
         for y in mods:
             rays = list(hom_rays(x, y))
@@ -277,7 +277,7 @@ def test_internal_results_pass_validation(member_lists):
                     if x is y:
                         _assert_valid(f.compose(f))
                 xy = direct_sum(x, y)
-                for obj in (xy, *decompose(xy), *all_extensions(x, y)):
+                for obj in (xy, *decompose(xy), *ext_scan(x, y).middles):
                     _assert_valid(obj)
 
 
@@ -317,17 +317,17 @@ def test_extensions_of_simples_give_projective(a2):
     s1 = simple_module(a2, 0)
     s2 = simple_module(a2, 1)
     # non-split middles of 0 -> S2 -> E -> S1 -> 0: Ext^1 is a line
-    (mid,) = all_extensions(s1, s2)
+    (mid,) = ext_scan(s1, s2).middles
     assert is_isomorphic(mid, projective_module(a2, 0))
     # the reversed direction only splits, and the split middle is not built
-    assert all_extensions(s2, s1) == []
+    assert ext_scan(s2, s1).middles == []
 
 
 def test_extension_middles_contain_sub():
     alg = verify_mod.load_corpus_algebra("a3")
     s3 = simple_module(alg, 2)
     s2 = simple_module(alg, 1)
-    for e in all_extensions(s2, s3):
+    for e in ext_scan(s2, s3).middles:
         subs = [s for s, _ in submodules(e)]
         assert any(is_isomorphic(s, s3) for s in subs if s.total_dim == 1)
 
@@ -337,7 +337,7 @@ def test_extension_count_respects_prime():
     s1 = simple_module(alg, 0)
     s2 = simple_module(alg, 1)
     # four nonsplit cocycle lines at p=5, one ray of Ext^1 up to coboundaries
-    mids = all_extensions(s1, s2)
+    mids = ext_scan(s1, s2).middles
     assert len(mids) == 1
 
 
@@ -345,19 +345,19 @@ def test_ext_budget_counts_classes_not_cocycles(a2):
     # Z^1 is a line, but it is all coboundaries: Ext^1 vanishes, no middle is
     # built, and a budget of one element (the zero class) suffices
     p1, s2 = projective_module(a2, 0), simple_module(a2, 1)
-    assert all_extensions(p1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=1)) == []
+    assert ext_scan(p1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=1)).middles == []
 
 
 def test_ext_budget_caps_classes_and_names_flag():
     alg = parse_algebra_text(KRONECKER_P3)
     s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
     # Ext^1(S1, S2) = F_3^2: one middle per point of P^1(F_3)
-    mids = all_extensions(s1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=9))
+    mids = ext_scan(s1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=9)).middles
     assert len(mids) == ray_count(2, 3)
     with pytest.raises(
         SubspaceBlowup, match=r"^3\^2 Ext classes to scan, budget 8 \(--ext-budget\)$"
     ):
-        all_extensions(s1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=8))
+        ext_scan(s1, s2, DEFAULT_CONFIG.with_overrides(ext_budget=8))
 
 
 def test_extensions_match_cocycle_oracle_on_kronecker():
@@ -366,10 +366,10 @@ def test_extensions_match_cocycle_oracle_on_kronecker():
     # self-extensions inside a 2-dimensional cocycle space
     alg = parse_algebra_text(KRONECKER_P3)
     s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
-    mods = [s1, s2] + all_extensions(s1, s2)
+    mods = [s1, s2] + ext_scan(s1, s2).middles
     for q in mods:
         for u in mods:
-            fast = all_extensions(q, u)
+            fast = ext_scan(q, u).middles
             # element 0 of the oracle is the split middle
             slow = oracles.extensions_by_cocycles(q, u)[1:]
             assert all(sum(is_isomorphic(f, z) for z in slow) == 1 for f in fast)

@@ -76,6 +76,18 @@ def test_the_lattice_runs_no_extension_closure():
     assert "extension_closure" not in names
 
 
+def test_the_catalog_solves_no_hom_basis():
+    # the closure's Ext scans give the Hom dimensions; a second solve of
+    # each ordered pair would be n^2 intertwining systems per build
+    tree = ast.parse((SRC / "catalog.py").read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {
+        a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names
+    }
+    assert "hom_basis" not in names
+
+
 def names_frozenset(root):
     """(file, line) of each use of the name frozenset under root, outside
     lattice.py: masks are int bitsets everywhere else in the library."""
@@ -206,8 +218,9 @@ def test_each_cache_kind_has_one_call_site():
 
 
 # the functions that may read a catalog's Hom dimensions: the constructor
-# checks them against the Hom table, build_tables computes them, to_json and
-# from_json write and read them; every other reader takes the Hom table
+# checks them against the Hom table, build_tables passes on the rows that
+# the closure's Ext scans computed, to_json and from_json write and read
+# them; every other reader takes the Hom table
 HOM_DIM_READERS = {"Catalog.__init__", "build_tables", "to_json", "from_json"}
 
 
