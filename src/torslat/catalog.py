@@ -9,17 +9,18 @@ members.  ``build_catalog`` enumerates the members with their subfactor
 pairs and their Hom dimensions, which the closure's Ext scans compute
 (``enumerate_indecomposables``), and then names them (``build_tables``),
 and ``from_json`` reads them back; both hand them to the ``Catalog``
-constructor, the one place the names and tables are validated.  The subfactor pairs are the catalog's one source for
-Hom vanishing: the constructor reads off them the Hom table ``hom_table``,
-one ``HomProfile`` per ordered pair of members (``Catalog.hom_profile``: a
-nonzero map is a quotient of its source that is a submodule of its target,
-so the table solves no linear algebra), and checks the Hom dimensions
-against it.  From the table it derives the brick flags (``bricks``, see
-``Catalog``) and the bitset rows the operators read: ``out_bits`` and
-``in_bits`` (the members a member maps to and from), ``pair_bits`` (the
-subfactor pairs as (u, q) bitsets), ``quotient_bits`` and ``sub_bits`` (the
-union of their q and u parts), ``closure_rows`` (the rows of
-``subcat.filt``: u | q of each nontrivial pair) and ``full_mask``.
+constructor, the one place the names and tables are validated.  The
+subfactor pairs are the catalog's one source for Hom vanishing: the
+constructor reads off them the Hom table ``hom_table``, one ``HomProfile``
+per ordered pair of members (``Catalog.hom_profile``: a nonzero map is a
+quotient of its source that is a submodule of its target, so the table
+solves no linear algebra), and checks the Hom dimensions against it.
+From the table it derives the brick flags (``bricks``, see ``Catalog``) and
+the bitset rows the operators read: ``out_bits`` and ``in_bits`` (the
+members a member maps to and from), ``pair_bits`` (the subfactor pairs as
+(u, q) bitsets), ``quotient_bits`` and ``sub_bits`` (the union of their q
+and u parts), ``closure_rows`` (the rows of ``subcat.filt``: u | q of each
+nontrivial pair) and ``full_mask``.
 ``op_cache`` holds every memo of the library under tagged keys, the
 subcategory operators' results and widelab's verdicts (see ``subcat``); the
 constructor leaves it empty.
@@ -220,11 +221,11 @@ def enumerate_indecomposables(algebra, config=None):
     would be the pair itself, and admitting decomposes every middle term, so
     two isomorphic middle terms of one pair land on the same members.  A
     summand's class is looked up among the members of its dimension vector
-    only.  Admitting decomposes each
-    distinct module, by Module.key(), once per call: quotients repeat across
-    members (every scan includes the member itself and the zero module), and
-    a repeat gets the indices of its first sighting, which registered its
-    classes in the same order a second decomposition would find them.
+    only.  Admitting decomposes each distinct module, by Module.key(), once
+    per call: quotients repeat across members (every scan includes the
+    member itself and the zero module), and a repeat gets the indices of its
+    first sighting, which registered its classes in the same order a second
+    decomposition would find them.
 
     The members are then ranked by (total dimension, dims, matrices).  The
     subfactor pairs of a member are its quotient scan's submodules with their
