@@ -11,6 +11,7 @@ from .quivalg import (
     Arrow,
     Quiver,
     build_algebra,
+    injective_module,
     parse_algebra_file,
     parse_algebra_text,
     projective_module,
@@ -91,6 +92,7 @@ __all__ = [
     "format_report",
     "from_json",
     "hom_basis",
+    "injective_module",
     "is_wide_interval",
     "is_widely_generated",
     "iter_checks",

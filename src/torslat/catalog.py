@@ -6,15 +6,18 @@ tables (Hom dimensions, subfactor pairs) turn every downstream subcategory
 operator into finite index combinatorics on masks, where a mask is an int
 bitset (bit i for catalog index i) denoting the additive hull of its
 members.  ``build_catalog`` enumerates the members with their subfactor
-pairs and their Hom dimensions, which the closure's Ext scans compute
-(``enumerate_indecomposables``), and then names them (``build_tables``),
-and ``from_json`` reads them back; both hand them to the ``Catalog``
-constructor, the one place the names and tables are validated.  The
-subfactor pairs are the catalog's one source for Hom vanishing: the
-constructor reads off them the Hom table ``hom_table``, one ``HomProfile``
-per ordered pair of members (``Catalog.hom_profile``: a nonzero map is a
-quotient of its source that is a submodule of its target, so the table
-solves no linear algebra), and checks the Hom dimensions against it.
+pairs and their Hom dimensions (``enumerate_indecomposables``): the
+closure's Ext scans compute the dimensions, except for a pair whose source
+is projective or whose target is injective, which needs no scan, its Hom
+dimension being a dimension of the other member at one vertex.  It then
+names the members (``build_tables``), and ``from_json`` reads them back;
+both hand them to the ``Catalog`` constructor, the one place the names and
+tables are validated.  The subfactor pairs are the catalog's one source for
+Hom vanishing: the constructor reads off them the Hom table ``hom_table``,
+one ``HomProfile`` per ordered pair of members (``Catalog.hom_profile``: a
+nonzero map is a quotient of its source that is a submodule of its target,
+so the table solves no linear algebra), and checks the Hom dimensions
+against it.
 From the table it derives the brick flags (``bricks``, see ``Catalog``) and
 the bitset rows the operators read: ``out_bits`` and ``in_bits`` (the
 members a member maps to and from), ``pair_bits`` (the subfactor pairs as
@@ -32,7 +35,14 @@ from typing import NamedTuple
 from . import modrep, subcat
 from .config import DEFAULT_CONFIG
 from .errors import NotClosed
-from .quivalg import Arrow, Quiver, build_algebra, simple_module
+from .quivalg import (
+    Arrow,
+    Quiver,
+    build_algebra,
+    injective_module,
+    projective_module,
+    simple_module,
+)
 
 
 def _letters(k):
@@ -213,9 +223,9 @@ def enumerate_indecomposables(algebra, config=None):
     Raises NotClosed when a new isomorphism class appears above the dimension
     bound; for a representation-finite algebra with an adequate bound the
     closure stabilizes.  One ordered pass visits the members in the order
-    they are registered: a member's visit scans its quotients, then the
-    extensions of each ordered pair of it and a member up to it, so each
-    scan runs once.  Every summand they produce is admitted, and a new
+    they are registered: a member's visit scans its quotients, then settles
+    each ordered pair of it and a member up to it (below), so each scan runs
+    at most once.  Every summand they produce is admitted, and a new
     member is appended and visited in turn, so the result is closed without
     a second pass.  ext_scan builds no split middle term, whose summands
     would be the pair itself, and admitting decomposes every middle term, so
@@ -236,9 +246,25 @@ def enumerate_indecomposables(algebra, config=None):
 
     The scan of the ordered pair (X, Y) also gives the dimension of
     Hom(X, Y), as the kernel of the coboundary map it reduces, so the
-    closure keeps it: as the members are all visited, every ordered pair
-    of them is scanned once, and the rows of Hom dimensions need no other
-    linear system.
+    closure keeps it, and the rows of Hom dimensions need no other linear
+    system.  Two kinds of pair need no scan (Assem-Simson-Skowronski,
+    Elements 1, III.2).  If X is the projective P_v, Ext^1(P_v, -) = 0, and
+    Hom(P_v, Y) is Y_v by the Yoneda lemma, f -> f(e_v); dually, if Y is
+    the injective I_w, Ext^1(-, I_w) = 0, and Hom(X, I_w) is the dual of
+    X_w.  Both facts hold up to isomorphism, so each member is marked at
+    registration as isomorphic to P_v, to I_w, to both or to neither.
+    projective_module and injective_module build P_v and I_w, both
+    indecomposable: End(P_v) = e_v A e_v is local, and I_w is the dual of a
+    projective of the opposite algebra.  A new member is compared only with
+    those of its dims, by is_isomorphic_indecomposable, which is exact on
+    two indecomposables.  A pair (X, Y) is then settled as hom = Y.dims[v]
+    when X is P_v, else as hom = X.dims[w] when Y is I_w, in either case
+    with no middle term, and by its scan otherwise.  Since the settled
+    pairs have no middle term to admit, the scans that do run run in the
+    same order, and the closure finds the same members, as if every pair
+    were scanned.  A class lookup, in the closure and in the marking, first
+    takes a candidate whose Module.key() is the module's own, equal keys
+    meaning equal modules, and solves Hom only when none is.
     """
     cfg = config or DEFAULT_CONFIG
     reps = []
@@ -246,12 +272,33 @@ def enumerate_indecomposables(algebra, config=None):
     admitted = {}
     subquotients = []
     hom = {}
+    # (v, P_v) and (w, I_w) by dims, and the vertex of each member
+    # isomorphic to one of them
+    standard = ({}, {})
+    for v in range(algebra.quiver.vertex_count):
+        for side, m in zip(standard, (
+            projective_module(algebra, v), injective_module(algebra, v)
+        )):
+            side.setdefault(m.dims, []).append((v, m))
+    projective, injective = {}, {}
+
+    def match(part, candidates):
+        """The tag of the first (tag, module) candidate that part is
+        isomorphic to, by key, then by a Hom solve; None if none is."""
+        key = part.key()
+        for tag, m in candidates:
+            if m.key() == key:
+                return tag
+        for tag, m in candidates:
+            if modrep.is_isomorphic_indecomposable(m, part):
+                return tag
+        return None
 
     def index(part, register):
         """Index of an indecomposable's class, registering a new class if asked."""
-        for i in buckets.get(part.dims, ()):
-            if modrep.is_isomorphic_indecomposable(reps[i], part):
-                return i
+        i = match(part, buckets.get(part.dims, ()))
+        if i is not None:
+            return i
         if not register:
             raise NotClosed(f"module with dims {part.dims} is not in the catalog")
         if part.total_dim > cfg.dim_bound:
@@ -261,7 +308,11 @@ def enumerate_indecomposables(algebra, config=None):
             )
         k = len(reps)
         reps.append(part)
-        buckets.setdefault(part.dims, []).append(k)
+        buckets.setdefault(part.dims, []).append((k, part))
+        for side, marks in zip(standard, (projective, injective)):
+            v = match(part, side.get(part.dims, ()))
+            if v is not None:
+                marks[k] = v
         return k
 
     def admit(module, register=True):
@@ -271,6 +322,16 @@ def enumerate_indecomposables(algebra, config=None):
                 index(part, register) for part in modrep.decompose(module, cfg)
             ]
         return admitted[key]
+
+    def settle(x, y):
+        if x in projective:
+            hom[x, y] = reps[y].dims[projective[x]]
+        elif y in injective:
+            hom[x, y] = reps[x].dims[injective[y]]
+        else:
+            hom[x, y], middles = modrep.ext_scan(reps[x], reps[y], cfg)
+            for z in middles:
+                admit(z)
 
     for v in range(algebra.quiver.vertex_count):
         admit(simple_module(algebra, v))
@@ -282,13 +343,9 @@ def enumerate_indecomposables(algebra, config=None):
             for sub, inc in modrep.submodules(reps[k], cfg)
         ])
         for other in range(k + 1):
-            hom[k, other], middles = modrep.ext_scan(reps[k], reps[other], cfg)
-            for z in middles:
-                admit(z)
+            settle(k, other)
             if other != k:
-                hom[other, k], middles = modrep.ext_scan(reps[other], reps[k], cfg)
-                for z in middles:
-                    admit(z)
+                settle(other, k)
         k += 1
 
     order = sorted(

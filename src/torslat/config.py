@@ -21,7 +21,9 @@ class Config:
     subspace_budget: int = 1_000_000
     # cap on the elements of Ext^1 (p^e for an e-dimensional Ext^1) whose
     # classes ext_scan scans, one middle term per ray; a pair with no
-    # cochains (C^1 = 0) returns before the cap is read
+    # cochains (C^1 = 0) returns before the cap is read, and the catalog's
+    # closure runs no scan on a pair with a projective source or an
+    # injective target, whose Ext^1 vanishes, p^0 = 1 passing any cap
     ext_budget: int = 65536
     # cap on lattice nodes
     node_budget: int = 20000

@@ -182,6 +182,33 @@ def projective_module(algebra, vertex):
     return Module(algebra, dims, tuple(mats))
 
 
+def injective_module(algebra, vertex):
+    """The injective envelope of the simple at `vertex`.
+
+    Basis: the basis paths ending at `vertex`, graded by their start vertex.
+    An arrow acts by deleting itself from the front of a path that begins
+    with it, and by zero on every other path.
+    """
+    from .modrep import Module
+
+    nv = algebra.quiver.vertex_count
+    paths = [pth for pth in algebra.path_basis if pth.end == vertex]
+    slot = {}
+    per_vertex = [0] * nv
+    for pth in paths:
+        slot[pth.names] = per_vertex[pth.start]
+        per_vertex[pth.start] += 1
+    dims = tuple(per_vertex)
+    mats = []
+    for a in algebra.quiver.arrows:
+        m = [[0] * dims[a.source] for _ in range(dims[a.target])]
+        for pth in paths:
+            if pth.names[:1] == (a.name,):
+                m[slot[pth.names[1:]]][slot[pth.names]] = 1
+        mats.append(m)
+    return Module(algebra, dims, tuple(mats))
+
+
 _DIRECTIVES = ("vertices", "arrow", "relation", "prime")
 
 

@@ -388,6 +388,8 @@ def test_representation_infinite_hits_closure_error():
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
 def test_closure_scans_each_input_once(name, monkeypatch):
+    # Ext^1(P, -) and Ext^1(-, I) vanish: the closure settles a pair with a
+    # projective source or an injective target without a scan
     ext_calls, sub_calls = Counter(), Counter()
     ext_scan, submodules = modrep.ext_scan, modrep.submodules
 
@@ -401,9 +403,21 @@ def test_closure_scans_each_input_once(name, monkeypatch):
 
     monkeypatch.setattr(modrep, "ext_scan", counting_extensions)
     monkeypatch.setattr(modrep, "submodules", counting_submodules)
-    cat = build_catalog(verify_mod.load_corpus_algebra(name))
+    alg = verify_mod.load_corpus_algebra(name)
+    cat = build_catalog(alg)
+    monkeypatch.undo()
+    n = alg.quiver.vertex_count
+    projective = {oracles.index_of(cat, projective_module(alg, v)) for v in range(n)}
+    injective = {
+        oracles.index_of(cat, oracles.injective_module(alg, v)) for v in range(n)
+    }
     members = [id(m) for m in cat.ind]
-    assert ext_calls == Counter({(q, u): 1 for q in members for u in members})
+    assert ext_calls == Counter({
+        (q, u): 1
+        for i, q in enumerate(members)
+        for j, u in enumerate(members)
+        if i not in projective and j not in injective
+    })
     assert sub_calls == Counter({x: 1 for x in members})
 
 
@@ -630,6 +644,60 @@ def test_brick_flags_match_the_ray_scan(source):
     if source[0] == "nakayama":
         n, length, _ = NAKAYAMA_NONBRICKS[source[1]]
         assert cat.bricks.count(False) == n * (length - n)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("corpus", n) for n in verify_mod.CORPUS]
+    # a5p2 is linear A5 at p = 2
+    + [("bench", n) for n in CLOSING_BENCH_SPECS]
+    + [("closed-form", "e6")],
+    ids=lambda source: f"{source[0]}-{source[1]}",
+)
+def test_settled_pairs_match_their_scans(source, monkeypatch):
+    # Ext^1(P_v, -) = 0 with dim Hom(P_v, Y) = dim Y_v, and Ext^1(-, I_w) = 0
+    # with dim Hom(X, I_w) = dim X_w; the closure scans no such pair, so its
+    # projective and injective members are those it scans no pair from and
+    # to, and they must be the oracle's
+    kind, name = source
+    if kind == "corpus":
+        alg, config = verify_mod.load_corpus_algebra(name), None
+    elif kind == "bench":
+        alg, config = parse_algebra_text((BENCH_SPECS / f"{name}.alg").read_text()), None
+    else:
+        alg = parse_algebra_text(CLOSED_FORM_SPECS[name].format(p=2))
+        config = CLOSED_FORM_CONFIG.get(name)
+    scanned = set()
+    ext_scan = modrep.ext_scan
+
+    def recording(q_mod, u_mod, config=None):
+        scanned.add((id(q_mod), id(u_mod)))
+        return ext_scan(q_mod, u_mod, config)
+
+    monkeypatch.setattr(modrep, "ext_scan", recording)
+    cat = build_catalog(alg, config)
+    monkeypatch.undo()
+    n = alg.quiver.vertex_count
+    projective = {oracles.index_of(cat, projective_module(alg, v)): v for v in range(n)}
+    injective = {
+        oracles.index_of(cat, oracles.injective_module(alg, v)): v for v in range(n)
+    }
+    assert len(projective) == len(injective) == n
+    members = [id(m) for m in cat.ind]
+    assert {
+        i for i, q in enumerate(members) if not any((q, u) in scanned for u in members)
+    } == set(projective)
+    assert {
+        j for j, u in enumerate(members) if not any((q, u) in scanned for q in members)
+    } == set(injective)
+    for i, v in projective.items():
+        for j, y in enumerate(cat.ind):
+            assert modrep.ext_scan(cat.ind[i], y) == modrep.ExtScan(y.dims[v], [])
+            assert cat.hom_dim[i][j] == y.dims[v]
+    for j, w in injective.items():
+        for i, x in enumerate(cat.ind):
+            assert modrep.ext_scan(x, cat.ind[j]) == modrep.ExtScan(x.dims[w], [])
+            assert cat.hom_dim[i][j] == x.dims[w]
 
 
 def test_from_json_rejects_a_flipped_brick_flag():

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from torslat import quivalg
 from torslat import verify as verify_mod
 from torslat.config import DEFAULT_CONFIG
@@ -9,10 +10,12 @@ from torslat.quivalg import (
     Path,
     Quiver,
     build_algebra,
+    injective_module,
     parse_algebra_text,
     projective_module,
     simple_module,
 )
+from test_catalog import CLOSED_FORM_SPECS
 
 
 def test_a2_path_basis():
@@ -118,3 +121,20 @@ def test_projective_respects_relations():
     for v in range(3):
         pv = projective_module(alg, v)
         assert pv.total_dim == 2
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("corpus", n) for n in verify_mod.CORPUS]
+    + [(name, p) for name in CLOSED_FORM_SPECS for p in (2, 3)],
+    ids=lambda source: f"{source[0]}-{source[1]}",
+)
+def test_injective_module_matches_the_oracle(source):
+    # the oracle builds the same basis, the paths ending at the vertex, in numpy
+    name, arg = source
+    if name == "corpus":
+        alg = verify_mod.load_corpus_algebra(arg)
+    else:
+        alg = parse_algebra_text(CLOSED_FORM_SPECS[name].format(p=arg))
+    for v in range(alg.quiver.vertex_count):
+        assert injective_module(alg, v).key() == oracles.injective_module(alg, v).key()
