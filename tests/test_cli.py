@@ -108,6 +108,44 @@ def test_interval_reduce_non_wide_is_precondition_error():
     assert "not wide" in res.stderr
 
 
+A3_INTERVAL_STDOUT = {
+    # wide: the reduction prints its lattice and phi
+    ("100a", "001a,100a,110a,111a"): (
+        0,
+        "interval [{100a},{001a,100a,110a,111a}]: 5 nodes\n"
+        "wide: yes\n"
+        "gap: {001a,110a,111a}\n"
+        "verdicts: direct=yes join=yes meet=yes\n"
+        "reduced lattice: 5 nodes, 5 arrows\n"
+        "phi {100a} -> {}\n"
+        "phi {001a,100a} -> {001a}\n"
+        "phi {100a,110a} -> {110a}\n"
+        "phi {100a,110a,111a} -> {110a,111a}\n"
+        "phi {001a,100a,110a,111a} -> {001a,110a,111a}\n",
+        "",
+    ),
+    # not wide: the verdicts print, then the reduction refuses
+    ("100a", "010a,100a,110a,111a"): (
+        4,
+        "interval [{100a},{010a,100a,110a,111a}]: 5 nodes\n"
+        "wide: no\n"
+        "gap: {010a,110a,111a}\n"
+        "verdicts: direct=no join=no meet=no\n",
+        "error: [{100a}, {010a,100a,110a,111a}] is not wide\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("bottom,top", sorted(A3_INTERVAL_STDOUT))
+def test_interval_check_wide_reduce_output_is_pinned(bottom, top, capsys):
+    code, stdout, stderr = A3_INTERVAL_STDOUT[bottom, top]
+    out = io.StringIO()
+    argv = ["interval", corpus_path("a3"), bottom, top, "--check-wide", "--reduce"]
+    assert cli.main(argv, out=out) == code
+    assert out.getvalue() == stdout
+    assert capsys.readouterr().err == stderr
+
+
 def test_interval_not_comparable_is_usage_error():
     res = run_cli("interval", corpus_path("a2"), "10a,11a", "10a")
     assert res.returncode == 3
