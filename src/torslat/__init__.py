@@ -57,7 +57,6 @@ from .verify import (
     iter_checks,
     load_corpus_algebra,
     run_verify,
-    verify_algebra,
 )
 from . import errors, subcat
 
@@ -109,7 +108,6 @@ __all__ = [
     "subcat",
     "submodules",
     "tors_of_wide",
-    "verify_algebra",
     "wide_intervals_with_top",
     "zero_module",
 ]

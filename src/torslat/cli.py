@@ -159,18 +159,16 @@ def _cmd_interval(args, cfg, out):
     iv = lat.interval(bottom, top)
     print(
         f"interval [{lat.name(iv.bottom)},{lat.name(iv.top)}]:"
-        f" {len(lat.interval_nodes(iv))} nodes",
+        f" {lat.interval_bits(iv).bit_count()} nodes",
         file=out,
     )
     if args.check_wide or args.reduce:
         report = widelab.is_wide_interval(lat, iv)
-        print(f"wide: {_yesno(report.wide)}", file=out)
+        # wide_verdicts raises unless the three readings agree
+        wide = _yesno(report.wide)
+        print(f"wide: {wide}", file=out)
         print(f"gap: {cat.mask_name(report.gap)}", file=out)
-        print(
-            f"verdicts: direct={_yesno(report.direct)}"
-            f" join={_yesno(report.join)} meet={_yesno(report.meet)}",
-            file=out,
-        )
+        print(f"verdicts: direct={wide} join={wide} meet={wide}", file=out)
     if args.reduce:
         red = widelab.reduce_interval(lat, iv)
         wlat = red.wide_lattice

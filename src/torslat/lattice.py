@@ -9,11 +9,13 @@ are taken on the chosen side and ambient throughout.
 
 Masks are int bitsets (bit i for catalog index i), as everywhere in the
 library, and a node is its mask: ``TorsLattice.node_bits`` holds the masks
-in node order and ``bits_index`` finds a node by its mask.  On the first
-read of ``nodes`` or ``node_index``, the lattice turns the masks into
-frozensets, ``nodes`` in node order and ``node_index`` from each to its
-node, for callers that look a class up by its members; no code of the
-library reads them, so a lattice that nobody asks builds none.  An arrow is
+in node order and ``bits_index`` finds a node by its mask.  A set of nodes
+is an int bitset too, bit i for node i: the lattice takes and returns node
+sets only in that form (``join``, ``labels_of``, ``upper_set``,
+``lower_set``, ``interval_bits``, the order bitsets).  ``node_index``, from
+each node's members as a frozenset to the node, is built on its first
+read, for callers that look a class up by its members; no code of the
+library reads it, so a lattice that nobody asks builds none.  An arrow is
 a ``HasseArrow`` (src, dst, label), a named tuple: it equals, and hashes
 as, the plain tuple of its fields.  ``out_of`` and ``into`` are tuples
 indexed by node.  ``build_lattice`` walks the covers down from the ambient
@@ -34,7 +36,8 @@ The order bitsets (``up_sets``, ``down_sets``) run over node indices and
 are built from the covering arrows.  The intervals come from them: the
 bottoms of a top t are the nodes of ``down_sets[t]``, so the enumeration
 costs one step per interval, not one per pair of nodes; an interval's
-nodes are ``up_sets[U] & down_sets[T]``.  ``mask_down_sets`` reads the
+nodes are ``up_sets[U] & down_sets[T]``, and its upper and lower sets are
+the covers of T and of U that bitset holds.  ``mask_down_sets`` reads the
 same order from the masks alone, for a reading that must not lean on the
 arrows (widely generated's covers).  ``dual_correspondence`` derives the
 order reversal of the torsion-free dual from the arrows, with the same
@@ -97,16 +100,11 @@ class TorsLattice:
         self.out_of = tuple(map(tuple, out))
         self.into = tuple(map(tuple, into))
 
-    def __getattr__(self, name):
-        # only on a miss: the frozenset view, ``nodes`` and ``node_index``,
-        # is built on the first read of either and then read as attributes
-        if name not in ("nodes", "node_index"):
-            # the plain lookup again, to raise its own error: Python's for a
-            # missing name, a cached property's when its body raised
-            return object.__getattribute__(self, name)
-        self.nodes = tuple(frozenset(subcat.indices(b)) for b in self.node_bits)
-        self.node_index = {m: i for i, m in enumerate(self.nodes)}
-        return vars(self)[name]
+    @cached_property
+    def node_index(self):
+        """Each node's members as a frozenset, mapped to the node; built on
+        first read, for callers that look a class up by its members."""
+        return {frozenset(subcat.indices(b)): i for i, b in enumerate(self.node_bits)}
 
     def __len__(self):
         return len(self.node_bits)
@@ -130,9 +128,6 @@ class TorsLattice:
     def name(self, i):
         return self.names[i]
 
-    def leq(self, i, j):
-        return not self.node_bits[i] & ~self.node_bits[j]
-
     def _node_of(self, b, what):
         """The node of a mask.  A mask that is no node raises a
         TheoremViolation naming ``what()``, the operation that gave it."""
@@ -146,11 +141,12 @@ class TorsLattice:
         ``what`` and no node."""
         return TheoremViolation(f"{what} is {self.cat.mask_name(b)}, not a node")
 
-    def _describe(self, op, node_ids):
-        return f"{op} of {' & '.join(self.name(i) for i in sorted(node_ids))}"
+    def _describe(self, op, nodes):
+        return f"{op} of {' & '.join(self.name(i) for i in subcat.indices(nodes))}"
 
-    def join(self, node_ids):
-        """The smallest class of the side containing the nodes.
+    def join(self, nodes):
+        """The smallest class of the side containing the nodes of the node
+        bitset ``nodes``.
 
         That is gen of their union, gen = filt after fac (sub_cl on the
         torsion-free side) cut down to the ambient, and fac of a union is
@@ -165,13 +161,13 @@ class TorsLattice:
         ``subcat``) and kept in ``op_cache``.
         """
         start = 0
-        for i in node_ids:
+        for i in subcat.indices(nodes):
             start |= self._closed_bits[i]
         closed = subcat.filt(self.cat, start)
-        return self._node_of(closed, lambda: self._describe("join", node_ids))
+        return self._node_of(closed, lambda: self._describe("join", nodes))
 
     def interval(self, bottom, top):
-        if not self.leq(bottom, top):
+        if self.node_bits[bottom] & ~self.node_bits[top]:
             raise NotAnInterval(
                 f"{self.name(bottom)} is not contained in {self.name(top)}"
             )
@@ -223,7 +219,7 @@ class TorsLattice:
     # arrow runs from a higher index to a lower one, and one pass in index
     # order fills each set from sets already filled.  The intervals, their
     # nodes and their upper and lower sets read these sets; join and gap
-    # read the node bitsets.
+    # read the node masks.
 
     @cached_property
     def down_sets(self):
@@ -277,47 +273,50 @@ class TorsLattice:
         """The nodes of the interval, as an int bitset over node indices."""
         return self.up_sets[iv.bottom] & self.down_sets[iv.top]
 
-    def interval_nodes(self, iv):
-        """The nodes of the interval, in ascending index order."""
-        return subcat.indices(self.interval_bits(iv))
-
-    def all_intervals(self):
-        """Enumerate the intervals: by top, then by bottom, in index order.
+    @cached_property
+    def intervals(self):
+        """Every interval, by top, then by bottom, in index order.
 
         The bottoms of a top t are the nodes of ``down_sets[t]``, so the
         enumeration is O(#intervals).  On a lattice whose arrows are the
         Hasse diagram of its masks, these are the nodes whose masks lie in
         t's, in the order of a subset scan over every pair of nodes
-        (``tests/oracles.py``).  ``intervals`` keeps them.
+        (``tests/oracles.py``).
         """
-        for t, down in enumerate(self.down_sets):
-            for b in subcat.indices(down):
-                yield Interval(b, t)
-
-    @cached_property
-    def intervals(self):
-        """Every interval, in ``all_intervals`` order, enumerated once."""
-        return tuple(self.all_intervals())
+        return tuple(
+            Interval(b, t)
+            for t, down in enumerate(self.down_sets)
+            for b in subcat.indices(down)
+        )
 
     def upper_set(self, iv):
-        """The top of the interval plus the interval nodes it covers."""
+        """The top of the interval plus the interval nodes it covers, as a
+        node bitset."""
         up = self.up_sets[iv.bottom]
-        return frozenset(
-            [iv.top] + [a.dst for a in self.out_of[iv.top] if up >> a.dst & 1]
-        )
+        bits = 1 << iv.top
+        for a in self.out_of[iv.top]:
+            if up >> a.dst & 1:
+                bits |= 1 << a.dst
+        return bits
 
     def lower_set(self, iv):
-        """The bottom of the interval plus the interval nodes covering it."""
+        """The bottom of the interval plus the interval nodes covering it, as
+        a node bitset."""
         down = self.down_sets[iv.top]
-        return frozenset(
-            [iv.bottom] + [a.src for a in self.into[iv.bottom] if down >> a.src & 1]
-        )
+        bits = 1 << iv.bottom
+        for a in self.into[iv.bottom]:
+            if down >> a.src & 1:
+                bits |= 1 << a.src
+        return bits
 
-    def labels_of(self, node_ids):
-        """The mask of the labels of arrows with both endpoints in the given
-        node set."""
+    def labels_of(self, nodes):
+        """The mask of the labels of arrows with both endpoints in the node
+        bitset ``nodes``."""
         return subcat.bits(
-            a.label for i in node_ids for a in self.out_of[i] if a.dst in node_ids
+            a.label
+            for i in subcat.indices(nodes)
+            for a in self.out_of[i]
+            if nodes >> a.dst & 1
         )
 
     def out_labels(self, i):
@@ -409,8 +408,8 @@ def build_lattice(cat, side="tors", within=None):
     ``subcat.indices``; a class first reached below T keeps those of T's
     members that lie in its mask, in ascending order.  The perpendicular,
     the sub-minimal members and the sort key read that list, so the walk
-    makes one ``subcat.indices`` call.  ``TorsLattice`` makes none until
-    its frozenset view is first read.
+    makes one ``subcat.indices`` call, and the ``TorsLattice`` constructor
+    none.
     """
     if within is not None:
         subcat.simples_of_wide(cat, within)

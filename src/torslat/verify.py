@@ -9,16 +9,16 @@ the input order.
 The report is a stream: ``iter_checks`` yields one ``CheckResult`` at a time,
 in report order, and ``format_line`` turns each into its line, so a caller
 that writes the lines as they come (``torslat verify``) holds no result
-after its line is out.  ``run_verify`` and ``verify_algebra`` collect the
-stream into a list; ``format_report`` joins the report in one pass over
+after its line is out.  ``run_verify`` collects the stream into a list, for
+one algebra or several.  ``format_report`` joins the report in one pass over
 pieces that already exist (a PASS line is its shared ``PASS algebra prop``
 head, the object's shared name and a newline), so it holds the text once
 and no second copy of its lines.  The records are compact: ``CheckResult``
 is a named tuple, with no per-instance dict, and the name of an object that
 several properties print (an interval's ``[U,T]``, an arrow's ``src->dst``,
 a top's ``T|W`` for a Serre piece W) is built once per algebra by
-``AlgebraContext`` and shared by their results.  A check builds its witness text only when it fails, so a
-passing run names masks only for its objects.
+``AlgebraContext`` and shared by their results.  A check builds its witness
+text only when it fails, so a passing run names masks only for its objects.
 
 Work that several properties share is done once per algebra, and no check
 scans every pair of nodes.  The torsion lattice enumerates its intervals
@@ -49,14 +49,17 @@ report order does not depend on the grouping.  The full check reads the
 interval as a bitset of nodes (``TorsLattice.interval_bits``), picks its
 arrows and labels by bit tests, and checks each class psi(X) against the
 extension product of the bottom with X by scanning only that class's
-members.  Duality derives the order reversal from its node, bijection and
-arrow lines (``lattice.dual_correspondence``).  The perpendiculars that
-duality and wide-serre read are the lattice's own (``TorsLattice.perp``),
-found on the other side by mask (``bits_index``).  wide-serre computes,
-once per top, its left wide subcategory and the set of its Serre pieces,
-and once per bottom, its perpendicular and the right wide subcategory of
-its dual node, each on the first interval that reads it; a failure there
-is kept and raised again on each interval that reads it.
+members.  lower-filt rebuilds each wide gap as Filt of the labels inside
+the interval's lower set, a node bitset, as every node set the lattice
+hands out is (``TorsLattice.lower_set``, ``labels_of``).  Duality derives
+the order reversal from its node, bijection and arrow lines
+(``lattice.dual_correspondence``).  The perpendiculars that duality and
+wide-serre read are the lattice's own (``TorsLattice.perp``), found on the
+other side by mask (``bits_index``).  wide-serre computes, once per top,
+its left wide subcategory and the set of its Serre pieces, and once per
+bottom, its perpendicular and the right wide subcategory of its dual node,
+each on the first interval that reads it; a failure there is kept and
+raised again on each interval that reads it.
 
 The morphism audits (hom-audit, label-maps, and the audit inside
 ``widelab.left_wide`` and ``right_wide``) read ``Catalog.hom_table``: per
@@ -590,11 +593,6 @@ def iter_checks(named_algebras, props=None, config=None):
     chosen = validate_props(props)
     for name, algebra in named_algebras:
         yield from _checks(name, algebra, chosen, config)
-
-
-def verify_algebra(name, algebra, props=None, config=None):
-    """All requested property checks for one algebra, in property order."""
-    return list(iter_checks([(name, algebra)], props, config))
 
 
 def run_verify(named_algebras, props=None, config=None):

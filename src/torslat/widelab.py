@@ -120,27 +120,21 @@ def wide_verdicts(lat, t, bottoms):
 class WideIntervalReport:
     interval: Interval
     gap: int
-    direct: bool
-    join: bool
-    meet: bool
-
-    @property
-    def wide(self):
-        return self.direct
+    wide: bool
 
 
 def is_wide_interval(lat, iv):
     """Test an interval three ways: gap wideness, join of lower elements,
     meet of upper elements; raises TheoremViolation unless all three agree.
 
-    This is ``wide_verdicts`` on the one bottom, so the three agree in the
-    report; its gap is ``lat.gap``.
+    This is ``wide_verdicts`` on the one bottom, which raises unless the
+    three agree, so the report holds the one verdict; its gap is
+    ``lat.gap``.
     """
     (verdict,) = wide_verdicts(lat, iv.top, [iv.bottom])
     if isinstance(verdict, VerificationError):
         raise verdict
-    wide = verdict is not None
-    return WideIntervalReport(iv, lat.gap(iv), wide, wide, wide)
+    return WideIntervalReport(iv, lat.gap(iv), verdict is not None)
 
 
 def tors_of_wide(cat, w):
@@ -552,14 +546,7 @@ def wide_intervals_with_top(lat, t_node):
 @dataclass(frozen=True)
 class WidelyGeneratedReport:
     node: int
-    via_wide: bool
-    via_labels: bool
-    via_covers: bool
-    canonical_join: object
-
-    @property
-    def holds(self):
-        return self.via_wide
+    holds: bool
 
 
 def is_widely_generated(lat, t_node):
@@ -588,21 +575,18 @@ def is_widely_generated(lat, t_node):
             f"widely-generated verdicts disagree at {lat.name(t_node)}:"
             f" wide={via_wide} labels={via_labels} covers={via_covers}"
         )
-    canonical = None
     if via_wide:
-        part_ids = [
-            lat._node_of(
+        parts = 0
+        for s in subcat.indices(lat.out_labels(t_node)):
+            parts |= 1 << lat._node_of(
                 subcat.tors_gen(cat, 1 << s, lat.within),
                 lambda: f"tors_gen of {cat.names[s]}",
             )
-            for s in subcat.indices(lat.out_labels(t_node))
-        ]
-        canonical = lat.join(part_ids) == t_node
-        if not canonical:
+        if lat.join(parts) != t_node:
             raise TheoremViolation(
                 f"join of label-generated classes misses {lat.name(t_node)}"
             )
-    return WidelyGeneratedReport(t_node, via_wide, via_labels, via_covers, canonical)
+    return WidelyGeneratedReport(t_node, via_wide)
 
 
 def _by_size(b):

@@ -709,6 +709,16 @@ def to_set(b):
     return None if b is None else frozenset(subcat.indices(b))
 
 
+def node_sets(lat):
+    """The lattice's node masks as masks, in node order."""
+    return tuple(map(to_set, lat.node_bits))
+
+
+def node_of(lat, mask):
+    """The node whose mask is the mask, or None."""
+    return lat.bits_index.get(to_bits(mask))
+
+
 # Element-by-element subcategory operators over the raw tables (hom_dim and
 # the subfactor tuples): the reference for the set-algebra versions in
 # subcat, which read the catalog's derived rows instead.
@@ -835,10 +845,48 @@ def canonical_sequence(cat, module, t_mask):
     return tpart, fpart
 
 
-def interval_nodes_by_subsets(lat, iv):
-    """The nodes of an interval by a subset test against every node."""
-    b, t = lat.nodes[iv.bottom], lat.nodes[iv.top]
-    return [i for i, m in enumerate(lat.nodes) if b <= m <= t]
+def interval_nodes_by_subsets(nodes, iv):
+    """The nodes of an interval by a subset test against every node of the
+    node masks ``nodes``."""
+    b, t = nodes[iv.bottom], nodes[iv.top]
+    return [i for i, m in enumerate(nodes) if b <= m <= t]
+
+
+# Node sets as frozensets of node indices, read off the node masks ``nodes``
+# (``node_sets``): the reference for the node-bitset versions in lattice.
+
+
+def upper_set(lat, nodes, iv):
+    """The top of the interval and the nodes it covers that hold the bottom."""
+    u = nodes[iv.bottom]
+    return frozenset(
+        [iv.top] + [a.dst for a in lat.out_of[iv.top] if u <= nodes[a.dst]]
+    )
+
+
+def lower_set(lat, nodes, iv):
+    """The bottom of the interval and the nodes covering it inside the top."""
+    t = nodes[iv.top]
+    return frozenset(
+        [iv.bottom] + [a.src for a in lat.into[iv.bottom] if nodes[a.src] <= t]
+    )
+
+
+def labels_of(lat, node_ids):
+    """The labels of the arrows with both endpoints among the nodes."""
+    return frozenset(
+        a.label for i in node_ids for a in lat.out_of[i] if a.dst in node_ids
+    )
+
+
+def join(lat, nodes, node_ids):
+    """The node that is gen of the union of the nodes' masks inside the
+    ambient (filt after fac, after sub_cl on the torsion-free side), or None
+    when it is no node."""
+    cat, within = lat.cat, to_set(lat.within)
+    close = fac if lat.side == "tors" else sub_cl
+    union = frozenset().union(*(nodes[i] for i in node_ids))
+    return node_of(lat, filt(cat, close(cat, union, within), within))
 
 
 # Wide intervals on masks: the interval verdicts and the reduction maps on
@@ -858,50 +906,46 @@ def is_wide(cat, members):
 def meet(lat, node_ids):
     """The node that is the intersection of the nodes' masks (the ambient
     for no node), or None when it is no node."""
-    met = to_set(lat.ambient).intersection(*(lat.nodes[i] for i in node_ids))
-    return lat.node_index.get(met)
+    met = to_set(lat.ambient).intersection(
+        *(to_set(lat.node_bits[i]) for i in node_ids)
+    )
+    return node_of(lat, met)
 
 
 def intervals_by_subsets(lat):
     """(bottom, top) of every pair of nested node masks, by top, then bottom."""
-    n = range(len(lat.nodes))
-    return [(b, t) for t in n for b in n if lat.nodes[b] <= lat.nodes[t]]
+    nodes = node_sets(lat)
+    n = range(len(nodes))
+    return [(b, t) for t in n for b in n if nodes[b] <= nodes[t]]
 
 
-def is_wide_interval(lat, iv):
-    """(gap, direct, join, meet) of an interval, read off the masks.
+def is_wide_interval(lat, nodes, iv):
+    """(gap, direct, join, meet) of an interval, read off the node masks.
 
     The gap is perp_right(U) & T (perp_left(U) & T on the torsion-free
     side) inside the lattice's ambient; direct is is_wide of the gap; join
     says gen of U and its covers inside [U, T] is T, and meet that the
     intersection of T and the nodes it covers inside [U, T] is U.
     """
-    cat, nodes, within = lat.cat, lat.nodes, to_set(lat.within)
+    cat, within = lat.cat, to_set(lat.within)
     u, t = nodes[iv.bottom], nodes[iv.top]
     tors = lat.side == "tors"
     gap = (perp_right if tors else perp_left)(cat, u, within) & t
-    lower = [u] + [nodes[a.src] for a in lat.into[iv.bottom] if nodes[a.src] <= t]
-    upper = [t] + [nodes[a.dst] for a in lat.out_of[iv.top] if u <= nodes[a.dst]]
-    close = fac if tors else sub_cl
-    joined = filt(cat, close(cat, frozenset().union(*lower), within), within)
-    met = to_set(lat.ambient).intersection(*upper)
     return (
         gap,
         is_wide(cat, gap),
-        lat.node_index.get(joined) == iv.top,
-        lat.node_index.get(met) == iv.bottom,
+        join(lat, nodes, lower_set(lat, nodes, iv)) == iv.top,
+        meet(lat, upper_set(lat, nodes, iv)) == iv.bottom,
     )
 
 
-def reduction_maps(lat, iv, wlat):
+def reduction_maps(lat, nodes, iv, wlat):
     """(phi, psi) of a wide interval of the torsion side onto the gap
     lattice wlat: phi sends each node v of the interval to the node of
     wlat whose mask is gap & v, and psi inverts it."""
-    gap = is_wide_interval(lat, iv)[0]
-    u, t = lat.nodes[iv.bottom], lat.nodes[iv.top]
-    phi = {
-        v: wlat.node_index[gap & m] for v, m in enumerate(lat.nodes) if u <= m <= t
-    }
+    gap = is_wide_interval(lat, nodes, iv)[0]
+    u, t = nodes[iv.bottom], nodes[iv.top]
+    phi = {v: node_of(wlat, gap & m) for v, m in enumerate(nodes) if u <= m <= t}
     return phi, {x: v for v, x in phi.items()}
 
 

@@ -31,7 +31,7 @@ def test_node_counts(name, lat_of):
 
 def test_pentagon_nodes_and_arrows(a2cat, a2lat):
     n = names_to_mask
-    assert list(a2lat.nodes) == [
+    assert list(oracles.node_sets(a2lat)) == [
         frozenset(),
         n(a2cat, "01a"),
         n(a2cat, "10a"),
@@ -54,24 +54,24 @@ def test_pentagon_nodes_and_arrows(a2cat, a2lat):
 def test_joins_and_meets_are_nodes(lat_of):
     lat = lat_of("a3")
     for i, j in itertools.combinations(range(len(lat)), 2):
-        assert 0 <= lat.join([i, j]) < len(lat)
+        assert 0 <= lat.join(subcat.bits([i, j])) < len(lat)
         assert 0 <= oracles.meet(lat, [i, j]) < len(lat)
 
 
 def test_pentagon_shape(a2lat):
     s2, s1, fac_p1 = 1, 2, 3
     top, bottom = a2lat.top_index, a2lat.bottom_index
-    assert a2lat.join([s1, s2]) == top
-    assert a2lat.join([s2, fac_p1]) == top
+    assert a2lat.join(subcat.bits([s1, s2])) == top
+    assert a2lat.join(subcat.bits([s2, fac_p1])) == top
     assert oracles.meet(a2lat, [s2, fac_p1]) == bottom
     assert oracles.meet(a2lat, [top, fac_p1]) == fac_p1
-    assert a2lat.join([]) == bottom
+    assert a2lat.join(0) == bottom
     assert oracles.meet(a2lat, []) == top
 
 
 def test_interval_membership(a2lat):
     iv = a2lat.interval(0, 3)
-    assert sorted(a2lat.interval_nodes(iv)) == [0, 2, 3]
+    assert subcat.indices(a2lat.interval_bits(iv)) == [0, 2, 3]
     with pytest.raises(NotAnInterval):
         a2lat.interval(3, 2)
 
@@ -84,26 +84,27 @@ def _bits(nodes):
 @pytest.mark.parametrize("name", verify_mod.CORPUS)
 def test_cover_bitsets_match_the_masks(name, side, lat_of):
     lat = lat_of(name, side)
-    nodes = lat.nodes
+    nodes = oracles.node_sets(lat)
     for i, m in enumerate(nodes):
         assert lat.down_sets[i] >> i & 1 and lat.up_sets[i] >> i & 1
         assert lat.down_sets[i] == _bits(j for j, o in enumerate(nodes) if o <= m)
         assert lat.up_sets[i] == _bits(j for j, o in enumerate(nodes) if o >= m)
-    for iv in lat.all_intervals():
-        assert lat.interval_nodes(iv) == oracles.interval_nodes_by_subsets(lat, iv)
+    for iv in lat.intervals:
+        got = subcat.indices(lat.interval_bits(iv))
+        assert got == oracles.interval_nodes_by_subsets(nodes, iv)
 
 
 def test_interval_nodes_match_the_subset_scan_on_a7(a7lat):
     # 2,000 intervals under random tops of the 1430-node lattice
     rng = random.Random(0)
-    nodes = a7lat.nodes
+    nodes = oracles.node_sets(a7lat)
     sizes = set()
     for _ in range(2000):
         t = rng.randrange(len(nodes))
         b = rng.choice([i for i, m in enumerate(nodes) if m <= nodes[t]])
         iv = a7lat.interval(b, t)
-        got = a7lat.interval_nodes(iv)
-        assert got == oracles.interval_nodes_by_subsets(a7lat, iv)
+        got = subcat.indices(a7lat.interval_bits(iv))
+        assert got == oracles.interval_nodes_by_subsets(nodes, iv)
         sizes.add(len(got))
     assert len(nodes) == 1430 and max(sizes) > 100
 
@@ -122,19 +123,19 @@ def test_intervals_match_the_subset_scan_on_a5():
 
 
 def test_interval_count_on_pentagon(a2lat):
-    assert sum(1 for _ in a2lat.all_intervals()) == 13
+    assert len(a2lat.intervals) == 13
 
 
 def test_upper_and_lower_sets(a2lat):
     iv = a2lat.interval(0, 3)
-    assert a2lat.lower_set(iv) == {0, 2}
-    assert a2lat.upper_set(iv) == {2, 3}
+    assert a2lat.lower_set(iv) == subcat.bits([0, 2])
+    assert a2lat.upper_set(iv) == subcat.bits([2, 3])
     full = a2lat.interval(0, 4)
-    assert a2lat.upper_set(full) == {4, 1, 3}
-    assert a2lat.lower_set(full) == {0, 1, 2}
+    assert a2lat.upper_set(full) == subcat.bits([4, 1, 3])
+    assert a2lat.lower_set(full) == subcat.bits([0, 1, 2])
     point = a2lat.interval(2, 2)
-    assert a2lat.upper_set(point) == {2}
-    assert a2lat.lower_set(point) == {2}
+    assert a2lat.upper_set(point) == subcat.bits([2])
+    assert a2lat.lower_set(point) == subcat.bits([2])
 
 
 def test_labels_of_sets(a2cat, a2lat):
@@ -151,7 +152,7 @@ def test_endpoint_arrows(name, cat_of, lat_of):
     cat, lat = cat_of(name), lat_of(name)
     into_zero = {(a.src, a.label) for a in lat.into[lat.bottom_index]}
     expected = {
-        (lat.node_index[to_set(subcat.filt(cat, 1 << s))], s)
+        (lat.bits_index[subcat.filt(cat, 1 << s)], s)
         for s in cat.simple_indices
     }
     assert into_zero == expected
@@ -324,8 +325,9 @@ def test_cover_walk_matches_oracles(name, side, cat_of, lat_of):
         if side == "tors"
         else oracles.torf_masks_by_filtering
     )
-    assert set(lat.nodes) == by_filtering(cat)
-    assert _cover_pairs(lat) == oracles.hasse_covers(lat.nodes)
+    nodes = oracles.node_sets(lat)
+    assert set(nodes) == by_filtering(cat)
+    assert _cover_pairs(lat) == oracles.hasse_covers(nodes)
 
 
 @pytest.mark.parametrize("name", ["a3", "a4"])
@@ -339,10 +341,11 @@ def test_relative_cover_walk_matches_oracles(name, cat_of):
             for r in range(len(members) + 1)
             for c in itertools.combinations(members, r)
         )
-        assert set(lat.nodes) == {
+        nodes = oracles.node_sets(lat)
+        assert set(nodes) == {
             m for m in subsets if oracles.is_torsion_class(cat, m, within=to_set(w))
         }
-        assert _cover_pairs(lat) == oracles.hasse_covers(lat.nodes)
+        assert _cover_pairs(lat) == oracles.hasse_covers(nodes)
 
 
 def test_label_checks_are_live():
@@ -382,7 +385,7 @@ def _oracle_catalog(name, cat_of):
 
 
 def _assert_same_lattice(got, want):
-    assert got.nodes == want.nodes
+    assert got.node_bits == want.node_bits
     assert got.arrows == want.arrows
     assert got.to_json() == want.to_json()
 
@@ -430,8 +433,8 @@ def test_cover_walk_skips_candidates(name, side, cat_of, monkeypatch):
 @pytest.mark.parametrize("side", ["tors", "torf"])
 @pytest.mark.parametrize("name", ["a4", "nak3"])
 def test_the_walk_lists_each_class_once(name, side, cat_of, monkeypatch):
-    # the walk reads only the ambient bit by bit, and TorsLattice no node
-    # until its frozenset view is read; a class's member list, its
+    # the walk reads only the ambient bit by bit, and the TorsLattice
+    # constructor no node; a class's member list, its
     # perpendicular, minimality test and sort key all come from one list
     cat = cat_of(name)
     listed, calls = subcat.indices, []
@@ -540,21 +543,48 @@ def test_the_frozenset_view_is_built_on_first_read(cat_of):
         build_lattice(cat, "torf"),
         build_lattice(cat, "tors", w),
     ):
-        assert "nodes" not in vars(lat) and "node_index" not in vars(lat)
-        assert lat.nodes == tuple(
-            frozenset(subcat.indices(b)) for b in lat.node_bits
-        )
+        assert "node_index" not in vars(lat)
+        nodes = oracles.node_sets(lat)
+        assert lat.node_index == {m: i for i, m in enumerate(nodes)}
         assert "node_index" in vars(lat)
-        assert all(lat.node_index[m] == i for i, m in enumerate(lat.nodes))
-        assert not hasattr(lat, "x")
+        assert len(lat.node_index) == len(lat)
 
 
-def test_the_view_hook_keeps_a_property_error(a2lat):
-    # a cached property whose body raises AttributeError reaches the view's
-    # __getattr__ hook too; its own error must come out, not "no attribute"
-    bad = TorsLattice(None, "tors", None, a2lat.node_bits, a2lat.arrows)
-    with pytest.raises(AttributeError, match="out_bits"):
-        bad.reach
+def _relative_torf_lattice(cat_of):
+    """The torsion-free lattice of a4 inside a proper wide subcategory."""
+    cat = cat_of("a4")
+    w = widelab.enumerate_wide_subcats(cat)[-2]
+    assert w not in (0, cat.full_mask)
+    return build_lattice(cat, "torf", w)
+
+
+@pytest.mark.parametrize("which", ["a7", "a4-relative-torf"])
+def test_node_sets_match_the_frozenset_oracles(which, cat_of):
+    # every interval's upper and lower sets, as node bitsets, against the
+    # oracles on the node masks; labels_of on each distinct set and join on
+    # each distinct lower set, the oracle's gen memoised by the union.  The
+    # a7 lattice is a fresh one: the joins fill its catalog's op_cache
+    if which == "a7":
+        lat = build_lattice(torslat.from_json(A7_EXPORT.read_text()))
+    else:
+        lat = _relative_torf_lattice(cat_of)
+    nodes = oracles.node_sets(lat)
+    sets, lowers = {}, {}
+    for iv in lat.intervals:
+        got, want = lat.upper_set(iv), oracles.upper_set(lat, nodes, iv)
+        assert got == subcat.bits(want)
+        sets[got] = want
+        got, want = lat.lower_set(iv), oracles.lower_set(lat, nodes, iv)
+        assert got == subcat.bits(want)
+        sets[got] = lowers[got] = want
+    for got, want in sets.items():
+        assert lat.labels_of(got) == subcat.bits(oracles.labels_of(lat, want))
+    gens = {}
+    for got, want in lowers.items():
+        union = frozenset().union(*(nodes[i] for i in want))
+        if union not in gens:
+            gens[union] = oracles.join(lat, nodes, want)
+        assert lat.join(got) == gens[union] is not None
 
 
 @pytest.mark.parametrize("side", ["tors", "torf"])

@@ -34,10 +34,16 @@ def _references(node, bound=frozenset(), defs=()):
         yield from _references(child, bound, defs)
 
 
+# the defs that only the benchmark reads: its query job looks a node up by
+# its members (bench/workloads.py)
+BENCHMARK_READS = {"node_index"}
+
+
 def unreferenced_defs(root):
     """(file, line, name) of each def under root whose name no code under
-    root uses outside the def itself.  Dunders and torslat.__all__ are
-    exempt: Python and the package's users call them."""
+    root uses outside the def itself.  Dunders, torslat.__all__ and
+    BENCHMARK_READS are exempt: Python, the package's users and the
+    benchmark call them."""
     trees = {p: ast.parse(p.read_text()) for p in sorted(root.rglob("*.py"))}
     uses = Counter()
     own = Counter()
@@ -45,7 +51,7 @@ def unreferenced_defs(root):
         for name, defs in _references(tree):
             uses[name] += 1
             own.update(d for d in defs if getattr(d, "name", None) == name)
-    exempt = set(torslat.__all__)
+    exempt = set(torslat.__all__) | BENCHMARK_READS
     out = []
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -88,51 +94,37 @@ def test_the_catalog_solves_no_hom_basis():
     assert "hom_basis" not in names
 
 
-def names_frozenset(root):
-    """(file, line) of each use of the name frozenset under root, outside
-    lattice.py: masks are int bitsets everywhere else in the library."""
+def uses_outside(root, is_use, allowed):
+    """(file, line, where) of each node under root that is_use accepts,
+    outside the functions named in allowed, where the qualified name of the
+    outermost function it lies in (None at module level)."""
     out = []
+
+    def walk(node, rel, scope, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = (*scope, child.name)
+                is_def = not isinstance(child, ast.ClassDef)
+                walk(child, rel, inner, where or (".".join(inner) if is_def else None))
+                continue
+            if is_use(child) and where not in allowed:
+                out.append((rel, child.lineno, where))
+            walk(child, rel, scope, where)
+
     for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        if rel == "lattice.py":
-            continue
-        for n in ast.walk(ast.parse(path.read_text())):
-            if isinstance(n, ast.Name) and n.id == "frozenset":
-                out.append((rel, n.lineno))
+        walk(ast.parse(path.read_text()), path.relative_to(root).as_posix(), (), None)
     return out
 
 
 def test_frozenset_masks_live_only_in_the_lattice():
-    assert names_frozenset(SRC) == []
-
-
-def lattice_builders(path):
-    """``build_lattice`` and ``TorsLattice.__init__`` of the file at path,
-    by qualified name."""
-    tree = ast.parse(path.read_text())
-    out = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "TorsLattice":
-            for fn in node.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
-                    out["TorsLattice.__init__"] = fn
-        elif isinstance(node, ast.FunctionDef) and node.name == "build_lattice":
-            out["build_lattice"] = node
-    return out
-
-
-def test_no_frozenset_is_built_while_a_lattice_is_walked_or_constructed():
-    # the lattice's frozenset view is built on first read, not by the walk
-    # or the constructor
-    defs = lattice_builders(SRC / "lattice.py")
-    assert sorted(defs) == ["TorsLattice.__init__", "build_lattice"]
-    for name, fn in defs.items():
-        used = [
-            n.lineno
-            for n in ast.walk(fn)
-            if isinstance(n, ast.Name) and n.id == "frozenset"
-        ]
-        assert used == [], name
+    # masks and node sets are int bitsets; the one frozenset view is the
+    # lattice's node_index, from each node's members to the node
+    frozensets = uses_outside(
+        SRC,
+        lambda n: isinstance(n, ast.Name) and n.id == "frozenset",
+        {"TorsLattice.node_index"},
+    )
+    assert frozensets == []
 
 
 def numpy_imports(root):
@@ -224,29 +216,11 @@ def test_each_cache_kind_has_one_call_site():
 HOM_DIM_READERS = {"Catalog.__init__", "build_tables", "to_json", "from_json"}
 
 
-def hom_dim_reads(root):
-    """(file, line, where) of each use of an attribute named hom_dim under
-    root outside HOM_DIM_READERS, where the qualified name of the outermost
-    function it lies in (None at module level)."""
-    out = []
-
-    def walk(node, rel, scope, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = (*scope, child.name)
-                is_def = not isinstance(child, ast.ClassDef)
-                walk(child, rel, inner, where or (".".join(inner) if is_def else None))
-                continue
-            if isinstance(child, ast.Attribute) and child.attr == "hom_dim":
-                if where not in HOM_DIM_READERS:
-                    out.append((rel, child.lineno, where))
-            walk(child, rel, scope, where)
-
-    for path in sorted(root.rglob("*.py")):
-        walk(ast.parse(path.read_text()), path.relative_to(root).as_posix(), (), None)
-    return out
-
-
 def test_hom_dim_is_read_only_where_it_is_checked_built_or_exported():
     # the subfactor pairs are the one source for Hom vanishing
-    assert hom_dim_reads(SRC) == []
+    reads = uses_outside(
+        SRC,
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "hom_dim",
+        HOM_DIM_READERS,
+    )
+    assert reads == []

@@ -206,7 +206,7 @@ def test_canonical_sequence_against_submodule_scan(cat_of, lat_of):
             direct_sum(cat.ind[0], cat.ind[-1]),
             direct_sum(cat.ind[-1], cat.ind[-1]),
         ]
-        for t_mask in lat.nodes:
+        for t_mask in oracles.node_sets(lat):
             for x in probes:
                 tpart, fpart = oracles.canonical_sequence(cat, x, t_mask)
                 want_dims, _ = oracles.submodule_sum_torsion_part(cat, x, t_mask)
@@ -230,7 +230,8 @@ def test_canonical_sequence_requires_torsion_class(a2cat):
 def test_set_algebra_operators_match_oracles(name, cat_of, lat_of):
     cat = cat_of(name)
     nodes = sorted(
-        set(lat_of(name, "tors").nodes) | set(lat_of(name, "torf").nodes),
+        set(oracles.node_sets(lat_of(name, "tors")))
+        | set(oracles.node_sets(lat_of(name, "torf"))),
         key=lambda m: (len(m), sorted(m)),
     )
     # inside every wide subcategory W: fac and sub_cl are the closures cut

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given
@@ -42,7 +43,7 @@ A2_OBJECT_COUNTS = {
 
 @pytest.fixture(scope="module")
 def a2_results():
-    return verify.verify_algebra("a2", verify.load_corpus_algebra("a2"))
+    return verify.run_verify([("a2", verify.load_corpus_algebra("a2"))])
 
 
 def test_a2_passes_every_check(a2_results):
@@ -80,7 +81,7 @@ def test_failure_line_format():
 
 def test_props_subset():
     alg = verify.load_corpus_algebra("a2")
-    res = verify.verify_algebra("a2", alg, props=("duality", "serre-count"))
+    res = verify.run_verify([("a2", alg)], props=("duality", "serre-count"))
     assert {r.prop for r in res} == {"duality", "serre-count"}
 
 
@@ -105,7 +106,6 @@ def test_a_bare_string_selection_is_rejected_by_its_name():
     for call in (
         lambda: verify.validate_props("reduction"),
         lambda: verify.run_verify([("a2", alg)], "reduction"),
-        lambda: verify.verify_algebra("a2", alg, "reduction"),
         lambda: next(verify.iter_checks([("a2", alg)], "reduction")),
     ):
         with pytest.raises(UnknownProperty, match="sequence of names") as info:
@@ -115,7 +115,7 @@ def test_a_bare_string_selection_is_rejected_by_its_name():
 
 def test_shared_object_names_and_slotted_results():
     # a name that several properties print is one string object per algebra
-    results = verify.verify_algebra("a4", verify.load_corpus_algebra("a4"))
+    results = verify.run_verify([("a4", verify.load_corpus_algebra("a4"))])
     assert not hasattr(results[0], "__dict__")
     objs = {}
     for r in results:
@@ -198,13 +198,15 @@ def test_corpus_names_all_load():
 def test_verify_enumerates_the_intervals_once(monkeypatch):
     # every interval property reads one tuple of the torsion lattice
     calls = []
-    all_intervals = TorsLattice.all_intervals
+    intervals = TorsLattice.intervals.func
 
     def counting(lat):
         calls.append((lat.side, lat.within))
-        return all_intervals(lat)
+        return intervals(lat)
 
-    monkeypatch.setattr(TorsLattice, "all_intervals", counting)
+    prop = cached_property(counting)
+    prop.__set_name__(TorsLattice, "intervals")
+    monkeypatch.setattr(TorsLattice, "intervals", prop)
     results = verify.run_verify([("a3", verify.load_corpus_algebra("a3"))])
     assert {r.prop for r in results} == set(verify.PROPERTIES)
     assert all(r.ok for r in results)
@@ -220,9 +222,10 @@ def test_context_verdicts_match_the_mask_oracle(name):
     assert [(iv.bottom, iv.top) for iv in lat.intervals] == (
         oracles.intervals_by_subsets(lat)
     )
+    nodes = oracles.node_sets(lat)
     wide = 0
     for iv, verdict in zip(lat.intervals, ctx.wide_verdicts, strict=True):
-        gap, *readings = oracles.is_wide_interval(lat, iv)
+        gap, *readings = oracles.is_wide_interval(lat, nodes, iv)
         assert verdict is None or type(verdict) is int
         assert readings == [verdict is not None] * 3
         if verdict is not None:
@@ -260,9 +263,10 @@ def _wide_over_bottoms(lat):
     """The wide intervals of lat by bottom, each as (interval, gap) in
     interval order, from the mask oracle, and per bottom W_U, the union of
     its gaps."""
+    nodes = oracles.node_sets(lat)
     over = {}
     for iv in lat.intervals:
-        gap, direct, _, _ = oracles.is_wide_interval(lat, iv)
+        gap, direct, _, _ = oracles.is_wide_interval(lat, nodes, iv)
         if direct:
             over.setdefault(iv.bottom, []).append((iv, oracles.to_bits(gap)))
     union = {}
@@ -359,8 +363,8 @@ def test_reduction_runs_in_full_once_per_bottom(
     largest = [iv for iv, w in wide if w == union[iv.bottom]]
     assert len(full) == len(set(full)) == len(largest) == bottoms
     assert set(full) == set(largest)
-    assert sum(len(lat.interval_nodes(iv)) for iv in full) == nodes
-    assert sum(len(lat.interval_nodes(iv)) for iv, _ in wide) == per_interval
+    assert sum(lat.interval_bits(iv).bit_count() for iv in full) == nodes
+    assert sum(lat.interval_bits(iv).bit_count() for iv, _ in wide) == per_interval
 
 
 def test_an_all_pass_verify_names_masks_only_for_its_objects(monkeypatch, lat_of):
@@ -732,15 +736,15 @@ def test_a_failed_verdict_reports_as_before(monkeypatch, lat_of):
     # property and of serre-count at its top, and aborts reduction after the
     # wide intervals before it
     lat = lat_of("a2")
-    ivs = list(lat.all_intervals())
+    ivs = lat.intervals
     bad = ivs[len(ivs) // 2]
-    bad_nodes = (lat.nodes[bad.bottom], lat.nodes[bad.top])
+    bad_nodes = (lat.node_bits[bad.bottom], lat.node_bits[bad.top])
     is_wide_interval, wide_verdicts = widelab.is_wide_interval, widelab.wide_verdicts
 
     def failing(lat, t, bottoms):
         out = wide_verdicts(lat, t, bottoms)
         for k, u in enumerate(bottoms):
-            if (lat.nodes[u], lat.nodes[t]) == bad_nodes:
+            if (lat.node_bits[u], lat.node_bits[t]) == bad_nodes:
                 out[k] = TheoremViolation("planted disagreement")
         return out
 
