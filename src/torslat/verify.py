@@ -9,16 +9,22 @@ the input order.
 The report is a stream: ``iter_checks`` yields one ``CheckResult`` at a time,
 in report order, and ``format_line`` turns each into its line, so a caller
 that writes the lines as they come (``torslat verify``) holds no result
-after its line is out.  ``run_verify`` collects the stream into a list, for
-one algebra or several.  ``format_report`` joins the report in one pass over
-pieces that already exist (a PASS line is its shared ``PASS algebra prop``
-head, the object's shared name and a newline), so it holds the text once
-and no second copy of its lines.  The records are compact: ``CheckResult``
-is a named tuple, with no per-instance dict, and the name of an object that
-several properties print (an interval's ``[U,T]``, an arrow's ``src->dst``,
-a top's ``T|W`` for a Serre piece W) is built once per algebra by
-``AlgebraContext`` and shared by their results.  A check builds its witness
-text only when it fails, so a passing run names masks only for its objects.
+after its line is out.  ``run_verify`` keeps the results of one algebra or
+several as columns (``CheckResults``): one list of the objects' names, the
+start and the (algebra, property) key of each run of checks, and each
+failure's witness by position; it builds a ``CheckResult`` only when one is
+read.  Both read one loop over the properties (``_checks``), which yields
+``(prop, obj, witness)`` triples, the witness None for a pass.
+``format_report`` joins the report from those columns in one pass, three
+pieces a line: a PASS line is its ``PASS algebra prop`` head, built once
+per run, the object's name and a newline; a FAIL line is its ``FAIL
+algebra prop`` head, the name and `` :: witness`` with the newline.  So it
+holds the text once and no second copy of its lines.  The name of an
+object that several properties print (an interval's ``[U,T]``, an arrow's
+``src->dst``, a top's ``T|W`` for a Serre piece W) is built once per
+algebra by ``AlgebraContext`` and shared by their results.  A check builds
+its witness text only when it fails, so a passing run names masks only for
+its objects.
 
 Work that several properties share is done once per algebra, and no check
 scans every pair of nodes.  The torsion lattice enumerates its intervals
@@ -76,6 +82,8 @@ failed test rescans the pairs, x ascending then y ascending, image before
 kernel, to name the first failing map.
 """
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from functools import cached_property
 from importlib import resources
 from itertools import groupby
@@ -123,6 +131,77 @@ class CheckResult(NamedTuple):
     obj: str
     ok: bool
     witness: str
+
+
+class CheckResults(Sequence):
+    """The results of ``run_verify``, kept as columns: one list of the
+    objects' names, shared with the context that built them, the start of
+    each (algebra, property) run with its key, and each failure's witness
+    by position.  A CheckResult is built only when one is read, by index,
+    by slice or in iteration."""
+
+    __slots__ = ("_objs", "_starts", "_runs", "_fails")
+
+    def __init__(self):
+        self._objs = []
+        self._starts = []
+        self._runs = []
+        self._fails = {}
+
+    def _extend(self, algebra, checks):
+        """Append the ``(prop, obj, witness)`` triples of one algebra, the
+        witness None for a pass."""
+        objs, fails = self._objs, self._fails
+        last = None
+        for prop, obj, witness in checks:
+            if prop != last:
+                last = prop
+                self._starts.append(len(objs))
+                self._runs.append((algebra, prop))
+            if witness is not None:
+                fails[len(objs)] = witness
+            objs.append(obj)
+
+    @classmethod
+    def _collect(cls, results):
+        """The CheckResults of an iterable of CheckResult."""
+        out = cls()
+        for algebra, rs in groupby(results, attrgetter("algebra")):
+            out._extend(
+                algebra, ((r.prop, r.obj, None if r.ok else r.witness) for r in rs)
+            )
+        return out
+
+    def __len__(self):
+        return len(self._objs)
+
+    def _spans(self):
+        """The (algebra, prop) key, start and end of each run."""
+        starts = self._starts
+        return zip(self._runs, starts, starts[1:] + [len(self._objs)])
+
+    def _key(self, i):
+        """The (algebra, prop) key of the run that holds position i."""
+        return self._runs[bisect_right(self._starts, i) - 1]
+
+    def _result(self, i, key):
+        algebra, prop = key
+        witness = self._fails.get(i)
+        return CheckResult(algebra, prop, self._objs[i], witness is None, witness or "")
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("check index out of range")
+        return self._result(i, self._key(i))
+
+    def __iter__(self):
+        for key, lo, hi in self._spans():
+            for i in range(lo, hi):
+                yield self._result(i, key)
 
 
 class AlgebraContext:
@@ -571,19 +650,20 @@ def validate_props(props):
 
 
 def _checks(name, algebra, chosen, config):
-    """The results of one algebra, property by property; a property whose
-    own code raises a VerificationError ends with a ``(setup)`` FAIL."""
+    """The checks of one algebra, property by property, as ``(prop, obj,
+    witness)`` triples, the witness None for a pass; a property whose own
+    code raises a VerificationError ends with a ``(setup)`` failure."""
     ctx = AlgebraContext(name, algebra, config)
     for prop in chosen:
         try:
             for obj, thunk in PROPERTY_FUNCS[prop](ctx):
                 try:
                     thunk()
-                    yield CheckResult(name, prop, obj, True, "")
+                    yield prop, obj, None
                 except VerificationError as exc:
-                    yield CheckResult(name, prop, obj, False, str(exc))
+                    yield prop, obj, str(exc)
         except VerificationError as exc:
-            yield CheckResult(name, prop, "(setup)", False, str(exc))
+            yield prop, "(setup)", str(exc)
 
 
 def iter_checks(named_algebras, props=None, config=None):
@@ -592,12 +672,18 @@ def iter_checks(named_algebras, props=None, config=None):
     The selection is validated before the first result."""
     chosen = validate_props(props)
     for name, algebra in named_algebras:
-        yield from _checks(name, algebra, chosen, config)
+        for prop, obj, witness in _checks(name, algebra, chosen, config):
+            yield CheckResult(name, prop, obj, witness is None, witness or "")
 
 
 def run_verify(named_algebras, props=None, config=None):
-    """Verify several algebras in input order."""
-    return list(iter_checks(named_algebras, props, config))
+    """Verify several algebras in input order; the results as a
+    ``CheckResults`` sequence."""
+    chosen = validate_props(props)
+    results = CheckResults()
+    for name, algebra in named_algebras:
+        results._extend(name, _checks(name, algebra, chosen, config))
+    return results
 
 
 def format_line(r):
@@ -613,24 +699,23 @@ def format_summary(checks, failures):
 
 
 def format_report(results):
-    """The report text of some results, a list or an iterator, and its
-    number of FAIL lines.  One join over pieces the results already hold:
-    a PASS line is its ``PASS algebra prop`` head, built once per (algebra,
-    property), the object's name and a newline; a FAIL line is its
-    ``format_line``.  So the only copy of the lines is the text itself."""
-    pieces = []
-    heads = {}
-    checks = failures = 0
-    for r in results:
-        checks += 1
-        if r.ok:
-            key = (r.algebra, r.prop)
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = f"PASS {r.algebra} {r.prop} "
-            pieces += (head, r.obj, "\n")
-        else:
-            failures += 1
-            pieces.append(format_line(r))
-    pieces.append(format_summary(checks, failures))
+    """The report text of some results and its number of FAIL lines.  The
+    results are a ``CheckResults``; any other iterable of CheckResults, a
+    list or a stream, is first collected into one.  One join over three
+    pieces a line: a PASS line is its ``PASS algebra prop`` head, built
+    once per run, the object's shared name and a newline; a FAIL line is
+    its ``FAIL algebra prop`` head, the name and `` :: witness`` with the
+    newline.  So the only copy of the lines is the text itself."""
+    if not isinstance(results, CheckResults):
+        results = CheckResults._collect(results)
+    pieces = [None, None, "\n"] * len(results)
+    pieces[1::3] = results._objs
+    for (algebra, prop), lo, hi in results._spans():
+        pieces[3 * lo:3 * hi:3] = [f"PASS {algebra} {prop} "] * (hi - lo)
+    for i, witness in results._fails.items():
+        algebra, prop = results._key(i)
+        pieces[3 * i] = f"FAIL {algebra} {prop} "
+        pieces[3 * i + 2] = f" :: {witness}\n"
+    failures = len(results._fails)
+    pieces.append(format_summary(len(results), failures))
     return "".join(pieces), failures

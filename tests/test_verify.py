@@ -189,6 +189,105 @@ def test_format_report_holds_the_text_once():
     assert peak <= 1.75 * sys.getsizeof(text)
 
 
+def _corpus_named():
+    return [(n, verify.load_corpus_algebra(n)) for n in verify.CORPUS]
+
+
+def test_run_verify_reads_as_the_stream_on_the_corpus():
+    named = _corpus_named()
+    assert list(verify.run_verify(named)) == list(verify.iter_checks(named))
+
+
+def test_results_index_and_slice_as_the_stream_does():
+    named = [(n, verify.load_corpus_algebra(n)) for n in ("a2", "ss2")]
+    results = verify.run_verify(named)
+    want = list(verify.iter_checks(named))
+    assert len(results) == len(want) > 100
+    for i in range(-len(want), len(want)):
+        assert results[i] == want[i]
+    for s in (
+        slice(None),
+        slice(3, 40),
+        slice(-5, None),
+        slice(10, 2),
+        slice(1, 500, 3),
+        slice(None, None, -7),
+    ):
+        assert results[s] == want[s]
+    for i in (len(want), len(want) + 5, -len(want) - 1):
+        with pytest.raises(IndexError):
+            results[i]
+
+
+def _plant_a_failure_and_a_setup_error(monkeypatch):
+    # duality fails on its second object; roundtrip raises after its third
+    duality = verify.PROPERTY_FUNCS["duality"]
+    roundtrip = verify.PROPERTY_FUNCS["roundtrip"]
+
+    def failing(ctx):
+        for k, (obj, thunk) in enumerate(duality(ctx)):
+            if k == 1:
+                def thunk():
+                    raise TheoremViolation("planted fail")
+            yield obj, thunk
+
+    def raising(ctx):
+        for k, item in enumerate(roundtrip(ctx)):
+            if k == 3:
+                raise TheoremViolation("planted setup")
+            yield item
+
+    monkeypatch.setitem(verify.PROPERTY_FUNCS, "duality", failing)
+    monkeypatch.setitem(verify.PROPERTY_FUNCS, "roundtrip", raising)
+
+
+def test_failed_and_setup_records_read_alike_on_every_path(monkeypatch):
+    _plant_a_failure_and_a_setup_error(monkeypatch)
+    named = [(n, verify.load_corpus_algebra(n)) for n in ("a2", "a3")]
+    results = verify.run_verify(named)
+    stream = list(verify.iter_checks(named))
+    assert list(results) == [results[i] for i in range(len(results))] == stream
+    bad = [r for r in stream if not r.ok]
+    second = {
+        alg: [r.obj for r in stream if (r.algebra, r.prop) == (alg, "duality")][1]
+        for alg in ("a2", "a3")
+    }
+    assert bad == [
+        verify.CheckResult("a2", "duality", second["a2"], False, "planted fail"),
+        verify.CheckResult("a2", "roundtrip", "(setup)", False, "planted setup"),
+        verify.CheckResult("a3", "duality", second["a3"], False, "planted fail"),
+        verify.CheckResult("a3", "roundtrip", "(setup)", False, "planted setup"),
+    ]
+    for alg in ("a2", "a3"):
+        assert sum((r.algebra, r.prop) == (alg, "roundtrip") for r in stream) == 4
+    text, failures = verify.format_report(results)
+    assert failures == 4
+    assert (text, failures) == verify.format_report(verify.iter_checks(named))
+    assert (text, failures) == verify.format_report(stream)
+    assert text == "".join(map(verify.format_line, stream)) + verify.format_summary(
+        len(stream), 4
+    )
+
+
+def test_run_verify_keeps_under_64_bytes_a_result():
+    # the results keep one list slot per check (8 B, with the list's spare
+    # room) and the objects' names, which the checks of an algebra share
+    # (an interval's name serves up to four properties); the runs and the
+    # failures add a few entries.  A record per check kept 131 B
+    named = _corpus_named()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        results = verify.run_verify(named)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 4258
+    assert (after - before) / len(results) < 64
+
+
 def test_corpus_names_all_load():
     for name in verify.CORPUS:
         alg = verify.load_corpus_algebra(name)

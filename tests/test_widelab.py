@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 import torslat
-from conftest import NAKAYAMA_5_5, names_to_bits
+from conftest import A7_EXPORT, NAKAYAMA_5_5, names_to_bits
 from oracles import to_set
 from test_acceptance import SCALE_SPECS
 from test_lattice import A5_P2
@@ -157,12 +157,14 @@ def test_psi_is_the_extension_product_over_the_bottom(name, cat_of, lat_of):
             assert nodes[v] == oracles.star(cat, u_mask, x_mask)
 
 
-def test_reduce_makes_no_star_entry_and_no_tors_gen_call(monkeypatch, a7lat):
+def test_reduce_makes_no_star_entry_and_no_tors_gen_call(monkeypatch):
     # the wide intervals under ten random tops of a7: reduce_interval adds
     # joins to op_cache and nothing else (the Serre route below has built
     # the wide table, and tors_gen would add a filt entry), and the checks
-    # after the verdict call no tors_gen
-    lat, cat = a7lat, a7lat.cat
+    # after the verdict call no tors_gen.  The lattice is a fresh one, so
+    # no earlier test has put those joins in its catalog's op_cache
+    lat = build_lattice(torslat.from_json(A7_EXPORT.read_text()))
+    cat = lat.cat
     tops = random.Random(0).sample(range(len(lat)), 10)
     wide = [
         lat.interval(b, t) for t in tops for b in widelab.wide_intervals_with_top(lat, t)
