@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -303,6 +305,14 @@ def test_verify_keeps_one_filt_entry_per_mask(monkeypatch):
         assert to_set(cat.op_cache[key]) == oracles.filt(cat, to_set(key[1]))
 
 
+# sha256 of the a3 report when the semibrick search fails: every interval
+# keeps its own failed verdict (68 each of wide-detect, lower-filt and
+# wide-serre), none turns into one (setup) failure
+FAILED_SEARCH_A3_SHA256 = (
+    "b5a6d898fd07d513bb105091140dc1096d2650ee6a44f02025b1fbdba24877b3"
+)
+
+
 def test_a_failed_semibrick_search_runs_once(monkeypatch):
     # the ("wide",) entry keeps the search's error, and every read raises
     # it: an a3 verify runs the failing search once and reports as a verify
@@ -317,11 +327,13 @@ def test_a_failed_semibrick_search_runs_once(monkeypatch):
     algebra = [("a3", verify_mod.load_corpus_algebra("a3"))]
     kept, failures = verify_mod.format_report(verify_mod.run_verify(algebra))
     (cat,) = runs
-    assert failures > 0
+    assert hashlib.sha256(kept.encode()).hexdigest() == FAILED_SEARCH_A3_SHA256
+    assert failures == 236
+    assert kept.endswith("checks run: 346\nfailures: 236\n")
     entry = cat.op_cache[("wide",)]
     assert isinstance(entry, TheoremViolation)
     with pytest.raises(TheoremViolation) as first:
-        subcat.is_wide(cat, 0)
+        subcat.wide_table(cat)
     with pytest.raises(TheoremViolation) as again:
         subcat.simples_of_wide(cat, 0)
     assert first.value is again.value is entry
