@@ -16,8 +16,9 @@ sets only in that form (``join``, ``labels_of``, ``upper_set``,
 each node's members as a frozenset to the node, is built on its first
 read, for callers that look a class up by its members; no code of the
 library reads it, so a lattice that nobody asks builds none.  An arrow is
-a ``HasseArrow`` (src, dst, label), a named tuple: it equals, and hashes
-as, the plain tuple of its fields.  ``out_of`` and ``into`` are tuples
+a ``HasseArrow`` (src, dst, label) and an interval an ``Interval`` (bottom,
+top), both named tuples: each equals, and hashes as, the plain tuple of its
+fields.  ``out_of`` and ``into`` are tuples
 indexed by node.  ``build_lattice`` walks the covers down from the ambient
 on bitsets, each lower cover an AND of a node with catalog rows
 (T & perp-B for its label B).  It lists the members of each class once,
@@ -46,8 +47,8 @@ Hasse-diagram argument, instead of comparing every pair of nodes.
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 from . import subcat
 from .errors import (
@@ -68,9 +69,10 @@ class HasseArrow(NamedTuple):
     label: int
 
 
-# slots: a lattice keeps every interval in one tuple
-@dataclass(frozen=True, slots=True)
-class Interval:
+# a named tuple, as HasseArrow: a lattice keeps every interval in one tuple,
+# one per pair of nested nodes, built without the per-field __setattr__ of
+# a frozen dataclass; it equals, and hashes as, the plain tuple (bottom, top)
+class Interval(NamedTuple):
     bottom: int
     top: int
 
@@ -283,11 +285,10 @@ class TorsLattice:
         t's, in the order of a subset scan over every pair of nodes
         (``tests/oracles.py``).
         """
-        return tuple(
-            Interval(b, t)
-            for t, down in enumerate(self.down_sets)
-            for b in subcat.indices(down)
-        )
+        out = []
+        for t, down in enumerate(self.down_sets):
+            out += map(Interval._make, zip(subcat.indices(down), repeat(t)))
+        return tuple(out)
 
     def upper_set(self, iv):
         """The top of the interval plus the interval nodes it covers, as a

@@ -51,8 +51,9 @@ each kind at one call site.  The catalog's Hom table is no memo: the
 ``Catalog`` constructor builds it, with the rows it derives.
 
 ``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows
-miss the other members.  Wideness is decided once per catalog: ``is_wide``
-and ``simples_of_wide`` look up ``wide_table``, Filt(S) -> S per semibrick.
+miss the other members.  Wideness is decided once per catalog, by
+``wide_table``, Filt(S) -> S per semibrick: a mask is wide when it is a
+key, and ``simples_of_wide`` looks its simples up there.
 ``extension_product_miss`` is the one extension-product test.
 The lattice joins that the interval verdicts read are extension closures
 too: the join of torsion classes is the smallest torsion class containing
@@ -236,11 +237,6 @@ def _semibrick_search(cat):
             x = b.bit_length() - 1
             stack.append((s | b, free & ~(cat.out_bits[x] | cat.in_bits[x])))
     return table
-
-
-def is_wide(cat, b):
-    """Whether the mask is a wide subcategory: a key of ``wide_table``."""
-    return b in wide_table(cat)
 
 
 def simples_of_wide(cat, b):

@@ -24,7 +24,13 @@ object that several properties print (an interval's ``[U,T]``, an arrow's
 ``src->dst``, a top's ``T|W`` for a Serre piece W) is built once per
 algebra by ``AlgebraContext`` and shared by their results.  A check builds
 its witness text only when it fails, so a passing run names masks only for
-its objects.
+its objects: ``_require`` takes constant witnesses only, and a witness
+that needs formatting is raised in the failing branch.  Each property
+yields ``(obj, thunk)`` pairs, and ``_checks`` runs the thunks.  A check
+whose outcome is known when it is yielded (every wide-detect check,
+lower-filt on a non-wide interval, reduction's outcomes and duality's
+flags) yields the one shared no-op ``_passed``, or a thunk that raises its
+known failure (``_settled``), and builds no closure of its own.
 
 Work that several properties share is done once per algebra, and no check
 scans every pair of nodes.  The torsion lattice enumerates its intervals
@@ -32,12 +38,13 @@ once, as a tuple (``TorsLattice.intervals``), each top's bottoms read off
 its down-set bitset; ``AlgebraContext.wide_verdicts`` and every interval
 property read it.  Each interval's wideness verdict is computed once
 (``AlgebraContext.wide_verdicts``): ``widelab.wide_verdicts`` runs once per
-top, on the lattice's node and order bitsets, and keeps one outcome per
-interval, a failure included.  wide-detect, lower-filt, reduction,
-wide-serre and serre-count read the verdicts; serre-count compares the
-Serre route under each top with the wide bottoms the verdicts give, and the
-route reads the bottoms serre-mutation found (``widelab.serre_mutation``
-keeps each in ``op_cache``).  Reduction runs in full once per bottom U.
+top, on the lattice's node and order bitsets and one read of the wide
+table, and keeps one outcome per interval, a failure included.
+wide-detect, lower-filt, reduction, wide-serre and serre-count read the
+verdicts; serre-count compares the Serre route under each top with the
+wide bottoms the verdicts give, and the route reads the bottoms
+serre-mutation found (``widelab.serre_mutation`` keeps each in
+``op_cache``).  Reduction runs in full once per bottom U.
 By the dual of the Serre bijection below a fixed top, the wide intervals
 [U, T] match the Serre subcategories of one wide W_U, the union of their
 gaps, which must be one of them, the gap of [U, T_U] (a bottom where it is
@@ -278,8 +285,26 @@ class AlgebraContext:
 
 
 def _require(cond, witness):
+    """Raise TheoremViolation(witness) unless cond; the witness is a
+    constant, so a pass formats no text."""
     if not cond:
         raise TheoremViolation(witness)
+
+
+def _passed():
+    """The thunk of every check whose pass is known when it is yielded."""
+
+
+def _settled(failure):
+    """The thunk of a check whose outcome is known when it is yielded:
+    ``_passed`` when failure is None, else a thunk that raises failure."""
+    if failure is None:
+        return _passed
+
+    def thunk():
+        raise failure
+
+    return thunk
 
 
 def _gap_of(verdict):
@@ -298,7 +323,8 @@ def _check_brick_labels(ctx):
             label = 1 << a.label
             gap = subcat.perp_right(cat, bottom) & top
             found = [s for s in subcat.indices(gap) if cat.bricks[s]]
-            _require(found == [a.label], f"bricks in gap are {found}")
+            if found != [a.label]:
+                raise TheoremViolation(f"bricks in gap are {found}")
             _require(subcat.filt(cat, label) == gap, "label does not build the gap")
             _require(
                 bottom == top & subcat.perp_left(cat, label),
@@ -314,9 +340,8 @@ def _check_brick_labels(ctx):
 def _check_duality(ctx):
     _, node_checks, arrow_checks = dual_correspondence(ctx.lat, ctx.flat)
     for desc, ok, witness in node_checks + arrow_checks:
-        def thunk(ok=ok, witness=witness):
-            _require(ok, witness)
-        yield desc.replace(" ", ":"), thunk
+        failure = None if ok else TheoremViolation(witness)
+        yield desc.replace(" ", ":"), _settled(failure)
 
 
 def _check_endpoint_arrows(ctx):
@@ -335,7 +360,8 @@ def _check_endpoint_arrows(ctx):
             )
             for s in cat.simple_indices
         }
-        _require(got == want, f"arrows into the zero class: {sorted(got)}")
+        if got != want:
+            raise TheoremViolation(f"arrows into the zero class: {sorted(got)}")
 
     def out_of_top():
         labels = lat.out_labels(lat.top_index)
@@ -364,20 +390,21 @@ def _check_incident_semibricks(ctx):
 
 
 def _check_wide_detect(ctx):
+    # a gap or None passes, a failed verdict fails
     for name, _, verdict in ctx.intervals():
-        def thunk(verdict=verdict):
-            _gap_of(verdict)
-        yield name, thunk
+        yield name, _settled(None if type(verdict) is int else verdict)
 
 
 def _check_lower_filt(ctx):
     cat, lat = ctx.cat, ctx.lat
     for name, iv, verdict in ctx.intervals():
-        def thunk(iv=iv, verdict=verdict):
+        if type(verdict) is not int:
+            # not wide (None), or a failed verdict
+            yield name, _settled(verdict)
+            continue
+
+        def thunk(iv=iv, gap=verdict):
             # the join verdict agrees with the direct one
-            gap = _gap_of(verdict)
-            if gap is None:
-                return
             rebuilt = subcat.filt(cat, lat.labels_of(lat.lower_set(iv)))
             if rebuilt != gap:
                 raise TheoremViolation(
@@ -418,10 +445,7 @@ def _check_reduction(ctx):
         if isinstance(verdict, VerificationError):
             raise verdict
         if verdict is not None:
-            def thunk(failure=outcome[iv]):
-                if failure is not None:
-                    raise failure
-            yield name, thunk
+            yield name, _settled(outcome[iv])
 
 
 def _check_roundtrip(ctx):
@@ -566,10 +590,10 @@ def _check_wide_serre(ctx):
             w = perp & lat.node_bits[iv.top]
             via_serre = w in serre
             via_sides = w == (rw & wl)
-            _require(
-                wide == via_serre == via_sides,
-                f"wide={wide} serre={via_serre} sides={via_sides}",
-            )
+            if not (wide == via_serre == via_sides):
+                raise TheoremViolation(
+                    f"wide={wide} serre={via_serre} sides={via_sides}"
+                )
         yield name, thunk
 
 
@@ -588,11 +612,11 @@ def _check_serre_count(ctx):
             bottoms = widelab.wide_intervals_with_top(lat, t)
             if t in failed:
                 raise failed[t]
-            _require(
-                bottoms == wide[t],
-                f"Serre route found {len(bottoms)} bottoms under"
-                f" {lat.name(t)}, the verdicts have {len(wide[t])}",
-            )
+            if bottoms != wide[t]:
+                raise TheoremViolation(
+                    f"Serre route found {len(bottoms)} bottoms under"
+                    f" {lat.name(t)}, the verdicts have {len(wide[t])}"
+                )
         yield lat.name(t), thunk
 
 

@@ -65,15 +65,21 @@ def wide_verdicts(lat, t, bottoms):
     no node raises as ``TorsLattice.join`` does, naming the nodes; three
     readings that differ raise "verdicts disagree".
 
-    T's mask and its lower covers are read once.  Per bottom it is bit
-    algebra: the gap is T & ~reach[U], looked up by ``subcat.is_wide`` in
-    the catalog's wide table; the join is ``subcat.filt`` of the
-    ``_closed_bits`` of U and of the covers of U inside T (``down_sets``),
-    as in ``TorsLattice.join``; the meet is T's mask ANDed with the
-    covers of T that contain U (``up_sets``).  Nothing else is built unless
-    a check fails.  The same code serves both sides and relative lattices.
+    T's mask, its lower covers and the catalog's wide table
+    (``subcat.wide_table``) are read once.  Per bottom it is bit algebra:
+    the gap is T & ~reach[U], looked up in the wide table; the join is
+    ``subcat.filt`` of the ``_closed_bits`` of U and of the covers of U
+    inside T (``down_sets``), as in ``TorsLattice.join``; the meet is T's
+    mask ANDed with the covers of T that contain U (``up_sets``).  Nothing
+    else is built unless a check fails.  The same code serves both sides
+    and relative lattices.  A wide table that raises a VerificationError
+    fails every verdict with it, as a per-bottom read would.
     """
     cat = lat.cat
+    try:
+        table = subcat.wide_table(cat)
+    except VerificationError as exc:
+        return [exc.with_traceback(None)] * len(bottoms)
     nb, reach, closed = lat.node_bits, lat.reach, lat._closed_bits
     index, into, up = lat.bits_index, lat.into, lat.up_sets
     t_mask = nb[t]
@@ -84,7 +90,7 @@ def wide_verdicts(lat, t, bottoms):
     for u in bottoms:
         try:
             w = t_mask & ~reach[u]
-            direct = subcat.is_wide(cat, w)
+            direct = w in table
             start = closed[u]
             for a in into[u]:
                 if below_t >> a.src & 1:

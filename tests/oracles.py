@@ -1036,6 +1036,15 @@ def inversion_mask(cat, w):
     return out
 
 
+def euler_form(quiver, x, y):
+    """<x, y> = sum_v x_v y_v - sum over arrows s -> t of x_s y_t, for
+    dimension vectors x and y.  Over a hereditary algebra it is dim Hom(X, Y)
+    - dim Ext^1(X, Y) (Ringel, LNM 1099)."""
+    return sum(a * b for a, b in zip(x, y)) - sum(
+        x[a.source] * y[a.target] for a in quiver.arrows
+    )
+
+
 def positive_roots(quiver):
     """The positive roots of a Dynkin quiver, sorted, by simple reflections.
 

@@ -608,6 +608,41 @@ def test_closed_form_counts(name, prime, count):
         assert hashlib.sha256(to_json(cat).encode()).hexdigest() == E6_P2_CATALOG_SHA256
 
 
+# Dynkin path algebras in several orientations: D4 with its center 1 the
+# target of every arm, the source of every arm, or mixed; A5 alternating
+DYNKIN_SPECS = {
+    "a4": CLOSED_FORM_SPECS["a4"],
+    "d4-in": "vertices 4\narrow a 2 1\narrow b 3 1\narrow c 4 1\nprime {p}\n",
+    "d4-out": "vertices 4\narrow a 1 2\narrow b 1 3\narrow c 1 4\nprime {p}\n",
+    "d4-mixed": CLOSED_FORM_SPECS["d4"],
+    "a5-alt": (
+        "vertices 5\narrow a 1 2\narrow b 3 2\narrow c 3 4\narrow d 5 4\nprime {p}\n"
+    ),
+    "d5": CLOSED_FORM_SPECS["d5"],
+}
+
+
+@pytest.mark.parametrize("prime", (2, 3))
+@pytest.mark.parametrize("name", DYNKIN_SPECS)
+def test_hom_and_ext_follow_the_euler_form(name, prime):
+    # over a Dynkin quiver dim Hom - dim Ext^1 is the Euler form, and Hom and
+    # Ext^1 between indecomposables are never both nonzero (Auslander-Reiten:
+    # Ext^1(X, Y) = D Hom(Y, tau X), and a representation-directed algebra
+    # has no cycle X -> Y -> tau X -> X).  So dim Hom(X, Y) = max(0, <x, y>),
+    # and the Ext scan finds one middle term per ray of Ext^1(X, Y), of
+    # dimension e = max(0, -<x, y>)
+    alg = parse_algebra_text(DYNKIN_SPECS[name].format(p=prime))
+    cat = build_catalog(alg)
+    assert sorted(m.dims for m in cat.ind) == oracles.positive_roots(alg.quiver)
+    for i, x in enumerate(cat.ind):
+        for j, y in enumerate(cat.ind):
+            form = oracles.euler_form(alg.quiver, x.dims, y.dims)
+            assert cat.hom_dim[i][j] == max(0, form), (i, j)
+            e = max(0, -form)
+            rays = (prime**e - 1) // (prime - 1)
+            assert len(modrep.ext_scan(x, y).middles) == rays, (i, j)
+
+
 # the representation-finite scale specs of the benchmark, read only; the
 # Kronecker quiver of kronp2 is representation-infinite
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "bench" / "specs"

@@ -20,7 +20,13 @@ from torslat.errors import (
     NotAnInterval,
     NotWide,
 )
-from torslat.lattice import HasseArrow, TorsLattice, build_lattice, dual_correspondence
+from torslat.lattice import (
+    HasseArrow,
+    Interval,
+    TorsLattice,
+    build_lattice,
+    dual_correspondence,
+)
 from torslat.quivalg import parse_algebra_text
 
 
@@ -120,6 +126,21 @@ def test_intervals_match_the_subset_scan_on_a5():
     assert [(iv.bottom, iv.top) for iv in lat.intervals] == (
         oracles.intervals_by_subsets(lat)
     )
+
+
+def test_an_interval_is_its_plain_pair(lat_of):
+    # as HasseArrow: an Interval equals, and hashes as, (bottom, top), so a
+    # dict keyed by intervals answers a plain pair
+    lat = lat_of("a4")
+    assert len(lat.intervals) > len(lat)
+    assert all(type(iv) is Interval for iv in lat.intervals)
+    assert list(lat.intervals) == oracles.intervals_by_subsets(lat)
+    by_pair = dict.fromkeys(lat.intervals)
+    for iv in lat.intervals:
+        pair = (iv.bottom, iv.top)
+        assert iv == pair and hash(iv) == hash(pair) and pair in by_pair
+    iv = lat.interval(lat.bottom_index, lat.top_index)
+    assert iv == Interval(lat.bottom_index, lat.top_index) == tuple(iv)
 
 
 def test_interval_count_on_pentagon(a2lat):
@@ -612,18 +633,19 @@ def _lattices_and_relatives(name, cat_of):
 @pytest.mark.parametrize("name", verify_mod.CORPUS + tuple(_ORACLE_SPECS))
 def test_the_wide_table_matches_the_oracles(name, cat_of):
     # every mask of the corpus and of d4@p3, every distinct gap of the
-    # larger torsion lattices: is_wide and the simples agree with the
+    # larger torsion lattices: wideness and the simples agree with the
     # candidate-simples reference, and the wide subcategories number the
     # torsion classes
     cat = _oracle_catalog(name, cat_of)
     lat = build_lattice(cat)
     every_mask = len(cat) <= 12
     masks = range(1 << len(cat)) if every_mask else {lat.gap(iv) for iv in lat.intervals}
+    table = subcat.wide_table(cat)
     wide = 0
     for b in masks:
         m = to_set(b)
-        assert subcat.is_wide(cat, b) == oracles.is_wide(cat, m), m
-        if subcat.is_wide(cat, b):
+        assert (b in table) == oracles.is_wide(cat, m), m
+        if b in table:
             assert to_set(subcat.simples_of_wide(cat, b)) == (
                 oracles.candidate_simples(cat, m)
             )

@@ -224,3 +224,32 @@ def test_hom_dim_is_read_only_where_it_is_checked_built_or_exported():
         HOM_DIM_READERS,
     )
     assert reads == []
+
+
+def require_witnesses(root):
+    """(file, line, constant) of each call of _require under root, constant
+    whether its witness is a string constant."""
+    out = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(n, ast.Call):
+                continue
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            if name != "_require":
+                continue
+            given = n.args[1:] + [k.value for k in n.keywords if k.arg == "witness"]
+            constant = [
+                isinstance(w, ast.Constant) and isinstance(w.value, str) for w in given
+            ] == [True]
+            out.append((rel, n.lineno, constant))
+    return out
+
+
+def test_a_passing_require_formats_no_witness():
+    # _require's witness is built before the test it reports on, so it must
+    # be a constant: a check whose witness needs formatting raises in its
+    # failing branch instead
+    calls = require_witnesses(SRC)
+    assert calls
+    assert [(rel, line) for rel, line, constant in calls if not constant] == []

@@ -168,10 +168,11 @@ def test_semibrick_detection(a2cat):
 
 
 def test_wide_detection_on_a2(a2cat):
-    assert subcat.is_wide(a2cat, 0)
-    assert subcat.is_wide(a2cat, a2cat.full_mask)
-    assert subcat.is_wide(a2cat, names_to_bits(a2cat, "11a"))
-    assert not subcat.is_wide(a2cat, names_to_bits(a2cat, "10a", "11a"))
+    table = subcat.wide_table(a2cat)
+    assert 0 in table
+    assert a2cat.full_mask in table
+    assert names_to_bits(a2cat, "11a") in table
+    assert names_to_bits(a2cat, "10a", "11a") not in table
     assert subcat.simples_of_wide(a2cat, a2cat.full_mask) == subcat.bits(
         a2cat.simple_indices
     )
@@ -186,7 +187,7 @@ def test_serre_list_of_full_category(cat_of):
     assert serres[0] == 0
     assert serres[-1] == cat.full_mask
     for w in serres:
-        assert subcat.is_wide(cat, w)
+        assert w in subcat.wide_table(cat)
         # Serre pieces are closed under subfactors, not just extensions
         assert subcat.fac(cat, w) == w
         assert subcat.sub_cl(cat, w) == w

@@ -511,6 +511,40 @@ def test_wide_serre_and_duality_make_no_perp_right_call(monkeypatch):
     assert calls == []
 
 
+# checks whose outcome is known when they are yielded, on a6: every
+# wide-detect check, the 12,686 lower-filt checks of non-wide intervals, the
+# 4,279 reduction checks and every duality check
+A6_SETTLED_CHECKS = 35649
+
+
+@pytest.mark.parametrize("name", ("a4", "a6p2"))
+def test_settled_checks_share_one_thunk(name):
+    # a settled pass yields the one module-level verify._passed, not a
+    # closure of its own, and formats no witness
+    if name == "a4":
+        algebra = verify.load_corpus_algebra("a4")
+    else:
+        algebra = parse_algebra_text(A6_P2)
+    ctx = verify.AlgebraContext(name, algebra)
+    settled = 0
+    for prop in ("wide-detect", "reduction", "duality"):
+        thunks = [thunk for _, thunk in verify.PROPERTY_FUNCS[prop](ctx)]
+        assert thunks and all(t is verify._passed for t in thunks), prop
+        settled += len(thunks)
+    lower = [thunk for _, thunk in verify.PROPERTY_FUNCS["lower-filt"](ctx)]
+    assert len(lower) == len(ctx.wide_verdicts)
+    for thunk, verdict in zip(lower, ctx.wide_verdicts):
+        assert (thunk is verify._passed) == (verdict is None)
+        settled += verdict is None
+    if name == "a6p2":
+        assert settled == A6_SETTLED_CHECKS
+    failure = TheoremViolation("a known failure")
+    assert verify._settled(None) is verify._passed
+    with pytest.raises(TheoremViolation) as raised:
+        verify._settled(failure)()
+    assert raised.value is failure
+
+
 def test_verify_decides_each_mask_wide_once(monkeypatch):
     # every reader of wideness reads the one wide table, which holds the
     # simples: an a4 verify runs the semibrick search once and keeps one
