@@ -38,8 +38,6 @@ from .lattice import (
 )
 from .widelab import (
     ReductionIso,
-    WideIntervalReport,
-    WidelyGeneratedReport,
     enumerate_semibricks,
     enumerate_wide_subcats,
     is_wide_interval,
@@ -76,8 +74,6 @@ __all__ = [
     "Quiver",
     "ReductionIso",
     "TorsLattice",
-    "WideIntervalReport",
-    "WidelyGeneratedReport",
     "build_algebra",
     "build_catalog",
     "build_lattice",

@@ -163,11 +163,10 @@ def _cmd_interval(args, cfg, out):
         file=out,
     )
     if args.check_wide or args.reduce:
-        report = widelab.is_wide_interval(lat, iv)
         # wide_verdicts raises unless the three readings agree
-        wide = _yesno(report.wide)
+        wide = _yesno(widelab.is_wide_interval(lat, iv) is not None)
         print(f"wide: {wide}", file=out)
-        print(f"gap: {cat.mask_name(report.gap)}", file=out)
+        print(f"gap: {cat.mask_name(lat.gap(iv))}", file=out)
         print(f"verdicts: direct={wide} join={wide} meet={wide}", file=out)
     if args.reduce:
         red = widelab.reduce_interval(lat, iv)

@@ -3,51 +3,26 @@
 A mask is an int bitset, bit i set for catalog index i, and denotes the
 additive hull of its members.  Every operator takes the catalog first and
 masks in and out; an order that follows the members comes from ``indices``,
-ascending, never from the int value.  The perpendiculars, ``fac``,
-``sub_cl``, ``tors_gen`` and ``torf_gen`` admit an optional ``within``
-mask, a wide subcategory W, as the ambient: the perpendiculars are taken
-inside W, and the closures of a mask inside W are the closures in the
-whole module category cut down to W.  ``filt`` takes no ``within``,
-because from a mask inside W its closure never leaves W.  With
-``within=None`` the ambient is the whole module category.
-
-Restriction is exact because W is wide, that is closed under kernels,
-cokernels and extensions (Ingalls-Thomas, arXiv:math/0612219).  Let x lie
-in W, and let (u, q) be one of its subfactor pairs: u the summands of a
-subobject U of x, q those of x/U.
-
-1. u lies in W iff q does: x/U is the cokernel of U -> x, and U is the
-   kernel of x -> x/U.
-2. Each summand Q of x/U that lies in W is itself the quotient of x by a
-   subobject in W: x -> x/U -> Q is onto, and its kernel, the kernel of a
-   map between objects of W, lies in W.  So x has a pair whose u lies in W
-   and whose q is Q alone.  Dually, each summand of U that lies in W is a
-   subobject of x whose quotient lies in W.
-3. An extension of two objects of W lies in W.
-
-By 1 and 2, the members of W among the q parts of x's pairs are the
-members of the q parts of the pairs whose u lies in W: fac cut down to W is
-the closure under quotients by subobjects in W, and sub_cl cut down to W
-the closure under subobjects in W.  By 3, each step of the ``filt``
-fixpoint from a mask inside W adds a member j with a pair inside the mask,
-so j lies in W; the fixpoint over the whole catalog is the fixpoint over W.
-``tests/oracles.py`` keeps the literal relative operators as the reference.
+ascending, never from the int value.  Every operator works in the whole
+module category.  A lattice inside a wide subcategory W cuts results down
+to W itself, at one place, ``lattice.TorsLattice.gen``, whose docstring
+proves the cut exact.
 
 The operators are bit algebra on the rows the catalog derives from its
-tables: a perpendicular is the ambient minus the ``out_bits`` (or
+tables: a perpendicular is the whole catalog minus the ``out_bits`` (or
 ``in_bits``) rows of the members.  ``fac`` and ``sub_cl`` are one union of
 the members with their ``quotient_bits`` (or ``sub_bits``), without a memo.
 ``filt`` runs ``extension_closure``, the one extension-closure fixpoint of
 the library, on the catalog's ``closure_rows`` and keeps the result under
 ``("filt", mask)``, the one closure memo: the joins of every lattice,
-relative ones included, read it, exact by the argument above.
+relative ones included, read it.
 ``lattice.build_lattice`` finds its covers by perpendiculars, with no
 fixpoint; it reads ``op_cache`` for the ``filt`` of each arrow label, one
 entry per brick read once per walk, and for the wide table, to validate
-``within``.  Results that are reused are kept in the catalog's
-``op_cache`` through ``_cached``, the one memo helper of the library:
-widelab's verdicts go through it too, each under a key tagged by its kind,
-each kind at one call site.  The catalog's Hom table is no memo: the
+the ambient of a relative lattice.  Results that are reused are kept in
+the catalog's ``op_cache`` through ``_cached``, the one memo helper of the
+library: widelab's verdicts go through it too, each under a key tagged by
+its kind, each kind at one call site.  The catalog's Hom table is no memo: the
 ``Catalog`` constructor builds it, with the rows it derives.
 
 ``is_semibrick`` is the one semibrick test: bricks whose ``out_bits`` rows
@@ -108,18 +83,14 @@ def _union_rows(rows, b):
     return out
 
 
-def _cut(b, within):
-    return b if within is None else b & within
+def fac(cat, b):
+    """Closure under quotients."""
+    return _union_rows(cat.quotient_bits, b)
 
 
-def fac(cat, b, within=None):
-    """Closure under quotients, cut down to ``within``."""
-    return _cut(_union_rows(cat.quotient_bits, b), within)
-
-
-def sub_cl(cat, b, within=None):
-    """Closure under subobjects, cut down to ``within``."""
-    return _cut(_union_rows(cat.sub_bits, b), within)
+def sub_cl(cat, b):
+    """Closure under subobjects."""
+    return _union_rows(cat.sub_bits, b)
 
 
 def extension_closure(cur, rows):
@@ -160,24 +131,24 @@ def _perp(rows, members, ambient):
     return ambient & ~hit
 
 
-def perp_right(cat, b, within=None):
+def perp_right(cat, b):
     """Objects receiving no nonzero map from any member."""
-    return _perp(cat.out_bits, indices(b), _cut(cat.full_mask, within))
+    return _perp(cat.out_bits, indices(b), cat.full_mask)
 
 
-def perp_left(cat, b, within=None):
+def perp_left(cat, b):
     """Objects sending no nonzero map to any member."""
-    return _perp(cat.in_bits, indices(b), _cut(cat.full_mask, within))
+    return _perp(cat.in_bits, indices(b), cat.full_mask)
 
 
-def tors_gen(cat, b, within=None):
+def tors_gen(cat, b):
     """Smallest torsion class containing the mask: filt after fac."""
-    return filt(cat, fac(cat, b, within))
+    return filt(cat, fac(cat, b))
 
 
-def torf_gen(cat, b, within=None):
+def torf_gen(cat, b):
     """Smallest torsion-free class containing the mask: filt after sub_cl."""
-    return filt(cat, sub_cl(cat, b, within))
+    return filt(cat, sub_cl(cat, b))
 
 
 def is_semibrick(cat, b):

@@ -624,8 +624,8 @@ def _check_widely_generated(ctx):
     lat = ctx.lat
     for t in range(len(lat)):
         def thunk(t=t):
-            report = widelab.is_widely_generated(lat, t)
-            _require(report.holds, "node is not widely generated")
+            held = widelab.is_widely_generated(lat, t)
+            _require(held, "node is not widely generated")
         yield lat.name(t), thunk
 
 

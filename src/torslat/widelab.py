@@ -83,7 +83,6 @@ def wide_verdicts(lat, t, bottoms):
     nb, reach, closed = lat.node_bits, lat.reach, lat._closed_bits
     index, into, up = lat.bits_index, lat.into, lat.up_sets
     t_mask = nb[t]
-    top = lat.ambient & t_mask
     below_t = lat.down_sets[t]
     covers = [(a.dst, nb[a.dst]) for a in lat.out_of[t]]
     out = []
@@ -102,7 +101,7 @@ def wide_verdicts(lat, t, bottoms):
                 raise lat._not_a_node(b, lat._describe("join", lower))
             join = hit == t
             above_u = up[u]
-            b = top
+            b = t_mask
             for c, c_mask in covers:
                 if above_u >> c & 1:
                     b &= c_mask
@@ -122,25 +121,18 @@ def wide_verdicts(lat, t, bottoms):
     return out
 
 
-@dataclass(frozen=True)
-class WideIntervalReport:
-    interval: Interval
-    gap: int
-    wide: bool
-
-
 def is_wide_interval(lat, iv):
     """Test an interval three ways: gap wideness, join of lower elements,
     meet of upper elements; raises TheoremViolation unless all three agree.
 
-    This is ``wide_verdicts`` on the one bottom, which raises unless the
-    three agree, so the report holds the one verdict; its gap is
-    ``lat.gap``.
+    This is ``wide_verdicts`` on the one bottom: the gap mask when the
+    interval is wide, None when it is not.  Test the result with ``is not
+    None``: the trivial interval [T, T] is wide with gap 0.
     """
     (verdict,) = wide_verdicts(lat, iv.top, [iv.bottom])
     if isinstance(verdict, VerificationError):
         raise verdict
-    return WideIntervalReport(iv, lat.gap(iv), verdict is not None)
+    return verdict
 
 
 def tors_of_wide(cat, w):
@@ -278,12 +270,11 @@ def reduce_interval(lat, iv):
     """
     if lat.side != "tors":
         raise ValueError("reduce_interval needs the torsion side")
-    report = is_wide_interval(lat, iv)
-    if not report.wide:
+    w = is_wide_interval(lat, iv)
+    if w is None:
         raise NotWideInterval(
             f"[{lat.name(iv.bottom)}, {lat.name(iv.top)}] is not wide"
         )
-    w = report.gap
     return _reduce_onto(lat, iv, w, tors_of_wide(lat.cat, w))
 
 
@@ -447,39 +438,43 @@ def left_wide(lat, node):
     """
     if lat.side != "tors":
         raise ValueError("left_wide needs the torsion side")
-    return _one_sided_wide(lat, node, left=True)
+    return _one_sided_wide(lat, node)
 
 
 def right_wide(lat, node):
     """Dual of left_wide for a torsion-free class: cokernels stay inside."""
     if lat.side != "torf":
         raise ValueError("right_wide needs the torsion-free side")
-    return _one_sided_wide(lat, node, left=False)
+    return _one_sided_wide(lat, node)
 
 
-def _one_sided_wide(lat, node, left):
+def _one_sided_wide(lat, node):
+    """left_wide of a torsion class, right_wide of a torsion-free one,
+    kept in ``op_cache`` under the side, the ambient and the node's
+    mask."""
     cat = lat.cat
-    ambient = lat.node_bits[node]
+    left = lat.side == "tors"
+    node_mask = lat.node_bits[node]
 
     def run():
         mask = subcat.filt(cat, lat.out_labels(node))
         table = cat.hom_table
-        # the y of the ambient with a nonzero map y -> x, or x -> y on the right
+        # the y of the node with a nonzero map y -> x, or x -> y on the right
         nonzero = cat.in_bits if left else cat.out_bits
         for x in subcat.indices(mask):
-            for y in subcat.indices(ambient & nonzero[x]):
+            for y in subcat.indices(node_mask & nonzero[x]):
                 pair = (y, x) if left else (x, y)
                 prof = table[pair[0]][pair[1]]
-                escaped = (prof.kernel if left else prof.cokernel) & ~ambient
+                escaped = (prof.kernel if left else prof.cokernel) & ~node_mask
                 if escaped:
                     raise AuditFailed(
                         f"map {cat.names[pair[0]]}->{cat.names[pair[1]]}"
                         f" drops {cat.mask_name(escaped)} outside"
-                        f" {cat.mask_name(ambient)}"
+                        f" {cat.mask_name(node_mask)}"
                     )
         return mask
 
-    return subcat._cached(cat, ("oneside", lat.side, lat.within, ambient), run)
+    return subcat._cached(cat, ("oneside", lat.side, lat.ambient, node_mask), run)
 
 
 def serre_mutation(lat, t_node, w):
@@ -494,7 +489,7 @@ def serre_mutation(lat, t_node, w):
     and W, so the Serre route under a top (``wide_intervals_with_top``)
     reuses the work; a failed check keeps nothing and raises on every call.
     """
-    key = ("mutation", lat.side, lat.within, lat.node_bits[t_node], w)
+    key = ("mutation", lat.side, lat.ambient, lat.node_bits[t_node], w)
     return subcat._cached(lat.cat, key, lambda: _serre_bottom(lat, t_node, w))
 
 
@@ -509,7 +504,7 @@ def _serre_bottom(lat, t_node, w):
         raise TheoremViolation(
             f"{cat.mask_name(w)} is not inside {cat.mask_name(t_mask)}"
         )
-    u_mask = t_mask & subcat.perp_left(cat, w, lat.within)
+    u_mask = t_mask & subcat.perp_left(cat, w)
     u_node = lat.bits_index.get(u_mask)
     if u_node is None:
         raise TheoremViolation(
@@ -549,12 +544,6 @@ def wide_intervals_with_top(lat, t_node):
     return sorted(bottoms)
 
 
-@dataclass(frozen=True)
-class WidelyGeneratedReport:
-    node: int
-    holds: bool
-
-
 def is_widely_generated(lat, t_node):
     """Three equivalent readings of 'generated by a wide subcategory'.
 
@@ -565,12 +554,14 @@ def is_widely_generated(lat, t_node):
     order the arrows give: the nodes whose masks lie in T's, T aside, all
     lie in the sets of T's lower covers.
     When the verdict holds, the canonical join representation over the
-    outgoing labels is checked to rebuild the class exactly.
+    outgoing labels is checked to rebuild the class exactly.  Returns the
+    verdict.  Each class generated is ``lat.gen``, the torsion class
+    generated inside the ambient.
     """
     cat = lat.cat
     t_mask = lat.node_bits[t_node]
-    via_wide = t_mask == subcat.tors_gen(cat, left_wide(lat, t_node), lat.within)
-    via_labels = t_mask == subcat.tors_gen(cat, lat.out_labels(t_node), lat.within)
+    via_wide = t_mask == lat.gen(left_wide(lat, t_node))
+    via_labels = t_mask == lat.gen(lat.out_labels(t_node))
     below = lat.mask_down_sets
     under_covers = 0
     for a in lat.out_of[t_node]:
@@ -585,14 +576,13 @@ def is_widely_generated(lat, t_node):
         parts = 0
         for s in subcat.indices(lat.out_labels(t_node)):
             parts |= 1 << lat._node_of(
-                subcat.tors_gen(cat, 1 << s, lat.within),
-                lambda: f"tors_gen of {cat.names[s]}",
+                lat.gen(1 << s), lambda: f"tors_gen of {cat.names[s]}"
             )
         if lat.join(parts) != t_node:
             raise TheoremViolation(
                 f"join of label-generated classes misses {lat.name(t_node)}"
             )
-    return WidelyGeneratedReport(t_node, via_wide)
+    return via_wide
 
 
 def _by_size(b):

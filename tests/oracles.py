@@ -11,7 +11,9 @@ classify summands by that test against every member of a catalog.
 
 Masks here are frozensets of catalog indices, ``within`` included; the
 library's masks are int bitsets, converted by ``to_bits`` and ``to_set`` where
-an oracle calls the library or builds a lattice.
+an oracle calls the library or builds a lattice.  The library's operators
+work in the whole category; an oracle that reads them inside a wide
+``within`` cuts their results down to it by hand.
 
 The linear algebra references run on numpy int64 arrays, independent of the
 library's tuple-of-rows matrices; ``arrays`` and ``to_rows`` convert
@@ -666,22 +668,24 @@ def _label(cat, within, top_mask, bottom_mask, bottom_perp):
 def cover_walk(cat, side="tors", within=None):
     """The independent up-walk from zero: the upper covers of T are the
     inclusion-minimal candidates gen(T + x), one per x of the orthogonal of
-    T, each an extension closure through subcat.tors_gen (torf_gen), with
-    no filter on x and no node budget.  lattice.build_lattice walks down
-    by perpendiculars instead; the two must give the same lattice."""
-    lib_gen = subcat.tors_gen if side == "tors" else subcat.torf_gen
+    T, each subcat.filt of subcat.fac (sub_cl) cut down to the ambient by
+    hand, with no filter on x and no node budget.  lattice.build_lattice
+    walks down by perpendiculars instead; the two must give the same
+    lattice."""
+    lib_close = subcat.fac if side == "tors" else subcat.sub_cl
     lib_perp = subcat.perp_right if side == "tors" else subcat.perp_left
-    lib_within = to_bits(within)
+    amb = cat.full_mask if within is None else to_bits(within)
 
     def gen(mask):
-        return to_set(lib_gen(cat, subcat.bits(mask), lib_within))
+        closed = lib_close(cat, subcat.bits(mask)) & amb
+        return to_set(subcat.filt(cat, closed))
 
     seen = {frozenset()}
     queue = [frozenset()]
     covers = []
     while queue:
         bottom = queue.pop()
-        bottom_perp = to_set(lib_perp(cat, subcat.bits(bottom), lib_within))
+        bottom_perp = to_set(lib_perp(cat, subcat.bits(bottom)) & amb)
         cands = {gen(bottom | {x}) for x in bottom_perp}
         for top in cands:
             if not any(c < top for c in cands):
@@ -696,7 +700,7 @@ def cover_walk(cat, side="tors", within=None):
         key=lambda a: (a.src, a.dst),
     )
     node_bits = [subcat.bits(m) for m in nodes]
-    return lattice.TorsLattice(cat, side, lib_within, node_bits, tuple(arrows))
+    return lattice.TorsLattice(cat, side, amb, node_bits, tuple(arrows))
 
 
 def to_bits(mask):
@@ -808,13 +812,15 @@ def is_torsion_free_class(cat, members, within=None):
     the tests compare it with torf_masks_by_filtering, so it checks sub_cl and
     filt rather than standing in for them."""
     b = subcat.bits(members)
-    return subcat.sub_cl(cat, b, to_bits(within)) == b and subcat.filt(cat, b) == b
+    amb = cat.full_mask if within is None else to_bits(within)
+    return subcat.sub_cl(cat, b) & amb == b and subcat.filt(cat, b) == b
 
 
 def is_torsion_class(cat, members, within=None):
     """Closed under quotients and extensions, by the library's fac and filt."""
     b = subcat.bits(members)
-    return subcat.fac(cat, b, to_bits(within)) == b and subcat.filt(cat, b) == b
+    amb = cat.full_mask if within is None else to_bits(within)
+    return subcat.fac(cat, b) & amb == b and subcat.filt(cat, b) == b
 
 
 def canonical_sequence(cat, module, t_mask):
@@ -883,7 +889,7 @@ def join(lat, nodes, node_ids):
     """The node that is gen of the union of the nodes' masks inside the
     ambient (filt after fac, after sub_cl on the torsion-free side), or None
     when it is no node."""
-    cat, within = lat.cat, to_set(lat.within)
+    cat, within = lat.cat, to_set(lat.ambient)
     close = fac if lat.side == "tors" else sub_cl
     union = frozenset().union(*(nodes[i] for i in node_ids))
     return node_of(lat, filt(cat, close(cat, union, within), within))
@@ -927,7 +933,7 @@ def is_wide_interval(lat, nodes, iv):
     says gen of U and its covers inside [U, T] is T, and meet that the
     intersection of T and the nodes it covers inside [U, T] is U.
     """
-    cat, within = lat.cat, to_set(lat.within)
+    cat, within = lat.cat, to_set(lat.ambient)
     u, t = nodes[iv.bottom], nodes[iv.top]
     tors = lat.side == "tors"
     gap = (perp_right if tors else perp_left)(cat, u, within) & t

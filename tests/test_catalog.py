@@ -5,6 +5,8 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from torslat import linalg, modrep, subcat, widelab
@@ -641,6 +643,50 @@ def test_hom_and_ext_follow_the_euler_form(name, prime):
             e = max(0, -form)
             rays = (prime**e - 1) // (prime - 1)
             assert len(modrep.ext_scan(x, y).middles) == rays, (i, j)
+
+
+# the underlying graphs of the orientation test, as edges between vertices
+# 1..n: A_n a path, D_n two arms of length one meeting at vertex 3, then a
+# tail; and their torsion class counts, the W-Catalan numbers
+# (Ingalls-Thomas), which do not depend on the orientation
+DYNKIN_GRAPHS = {f"a{n}": [(v, v + 1) for v in range(1, n)] for n in range(1, 6)}
+DYNKIN_GRAPHS.update(
+    {f"d{n}": [(1, 3), (2, 3)] + [(v, v + 1) for v in range(3, n)] for n in (4, 5)}
+)
+DYNKIN_TORS = {"a1": 2, "a2": 5, "a3": 14, "a4": 42, "a5": 132, "d4": 50, "d5": 182}
+
+
+@st.composite
+def oriented_dynkin(draw):
+    """(graph name, spec text): a graph of DYNKIN_GRAPHS, each edge drawn
+    in one of its two directions, at p = 2 or 3."""
+    name = draw(st.sampled_from(sorted(DYNKIN_GRAPHS)))
+    lines = [f"vertices {int(name[1:])}"]
+    for k, (u, v) in enumerate(DYNKIN_GRAPHS[name]):
+        if draw(st.booleans()):
+            u, v = v, u
+        lines.append(f"arrow x{k} {u} {v}")
+    lines.append(f"prime {draw(st.sampled_from((2, 3)))}")
+    return name, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60)
+@given(oriented_dynkin())
+def test_every_orientation_follows_gabriel_and_the_euler_form(drawn):
+    # Gabriel: the dimension vectors are the positive roots, each once, and
+    # every indecomposable is a brick; the torsion classes number the
+    # W-Catalan number; and dim Hom(X, Y) = max(0, <x, y>), as in
+    # test_hom_and_ext_follow_the_euler_form
+    name, spec = drawn
+    alg = parse_algebra_text(spec)
+    cat = build_catalog(alg)
+    assert sorted(m.dims for m in cat.ind) == oracles.positive_roots(alg.quiver)
+    assert all(cat.bricks)
+    assert len(build_lattice(cat)) == DYNKIN_TORS[name]
+    for i, x in enumerate(cat.ind):
+        for j, y in enumerate(cat.ind):
+            form = oracles.euler_form(alg.quiver, x.dims, y.dims)
+            assert cat.hom_dim[i][j] == max(0, form), (spec, i, j)
 
 
 # the representation-finite scale specs of the benchmark, read only; the

@@ -82,6 +82,15 @@ def test_interval_membership(a2lat):
         a2lat.interval(3, 2)
 
 
+@pytest.mark.parametrize("bottom,top,bad", [(-1, 4, -1), (0, 99, 99), (5, 0, 5)])
+def test_an_interval_end_outside_the_nodes_raises(a2lat, bottom, top, bad):
+    # a usage error, exit code 3, before the containment test: a negative
+    # index would pick a node from the end, and is_wide_interval on it
+    # would report a failed verification
+    with pytest.raises(NotAnInterval, match=rf"node {bad} is outside 0\.\.4$"):
+        a2lat.interval(bottom, top)
+
+
 def _bits(nodes):
     return sum(1 << i for i in nodes)
 
@@ -215,7 +224,7 @@ def _duality_failures(lat, flat):
 
 
 def _with_arrows(flat, arrows):
-    return TorsLattice(flat.cat, flat.side, flat.within, flat.node_bits, tuple(arrows))
+    return TorsLattice(flat.cat, flat.side, flat.ambient, flat.node_bits, tuple(arrows))
 
 
 REVERSAL_FAILS = ("order reversal", "inclusions not reversed")
@@ -552,7 +561,7 @@ def test_an_arrow_outside_the_nodes_raises(field, end):
     assert len(lat) == 50
     bad = HasseArrow(1, 0, 0)._replace(**{field: end})
     with pytest.raises(ValueError, match="outside 0..49"):
-        TorsLattice(lat.cat, lat.side, lat.within, lat.node_bits, lat.arrows + (bad,))
+        TorsLattice(lat.cat, lat.side, lat.ambient, lat.node_bits, lat.arrows + (bad,))
 
 
 def test_the_frozenset_view_is_built_on_first_read(cat_of):
@@ -665,7 +674,7 @@ def test_the_hasse_diagram_is_regular(name, cat_of):
     for lat in _lattices_and_relatives(name, cat_of):
         rank = len(oracles.candidate_simples(lat.cat, to_set(lat.ambient)))
         degrees = {len(lat.out_of[i]) + len(lat.into[i]) for i in range(len(lat))}
-        assert degrees == {rank}, (lat.side, lat.within)
+        assert degrees == {rank}, (lat.side, lat.ambient)
         walks += 1
     assert walks > 2
 
@@ -683,10 +692,27 @@ def test_join_irreducibles_are_the_classes_of_one_brick(name, cat_of):
         bricks = [x for x in subcat.indices(lat.ambient) if cat.bricks[x]]
         by_brick = {}
         for b in bricks:
-            node = lat.bits_index[subcat.tors_gen(cat, 1 << b, lat.within)]
+            node = lat.bits_index[lat.gen(1 << b)]
             by_brick[node] = b
         assert set(by_brick) == irreducible and len(by_brick) == len(bricks)
         assert all(lat.out_of[i][0].label == b for i, b in by_brick.items())
+
+
+@pytest.mark.parametrize("name", ["a3", "a4"])
+def test_gen_matches_the_frozenset_oracles(name, cat_of):
+    # inside every wide W, on both sides: gen of each singleton of W and of
+    # each node mask is the literal relative closure, filt after fac
+    # (sub_cl) inside W
+    cat = cat_of(name)
+    for w in widelab.enumerate_wide_subcats(cat):
+        w_set = to_set(w)
+        for side, close in (("tors", oracles.fac), ("torf", oracles.sub_cl)):
+            lat = build_lattice(cat, side, within=w)
+            assert lat.ambient == w
+            masks = [1 << x for x in subcat.indices(w)] + list(lat.node_bits)
+            for b in masks:
+                want = oracles.filt(cat, close(cat, to_set(b), w_set), w_set)
+                assert to_set(lat.gen(b)) == want, (side, w, b)
 
 
 def test_relative_walk_on_a7_matches_the_unfiltered_walk(a7lat):

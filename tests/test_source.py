@@ -253,3 +253,27 @@ def test_a_passing_require_formats_no_witness():
     calls = require_witnesses(SRC)
     assert calls
     assert [(rel, line) for rel, line, constant in calls if not constant] == []
+
+
+def within_params(root):
+    """(file, line, def) of each def under root that has a parameter named
+    within."""
+    out = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = n.args
+            params = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            if any(p is not None and p.arg == "within" for p in params):
+                out.append((rel, n.lineno, n.name))
+    return out
+
+
+def test_only_build_lattice_takes_within():
+    # a lattice's ambient is decided once, by build_lattice, and read from
+    # TorsLattice.ambient everywhere else
+    assert [(rel, name) for rel, _, name in within_params(SRC)] == [
+        ("lattice.py", "build_lattice")
+    ]

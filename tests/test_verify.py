@@ -294,13 +294,13 @@ def test_corpus_names_all_load():
         assert alg.quiver.vertex_count >= 1
 
 
-def test_verify_enumerates_the_intervals_once(monkeypatch):
+def test_verify_enumerates_the_intervals_once(monkeypatch, cat_of):
     # every interval property reads one tuple of the torsion lattice
     calls = []
     intervals = TorsLattice.intervals.func
 
     def counting(lat):
-        calls.append((lat.side, lat.within))
+        calls.append((lat.side, lat.ambient))
         return intervals(lat)
 
     prop = cached_property(counting)
@@ -309,7 +309,7 @@ def test_verify_enumerates_the_intervals_once(monkeypatch):
     results = verify.run_verify([("a3", verify.load_corpus_algebra("a3"))])
     assert {r.prop for r in results} == set(verify.PROPERTIES)
     assert all(r.ok for r in results)
-    assert calls == [("tors", None)]
+    assert calls == [("tors", cat_of("a3").full_mask)]
 
 
 @pytest.mark.parametrize("name", verify.CORPUS + ("nak55",))
@@ -400,9 +400,9 @@ def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_
         walked.append(w_mask)
         return tors_of_wide(cat, w_mask)
 
-    def constructing(self, cat, side, within, node_bits, arrows):
-        built.append(within)
-        init(self, cat, side, within, node_bits, arrows)
+    def constructing(self, cat, side, ambient, node_bits, arrows):
+        built.append(ambient)
+        init(self, cat, side, ambient, node_bits, arrows)
 
     monkeypatch.setattr(widelab, "_reduce_onto", recording)
     monkeypatch.setattr(widelab, "tors_of_wide", counting)
@@ -416,7 +416,7 @@ def test_reduction_builds_one_gap_lattice_per_wide_subcategory(monkeypatch, cat_
     assert len(reduced) == len(wides) == 42
     assert {w for _, w, _ in reduced} == set(wides)
     assert all(w & root == w for _, w, root in reduced)
-    assert built == [None] + walked
+    assert built == [cat.full_mask] + walked
     semibricks = widelab.enumerate_semibricks(cat)
     maximal = {
         s for s in semibricks if not any(s != b and s & b == s for b in semibricks)
@@ -647,12 +647,14 @@ def test_a_tampered_gap_lattice_fails_exactly_its_intervals(
             other = (first.label + 1) % len(root.cat.ind)
             rest.insert(0, HasseArrow(first.src, first.dst, other))
         altered = TorsLattice(
-            root.cat, root.side, root.within, root.node_bits, tuple(rest)
+            root.cat, root.side, root.ambient, root.node_bits, tuple(rest)
         )
         return altered, first.src
 
     objs, failed, hit = _tampered_root_run(monkeypatch, lat, alter)
-    wide = [iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv).wide]
+    wide = [
+        iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv) is not None
+    ]
     assert objs == [_iv_name(lat, iv) for iv in wide]
     assert 1 < len(hit) < len(wide)
     assert [obj for obj, _ in failed] == [_iv_name(lat, iv) for iv in hit]
@@ -896,7 +898,9 @@ def test_a_failed_verdict_reports_as_before(monkeypatch, lat_of):
         ("serre-count", lat.name(bad.top), "planted disagreement"),
     ]
     wide_before = [
-        iv for iv in ivs[: ivs.index(bad)] if is_wide_interval(lat, iv).wide
+        iv
+        for iv in ivs[: ivs.index(bad)]
+        if is_wide_interval(lat, iv) is not None
     ]
     reduced = [r.obj for r in results if r.prop == "reduction" and r.ok]
     assert reduced == [

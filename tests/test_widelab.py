@@ -22,8 +22,8 @@ def _interval(lat, b, t):
 def test_wide_interval_census_on_pentagon(a2lat):
     verdicts = {}
     for iv in a2lat.intervals:
-        report = widelab.is_wide_interval(a2lat, iv)
-        verdicts[(iv.bottom, iv.top)] = report.wide
+        gap = widelab.is_wide_interval(a2lat, iv)
+        verdicts[(iv.bottom, iv.top)] = gap is not None
     assert len(verdicts) == 13
     assert sum(verdicts.values()) == 11
     assert verdicts[(0, 3)] is False
@@ -32,11 +32,13 @@ def test_wide_interval_census_on_pentagon(a2lat):
 
 def test_gap_masks(a2cat, a2lat):
     iv = _interval(a2lat, 2, 3)
-    report = widelab.is_wide_interval(a2lat, iv)
-    assert report.wide is True
-    assert report.gap == names_to_bits(a2cat, "11a")
-    full = widelab.is_wide_interval(a2lat, _interval(a2lat, 1, 4))
-    assert full.gap == names_to_bits(a2cat, "10a")
+    assert widelab.is_wide_interval(a2lat, iv) == names_to_bits(a2cat, "11a")
+    assert a2lat.gap(iv) == names_to_bits(a2cat, "11a")
+    full = _interval(a2lat, 1, 4)
+    assert widelab.is_wide_interval(a2lat, full) == names_to_bits(a2cat, "10a")
+    # the trivial interval is wide with gap 0, a verdict that is falsy
+    point = _interval(a2lat, 2, 2)
+    assert widelab.is_wide_interval(a2lat, point) == 0 == a2lat.gap(point)
 
 
 def test_tors_of_wide(a2cat):
@@ -84,7 +86,7 @@ def test_reduce_rejects_a_tampered_gap_lattice(tamper, a2cat, a2lat, monkeypatch
         if tamper == "relabel":
             other = (first.label + 1) % len(cat.ind)
             rest.insert(0, HasseArrow(first.src, first.dst, other))
-        return TorsLattice(cat, wlat.side, wlat.within, wlat.node_bits, tuple(rest))
+        return TorsLattice(cat, wlat.side, wlat.ambient, wlat.node_bits, tuple(rest))
 
     monkeypatch.setattr(widelab, "tors_of_wide", tampered)
     with pytest.raises(TheoremViolation):
@@ -106,7 +108,7 @@ def merge_the_bottom_into_a_cover(wlat):
     arrows = tuple(
         HasseArrow(moved(a.src), moved(a.dst), a.label) for a in wlat.arrows
     )
-    merged = TorsLattice(wlat.cat, wlat.side, wlat.within, wlat.node_bits[1:], arrows)
+    merged = TorsLattice(wlat.cat, wlat.side, wlat.ambient, wlat.node_bits[1:], arrows)
     merged.bits_index[0] = cover - 1
     return merged
 
@@ -143,7 +145,7 @@ def test_psi_is_the_extension_product_over_the_bottom(name, cat_of, lat_of):
     cat, lat = cat_of(name), lat_of(name)
     nodes = oracles.node_sets(lat)
     for iv in lat.intervals:
-        if not widelab.is_wide_interval(lat, iv).wide:
+        if widelab.is_wide_interval(lat, iv) is None:
             continue
         red = widelab.reduce_interval(lat, iv)
         u_mask, wlat = nodes[iv.bottom], red.wide_lattice
@@ -201,47 +203,48 @@ def test_reduce_needs_the_torsion_side(lat_of):
 
 
 def test_reduce_scans_the_perpendicular_once(monkeypatch, lat_of):
-    # gap computations made by reduce_interval itself, not by the walk that
-    # builds the gap's own lattice; the frozenset perp_right is not called
-    state = {"calls": 0, "in_walk": False, "perp": 0}
+    # the gap of each reduced interval is read once, as the verdict of its
+    # one bottom, so TorsLattice.gap is not called; nor is the frozenset
+    # perp_right
+    state = {"bottoms": [], "gap": 0, "perp": 0}
     gap, perp_right = TorsLattice.gap, subcat.perp_right
-    build_lattice = widelab.build_lattice
+    verdicts = widelab.wide_verdicts
+
+    def counting_verdicts(lat, t, bottoms):
+        state["bottoms"].append(len(bottoms))
+        return verdicts(lat, t, bottoms)
 
     def counting_gap(*args, **kwargs):
-        state["calls"] += not state["in_walk"]
+        state["gap"] += 1
         return gap(*args, **kwargs)
 
     def counting_perp(*args, **kwargs):
         state["perp"] += 1
         return perp_right(*args, **kwargs)
 
-    def quiet_walk(*args, **kwargs):
-        state["in_walk"] = True
-        try:
-            return build_lattice(*args, **kwargs)
-        finally:
-            state["in_walk"] = False
-
     lat = lat_of("a4")
     wide = [
-        iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv).wide
+        iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv) is not None
     ]
+    monkeypatch.setattr(widelab, "wide_verdicts", counting_verdicts)
     monkeypatch.setattr(TorsLattice, "gap", counting_gap)
     monkeypatch.setattr(subcat, "perp_right", counting_perp)
-    monkeypatch.setattr(widelab, "build_lattice", quiet_walk)
     per_call = []
     for iv in wide:
-        before = state["calls"]
+        state["bottoms"] = []
         widelab.reduce_interval(lat, iv)
-        per_call.append(state["calls"] - before)
-    assert wide and per_call == [1] * len(wide)
+        per_call.append(state["bottoms"])
+    assert wide and per_call == [[1]] * len(wide)
+    assert state["gap"] == 0
     assert state["perp"] == 0
 
 
 def test_reduce_interval_reads_no_order_bitsets_of_its_gap_lattice(lat_of):
     # the gap lattice is the whole of its walk, so no down-set is read
     lat = lat_of("a4")
-    wide = [iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv).wide]
+    wide = [
+        iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv) is not None
+    ]
     for iv in wide:
         wlat = widelab.reduce_interval(lat, iv).wide_lattice
         assert "down_sets" not in vars(wlat)
@@ -267,12 +270,14 @@ def _wide_count_matching_the_oracle(lat):
     nodes = oracles.node_sets(lat)
     wide = 0
     for iv in lat.intervals:
-        r = widelab.is_wide_interval(lat, iv)
-        # the oracle reads the three verdicts apart; the report holds one
-        assert (to_set(r.gap), r.wide, r.wide, r.wide) == (
+        w = widelab.is_wide_interval(lat, iv)
+        # the oracle reads the three verdicts apart; the verdict is one
+        is_wide = w is not None
+        assert (to_set(lat.gap(iv)), is_wide, is_wide, is_wide) == (
             oracles.is_wide_interval(lat, nodes, iv)
         )
-        wide += r.wide
+        assert w in (None, lat.gap(iv))
+        wide += is_wide
     return wide
 
 
@@ -303,7 +308,9 @@ def test_relative_verdicts_match_the_mask_oracle(name, lat_of):
 def test_reduction_maps_match_the_mask_oracle(name, lat_of):
     lat = lat_of(name)
     nodes = oracles.node_sets(lat)
-    wide = [iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv).wide]
+    wide = [
+        iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv) is not None
+    ]
     for iv in wide:
         red = widelab.reduce_interval(lat, iv)
         maps = oracles.reduction_maps(lat, nodes, iv, red.wide_lattice)
@@ -321,7 +328,7 @@ _SERRE_SPECS = {
 
 
 def _assert_same_lattice(got, want):
-    assert got.within == want.within
+    assert got.ambient == want.ambient
     assert got.to_json() == want.to_json()
     assert [(a.src, a.dst, a.label) for a in got.arrows] == [
         (a.src, a.dst, a.label) for a in want.arrows
@@ -416,7 +423,7 @@ def test_a_failed_root_walk_walks_its_gaps_on_their_own(monkeypatch, lat_of):
             got_lattice = oracles.down_set_lattice(got[w], w)
             _assert_same_lattice(got_lattice, build_lattice(cat, "tors", w))
         if w in groups[root] and w not in (root, victim):
-            assert got[w].within == w
+            assert got[w].ambient == w
 
 
 def test_left_wide_per_node(a2cat, a2lat):
@@ -475,7 +482,7 @@ def test_serre_mutation_rebuilds_the_top_as_the_extension_product(name, cat_of, 
             before = set(cat.op_cache)
             u = widelab.serre_mutation(lat, t, w)
             assert set(cat.op_cache) - before <= {
-                ("mutation", "tors", None, lat.node_bits[t], w)
+                ("mutation", "tors", cat.full_mask, lat.node_bits[t], w)
             }
             star = oracles.star(cat, to_set(lat.node_bits[u]), to_set(w))
             assert star == to_set(lat.node_bits[t])
@@ -524,9 +531,7 @@ def test_widely_generated_everywhere(lat_of):
         lat = lat_of(name)
         for t in range(len(lat)):
             # the three readings and the canonical join are checked inside
-            assert widelab.is_widely_generated(lat, t) == (
-                widelab.WidelyGeneratedReport(t, True)
-            )
+            assert widelab.is_widely_generated(lat, t) is True
 
 
 @pytest.mark.parametrize("name", verify_mod.CORPUS + ("a5p2", "d4p3", "nak55"))
@@ -541,8 +546,8 @@ def test_covers_reading_matches_the_pair_scan(name, lat_of):
     for t, t_mask in enumerate(nb):
         below = subcat.bits(i for i, u in enumerate(nb) if u & t_mask == u)
         assert lat.mask_down_sets[t] == below
-        report = widelab.is_widely_generated(lat, t)
-        assert report.holds == oracles.covers_by_pairs(lat, t)
+        held = widelab.is_widely_generated(lat, t)
+        assert held == oracles.covers_by_pairs(lat, t)
 
 
 def test_semibrick_enumeration(a2cat):
