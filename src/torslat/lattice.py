@@ -21,22 +21,22 @@ read, for callers that look a class up by its members; no code of the
 library reads it, so a lattice that nobody asks builds none.  An arrow is
 a ``HasseArrow`` (src, dst, label) and an interval an ``Interval`` (bottom,
 top), both named tuples: each equals, and hashes as, the plain tuple of its
-fields.  ``out_of`` and ``into`` are tuples
-indexed by node.  ``build_lattice`` walks the covers down from the ambient
-on bitsets, each lower cover an AND of a node with catalog rows
-(T & perp-B for its label B).  It lists the members of each class once,
-when it first reaches it, by cutting the list of the cover above down to
-the new mask; the perpendicular, the minimality test and the node order
-read that list.  Its only closures are the label checks' Filt(B), one
-``subcat.filt`` entry per brick, read once per label into a table local
-to the call.  It reads ``op_cache`` otherwise only for the wide table
+fields.  ``out_of`` and ``into`` are tuples indexed by node.
+``build_lattice`` walks the covers down from the ambient on bitsets, each
+lower cover an AND of a node with catalog rows (T & perp-B for its label
+B).  It reads each class once, when it first reaches it, in one pass over
+its bits (``_class_rows``) that gives its perpendicular, the mask of its
+sub-minimal members and its member list; the candidates below it and the
+node order read those.  Its only closures are the label checks' Filt(B),
+one ``subcat.filt`` entry per brick, read once per label into a table
+local to the call.  It reads ``op_cache`` otherwise only for the wide table
 that validates the ambient, and passes its sorted masks to
 ``TorsLattice``.  The members each node reaches by a map (``reach``, and
 from it ``perp``) and its closure row (``_closed_bits``) are derived from
-``node_bits`` on first use.  Gaps
-read ``reach``; a join is ``gen`` of the union of its nodes, a
-``subcat.filt``, so every closure read after a build goes through the one
-memo, ``op_cache``.
+``node_bits`` on first use, each node's row from that of a lower cover
+whose mask lies in its own.  Gaps read ``reach``; a join is ``gen`` of the
+union of its nodes, a ``subcat.filt``, so every closure read after a build
+goes through the one memo, ``op_cache``.
 The order bitsets (``up_sets``, ``down_sets``) run over node indices and
 are built from the covering arrows.  The intervals come from them: the
 bottoms of a top t are the nodes of ``down_sets[t]``, so the enumeration
@@ -220,16 +220,33 @@ class TorsLattice:
 
     def _node_unions(self, tors_rows, torf_rows):
         """Per node, the union of its members' rows of the side, cut down to
-        the ambient."""
+        the ambient.
+
+        The unions are built along the covers, in node order.  Node i takes
+        the union of a lower cover j < i whose mask lies in its own, and ORs
+        in the rows of the members it has beyond j; a union over j's
+        members and the rest is the union over node i's.  Of the covers
+        that fit, the one of highest index is taken, on a built lattice the
+        largest, so the fewest rows are added.  A node with no such cover,
+        as on a lattice altered after construction, ORs the rows of all its
+        members."""
         rows = tors_rows if self.side == "tors" else torf_rows
-        amb = self.ambient
+        nb = self.node_bits
         out = []
-        for b in self.node_bits:
-            acc = 0
-            for x in subcat.indices(b):
-                acc |= rows[x]
-            out.append(acc & amb)
-        return tuple(out)
+        for i, b in enumerate(nb):
+            acc, rest = 0, b
+            for a in reversed(self.out_of[i]):
+                j = a.dst
+                if j < i and not nb[j] & ~b:
+                    acc, rest = out[j], b & ~nb[j]
+                    break
+            while rest:
+                low = rest & -rest
+                acc |= rows[low.bit_length() - 1]
+                rest ^= low
+            out.append(acc)
+        amb = self.ambient
+        return tuple(acc & amb for acc in out)
 
     @cached_property
     def reach(self):
@@ -272,6 +289,18 @@ class TorsLattice:
                 bits |= down[a.dst]
             down.append(bits)
         return tuple(down)
+
+    @cached_property
+    def cover_bits(self):
+        """cover_bits[i]: the nodes node i covers, the heads of the arrows
+        out of it, as an int bitset."""
+        out = []
+        for arrows in self.out_of:
+            bits = 0
+            for a in arrows:
+                bits |= 1 << a.dst
+            out.append(bits)
+        return tuple(out)
 
     @cached_property
     def up_sets(self):
@@ -394,16 +423,31 @@ def _side_rows(cat, side):
     members x maps to (maps from, on the torsion-free side), which give a
     node's perpendicular; the members that map to x (that x maps to),
     which the candidate T & perp-x (T & x^perp) drops; and x's ``sub_bits``
-    (``quotient_bits``) row, for the minimality test."""
+    (``quotient_bits``) row, for the minimality test.  A side other than
+    "tors" or "torf" raises ValueError."""
     if side == "tors":
         return cat.out_bits, cat.in_bits, cat.sub_bits
-    return cat.in_bits, cat.out_bits, cat.quotient_bits
+    if side == "torf":
+        return cat.in_bits, cat.out_bits, cat.quotient_bits
+    raise ValueError(f"side must be 'tors' or 'torf', not {side!r}")
 
 
-def _minimal_members(node, members, rows):
-    """The x of the bitset node, listed ascending in members, whose row
-    meets node in x alone."""
-    return [x for x in members if rows[x] & node == 1 << x]
+def _class_rows(node, amb, reach, minimal):
+    """What the walk reads of the class node, in one pass over its bits:
+    its perpendicular in the ambient amb, the mask of its members x whose
+    ``minimal`` row meets node in x alone, and its members, ascending."""
+    hit = sub_minimal = 0
+    members = []
+    rest = node
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        members.append(x)
+        hit |= reach[x]
+        if minimal[x] & node == low:
+            sub_minimal |= low
+        rest ^= low
+    return amb & ~hit, sub_minimal, members
 
 
 def build_lattice(cat, side="tors", within=None):
@@ -446,32 +490,38 @@ def build_lattice(cat, side="tors", within=None):
     sorted by size and then by members, are the nodes, at most
     ``cat.config.node_budget`` of them.
 
-    The members of each class are listed once.  The ambient's come from
-    ``subcat.indices``; a class first reached below T keeps those of T's
-    members that lie in its mask, in ascending order.  The perpendicular,
-    the sub-minimal members and the sort key read that list, so the walk
-    makes one ``subcat.indices`` call, and the ``TorsLattice`` constructor
-    none.
+    Each class is read once, by ``_class_rows``, when the walk first
+    reaches it (the ambient before the walk starts): one pass over its bits
+    gives its perpendicular, the mask of its sub-minimal members and its
+    member list, kept in ``seen``.  The candidates of a popped class come
+    from the bits of its sub-minimal mask, and the node order sorts the
+    member lists, so the walk makes no ``subcat.indices`` call, and the
+    ``TorsLattice`` constructor none.  A side other than "tors" or "torf"
+    raises ValueError before any work.
     """
+    reach, cut, minimal = _side_rows(cat, side)
     if within is not None:
         subcat.simples_of_wide(cat, within)
     budget = cat.config.node_budget
     amb = cat.full_mask if within is None else within
-    reach, cut, minimal = _side_rows(cat, side)
-    amb_members = subcat.indices(amb)
-    bricks = subcat.bits(x for x in amb_members if cat.bricks[x])
+    amb_rows = _class_rows(amb, amb, reach, minimal)
+    bricks = subcat.bits(x for x in amb_rows[2] if cat.bricks[x])
     name = cat.mask_name
-    # per class seen: its perpendicular, the gap rows of its upper covers,
+    # per class seen: its perpendicular, its sub-minimal members as a mask,
     # and its members, ascending
-    seen = {amb: (subcat._perp(reach, amb_members, amb), amb_members)}
+    seen = {amb: amb_rows}
     # per label B of this walk: Filt(B), read from subcat.filt once
     filts = {}
     queue = deque([amb])
     covers = []
     while queue:
         top = queue.popleft()
-        members = seen[top][1]
-        cands = {top & ~cut[x] for x in _minimal_members(top, members, minimal)}
+        cands = set()
+        rest = seen[top][1]
+        while rest:
+            low = rest & -rest
+            cands.add(top & ~cut[low.bit_length() - 1])
+            rest ^= low
         for bottom in cands:
             maximal = True
             for c in cands:
@@ -481,12 +531,10 @@ def build_lattice(cat, side="tors", within=None):
             if not maximal:
                 continue
             hit = seen.get(bottom)
-            if hit is None:
-                bottom_members = [x for x in members if bottom >> x & 1]
-                bottom_perp = subcat._perp(reach, bottom_members, amb)
-            else:
-                bottom_perp = hit[0]
-            gap = bottom_perp & top
+            new = hit is None
+            if new:
+                hit = _class_rows(bottom, amb, reach, minimal)
+            gap = hit[0] & top
             found = gap & bricks
             if not found:
                 raise LabelNotBrick(f"no brick between {name(bottom)} and {name(top)}")
@@ -505,15 +553,18 @@ def build_lattice(cat, side="tors", within=None):
                     f" {name(bottom)}"
                 )
             covers.append((top, bottom, s))
-            if hit is None:
-                seen[bottom] = (bottom_perp, bottom_members)
+            if new:
+                seen[bottom] = hit
                 if len(seen) > budget:
                     raise LatticeBlowup(
                         f"{len(seen)} torsion classes found, budget"
                         f" {budget} (--node-budget)"
                     )
                 queue.append(bottom)
-    node_bits = sorted(seen, key=lambda b: (b.bit_count(), seen[b][1]))
+    # no two classes share a member list, so the mask never decides the order
+    node_bits = [
+        b for _, _, b in sorted([(len(m), m, b) for b, (_, _, m) in seen.items()])
+    ]
     index = {b: i for i, b in enumerate(node_bits)}
     # (src, dst) is unique, so the label never decides the order
     arrows = sorted([(index[top], index[bottom], s) for top, bottom, s in covers])

@@ -255,14 +255,16 @@ def reduce_interval(lat, iv):
     the upper and the lower labels of the interval.
 
     The scans run on bitsets.  The interval is the bitset ``up_sets[U] &
-    down_sets[T]`` over node indices, and its internal arrows, its upper
-    labels (on the arrows out of T) and its lower labels (on the arrows into
-    U) are picked by bit tests on it; phi(v) is looked up as the gap's
-    bitset AND v's, and the extension product is tested on the catalog's
-    pair bits by ``subcat.extension_product_miss``, which needs only one
-    inclusion: v = psi(X) is a torsion class (every lattice node is, which
-    build_lattice guarantees) that contains U, as it lies in the interval,
-    and X, its trace.
+    down_sets[T]`` over node indices, and its upper labels (on the arrows
+    out of T) and its lower labels (on the arrows into U) are picked by bit
+    tests on it; its internal arrows are counted by popcount on
+    ``lat.cover_bits`` cut down to it, after each arrow of the gap lattice
+    is looked up under psi among the lattice's (``_reduce_onto``); phi(v) is
+    looked up as the gap's bitset AND v's, and the extension product is
+    tested on the catalog's pair bits by ``subcat.extension_product_miss``,
+    which needs only one inclusion: v = psi(X) is a torsion class (every
+    lattice node is, which build_lattice guarantees) that contains U, as it
+    lies in the interval, and X, its trace.
 
     A bijection that matches the covering arrows one to one is an order
     isomorphism, because each order is the transitive closure of its covers;
@@ -286,7 +288,18 @@ def _reduce_onto(lat, iv, w, root):
     w is its ambient, which reads no ``down_sets``, and otherwise
     ``root.down_sets`` of it, whose arrows are the arrows out of its nodes.
     phi maps onto D, into root's node indices, and each psi(X) must be the
-    extension product U * X (``subcat.extension_product_miss``)."""
+    extension product U * X (``subcat.extension_product_miss``).
+
+    The arrows are checked from D's side.  Each arrow x -> y of D must map
+    to an arrow psi(x) -> psi(y) of the interval with the same label, read
+    in ``lat.arrow_labels``; then the interval's internal arrows, counted
+    by popcount on ``lat.cover_bits``, must number as many as D's.  An
+    arrow is read as its pair (src, dst), which the walk makes once.  psi
+    is injective, so distinct arrows of D map to distinct arrows of the
+    interval, and each image has both ends in the interval: the map is one
+    to one into the internal arrows.  With the counts equal it is onto
+    them, so psi, and with it phi, matches the two sets of covering arrows
+    one to one, labels included."""
     cat = lat.cat
     nb = lat.node_bits
     u_bits = nb[iv.bottom]
@@ -300,10 +313,8 @@ def _reduce_onto(lat, iv, w, root):
         )
     if w == root.ambient:
         down = (1 << len(root)) - 1
-        arrow_count = len(root.arrows)
     else:
         down = root.down_sets[x_w]
-        arrow_count = sum(len(root.out_of[x]) for x in subcat.indices(down))
 
     phi = {}
     hits = 0
@@ -322,18 +333,21 @@ def _reduce_onto(lat, iv, w, root):
         raise TheoremViolation("phi is not a bijection onto the gap lattice")
     psi = {x: v for v, x in phi.items()}
 
-    # the covering arrows with both ends in the interval
+    # D's arrows under psi, then the count of the interval's internal arrows
+    labels = lat.arrow_labels
+    arrow_count = 0
+    for x, v in psi.items():
+        for a in root.out_of[x]:
+            if labels.get((v, psi[a.dst])) != a.label:
+                raise TheoremViolation(
+                    f"arrow {root.name(x)}->{root.name(a.dst)} label"
+                    f" changed under psi"
+                )
+        arrow_count += len(root.out_of[x])
+    covers = lat.cover_bits
     internal = 0
-    w_labels = root.arrow_labels
     for v in nodes:
-        for a in lat.out_of[v]:
-            if inside >> a.dst & 1:
-                if w_labels.get((phi[v], phi[a.dst])) != a.label:
-                    raise TheoremViolation(
-                        f"arrow {lat.name(a.src)}->{lat.name(a.dst)} label"
-                        f" changed under phi"
-                    )
-                internal += 1
+        internal += (covers[v] & inside).bit_count()
     if internal != arrow_count:
         raise TheoremViolation("phi is not a bijection on covering arrows")
 

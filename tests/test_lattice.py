@@ -217,6 +217,53 @@ def test_duality_fails_on_a_torsion_free_node_shrunk_after_construction(a2cat):
     ]
 
 
+def _assert_rows_are_the_member_unions(lat):
+    # reach and _closed_bits, built along the covers, against the OR of
+    # every member's row cut down to the ambient
+    cat = lat.cat
+    tors = lat.side == "tors"
+    for rows, got in (
+        (cat.out_bits if tors else cat.in_bits, lat.reach),
+        (cat.quotient_bits if tors else cat.sub_bits, lat._closed_bits),
+    ):
+        want = []
+        for b in lat.node_bits:
+            acc = 0
+            for x in subcat.indices(b):
+                acc |= rows[x]
+            want.append(acc & lat.ambient)
+        assert got == tuple(want)
+
+
+@pytest.mark.parametrize("side", ["tors", "torf"])
+@pytest.mark.parametrize("name", verify_mod.CORPUS)
+def test_rows_along_the_covers_are_the_member_unions(name, side, lat_of):
+    _assert_rows_are_the_member_unions(lat_of(name, side))
+
+
+def test_relative_rows_along_the_covers_are_the_member_unions(cat_of):
+    cat = cat_of("a4")
+    for w in widelab.enumerate_wide_subcats(cat):
+        _assert_rows_are_the_member_unions(build_lattice(cat, within=w))
+
+
+@pytest.mark.parametrize("side", ["tors", "torf"])
+def test_rows_along_the_covers_read_nodes_altered_after_construction(a2cat, side):
+    # a2's class {10a,11a} shrunk to {01a} after construction ({01a,11a} to
+    # {10a} on the torsion-free side): its one lower cover, {10a} ({01a}),
+    # does not lie in its mask, and maps to (from) a member its new mask
+    # does not reach, so its rows must be the OR over its own members; the
+    # full class above it builds its rows on the shrunk node's
+    lat = build_lattice(a2cat, side=side)
+    pair, alone = (("10a", "11a"), "01a") if side == "tors" else (("01a", "11a"), "10a")
+    k = lat.bits_index[names_to_bits(a2cat, *pair)]
+    nodes = list(lat.node_bits)
+    nodes[k] = names_to_bits(a2cat, alone)
+    lat.node_bits = tuple(nodes)
+    assert all(nodes[a.dst] & ~nodes[k] for a in lat.out_of[k])
+    _assert_rows_are_the_member_unions(lat)
+
+
 def _duality_failures(lat, flat):
     _, node_checks, arrow_checks = dual_correspondence(lat, flat)
     checks = node_checks + arrow_checks
@@ -289,6 +336,19 @@ def test_relative_lattice_inside_wide(a2cat):
     assert len(lat) == 2
     assert len(lat.arrows) == 1
     assert a2cat.names[lat.arrows[0].label] == "11a"
+
+
+@pytest.mark.parametrize("side", ["Tors", "bogus"])
+def test_a_side_that_is_neither_tors_nor_torf_raises(side, a2cat, monkeypatch):
+    # raised before any work: before the ambient is checked for wideness,
+    # and before the walk reads a class
+    def reading(*args):
+        raise AssertionError("the walk read a class")
+
+    monkeypatch.setattr(lattice, "_class_rows", reading)
+    for within in (None, names_to_bits(a2cat, "10a", "11a")):
+        with pytest.raises(ValueError, match="'tors' or 'torf', not '"):
+            build_lattice(a2cat, side=side, within=within)
 
 
 def test_exports_are_stable(cat_of):
@@ -446,36 +506,44 @@ def test_cover_walk_skips_candidates(name, side, cat_of, monkeypatch):
     # the filter is not vacuous: the walk forms fewer candidates T & perp-x
     # (F & x^perp) than its nodes have members, one per member unfiltered
     cat = cat_of(name)
-    pick, candidates, members = lattice._minimal_members, [], []
+    read, candidates, members = lattice._class_rows, [], []
 
-    def counting(node, listed, rows):
-        xs = pick(node, listed, rows)
-        candidates.extend(xs)
-        members.extend(listed)
-        return xs
+    def counting(node, amb, reach, minimal):
+        rows = read(node, amb, reach, minimal)
+        candidates.append(rows[1].bit_count())
+        members.append(len(rows[2]))
+        return rows
 
-    monkeypatch.setattr(lattice, "_minimal_members", counting)
+    monkeypatch.setattr(lattice, "_class_rows", counting)
     lat = build_lattice(cat, side=side)
-    assert len(members) == sum(b.bit_count() for b in lat.node_bits)
-    assert 0 < len(candidates) < len(members)
+    assert sum(members) == sum(b.bit_count() for b in lat.node_bits)
+    assert 0 < sum(candidates) < sum(members)
 
 
 @pytest.mark.parametrize("side", ["tors", "torf"])
 @pytest.mark.parametrize("name", ["a4", "nak3"])
 def test_the_walk_lists_each_class_once(name, side, cat_of, monkeypatch):
-    # the walk reads only the ambient bit by bit, and the TorsLattice
-    # constructor no node; a class's member list, its
-    # perpendicular, minimality test and sort key all come from one list
+    # the walk reads each class, the ambient included, in one pass over its
+    # bits, and the TorsLattice constructor no node; a class's member list,
+    # its perpendicular, minimality test and sort key all come from that
+    # pass, and no subcat.indices call
     cat = cat_of(name)
     listed, calls = subcat.indices, []
+    read, classes = lattice._class_rows, []
 
     def counting(b):
         calls.append(b)
         return listed(b)
 
+    def reading(node, amb, reach, minimal):
+        classes.append(node)
+        return read(node, amb, reach, minimal)
+
     monkeypatch.setattr(subcat, "indices", counting)
-    build_lattice(cat, side=side)
-    assert len(calls) == 1
+    monkeypatch.setattr(lattice, "_class_rows", reading)
+    lat = build_lattice(cat, side=side)
+    assert calls == []
+    assert sorted(classes) == sorted(lat.node_bits)
 
 
 @pytest.mark.parametrize("name", ["a4", "d4p3"])

@@ -139,6 +139,53 @@ def test_reduce_rejects_a_phi_that_is_not_injective(a2lat, monkeypatch):
         widelab.reduce_interval(a2lat, _interval(a2lat, 0, 4))
 
 
+def _with_one_arrow_changed(root, w, tamper):
+    """root with one arrow of the down-set D of w relabelled or dropped: an
+    arrow into a node that another arrow of D enters too, so that D, and
+    with it phi, stays as it was."""
+    down = root.down_sets[root.bits_index[w]]
+
+    def in_down(a):
+        return down >> a.src & 1
+
+    arrow = next(
+        a for a in root.arrows if in_down(a) and sum(map(in_down, root.into[a.dst])) > 1
+    )
+    arrows = [a for a in root.arrows if a != arrow]
+    if tamper == "relabel":
+        other = (arrow.label + 1) % len(root.cat.ind)
+        arrows.append(HasseArrow(arrow.src, arrow.dst, other))
+    return TorsLattice(root.cat, root.side, root.ambient, root.node_bits, tuple(arrows))
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        ("relabel", "label changed under psi"),
+        ("drop", "phi is not a bijection on covering arrows"),
+    ],
+)
+def test_the_arrow_check_from_the_gap_side_names_what_it_rejects(
+    tamper, message, lat_of
+):
+    # the full interval of a2 against its own walk, where D is the whole
+    # gap lattice, and a wide interval of a4 whose gap w is a proper
+    # down-set of its root: an arrow of D relabelled is caught under psi,
+    # one dropped by the count of the interval's internal arrows
+    a2, a4 = lat_of("a2"), lat_of("a4")
+    top = a4.bits_index[names_to_bits(a4.cat, "0001a", "0010a", "1000a", "0011a")]
+    for lat, iv, proper in (
+        (a2, a2.interval(a2.bottom_index, a2.top_index), False),
+        (a4, a4.interval(a4.bottom_index, top), True),
+    ):
+        w = widelab.is_wide_interval(lat, iv)
+        ((_, root),) = widelab.serre_roots(lat, [w])
+        assert (w != root.ambient) == proper
+        widelab._reduce_onto(lat, iv, w, root)
+        with pytest.raises(TheoremViolation, match=message):
+            widelab._reduce_onto(lat, iv, w, _with_one_arrow_changed(root, w, tamper))
+
+
 @pytest.mark.parametrize("name", ["a3", "a4"])
 def test_psi_is_the_extension_product_over_the_bottom(name, cat_of, lat_of):
     # what the removed rebuild checked: psi(X) = tors_gen(U | X) = star(U, X)
