@@ -82,6 +82,13 @@ class Interval(NamedTuple):
 
 
 class TorsLattice:
+    """The classes of one side as masks inside ``ambient``, ``node_bits``,
+    and ``HasseArrow``s between node indices.  The constructor is the one
+    check of the arrows: an end outside the nodes, or a (src, dst) pair
+    given twice, raises ValueError naming the arrow; a loop is accepted.
+    That the arrows are the covers of the masks is ``build_lattice``'s to
+    make so."""
+
     def __init__(self, cat, side, ambient, node_bits, arrows):
         self.cat = cat
         self.side = side
@@ -92,6 +99,7 @@ class TorsLattice:
         n = len(self.node_bits)
         out = [[] for _ in range(n)]
         into = [[] for _ in range(n)]
+        covers = [0] * n
         # an index of n or more raises IndexError by itself; a negative one
         # would silently pick a node from the end
         try:
@@ -99,12 +107,19 @@ class TorsLattice:
                 src, dst = a.src, a.dst
                 if src < 0 or dst < 0:
                     raise IndexError
+                bit = 1 << dst
+                if covers[src] & bit:
+                    raise ValueError(f"{a} repeats the arrow ({src}, {dst})")
+                covers[src] |= bit
                 out[src].append(a)
                 into[dst].append(a)
         except IndexError:
             raise ValueError(f"{a} names a node outside 0..{n - 1}") from None
         self.out_of = tuple(map(tuple, out))
         self.into = tuple(map(tuple, into))
+        # cover_bits[i]: the nodes node i covers, the heads of the arrows
+        # out of it, as an int bitset
+        self.cover_bits = tuple(covers)
 
     @cached_property
     def node_index(self):
@@ -150,7 +165,8 @@ class TorsLattice:
         """The smallest class of the side containing the mask b, a mask
         inside the ambient W: ``subcat.filt`` of b's ``fac`` (``sub_cl`` on
         the torsion-free side) cut down to W.  This is the library's one
-        relative closure; the filt is kept in ``op_cache``.
+        closure of a side, relative or not; the filt is kept in
+        ``op_cache``.
 
         The closures of the whole module category cut down to W are the
         closures inside W, because W is wide, that is closed under kernels,
@@ -289,18 +305,6 @@ class TorsLattice:
                 bits |= down[a.dst]
             down.append(bits)
         return tuple(down)
-
-    @cached_property
-    def cover_bits(self):
-        """cover_bits[i]: the nodes node i covers, the heads of the arrows
-        out of it, as an int bitset."""
-        out = []
-        for arrows in self.out_of:
-            bits = 0
-            for a in arrows:
-                bits |= 1 << a.dst
-            out.append(bits)
-        return tuple(out)
 
     @cached_property
     def up_sets(self):

@@ -9,9 +9,11 @@ to W itself, at one place, ``lattice.TorsLattice.gen``, whose docstring
 proves the cut exact.
 
 The operators are bit algebra on the rows the catalog derives from its
-tables: a perpendicular is the whole catalog minus the ``out_bits`` (or
-``in_bits``) rows of the members.  ``fac`` and ``sub_cl`` are one union of
-the members with their ``quotient_bits`` (or ``sub_bits``), without a memo.
+tables: ``perp_left`` is the whole catalog minus the ``in_bits`` rows of
+the members; the perpendiculars of a lattice's nodes are the lattice's
+own (``TorsLattice.perp``).  ``fac`` and ``sub_cl`` are one union of the
+members with their ``quotient_bits`` (or ``sub_bits``), without a memo,
+and ``TorsLattice.gen``, the one closure of a side, is their only reader.
 ``filt`` runs ``extension_closure``, the one extension-closure fixpoint of
 the library, on the catalog's ``closure_rows`` and keeps the result under
 ``("filt", mask)``, the one closure memo: the joins of every lattice,
@@ -123,32 +125,12 @@ def filt(cat, b):
     return _cached(cat, ("filt", b), lambda: extension_closure(b, cat.closure_rows))
 
 
-def _perp(rows, members, ambient):
-    """The ambient minus the rows of the listed members."""
-    hit = 0
-    for i in members:
-        hit |= rows[i]
-    return ambient & ~hit
-
-
-def perp_right(cat, b):
-    """Objects receiving no nonzero map from any member."""
-    return _perp(cat.out_bits, indices(b), cat.full_mask)
-
-
 def perp_left(cat, b):
     """Objects sending no nonzero map to any member."""
-    return _perp(cat.in_bits, indices(b), cat.full_mask)
-
-
-def tors_gen(cat, b):
-    """Smallest torsion class containing the mask: filt after fac."""
-    return filt(cat, fac(cat, b))
-
-
-def torf_gen(cat, b):
-    """Smallest torsion-free class containing the mask: filt after sub_cl."""
-    return filt(cat, sub_cl(cat, b))
+    hit = 0
+    for i in indices(b):
+        hit |= cat.in_bits[i]
+    return cat.full_mask & ~hit
 
 
 def is_semibrick(cat, b):
@@ -223,8 +205,8 @@ def extension_product_miss(cat, u, x, target):
     (u', q) with u' inside u and q inside x; None when there is none.
 
     For a torsion class target containing u and x, None means target is
-    the extension product u * x, and tors_gen(u | x) too: u * x <=
-    tors_gen(u | x) always, and tors_gen(u | x) <= target, the torsion class
+    the extension product u * x, and the torsion class T generated by
+    u | x too: u * x <= T always, and T <= target, the torsion class
     containing both, so target <= u * x, the one inclusion scanned, closes
     the chain.  Members of u and of x pass through their pairs (j, 0) and
     (0, j), so only the others are scanned.

@@ -66,9 +66,12 @@ members.  lower-filt rebuilds each wide gap as Filt of the labels inside
 the interval's lower set, a node bitset, as every node set the lattice
 hands out is (``TorsLattice.lower_set``, ``labels_of``).  Duality derives
 the order reversal from its node, bijection and arrow lines
-(``lattice.dual_correspondence``).  The perpendiculars that duality and
-wide-serre read are the lattice's own (``TorsLattice.perp``), found on the
-other side by mask (``bits_index``).  wide-serre computes, once per top,
+(``lattice.dual_correspondence``).  The perpendiculars of nodes that
+brick-labels, duality and wide-serre read are the lattice's own
+(``TorsLattice.perp``), and the closures that brick-labels, roundtrip and
+hom-audit read are its ``gen`` (the torsion-free lattice's, for
+hom-audit); duality and wide-serre find a perpendicular on the other side
+by mask (``bits_index``).  wide-serre computes, once per top,
 its left wide subcategory and the set of its Serre pieces, and once per
 bottom, its perpendicular and the right wide subcategory of its dual node,
 each on the first interval that reads it; a failure there is kept and
@@ -84,7 +87,7 @@ so each entry matches the source's subfactor pairs (kernel, quotient)
 with the target's (image, cokernel) on a common nonempty middle
 (``Catalog.hom_profile``).  hom-audit is hoisted per top T: the
 images and the kernels of the maps from T into each y are ORed once, and
-each Serre piece w then ORs the rows of the y in torf_gen(w).  Only a
+each Serre piece w then ORs the rows of the y in flat.gen(w).  Only a
 failed test rescans the pairs, x ascending then y ascending, image before
 kernel, to name the first failing map.
 """
@@ -321,7 +324,7 @@ def _check_brick_labels(ctx):
         def thunk(a=a):
             top, bottom = lat.node_bits[a.src], lat.node_bits[a.dst]
             label = 1 << a.label
-            gap = subcat.perp_right(cat, bottom) & top
+            gap = lat.perp(a.dst) & top
             found = [s for s in subcat.indices(gap) if cat.bricks[s]]
             if found != [a.label]:
                 raise TheoremViolation(f"bricks in gap are {found}")
@@ -331,7 +334,7 @@ def _check_brick_labels(ctx):
                 "bottom is not the label's left orthogonal inside the top",
             )
             _require(
-                top == subcat.tors_gen(cat, bottom | label),
+                top == lat.gen(bottom | label),
                 "bottom plus label does not regenerate the top",
             )
         yield name, thunk
@@ -452,7 +455,7 @@ def _check_roundtrip(ctx):
     cat, lat = ctx.cat, ctx.lat
     for w in widelab.enumerate_wide_subcats(cat):
         def thunk(w=w):
-            node = lat.bits_index.get(subcat.tors_gen(cat, w))
+            node = lat.bits_index.get(lat.gen(w))
             _require(node is not None, "generated class is not a torsion class")
             got = widelab.left_wide(lat, node)
             if got != w:
@@ -462,13 +465,13 @@ def _check_roundtrip(ctx):
 
 def _check_hom_audit(ctx):
     # rows[y]: the ORed images and kernels of the maps from the top into y
-    cat, lat = ctx.cat, ctx.lat
+    cat, lat, flat = ctx.cat, ctx.lat, ctx.flat
     for t in range(len(lat)):
         t_mask = lat.node_bits[t]
         rows = {}
         for w, name in ctx.pieces(t):
             def thunk(t_mask=t_mask, w=w, rows=rows):
-                fw = subcat.torf_gen(cat, w)
+                fw = flat.gen(w)
                 image = kernel = 0
                 for y in subcat.indices(fw):
                     row = rows.get(y)

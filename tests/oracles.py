@@ -669,11 +669,12 @@ def cover_walk(cat, side="tors", within=None):
     """The independent up-walk from zero: the upper covers of T are the
     inclusion-minimal candidates gen(T + x), one per x of the orthogonal of
     T, each subcat.filt of subcat.fac (sub_cl) cut down to the ambient by
-    hand, with no filter on x and no node budget.  lattice.build_lattice
+    hand, with no filter on x and no node budget.  The orthogonal is the
+    hom_dim reference, perp_right (perp_left) below.  lattice.build_lattice
     walks down by perpendiculars instead; the two must give the same
     lattice."""
     lib_close = subcat.fac if side == "tors" else subcat.sub_cl
-    lib_perp = subcat.perp_right if side == "tors" else subcat.perp_left
+    ref_perp = perp_right if side == "tors" else perp_left
     amb = cat.full_mask if within is None else to_bits(within)
 
     def gen(mask):
@@ -685,7 +686,7 @@ def cover_walk(cat, side="tors", within=None):
     covers = []
     while queue:
         bottom = queue.pop()
-        bottom_perp = to_set(lib_perp(cat, subcat.bits(bottom)) & amb)
+        bottom_perp = ref_perp(cat, bottom, within)
         cands = {gen(bottom | {x}) for x in bottom_perp}
         for top in cands:
             if not any(c < top for c in cands):

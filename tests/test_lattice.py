@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -622,14 +623,30 @@ def test_the_relative_walks_keep_their_digest():
     )
 
 
-@pytest.mark.parametrize("end", [-1, 50])
-@pytest.mark.parametrize("field", ["src", "dst"])
+# an arrow with one end outside the 50 nodes, or the last arrow given twice
+@pytest.mark.parametrize(
+    "field,end",
+    [pytest.param(f, e, id=f"{f}-{e}") for f in ("dst", "src") for e in (-1, 50)]
+    + [pytest.param(None, None, id="repeated")],
+)
 def test_an_arrow_outside_the_nodes_raises(field, end):
     lat = build_lattice(_bench_catalog("d4p3"))
     assert len(lat) == 50
-    bad = HasseArrow(1, 0, 0)._replace(**{field: end})
-    with pytest.raises(ValueError, match="outside 0..49"):
+    if field is None:
+        bad, why = lat.arrows[-1], "repeats the arrow"
+    else:
+        bad, why = HasseArrow(1, 0, 0)._replace(**{field: end}), "outside 0..49"
+    with pytest.raises(ValueError, match=re.escape(f"{bad}") + ".* " + why):
         TorsLattice(lat.cat, lat.side, lat.ambient, lat.node_bits, lat.arrows + (bad,))
+
+
+def test_a2_with_its_last_arrow_repeated_raises_at_construction(a2lat):
+    # the constructor is the one check of the arrows: a repeated pair passes
+    # the reduction's pair-based arrow check, so it must stop here
+    last = a2lat.arrows[-1]
+    arrows = a2lat.arrows + (last,)
+    with pytest.raises(ValueError, match=re.escape(f"({last.src}, {last.dst})")):
+        TorsLattice(a2lat.cat, a2lat.side, a2lat.ambient, a2lat.node_bits, arrows)
 
 
 def test_the_frozenset_view_is_built_on_first_read(cat_of):

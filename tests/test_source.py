@@ -277,3 +277,17 @@ def test_only_build_lattice_takes_within():
     assert [(rel, name) for rel, _, name in within_params(SRC)] == [
         ("lattice.py", "build_lattice")
     ]
+
+
+def _is_side_closure(n):
+    """A read of subcat.fac or subcat.sub_cl, by attribute or by name."""
+    if isinstance(n, ast.Attribute):
+        return n.attr in ("fac", "sub_cl") and getattr(n.value, "id", None) == "subcat"
+    return isinstance(n, ast.Name) and n.id in ("fac", "sub_cl")
+
+
+def test_only_the_lattice_closes_a_side():
+    # the smallest torsion (torsion-free) class containing a mask is
+    # TorsLattice.gen, the one closure of a side: filt of fac (sub_cl) cut
+    # down to the ambient; no second route reads fac or sub_cl
+    assert uses_outside(SRC, _is_side_closure, {"TorsLattice.gen"}) == []

@@ -28,17 +28,25 @@ def test_filt_builds_everything_from_simples(a2cat):
     assert subcat.filt(a2cat, 0) == 0
 
 
-def test_tors_gen_examples(a2cat):
+def test_tors_gen_examples(a2cat, a2lat):
+    # the lattice's closure against the reference filt of fac
     s2 = names_to_bits(a2cat, "01a")
     p1 = names_to_bits(a2cat, "11a")
-    assert subcat.tors_gen(a2cat, s2) == s2
-    assert subcat.tors_gen(a2cat, p1) == names_to_bits(a2cat, "11a", "10a")
+    assert a2lat.gen(s2) == s2
+    assert a2lat.gen(p1) == names_to_bits(a2cat, "11a", "10a")
+    for b in (s2, p1):
+        ref = oracles.filt(a2cat, oracles.fac(a2cat, to_set(b)))
+        assert to_set(a2lat.gen(b)) == ref
 
 
-def test_perp_right_on_a2(a2cat):
+def test_perp_right_on_a2(a2cat, a2lat):
+    # the lattice's perpendicular of a node against the hom_dim reference
     s1 = names_to_bits(a2cat, "10a")
-    assert subcat.perp_right(a2cat, s1) == names_to_bits(a2cat, "01a", "11a")
-    assert subcat.perp_right(a2cat, a2cat.full_mask) == 0
+    node = a2lat.bits_index[s1]
+    assert a2lat.perp(node) == names_to_bits(a2cat, "01a", "11a")
+    assert a2lat.perp(a2lat.top_index) == 0
+    for i, b in enumerate(a2lat.node_bits):
+        assert to_set(a2lat.perp(i)) == oracles.perp_right(a2cat, to_set(b))
     assert subcat.perp_left(a2cat, 0) == a2cat.full_mask
 
 
@@ -118,29 +126,38 @@ _A3 = []
 
 
 def _a3():
-    if not _A3:
-        import torslat
+    return _a3_lattices()[0]
 
-        _A3.append(torslat.build_catalog(verify_mod.load_corpus_algebra("a3")))
-    return _A3[0]
+
+def _a3_lattices():
+    """The a3 catalog with its torsion and torsion-free lattices."""
+    if not _A3:
+        cat = torslat.build_catalog(verify_mod.load_corpus_algebra("a3"))
+        _A3.append(cat)
+        _A3.extend(torslat.build_lattice(cat, side) for side in ("tors", "torf"))
+    return _A3
 
 
 @given(masks_a3)
 def test_tors_gen_lands_on_torsion_classes(mask):
-    cat = _a3()
-    t = subcat.tors_gen(cat, mask)
+    cat, lat, flat = _a3_lattices()
+    t = lat.gen(mask)
     assert mask & t == mask
     assert oracles.is_torsion_class(cat, to_set(t))
-    f = subcat.torf_gen(cat, mask)
+    assert to_set(t) == oracles.filt(cat, oracles.fac(cat, to_set(mask)))
+    f = flat.gen(mask)
     assert oracles.is_torsion_free_class(cat, to_set(f))
+    assert to_set(f) == oracles.filt(cat, oracles.sub_cl(cat, to_set(mask)))
 
 
 @given(masks_a3)
 def test_perp_antitone_and_closed(mask):
-    cat = _a3()
-    f = subcat.perp_right(cat, mask)
-    assert oracles.is_torsion_free_class(cat, to_set(f))
-    assert subcat.perp_right(cat, subcat.tors_gen(cat, mask)) == f
+    # the perpendicular of the mask is that of the torsion class it
+    # generates, a lattice node, and a torsion-free class
+    cat, lat, _ = _a3_lattices()
+    f = oracles.perp_right(cat, to_set(mask))
+    assert oracles.is_torsion_free_class(cat, f)
+    assert to_set(lat.perp(lat.bits_index[lat.gen(mask)])) == f
 
 
 @given(masks_a3, masks_a3)
@@ -151,10 +168,11 @@ def test_star_contains_both_sides(left, right):
     assert left <= got and right <= got
 
 
-def test_torsion_pair_witness(a2cat):
+def test_torsion_pair_witness(a2cat, a2lat):
     # (T, T^perp) is a torsion pair: T is the left perpendicular of T^perp
     t = names_to_bits(a2cat, "10a", "11a")
-    free = subcat.perp_right(a2cat, t)
+    free = a2lat.perp(a2lat.bits_index[t])
+    assert to_set(free) == oracles.perp_right(a2cat, to_set(t))
     assert subcat.perp_left(a2cat, free) == t
     # (T, T) is not: T^perp differs from T
     assert free != t
@@ -246,7 +264,7 @@ def test_set_algebra_operators_match_oracles(name, cat_of, lat_of):
         for within in withins:
             x = m & within
             xb = subcat.bits(x)
-            for op in ("perp_right", "perp_left", "fac", "sub_cl"):
+            for op in ("perp_left", "fac", "sub_cl"):
                 got = to_set(getattr(subcat, op)(cat, xb)) & within
                 assert got == getattr(oracles, op)(cat, x, within), (op, x, within)
             got = to_set(subcat.filt(cat, xb))

@@ -188,7 +188,7 @@ def test_the_arrow_check_from_the_gap_side_names_what_it_rejects(
 
 @pytest.mark.parametrize("name", ["a3", "a4"])
 def test_psi_is_the_extension_product_over_the_bottom(name, cat_of, lat_of):
-    # what the removed rebuild checked: psi(X) = tors_gen(U | X) = star(U, X)
+    # what the removed rebuild checked: psi(X) = gen(U | X) = star(U, X)
     cat, lat = cat_of(name), lat_of(name)
     nodes = oracles.node_sets(lat)
     for iv in lat.intervals:
@@ -201,7 +201,7 @@ def test_psi_is_the_extension_product_over_the_bottom(name, cat_of, lat_of):
         for x, v in red.psi.items():
             x_mask = to_set(wlat.node_bits[x])
             assert red.phi[v] == x
-            gen = subcat.tors_gen(cat, subcat.bits(u_mask | x_mask))
+            gen = lat.gen(subcat.bits(u_mask | x_mask))
             assert nodes[v] == to_set(gen)
             assert nodes[v] == oracles.star(cat, u_mask, x_mask)
 
@@ -209,9 +209,10 @@ def test_psi_is_the_extension_product_over_the_bottom(name, cat_of, lat_of):
 def test_reduce_makes_no_star_entry_and_no_tors_gen_call(monkeypatch):
     # the wide intervals under ten random tops of a7: reduce_interval adds
     # joins to op_cache and nothing else (the Serre route below has built
-    # the wide table, and tors_gen would add a filt entry), and the checks
-    # after the verdict call no tors_gen.  The lattice is a fresh one, so
-    # no earlier test has put those joins in its catalog's op_cache
+    # the wide table, and a closure would add a filt entry), and the checks
+    # after the verdict take no closure: _reduce_onto calls no
+    # TorsLattice.gen.  The lattice is a fresh one, so no earlier test has
+    # put those joins in its catalog's op_cache
     lat = build_lattice(torslat.from_json(A7_EXPORT.read_text()))
     cat = lat.cat
     tops = random.Random(0).sample(range(len(lat)), 10)
@@ -219,11 +220,11 @@ def test_reduce_makes_no_star_entry_and_no_tors_gen_call(monkeypatch):
         lat.interval(b, t) for t in tops for b in widelab.wide_intervals_with_top(lat, t)
     ]
     state = {"in_reduce": False, "inside": 0, "outside": 0}
-    tors_gen, reduce_onto = subcat.tors_gen, widelab._reduce_onto
+    gen, reduce_onto = TorsLattice.gen, widelab._reduce_onto
 
     def counting_gen(*args, **kwargs):
         state["inside" if state["in_reduce"] else "outside"] += 1
-        return tors_gen(*args, **kwargs)
+        return gen(*args, **kwargs)
 
     def flagged_reduce(*args, **kwargs):
         state["in_reduce"] = True
@@ -232,7 +233,7 @@ def test_reduce_makes_no_star_entry_and_no_tors_gen_call(monkeypatch):
         finally:
             state["in_reduce"] = False
 
-    monkeypatch.setattr(subcat, "tors_gen", counting_gen)
+    monkeypatch.setattr(TorsLattice, "gen", counting_gen)
     monkeypatch.setattr(widelab, "_reduce_onto", flagged_reduce)
     before = set(cat.op_cache)
     for iv in wide:
@@ -251,10 +252,9 @@ def test_reduce_needs_the_torsion_side(lat_of):
 
 def test_reduce_scans_the_perpendicular_once(monkeypatch, lat_of):
     # the gap of each reduced interval is read once, as the verdict of its
-    # one bottom, so TorsLattice.gap is not called; nor is the frozenset
-    # perp_right
-    state = {"bottoms": [], "gap": 0, "perp": 0}
-    gap, perp_right = TorsLattice.gap, subcat.perp_right
+    # one bottom, so TorsLattice.gap is not called
+    state = {"bottoms": [], "gap": 0}
+    gap = TorsLattice.gap
     verdicts = widelab.wide_verdicts
 
     def counting_verdicts(lat, t, bottoms):
@@ -265,17 +265,12 @@ def test_reduce_scans_the_perpendicular_once(monkeypatch, lat_of):
         state["gap"] += 1
         return gap(*args, **kwargs)
 
-    def counting_perp(*args, **kwargs):
-        state["perp"] += 1
-        return perp_right(*args, **kwargs)
-
     lat = lat_of("a4")
     wide = [
         iv for iv in lat.intervals if widelab.is_wide_interval(lat, iv) is not None
     ]
     monkeypatch.setattr(widelab, "wide_verdicts", counting_verdicts)
     monkeypatch.setattr(TorsLattice, "gap", counting_gap)
-    monkeypatch.setattr(subcat, "perp_right", counting_perp)
     per_call = []
     for iv in wide:
         state["bottoms"] = []
@@ -283,7 +278,6 @@ def test_reduce_scans_the_perpendicular_once(monkeypatch, lat_of):
         per_call.append(state["bottoms"])
     assert wide and per_call == [[1]] * len(wide)
     assert state["gap"] == 0
-    assert state["perp"] == 0
 
 
 def test_reduce_interval_reads_no_order_bitsets_of_its_gap_lattice(lat_of):
@@ -622,7 +616,7 @@ def roundtrip(cat, lat):
     """(W, node of T(W)) per wide subcategory W, asserting L(T(W)) = W."""
     pairs = []
     for w in widelab.enumerate_wide_subcats(cat):
-        node = lat.bits_index.get(subcat.tors_gen(cat, w))
+        node = lat.bits_index.get(lat.gen(w))
         assert node is not None, f"{cat.mask_name(w)} generated a non-torsion-class"
         assert widelab.left_wide(lat, node) == w
         pairs.append((w, node))
